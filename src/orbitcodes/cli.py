@@ -8,7 +8,8 @@ anticipated errors surface as structured JSON with exit code 2.
 
 Budget defaults can be overridden with environment variables:
 ORBITCODES_DISTANCE_BUDGET, ORBITCODES_SVD_SIDE, ORBITCODES_FIELD_SCAN,
-ORBITCODES_MC_SAMPLES, ORBITCODES_VERIFY_BASIS.
+ORBITCODES_VERIFY_BASIS.  Each must be a nonnegative integer; a bad value,
+like a missing or malformed input file, is a structured error (exit 2).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from fractions import Fraction
 
 from orbitcodes import bounds as bounds_mod
 from orbitcodes.codecore import Codeword, encode
-from orbitcodes.errors import OrbitcodesError
-from orbitcodes.instance import InstanceConfig, SCHEMA_VERSION, build_instance, load_bundle_file
+from orbitcodes.errors import OrbitcodesError, ParameterError
+from orbitcodes.instance import InstanceConfig, SCHEMA_VERSION, build_instance, load_bundle
 from orbitcodes.polyring import Poly
 from orbitcodes.report import (
     DEFAULT_BUDGETS,
@@ -38,7 +39,6 @@ _ENV_BUDGETS = {
     "distance": "ORBITCODES_DISTANCE_BUDGET",
     "svd_side": "ORBITCODES_SVD_SIDE",
     "field_scan": "ORBITCODES_FIELD_SCAN",
-    "mc_samples": "ORBITCODES_MC_SAMPLES",
     "verify_basis": "ORBITCODES_VERIFY_BASIS",
 }
 
@@ -47,8 +47,39 @@ def _budgets() -> dict:
     out = dict(DEFAULT_BUDGETS)
     for key, env in _ENV_BUDGETS.items():
         if env in os.environ:
-            out[key] = int(os.environ[env])
+            text = os.environ[env]
+            try:
+                value = int(text)
+            except ValueError:
+                raise ParameterError(f"{env}={text!r} is not an integer") from None
+            if value < 0:
+                raise ParameterError(f"{env}={value} is negative")
+            out[key] = value
     return out
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _field_elements(ctx, data, key: str, path: str) -> list:
+    """The digit vectors under data[key] as field elements."""
+    if not isinstance(data, dict) or key not in data:
+        raise ParameterError(f"{path} has no {key!r} list")
+    try:
+        return [ctx.element(v) for v in data[key]]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: {key!r} must be a list of digit lists ({exc})") from None
+
+
+def _load_bundle(path: str):
+    return load_bundle(_read_json(path))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -79,7 +110,7 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    inst = load_bundle_file(args.bundle)
+    inst = _load_bundle(args.bundle)
     lines = ["edge_id,left_idx,right_idx"]
     lines += [f"{e},{l},{r}" for e, l, r in inst.graph.edge_rows()]
     text = "\n".join(lines) + "\n"
@@ -92,7 +123,7 @@ def cmd_graph(args) -> int:
 
 
 def _section_command(args, section_fn) -> int:
-    inst = load_bundle_file(args.bundle)
+    inst = _load_bundle(args.bundle)
     body = section_fn(inst, _budgets())
     doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), **{args.command: body}}
     _emit(doc, args.out)
@@ -108,7 +139,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    inst = load_bundle_file(args.bundle)
+    inst = _load_bundle(args.bundle)
     body = distance_section(inst, _budgets(), sample=args.sample)
     doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "distance": body}
     _emit(doc, args.out)
@@ -116,10 +147,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    inst = load_bundle_file(args.bundle)
-    with open(args.message, "r", encoding="utf-8") as fh:
-        msg = json.load(fh)
-    coeffs = [inst.ambient.element(c) for c in msg["coeffs"]]
+    inst = _load_bundle(args.bundle)
+    coeffs = _field_elements(inst.ambient, _read_json(args.message), "coeffs", args.message)
     f = Poly(inst.ambient, coeffs)
     cw = encode(f, inst.omega, inst.G, inst.H, inst.params)
     _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.to_json()}, args.out)
@@ -127,12 +156,11 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = load_bundle_file(args.bundle)
+    inst = _load_bundle(args.bundle)
     cw = None
     if args.codeword:
-        with open(args.codeword, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        cw = Codeword(values=tuple(inst.ambient.element(v) for v in data["values"]))
+        values = _field_elements(inst.ambient, _read_json(args.codeword), "values", args.codeword)
+        cw = Codeword(values=tuple(values))
     body = verify_section(inst, _budgets(), codeword=cw)
     doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "verify": body}
     _emit(doc, args.out)
@@ -140,7 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    inst = load_bundle_file(args.bundle)
+    inst = _load_bundle(args.bundle)
     chosen = {
         "spectrum": args.spectrum,
         "rate": args.rate,

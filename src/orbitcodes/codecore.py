@@ -35,13 +35,14 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, FieldElement
+from orbitcodes.gf import FieldContext, FieldElement, mul_matrix
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
 from orbitcodes.polyring import MINUS_INFINITY, Poly, base_degree, lagrange_interpolate
 
 DISTANCE_BUDGET = 1 << 24
+LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 
 
 def max_degree_below(bound: Fraction | int) -> int:
@@ -324,9 +325,18 @@ def encode(
 
 
 def schur_product(cw1: Codeword, cw2: Codeword) -> Codeword:
+    """Coordinate-wise product, computed on digit arrays with the field's multiplication tensor."""
     if len(cw1) != len(cw2):
         raise ParameterError("codeword length mismatch")
-    return Codeword(values=tuple(a * b for a, b in zip(cw1.values, cw2.values)))
+    if not cw1.values:
+        return Codeword(values=())
+    ctx = cw1.values[0].ctx
+    if cw2.values[0].ctx != ctx:
+        raise ParameterError("field context mismatch")
+    a, b = cw1.digit_array(), cw2.digit_array()
+    k = ctx.k
+    outer = (a[:, :, None] * b[:, None, :]).reshape(len(a), k * k)
+    return codeword_from_digits(ctx, outer @ ctx.mul_tensor().reshape(k * k, k) % ctx.p)
 
 
 @dataclass(frozen=True)
@@ -388,6 +398,82 @@ def _side_bound_info(r: Fraction, length: int) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _SideMap:
+    """Local check map of one side of the graph.
+
+    positions[v, j] is the edge of vertex v at base point j, and coeff_map
+    sends the digits of a vertex's values, in base order, to the digits of
+    its interpolant's coefficients.
+    """
+
+    positions: np.ndarray  # (vertices, L) edge ids
+    coeff_map: np.ndarray  # (L*k, L*k) over F_p
+
+
+def _side_map(edge_lists: list[list[int]], omega: tuple[FieldElement, ...], translate: bool) -> _SideMap:
+    """One Lagrange map for a whole side, and the gather that feeds it.
+
+    Vertex 0's points fix the base B: its points minus (translate) or
+    divided by its first point.  Every vertex of the side is then
+    {a_v + b} or {a_v * b} for b in B, with a_v its first point.  The
+    substitution x = a_v + y or x = a_v * y keeps the interpolant's degree,
+    so V_B^-1, the Lagrange coefficient matrix of B expanded through
+    multiplication matrices, checks every vertex of the side.
+    """
+    ctx = omega[0].ctx
+    p, k = ctx.p, ctx.k
+    first = [omega[e] for e in edge_lists[0]]
+    if translate:
+        base = [x - first[0] for x in first]
+    else:
+        inv = first[0].inverse()
+        base = [x * inv for x in first]
+    edges = np.array(edge_lists, dtype=np.int64)
+    points = np.array([x.coeffs for x in omega], dtype=np.int64)
+    anchors = points[edges[:, 0]]
+    base_digits = np.array([b.coeffs for b in base], dtype=np.int64)
+    if translate:
+        expected = anchors[:, None, :] + base_digits[None]
+    else:
+        expected = np.einsum("vi,ijl,bj->vbl", anchors, ctx.mul_tensor(), base_digits)
+    code = p ** np.arange(k, dtype=np.int64)  # digit vector -> its integer code
+    match = ((expected % p) @ code)[:, :, None] == (points[edges] @ code)[:, None, :]
+    if not (match.sum(axis=2) == 1).all():
+        kind = "translate" if translate else "multiple"
+        raise ParameterError(f"graph vertices are not the {kind}s of one base set along omega")
+    positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
+
+    size = len(base)
+    zero, one = ctx.zero(), ctx.one()
+    blocks = np.zeros((size, k, size, k), dtype=np.int64)
+    for j in range(size):
+        unit = [one if i == j else zero for i in range(size)]
+        for i, c in enumerate(lagrange_interpolate(base, unit).coeffs):
+            blocks[i, :, j, :] = mul_matrix(c)
+    return _SideMap(positions=positions, coeff_map=blocks.reshape(size * k, size * k))
+
+
+def _local_maps(graph: CosetGraph, omega: Sequence[FieldElement]) -> dict[str, _SideMap]:
+    """Both side maps of a graph, built on the first check and cached on it."""
+    omega = tuple(omega)
+    if graph.local_maps is None or graph.local_maps[0] != omega:
+        left, right = _vertex_edge_lists(graph)
+        maps = {"left": _side_map(left, omega, translate=True), "right": _side_map(right, omega, translate=False)}
+        graph.local_maps = (omega, maps)
+    return graph.local_maps[1]
+
+
+def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
+    """Interpolant degree at every vertex of a side (-1 for a zero restriction)."""
+    vals = digits[side.positions]
+    nv, size, k = vals.shape
+    coeffs = (vals.reshape(nv, size * k) @ side.coeff_map.T) % p
+    nonzero = coeffs.reshape(nv, size, k).any(axis=2)
+    top = size - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), top, -1)
+
+
 def check_local_rs(
     cw: Codeword,
     graph: CosetGraph,
@@ -401,33 +487,31 @@ def check_local_rs(
     must interpolate to degree < r|G|, symmetrically with r|H| on the
     right; this is exactly the local Reed-Solomon membership.  With
     doubled=True the Schur bound deg < 2*ceil(r*len) - 1 is applied
-    instead, for coordinate-wise products.
+    instead, for coordinate-wise products.  The interpolants of all
+    vertices of a side come from one matrix product (see _side_map).
     """
     if len(cw) != graph.edge_count or len(omega) != graph.edge_count:
         raise ParameterError("codeword/orbit length does not match the edge count")
-    left_edges, right_edges = _vertex_edge_lists(graph)
     bounds = {
         "left": _side_bound_info(params.r, graph.left_degree),
         "right": _side_bound_info(params.r, graph.right_degree),
     }
+    maps = _local_maps(graph, omega)
+    digits = cw.digit_array()
+    p = omega[0].ctx.p
     vertices = []
-    for side, groups in (("left", left_edges), ("right", right_edges)):
+    for side in ("left", "right"):
         allowed = bounds[side]["max_allowed_degree"]
         if doubled:
             allowed = 2 * allowed
-        for vi, edge_ids in enumerate(groups):
-            pts = [omega[e] for e in edge_ids]
-            vals = [cw.values[e] for e in edge_ids]
-            interp = lagrange_interpolate(pts, vals)
-            d = interp.degree
-            ok = d == MINUS_INFINITY or int(d) <= allowed
+        for vi, d in enumerate(_vertex_degrees(maps[side], digits, p).tolist()):
             vertices.append(
                 VertexCheck(
                     side=side,
                     index=vi,
-                    interp_degree=None if d == MINUS_INFINITY else int(d),
+                    interp_degree=None if d < 0 else d,
                     max_allowed=allowed,
-                    ok=ok,
+                    ok=d <= allowed,
                 )
             )
     return LocalCheckReport(vertices=vertices, bounds=bounds)
@@ -447,24 +531,11 @@ def schur_check(
 # -- fast batch encoding -------------------------------------------------------
 
 
-def _mult_matrices(omega: Sequence[FieldElement]) -> np.ndarray:
-    ctx = omega[0].ctx
-    k = ctx.k
-    basis = [ctx.one()]
-    for _ in range(k - 1):
-        basis.append(basis[-1] * ctx.gen())
-    mats = np.zeros((len(omega), k, k), dtype=np.int64)
-    for idx, w in enumerate(omega):
-        for j, bj in enumerate(basis):
-            mats[idx, :, j] = (w * bj).coeffs
-    return mats
-
-
 def _power_tensor(omega: Sequence[FieldElement], D: int) -> np.ndarray:
     """digits of omega_i^t for all points and t < D, shape (n, D, k)."""
     ctx = omega[0].ctx
     n, k, p = len(omega), ctx.k, ctx.p
-    mats = _mult_matrices(omega)
+    mats = np.stack([mul_matrix(w) for w in omega])
     out = np.zeros((n, D, k), dtype=np.int64)
     cur = np.zeros((n, k), dtype=np.int64)
     cur[:, 0] = 1
@@ -495,7 +566,12 @@ def encode_basis_digits(ms: MessageSpace, omega: Sequence[FieldElement]) -> np.n
 
 
 def codeword_from_digits(ctx: FieldContext, digits: np.ndarray) -> Codeword:
-    return Codeword(values=tuple(ctx.element([int(c) for c in row]) for row in digits))
+    """Codeword from an (n, k) digit array."""
+    digits = np.asarray(digits, dtype=np.int64)
+    if digits.ndim != 2 or digits.shape[1] != ctx.k:
+        raise ParameterError(f"digit array must have shape (n, {ctx.k}), got {digits.shape}")
+    rows = (digits % ctx.p).tolist()
+    return Codeword(values=tuple(FieldElement(ctx, tuple(row)) for row in rows))
 
 
 # -- minimum distance ------------------------------------------------------------
@@ -549,51 +625,82 @@ def min_distance_exhaustive(
         )
     rows = encode_basis_digits(ms, omega)
     tables = _scalar_tables(rows, ctx, scalars, prime_only=(mode == "prime-subcode"))
-    value = _min_weight_dfs(tables, p)
+    value = _min_weight_chunked(tables, p)
     return DistanceResult(value=value, mode=mode, enumerated=enumerated, dim=ms.dim)
 
 
 def _scalar_tables(rows: np.ndarray, ctx: FieldContext, scalars, prime_only: bool) -> list[np.ndarray]:
+    """Per basis row, the digits (len(scalars), n, k) of every scalar multiple."""
     p = ctx.p
-    tables = []
-    for row in rows:
-        if prime_only:
-            tab = (np.arange(p, dtype=np.int64)[:, None, None] * row[None]) % p
-        else:
-            k = ctx.k
-            tab = np.zeros((len(scalars), row.shape[0], k), dtype=np.int64)
-            basis = [ctx.one()]
-            for _ in range(k - 1):
-                basis.append(basis[-1] * ctx.gen())
-            for ci, c in enumerate(scalars):
-                mc = np.zeros((k, k), dtype=np.int64)
-                for j, bj in enumerate(basis):
-                    mc[:, j] = (c * bj).coeffs
-                tab[ci] = (row @ mc.T) % p
-        tables.append(tab)
-    return tables
+    if prime_only:
+        return [(np.arange(p, dtype=np.int64)[:, None, None] * row[None]) % p for row in rows]
+    mats = np.stack([mul_matrix(c) for c in scalars])
+    return [np.einsum("cij,nj->cni", mats, row) % p for row in rows]
 
 
-def _min_weight_dfs(tables: list[np.ndarray], p: int) -> int:
-    dim = len(tables)
-    best = [np.inf]
+def _pack(digits: np.ndarray) -> np.ndarray:
+    """uint8 digits (..., n, k), each element zero-padded to whole 64-bit words."""
+    k = digits.shape[-1]
+    out = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
+    out[..., :k] = digits
+    return out
 
-    def rec(row: int, prefix: np.ndarray, zero_prefix: bool):
-        if row == dim - 1:
-            batch = (prefix[None] + tables[row]) % p
-            weights = batch.any(axis=2).sum(axis=1)
-            if zero_prefix:
-                weights = weights[1:]
-            if weights.size:
-                w = int(weights.min())
-                if w < best[0]:
-                    best[0] = w
-        else:
-            for ci in range(tables[row].shape[0]):
-                rec(row + 1, (prefix + tables[row][ci]) % p, zero_prefix and ci == 0)
 
-    rec(0, np.zeros_like(tables[0][0]), True)
-    return int(best[0])
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Digit-wise a + b mod p on packed uint8 arrays (word-wise XOR when p = 2)."""
+    if p == 2:
+        return (a.view(np.uint64) ^ b.view(np.uint64)).view(np.uint8)
+    s = a + b
+    np.subtract(s, p, out=s, where=s >= p)
+    return s
+
+
+def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
+    """Minimum weight over all combinations of one entry per table, except all zeros.
+
+    Entry 0 of every table is the zero multiple.  The trailing tables are
+    combined into one low table of at most LOW_TABLE_BYTES; the loop runs
+    over the combinations (prefixes) of the leading tables, in odometer
+    order, and weighs prefix + every low entry at once.  A coordinate of
+    prefix + low is zero iff low equals -prefix there, so with the
+    leading tables negated up front the weight is a count of the
+    coordinates whose 64-bit words differ from the prefix's.
+    """
+    if p >= 128:
+        raise ParameterError(f"packed enumeration needs p < 128, got {p}")
+    packed = [_pack(t) for t in tables]
+    lead = len(packed) - 1
+    low = packed[lead]
+    while lead > 0 and packed[lead - 1].shape[0] * low.nbytes <= LOW_TABLE_BYTES:
+        lead -= 1
+        low = _add_mod(packed[lead][:, None], low[None], p).reshape((-1,) + low.shape[1:])
+    low_words = np.ascontiguousarray(low.view(np.uint64).transpose(2, 0, 1))  # (words, entries, n)
+    negated = [(p - t) % p for t in packed[:lead]]
+    n = low.shape[1]
+
+    best = n
+    choice = [0] * lead
+    sums = [np.zeros_like(low[0])] * (lead + 1)  # sums[i]: chosen entries of the first i tables
+    stale = 0
+    while True:
+        for i in range(stale, lead):
+            sums[i + 1] = _add_mod(sums[i], negated[i][choice[i]], p)
+        prefix = sums[lead].view(np.uint64).T
+        differs = low_words[0] != prefix[0]
+        for w in range(1, len(prefix)):
+            differs |= low_words[w] != prefix[w]
+        weights = np.count_nonzero(differs, axis=1)
+        if not any(choice):
+            weights = weights[1:]  # the zero prefix with the zero low entry is the zero codeword
+        if weights.size:
+            best = min(best, int(weights.min()))
+        stale = lead - 1
+        while stale >= 0 and choice[stale] == len(negated[stale]) - 1:
+            choice[stale] = 0
+            stale -= 1
+        if stale < 0:
+            return best
+        choice[stale] += 1
 
 
 def min_distance_sampled(

@@ -18,7 +18,7 @@ because it is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
@@ -44,6 +44,8 @@ class CosetGraph:
     left_reps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (shift, scale) digit vectors
     right_elements: tuple[FieldElement, ...]
     is_simple: bool
+    # (omega, per-side local check maps), filled by codecore on the first check
+    local_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:

@@ -31,7 +31,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_embed_cache", "_elements")
+    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_embed_cache", "_elements", "_mul_tensor")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -50,6 +50,7 @@ class FieldContext:
         self._trace_vec: tuple[int, ...] | None = None
         self._embed_cache: dict = {}
         self._elements: tuple[FieldElement, ...] | None = None
+        self._mul_tensor: np.ndarray | None = None
 
     # -- basic protocol ------------------------------------------------
 
@@ -170,6 +171,22 @@ class FieldContext:
             raise ZeroDivisionError("inverse of zero field element")
         return self._pow(a, self.order - 2)
 
+    def mul_tensor(self) -> np.ndarray:
+        """(k, k, k) tensor T with T[i, j] = digits of X^(i+j) mod the modulus.
+
+        For digit vectors a, b the product a*b has digits
+        sum_{i,j} a_i b_j T[i, j] (mod p); every batched product uses it.
+        """
+        if self._mul_tensor is None:
+            k = self.k
+            powers = np.zeros((2 * k - 1, k), dtype=np.int64)
+            powers[np.arange(k), np.arange(k)] = 1
+            if k > 1:
+                powers[k:] = self._red_rows
+            idx = np.arange(k)
+            self._mul_tensor = powers[idx[:, None] + idx[None, :]]
+        return self._mul_tensor
+
     def trace_vector(self) -> tuple[int, ...]:
         """Traces of the power basis 1, X, ..., X^(k-1); trace is F_p-linear."""
         if self._trace_vec is None:
@@ -222,8 +239,9 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            assert other.ctx == self.ctx, "field context mismatch"
-            return other
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other
+            raise ParameterError("field context mismatch")
         if isinstance(other, int):
             return self.ctx.element([other])
         return NotImplemented
@@ -296,8 +314,15 @@ def trace(x: FieldElement) -> int:
 
 def char_exponent(a: FieldElement, s: FieldElement) -> int:
     """Exponent e = Tr(a*s) of the additive character value exp(2*pi*i*e/p)."""
-    assert a.ctx == s.ctx, "field context mismatch"
+    if a.ctx != s.ctx:
+        raise ParameterError("field context mismatch")
     return trace(a * s)
+
+
+def mul_matrix(x: FieldElement) -> np.ndarray:
+    """The k x k F_p matrix M of y -> x*y on digit vectors: digits(x*y) = M @ digits(y) mod p."""
+    t = x.ctx.mul_tensor()
+    return np.einsum("i,ijl->lj", np.array(x.coeffs, dtype=np.int64), t) % x.ctx.p
 
 
 class FpSubspace:

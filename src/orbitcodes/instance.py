@@ -15,8 +15,7 @@ integral (and keeps |H| above p^m so the weight profile applies).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from orbitcodes import fppoly
@@ -111,11 +110,7 @@ class Instance:
     omega: tuple[FieldElement, ...]
     graph: CosetGraph
 
-    _ms_cache: dict = None
-
-    def __post_init__(self):
-        if self._ms_cache is None:
-            self._ms_cache = {}
+    _ms_cache: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -254,8 +249,3 @@ def load_bundle(data: dict) -> Instance:
     if data.get("graph") != inst.graph.summary_json():
         raise ParameterError("bundle graph summary disagrees with the build")
     return inst
-
-
-def load_bundle_file(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_bundle(json.load(fh))

@@ -94,8 +94,12 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _check_ctx(self, other: "Poly") -> None:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ParameterError("field context mismatch")
+
     def __add__(self, other: "Poly") -> "Poly":
-        assert self.ctx == other.ctx
+        self._check_ctx(other)
         n = max(len(self.coeffs), len(other.coeffs))
         z = self.ctx.zero()
         a = list(self.coeffs) + [z] * (n - len(self.coeffs))
@@ -112,7 +116,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, FieldElement):
             return Poly(self.ctx, [c * other for c in self.coeffs])
-        assert self.ctx == other.ctx
+        self._check_ctx(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
         z = self.ctx.zero()
@@ -146,7 +150,7 @@ class Poly:
         return Poly(self.ctx, [self.ctx.zero()] * n + list(self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        assert self.ctx == other.ctx
+        self._check_ctx(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         db = other.degree

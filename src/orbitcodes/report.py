@@ -37,7 +37,6 @@ DEFAULT_BUDGETS = {
     "distance": 1 << 24,
     "svd_side": 5000,
     "field_scan": 1 << 20,
-    "mc_samples": 10_000_000,
     "verify_basis": 64,
 }
 

@@ -194,3 +194,54 @@ def test_budget_env_override(bundle_path, capsys, monkeypatch):
     assert code == 0  # budget skip is not a failure
     sec = json.loads(out)["distance"]
     assert sec["status"].startswith("skipped: budget")
+
+
+def _assert_structured_error(code, out, *fragments):
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ParameterError"
+    for frag in fragments:
+        assert frag in err["condition"]
+
+
+def test_budget_env_non_integer_is_structured_error(bundle_path, capsys, monkeypatch):
+    monkeypatch.setenv("ORBITCODES_DISTANCE_BUDGET", "abc")
+    code, out = _run(capsys, "distance", "--bundle", bundle_path)
+    _assert_structured_error(code, out, "ORBITCODES_DISTANCE_BUDGET", "not an integer")
+
+
+def test_budget_env_negative_is_structured_error(bundle_path, capsys, monkeypatch):
+    monkeypatch.setenv("ORBITCODES_VERIFY_BASIS", "-1")
+    code, out = _run(capsys, "verify", "--bundle", bundle_path)
+    _assert_structured_error(code, out, "ORBITCODES_VERIFY_BASIS", "negative")
+
+
+def test_invalid_json_message_is_structured_error(bundle_path, tmp_path, capsys):
+    msg = tmp_path / "msg.json"
+    msg.write_text("{not json")
+    code, out = _run(capsys, "encode", "--bundle", bundle_path, "--message", str(msg))
+    _assert_structured_error(code, out, "not valid JSON")
+
+
+def test_message_without_coeffs_is_structured_error(bundle_path, tmp_path, capsys):
+    msg = tmp_path / "msg.json"
+    msg.write_text(json.dumps({"values": [[1]]}))
+    code, out = _run(capsys, "encode", "--bundle", bundle_path, "--message", str(msg))
+    _assert_structured_error(code, out, "'coeffs'")
+
+
+def test_codeword_without_values_is_structured_error(bundle_path, tmp_path, capsys):
+    cw = tmp_path / "cw.json"
+    cw.write_text(json.dumps({"coeffs": [[1]]}))
+    code, out = _run(capsys, "verify", "--bundle", bundle_path, "--codeword", str(cw))
+    _assert_structured_error(code, out, "'values'")
+
+
+def test_missing_message_file_is_structured_error(bundle_path, tmp_path, capsys):
+    code, out = _run(capsys, "encode", "--bundle", bundle_path, "--message", str(tmp_path / "absent.json"))
+    _assert_structured_error(code, out, "absent.json")
+
+
+def test_missing_codeword_file_is_structured_error(bundle_path, tmp_path, capsys):
+    code, out = _run(capsys, "verify", "--bundle", bundle_path, "--codeword", str(tmp_path / "absent.json"))
+    _assert_structured_error(code, out, "absent.json")

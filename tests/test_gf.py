@@ -219,3 +219,13 @@ def test_subspace_points_deterministic_and_indexed():
         assert space.index_of(pt) == i
         assert pt in space
     assert span_of(ctx, pts).point_set() == space.point_set()
+
+
+def test_mixing_field_contexts_raises():
+    # a real error, not an assert, so python -O keeps the check
+    f4, f8 = build_field(2, 2), build_field(2, 3)
+    a, b = f4.gen(), f8.gen()
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: char_exponent(a, b)):
+        with pytest.raises(ParameterError, match="context mismatch"):
+            op()
+    assert a * build_field(2, 2).gen() == a * a  # equal contexts built twice still mix

@@ -191,3 +191,11 @@ def test_poly_over_extension_field_coefficients():
     assert (a * b)(f64.from_int(9)) == a(f64.from_int(9)) * b(f64.from_int(9))
     assert a.int_coeffs() is None
     assert Poly.from_ints(f64, [1, 0, 1]).int_coeffs() == [1, 0, 1]
+
+
+def test_mixing_poly_contexts_raises():
+    f4, f8 = build_field(2, 2), build_field(2, 3)
+    a, b = Poly.x(f4), Poly.x(f8) + Poly.one(f8)
+    for op in (lambda: a + b, lambda: a * b, lambda: divmod(a, b)):
+        with pytest.raises(ParameterError, match="context mismatch"):
+            op()
