@@ -25,11 +25,13 @@ from math import sqrt
 import numpy as np
 
 from orbitcodes.errors import BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, span_of, trace
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, span_of, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
+from orbitcodes.linalg import rank_mod_p
 
 SVD_SIDE_BUDGET = 5000
-FIELD_SCAN_BUDGET = 1 << 20
+FIELD_SCAN_BUDGET = 1 << 20  # max points one exhaustive character scan visits
+SCAN_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -150,6 +152,20 @@ class Sigma2Exact:
         return self.value
 
 
+def _check_scan_budget(points: int, budget: int) -> None:
+    if points > budget:
+        raise BudgetError(f"character scan of {points} points exceeds the exhaustive-scan budget {budget}")
+
+
+def _scan_chunk(columns: int) -> int:
+    # representatives per chunk, so that one chunk's functional values stay near 1M entries
+    return max(1, SCAN_CHUNK_ENTRIES // max(1, columns))
+
+
+def _digit_rows(elements, k: int) -> np.ndarray:
+    return np.array([x.coeffs for x in elements], dtype=np.int64).reshape(len(elements), k)
+
+
 def sigma2_exact(
     G: TranslationGroup,
     H: ScalingGroup,
@@ -159,26 +175,28 @@ def sigma2_exact(
 ) -> Sigma2Exact:
     """sigma_2 from the walk eigenvalues lambda_a = Pr_h[h^-1 a in G^perp].
 
-    Maximizes over a outside S^perp; the maximum is an exact rational with
-    denominator |H| and only the final square root is floating point.
+    Maximizes over a outside S^perp.  S contains G and is closed under H,
+    so S^perp lies in G^perp and is closed under H: lambda_a depends only
+    on a mod S^perp, and one representative per nonzero class (|S| - 1
+    points, not |F|) reaches every value.  h^-1 a lies in G^perp iff the
+    dim G trace functionals a -> Tr(g_i h^-1 a) vanish, so all |H| * dim G
+    of them are one F_p matrix product per chunk of representatives.  The
+    maximum is an exact rational with denominator |H| and only the final
+    square root is floating point.
     """
-    if ambient.order > field_budget:
-        raise BudgetError(f"field size {ambient.order} exceeds the exhaustive-scan budget {field_budget}")
-    g_perp = G.points.dual().point_set()
-    s_perp = S.dual().point_set()
-    inverses = H.inverses
+    p, k = ambient.p, ambient.k
+    s_basis, g_basis = _digit_rows(S.basis, k), _digit_rows(G.points.basis, k)
+    closure = np.concatenate([s_basis, g_basis, s_basis @ mul_matrix(H.generator).T % p])
+    if rank_mod_p(closure, p) != S.dim:
+        raise ParameterError("S must contain G and be closed under scaling by H")
+    s_perp = S.dual()
+    _check_scan_budget(ambient.order // s_perp.size - 1, field_budget)
+    g_forms = g_basis @ trace_form(ambient) % p
+    phi = np.concatenate([g_forms @ mul_matrix(ih) % p for ih in H.inverses])  # (|H| * dim G, k)
     best = 0
-    for a in ambient.elements():
-        if a in s_perp:
-            continue
-        cnt = 0
-        for ih in inverses:
-            if ih * a in g_perp:
-                cnt += 1
-        if cnt > best:
-            best = cnt
-            if best == H.order:
-                break
+    for reps in s_perp.nonzero_coset_reps(_scan_chunk(len(phi))):
+        values = (reps @ phi.T % p).reshape(len(reps), H.order, G.points.dim)
+        best = max(best, int((~values.any(axis=2)).sum(axis=1).max()))
     lam = Fraction(best, H.order)
     return Sigma2Exact(value=sqrt(lam), lambda_max=lam)
 
@@ -189,44 +207,44 @@ class CharSumMax:
 
     value: float
     sq_exact: Fraction | None  # exact |sum|^2 for p <= 3, else None
-    argmax_code: int
 
 
-def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = 10**6) -> CharSumMax:
+def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIELD_SCAN_BUDGET) -> CharSumMax:
     """M = max over a not in H^perp of |sum_{h in H} chi_a(h)|.
 
-    Character values are p-th roots of unity; sums are evaluated from exact
-    exponent histograms, in double precision.  For p <= 3 the squared
-    magnitude of the tracked maximum is also returned exactly via the
+    The exponents Tr(a*h) depend only on a mod span(H)^perp, so one
+    representative per nonzero class (p^dim span(H) - 1 points) is
+    scanned, with all |H| exponents of a chunk as one F_p matrix product.
+    Character values are p-th roots of unity; each distinct exponent
+    histogram is evaluated once, in double precision.  For p <= 3 the
+    squared magnitude of the maximum is also returned exactly via the
     histogram autocorrelation identity |sum|^2 = B_0 - B_1.
     """
-    if ambient.order > field_budget:
-        raise BudgetError(f"field size {ambient.order} exceeds the exhaustive-scan budget {field_budget}")
     p = ambient.p
-    h_perp = span_of(ambient, H.elements()).dual().point_set()
+    h_perp = span_of(ambient, H.elements()).dual()
+    _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
+    h_forms = _digit_rows(H.elements(), ambient.k) @ trace_form(ambient) % p
+    histograms = []
+    for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
+        exps = reps @ h_forms.T % p + p * np.arange(len(reps))[:, None]
+        hist = np.bincount(exps.ravel(), minlength=p * len(reps)).reshape(len(reps), p)
+        histograms.append(np.unique(hist, axis=0))
+    if not histograms:
+        raise InternalError("no nontrivial character found")  # pragma: no cover
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
-    best_sq: Fraction | None = None
-    best_code = -1
-    for a in ambient.elements():
-        if a in h_perp:
-            continue
-        counts = [0] * p
-        for h in H.elements():
-            counts[trace(a * h)] += 1
+    best_counts: list[int] = []
+    for row in np.unique(np.concatenate(histograms), axis=0):
+        counts = [int(c) for c in row]
         val = abs(sum(c * zeta[e] for e, c in enumerate(counts) if c))
         if val > best:
-            best = val
-            best_code = a.code()
-            if p <= 3:
-                b0 = sum(c * c for c in counts)
-                b1 = sum(counts[e] * counts[(e + 1) % p] for e in range(p))
-                best_sq = Fraction(b0 - b1)
-            else:
-                best_sq = None
-    if best < 0:
-        raise InternalError("no nontrivial character found")  # pragma: no cover
-    return CharSumMax(value=best, sq_exact=best_sq, argmax_code=best_code)
+            best, best_counts = val, counts
+    best_sq: Fraction | None = None
+    if p <= 3:
+        b0 = sum(c * c for c in best_counts)
+        b1 = sum(best_counts[e] * best_counts[(e + 1) % p] for e in range(p))
+        best_sq = Fraction(b0 - b1)
+    return CharSumMax(value=best, sq_exact=best_sq)
 
 
 def spectral_bounds(
@@ -280,111 +298,3 @@ class SpectralReport:
             "checks": self.checks(),
         }
 
-
-# -- two-step walk diagnostics -----------------------------------------------
-
-
-def two_step_counts(graph: CosetGraph) -> np.ndarray:
-    """Integer matrix B^T B; entry (j, j') counts 2-paths between right cosets."""
-    b = graph.biadjacency()
-    return b.T @ b
-
-
-def walk_difference_counts(G: TranslationGroup, H: ScalingGroup, S: FpSubspace) -> np.ndarray:
-    """Counts of the step difference d = h^-1 * g over (g, h), indexed by S.
-
-    The two-step walk from state s lands on s + h^-1 g, so row s of B^T B
-    must equal these counts shifted by s — an exact cross-check of the
-    transition rule against the assembled matrix.
-    """
-    counts = np.zeros(S.size, dtype=np.int64)
-    for h_inv in H.inverses:
-        for g in G.points.points():
-            counts[S.index_of(h_inv * g)] += 1
-    return counts
-
-
-def walk_matrix_matches_rule(graph: CosetGraph, G: TranslationGroup, H: ScalingGroup, S: FpSubspace) -> bool:
-    """Exact identity: (B^T B)[s, s'] == #{(g,h) : s' = s + h^-1 g}."""
-    btb = two_step_counts(graph)
-    diff = walk_difference_counts(G, H, S)
-    pts = S.points()
-    for si, s in enumerate(pts):
-        for sj, s2 in enumerate(pts):
-            if btb[si, sj] != diff[S.index_of(s2 - s)]:
-                return False
-    return True
-
-
-def sample_walk_tv(
-    graph: CosetGraph,
-    G: TranslationGroup,
-    H: ScalingGroup,
-    S: FpSubspace,
-    steps: int = 100_000,
-    seed: int = 0,
-    start_index: int = 0,
-) -> float:
-    """Total-variation gap between sampled one-(double)-step transitions and B^T B.
-
-    Samples uniform (g, h), applies s' = s + h^-1 g from the start state,
-    and compares the empirical distribution with the matching row of the
-    normalized two-step matrix.
-    """
-    rng = np.random.default_rng(seed)
-    g_points = G.points.points()
-    h_invs = H.inverses
-    start = S.points()[start_index]
-    targets = np.array(
-        [S.index_of(start + ih * g) for ih in h_invs for g in g_points], dtype=np.int64
-    )
-    picks = rng.integers(0, len(targets), size=steps)
-    hits = np.bincount(targets[picks], minlength=S.size)
-    empirical = hits / steps
-    row = two_step_counts(graph)[start_index].astype(np.float64)
-    row /= G.size * H.order
-    return 0.5 * float(np.abs(empirical - row).sum())
-
-
-def character_exponents(S: FpSubspace, a: FieldElement) -> tuple[int, ...]:
-    """Exponent vector (Tr(a*s) over s in S) of chi_a restricted to S."""
-    return tuple(trace(a * s) for s in S.points())
-
-
-def character_eigencheck(
-    graph: CosetGraph, G: TranslationGroup, H: ScalingGroup, S: FpSubspace, ambient: FieldContext
-) -> bool:
-    """Exact check that the S-characters diagonalize the two-step operator.
-
-    Verifies (B^T B) chi_a = |G| * cnt_a * chi_a in the cyclotomic integers
-    Z[zeta_p], comparing exponent histograms canonically (two integer
-    combinations of p-th roots of unity agree iff their histogram
-    difference is constant).  Also confirms exactly |S| distinct
-    characters appear.
-    """
-    p = ambient.p
-    btb = two_step_counts(graph)
-    g_perp = G.points.dual().point_set()
-    seen: dict[tuple[int, ...], int] = {}
-    for a in ambient.elements():
-        exps = character_exponents(S, a)
-        cnt = sum(1 for ih in H.inverses if ih * a in g_perp)
-        prev = seen.get(exps)
-        if prev is not None:
-            if prev != cnt:
-                return False
-            continue
-        seen[exps] = cnt
-        evec = np.array(exps, dtype=np.int64)
-        # LHS histograms: for each row s, counts of each exponent weighted by BtB
-        lhs = np.zeros((S.size, p), dtype=np.int64)
-        for e in range(p):
-            mask = evec == e
-            if mask.any():
-                lhs[:, e] = btb[:, mask].sum(axis=1)
-        rhs = np.zeros((S.size, p), dtype=np.int64)
-        rhs[np.arange(S.size), evec] = G.size * cnt
-        delta = lhs - rhs
-        if not np.all(delta == delta[:, :1]):
-            return False
-    return len(seen) == S.size

@@ -361,19 +361,31 @@ class FpSubspace:
     def points(self) -> tuple[FieldElement, ...]:
         """All points, enumerated in digit order over the basis (deterministic)."""
         if self._points is None:
-            p, k = self.ctx.p, self.ctx.k
+            p = self.ctx.p
             if self.dim == 0:
                 self._points = (self.ctx.zero(),)
             else:
-                digits = np.zeros((self.size, self.dim), dtype=np.int64)
-                idx = np.arange(self.size)
-                for d in range(self.dim):
-                    digits[:, d] = idx % p
-                    idx //= p
+                digits = _base_p_digits(np.arange(self.size), p, self.dim)
                 mat = np.array([b.coeffs for b in self.basis], dtype=np.int64)
                 pts = (digits @ mat) % p
                 self._points = tuple(FieldElement(self.ctx, tuple(int(c) for c in row)) for row in pts)
         return self._points
+
+    def nonzero_coset_reps(self, chunk_rows: int) -> Iterator[np.ndarray]:
+        """Digit rows of one point in every nonzero coset, at most chunk_rows at a time.
+
+        The points are the nonzero F_p-combinations of the unit vectors on
+        the non-pivot columns of the RREF basis.  Those span a complement of
+        the subspace, so each of the ctx.order // size - 1 nonzero cosets is
+        hit exactly once; no full-field table is built.
+        """
+        p, k = self.ctx.p, self.ctx.k
+        free = [c for c in range(k) if c not in self._pivots]
+        count = p ** len(free)
+        for start in range(1, count, chunk_rows):
+            rows = np.zeros((min(chunk_rows, count - start), k), dtype=np.int64)
+            rows[:, free] = _base_p_digits(np.arange(start, start + len(rows)), p, len(free))
+            yield rows
 
     def reduce(self, x: FieldElement) -> FieldElement:
         """Canonical representative of the coset x + (this subspace)."""
@@ -399,23 +411,24 @@ class FpSubspace:
         return {"dim": self.dim, "basis": [b.to_json() for b in self.basis]}
 
 
-def _gram_matrix(ctx: FieldContext) -> np.ndarray:
-    # Gram matrix of the trace bilinear form on the power basis
-    k = ctx.k
-    gen_pows = [ctx.one()]
-    for _ in range(2 * k - 2):
-        gen_pows.append(gen_pows[-1] * ctx.gen())
-    g = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = trace(gen_pows[i + j])
-    return g
+def _base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
+    # little-endian base-p digits of each index, one row per index
+    return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
+
+
+def trace_form(ctx: FieldContext) -> np.ndarray:
+    """Gram matrix W of the trace form on digit vectors: Tr(x*y) = digits(x) @ W @ digits(y) mod p.
+
+    Row c @ W is the functional a -> Tr(c*a), so a batch of trace
+    functionals is one product with W.
+    """
+    return (ctx.mul_tensor() @ np.array(ctx.trace_vector(), dtype=np.int64)) % ctx.p
 
 
 def dual_subspace(space: FpSubspace) -> FpSubspace:
     """M^perp under the trace form; dim M + dim M^perp = k and (M^perp)^perp = M."""
     ctx = space.ctx
-    gram = _gram_matrix(ctx)
+    gram = trace_form(ctx)
     if space.dim == 0:
         constraints = np.zeros((0, ctx.k), dtype=np.int64)
     else:

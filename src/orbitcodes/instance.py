@@ -85,15 +85,18 @@ class InstanceConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "InstanceConfig":
-        return cls(
-            instantiation=data["instantiation"],
-            p=int(data["p"]),
-            m=int(data["m"]),
-            r=Fraction(data.get("r", "1/2")),
-            D=data.get("D"),
-            gamma=None if data.get("gamma") is None else Fraction(data["gamma"]),
-            seed=int(data.get("seed", 0)),
-        )
+        try:
+            return cls(
+                instantiation=data["instantiation"],
+                p=int(data["p"]),
+                m=int(data["m"]),
+                r=Fraction(data.get("r", "1/2")),
+                D=None if data.get("D") is None else int(data["D"]),
+                gamma=None if data.get("gamma") is None else Fraction(data["gamma"]),
+                seed=int(data.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed config value: {exc}") from None
 
 
 @dataclass
@@ -231,16 +234,24 @@ def build_instance(config: InstanceConfig) -> Instance:
     return inst
 
 
-def load_bundle(data: dict) -> Instance:
+def load_bundle(data) -> Instance:
     """Rebuild the instance recorded in a bundle and cross-check stored facts.
 
     Construction is deterministic from the config alone; the stored alpha,
     n and graph summary are verified so a tampered bundle cannot silently
     feed later analyses.
     """
+    if not isinstance(data, dict):
+        raise ParameterError(f"bundle must be a JSON object, got {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ParameterError(f"unsupported bundle schema {data.get('schema_version')!r}")
-    config = InstanceConfig.from_json(data["config"])
+    config_data = data.get("config")
+    if not isinstance(config_data, dict):
+        raise ParameterError(f"bundle config must be a JSON object, got {type(config_data).__name__}")
+    missing = [key for key in ("instantiation", "p", "m") if key not in config_data]
+    if missing:
+        raise ParameterError(f"bundle config lacks {', '.join(missing)}")
+    config = InstanceConfig.from_json(config_data)
     inst = build_instance(config)
     if data.get("n") != inst.n:
         raise ParameterError(f"bundle records n={data.get('n')} but the build gives {inst.n}")

@@ -13,6 +13,7 @@ import numpy as np
 
 from orbitcodes import bounds as bounds_mod
 from orbitcodes.codecore import (
+    DISTANCE_BUDGET,
     Codeword,
     check_local_rs,
     codeword_from_digits,
@@ -24,6 +25,8 @@ from orbitcodes.codecore import (
     verify_message_space,
 )
 from orbitcodes.cosetgraph import (
+    FIELD_SCAN_BUDGET,
+    SVD_SIDE_BUDGET,
     SpectralReport,
     char_sum_max,
     sigma2_exact,
@@ -34,9 +37,9 @@ from orbitcodes.errors import BudgetError
 from orbitcodes.instance import Instance, SCHEMA_VERSION
 
 DEFAULT_BUDGETS = {
-    "distance": 1 << 24,
-    "svd_side": 5000,
-    "field_scan": 1 << 20,
+    "distance": DISTANCE_BUDGET,
+    "svd_side": SVD_SIDE_BUDGET,
+    "field_scan": FIELD_SCAN_BUDGET,
     "verify_basis": 64,
 }
 

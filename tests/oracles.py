@@ -5,13 +5,26 @@
 * ``dfs_min_weight``: minimum codeword weight by depth-first recursion
   over the basis rows, one scalar multiple at a time, with the scalar
   tables built from scalar ``FieldElement`` products.
+* ``scalar_sigma2_exact`` and ``scalar_char_sum_max``: the exact spectral
+  scans over every element of the ambient field, one scalar product per
+  (element, group element) pair.
+* the two-step walk diagnostics (``two_step_counts`` through
+  ``character_eigencheck``): exact and sampled cross-checks of the walk
+  rule and of the character eigenvectors, over whole fields or closures.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import sqrt
+
 import numpy as np
 
 from orbitcodes.codecore import _vertex_edge_lists, encode_basis_digits
+from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
+from orbitcodes.errors import InternalError
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, span_of, trace
+from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.polyring import MINUS_INFINITY, lagrange_interpolate
 
 
@@ -63,3 +76,162 @@ def dfs_min_weight(tables: list[np.ndarray], p: int) -> int:
 
     rec(0, np.zeros_like(tables[0][0]), True)
     return int(best[0])
+
+
+def scalar_sigma2_exact(
+    G: TranslationGroup, H: ScalingGroup, S: FpSubspace, ambient: FieldContext
+) -> Sigma2Exact:
+    """sigma_2 from lambda_a = Pr_h[h^-1 a in G^perp], maximized over every a outside S^perp."""
+    g_perp = G.points.dual().point_set()
+    s_perp = S.dual().point_set()
+    inverses = H.inverses
+    best = 0
+    for a in ambient.elements():
+        if a in s_perp:
+            continue
+        cnt = 0
+        for ih in inverses:
+            if ih * a in g_perp:
+                cnt += 1
+        if cnt > best:
+            best = cnt
+            if best == H.order:
+                break
+    lam = Fraction(best, H.order)
+    return Sigma2Exact(value=sqrt(lam), lambda_max=lam)
+
+
+def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
+    """M = max over every a outside H^perp of |sum_h chi_a(h)|, from exponent histograms."""
+    p = ambient.p
+    h_perp = span_of(ambient, H.elements()).dual().point_set()
+    zeta = np.exp(2j * np.pi * np.arange(p) / p)
+    best = -1.0
+    best_sq: Fraction | None = None
+    for a in ambient.elements():
+        if a in h_perp:
+            continue
+        counts = [0] * p
+        for h in H.elements():
+            counts[trace(a * h)] += 1
+        val = abs(sum(c * zeta[e] for e, c in enumerate(counts) if c))
+        if val > best:
+            best = val
+            if p <= 3:
+                b0 = sum(c * c for c in counts)
+                b1 = sum(counts[e] * counts[(e + 1) % p] for e in range(p))
+                best_sq = Fraction(b0 - b1)
+            else:
+                best_sq = None
+    if best < 0:
+        raise InternalError("no nontrivial character found")
+    return CharSumMax(value=best, sq_exact=best_sq)
+
+
+# -- two-step walk diagnostics -----------------------------------------------
+
+
+def two_step_counts(graph: CosetGraph) -> np.ndarray:
+    """Integer matrix B^T B; entry (j, j') counts 2-paths between right cosets."""
+    b = graph.biadjacency()
+    return b.T @ b
+
+
+def walk_difference_counts(G: TranslationGroup, H: ScalingGroup, S: FpSubspace) -> np.ndarray:
+    """Counts of the step difference d = h^-1 * g over (g, h), indexed by S.
+
+    The two-step walk from state s lands on s + h^-1 g, so row s of B^T B
+    must equal these counts shifted by s — an exact cross-check of the
+    transition rule against the assembled matrix.
+    """
+    counts = np.zeros(S.size, dtype=np.int64)
+    for h_inv in H.inverses:
+        for g in G.points.points():
+            counts[S.index_of(h_inv * g)] += 1
+    return counts
+
+
+def walk_matrix_matches_rule(graph: CosetGraph, G: TranslationGroup, H: ScalingGroup, S: FpSubspace) -> bool:
+    """Exact identity: (B^T B)[s, s'] == #{(g,h) : s' = s + h^-1 g}."""
+    btb = two_step_counts(graph)
+    diff = walk_difference_counts(G, H, S)
+    pts = S.points()
+    for si, s in enumerate(pts):
+        for sj, s2 in enumerate(pts):
+            if btb[si, sj] != diff[S.index_of(s2 - s)]:
+                return False
+    return True
+
+
+def sample_walk_tv(
+    graph: CosetGraph,
+    G: TranslationGroup,
+    H: ScalingGroup,
+    S: FpSubspace,
+    steps: int = 100_000,
+    seed: int = 0,
+    start_index: int = 0,
+) -> float:
+    """Total-variation gap between sampled one-(double)-step transitions and B^T B.
+
+    Samples uniform (g, h), applies s' = s + h^-1 g from the start state,
+    and compares the empirical distribution with the matching row of the
+    normalized two-step matrix.
+    """
+    rng = np.random.default_rng(seed)
+    g_points = G.points.points()
+    h_invs = H.inverses
+    start = S.points()[start_index]
+    targets = np.array(
+        [S.index_of(start + ih * g) for ih in h_invs for g in g_points], dtype=np.int64
+    )
+    picks = rng.integers(0, len(targets), size=steps)
+    hits = np.bincount(targets[picks], minlength=S.size)
+    empirical = hits / steps
+    row = two_step_counts(graph)[start_index].astype(np.float64)
+    row /= G.size * H.order
+    return 0.5 * float(np.abs(empirical - row).sum())
+
+
+def character_exponents(S: FpSubspace, a: FieldElement) -> tuple[int, ...]:
+    """Exponent vector (Tr(a*s) over s in S) of chi_a restricted to S."""
+    return tuple(trace(a * s) for s in S.points())
+
+
+def character_eigencheck(
+    graph: CosetGraph, G: TranslationGroup, H: ScalingGroup, S: FpSubspace, ambient: FieldContext
+) -> bool:
+    """Exact check that the S-characters diagonalize the two-step operator.
+
+    Verifies (B^T B) chi_a = |G| * cnt_a * chi_a in the cyclotomic integers
+    Z[zeta_p], comparing exponent histograms canonically (two integer
+    combinations of p-th roots of unity agree iff their histogram
+    difference is constant).  Also confirms exactly |S| distinct
+    characters appear.
+    """
+    p = ambient.p
+    btb = two_step_counts(graph)
+    g_perp = G.points.dual().point_set()
+    seen: dict[tuple[int, ...], int] = {}
+    for a in ambient.elements():
+        exps = character_exponents(S, a)
+        cnt = sum(1 for ih in H.inverses if ih * a in g_perp)
+        prev = seen.get(exps)
+        if prev is not None:
+            if prev != cnt:
+                return False
+            continue
+        seen[exps] = cnt
+        evec = np.array(exps, dtype=np.int64)
+        # LHS histograms: for each row s, counts of each exponent weighted by BtB
+        lhs = np.zeros((S.size, p), dtype=np.int64)
+        for e in range(p):
+            mask = evec == e
+            if mask.any():
+                lhs[:, e] = btb[:, mask].sum(axis=1)
+        rhs = np.zeros((S.size, p), dtype=np.int64)
+        rhs[np.arange(S.size), evec] = G.size * cnt
+        delta = lhs - rhs
+        if not np.all(delta == delta[:, :1]):
+            return False
+    return len(seen) == S.size

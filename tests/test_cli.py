@@ -245,3 +245,42 @@ def test_missing_message_file_is_structured_error(bundle_path, tmp_path, capsys)
 def test_missing_codeword_file_is_structured_error(bundle_path, tmp_path, capsys):
     code, out = _run(capsys, "verify", "--bundle", bundle_path, "--codeword", str(tmp_path / "absent.json"))
     _assert_structured_error(code, out, "absent.json")
+
+
+def _bundle_with(tmp_path, doc):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _valid_bundle(bundle_path):
+    with open(bundle_path) as fh:
+        return json.load(fh)
+
+
+def test_bundle_that_is_an_array_is_structured_error(tmp_path, capsys):
+    code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, [1, 2]))
+    _assert_structured_error(code, out, "JSON object", "list")
+
+
+def test_bundle_config_that_is_a_list_is_structured_error(bundle_path, tmp_path, capsys):
+    doc = _valid_bundle(bundle_path)
+    doc["config"] = ["I", 2, 2]
+    code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, "config must be a JSON object")
+
+
+@pytest.mark.parametrize("key", ["instantiation", "p", "m"])
+def test_bundle_config_without_a_required_key_is_structured_error(bundle_path, tmp_path, capsys, key):
+    doc = _valid_bundle(bundle_path)
+    del doc["config"][key]
+    code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, f"lacks {key}")
+
+
+@pytest.mark.parametrize("key", ["m", "D"])
+def test_bundle_config_with_a_non_integer_value_is_structured_error(bundle_path, tmp_path, capsys, key):
+    doc = _valid_bundle(bundle_path)
+    doc["config"][key] = "two"
+    code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, "malformed config value")

@@ -2,16 +2,13 @@
 
 import pytest
 
+from oracles import character_eigencheck, sample_walk_tv, two_step_counts, walk_matrix_matches_rule
 from orbitcodes.cosetgraph import (
     CosetGraph,
     char_sum_max,
-    character_eigencheck,
-    sample_walk_tv,
     sigma2_exact,
     sigma2_svd,
     spectral_bounds,
-    two_step_counts,
-    walk_matrix_matches_rule,
 )
 from orbitcodes.errors import BudgetError
 from orbitcodes.gf import build_field

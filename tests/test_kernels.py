@@ -1,5 +1,6 @@
-"""The batched local check, the digit-array Schur product and the chunked
-distance enumeration, each against its slow scalar oracle (tests/oracles.py)."""
+"""The batched local check, the digit-array Schur product, the chunked
+distance enumeration and the quotient spectral scans, each against its slow
+scalar oracle (tests/oracles.py)."""
 
 import itertools
 from fractions import Fraction
@@ -7,8 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dfs_min_weight, scalar_tables, scalar_vertex_degrees
-from orbitcodes import codecore
+from oracles import (
+    dfs_min_weight,
+    scalar_char_sum_max,
+    scalar_sigma2_exact,
+    scalar_tables,
+    scalar_vertex_degrees,
+)
+from orbitcodes import codecore, cosetgraph
 from orbitcodes.codecore import (
     Codeword,
     MessageSpace,
@@ -19,8 +26,13 @@ from orbitcodes.codecore import (
     schur_check,
     schur_product,
 )
-from orbitcodes.errors import ParameterError
-from orbitcodes.gf import build_field, mul_matrix
+from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
+from orbitcodes.errors import BudgetError, ParameterError
+from orbitcodes.gf import build_field, mul_matrix, span_of
+from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
+from orbitcodes.instance import InstanceConfig, build_instance
+from orbitcodes.numutil import divisors
+from orbitcodes.report import spectrum_section
 
 
 def _fast_degrees(rep):
@@ -132,3 +144,76 @@ def test_chunked_enumeration_matches_dfs_with_many_prefixes(monkeypatch, p, size
         tab[0] = 0
         tables.append(tab)
     assert codecore._min_weight_chunked(tables, p) == dfs_min_weight(tables, p)
+
+
+def _assert_sigma2_matches_oracle(G, H, S, ambient):
+    fast, slow = sigma2_exact(G, H, S, ambient), scalar_sigma2_exact(G, H, S, ambient)
+    assert (fast.lambda_max, fast.value) == (slow.lambda_max, slow.value)
+    return fast
+
+
+def _assert_char_sum_matches_oracle(H, ambient):
+    fast, slow = char_sum_max(H, ambient), scalar_char_sum_max(H, ambient)
+    assert (fast.value, fast.sq_exact) == (slow.value, slow.sq_exact)
+    return fast
+
+
+def test_spectral_scans_match_scalar_oracles_on_instances(all_instances):
+    for inst in all_instances:
+        _assert_sigma2_matches_oracle(inst.G, inst.H, inst.S, inst.ambient)
+        _assert_char_sum_matches_oracle(inst.H, inst.ambient)
+
+
+def test_spectral_scans_match_scalar_oracles_one_point_per_chunk(monkeypatch, inst1_p3, inst2_p2):
+    # every representative in its own chunk: the maxima must carry across chunks
+    monkeypatch.setattr(cosetgraph, "SCAN_CHUNK_ENTRIES", 1)
+    for inst in (inst1_p3, inst2_p2):
+        _assert_sigma2_matches_oracle(inst.G, inst.H, inst.S, inst.ambient)
+        _assert_char_sum_matches_oracle(inst.H, inst.ambient)
+    f64 = build_field(2, 6)
+    for d in (9, 21):  # |sum| is 5 on some classes and 3 on the last one scanned
+        _assert_char_sum_matches_oracle(scaling_subgroup(f64, d), f64)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_spectral_scans_match_scalar_oracles_on_every_subgroup(p, k):
+    # G = F_p and S = span(H), the smallest H-closed space containing it
+    ctx = build_field(p, k)
+    prime_field = TranslationGroup(span_of(ctx, [ctx.one()]))
+    for d in divisors(ctx.order - 1):
+        h = scaling_subgroup(ctx, d)
+        _assert_sigma2_matches_oracle(prime_field, h, span_of(ctx, h.elements()), ctx)
+        _assert_char_sum_matches_oracle(h, ctx)
+
+
+def test_sigma2_degenerate_one_step_walk_matches_oracle(inst1_p2):
+    trivial_h = ScalingGroup(inst1_p2.ambient.one(), 1)
+    g = inst1_p2.G
+    assert _assert_sigma2_matches_oracle(g, trivial_h, g.points, inst1_p2.ambient).value == 0.0
+    assert _assert_sigma2_matches_oracle(g, trivial_h, inst1_p2.S, inst1_p2.ambient).value == 1.0
+
+
+def test_scan_budget_bounds_points_visited(inst1_p2):
+    # I(2,2): |S| = 16 gives 15 nonzero classes mod S^perp, span(H) = F_4 gives 3
+    inst = inst1_p2
+    with pytest.raises(BudgetError, match="15 points"):
+        sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=14)
+    assert sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=15).lambda_max == Fraction(1, 3)
+    with pytest.raises(BudgetError, match="3 points"):
+        char_sum_max(inst.H, inst.ambient, field_budget=2)
+    assert char_sum_max(inst.H, inst.ambient, field_budget=3).value == 1.0
+
+
+def test_sigma2_exact_rejects_a_space_not_closed_under_h(inst1_p2):
+    inst = inst1_p2
+    with pytest.raises(ParameterError, match="closed under scaling"):
+        sigma2_exact(inst.G, inst.H, inst.G.points, inst.ambient)
+
+
+def test_spectrum_section_computed_on_i23():
+    # F = 2^21: the quotient scans visit 511 and 7 points, not 2^21
+    sec = spectrum_section(build_instance(InstanceConfig("I", 2, 3)))
+    assert sec["status"] == "computed"
+    assert sec["lambda_max"] == "3/7"
+    assert sec["M"] == 1.0
+    assert all(sec["checks"].values()) and sec["ok"]
