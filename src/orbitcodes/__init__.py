@@ -39,8 +39,6 @@ from orbitcodes.groupgeom import (
     GroupA,
     ScalingGroup,
     TranslationGroup,
-    affine_group,
-    compose,
     find_free_point,
     orbit,
     roots_of_linearized,

@@ -92,14 +92,16 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _config_from_args(args) -> InstanceConfig:
-    return InstanceConfig(
-        instantiation=args.inst,
-        p=args.p,
-        m=args.m,
-        r=Fraction(args.r),
-        D=None if args.D in (None, "n") else int(args.D),
-        gamma=None if args.gamma is None else Fraction(args.gamma),
-        seed=args.seed,
+    return InstanceConfig.from_json(
+        {
+            "instantiation": args.inst,
+            "p": args.p,
+            "m": args.m,
+            "r": args.r,
+            "D": None if args.D == "n" else args.D,
+            "gamma": args.gamma,
+            "seed": args.seed,
+        }
     )
 
 
@@ -191,7 +193,10 @@ def cmd_report(args) -> int:
 
 
 def _grid(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok]
+    try:
+        return [Fraction(tok) for tok in text.split(",") if tok]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"malformed fraction list {text!r}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:

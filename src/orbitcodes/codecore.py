@@ -11,7 +11,9 @@ and both spanning families have pairwise distinct degrees, so U and V are
 cut out exactly.  When the invariant polynomials have prime-subfield
 coefficients (every instantiation built here), all of U, V and their
 intersection are defined over F_p and the linear algebra runs on fast
-integer matrices; dimensions are unchanged by scalar extension.
+integer matrices; dimensions are unchanged by scalar extension.  Otherwise
+the same F_p elimination runs on the restriction of scalars of the
+field-coefficient system.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -113,6 +115,7 @@ class MessageSpace:
     dim_u: int
     dim_v: int
     fp_matrix: np.ndarray | None  # (dim, D) prime-field coefficient rows, or None
+    verification: dict | None = None  # verify_message_space of the basis, set by message_space
 
     @property
     def dim(self) -> int:
@@ -149,13 +152,27 @@ def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams, verify: bool = True) -> MessageSpace:
+def defining_poly(instantiation: str, p: int, m: int) -> list[int]:
+    """F_p coefficients of g, little-endian: X^(p^m) + X^p + X for I, X^(p^m) - X for II."""
+    g = [0] * (p**m + 1)
+    if instantiation == "I":
+        for e in (1, p, p**m):
+            g[e] = (g[e] + 1) % p
+    elif instantiation == "II":
+        g[1] = -1 % p
+        g[p**m] = 1
+    else:
+        raise ParameterError(f"unknown instantiation {instantiation!r}")
+    return g
+
+
+def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
-    Computed as the intersection U cap V of the two constraint subspaces;
-    a canonical echelonized basis is returned.  With verify=True each
-    basis element is re-checked against all three constraints through an
-    independent base expansion.
+    Computed as the intersection U cap V of the two constraint subspaces.
+    Each basis element is then re-checked against all three constraints
+    through an independent base expansion; the result is stored as
+    ms.verification and a failure raises InternalError.
     """
     ctx = G.ctx
     p = ctx.p
@@ -190,82 +207,44 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams, veri
         basis = tuple(Poly.from_ints(ctx, [int(c) for c in row]) for row in wmat)
         ms = MessageSpace(ctx, D, basis, len(pairs), dim_v, wmat)
     else:
-        ms = _message_space_generic(G, H, params, imax_g, bad_cols, dim_v)
+        ms = _message_space_generic(G, imax_g, bad_cols, dim_v, D)
 
-    if verify:
-        report = verify_message_space(ms, G, H, params)
-        if not report["all_ok"]:
-            raise InternalError("message-space basis failed its constraint re-check")
+    ms.verification = verify_message_space(ms, G, H, params)
+    if not ms.verification["all_ok"]:
+        raise InternalError("message-space basis failed its constraint re-check")
     return ms
 
 
-def _message_space_generic(G, H, params, imax_g, bad_cols, dim_v) -> MessageSpace:
-    """Field-coefficient fallback for invariant polynomials outside F_p[X]."""
+def _message_space_generic(G: TranslationGroup, imax_g: int, bad_cols: list[int], dim_v: int, D: int) -> MessageSpace:
+    """Field-coefficient U cap V by restriction of scalars to F_p.
+
+    Row (u, a) of the expanded matrix holds the digits of x^a * U_u, for x
+    the field generator, so a combination sum_u c_u U_u with c_u in F is an
+    F_p-combination of the expanded rows.  The F_p-RREF of the expanded
+    bad-column block is the expansion of its F-RREF, so the F_p kernel rows
+    whose free column is digit 0 of a variable (the last nonzero entry of a
+    kernel row is its free column) are exactly the F-kernel vectors of the
+    field system, written out in digits.
+    """
     ctx = G.ctx
-    D = params.D
-    if D > 256:
-        raise BudgetError("generic message-space path is desk-scale only (D <= 256)")
+    p, k = ctx.p, ctx.k
     pairs = _u_row_pairs(G.size, imax_g, D)
-    zero = ctx.zero()
-    rows: list[list[FieldElement]] = []
+    rows = np.zeros((len(pairs), D, k), dtype=np.int64)
     gj = Poly.one(ctx)
     cur_j = 0
-    for i, j in pairs:
+    for ridx, (i, j) in enumerate(pairs):
         while cur_j < j:
             gj = gj * G.invariant_poly
             cur_j += 1
-        shifted = gj.shift(i)
-        rows.append(list(shifted.coeffs) + [zero] * (D - len(shifted.coeffs)))
-    # combos alpha with sum alpha_u * rows[u][bad] = 0, Gaussian elimination over F
-    columns = [[rows[u][c] for u in range(len(rows))] for c in bad_cols]
-    combos = _field_nullspace(columns, len(rows), ctx)
-    basis = []
-    for combo in combos:
-        acc = [zero] * D
-        for coef, row in zip(combo, rows):
-            if coef.is_zero():
-                continue
-            for t in range(D):
-                if not row[t].is_zero():
-                    acc[t] = acc[t] + coef * row[t]
-        basis.append(Poly(ctx, acc))
-    basis = [b for b in basis if not b.is_zero()]
-    return MessageSpace(ctx, D, tuple(basis), len(pairs), dim_v, None)
-
-
-def _field_nullspace(constraint_columns: list[list[FieldElement]], nvars: int, ctx) -> list[list[FieldElement]]:
-    """Kernel basis of the system (columns as constraints) over the field."""
-    rows = [list(col) for col in constraint_columns]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(nvars):
-        piv = None
-        for rr in range(rank, len(rows)):
-            if not rows[rr][col].is_zero():
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for rr in range(len(rows)):
-            if rr != rank and not rows[rr][col].is_zero():
-                f = rows[rr][col]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(nvars) if c not in pivots]
-    one = ctx.one()
-    zero = ctx.zero()
-    basis = []
-    for fc in free:
-        vec = [zero] * nvars
-        vec[fc] = one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][fc]
-        basis.append(vec)
-    return basis
+        rows[ridx, i : i + len(gj.coeffs)] = [c.coeffs for c in gj.coeffs]
+    expanded = np.einsum("utj,ajl->uatl", rows, ctx.mul_tensor()) % p
+    expanded = expanded.reshape(len(pairs) * k, D * k)
+    bad = (np.array(bad_cols, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
+    kernel = nullspace_mod_p(expanded[:, bad].T, p)
+    free_col = kernel.shape[1] - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
+    digits = (kernel[free_col % k == 0] @ expanded % p).reshape(-1, D, k)
+    basis = tuple(Poly(ctx, [FieldElement(ctx, tuple(c)) for c in row]) for row in digits.tolist())
+    return MessageSpace(ctx, D, basis, len(pairs), dim_v, None)
 
 
 def constraint_report(f: Poly, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
@@ -309,18 +288,16 @@ def encode(
     G: TranslationGroup,
     H: ScalingGroup,
     params: CodeParams,
-    check: bool = True,
 ) -> Codeword:
-    """Evaluation vector (f(beta) for beta in the orbit).
+    """Evaluation vector (f(beta) for beta in the orbit), after checking f's constraints.
 
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
-    if check:
-        rep = constraint_report(f, G, H, params)
-        for name, (value, bound, ok) in rep["checks"].items():
-            if not ok:
-                raise ConstraintViolation(f"{name} violated: {value} must be < {bound}")
+    rep = constraint_report(f, G, H, params)
+    for name, (value, bound, ok) in rep["checks"].items():
+        if not ok:
+            raise ConstraintViolation(f"{name} violated: {value} must be < {bound}")
     return Codeword(values=tuple(f(x) for x in omega))
 
 
@@ -591,9 +568,6 @@ class DistanceResult:
 def min_distance_exhaustive(
     ms: MessageSpace,
     omega: Sequence[FieldElement],
-    G: TranslationGroup,
-    H: ScalingGroup,
-    params: CodeParams,
     budget: int = DISTANCE_BUDGET,
 ) -> DistanceResult:
     """Minimum Hamming weight by exhaustive message enumeration.
@@ -754,21 +728,8 @@ def weight_closed_form(k: int, p: int, m: int, instantiation: str) -> int:
 
 def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
     """Oracle: deg_h(g^(p^k)) computed by literal base expansion over F_p."""
-    if instantiation == "I":
-        g = [0] * (p**m + 1)
-        g[0] = 0
-        g[1] = 1
-        g[p] = (g[p] + 1) % p
-        g[p**m] = (g[p**m] + 1) % p
-        hlen = p**m - 1
-    elif instantiation == "II":
-        g = [0] * (p**m + 1)
-        g[1] = -1 % p
-        g[p**m] = 1
-        hlen = int(gamma * (p ** (m + 1) - 1))
-    else:
-        raise ParameterError(f"unknown instantiation {instantiation!r}")
-    garr = fppoly.make(g, p)
+    garr = fppoly.make(defining_poly(instantiation, p, m), p)
+    hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
     f = fppoly.power(garr, p**k, p)
     h = fppoly.make([0] * hlen + [1], p)
     d = fppoly.max_digit_degree(f, h, p)
@@ -827,16 +788,7 @@ def monomial_is_sound(i: int, j: int, params: CodeParams) -> bool:
     """Direct check (no subadditivity shortcut) that g^i X^j is admissible."""
     p, m = params.p, params.m
     glen = params.g_size
-    if params.instantiation == "I":
-        g = [0] * (glen + 1)
-        g[1] = 1
-        g[p] = (g[p] + 1) % p
-        g[glen] = (g[glen] + 1) % p
-    else:
-        g = [0] * (glen + 1)
-        g[1] = -1 % p
-        g[glen] = 1
-    garr = fppoly.make(g, p)
+    garr = fppoly.make(defining_poly(params.instantiation, p, m), p)
     f = fppoly.shift(fppoly.power(garr, i, p), j)
     if fppoly.deg(f) >= params.D:
         return False

@@ -25,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from orbitcodes.errors import BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, span_of, trace_form
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import rank_mod_p
 
@@ -221,7 +221,7 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIE
     histogram autocorrelation identity |sum|^2 = B_0 - B_1.
     """
     p = ambient.p
-    h_perp = span_of(ambient, H.elements()).dual()
+    h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual()
     _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
     h_forms = _digit_rows(H.elements(), ambient.k) @ trace_form(ambient) % p
     histograms = []

@@ -438,11 +438,6 @@ def dual_subspace(space: FpSubspace) -> FpSubspace:
     return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
 
 
-def span_of(ctx: FieldContext, elements: Iterable[FieldElement]) -> FpSubspace:
-    """F_p-span of an arbitrary point set (used for duals of non-subspace sets)."""
-    return FpSubspace.from_vectors(ctx, list(elements))
-
-
 def linear_map_matrix(ctx: FieldContext, func: Callable[[FieldElement], FieldElement]) -> np.ndarray:
     """Matrix (columns = images of the power basis) of an F_p-linear map."""
     k = ctx.k
@@ -505,17 +500,6 @@ def embed(x: FieldElement, ambient: FieldContext) -> FieldElement:
         if c:
             acc = acc + ambient.element([c]) * w
     return acc
-
-
-def multiplicative_order(x: FieldElement) -> int:
-    if x.is_zero():
-        raise ParameterError("zero has no multiplicative order")
-    n = x.ctx.order - 1
-    order = n
-    for q in prime_factors(n):
-        while order % q == 0 and (x ** (order // q)) == x.ctx.one():
-            order //= q
-    return order
 
 
 def primitive_element(ctx: FieldContext) -> FieldElement:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import (
     FieldContext,
@@ -26,7 +24,7 @@ from orbitcodes.gf import (
     kernel_subspace,
     primitive_element,
 )
-from orbitcodes.linalg import rref_mod_p
+from orbitcodes.linalg import rank_mod_p
 from orbitcodes.numutil import prime_factors
 from orbitcodes.polyring import Poly, translation_invariant_poly, scaling_invariant_poly
 
@@ -50,7 +48,7 @@ class AffineMap:
         return self.scale * x + self.shift
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        # (self o other)(x) = scale1*(scale2*x + shift2) + shift1
+        """Group law of AGL(1, F): (s1, h1)*(s2, h2) = (s1 + h1*s2, h1*h2), i.e. self o other."""
         return AffineMap(self.shift + self.scale * other.shift, self.scale * other.scale)
 
     def inverse(self) -> "AffineMap":
@@ -61,17 +59,12 @@ class AffineMap:
         return self.shift.is_zero() and self.scale == self.scale.ctx.one()
 
 
-def compose(a: AffineMap, b: AffineMap) -> AffineMap:
-    """Group law of AGL(1, F): (s1, h1)*(s2, h2) = (s1 + h1*s2, h1*h2)."""
-    return a.compose(b)
-
-
 class TranslationGroup:
     """Additive subgroup acting by translations, with its annihilator polynomial."""
 
-    def __init__(self, points: FpSubspace, invariant_poly: Poly | None = None):
+    def __init__(self, points: FpSubspace):
         self.points = points
-        self.invariant_poly = invariant_poly if invariant_poly is not None else translation_invariant_poly(points)
+        self.invariant_poly = translation_invariant_poly(points)
         if self.invariant_poly.degree != self.size:
             raise InternalError("annihilator degree does not match subgroup size")
 
@@ -271,10 +264,6 @@ class GroupA:
         }
 
 
-def affine_group(S: FpSubspace, H: ScalingGroup, ambient: FieldContext) -> GroupA:
-    return GroupA(S, H, ambient)
-
-
 def find_free_point(A: GroupA) -> FieldElement:
     """First field element (enumeration order) with trivial stabilizer in A.
 
@@ -311,77 +300,19 @@ def orbit(A: GroupA, alpha: FieldElement) -> tuple[FieldElement, ...]:
     return pts
 
 
-def independent_over_subfield(vectors: Iterable[FieldElement], subfield_power_basis: list[FieldElement]) -> bool:
-    """Whether vectors are linearly independent over the subfield K.
+def independent_over_subfield(vectors: Iterable[FieldElement], degree: int) -> bool:
+    """Whether vectors are linearly independent over the subfield K of the given degree.
 
-    subfield_power_basis is a K-basis (w_0, ..., w_{t-1}) of the ambient
-    field; each vector is decomposed as sum c_j * w_j with c_j in K by
-    F_p-linear algebra, then Gaussian elimination runs over K itself.
+    The K-span of the vectors is the F_p-span of {w*v : w in an F_p-basis
+    of K}, so they are K-independent iff that set has F_p-rank
+    len(vectors) * [K:F_p].
     """
     vecs = list(vectors)
     if not vecs:
         return True
-    rows = [_subfield_coords(v, subfield_power_basis) for v in vecs]
-    # Gaussian elimination with exact field arithmetic over K (inside ambient)
-    ncols = len(subfield_power_basis)
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(vecs)
-
-
-def _subfield_coords(v: FieldElement, power_basis: list[FieldElement]) -> list[FieldElement]:
-    """Write v = sum c_j * power_basis[j] with c_j in the subfield K.
-
-    K is taken to be the field generated by the coordinates; concretely the
-    linear system runs over F_p with unknowns the F_p-digits of the c_j,
-    where K is the subfield containing all digit combinations.  The power
-    basis must be K-linearly independent, e.g. 1, alpha, ..., alpha^{t-1}.
-    """
-    ambient = v.ctx
-    p, k = ambient.p, ambient.k
-    t = len(power_basis)
-    if k % t != 0:
-        raise ParameterError("power basis length must divide the ambient degree")
-    sub_dim = k // t
-    # K = F_{p^sub_dim}: digits of each c_j range over an F_p-basis of K.
-    # We need an F_p-basis of K inside the ambient field: K is the unique
-    # subfield of that size, i.e. the kernel of x -> x^(p^sub_dim) - x.
-    K = kernel_subspace(ambient, lambda x: x ** (p**sub_dim) - x)
-    if K.dim != sub_dim:
-        raise InternalError("subfield recovery failed")
-    columns = []
-    for w in power_basis:
-        for kb in K.basis:
-            columns.append((kb * w).coeffs)
-    mat = np.array(columns, dtype=np.int64).T  # k x (t*sub_dim)
-    aug = np.concatenate([mat, np.array(v.coeffs, dtype=np.int64).reshape(k, 1)], axis=1)
-    rr, pivots = rref_mod_p(aug, p)
-    if (t * sub_dim) in pivots:
-        raise InternalError("vector not representable in the power basis")
-    sol = np.zeros(t * sub_dim, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        sol[c] = rr[row, -1]
-    coords = []
-    for j in range(t):
-        c = ambient.zero()
-        for i, kb in enumerate(K.basis):
-            digit = int(sol[j * sub_dim + i])
-            if digit:
-                c = c + ambient.element([digit]) * kb
-        coords.append(c)
-    return coords
+    ambient = vecs[0].ctx
+    p = ambient.p
+    if degree < 1 or ambient.k % degree != 0:
+        raise ParameterError(f"subfield degree {degree} does not divide the ambient degree {ambient.k}")
+    K = kernel_subspace(ambient, lambda x: x ** (p**degree) - x)
+    return rank_mod_p([(w * v).coeffs for v in vecs for w in K.basis], p) == len(vecs) * degree

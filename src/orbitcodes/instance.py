@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from orbitcodes import fppoly
-from orbitcodes.codecore import CodeParams, MessageSpace, message_space
+from orbitcodes.codecore import CodeParams, MessageSpace, defining_poly, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, build_field
@@ -27,7 +27,6 @@ from orbitcodes.groupgeom import (
     GroupA,
     ScalingGroup,
     TranslationGroup,
-    affine_group,
     find_free_point,
     orbit,
     roots_of_linearized,
@@ -95,7 +94,7 @@ class InstanceConfig:
                 gamma=None if data.get("gamma") is None else Fraction(data["gamma"]),
                 seed=int(data.get("seed", 0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from None
 
 
@@ -137,11 +136,11 @@ class Instance:
             gamma=cfg.gamma,
         )
 
-    def message_space(self, r: Fraction | None = None, D: int | None = None, verify: bool = True) -> MessageSpace:
+    def message_space(self, r: Fraction | None = None, D: int | None = None) -> MessageSpace:
         params = self.code_params(r, D)
-        key = (params.r, params.D, verify)
+        key = (params.r, params.D)
         if key not in self._ms_cache:
-            self._ms_cache[key] = message_space(self.G, self.H, params, verify=verify)
+            self._ms_cache[key] = message_space(self.G, self.H, params)
         return self._ms_cache[key]
 
     def bundle_json(self) -> dict:
@@ -161,11 +160,7 @@ class Instance:
 
 
 def _splitting_degree_of_g(p: int, m: int) -> int:
-    g = [0] * (p**m + 1)
-    g[1] = (g[1] + 1) % p
-    g[p] = (g[p] + 1) % p
-    g[p**m] = (g[p**m] + 1) % p
-    return fppoly.splitting_degree(fppoly.make(g, p), p)
+    return fppoly.splitting_degree(fppoly.make(defining_poly("I", p, m), p), p)
 
 
 def _ambient_degree_i(p: int, m: int) -> int:
@@ -182,38 +177,24 @@ def build_instance(config: InstanceConfig) -> Instance:
     p, m = config.p, config.m
     if config.instantiation == "I":
         ell = _ambient_degree_i(p, m)
-        ambient = build_field(p, ell)
-        prime_ctx = build_field(p, 1)
-        g_ints = [0] * (p**m + 1)
-        g_ints[1] = (g_ints[1] + 1) % p
-        g_ints[p] = (g_ints[p] + 1) % p
-        g_ints[p**m] = (g_ints[p**m] + 1) % p
-        g_poly = Poly.from_ints(ambient, g_ints)
-        points = roots_of_linearized(Poly.from_ints(prime_ctx, g_ints), ambient)
-        G = TranslationGroup(points, invariant_poly=None)  # product form, compared to g below
-        if G.invariant_poly != g_poly:
-            raise InternalError("annihilator product does not reproduce the defining polynomial")
-        H = scaling_subgroup(ambient, p**m - 1)
+        h_order = p**m - 1
         expected_s = p ** (m * m)
     else:
         ell = 2 * m * (m + 1)
-        ambient = build_field(p, ell)
-        prime_ctx = build_field(p, 1)
-        g_ints = [0] * (p**m + 1)
-        g_ints[1] = -1 % p
-        g_ints[p**m] = 1
-        points = roots_of_linearized(Poly.from_ints(prime_ctx, g_ints), ambient)
-        G = TranslationGroup(points, invariant_poly=None)
-        if G.invariant_poly != Poly.from_ints(ambient, g_ints):
-            raise InternalError("annihilator product does not reproduce X^(p^m) - X")
         h_order = int(config.gamma * (p ** (m + 1) - 1))
-        H = scaling_subgroup(ambient, h_order)
         expected_s = p ** (m * (m + 1))
+    ambient = build_field(p, ell)
+    g_ints = defining_poly(config.instantiation, p, m)
+    points = roots_of_linearized(Poly.from_ints(build_field(p, 1), g_ints), ambient)
+    G = TranslationGroup(points)  # product form, compared to g below
+    if G.invariant_poly != Poly.from_ints(ambient, g_ints):
+        raise InternalError("annihilator product does not reproduce the defining polynomial")
+    H = scaling_subgroup(ambient, h_order)
 
     S = scaling_closure(G, H)
     if S.size != expected_s:
         raise ConfigurationError(f"closure size {S.size} differs from the expected {expected_s}")
-    A = affine_group(S, H, ambient)
+    A = GroupA(S, H, ambient)
     alpha = find_free_point(A)
     om = orbit(A, alpha)
     graph = build_graph(A, G)

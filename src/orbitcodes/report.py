@@ -22,7 +22,6 @@ from orbitcodes.codecore import (
     min_distance_sampled,
     monomial_count,
     schur_check,
-    verify_message_space,
 )
 from orbitcodes.cosetgraph import (
     FIELD_SCAN_BUDGET,
@@ -89,13 +88,12 @@ def rate_section(inst: Instance, budgets: dict | None = None, sigma2: float | No
         D=params.D,
         n=params.n,
     )
-    verification = verify_message_space(ms, inst.G, inst.H, params)
     floor_bound = 2 * math.floor(params.r * params.D) - params.D
     checks = {
         "monomial_count_le_dim": count <= ms.dim,
         "dim_ge_counting_floor": ms.dim >= max(0, floor_bound),
         "dim_ge_u_plus_v_minus_d": ms.dim >= ms.dim_u + ms.dim_v - params.D,
-        "basis_constraints_pass": verification["all_ok"],
+        "basis_constraints_pass": ms.verification["all_ok"],
     }
     return {
         "status": "computed",
@@ -129,7 +127,7 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
         "expander_form": expander_form,
     }
     try:
-        res = min_distance_exhaustive(ms, inst.omega, inst.G, inst.H, params, budget=b["distance"])
+        res = min_distance_exhaustive(ms, inst.omega, budget=b["distance"])
         checks = {
             "ge_algebraic_bound": res.value >= algebraic,
             "ge_expander_bound": res.value >= expander,

@@ -11,6 +11,9 @@
 * the two-step walk diagnostics (``two_step_counts`` through
   ``character_eigencheck``): exact and sampled cross-checks of the walk
   rule and of the character eigenvectors, over whole fields or closures.
+* ``scalar_message_space_generic``: the message-space basis for an
+  annihilator outside F_p[X], by Gaussian elimination over the field
+  with scalar ``FieldElement`` arithmetic.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from math import sqrt
 
 import numpy as np
 
-from orbitcodes.codecore import _vertex_edge_lists, encode_basis_digits
+from orbitcodes.codecore import _u_row_pairs, _vertex_edge_lists, encode_basis_digits, max_degree_below
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import InternalError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, span_of, trace
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, trace
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
-from orbitcodes.polyring import MINUS_INFINITY, lagrange_interpolate
+from orbitcodes.polyring import MINUS_INFINITY, Poly, lagrange_interpolate
 
 
 def scalar_vertex_degrees(cw, graph, omega) -> list[tuple[str, int, int | None]]:
@@ -104,7 +107,7 @@ def scalar_sigma2_exact(
 def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
     """M = max over every a outside H^perp of |sum_h chi_a(h)|, from exponent histograms."""
     p = ambient.p
-    h_perp = span_of(ambient, H.elements()).dual().point_set()
+    h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual().point_set()
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
     best_sq: Fraction | None = None
@@ -235,3 +238,75 @@ def character_eigencheck(
         if not np.all(delta == delta[:, :1]):
             return False
     return len(seen) == S.size
+
+
+def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, params) -> list[Poly]:
+    """Basis of U cap V from the field-coefficient rows X^i g^j, eliminated over the field.
+
+    The combinations c with sum_u c_u U_u vanishing on every column t with
+    t mod |H| above the scaling bound form the kernel of the bad-column
+    system; the basis is one combination per free variable, in variable
+    order.
+    """
+    ctx = G.ctx
+    D, r = params.D, params.r
+    imax_h = max_degree_below(r * H.order)
+    bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
+    pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
+    zero = ctx.zero()
+    rows: list[list[FieldElement]] = []
+    gj = Poly.one(ctx)
+    cur_j = 0
+    for i, j in pairs:
+        while cur_j < j:
+            gj = gj * G.invariant_poly
+            cur_j += 1
+        shifted = gj.shift(i)
+        rows.append(list(shifted.coeffs) + [zero] * (D - len(shifted.coeffs)))
+    columns = [[rows[u][c] for u in range(len(rows))] for c in bad_cols]
+    basis = []
+    for combo in _field_nullspace(columns, len(rows), ctx):
+        acc = [zero] * D
+        for coef, row in zip(combo, rows):
+            if coef.is_zero():
+                continue
+            for t in range(D):
+                if not row[t].is_zero():
+                    acc[t] = acc[t] + coef * row[t]
+        basis.append(Poly(ctx, acc))
+    return [b for b in basis if not b.is_zero()]
+
+
+def _field_nullspace(constraint_columns: list[list[FieldElement]], nvars: int, ctx) -> list[list[FieldElement]]:
+    """Kernel basis of the system (columns as constraints) over the field."""
+    rows = [list(col) for col in constraint_columns]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(nvars):
+        piv = None
+        for rr in range(rank, len(rows)):
+            if not rows[rr][col].is_zero():
+                piv = rr
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [c * inv for c in rows[rank]]
+        for rr in range(len(rows)):
+            if rr != rank and not rows[rr][col].is_zero():
+                f = rows[rr][col]
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(nvars) if c not in pivots]
+    one = ctx.one()
+    zero = ctx.zero()
+    basis = []
+    for fc in free:
+        vec = [zero] * nvars
+        vec[fc] = one
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -rows[row_idx][fc]
+        basis.append(vec)
+    return basis

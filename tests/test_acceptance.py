@@ -194,8 +194,7 @@ def test_09_distance(inst1_p2):
     results = {}
     ok = True
     for D in (48, 40):
-        params = inst.code_params(D=D)
-        res = min_distance_exhaustive(inst.message_space(D=D), inst.omega, inst.G, inst.H, params)
+        res = min_distance_exhaustive(inst.message_space(D=D), inst.omega)
         results[D] = res.value
         ok &= res.value >= inst.n - D + 1
         expander = math.ceil(inst.n * (1 - HALF) * max(0.0, float(1 - HALF) - sigma2) - 1e-12)

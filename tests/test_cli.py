@@ -284,3 +284,28 @@ def test_bundle_config_with_a_non_integer_value_is_structured_error(bundle_path,
     doc["config"][key] = "two"
     code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
     _assert_structured_error(code, out, "malformed config value")
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--r", "abc"),
+        ("--r", "1/0"),
+        ("--D", "abc"),
+        ("--gamma", "x"),
+        ("--r-grid", "abc"),
+        ("--r-grid", "1/0"),
+        ("config.r", "1/0"),
+    ],
+)
+def test_malformed_number_is_structured_error(bundle_path, tmp_path, capsys, flag, value):
+    if flag == "config.r":
+        doc = _valid_bundle(bundle_path)
+        doc["config"]["r"] = value
+        argv = ["rate", "--bundle", _bundle_with(tmp_path, doc)]
+    elif flag == "--r-grid":
+        argv = ["sweep", "--inst", "I", "--m", "2", "--rho-grid", "1", flag, value]
+    else:
+        argv = ["instantiate", "--p", "2", "--m", "2", "--inst", "II" if flag == "--gamma" else "I", flag, value]
+    code, out = _run(capsys, *argv)
+    _assert_structured_error(code, out)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitcodes import codecore
 from orbitcodes.codecore import (
     CodeParams,
     Codeword,
@@ -31,7 +32,9 @@ from orbitcodes.codecore import (
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import FpSubspace
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
+from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.polyring import Poly, base_degree
+from orbitcodes.report import rate_section
 
 
 def test_max_degree_below():
@@ -106,12 +109,28 @@ def test_message_space_generic_fallback(inst1_p2):
     assert G2.invariant_poly.int_coeffs() is None
     H2 = ScalingGroup(ambient.one(), 1)
     params = CodeParams("I", 2, 2, Fraction(1, 4), 8, 48)
-    ms = message_space(G2, H2, params, verify=True)
+    ms = message_space(G2, H2, params)
     # deg_g < 1/4 * 2 forces constant digits: the space is span(g^j, j <= 3)
     assert ms.dim == 4
     for b in ms.basis:
         assert b.degree < 8
         assert base_degree(b, G2.invariant_poly) <= 0
+
+
+def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
+    # a fresh instance, so the message space is built inside rate_section
+    inst = build_instance(InstanceConfig("I", 2, 2, r=Fraction(1, 2)))
+    calls = []
+    real = codecore.constraint_report
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(codecore, "constraint_report", counting)
+    section = rate_section(inst)
+    assert section["checks"]["basis_constraints_pass"]
+    assert len(calls) == section["dim"] == inst.message_space().dim
 
 
 def test_encode_constants(inst1_p2):
@@ -237,7 +256,7 @@ def test_min_distance_constant_code(inst1_p2):
         1,
         np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64),
     )
-    res = min_distance_exhaustive(ms, inst.omega, inst.G, inst.H, inst.params)
+    res = min_distance_exhaustive(ms, inst.omega)
     assert res.value == inst.n
     assert res.mode == "full-field"
 
@@ -249,8 +268,8 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
     ms = inst.message_space()
     for dims in (1, 2, 3):
         sub = MessageSpace(ms.ctx, ms.D, ms.basis[:dims], ms.dim_u, ms.dim_v, ms.fp_matrix[:dims])
-        full = min_distance_exhaustive(sub, inst.omega, inst.G, inst.H, inst.params)
-        prime = min_distance_exhaustive(sub, inst.omega, inst.G, inst.H, inst.params, budget=2**dims)
+        full = min_distance_exhaustive(sub, inst.omega)
+        prime = min_distance_exhaustive(sub, inst.omega, budget=2**dims)
         assert full.mode == "full-field" and prime.mode == "prime-subcode"
         assert prime.value >= full.value
         assert (full.value, prime.value) == {1: (48, 48), 2: (47, 47), 3: (44, 44)}[dims]
@@ -258,10 +277,9 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
 
 def test_min_distance_regressions(inst1_p2):
     inst = inst1_p2
-    res48 = min_distance_exhaustive(inst.message_space(), inst.omega, inst.G, inst.H, inst.params)
+    res48 = min_distance_exhaustive(inst.message_space(), inst.omega)
     assert (res48.value, res48.mode) == (18, "prime-subcode")
-    params40 = inst.code_params(D=40)
-    res40 = min_distance_exhaustive(inst.message_space(D=40), inst.omega, inst.G, inst.H, params40)
+    res40 = min_distance_exhaustive(inst.message_space(D=40), inst.omega)
     assert (res40.value, res40.mode) == (30, "prime-subcode")
     # subcode monotonicity and the degree bound
     assert res40.value >= res48.value
@@ -273,7 +291,7 @@ def test_min_distance_budget_refusal(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space(r=Fraction(3, 4))  # dim 36: 2^36 above budget
     with pytest.raises(BudgetError, match="sampl"):
-        min_distance_exhaustive(ms, inst.omega, inst.G, inst.H, inst.code_params(r=Fraction(3, 4)))
+        min_distance_exhaustive(ms, inst.omega)
 
 
 def test_min_distance_sampled_upper_bound(inst1_p2):

@@ -13,7 +13,6 @@ from orbitcodes.gf import (
     dual_subspace,
     embed,
     kernel_subspace,
-    span_of,
     trace,
 )
 
@@ -218,7 +217,7 @@ def test_subspace_points_deterministic_and_indexed():
     for i, pt in enumerate(pts):
         assert space.index_of(pt) == i
         assert pt in space
-    assert span_of(ctx, pts).point_set() == space.point_set()
+    assert FpSubspace.from_vectors(ctx, pts).point_set() == space.point_set()
 
 
 def test_mixing_field_contexts_raises():

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.gf import FpSubspace, build_field
+from orbitcodes.gf import FpSubspace, build_field, kernel_subspace
 from orbitcodes.groupgeom import (
     AffineMap,
+    GroupA,
     ScalingGroup,
     TranslationGroup,
-    affine_group,
-    compose,
     find_free_point,
     independent_over_subfield,
     orbit,
@@ -63,10 +62,10 @@ def test_affine_map_identity_and_inverse():
     f64 = build_field(2, 6)
     ident = AffineMap.identity(f64)
     a = AffineMap(f64.from_int(13), f64.from_int(9))
-    assert compose(ident, a) == a
-    assert compose(a, ident) == a
-    assert compose(a, a.inverse()).is_identity()
-    assert compose(a.inverse(), a).is_identity()
+    assert ident.compose(a) == a
+    assert a.compose(ident) == a
+    assert a.compose(a.inverse()).is_identity()
+    assert a.inverse().compose(a).is_identity()
     inv = a.inverse()
     assert inv.scale == a.scale.inverse()
     assert inv.shift == -(a.scale.inverse() * a.shift)
@@ -87,10 +86,10 @@ def test_affine_composition_associative_500_random():
 
     for _ in range(500):
         a, b, c = rand_map(), rand_map(), rand_map()
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
         # composition agrees with function application
         x = f64.from_int(rng.randrange(64))
-        assert compose(a, b).apply(x) == a.apply(b.apply(x))
+        assert a.compose(b).apply(x) == a.apply(b.apply(x))
 
 
 def test_scaling_subgroup_orders_and_containment():
@@ -150,7 +149,7 @@ def test_group_a_closed_under_composition(inst1_p2):
     as_set = set(maps)
     for _ in range(200):
         a, b = rng.choice(maps), rng.choice(maps)
-        assert compose(a, b) in as_set
+        assert a.compose(b) in as_set
         assert a.inverse() in as_set
 
 
@@ -191,7 +190,7 @@ def test_translation_only_group_every_point_free():
     sub = FpSubspace(f64, [f64.from_int(3), f64.from_int(8)])
     G = TranslationGroup(sub)
     trivial_h = ScalingGroup(f64.one(), 1)
-    A = affine_group(scaling_closure(G, trivial_h), trivial_h, f64)
+    A = GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
     alpha = find_free_point(A)
     assert alpha == f64.zero()  # first element passes: translations never fix anything
     om = orbit(A, alpha)
@@ -218,8 +217,13 @@ def test_basis_of_g_independent_over_subfield():
     for p in (2, 3):
         inst = build_instance(InstanceConfig("I", p, 2, r=Fraction(1, 2)))
         ambient = inst.ambient
-        t = ambient.k // 2
-        power_basis = [ambient.one()]
-        for _ in range(t - 1):
-            power_basis.append(power_basis[-1] * ambient.gen())
-        assert independent_over_subfield(inst.G.points.basis, power_basis)
+        assert independent_over_subfield(inst.G.points.basis, 2)
+
+
+def test_multiple_by_a_subfield_element_is_dependent_over_the_subfield(inst1_p2):
+    ambient = inst1_p2.ambient
+    f4 = kernel_subspace(ambient, lambda x: x**4 - x)
+    lam = next(x for x in f4.points() if x not in (ambient.zero(), ambient.one()))
+    v = ambient.gen()
+    assert not independent_over_subfield([v, lam * v], 2)
+    assert independent_over_subfield([v, lam * v], 1)  # lam lies outside F_2

@@ -1,6 +1,7 @@
 """The batched local check, the digit-array Schur product, the chunked
-distance enumeration and the quotient spectral scans, each against its slow
-scalar oracle (tests/oracles.py)."""
+distance enumeration, the quotient spectral scans and the restriction-of-
+scalars message space, each against its slow scalar oracle
+(tests/oracles.py)."""
 
 import itertools
 from fractions import Fraction
@@ -11,24 +12,27 @@ import pytest
 from oracles import (
     dfs_min_weight,
     scalar_char_sum_max,
+    scalar_message_space_generic,
     scalar_sigma2_exact,
     scalar_tables,
     scalar_vertex_degrees,
 )
 from orbitcodes import codecore, cosetgraph
 from orbitcodes.codecore import (
+    CodeParams,
     Codeword,
     MessageSpace,
     check_local_rs,
     codeword_from_digits,
     encode_basis_digits,
+    message_space,
     min_distance_exhaustive,
     schur_check,
     schur_product,
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
-from orbitcodes.gf import build_field, mul_matrix, span_of
+from orbitcodes.gf import FpSubspace, build_field, mul_matrix
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.numutil import divisors
@@ -117,8 +121,8 @@ def _subspace(ms, dims):
 def test_distance_matches_dfs_oracle_in_both_modes(inst1_p2, dims):
     inst = inst1_p2
     sub = _subspace(inst.message_space(), dims)
-    full = min_distance_exhaustive(sub, inst.omega, inst.G, inst.H, inst.params)
-    prime = min_distance_exhaustive(sub, inst.omega, inst.G, inst.H, inst.params, budget=2**dims)
+    full = min_distance_exhaustive(sub, inst.omega)
+    prime = min_distance_exhaustive(sub, inst.omega, budget=2**dims)
     assert (full.mode, prime.mode) == ("full-field", "prime-subcode")
     assert full.value == dfs_min_weight(scalar_tables(sub, inst.omega, prime_only=False), 2)
     assert prime.value == dfs_min_weight(scalar_tables(sub, inst.omega, prime_only=True), 2)
@@ -126,9 +130,8 @@ def test_distance_matches_dfs_oracle_in_both_modes(inst1_p2, dims):
 
 def test_distance_matches_dfs_oracle_at_p3(inst1_p3):
     inst = inst1_p3
-    params = inst.code_params(D=24)
     ms = inst.message_space(D=24)
-    res = min_distance_exhaustive(ms, inst.omega, inst.G, inst.H, params)
+    res = min_distance_exhaustive(ms, inst.omega)
     assert (res.value, res.mode, res.enumerated) == (639, "prime-subcode", 3**6)
     assert res.value == dfs_min_weight(scalar_tables(ms, inst.omega, prime_only=True), 3)
 
@@ -179,10 +182,10 @@ def test_spectral_scans_match_scalar_oracles_one_point_per_chunk(monkeypatch, in
 def test_spectral_scans_match_scalar_oracles_on_every_subgroup(p, k):
     # G = F_p and S = span(H), the smallest H-closed space containing it
     ctx = build_field(p, k)
-    prime_field = TranslationGroup(span_of(ctx, [ctx.one()]))
+    prime_field = TranslationGroup(FpSubspace.from_vectors(ctx, [ctx.one()]))
     for d in divisors(ctx.order - 1):
         h = scaling_subgroup(ctx, d)
-        _assert_sigma2_matches_oracle(prime_field, h, span_of(ctx, h.elements()), ctx)
+        _assert_sigma2_matches_oracle(prime_field, h, FpSubspace.from_vectors(ctx, h.elements()), ctx)
         _assert_char_sum_matches_oracle(h, ctx)
 
 
@@ -217,3 +220,24 @@ def test_spectrum_section_computed_on_i23():
     assert sec["lambda_max"] == "3/7"
     assert sec["M"] == 1.0
     assert all(sec["checks"].values()) and sec["ok"]
+
+
+@pytest.mark.parametrize(
+    "p,k,gens,h_order,r,D",
+    [
+        (2, 6, (9,), 1, Fraction(1, 4), 8),  # the fallback fixture of test_codecore
+        (2, 6, (9,), 7, Fraction(1, 2), 48),
+        (2, 6, (9, 5), 9, Fraction(3, 4), 48),
+        (3, 3, (4,), 13, Fraction(1, 2), 26),
+        (2, 6, (9,), 7, Fraction(1, 2), 260),  # D > 256: the generic path has no size limit
+    ],
+)
+def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
+    ctx = build_field(p, k)
+    G = TranslationGroup(FpSubspace(ctx, [ctx.from_int(g) for g in gens]))
+    assert G.invariant_poly.int_coeffs() is None  # the annihilator is outside F_p[X]
+    H = scaling_subgroup(ctx, h_order)
+    params = CodeParams("I", 2, 2, r, D, max(D, 48))
+    ms = message_space(G, H, params)
+    assert ms.fp_matrix is None and ms.verification["all_ok"]
+    assert list(ms.basis) == scalar_message_space_generic(G, H, params)
