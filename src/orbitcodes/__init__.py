@@ -26,12 +26,8 @@ from orbitcodes.gf import (
 )
 from orbitcodes.polyring import (
     MINUS_INFINITY,
-    BaseUExpansion,
     Poly,
-    base_degree,
-    base_expand,
     lagrange_interpolate,
-    scaling_invariant_poly,
     translation_invariant_poly,
 )
 from orbitcodes.groupgeom import (
@@ -66,7 +62,6 @@ from orbitcodes.codecore import (
     monomial_count,
     schur_check,
     weight_closed_form,
-    weight_direct,
 )
 from orbitcodes.bounds import (
     counting_baseline,

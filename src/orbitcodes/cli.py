@@ -20,11 +20,12 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from orbitcodes import bounds as bounds_mod
-from orbitcodes.codecore import Codeword, encode
+from orbitcodes.codecore import codeword_from_digits, encode
 from orbitcodes.errors import OrbitcodesError, ParameterError
 from orbitcodes.instance import InstanceConfig, SCHEMA_VERSION, build_instance, load_bundle
-from orbitcodes.polyring import Poly
 from orbitcodes.report import (
     DEFAULT_BUDGETS,
     canonical_json,
@@ -68,12 +69,12 @@ def _read_json(path: str):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _field_elements(ctx, data, key: str, path: str) -> list:
-    """The digit vectors under data[key] as field elements."""
+def _digit_array(ctx, data, key: str, path: str) -> np.ndarray:
+    """The field elements under data[key], validated, as an (entries, k) digit array."""
     if not isinstance(data, dict) or key not in data:
         raise ParameterError(f"{path} has no {key!r} list")
     try:
-        return [ctx.element(v) for v in data[key]]
+        return np.array([ctx.element(v).coeffs for v in data[key]], dtype=np.int64).reshape(-1, ctx.k)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: {key!r} must be a list of digit lists ({exc})") from None
 
@@ -150,9 +151,8 @@ def cmd_distance(args) -> int:
 
 def cmd_encode(args) -> int:
     inst = _load_bundle(args.bundle)
-    coeffs = _field_elements(inst.ambient, _read_json(args.message), "coeffs", args.message)
-    f = Poly(inst.ambient, coeffs)
-    cw = encode(f, inst.omega, inst.G, inst.H, inst.params)
+    coeffs = _digit_array(inst.ambient, _read_json(args.message), "coeffs", args.message)
+    cw = encode(coeffs, inst.omega, inst.G, inst.H, inst.params)
     _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.to_json()}, args.out)
     return 0
 
@@ -161,8 +161,8 @@ def cmd_verify(args) -> int:
     inst = _load_bundle(args.bundle)
     cw = None
     if args.codeword:
-        values = _field_elements(inst.ambient, _read_json(args.codeword), "values", args.codeword)
-        cw = Codeword(values=tuple(values))
+        values = _digit_array(inst.ambient, _read_json(args.codeword), "values", args.codeword)
+        cw = codeword_from_digits(inst.ambient, values)
     body = verify_section(inst, _budgets(), codeword=cw)
     doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "verify": body}
     _emit(doc, args.out)

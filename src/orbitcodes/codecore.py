@@ -37,14 +37,16 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, FieldElement, mul_matrix
+from orbitcodes.gf import FieldContext, FieldElement, base_p_digits, mul_matrix
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
-from orbitcodes.polyring import MINUS_INFINITY, Poly, base_degree, lagrange_interpolate
+from orbitcodes.polyring import Poly, lagrange_interpolate
 
 DISTANCE_BUDGET = 1 << 24
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
+ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power tensor of one chunk of orbit points
+SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
 
 
 def max_degree_below(bound: Fraction | int) -> int:
@@ -107,19 +109,23 @@ class CodeParams:
 
 @dataclass
 class MessageSpace:
-    """Basis of the admissible polynomial space, with fast-path metadata."""
+    """Basis of the admissible polynomial space as one coefficient digit array.
+
+    coeffs[b, t] holds the digits of the coefficient of X^t in basis
+    polynomial b.  Its last axis has c = 1 digit when g has prime-field
+    coefficients (the basis is then defined over F_p) and c = k otherwise.
+    """
 
     ctx: FieldContext
     D: int
-    basis: tuple[Poly, ...]
+    coeffs: np.ndarray  # (dim, D, c) int64
     dim_u: int
     dim_v: int
-    fp_matrix: np.ndarray | None  # (dim, D) prime-field coefficient rows, or None
     verification: dict | None = None  # verify_message_space of the basis, set by message_space
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.coeffs.shape[0]
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "dim_u": self.dim_u, "dim_v": self.dim_v, "D": self.D}
@@ -170,9 +176,9 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
     Computed as the intersection U cap V of the two constraint subspaces.
-    Each basis element is then re-checked against all three constraints
-    through an independent base expansion; the result is stored as
-    ms.verification and a failure raises InternalError.
+    Every basis row is then re-checked against all three constraints by one
+    batched base expansion per base (verify_message_space); the result is
+    stored as ms.verification and a failure raises InternalError.
     """
     ctx = G.ctx
     p = ctx.p
@@ -185,7 +191,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     dim_v = D - len(bad_cols)
 
     if imax_g < 0 or imax_h < 0:
-        ms = MessageSpace(ctx, D, (), 0, dim_v, np.zeros((0, D), dtype=np.int64))
+        ms = MessageSpace(ctx, D, np.zeros((0, D, 1 if g_ints is not None else ctx.k), dtype=np.int64), 0, dim_v)
     elif g_ints is not None:
         g_arr = fppoly.make(g_ints, p)
         pairs = _u_row_pairs(glen, imax_g, D)
@@ -203,9 +209,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
         else:
             wmat = rows
         wmat, pivots = rref_mod_p(wmat, p)
-        wmat = wmat[: len(pivots)]
-        basis = tuple(Poly.from_ints(ctx, [int(c) for c in row]) for row in wmat)
-        ms = MessageSpace(ctx, D, basis, len(pairs), dim_v, wmat)
+        ms = MessageSpace(ctx, D, wmat[: len(pivots), :, None], len(pairs), dim_v)
     else:
         ms = _message_space_generic(G, imax_g, bad_cols, dim_v, D)
 
@@ -241,49 +245,56 @@ def _message_space_generic(G: TranslationGroup, imax_g: int, bad_cols: list[int]
     expanded = expanded.reshape(len(pairs) * k, D * k)
     bad = (np.array(bad_cols, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
     kernel = nullspace_mod_p(expanded[:, bad].T, p)
-    free_col = kernel.shape[1] - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
+    free_col = _last_nonzero(kernel != 0)
     digits = (kernel[free_col % k == 0] @ expanded % p).reshape(-1, D, k)
-    basis = tuple(Poly(ctx, [FieldElement(ctx, tuple(c)) for c in row]) for row in digits.tolist())
-    return MessageSpace(ctx, D, basis, len(pairs), dim_v, None)
+    return MessageSpace(ctx, D, digits, len(pairs), dim_v)
 
 
-def constraint_report(f: Poly, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
-    """The three membership constraints of one polynomial, checked independently.
+def _last_nonzero(mask: np.ndarray) -> np.ndarray:
+    """Index of the last True of every row of a 2-d mask, -1 for a row with none."""
+    return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1, initial=-1)
 
-    Uses the fast prime-field expansion when both f and the invariant
-    polynomials are prime-rational, and the generic base expansion
-    otherwise; either way the digits come from an actual Euclidean
-    expansion, not from how f was constructed.
+
+def _divisor(ctx: FieldContext, u_digits: np.ndarray, c: int) -> np.ndarray:
+    """(deg u + 1, c, c) multiplication matrices of u's coefficients, restricted to c digits."""
+    return np.einsum("ei,ijl->elj", u_digits, ctx.mul_tensor()[:, :c, :c]) % ctx.p
+
+
+def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
+    """The three membership constraints of every row of a (rows, L, c) coefficient array.
+
+    Each check maps to (per-row values, bound, per-row pass flags): the
+    degree, and the largest digit degree in base g and in base X^|H|.  The
+    digits come from one batched Euclidean expansion per base
+    (fppoly.expansion_degrees), not from how the rows were built.  A zero
+    row has no digits (degree -infinity, written -1) and passes every
+    check.  c is k, or 1 when g has prime-field coefficients.
     """
+    ctx = G.ctx
+    coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
+    c = coeffs.shape[2]
+    if c != ctx.k and (c != 1 or G.invariant_poly.int_coeffs() is None):
+        raise ParameterError(f"coefficients need {ctx.k} digits over this translation group, got {c}")
+    g_digits = np.array([x.coeffs for x in G.invariant_poly.coeffs], dtype=np.int64)
+    h_digits = np.zeros((H.order + 1, ctx.k), dtype=np.int64)
+    h_digits[-1, 0] = 1
     r = params.r
-    glen, hlen = G.size, H.order
-    f_ints = f.int_coeffs()
-    g_ints = G.invariant_poly.int_coeffs()
-    if f_ints is not None and g_ints is not None:
-        p = G.ctx.p
-        fa = fppoly.make(f_ints, p)
-        dg = fppoly.max_digit_degree(fa, fppoly.make(g_ints, p), p)
-        dh = fppoly.max_digit_degree(fa, fppoly.make([0] * hlen + [1], p), p)
-    else:
-        dg = base_degree(f, G.invariant_poly)
-        dh = base_degree(f, H.invariant_poly)
-    checks = {
-        "degree": (f.degree, params.D, f.degree < params.D),
-        "translation_base_degree": (dg, r * glen, dg == MINUS_INFINITY or Fraction(int(dg)) < r * glen),
-        "scaling_base_degree": (dh, r * hlen, dh == MINUS_INFINITY or Fraction(int(dh)) < r * hlen),
+    values = {
+        "degree": (_last_nonzero(coeffs.any(axis=2)), params.D),
+        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, g_digits, c), ctx.p), r * G.size),
+        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, h_digits, c), ctx.p), r * H.order),
     }
-    return {"checks": checks, "all_ok": all(ok for _, _, ok in checks.values())}
+    checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
+    return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
 
 
 def verify_message_space(ms: MessageSpace, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
-    entries = []
-    for b in ms.basis:
-        entries.append(constraint_report(b, G, H, params))
-    return {"per_basis": entries, "all_ok": all(e["all_ok"] for e in entries)}
+    """constraint_report of every basis row, from one expansion per base."""
+    return constraint_report(ms.coeffs, G, H, params)
 
 
 def encode(
-    f: Poly,
+    coeffs: np.ndarray,
     omega: Sequence[FieldElement],
     G: TranslationGroup,
     H: ScalingGroup,
@@ -291,14 +302,18 @@ def encode(
 ) -> Codeword:
     """Evaluation vector (f(beta) for beta in the orbit), after checking f's constraints.
 
+    f is given by its (L, c) coefficient digit array, lowest degree first.
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
-    rep = constraint_report(f, G, H, params)
-    for name, (value, bound, ok) in rep["checks"].items():
-        if not ok:
-            raise ConstraintViolation(f"{name} violated: {value} must be < {bound}")
-    return Codeword(values=tuple(f(x) for x in omega))
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if coeffs.ndim != 2:
+        raise ParameterError(f"message coefficients must be an (L, c) digit array, got shape {coeffs.shape}")
+    rep = constraint_report(coeffs[None], G, H, params)
+    for name, (values, bound, ok) in rep["checks"].items():
+        if not ok[0]:
+            raise ConstraintViolation(f"{name} violated: {values[0]} must be < {bound}")
+    return codeword_from_digits(G.ctx, encode_basis_digits(coeffs[None], omega)[0])
 
 
 def schur_product(cw1: Codeword, cw2: Codeword) -> Codeword:
@@ -409,11 +424,11 @@ def _side_map(edge_lists: list[list[int]], omega: tuple[FieldElement, ...], tran
     edges = np.array(edge_lists, dtype=np.int64)
     points = np.array([x.coeffs for x in omega], dtype=np.int64)
     anchors = points[edges[:, 0]]
-    base_digits = np.array([b.coeffs for b in base], dtype=np.int64)
+    base_points = np.array([b.coeffs for b in base], dtype=np.int64)
     if translate:
-        expected = anchors[:, None, :] + base_digits[None]
+        expected = anchors[:, None, :] + base_points[None]
     else:
-        expected = np.einsum("vi,ijl,bj->vbl", anchors, ctx.mul_tensor(), base_digits)
+        expected = np.einsum("vi,ijl,bj->vbl", anchors, ctx.mul_tensor(), base_points)
     code = p ** np.arange(k, dtype=np.int64)  # digit vector -> its integer code
     match = ((expected % p) @ code)[:, :, None] == (points[edges] @ code)[:, None, :]
     if not (match.sum(axis=2) == 1).all():
@@ -446,9 +461,7 @@ def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
     vals = digits[side.positions]
     nv, size, k = vals.shape
     coeffs = (vals.reshape(nv, size * k) @ side.coeff_map.T) % p
-    nonzero = coeffs.reshape(nv, size, k).any(axis=2)
-    top = size - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), top, -1)
+    return _last_nonzero(coeffs.reshape(nv, size, k).any(axis=2))
 
 
 def check_local_rs(
@@ -508,38 +521,36 @@ def schur_check(
 # -- fast batch encoding -------------------------------------------------------
 
 
-def _power_tensor(omega: Sequence[FieldElement], D: int) -> np.ndarray:
-    """digits of omega_i^t for all points and t < D, shape (n, D, k)."""
-    ctx = omega[0].ctx
-    n, k, p = len(omega), ctx.k, ctx.p
-    mats = np.stack([mul_matrix(w) for w in omega])
-    out = np.zeros((n, D, k), dtype=np.int64)
-    cur = np.zeros((n, k), dtype=np.int64)
+def _power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
+    """Digits (n, D, k) of beta^t for every point beta (a row of points) and t < D."""
+    mats = np.einsum("ni,ijl->nlj", points, ctx.mul_tensor()) % ctx.p  # multiplication by beta
+    out = np.zeros((len(points), D, ctx.k), dtype=np.int64)
+    cur = np.zeros((len(points), ctx.k), dtype=np.int64)
     cur[:, 0] = 1
     for t in range(D):
         out[:, t, :] = cur
-        cur = np.einsum("nij,nj->ni", mats, cur) % p
+        cur = np.einsum("nij,nj->ni", mats, cur) % ctx.p
     return out
 
 
-def encode_basis_digits(ms: MessageSpace, omega: Sequence[FieldElement]) -> np.ndarray:
-    """Digit tensor (dim, n, k) of all basis codewords.
+def encode_basis_digits(coeffs: np.ndarray, omega: Sequence[FieldElement]) -> np.ndarray:
+    """Digit tensor (rows, n, k) of the codewords of a (rows, D, c) coefficient array.
 
-    Uses the vectorized prime-rational path when available, otherwise
-    scalar Horner evaluation per basis polynomial.
+    The codeword of row b at beta is sum_t coeffs[b, t] * beta^t.  The sum
+    over t pairs coefficient digits with power digits, and mul_tensor()[:c]
+    turns each pair into the digits of its product.  Orbit points are taken
+    in chunks whose power tensor holds at most ENCODE_CHUNK_ENTRIES entries.
     """
-    ctx = ms.ctx
-    n, k = len(omega), ctx.k
-    if ms.dim == 0:
-        return np.zeros((0, n, k), dtype=np.int64)
-    if ms.fp_matrix is not None:
-        tensor = _power_tensor(omega, ms.D)
-        return np.einsum("bd,ndk->bnk", ms.fp_matrix, tensor) % ctx.p
-    rows = np.zeros((ms.dim, n, k), dtype=np.int64)
-    for bi, poly in enumerate(ms.basis):
-        for oi, x in enumerate(omega):
-            rows[bi, oi] = poly(x).coeffs
-    return rows
+    ctx = omega[0].ctx
+    rows, D, c = coeffs.shape
+    n, k, p = len(omega), ctx.k, ctx.p
+    out = np.zeros((rows, n, k), dtype=np.int64)
+    points = np.array([w.coeffs for w in omega], dtype=np.int64)
+    chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
+    for lo in range(0, n, chunk):
+        pairs = np.einsum("bta,ntj->bnaj", coeffs, _power_tensor(ctx, points[lo : lo + chunk], D)) % p
+        out[:, lo : lo + chunk] = np.einsum("bnaj,ajl->bnl", pairs, ctx.mul_tensor()[:c]) % p
+    return out
 
 
 def codeword_from_digits(ctx: FieldContext, digits: np.ndarray) -> Codeword:
@@ -572,8 +583,9 @@ def min_distance_exhaustive(
 ) -> DistanceResult:
     """Minimum Hamming weight by exhaustive message enumeration.
 
-    Enumerates the full field-linear code when |F|^dim fits the budget.
-    Otherwise, when the basis is prime-rational and p^dim fits, it
+    Enumerates the full field-linear code when |F|^dim fits the budget and
+    the |F| multiples of one basis codeword fit LOW_TABLE_BYTES.  Otherwise,
+    when the basis has prime-field coefficients (c = 1) and p^dim fits, it
     exhausts the prime-rational subcode exactly; that value upper-bounds
     the code distance while every lower bound proved for the code applies
     to it, and the mode is recorded so reports stay honest about which
@@ -584,32 +596,31 @@ def min_distance_exhaustive(
         raise ParameterError("zero-dimensional code has no minimum distance")
     q = ctx.order
     p = ctx.p
-    if q**ms.dim <= budget:
-        scalars = list(ctx.element_list())
-        mode = "full-field"
-        enumerated = q**ms.dim
-    elif ms.fp_matrix is not None and p**ms.dim <= budget:
-        scalars = [ctx.from_int(c) for c in range(p)]
-        mode = "prime-subcode"
-        enumerated = p**ms.dim
+    table_bytes = q * len(omega) * ctx.k * 8  # the multiples of one basis codeword
+    if q**ms.dim <= budget and table_bytes <= LOW_TABLE_BYTES:
+        scalars, mode = q, "full-field"
+    elif ms.coeffs.shape[2] == 1 and p**ms.dim <= budget:
+        scalars, mode = p, "prime-subcode"
     else:
-        raise BudgetError(
-            f"|F|^dim = {q}^{ms.dim} exceeds the enumeration budget {budget}; "
-            "use min_distance_sampled for a lower-confidence estimate"
+        reason = (
+            f"|F|^dim = {q}^{ms.dim} exceeds the enumeration budget {budget}"
+            if q**ms.dim > budget
+            else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
         )
-    rows = encode_basis_digits(ms, omega)
-    tables = _scalar_tables(rows, ctx, scalars, prime_only=(mode == "prime-subcode"))
-    value = _min_weight_chunked(tables, p)
-    return DistanceResult(value=value, mode=mode, enumerated=enumerated, dim=ms.dim)
+        raise BudgetError(f"{reason}; use min_distance_sampled for a lower-confidence estimate")
+    tables = _multiples(encode_basis_digits(ms.coeffs, omega), ctx, scalars)
+    return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim, dim=ms.dim)
 
 
-def _scalar_tables(rows: np.ndarray, ctx: FieldContext, scalars, prime_only: bool) -> list[np.ndarray]:
-    """Per basis row, the digits (len(scalars), n, k) of every scalar multiple."""
-    p = ctx.p
-    if prime_only:
-        return [(np.arange(p, dtype=np.int64)[:, None, None] * row[None]) % p for row in rows]
-    mats = np.stack([mul_matrix(c) for c in scalars])
-    return [np.einsum("cij,nj->cni", mats, row) % p for row in rows]
+def _multiples(rows: np.ndarray, ctx: FieldContext, scalars: int) -> list[np.ndarray]:
+    """Per basis codeword, the digits (scalars, n, k) of its multiples.
+
+    The multipliers are the field elements of digit value below scalars,
+    so scalars = p gives F_p and scalars = |F| the whole field.
+    """
+    digits = base_p_digits(np.arange(scalars), ctx.p, ctx.k)
+    mats = np.einsum("sa,ajl->slj", digits, ctx.mul_tensor()) % ctx.p  # multiplication matrices
+    return [np.einsum("slj,nj->snl", mats, row) % ctx.p for row in rows]
 
 
 def _pack(digits: np.ndarray) -> np.ndarray:
@@ -683,24 +694,39 @@ def min_distance_sampled(
     samples: int = 100_000,
     seed: int = 0,
 ) -> int:
-    """Smallest weight among random nonzero field-linear codewords (upper bound)."""
+    """Smallest weight among random nonzero field-linear codewords (upper bound).
+
+    Messages are drawn 8192 at a time.  Scalar s times basis codeword w is
+    sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
+    the powers of the field generator, which come from mul_tensor; so a
+    chunk of sampled codewords is one product of the scalars' digits with a
+    block of those multiples.  Chunks of samples and blocks of basis rows
+    each hold at most SAMPLE_CHUNK_ENTRIES digits, and no table of all |F|
+    multiples is built.
+    """
     ctx = ms.ctx
+    p, k = ctx.p, ctx.k
     rng = np.random.default_rng(seed)
-    rows = encode_basis_digits(ms, omega)
-    scalars = list(ctx.element_list())
-    tables = _scalar_tables(rows, ctx, scalars, prime_only=False)
-    best = len(omega)
-    chunk = 8192
+    rows = encode_basis_digits(ms.coeffs, omega)
+    n = len(omega)
+    sample_chunk = max(1, SAMPLE_CHUNK_ENTRIES // (n * k))
+    row_block = max(1, SAMPLE_CHUNK_ENTRIES // (k * n * k))
+    best = n
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(8192, samples - done)
         codes = rng.integers(0, ctx.order, size=(b, ms.dim))
         codes[(codes == 0).all(axis=1), 0] = 1
-        acc = np.zeros((b, rows.shape[1], ctx.k), dtype=np.int64)
-        for t, tab in enumerate(tables):
-            acc += tab[codes[:, t]]
-        weights = (acc % ctx.p).any(axis=2).sum(axis=1)
-        best = min(best, int(weights.min()))
+        for lo in range(0, b, sample_chunk):
+            # The scalars' digits, (chunk, dim, k).  Products run in float64 (BLAS)
+            # and are exact: every sum stays below dim * k * p^2, far below 2^53.
+            part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k).astype(np.float64)
+            acc = np.zeros((len(part), n * k))
+            for t in range(0, ms.dim, row_block):
+                multiples = np.einsum("tnj,ajl->tanl", rows[t : t + row_block], ctx.mul_tensor()) % p
+                acc += part[:, t : t + row_block].reshape(len(part), -1) @ multiples.reshape(-1, n * k)
+            weights = (acc.reshape(-1, n, k).astype(np.int64) % p).any(axis=2).sum(axis=1)
+            best = min(best, int(weights.min()))
         done += b
     return best
 
@@ -724,18 +750,6 @@ def weight_closed_form(k: int, p: int, m: int, instantiation: str) -> int:
         t = k % (m + 1)
         return p**m if t == 0 else p**t
     raise ParameterError(f"unknown instantiation {instantiation!r}")
-
-
-def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
-    """Oracle: deg_h(g^(p^k)) computed by literal base expansion over F_p."""
-    garr = fppoly.make(defining_poly(instantiation, p, m), p)
-    hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
-    f = fppoly.power(garr, p**k, p)
-    h = fppoly.make([0] * hlen + [1], p)
-    d = fppoly.max_digit_degree(f, h, p)
-    if d == float("-inf"):
-        raise InternalError("Frobenius power of g vanished")
-    return int(d)
 
 
 # -- admissible monomial counting ------------------------------------------------
@@ -783,19 +797,3 @@ def admissible_monomials(params: CodeParams, r: Fraction | None = None) -> Itera
         for j in range(jmax + 1):
             yield (i, j)
 
-
-def monomial_is_sound(i: int, j: int, params: CodeParams) -> bool:
-    """Direct check (no subadditivity shortcut) that g^i X^j is admissible."""
-    p, m = params.p, params.m
-    glen = params.g_size
-    garr = fppoly.make(defining_poly(params.instantiation, p, m), p)
-    f = fppoly.shift(fppoly.power(garr, i, p), j)
-    if fppoly.deg(f) >= params.D:
-        return False
-    dh = fppoly.max_digit_degree(f, fppoly.make([0] * params.h_order + [1], p), p)
-    if dh != float("-inf") and not Fraction(int(dh)) < params.r * params.h_order:
-        return False
-    dg = fppoly.max_digit_degree(f, garr, p)
-    if dg != float("-inf") and not Fraction(int(dg)) < params.r * glen:
-        return False
-    return True

@@ -2,9 +2,10 @@
 
 Polynomials are little-endian numpy int64 coefficient arrays with the
 trailing zeros stripped (the zero polynomial is the empty array).  This is
-the fast integer path used for modulus searches, base expansions of large
-prime-rational polynomials, and message-space linear algebra; the generic
-field-coefficient polynomial type lives in polyring.
+the fast integer path used for modulus searches, splitting degrees and
+message-space linear algebra; the generic field-coefficient polynomial type
+lives in polyring.  expansion_degrees expands whole batches of polynomials, whose
+coefficients may be field elements written as F_p digit vectors.
 
 Degrees here use the internal convention deg(0) = -1; the public API in
 polyring converts that to the -infinity sentinel.
@@ -66,12 +67,6 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     else:
         c = np.convolve(a, b)
     return trim(c % p)
-
-
-def shift(a: np.ndarray, n: int) -> np.ndarray:
-    if is_zero(a):
-        return a
-    return np.concatenate([np.zeros(n, dtype=np.int64), a])
 
 
 def divmod_(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,26 +171,6 @@ def find_irreducible(p: int, k: int) -> np.ndarray:
     raise ParameterError(f"no irreducible polynomial of degree {k} over F_{p}")  # pragma: no cover
 
 
-def base_digits(f: np.ndarray, u: np.ndarray, p: int) -> list[np.ndarray]:
-    """Digits c_i of the unique expansion f = sum c_i * u^i, deg c_i < deg u."""
-    if deg(u) < 1:
-        raise ParameterError("expansion base must be nonconstant")
-    digits = []
-    cur = f
-    while not is_zero(cur):
-        cur, rem = divmod_(cur, u, p)
-        digits.append(rem)
-    return digits
-
-
-def max_digit_degree(f: np.ndarray, u: np.ndarray, p: int) -> float | int:
-    """Largest digit degree in the base-u expansion; -inf for f = 0."""
-    digits = base_digits(f, u, p)
-    if not digits:
-        return float("-inf")
-    return max(deg(d) for d in digits)
-
-
 def splitting_degree(f: np.ndarray, p: int) -> int:
     """Degree of the splitting field of a squarefree f over F_p.
 
@@ -221,12 +196,38 @@ def splitting_degree(f: np.ndarray, p: int) -> int:
     return out
 
 
-def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e by repeated squaring (no modulus)."""
-    result = make([1], p)
-    while e:
-        if e & 1:
-            result = mul(result, a, p)
-        a = mul(a, a, p)
-        e >>= 1
-    return result
+def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """Largest digit degree of every row's expansion in base u; -1 for a zero row.
+
+    rows is an (R, L, c) array: row r is sum_t rows[r, t] X^t, with each
+    coefficient written as c F_p digits.  u is the monic divisor as
+    (deg u + 1, c, c) matrices: u[e] multiplies by the coefficient of X^e,
+    restricted to the c digits in use.
+
+    All rows are expanded at once by iterated synthetic division (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 9.2): dividing the quotient
+    stored from column `start` on leaves the next digit in its low deg u
+    columns and the new quotient above, so a row's largest digit degree is
+    its largest t mod deg u over nonzero columns t.  Quotient column i only
+    updates columns at or below i - step, step = deg u minus u's largest
+    lower exponent, so step columns go in one vector operation.
+    """
+    degree = u.shape[0] - 1
+    if degree < 1:
+        raise ParameterError("expansion base must be nonconstant")
+    if not np.array_equal(u[-1], np.eye(u.shape[1], dtype=u.dtype)):
+        raise ParameterError("expansion base must be monic")
+    lower = [(e, u[e].T) for e in range(degree) if u[e].any()]
+    step = degree - max((e for e, _ in lower), default=0)
+    work = np.moveaxis(np.asarray(rows, dtype=np.int64), 1, 0).copy()  # (L, R, c): columns are slabs
+    length = work.shape[0]
+    for start in range(0, length - degree, degree) if lower else ():
+        for top in range(length, start + degree, -step):
+            low = max(start + degree, top - step)
+            quotient = work[low:top]
+            quotient %= p  # targets are reduced only when read, which keeps entries small
+            for e, mt in lower:
+                target = work[low - degree + e : top - degree + e]
+                target -= quotient @ mt
+    offsets = np.arange(length) % degree
+    return np.where((work % p).any(axis=2), offsets[:, None], -1).max(axis=0, initial=-1)

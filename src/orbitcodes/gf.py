@@ -31,7 +31,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_embed_cache", "_elements", "_mul_tensor")
+    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_embed_cache", "_mul_tensor")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -49,7 +49,6 @@ class FieldContext:
         self._red_rows = self._reduction_rows()
         self._trace_vec: tuple[int, ...] | None = None
         self._embed_cache: dict = {}
-        self._elements: tuple[FieldElement, ...] | None = None
         self._mul_tensor: np.ndarray | None = None
 
     # -- basic protocol ------------------------------------------------
@@ -110,11 +109,6 @@ class FieldContext:
         """All field elements in digit-value order (deterministic)."""
         for v in range(self.order):
             yield self.from_int(v)
-
-    def element_list(self) -> tuple["FieldElement", ...]:
-        if self._elements is None:
-            self._elements = tuple(self.elements())
-        return self._elements
 
     # -- arithmetic cores -----------------------------------------------
 
@@ -365,7 +359,7 @@ class FpSubspace:
             if self.dim == 0:
                 self._points = (self.ctx.zero(),)
             else:
-                digits = _base_p_digits(np.arange(self.size), p, self.dim)
+                digits = base_p_digits(np.arange(self.size), p, self.dim)
                 mat = np.array([b.coeffs for b in self.basis], dtype=np.int64)
                 pts = (digits @ mat) % p
                 self._points = tuple(FieldElement(self.ctx, tuple(int(c) for c in row)) for row in pts)
@@ -384,7 +378,7 @@ class FpSubspace:
         count = p ** len(free)
         for start in range(1, count, chunk_rows):
             rows = np.zeros((min(chunk_rows, count - start), k), dtype=np.int64)
-            rows[:, free] = _base_p_digits(np.arange(start, start + len(rows)), p, len(free))
+            rows[:, free] = base_p_digits(np.arange(start, start + len(rows)), p, len(free))
             yield rows
 
     def reduce(self, x: FieldElement) -> FieldElement:
@@ -411,8 +405,8 @@ class FpSubspace:
         return {"dim": self.dim, "basis": [b.to_json() for b in self.basis]}
 
 
-def _base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
-    # little-endian base-p digits of each index, one row per index
+def base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Little-endian base-p digits of each index, one row per index."""
     return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
 
 

@@ -26,7 +26,7 @@ from orbitcodes.gf import (
 )
 from orbitcodes.linalg import rank_mod_p
 from orbitcodes.numutil import prime_factors
-from orbitcodes.polyring import Poly, translation_invariant_poly, scaling_invariant_poly
+from orbitcodes.polyring import Poly, translation_invariant_poly
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,6 @@ class ScalingGroup:
     @property
     def ctx(self) -> FieldContext:
         return self.generator.ctx
-
-    @cached_property
-    def invariant_poly(self) -> Poly:
-        return scaling_invariant_poly(self.ctx, self.order)
 
     @cached_property
     def _elements(self) -> tuple[FieldElement, ...]:

@@ -1,17 +1,15 @@
-"""Univariate polynomials over a field context, base-u expansions, and the
-invariant polynomials of translation and scaling subgroups.
+"""Univariate polynomials over a field context, the invariant polynomial of
+a translation subgroup, and Lagrange interpolation.
 
 Poly is the generic coefficient-list type that works over any FieldContext
-(prime or extension).  The base-u machinery implements the expansion
-f = sum_i c_i(X) u(X)^i with deg c_i < deg u via iterated Euclidean
-division, and the u-base degree max_i deg(c_i) with the convention
-deg(0) = -infinity (MINUS_INFINITY below, which orders correctly against
-every integer).
+(prime or extension).  Degrees use the convention deg(0) = -infinity
+(MINUS_INFINITY below, which orders correctly against every integer).
+Base-u degrees of whole batches of polynomials come from
+fppoly.expansion_degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from orbitcodes.errors import ParameterError
@@ -195,47 +193,6 @@ class Poly:
         return out
 
 
-@dataclass(frozen=True)
-class BaseUExpansion:
-    """Digits of the unique expansion f = sum_i digits[i] * u^i."""
-
-    u: Poly
-    digits: tuple[Poly, ...]
-
-    def reconstruct(self) -> Poly:
-        acc = Poly.zero(self.u.ctx)
-        for d in reversed(self.digits):
-            acc = acc * self.u + d
-        return acc
-
-    @property
-    def max_digit_degree(self) -> int | float:
-        if not self.digits:
-            return MINUS_INFINITY
-        return max(d.degree for d in self.digits)
-
-
-def base_expand(f: Poly, u: Poly) -> BaseUExpansion:
-    """Expand f in base u by iterated Euclidean division.
-
-    Every digit has degree < deg(u); the expansion of 0 is the empty digit
-    list.  Uniqueness makes reconstruct() an exact inverse.
-    """
-    if u.degree < 1:
-        raise ParameterError("expansion base must be nonconstant")
-    digits = []
-    cur = f
-    while not cur.is_zero():
-        cur, rem = divmod(cur, u)
-        digits.append(rem)
-    return BaseUExpansion(u=u, digits=tuple(digits))
-
-
-def base_degree(f: Poly, u: Poly) -> int | float:
-    """u-base degree: the maximum digit degree, MINUS_INFINITY for f = 0."""
-    return base_expand(f, u).max_digit_degree
-
-
 def translation_invariant_poly(points: FpSubspace) -> Poly:
     """Annihilator polynomial prod_{u in G}(X - u) of an additive subgroup.
 
@@ -249,13 +206,6 @@ def translation_invariant_poly(points: FpSubspace) -> Poly:
     for u in points.points():
         acc = acc * Poly(ctx, [-u, ctx.one()])
     return acc
-
-
-def scaling_invariant_poly(ctx: FieldContext, order: int) -> Poly:
-    """The monomial X^|H|, constant on the orbits of a scaling subgroup."""
-    if order < 1:
-        raise ParameterError(f"scaling group order must be >= 1, got {order}")
-    return Poly.monomial(ctx, order)
 
 
 def lagrange_interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement]) -> Poly:

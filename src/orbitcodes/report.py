@@ -162,7 +162,7 @@ def verify_section(inst: Instance, budgets: dict | None = None, codeword: Codewo
         }
     ms = inst.message_space()
     limit = min(ms.dim, b["verify_basis"])
-    digits = encode_basis_digits(ms, inst.omega)
+    digits = encode_basis_digits(ms.coeffs, inst.omega)
     all_ok = True
     failures = []
     for bi in range(limit):

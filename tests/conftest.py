@@ -1,10 +1,18 @@
-"""Shared fixtures: the three reference instances, built once per session."""
+"""Shared fixtures: the three reference instances, built once per session.
+
+Property tests run under a derandomized hypothesis profile with no example
+database, so every run tries the same examples.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from orbitcodes.instance import InstanceConfig, build_instance
+
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -14,19 +14,37 @@
 * ``scalar_message_space_generic``: the message-space basis for an
   annihilator outside F_p[X], by Gaussian elimination over the field
   with scalar ``FieldElement`` arithmetic.
+* the scalar base expansions: ``base_expand``/``base_degree`` over any
+  field and ``base_digits``/``max_digit_degree`` over F_p, one Euclidean
+  division at a time; the direct weight and monomial checks
+  ``weight_direct`` and ``monomial_is_sound`` built on them; and
+  ``kernel_base_degree``, which puts one polynomial through the batched
+  kernel ``fppoly.expansion_degrees`` in the oracles' convention.
+* ``scalar_encode``: Horner evaluation of one message at every orbit point.
+* ``table_min_distance_sampled``: the sampled distance from full tables of
+  every scalar multiple of every basis codeword.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from orbitcodes.codecore import _u_row_pairs, _vertex_edge_lists, encode_basis_digits, max_degree_below
+from orbitcodes import fppoly
+from orbitcodes.codecore import (
+    _divisor,
+    _u_row_pairs,
+    _vertex_edge_lists,
+    defining_poly,
+    encode_basis_digits,
+    max_degree_below,
+)
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
-from orbitcodes.errors import InternalError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, trace
+from orbitcodes.errors import InternalError, ParameterError
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, trace
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.polyring import MINUS_INFINITY, Poly, lagrange_interpolate
 
@@ -51,8 +69,8 @@ def scalar_tables(ms, omega, prime_only: bool) -> list[np.ndarray]:
     """Digits (scalars, n, k) of every scalar multiple of every basis codeword."""
     ctx = ms.ctx
     p, k = ctx.p, ctx.k
-    rows = encode_basis_digits(ms, omega)
-    scalars = [ctx.from_int(c) for c in range(p)] if prime_only else list(ctx.element_list())
+    rows = encode_basis_digits(ms.coeffs, omega)
+    scalars = [ctx.from_int(c) for c in range(p)] if prime_only else list(ctx.elements())
     basis = [ctx.one()]
     for _ in range(k - 1):
         basis.append(basis[-1] * ctx.gen())
@@ -310,3 +328,172 @@ def _field_nullspace(constraint_columns: list[list[FieldElement]], nvars: int, c
             vec[pc] = -rows[row_idx][fc]
         basis.append(vec)
     return basis
+
+
+# -- scalar base expansions -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BaseUExpansion:
+    """Digits of the unique expansion f = sum_i digits[i] * u^i."""
+
+    u: Poly
+    digits: tuple[Poly, ...]
+
+    def reconstruct(self) -> Poly:
+        acc = Poly.zero(self.u.ctx)
+        for d in reversed(self.digits):
+            acc = acc * self.u + d
+        return acc
+
+    @property
+    def max_digit_degree(self) -> int | float:
+        if not self.digits:
+            return MINUS_INFINITY
+        return max(d.degree for d in self.digits)
+
+
+def base_expand(f: Poly, u: Poly) -> BaseUExpansion:
+    """Expand f in base u by iterated Euclidean division (the expansion of 0 has no digits)."""
+    if u.degree < 1:
+        raise ParameterError("expansion base must be nonconstant")
+    digits = []
+    cur = f
+    while not cur.is_zero():
+        cur, rem = divmod(cur, u)
+        digits.append(rem)
+    return BaseUExpansion(u=u, digits=tuple(digits))
+
+
+def base_degree(f: Poly, u: Poly) -> int | float:
+    """u-base degree: the maximum digit degree, MINUS_INFINITY for f = 0."""
+    return base_expand(f, u).max_digit_degree
+
+
+def scaling_invariant_poly(ctx: FieldContext, order: int) -> Poly:
+    """The monomial X^|H|, constant on the orbits of a scaling subgroup."""
+    if order < 1:
+        raise ParameterError(f"scaling group order must be >= 1, got {order}")
+    return Poly.monomial(ctx, order)
+
+
+def base_digits(f: np.ndarray, u: np.ndarray, p: int) -> list[np.ndarray]:
+    """Digits c_i of the unique expansion f = sum c_i * u^i over F_p, deg c_i < deg u."""
+    if fppoly.deg(u) < 1:
+        raise ParameterError("expansion base must be nonconstant")
+    digits = []
+    cur = f
+    while not fppoly.is_zero(cur):
+        cur, rem = fppoly.divmod_(cur, u, p)
+        digits.append(rem)
+    return digits
+
+
+def max_digit_degree(f: np.ndarray, u: np.ndarray, p: int) -> float | int:
+    """Largest digit degree in the base-u expansion over F_p; -inf for f = 0."""
+    digits = base_digits(f, u, p)
+    if not digits:
+        return float("-inf")
+    return max(fppoly.deg(d) for d in digits)
+
+
+def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e over F_p by repeated squaring (no modulus)."""
+    result = fppoly.make([1], p)
+    while e:
+        if e & 1:
+            result = fppoly.mul(result, a, p)
+        a = fppoly.mul(a, a, p)
+        e >>= 1
+    return result
+
+
+def shift(a: np.ndarray, n: int) -> np.ndarray:
+    """a * X^n over F_p."""
+    if fppoly.is_zero(a):
+        return a
+    return np.concatenate([np.zeros(n, dtype=np.int64), a])
+
+
+def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
+    """deg_h(g^(p^k)) computed by literal base expansion over F_p."""
+    garr = fppoly.make(defining_poly(instantiation, p, m), p)
+    hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
+    f = power(garr, p**k, p)
+    h = fppoly.make([0] * hlen + [1], p)
+    d = max_digit_degree(f, h, p)
+    if d == float("-inf"):
+        raise InternalError("Frobenius power of g vanished")
+    return int(d)
+
+
+def monomial_is_sound(i: int, j: int, params) -> bool:
+    """Direct check (no subadditivity shortcut) that g^i X^j is admissible."""
+    p, m = params.p, params.m
+    glen = params.g_size
+    garr = fppoly.make(defining_poly(params.instantiation, p, m), p)
+    f = shift(power(garr, i, p), j)
+    if fppoly.deg(f) >= params.D:
+        return False
+    dh = max_digit_degree(f, fppoly.make([0] * params.h_order + [1], p), p)
+    if dh != float("-inf") and not Fraction(int(dh)) < params.r * params.h_order:
+        return False
+    dg = max_digit_degree(f, garr, p)
+    if dg != float("-inf") and not Fraction(int(dg)) < params.r * glen:
+        return False
+    return True
+
+
+def poly_digits(f: Poly) -> np.ndarray:
+    """(len, k) coefficient digit array of a polynomial, lowest degree first."""
+    return np.array([c.coeffs for c in f.coeffs], dtype=np.int64).reshape(len(f.coeffs), f.ctx.k)
+
+
+def row_poly(ctx: FieldContext, row: np.ndarray) -> Poly:
+    """The polynomial of an (L, c) coefficient digit row."""
+    return Poly(ctx, [ctx.element(d) for d in row.tolist()])
+
+
+def kernel_base_degree(f: Poly, u: Poly) -> int | float:
+    """f's base-u degree from fppoly.expansion_degrees, MINUS_INFINITY for f = 0.
+
+    Uses one digit per coefficient when f and u have prime-field
+    coefficients, and all k digits otherwise.  The kernel divides by the
+    monic u / lc(u); the digits in that base are those in base u times
+    powers of lc(u), so the degrees agree.
+    """
+    ctx = f.ctx
+    u = u * u.leading().inverse()
+    c = 1 if f.int_coeffs() is not None and u.int_coeffs() is not None else ctx.k
+    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], _divisor(ctx, poly_digits(u), c), ctx.p)[0])
+    return MINUS_INFINITY if d < 0 else d
+
+
+# -- scalar encoding and sampled distance ----------------------------------------
+
+
+def scalar_encode(f: Poly, omega) -> np.ndarray:
+    """(n, k) digits of f(beta) for every orbit point, by scalar Horner evaluation."""
+    return np.array([f(x).coeffs for x in omega], dtype=np.int64).reshape(len(omega), f.ctx.k)
+
+
+def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
+    """The sampled distance from a (|F|, n, k) table of every multiple of every basis codeword."""
+    ctx = ms.ctx
+    rng = np.random.default_rng(seed)
+    rows = encode_basis_digits(ms.coeffs, omega)
+    mats = np.stack([mul_matrix(c) for c in ctx.elements()])
+    tables = [np.einsum("cij,nj->cni", mats, row) % ctx.p for row in rows]
+    best = len(omega)
+    done = 0
+    while done < samples:
+        b = min(8192, samples - done)
+        codes = rng.integers(0, ctx.order, size=(b, ms.dim))
+        codes[(codes == 0).all(axis=1), 0] = 1
+        acc = np.zeros((b, rows.shape[1], ctx.k), dtype=np.int64)
+        for t, tab in enumerate(tables):
+            acc += tab[codes[:, t]]
+        weights = (acc % ctx.p).any(axis=2).sum(axis=1)
+        best = min(best, int(weights.min()))
+        done += b
+    return best

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import base_degree, base_expand, kernel_base_degree, weight_direct
 from orbitcodes.bounds import (
     polytope_indicator_i,
     polytope_indicator_ii,
@@ -26,14 +27,13 @@ from orbitcodes.codecore import (
     schur_check,
     verify_message_space,
     weight_closed_form,
-    weight_direct,
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd, spectral_bounds
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.numutil import divisors
-from orbitcodes.polyring import Poly, base_degree, base_expand
+from orbitcodes.polyring import Poly
 
 TOL = 1e-9
 HALF = Fraction(1, 2)
@@ -132,8 +132,10 @@ def test_05_base_degree_subadditivity_and_reconstruction():
             f, g = rand_poly(24), rand_poly(24)
             if not f.is_zero() and not g.is_zero():
                 ok &= base_degree(f * g, u) <= base_degree(f, u) + base_degree(g, u)
+                ok &= kernel_base_degree(f * g, u) <= kernel_base_degree(f, u) + kernel_base_degree(g, u)
             exp = base_expand(f, u)
             ok &= exp.reconstruct() == f
+            ok &= kernel_base_degree(f, u) == exp.max_digit_degree
             checked += 1
     assert _line("5", ok, f"subadditivity and reconstruction on {checked} random triples over F2/F3")
 
@@ -173,7 +175,7 @@ def test_08_locality_and_schur(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
     params = inst.params
-    digits = encode_basis_digits(ms, inst.omega)
+    digits = encode_basis_digits(ms.coeffs, inst.omega)
     words = [codeword_from_digits(inst.ambient, digits[i]) for i in range(ms.dim)]
     ok = True
     for cw in words:

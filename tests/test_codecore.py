@@ -6,7 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitcodes import codecore
+from oracles import (
+    base_degree,
+    monomial_is_sound,
+    poly_digits,
+    row_poly,
+    scalar_encode,
+    scaling_invariant_poly,
+    weight_direct,
+)
+from orbitcodes import fppoly
 from orbitcodes.codecore import (
     CodeParams,
     Codeword,
@@ -22,18 +31,16 @@ from orbitcodes.codecore import (
     min_distance_exhaustive,
     min_distance_sampled,
     monomial_count,
-    monomial_is_sound,
     schur_check,
     schur_product,
     verify_message_space,
     weight_closed_form,
-    weight_direct,
 )
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import FpSubspace
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.polyring import Poly, base_degree
+from orbitcodes.polyring import Poly
 from orbitcodes.report import rate_section
 
 
@@ -62,7 +69,7 @@ def test_message_space_contains_constants(all_instances):
         ms = inst.message_space()
         assert ms.dim >= 1
         # the constant 1 lies in the space: verify by direct constraint check
-        rep = constraint_report(Poly.one(inst.ambient), inst.G, inst.H, inst.params)
+        rep = constraint_report(poly_digits(Poly.one(inst.ambient))[None], inst.G, inst.H, inst.params)
         assert rep["all_ok"]
 
 
@@ -92,9 +99,9 @@ def test_message_space_basis_passes_independent_checks(inst1_p2):
     report = verify_message_space(ms, inst.G, inst.H, inst.params)
     assert report["all_ok"]
     # cross-check one basis element against the generic expansion route
-    f = ms.basis[-1]
+    f = row_poly(inst.ambient, ms.coeffs[-1])
     dg = base_degree(f, inst.G.invariant_poly)
-    dh = base_degree(f, inst.H.invariant_poly)
+    dh = base_degree(f, scaling_invariant_poly(inst.ambient, inst.H.order))
     assert Fraction(int(dg)) < inst.params.r * inst.G.size
     assert Fraction(int(dh)) < inst.params.r * inst.H.order
 
@@ -112,7 +119,8 @@ def test_message_space_generic_fallback(inst1_p2):
     ms = message_space(G2, H2, params)
     # deg_g < 1/4 * 2 forces constant digits: the space is span(g^j, j <= 3)
     assert ms.dim == 4
-    for b in ms.basis:
+    for row in ms.coeffs:
+        b = row_poly(ambient, row)
         assert b.degree < 8
         assert base_degree(b, G2.invariant_poly) <= 0
 
@@ -120,41 +128,46 @@ def test_message_space_generic_fallback(inst1_p2):
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
     # a fresh instance, so the message space is built inside rate_section
     inst = build_instance(InstanceConfig("I", 2, 2, r=Fraction(1, 2)))
+    # one base-degree kernel call per base, each covering every basis row
     calls = []
-    real = codecore.constraint_report
+    real = fppoly.expansion_degrees
 
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counting(rows, u, p):
+        calls.append(len(rows))
+        return real(rows, u, p)
 
-    monkeypatch.setattr(codecore, "constraint_report", counting)
+    monkeypatch.setattr(fppoly, "expansion_degrees", counting)
     section = rate_section(inst)
     assert section["checks"]["basis_constraints_pass"]
-    assert len(calls) == section["dim"] == inst.message_space().dim
+    assert calls == [section["dim"]] * 2 and section["dim"] == inst.message_space().dim
 
 
 def test_encode_constants(inst1_p2):
     inst = inst1_p2
-    cw0 = encode(Poly.zero(inst.ambient), inst.omega, inst.G, inst.H, inst.params)
+    cw0 = encode(poly_digits(Poly.zero(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
     assert all(v.is_zero() for v in cw0.values)
-    cw1 = encode(Poly.one(inst.ambient), inst.omega, inst.G, inst.H, inst.params)
+    cw1 = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
     assert all(v == inst.ambient.one() for v in cw1.values)
 
 
 def test_encode_rejects_constraint_violations(inst1_p2):
     inst = inst1_p2
-    with pytest.raises(ConstraintViolation, match="degree"):
-        encode(Poly.monomial(inst.ambient, 48), inst.omega, inst.G, inst.H, inst.params)
+    with pytest.raises(ConstraintViolation, match="^degree violated: 48 must be < 48$"):
+        encode(poly_digits(Poly.monomial(inst.ambient, 48)), inst.omega, inst.G, inst.H, inst.params)
+    # digits are read mod p: X^48 written with a top coefficient p = 2 is the constant 1
+    padded = np.zeros((49, 1), dtype=np.int64)
+    padded[0, 0], padded[48, 0] = 1, 2
+    assert encode(padded, inst.omega, inst.G, inst.H, inst.params).values == (inst.ambient.one(),) * inst.n
     # X^3 has scaling-side base degree 0 but translation digits fine; craft a
     # violation of the local bound instead: g itself has h-base degree 2 >= 1.5
     with pytest.raises(ConstraintViolation, match="base degree|base_degree"):
-        encode(inst.G.invariant_poly, inst.omega, inst.G, inst.H, inst.params)
+        encode(poly_digits(inst.G.invariant_poly), inst.omega, inst.G, inst.H, inst.params)
 
 
 def test_encode_injective_on_basis(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    words = [encode(b, inst.omega, inst.G, inst.H, inst.params) for b in ms.basis]
+    words = [encode(row, inst.omega, inst.G, inst.H, inst.params) for row in ms.coeffs]
     seen = {tuple(v.coeffs for v in w.values) for w in words}
     assert len(seen) == ms.dim
 
@@ -162,10 +175,11 @@ def test_encode_injective_on_basis(inst1_p2):
 def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms, inst.omega)
+    digits = encode_basis_digits(ms.coeffs, inst.omega)
     for bi in (0, ms.dim - 1):
-        cw = encode(ms.basis[bi], inst.omega, inst.G, inst.H, inst.params)
+        cw = encode(ms.coeffs[bi], inst.omega, inst.G, inst.H, inst.params)
         assert np.array_equal(digits[bi], cw.digit_array())
+        assert np.array_equal(digits[bi], scalar_encode(row_poly(inst.ambient, ms.coeffs[bi]), inst.omega))
 
 
 def test_local_rs_zero_codeword_passes(inst1_p2):
@@ -179,7 +193,7 @@ def test_local_rs_zero_codeword_passes(inst1_p2):
 def test_local_rs_every_basis_codeword_both_sides(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms, inst.omega)
+    digits = encode_basis_digits(ms.coeffs, inst.omega)
     for bi in range(ms.dim):
         rep = check_local_rs(codeword_from_digits(inst.ambient, digits[bi]), inst.graph, inst.omega, inst.params)
         assert rep.all_ok
@@ -216,8 +230,8 @@ def test_local_rs_random_vector_fails(inst1_p2):
 def test_schur_all_ones_neutral(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    cw = encode(ms.basis[2], inst.omega, inst.G, inst.H, inst.params)
-    ones = encode(Poly.one(inst.ambient), inst.omega, inst.G, inst.H, inst.params)
+    cw = encode(ms.coeffs[2], inst.omega, inst.G, inst.H, inst.params)
+    ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
     prod = schur_product(cw, ones)
     assert prod.values == cw.values
     assert check_local_rs(prod, inst.graph, inst.omega, inst.params).all_ok
@@ -226,7 +240,7 @@ def test_schur_all_ones_neutral(inst1_p2):
 def test_schur_products_pass_doubled_bound(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms, inst.omega)
+    digits = encode_basis_digits(ms.coeffs, inst.omega)
     rng = random.Random(6)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
@@ -251,10 +265,9 @@ def test_min_distance_constant_code(inst1_p2):
     ms = MessageSpace(
         inst.ambient,
         inst.params.D,
-        (Poly.one(inst.ambient),),
+        np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64)[:, :, None],
         1,
         1,
-        np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64),
     )
     res = min_distance_exhaustive(ms, inst.omega)
     assert res.value == inst.n
@@ -267,7 +280,7 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
     for dims in (1, 2, 3):
-        sub = MessageSpace(ms.ctx, ms.D, ms.basis[:dims], ms.dim_u, ms.dim_v, ms.fp_matrix[:dims])
+        sub = MessageSpace(ms.ctx, ms.D, ms.coeffs[:dims], ms.dim_u, ms.dim_v)
         full = min_distance_exhaustive(sub, inst.omega)
         prime = min_distance_exhaustive(sub, inst.omega, budget=2**dims)
         assert full.mode == "full-field" and prime.mode == "prime-subcode"
@@ -354,5 +367,5 @@ def test_counted_monomials_lie_in_message_space(inst1_p2):
     params = inst.params
     for i, j in admissible_monomials(params):
         f = (inst.G.invariant_poly**i).shift(j)
-        rep = constraint_report(f, inst.G, inst.H, params)
+        rep = constraint_report(poly_digits(f)[None], inst.G, inst.H, params)
         assert rep["all_ok"]

@@ -1,10 +1,14 @@
 """Prime-field polynomial helpers and mod-p linear algebra."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
+from oracles import base_digits, power
 from orbitcodes import fppoly
 from orbitcodes.errors import ParameterError
 from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
@@ -21,6 +25,25 @@ def test_is_irreducible_known_cases():
     assert fppoly.is_irreducible(fppoly.make([1, 1, 1], 2), 2)
     assert not fppoly.is_irreducible(fppoly.make([1, 0, 1], 2), 2)  # (X+1)^2
     assert fppoly.is_irreducible(fppoly.make([1, 0, 0, 0, 0, 0, 1, 1], 2), 2)  # X^7+X^6+1
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4)])
+def test_is_irreducible_matches_sympy_on_every_monic_polynomial(p, max_degree):
+    checked = 0
+    for degree in range(1, max_degree + 1):
+        for low in itertools.product(range(p), repeat=degree):
+            f = np.array(list(low) + [1], dtype=np.int64)  # little-endian; sympy lists the top coefficient first
+            assert fppoly.is_irreducible(f, p) == gf_irreducible_p([int(c) for c in f[::-1]], p, ZZ)
+            checked += 1
+    assert checked == sum(p**d for d in range(1, max_degree + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_find_irreducible_returns_a_monic_irreducible_of_the_degree(p, k):
+    f = fppoly.find_irreducible(p, k)
+    assert fppoly.deg(f) == k and f[-1] == 1
+    assert gf_irreducible_p([int(c) for c in f[::-1]], p, ZZ)
 
 
 def test_divmod_roundtrip_random():
@@ -49,13 +72,17 @@ def test_mul_large_uses_exact_fft_path():
 def test_base_digits_monomial_base():
     p = 2
     f = fppoly.make([1, 0, 1, 1, 0, 0, 1], p)
-    digits = fppoly.base_digits(f, fppoly.make([0, 0, 1], p), p)  # base X^2
+    digits = base_digits(f, fppoly.make([0, 0, 1], p), p)  # base X^2
     assert [[int(c) for c in d] for d in digits] == [[1], [1, 1], [], [1]]
+    base_x2 = np.array([0, 0, 1])[:, None, None]
+    assert fppoly.expansion_degrees(f[None, :, None], base_x2, p).tolist() == [1]
 
 
 def test_base_digits_rejects_constant_base():
     with pytest.raises(ParameterError):
-        fppoly.base_digits(fppoly.make([1, 1], 2), fppoly.make([1], 2), 2)
+        base_digits(fppoly.make([1, 1], 2), fppoly.make([1], 2), 2)
+    with pytest.raises(ParameterError, match="nonconstant"):
+        fppoly.expansion_degrees(np.ones((1, 2, 1), dtype=np.int64), np.ones((1, 1, 1), dtype=np.int64), 2)
 
 
 def test_splitting_degree():
@@ -74,7 +101,7 @@ def test_power_matches_repeated_mul():
     acc = fppoly.make([1], p)
     for _ in range(7):
         acc = fppoly.mul(acc, g, p)
-    assert np.array_equal(fppoly.power(g, 7, p), acc)
+    assert np.array_equal(power(g, 7, p), acc)
 
 
 def test_rref_rank_nullspace_mod_p():

@@ -1,23 +1,35 @@
 """The batched local check, the digit-array Schur product, the chunked
-distance enumeration, the quotient spectral scans and the restriction-of-
-scalars message space, each against its slow scalar oracle
-(tests/oracles.py)."""
+distance enumeration and sampling, the quotient spectral scans, the
+restriction-of-scalars message space, the chunked encoding and the batched
+base-degree kernel, each against its slow scalar oracle (tests/oracles.py)."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    BaseUExpansion,
+    base_degree,
     dfs_min_weight,
+    max_digit_degree,
+    poly_digits,
+    row_poly,
     scalar_char_sum_max,
+    scalar_encode,
     scalar_message_space_generic,
     scalar_sigma2_exact,
     scalar_tables,
     scalar_vertex_degrees,
+    scaling_invariant_poly,
+    table_min_distance_sampled,
 )
-from orbitcodes import codecore, cosetgraph
+from orbitcodes import codecore, cosetgraph, fppoly
 from orbitcodes.codecore import (
     CodeParams,
     Codeword,
@@ -27,6 +39,7 @@ from orbitcodes.codecore import (
     encode_basis_digits,
     message_space,
     min_distance_exhaustive,
+    min_distance_sampled,
     schur_check,
     schur_product,
 )
@@ -36,7 +49,7 @@ from orbitcodes.gf import FpSubspace, build_field, mul_matrix
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.numutil import divisors
-from orbitcodes.report import spectrum_section
+from orbitcodes.report import distance_section, spectrum_section
 
 
 def _fast_degrees(rep):
@@ -44,7 +57,7 @@ def _fast_degrees(rep):
 
 
 def _basis_words(inst):
-    digits = encode_basis_digits(inst.message_space(), inst.omega)
+    digits = encode_basis_digits(inst.message_space().coeffs, inst.omega)
     return [codeword_from_digits(inst.ambient, d) for d in digits]
 
 
@@ -114,7 +127,7 @@ def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
 
 
 def _subspace(ms, dims):
-    return MessageSpace(ms.ctx, ms.D, ms.basis[:dims], ms.dim_u, ms.dim_v, ms.fp_matrix[:dims])
+    return MessageSpace(ms.ctx, ms.D, ms.coeffs[:dims], ms.dim_u, ms.dim_v)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -239,5 +252,124 @@ def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     H = scaling_subgroup(ctx, h_order)
     params = CodeParams("I", 2, 2, r, D, max(D, 48))
     ms = message_space(G, H, params)
-    assert ms.fp_matrix is None and ms.verification["all_ok"]
-    assert list(ms.basis) == scalar_message_space_generic(G, H, params)
+    assert ms.coeffs.shape[2] == k and ms.verification["all_ok"]
+    basis = [row_poly(ctx, row) for row in ms.coeffs]
+    assert basis == scalar_message_space_generic(G, H, params)
+    # the verification's per-row base degrees are those of the scalar expansion
+    checks = ms.verification["checks"]
+    x_h = scaling_invariant_poly(ctx, H.order)
+    for name, u in (("translation_base_degree", G.invariant_poly), ("scaling_base_degree", x_h)):
+        assert checks[name][0].tolist() == [base_degree(b, u) for b in basis]
+
+
+def _fp_base_degrees(ms, u_ints, p):
+    """Per-row base degrees of a prime-field basis by the scalar F_p expansion, -1 for a zero row."""
+    u = fppoly.make(u_ints, p)
+    degrees = [max_digit_degree(fppoly.make(row[:, 0], p), u, p) for row in ms.coeffs]
+    return [-1 if d == float("-inf") else d for d in degrees]
+
+
+@pytest.mark.parametrize("name", ["rate-I23", "inst1_p3", "inst2_p2"])
+def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
+    # rate-I23 is the benchmark's 137 x 896 basis; the fixtures are at D = n
+    if name == "rate-I23":
+        inst = build_instance(InstanceConfig("I", 2, 3, D=896))
+    else:
+        inst = request.getfixturevalue(name)
+    ms, p = inst.message_space(), inst.ambient.p
+    checks = ms.verification["checks"]
+    assert ms.coeffs.shape[2] == 1 and ms.D == inst.params.D
+    assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.invariant_poly.int_coeffs(), p)
+    assert checks["scaling_base_degree"][0].tolist() == _fp_base_degrees(ms, [0] * inst.H.order + [1], p)
+
+
+@st.composite
+def _expansion_cases(draw):
+    """Rows and a monic divisor u over F_2, F_3, F_4 or F_9, with c = 1 or c = k digits.
+
+    Rows are either arbitrary or built as sum_i d_i u^i from digits d_i of
+    a drawn degree below deg u, so that a wrong digit would show in the
+    largest digit degree.
+    """
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    ctx = build_field(p, k)
+    c = draw(st.sampled_from(sorted({1, k})))
+    degree = draw(st.integers(1, 6))
+    low = 1 if draw(st.booleans()) else 0  # 1: every lower term of u is nonzero
+    u = np.concatenate([draw(arrays(np.int64, (degree, c), elements=st.integers(low, p - 1))), np.eye(1, c, dtype=np.int64)])
+    n_rows = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rows = draw(arrays(np.int64, (n_rows, draw(st.integers(0, 40)), c), elements=st.integers(0, p - 1)))
+    else:
+        shape = (n_rows, draw(st.integers(0, 7)), draw(st.integers(1, degree)), c)
+        digits = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+        u_poly = row_poly(ctx, u)
+        polys = [BaseUExpansion(u_poly, tuple(row_poly(ctx, d) for d in row)).reconstruct() for row in digits]
+        rows = np.zeros((n_rows, max([len(f.coeffs) for f in polys] + [0]), c), dtype=np.int64)
+        for row, f in zip(rows, polys):
+            row[: len(f.coeffs)] = poly_digits(f)[:, :c]
+    rows[draw(arrays(np.bool_, n_rows))] = 0
+    return ctx, u, rows
+
+
+@settings(max_examples=400)
+@given(_expansion_cases())
+def test_base_degrees_match_scalar_expansion(case):
+    ctx, u, rows = case
+    c = u.shape[1]
+    padded = np.zeros((len(u), ctx.k), dtype=np.int64)
+    padded[:, :c] = u
+    got = fppoly.expansion_degrees(rows, codecore._divisor(ctx, padded, c), ctx.p)
+    u_poly = row_poly(ctx, u)
+    expected = [base_degree(row_poly(ctx, row), u_poly) for row in rows]
+    assert got.tolist() == [-1 if d == float("-inf") else d for d in expected]
+
+
+@pytest.mark.parametrize("fixture", ["local-II22", "generic-F64"])
+def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_p2, fixture):
+    if fixture == "local-II22":  # the benchmark's sizes: one chunk under the default bound
+        coeffs, omega = inst2_p2.message_space(D=96).coeffs, inst2_p2.omega
+        assert len(omega) * 96 * 12 <= codecore.ENCODE_CHUNK_ENTRIES
+    else:  # c = k: field coefficients, on 48 points of F_64
+        ctx = build_field(2, 6)
+        G = TranslationGroup(FpSubspace(ctx, [ctx.from_int(9)]))
+        coeffs = message_space(G, scaling_subgroup(ctx, 7), CodeParams("I", 2, 2, Fraction(1, 2), 48, 48)).coeffs
+        omega = list(ctx.elements())[5:53]
+    whole = encode_basis_digits(coeffs, omega)
+    monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", 5 * coeffs.shape[1] * omega[0].ctx.k)  # five points per chunk
+    assert np.array_equal(encode_basis_digits(coeffs, omega), whole)
+    for b in (0, len(coeffs) - 1):
+        assert np.array_equal(whole[b], scalar_encode(row_poly(omega[0].ctx, coeffs[b]), omega))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_distance_matches_table_oracle(monkeypatch, inst1_p2, seed):
+    # 9000 samples: two draws of the sampler; the patched bound gives chunks
+    # of 3k = 18 samples and blocks of 3 of the 11 basis rows
+    inst = inst1_p2
+    ms = inst.message_space()
+    expected = table_min_distance_sampled(ms, inst.omega, samples=9000, seed=seed)
+    assert min_distance_sampled(ms, inst.omega, samples=9000, seed=seed) == expected
+    monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", 3 * inst.n * inst.ambient.k**2)
+    assert min_distance_sampled(ms, inst.omega, samples=9000, seed=seed) == expected
+
+
+def test_sampled_distance_memory_is_bounded(inst2_p2):
+    # II(2,2) at D = n: a table of all 4096 multiples of one basis codeword is 176 MB, and there are 70
+    inst = inst2_p2
+    ms = inst.message_space()
+    assert (ms.dim, ms.D) == (70, inst.n)
+    tracemalloc.start()
+    try:
+        value = min_distance_sampled(ms, inst.omega, samples=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert 1 <= value <= inst.n
+
+
+def test_distance_section_refuses_the_full_field_table_on_i23():
+    # D = 1: dim 1 and |F| = 2^21 fit the codeword budget, but one row's table of multiples would not fit memory
+    sec = distance_section(build_instance(InstanceConfig("I", 2, 3, D=1)))
+    assert (sec["status"], sec["mode"], sec["distance"], sec["enumerated"]) == ("computed", "prime-subcode", 3584, 2)

@@ -1,18 +1,20 @@
-"""Polynomial arithmetic, base-u expansion, invariant polynomials."""
+"""Polynomial arithmetic, base-u expansion, invariant polynomials.
+
+The base-u degree properties hold for the scalar expansion (tests/oracles.py)
+and for the batched kernel fppoly.expansion_degrees, which must agree with it.
+"""
 
 import random
 
 import pytest
 
+from oracles import base_degree, base_expand, kernel_base_degree, scaling_invariant_poly
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import FpSubspace, build_field
 from orbitcodes.polyring import (
     MINUS_INFINITY,
     Poly,
-    base_degree,
-    base_expand,
     lagrange_interpolate,
-    scaling_invariant_poly,
     translation_invariant_poly,
 )
 
@@ -28,6 +30,7 @@ def test_expand_zero_gives_empty_digits():
     exp = base_expand(Poly.zero(f2), u)
     assert exp.digits == ()
     assert base_degree(Poly.zero(f2), u) == MINUS_INFINITY
+    assert kernel_base_degree(Poly.zero(f2), u) == MINUS_INFINITY
 
 
 def test_expand_base_itself():
@@ -45,18 +48,22 @@ def test_expand_x_cubed_base_x2_plus_x():
     exp = base_expand(f, u)
     assert exp.digits == (Poly.from_ints(f2, [0, 1]), Poly.from_ints(f2, [1, 1]))
     assert base_degree(f, u) == 1
+    assert kernel_base_degree(f, u) == 1
 
 
 def test_expand_rejects_constant_base():
     f2 = build_field(2, 1)
     with pytest.raises(ParameterError):
         base_expand(Poly.one(f2), Poly.one(f2))
+    with pytest.raises(ParameterError, match="nonconstant"):
+        kernel_base_degree(Poly.one(f2), Poly.one(f2))
 
 
 def test_base_degree_of_pure_power_is_zero():
     f3 = build_field(3, 1)
     u = Poly.from_ints(f3, [1, 2, 1])
     assert base_degree(u**5, u) == 0
+    assert kernel_base_degree(u**5, u) == 0
 
 
 def test_base_degree_range_and_sum_rule():
@@ -71,6 +78,7 @@ def test_base_degree_range_and_sum_rule():
             g = _random_poly(ctx, 20, rng)
             df, dg = base_degree(f, u), base_degree(g, u)
             dsum = base_degree(f + g, u)
+            assert (kernel_base_degree(f, u), kernel_base_degree(f + g, u)) == (df, dsum)
             assert dsum <= max(df, dg)
             if df != MINUS_INFINITY:
                 assert 0 <= df <= u.degree - 1
@@ -88,6 +96,7 @@ def test_subadditivity_1000_random_triples():
             g = _random_poly(ctx, 24, rng)
             df, dg = base_degree(f, u), base_degree(g, u)
             dprod = base_degree(f * g, u)
+            assert kernel_base_degree(f * g, u) == dprod
             if f.is_zero() or g.is_zero():
                 assert dprod == MINUS_INFINITY
                 continue
@@ -108,6 +117,7 @@ def test_reconstruction_identity_1000_random():
             exp = base_expand(f, u)
             assert exp.reconstruct() == f
             assert all(d.degree < u.degree for d in exp.digits)
+            assert kernel_base_degree(f, u) == exp.max_digit_degree
 
 
 def test_translation_invariant_poly_trivial_group():
