@@ -21,7 +21,6 @@ from orbitcodes.gf import (
     build_field,
     char_exponent,
     dual_subspace,
-    embed,
     trace,
 )
 from orbitcodes.polyring import (
@@ -31,7 +30,6 @@ from orbitcodes.polyring import (
     translation_invariant_poly,
 )
 from orbitcodes.groupgeom import (
-    AffineMap,
     GroupA,
     ScalingGroup,
     TranslationGroup,
@@ -52,7 +50,6 @@ from orbitcodes.cosetgraph import (
 )
 from orbitcodes.codecore import (
     CodeParams,
-    Codeword,
     DistanceResult,
     MessageSpace,
     check_local_rs,

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from orbitcodes import bounds as bounds_mod
-from orbitcodes.codecore import codeword_from_digits, encode
+from orbitcodes.codecore import encode
 from orbitcodes.errors import OrbitcodesError, ParameterError
 from orbitcodes.instance import InstanceConfig, SCHEMA_VERSION, build_instance, load_bundle
 from orbitcodes.report import (
@@ -69,14 +69,23 @@ def _read_json(path: str):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _digit_array(ctx, data, key: str, path: str) -> np.ndarray:
-    """The field elements under data[key], validated, as an (entries, k) digit array."""
+def _read_digits(ctx, data, key: str, path: str) -> np.ndarray:
+    """The field elements under data[key] as an (entries, k) digit array, read mod p.
+
+    Every entry must be a list of at most k JSON integers (booleans, floats
+    and strings are refused, not coerced); missing high digits are zero.
+    """
     if not isinstance(data, dict) or key not in data:
         raise ParameterError(f"{path} has no {key!r} list")
-    try:
-        return np.array([ctx.element(v).coeffs for v in data[key]], dtype=np.int64).reshape(-1, ctx.k)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{path}: {key!r} must be a list of digit lists ({exc})") from None
+    entries = data[key]
+    if not isinstance(entries, list) or not all(
+        isinstance(v, list) and len(v) <= ctx.k and all(type(c) is int for c in v) for v in entries
+    ):
+        raise ParameterError(f"{path}: {key!r} must be a list of lists of at most {ctx.k} integers")
+    out = np.zeros((len(entries), ctx.k), dtype=np.int64)
+    for row, v in zip(out, entries):
+        row[: len(v)] = [c % ctx.p for c in v]
+    return out
 
 
 def _load_bundle(path: str):
@@ -115,7 +124,7 @@ def cmd_instantiate(args) -> int:
 def cmd_graph(args) -> int:
     inst = _load_bundle(args.bundle)
     lines = ["edge_id,left_idx,right_idx"]
-    lines += [f"{e},{l},{r}" for e, l, r in inst.graph.edge_rows()]
+    lines += [f"{e},{l},{r}" for e, (l, r) in enumerate(inst.graph.edges.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -151,9 +160,9 @@ def cmd_distance(args) -> int:
 
 def cmd_encode(args) -> int:
     inst = _load_bundle(args.bundle)
-    coeffs = _digit_array(inst.ambient, _read_json(args.message), "coeffs", args.message)
+    coeffs = _read_digits(inst.ambient, _read_json(args.message), "coeffs", args.message)
     cw = encode(coeffs, inst.omega, inst.G, inst.H, inst.params)
-    _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.to_json()}, args.out)
+    _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.tolist()}, args.out)
     return 0
 
 
@@ -161,8 +170,7 @@ def cmd_verify(args) -> int:
     inst = _load_bundle(args.bundle)
     cw = None
     if args.codeword:
-        values = _digit_array(inst.ambient, _read_json(args.codeword), "values", args.codeword)
-        cw = codeword_from_digits(inst.ambient, values)
+        cw = _read_digits(inst.ambient, _read_json(args.codeword), "values", args.codeword)
     body = verify_section(inst, _budgets(), codeword=cw)
     doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "verify": body}
     _emit(doc, args.out)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, FieldElement, base_p_digits, mul_matrix
+from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
@@ -129,22 +129,6 @@ class MessageSpace:
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "dim_u": self.dim_u, "dim_v": self.dim_v, "D": self.D}
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """Evaluation vector over the orbit, indexed like the edge enumeration."""
-
-    values: tuple[FieldElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def digit_array(self) -> np.ndarray:
-        return np.array([v.coeffs for v in self.values], dtype=np.int64)
-
-    def to_json(self) -> list[list[int]]:
-        return [v.to_json() for v in self.values]
 
 
 def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
@@ -295,14 +279,15 @@ def verify_message_space(ms: MessageSpace, G: TranslationGroup, H: ScalingGroup,
 
 def encode(
     coeffs: np.ndarray,
-    omega: Sequence[FieldElement],
+    omega: np.ndarray,
     G: TranslationGroup,
     H: ScalingGroup,
     params: CodeParams,
-) -> Codeword:
-    """Evaluation vector (f(beta) for beta in the orbit), after checking f's constraints.
+) -> np.ndarray:
+    """The (n, k) digit array of f(beta) for beta in the orbit, after checking f's constraints.
 
-    f is given by its (L, c) coefficient digit array, lowest degree first.
+    f is given by its (L, c) coefficient digit array, lowest degree first,
+    and omega is the (n, k) orbit digit array.
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
@@ -313,22 +298,14 @@ def encode(
     for name, (values, bound, ok) in rep["checks"].items():
         if not ok[0]:
             raise ConstraintViolation(f"{name} violated: {values[0]} must be < {bound}")
-    return codeword_from_digits(G.ctx, encode_basis_digits(coeffs[None], omega)[0])
+    return encode_basis_digits(G.ctx, coeffs[None], omega)[0]
 
 
-def schur_product(cw1: Codeword, cw2: Codeword) -> Codeword:
-    """Coordinate-wise product, computed on digit arrays with the field's multiplication tensor."""
-    if len(cw1) != len(cw2):
+def schur_product(ctx: FieldContext, cw1: np.ndarray, cw2: np.ndarray) -> np.ndarray:
+    """Coordinate-wise product of two (n, k) codeword digit arrays."""
+    if np.shape(cw1) != np.shape(cw2):
         raise ParameterError("codeword length mismatch")
-    if not cw1.values:
-        return Codeword(values=())
-    ctx = cw1.values[0].ctx
-    if cw2.values[0].ctx != ctx:
-        raise ParameterError("field context mismatch")
-    a, b = cw1.digit_array(), cw2.digit_array()
-    k = ctx.k
-    outer = (a[:, :, None] * b[:, None, :]).reshape(len(a), k * k)
-    return codeword_from_digits(ctx, outer @ ctx.mul_tensor().reshape(k * k, k) % ctx.p)
+    return mul_rows(ctx, cw1, cw2)
 
 
 @dataclass(frozen=True)
@@ -371,12 +348,10 @@ class LocalCheckReport:
         }
 
 
-def _vertex_edge_lists(graph: CosetGraph) -> tuple[list[list[int]], list[list[int]]]:
-    left: list[list[int]] = [[] for _ in range(graph.n_left)]
-    right: list[list[int]] = [[] for _ in range(graph.n_right)]
-    for e, (l, rr) in enumerate(graph.edges):
-        left[l].append(e)
-        right[rr].append(e)
+def _vertex_edge_lists(graph: CosetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, degree) edge ids of every left and every right vertex, each row ascending."""
+    left = np.argsort(graph.edges[:, 0], kind="stable").reshape(graph.n_left, graph.left_degree)
+    right = np.argsort(graph.edges[:, 1], kind="stable").reshape(graph.n_right, graph.right_degree)
     return left, right
 
 
@@ -403,7 +378,7 @@ class _SideMap:
     coeff_map: np.ndarray  # (L*k, L*k) over F_p
 
 
-def _side_map(edge_lists: list[list[int]], omega: tuple[FieldElement, ...], translate: bool) -> _SideMap:
+def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate: bool) -> _SideMap:
     """One Lagrange map for a whole side, and the gather that feeds it.
 
     Vertex 0's points fix the base B: its points minus (translate) or
@@ -413,29 +388,21 @@ def _side_map(edge_lists: list[list[int]], omega: tuple[FieldElement, ...], tran
     so V_B^-1, the Lagrange coefficient matrix of B expanded through
     multiplication matrices, checks every vertex of the side.
     """
-    ctx = omega[0].ctx
     p, k = ctx.p, ctx.k
-    first = [omega[e] for e in edge_lists[0]]
+    first, anchors = omega[edges[0]], omega[edges[:, 0]]
     if translate:
-        base = [x - first[0] for x in first]
-    else:
-        inv = first[0].inverse()
-        base = [x * inv for x in first]
-    edges = np.array(edge_lists, dtype=np.int64)
-    points = np.array([x.coeffs for x in omega], dtype=np.int64)
-    anchors = points[edges[:, 0]]
-    base_points = np.array([b.coeffs for b in base], dtype=np.int64)
-    if translate:
+        base_points = (first - first[0]) % p
         expected = anchors[:, None, :] + base_points[None]
     else:
+        base_points = first @ mul_matrix(ctx.element(first[0]).inverse()).T % p
         expected = np.einsum("vi,ijl,bj->vbl", anchors, ctx.mul_tensor(), base_points)
-    code = p ** np.arange(k, dtype=np.int64)  # digit vector -> its integer code
-    match = ((expected % p) @ code)[:, :, None] == (points[edges] @ code)[:, None, :]
+    match = digit_codes(expected % p, p)[:, :, None] == digit_codes(omega[edges], p)[:, None, :]
     if not (match.sum(axis=2) == 1).all():
         kind = "translate" if translate else "multiple"
         raise ParameterError(f"graph vertices are not the {kind}s of one base set along omega")
     positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
 
+    base = ctx.elements_of(base_points)
     size = len(base)
     zero, one = ctx.zero(), ctx.one()
     blocks = np.zeros((size, k, size, k), dtype=np.int64)
@@ -446,14 +413,15 @@ def _side_map(edge_lists: list[list[int]], omega: tuple[FieldElement, ...], tran
     return _SideMap(positions=positions, coeff_map=blocks.reshape(size * k, size * k))
 
 
-def _local_maps(graph: CosetGraph, omega: Sequence[FieldElement]) -> dict[str, _SideMap]:
-    """Both side maps of a graph, built on the first check and cached on it."""
-    omega = tuple(omega)
-    if graph.local_maps is None or graph.local_maps[0] != omega:
+def _local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:
+    """Both side maps of a graph, built on the first check and cached on it with the orbit they were built for."""
+    cached = graph.local_maps
+    if cached is None or cached[0] != ctx or not np.array_equal(cached[1], omega):
+        omega = np.array(omega, dtype=np.int64) % ctx.p
         left, right = _vertex_edge_lists(graph)
-        maps = {"left": _side_map(left, omega, translate=True), "right": _side_map(right, omega, translate=False)}
-        graph.local_maps = (omega, maps)
-    return graph.local_maps[1]
+        maps = {"left": _side_map(ctx, left, omega, translate=True), "right": _side_map(ctx, right, omega, translate=False)}
+        graph.local_maps = (ctx, omega, maps)
+    return graph.local_maps[2]
 
 
 def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
@@ -465,9 +433,10 @@ def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
 
 
 def check_local_rs(
-    cw: Codeword,
+    ctx: FieldContext,
+    cw: np.ndarray,
     graph: CosetGraph,
-    omega: Sequence[FieldElement],
+    omega: np.ndarray,
     params: CodeParams,
     doubled: bool = False,
 ) -> LocalCheckReport:
@@ -478,23 +447,24 @@ def check_local_rs(
     right; this is exactly the local Reed-Solomon membership.  With
     doubled=True the Schur bound deg < 2*ceil(r*len) - 1 is applied
     instead, for coordinate-wise products.  The interpolants of all
-    vertices of a side come from one matrix product (see _side_map).
+    vertices of a side come from one matrix product (see _side_map).  The
+    codeword and the orbit are (n, k) digit arrays indexed by edge.
     """
-    if len(cw) != graph.edge_count or len(omega) != graph.edge_count:
-        raise ParameterError("codeword/orbit length does not match the edge count")
+    shape = (graph.edge_count, ctx.k)
+    if np.shape(cw) != shape or np.shape(omega) != shape:
+        raise ParameterError(f"codeword and orbit must be digit arrays of shape {shape}")
     bounds = {
         "left": _side_bound_info(params.r, graph.left_degree),
         "right": _side_bound_info(params.r, graph.right_degree),
     }
-    maps = _local_maps(graph, omega)
-    digits = cw.digit_array()
-    p = omega[0].ctx.p
+    maps = _local_maps(ctx, graph, omega)
+    digits = np.asarray(cw, dtype=np.int64) % ctx.p
     vertices = []
     for side in ("left", "right"):
         allowed = bounds[side]["max_allowed_degree"]
         if doubled:
             allowed = 2 * allowed
-        for vi, d in enumerate(_vertex_degrees(maps[side], digits, p).tolist()):
+        for vi, d in enumerate(_vertex_degrees(maps[side], digits, ctx.p).tolist()):
             vertices.append(
                 VertexCheck(
                     side=side,
@@ -508,14 +478,15 @@ def check_local_rs(
 
 
 def schur_check(
-    cw1: Codeword,
-    cw2: Codeword,
+    ctx: FieldContext,
+    cw1: np.ndarray,
+    cw2: np.ndarray,
     graph: CosetGraph,
-    omega: Sequence[FieldElement],
+    omega: np.ndarray,
     params: CodeParams,
 ) -> LocalCheckReport:
     """Doubled-degree local check for the coordinate-wise product."""
-    return check_local_rs(schur_product(cw1, cw2), graph, omega, params, doubled=True)
+    return check_local_rs(ctx, schur_product(ctx, cw1, cw2), graph, omega, params, doubled=True)
 
 
 # -- fast batch encoding -------------------------------------------------------
@@ -533,33 +504,22 @@ def _power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
     return out
 
 
-def encode_basis_digits(coeffs: np.ndarray, omega: Sequence[FieldElement]) -> np.ndarray:
-    """Digit tensor (rows, n, k) of the codewords of a (rows, D, c) coefficient array.
+def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Digit tensor (rows, n, k) of the codewords of a (rows, D, c) coefficient array on an (n, k) orbit array.
 
     The codeword of row b at beta is sum_t coeffs[b, t] * beta^t.  The sum
     over t pairs coefficient digits with power digits, and mul_tensor()[:c]
     turns each pair into the digits of its product.  Orbit points are taken
     in chunks whose power tensor holds at most ENCODE_CHUNK_ENTRIES entries.
     """
-    ctx = omega[0].ctx
     rows, D, c = coeffs.shape
     n, k, p = len(omega), ctx.k, ctx.p
     out = np.zeros((rows, n, k), dtype=np.int64)
-    points = np.array([w.coeffs for w in omega], dtype=np.int64)
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
-        pairs = np.einsum("bta,ntj->bnaj", coeffs, _power_tensor(ctx, points[lo : lo + chunk], D)) % p
+        pairs = np.einsum("bta,ntj->bnaj", coeffs, _power_tensor(ctx, omega[lo : lo + chunk], D)) % p
         out[:, lo : lo + chunk] = np.einsum("bnaj,ajl->bnl", pairs, ctx.mul_tensor()[:c]) % p
     return out
-
-
-def codeword_from_digits(ctx: FieldContext, digits: np.ndarray) -> Codeword:
-    """Codeword from an (n, k) digit array."""
-    digits = np.asarray(digits, dtype=np.int64)
-    if digits.ndim != 2 or digits.shape[1] != ctx.k:
-        raise ParameterError(f"digit array must have shape (n, {ctx.k}), got {digits.shape}")
-    rows = (digits % ctx.p).tolist()
-    return Codeword(values=tuple(FieldElement(ctx, tuple(row)) for row in rows))
 
 
 # -- minimum distance ------------------------------------------------------------
@@ -578,7 +538,7 @@ class DistanceResult:
 
 def min_distance_exhaustive(
     ms: MessageSpace,
-    omega: Sequence[FieldElement],
+    omega: np.ndarray,
     budget: int = DISTANCE_BUDGET,
 ) -> DistanceResult:
     """Minimum Hamming weight by exhaustive message enumeration.
@@ -608,7 +568,7 @@ def min_distance_exhaustive(
             else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
         )
         raise BudgetError(f"{reason}; use min_distance_sampled for a lower-confidence estimate")
-    tables = _multiples(encode_basis_digits(ms.coeffs, omega), ctx, scalars)
+    tables = _multiples(encode_basis_digits(ctx, ms.coeffs, omega), ctx, scalars)
     return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim, dim=ms.dim)
 
 
@@ -690,7 +650,7 @@ def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
 
 def min_distance_sampled(
     ms: MessageSpace,
-    omega: Sequence[FieldElement],
+    omega: np.ndarray,
     samples: int = 100_000,
     seed: int = 0,
 ) -> int:
@@ -707,7 +667,7 @@ def min_distance_sampled(
     ctx = ms.ctx
     p, k = ctx.p, ctx.k
     rng = np.random.default_rng(seed)
-    rows = encode_basis_digits(ms.coeffs, omega)
+    rows = encode_basis_digits(ctx, ms.coeffs, omega)
     n = len(omega)
     sample_chunk = max(1, SAMPLE_CHUNK_ENTRIES // (n * k))
     row_block = max(1, SAMPLE_CHUNK_ENTRIES // (k * n * k))

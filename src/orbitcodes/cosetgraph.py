@@ -25,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from orbitcodes.errors import BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, trace_form
+from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_matrix, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import rank_mod_p
 
@@ -34,20 +34,18 @@ FIELD_SCAN_BUDGET = 1 << 20  # max points one exhaustive character scan visits
 SCAN_CHUNK_ENTRIES = 1 << 20
 
 
-@dataclass
+@dataclass(eq=False)
 class CosetGraph:
-    """Bipartite coset graph; edge e is enumerate-A element e."""
+    """Bipartite coset graph; edge e is map e of A and coordinate e of every codeword."""
 
     n_left: int
     n_right: int
     left_degree: int
     right_degree: int
-    edges: tuple[tuple[int, int], ...]
-    left_reps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (shift, scale) digit vectors
-    right_elements: tuple[FieldElement, ...]
+    edges: np.ndarray  # (n, 2) int64: the left and right vertex of every edge
     is_simple: bool
-    # (omega, per-side local check maps), filled by codecore on the first check
-    local_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (ctx, omega, per-side local check maps), filled by codecore on the first check
+    local_maps: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -55,8 +53,7 @@ class CosetGraph:
 
     def biadjacency(self) -> np.ndarray:
         b = np.zeros((self.n_left, self.n_right), dtype=np.int64)
-        for l, r in self.edges:
-            b[l, r] += 1
+        np.add.at(b, (self.edges[:, 0], self.edges[:, 1]), 1)
         return b
 
     def summary_json(self) -> dict:
@@ -69,57 +66,46 @@ class CosetGraph:
             "simple": self.is_simple,
         }
 
-    def edge_rows(self) -> list[tuple[int, int, int]]:
-        """(edge_id, left_idx, right_idx) rows for CSV export."""
-        return [(e, l, r) for e, (l, r) in enumerate(self.edges)]
-
 
 def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     """Coset graph of (G, H) inside A, indexed deterministically.
 
-    A map (s, h) lies in the G-coset keyed by (s reduced mod G, h) and in
-    the H-coset identified with the element h^-1 * s of S.  Left indices
-    are assigned in first-appearance order along the edge enumeration;
-    right indices are the digit-order positions in S.
+    Edge e is the map (s, h) of A (see GroupA).  It lies in the G-coset
+    keyed by (s reduced mod G, h) and in the H-coset identified with the
+    element h^-1 * s of S.  Left indices are assigned in first-appearance
+    order along the edges; right indices are the digit-order positions in
+    S.  Both come from whole-array operations: one reduction of S's points
+    against G's RREF, and one mul_matrix product per element of H.
     """
     S, H = A.S, A.H
-    left_index: dict[tuple, int] = {}
-    left_reps: list = []
-    edges: list[tuple[int, int]] = []
-    h_elements = H.elements()
-    h_inverses = H.inverses
-    for s in S.points():
-        reduced = G.points.reduce(s)
-        for hi in range(H.order):
-            key = (reduced.coeffs, h_elements[hi].coeffs)
-            li = left_index.get(key)
-            if li is None:
-                li = len(left_reps)
-                left_index[key] = li
-                left_reps.append(key)
-            r = S.index_of(h_inverses[hi] * s)
-            edges.append((li, r))
+    p = A.ambient.p
+    _, coset = np.unique(digit_codes(G.points.reduce(S.points()), p), return_inverse=True)
+    keys = (coset.reshape(-1, 1) * H.order + np.arange(H.order)).ravel()
+    _, first, key_index = np.unique(keys, return_index=True, return_inverse=True)
+    n_left, n_right = len(first), S.size
+    rank = np.empty(n_left, dtype=np.int64)  # sorted key -> first-appearance order
+    rank[np.argsort(first)] = np.arange(n_left)
+    left = rank[key_index]
+    inverse_mats = np.stack([mul_matrix(ih) for ih in H.inverses])
+    right = S.index_of(np.einsum("hlj,sj->shl", inverse_mats, S.points()) % p).ravel()
+    if (right < 0).any():
+        raise InternalError("h^-1 * s fell outside the translation space")
 
-    n_left, n_right = len(left_reps), S.size
     if n_left * G.size != A.size or n_right * H.order != A.size:
         raise InternalError("coset counts inconsistent with the group size")
-    left_deg = np.zeros(n_left, dtype=np.int64)
-    right_deg = np.zeros(n_right, dtype=np.int64)
-    for l, r in edges:
-        left_deg[l] += 1
-        right_deg[r] += 1
+    left_deg = np.bincount(left, minlength=n_left)
+    right_deg = np.bincount(right, minlength=n_right)
     if not (np.all(left_deg == G.size) and np.all(right_deg == H.order)):
         raise InternalError("graph is not biregular")
-    simple = len(set(edges)) == len(edges)
+    edges = np.stack([left, right], axis=1)
+    edges.flags.writeable = False
     return CosetGraph(
         n_left=n_left,
         n_right=n_right,
         left_degree=G.size,
         right_degree=H.order,
-        edges=tuple(edges),
-        left_reps=tuple(left_reps),
-        right_elements=S.points(),
-        is_simple=simple,
+        edges=edges,
+        is_simple=len(np.unique(left * n_right + right)) == len(edges),
     )
 
 
@@ -162,10 +148,6 @@ def _scan_chunk(columns: int) -> int:
     return max(1, SCAN_CHUNK_ENTRIES // max(1, columns))
 
 
-def _digit_rows(elements, k: int) -> np.ndarray:
-    return np.array([x.coeffs for x in elements], dtype=np.int64).reshape(len(elements), k)
-
-
 def sigma2_exact(
     G: TranslationGroup,
     H: ScalingGroup,
@@ -185,7 +167,7 @@ def sigma2_exact(
     square root is floating point.
     """
     p, k = ambient.p, ambient.k
-    s_basis, g_basis = _digit_rows(S.basis, k), _digit_rows(G.points.basis, k)
+    s_basis, g_basis = ambient.digit_rows(S.basis), ambient.digit_rows(G.points.basis)
     closure = np.concatenate([s_basis, g_basis, s_basis @ mul_matrix(H.generator).T % p])
     if rank_mod_p(closure, p) != S.dim:
         raise ParameterError("S must contain G and be closed under scaling by H")
@@ -223,7 +205,7 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIE
     p = ambient.p
     h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual()
     _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
-    h_forms = _digit_rows(H.elements(), ambient.k) @ trace_form(ambient) % p
+    h_forms = ambient.digit_rows(H.elements()) @ trace_form(ambient) % p
     histograms = []
     for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
         exps = reps @ h_forms.T % p + p * np.arange(len(reps))[:, None]

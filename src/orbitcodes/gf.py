@@ -4,8 +4,8 @@ An element of F_{p^k} is a length-k digit vector over F_p, little-endian
 in the root of the defining modulus.  All arithmetic is exact integer
 arithmetic; nothing in this module touches floating point.  On top of the
 element type the module provides the field trace down to F_p, trace-dual
-subspaces, additive-character exponents, and deterministic embeddings of
-subfields into larger extensions.
+subspaces and additive-character exponents.  Batches of elements are
+(n, k) int64 digit arrays, multiplied through mul_matrix and mul_tensor.
 
 Contexts and elements are immutable after construction and safe to share.
 """
@@ -31,7 +31,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_embed_cache", "_mul_tensor")
+    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_mul_tensor")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -48,7 +48,6 @@ class FieldContext:
         self.modulus = mod
         self._red_rows = self._reduction_rows()
         self._trace_vec: tuple[int, ...] | None = None
-        self._embed_cache: dict = {}
         self._mul_tensor: np.ndarray | None = None
 
     # -- basic protocol ------------------------------------------------
@@ -109,6 +108,14 @@ class FieldContext:
         """All field elements in digit-value order (deterministic)."""
         for v in range(self.order):
             yield self.from_int(v)
+
+    def digit_rows(self, elements: Sequence["FieldElement"]) -> np.ndarray:
+        """(len(elements), k) digit array of a sequence of elements."""
+        return np.array([x.coeffs for x in elements], dtype=np.int64).reshape(len(elements), self.k)
+
+    def elements_of(self, digits: np.ndarray) -> tuple["FieldElement", ...]:
+        """The elements of the rows of an (n, k) digit array, for scalar arithmetic."""
+        return tuple(FieldElement(self, tuple(row)) for row in (np.asarray(digits) % self.p).tolist())
 
     # -- arithmetic cores -----------------------------------------------
 
@@ -319,20 +326,35 @@ def mul_matrix(x: FieldElement) -> np.ndarray:
     return np.einsum("i,ijl->lj", np.array(x.coeffs, dtype=np.int64), t) % x.ctx.p
 
 
-class FpSubspace:
-    """An F_p-linear subspace of a field, given by an independent basis."""
+def mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two broadcastable (..., k) digit arrays, through mul_tensor."""
+    k = ctx.k
+    outer = np.asarray(a, dtype=np.int64)[..., :, None] * np.asarray(b, dtype=np.int64)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (k * k,)) @ ctx.mul_tensor().reshape(k * k, k) % ctx.p
 
-    __slots__ = ("ctx", "basis", "_rref", "_pivots", "_points", "_index")
+
+class FpSubspace:
+    """An F_p-linear subspace of a field, given by an independent basis.
+
+    Point i is sum_j c_j * basis[j] for the little-endian base-p digits c
+    of i (digit order).  The RREF of the basis gives every point's
+    coordinates at the pivot columns, and _from_rref turns those into the
+    digits c, so index_of and reduce work on whole digit arrays at once.
+    """
+
+    __slots__ = ("ctx", "basis", "_rref", "_pivots", "_from_rref", "_points")
 
     def __init__(self, ctx: FieldContext, basis: Sequence[FieldElement]):
         self.ctx = ctx
         self.basis = tuple(basis)
-        mat = np.array([b.coeffs for b in self.basis], dtype=np.int64).reshape(len(self.basis), ctx.k)
-        self._rref, self._pivots = rref_mod_p(mat, ctx.p)
-        if len(self._pivots) != len(self.basis):
+        dim, k = len(self.basis), ctx.k
+        mat = ctx.digit_rows(self.basis)
+        # [basis | I] reduces to [rref | E] with E @ basis = rref
+        aug, self._pivots = rref_mod_p(np.hstack([mat, np.eye(dim, dtype=np.int64)]), ctx.p)
+        if any(c >= k for c in self._pivots):
             raise ParameterError("subspace basis is linearly dependent")
-        self._points: tuple[FieldElement, ...] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
+        self._rref, self._from_rref = aug[:, :k], aug[:, k:]
+        self._points: np.ndarray | None = None
 
     @classmethod
     def from_vectors(cls, ctx: FieldContext, vectors: Iterable[FieldElement]) -> "FpSubspace":
@@ -352,17 +374,12 @@ class FpSubspace:
     def size(self) -> int:
         return self.ctx.p**self.dim
 
-    def points(self) -> tuple[FieldElement, ...]:
-        """All points, enumerated in digit order over the basis (deterministic)."""
+    def points(self) -> np.ndarray:
+        """Read-only (size, k) digit array of all points, in digit order over the basis."""
         if self._points is None:
-            p = self.ctx.p
-            if self.dim == 0:
-                self._points = (self.ctx.zero(),)
-            else:
-                digits = base_p_digits(np.arange(self.size), p, self.dim)
-                mat = np.array([b.coeffs for b in self.basis], dtype=np.int64)
-                pts = (digits @ mat) % p
-                self._points = tuple(FieldElement(self.ctx, tuple(int(c) for c in row)) for row in pts)
+            digits = base_p_digits(np.arange(self.size), self.ctx.p, self.dim)
+            self._points = digits @ self.ctx.digit_rows(self.basis) % self.ctx.p
+            self._points.flags.writeable = False
         return self._points
 
     def nonzero_coset_reps(self, chunk_rows: int) -> Iterator[np.ndarray]:
@@ -381,21 +398,23 @@ class FpSubspace:
             rows[:, free] = base_p_digits(np.arange(start, start + len(rows)), p, len(free))
             yield rows
 
-    def reduce(self, x: FieldElement) -> FieldElement:
-        """Canonical representative of the coset x + (this subspace)."""
-        v = row_reduce_against(np.array(x.coeffs, dtype=np.int64), self._rref, self._pivots, self.ctx.p)
-        return FieldElement(self.ctx, tuple(int(c) for c in v))
+    def reduce(self, digits: np.ndarray) -> np.ndarray:
+        """Canonical representative of the coset x + (this subspace), for every row x of an (..., k) digit array."""
+        return row_reduce_against(np.asarray(digits), self._rref, self._pivots, self.ctx.p)
 
     def __contains__(self, x: FieldElement) -> bool:
-        return self.reduce(x).is_zero()
+        return not self.reduce(np.array(x.coeffs)).any()
 
-    def index_of(self, x: FieldElement) -> int:
-        if self._index is None:
-            self._index = {pt.coeffs: i for i, pt in enumerate(self.points())}
-        return self._index[x.coeffs]
+    def index_of(self, digits: np.ndarray) -> np.ndarray:
+        """Digit-order index of every row of an (..., k) digit array; -1 for a row outside the subspace."""
+        p = self.ctx.p
+        x = np.asarray(digits, dtype=np.int64) % p
+        coords = x[..., self._pivots]  # x = coords @ rref when x lies in the subspace
+        inside = ~((coords @ self._rref - x) % p).any(axis=-1)
+        return np.where(inside, digit_codes(coords @ self._from_rref % p, p), -1)
 
     def point_set(self) -> frozenset:
-        return frozenset(self.points())
+        return frozenset(self.ctx.elements_of(self.points()))
 
     def dual(self) -> "FpSubspace":
         """Trace-dual subspace {a : Tr(a*m) = 0 for all m in this subspace}."""
@@ -408,6 +427,18 @@ class FpSubspace:
 def base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
     """Little-endian base-p digits of each index, one row per index."""
     return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
+
+
+def digit_codes(digits: np.ndarray, p: int) -> np.ndarray:
+    """Integer code (digit value) of every row of an (..., width) digit array; inverse of base_p_digits.
+
+    Codes are int64, so p^width must stay below 2^63; a wider array is
+    refused rather than wrapped.
+    """
+    width = digits.shape[-1]
+    if p**width > np.iinfo(np.int64).max:
+        raise ParameterError(f"codes of {width} base-{p} digits overflow int64")
+    return digits @ p ** np.arange(width, dtype=np.int64)
 
 
 def trace_form(ctx: FieldContext) -> np.ndarray:
@@ -426,8 +457,7 @@ def dual_subspace(space: FpSubspace) -> FpSubspace:
     if space.dim == 0:
         constraints = np.zeros((0, ctx.k), dtype=np.int64)
     else:
-        basis_mat = np.array([b.coeffs for b in space.basis], dtype=np.int64)
-        constraints = (basis_mat @ gram) % ctx.p
+        constraints = (ctx.digit_rows(space.basis) @ gram) % ctx.p
     null = nullspace_mod_p(constraints, ctx.p)
     return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
 
@@ -448,52 +478,6 @@ def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldEleme
     mat = linear_map_matrix(ctx, func)
     null = nullspace_mod_p(mat, ctx.p)
     return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
-
-
-def _embedding_powers(sub: FieldContext, ambient: FieldContext) -> tuple[FieldElement, ...]:
-    key = (sub.p, sub.k, sub.modulus)
-    cached = ambient._embed_cache.get(key)
-    if cached is not None:
-        return cached
-    # smallest root of the subfield modulus, in ambient enumeration order
-    mod_consts = [ambient.element([c]) for c in sub.modulus]
-    root = None
-    for cand in ambient.elements():
-        acc = ambient.zero()
-        for c in reversed(mod_consts):
-            acc = acc * cand + c
-        if acc.is_zero():
-            root = cand
-            break
-    if root is None:
-        raise InternalError("subfield modulus has no root in the ambient field")
-    powers = [ambient.one()]
-    for _ in range(sub.k - 1):
-        powers.append(powers[-1] * root)
-    ambient._embed_cache[key] = tuple(powers)
-    return ambient._embed_cache[key]
-
-
-def embed(x: FieldElement, ambient: FieldContext) -> FieldElement:
-    """Deterministic ring embedding of x's field into the ambient field.
-
-    The subfield's modulus root is sent to its first root in ambient
-    enumeration order; any root gives an isomorphic image, this one makes
-    runs reproducible.
-    """
-    sub = x.ctx
-    if sub == ambient:
-        return x
-    if sub.p != ambient.p:
-        raise ParameterError("embedding requires equal characteristic")
-    if ambient.k % sub.k != 0:
-        raise ParameterError(f"subfield degree {sub.k} does not divide ambient degree {ambient.k}")
-    powers = _embedding_powers(sub, ambient)
-    acc = ambient.zero()
-    for c, w in zip(x.coeffs, powers):
-        if c:
-            acc = acc + ambient.element([c]) * w
-    return acc
 
 
 def primitive_element(ctx: FieldContext) -> FieldElement:

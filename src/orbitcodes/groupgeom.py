@@ -6,57 +6,32 @@ the smallest H-invariant subspace S containing G, the group A = S x| H of
 affine maps x -> h*x + s, a free evaluation point, and its orbit.
 
 Enumeration orders are fixed everywhere (subspace points in digit order,
-H in generator-power order, A with the translation part outermost) so that
-edge and coordinate indexing is reproducible across runs.
+H in generator-power order, A = {(s, h)} with the translation part
+outermost) so that edge and coordinate indexing is reproducible across
+runs.  The free point and the orbit come from one mul_matrix product per
+element of H over the whole digit array of S; no element of A is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import (
     FieldContext,
     FieldElement,
     FpSubspace,
+    digit_codes,
     kernel_subspace,
+    mul_matrix,
     primitive_element,
 )
 from orbitcodes.linalg import rank_mod_p
 from orbitcodes.numutil import prime_factors
 from orbitcodes.polyring import Poly, translation_invariant_poly
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """The map x -> scale*x + shift, an element of AGL(1, F)."""
-
-    shift: FieldElement
-    scale: FieldElement
-
-    def __post_init__(self):
-        if self.scale.is_zero():
-            raise ParameterError("affine map must have nonzero scale")
-
-    @classmethod
-    def identity(cls, ctx: FieldContext) -> "AffineMap":
-        return cls(ctx.zero(), ctx.one())
-
-    def apply(self, x: FieldElement) -> FieldElement:
-        return self.scale * x + self.shift
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Group law of AGL(1, F): (s1, h1)*(s2, h2) = (s1 + h1*s2, h1*h2), i.e. self o other."""
-        return AffineMap(self.shift + self.scale * other.shift, self.scale * other.scale)
-
-    def inverse(self) -> "AffineMap":
-        inv = self.scale.inverse()
-        return AffineMap(-(inv * self.shift), inv)
-
-    def is_identity(self) -> bool:
-        return self.shift.is_zero() and self.scale == self.scale.ctx.one()
 
 
 class TranslationGroup:
@@ -115,13 +90,6 @@ class ScalingGroup:
     def inverses(self) -> tuple[FieldElement, ...]:
         els = self._elements
         return tuple(els[(-i) % self.order] for i in range(self.order))
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self._elements)
-
-    def __contains__(self, x: FieldElement) -> bool:
-        return x in self.element_set
 
     def __repr__(self) -> str:
         return f"ScalingGroup(order={self.order})"
@@ -219,7 +187,9 @@ class GroupA:
     """The affine group generated by translations S and scalings H.
 
     Elements are exactly the maps x -> h*x + s with s in S, h in H, and the
-    parametrization (s, h) is a bijection, so |A| = |S|*|H|.
+    parametrization (s, h) is a bijection, so |A| = |S|*|H|.  Map e is
+    (S.points()[e // |H|], H.elements()[e % |H|]); orbit and build_graph
+    index edges this way.
     """
 
     def __init__(self, S: FpSubspace, H: ScalingGroup, ambient: FieldContext):
@@ -236,18 +206,6 @@ class GroupA:
     def size(self) -> int:
         return self.S.size * self.H.order
 
-    @cached_property
-    def _elements(self) -> tuple[AffineMap, ...]:
-        out = []
-        for s in self.S.points():
-            for h in self.H.elements():
-                out.append(AffineMap(s, h))
-        return tuple(out)
-
-    def elements(self) -> tuple[AffineMap, ...]:
-        """All |S|*|H| maps, S in digit order outermost, H in power order."""
-        return self._elements
-
     def __repr__(self) -> str:
         return f"GroupA(|S|={self.S.size}, |H|={self.H.order})"
 
@@ -263,36 +221,41 @@ class GroupA:
 def find_free_point(A: GroupA) -> FieldElement:
     """First field element (enumeration order) with trivial stabilizer in A.
 
-    Every non-identity map with scale != 1 fixes exactly (1-h)^-1 * s.
-    Pure translations are fixed-point free, so the bad set has at most
-    |A| - |S| points and a free point exists whenever |F| >= |A|.
+    Every non-identity map with scale h != 1 fixes exactly (1-h)^-1 * s, so
+    the bad set is the union over h != 1 of (1-h)^-1 * S, one product of
+    S's point digits per h.  Pure translations are fixed-point free, so the
+    bad set has at most |A| - |S| points and a free point exists whenever
+    |F| >= |A|: it is among the first |A| - |S| + 1 digit codes, and only
+    those are looked at.
     """
     ambient = A.ambient
     if ambient.order < A.size:
         raise ConfigurationError(f"ambient field size {ambient.order} below group size {A.size}")
-    one = ambient.one()
-    bad = set()
-    for h in A.H.elements():
-        if h == one:
-            continue
-        inv = (one - h).inverse()
-        for s in A.S.points():
-            bad.add(inv * s)
-    for cand in ambient.elements():
-        if cand not in bad:
-            return cand
-    raise ConfigurationError("no free point exists; ambient field too small")
+    p, one = ambient.p, ambient.one()
+    bad = np.zeros(A.size - A.S.size + 1, dtype=bool)
+    for h in A.H.elements()[1:]:  # every h but the identity
+        codes = digit_codes(A.S.points() @ mul_matrix((one - h).inverse()).T % p, p)
+        bad[codes[codes < len(bad)]] = True
+    if bad.all():
+        raise ConfigurationError("no free point exists; ambient field too small")  # pragma: no cover
+    return ambient.from_int(int(np.argmin(bad)))
 
 
-def orbit(A: GroupA, alpha: FieldElement) -> tuple[FieldElement, ...]:
-    """Evaluation orbit (phi(alpha) for phi in A), in group enumeration order.
+def orbit(A: GroupA, alpha: FieldElement) -> np.ndarray:
+    """Evaluation orbit, the read-only (|A|, k) digit array of h*alpha + s over (s, h) in A.
 
-    The free action makes the orbit map injective, which is verified; the
-    orbit order matches elements() so edge-to-coordinate indexing is stable.
+    Row e is the map (s, h) with s = S.points()[e // |H|] and h =
+    H.elements()[e % |H|], the translation part outermost.  The free action
+    makes the orbit map injective, which is verified on the digit codes;
+    edge e of the coset graph is coordinate e of every codeword.
     """
-    pts = tuple(phi.apply(alpha) for phi in A.elements())
-    if len(set(pts)) != len(pts):
+    ambient = A.ambient
+    p = ambient.p
+    scaled = ambient.digit_rows(A.H.elements()) @ mul_matrix(alpha).T % p  # h * alpha
+    pts = ((A.S.points()[:, None, :] + scaled[None]) % p).reshape(A.size, ambient.k)
+    if len(np.unique(digit_codes(pts, p))) != len(pts):
         raise InternalError("orbit points collide; the base point is not free")
+    pts.flags.writeable = False
     return pts
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from orbitcodes import fppoly
 from orbitcodes.codecore import CodeParams, MessageSpace, defining_poly, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
@@ -98,9 +100,13 @@ class InstanceConfig:
             raise ParameterError(f"malformed config value: {exc}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
-    """A fully built instance; immutable after construction."""
+    """A fully built instance; immutable after construction.
+
+    omega is the read-only (n, k) digit array of the orbit: row e is the
+    evaluation point of coordinate e and edge e of the graph.
+    """
 
     config: InstanceConfig
     ambient: FieldContext
@@ -109,7 +115,7 @@ class Instance:
     S: FpSubspace
     A: GroupA
     alpha: FieldElement
-    omega: tuple[FieldElement, ...]
+    omega: np.ndarray
     graph: CosetGraph
 
     _ms_cache: dict = field(default_factory=dict)
@@ -154,7 +160,7 @@ class Instance:
             "A_size": self.A.size,
             "alpha": self.alpha.to_json(),
             "n": self.n,
-            "omega": [x.to_json() for x in self.omega],
+            "omega": self.omega.tolist(),
             "graph": self.graph.summary_json(),
         }
 

@@ -62,10 +62,8 @@ def nullspace_mod_p(mat, p: int) -> np.ndarray:
 
 
 def row_reduce_against(vec: np.ndarray, rr: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Remainder of vec after eliminating the pivot coordinates of rr."""
+    """Remainder of every row of vec (..., cols) after eliminating the pivot coordinates of rr."""
     v = vec.astype(np.int64) % p
     for row, c in enumerate(pivots):
-        coef = int(v[c])
-        if coef:
-            v = (v - coef * rr[row]) % p
+        v = (v - v[..., c, None] * rr[row]) % p
     return v

@@ -203,7 +203,7 @@ def translation_invariant_poly(points: FpSubspace) -> Poly:
     """
     ctx = points.ctx
     acc = Poly.one(ctx)
-    for u in points.points():
+    for u in ctx.elements_of(points.points()):
         acc = acc * Poly(ctx, [-u, ctx.one()])
     return acc
 

@@ -14,9 +14,7 @@ import numpy as np
 from orbitcodes import bounds as bounds_mod
 from orbitcodes.codecore import (
     DISTANCE_BUDGET,
-    Codeword,
     check_local_rs,
-    codeword_from_digits,
     encode_basis_digits,
     min_distance_exhaustive,
     min_distance_sampled,
@@ -149,11 +147,12 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
     return out
 
 
-def verify_section(inst: Instance, budgets: dict | None = None, codeword: Codeword | None = None) -> dict:
+def verify_section(inst: Instance, budgets: dict | None = None, codeword: np.ndarray | None = None) -> dict:
+    """Local RS check of a provided (n, k) codeword digit array, or of the first basis codewords and Schur pairs."""
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     params = inst.params
     if codeword is not None:
-        rep = check_local_rs(codeword, inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, codeword, inst.graph, inst.omega, params)
         return {
             "status": "computed",
             "source": "provided codeword",
@@ -162,12 +161,11 @@ def verify_section(inst: Instance, budgets: dict | None = None, codeword: Codewo
         }
     ms = inst.message_space()
     limit = min(ms.dim, b["verify_basis"])
-    digits = encode_basis_digits(ms.coeffs, inst.omega)
+    digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     all_ok = True
     failures = []
     for bi in range(limit):
-        cw = codeword_from_digits(inst.ambient, digits[bi])
-        rep = check_local_rs(cw, inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, params)
         if not rep.all_ok:
             all_ok = False
             failures.append({"basis_index": bi, "failures": [v.to_json() for v in rep.failures()]})
@@ -181,9 +179,7 @@ def verify_section(inst: Instance, budgets: dict | None = None, codeword: Codewo
         if i != j:
             pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(pairs):
-        cw1 = codeword_from_digits(inst.ambient, digits[i])
-        cw2 = codeword_from_digits(inst.ambient, digits[j])
-        rep = schur_check(cw1, cw2, inst.graph, inst.omega, params)
+        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, params)
         if not rep.all_ok:
             all_ok = False
             schur_fail.append({"pair": [i, j], "failures": [v.to_json() for v in rep.failures()]})

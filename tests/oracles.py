@@ -1,5 +1,9 @@
 """Slow reference implementations that the fast kernels are tested against.
 
+* the scalar build: ``AffineMap`` and ``group_elements`` (every map of A
+  as a pair of ``FieldElement``s, S in digit order outermost),
+  ``scalar_find_free_point``, ``scalar_orbit`` and ``scalar_build_graph``,
+  one scalar field operation per element of A or of the field.
 * ``scalar_vertex_degrees``: every vertex's restriction interpolated on
   its own with scalar field arithmetic (``lagrange_interpolate``).
 * ``dfs_min_weight``: minimum codeword weight by depth-first recursion
@@ -43,19 +47,134 @@ from orbitcodes.codecore import (
     max_degree_below,
 )
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
-from orbitcodes.errors import InternalError, ParameterError
+from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, trace
-from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
+from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.polyring import MINUS_INFINITY, Poly, lagrange_interpolate
 
 
-def scalar_vertex_degrees(cw, graph, omega) -> list[tuple[str, int, int | None]]:
+# -- the scalar build ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """The map x -> scale*x + shift, an element of AGL(1, F)."""
+
+    shift: FieldElement
+    scale: FieldElement
+
+    def __post_init__(self):
+        if self.scale.is_zero():
+            raise ParameterError("affine map must have nonzero scale")
+
+    @classmethod
+    def identity(cls, ctx: FieldContext) -> "AffineMap":
+        return cls(ctx.zero(), ctx.one())
+
+    def apply(self, x: FieldElement) -> FieldElement:
+        return self.scale * x + self.shift
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """Group law of AGL(1, F): (s1, h1)*(s2, h2) = (s1 + h1*s2, h1*h2), i.e. self o other."""
+        return AffineMap(self.shift + self.scale * other.shift, self.scale * other.scale)
+
+    def inverse(self) -> "AffineMap":
+        inv = self.scale.inverse()
+        return AffineMap(-(inv * self.shift), inv)
+
+    def is_identity(self) -> bool:
+        return self.shift.is_zero() and self.scale == self.scale.ctx.one()
+
+
+def scalar_points(S: FpSubspace) -> list[FieldElement]:
+    """The points of S in digit order: point i is sum_j c_j * basis[j] for the base-p digits c of i."""
+    pts = [S.ctx.zero()]
+    for b in S.basis:
+        pts = [x + c * b for c in range(S.ctx.p) for x in pts]
+    return pts
+
+
+def group_elements(A: GroupA) -> tuple[AffineMap, ...]:
+    """All |S|*|H| maps of A, S in digit order outermost, H in power order."""
+    return tuple(AffineMap(s, h) for s in scalar_points(A.S) for h in A.H.elements())
+
+
+def scalar_find_free_point(A: GroupA) -> FieldElement:
+    """First field element (enumeration order) outside every fixed point (1-h)^-1 * s, h != 1."""
+    ambient = A.ambient
+    if ambient.order < A.size:
+        raise ConfigurationError(f"ambient field size {ambient.order} below group size {A.size}")
+    one = ambient.one()
+    s_points = scalar_points(A.S)
+    bad = set()
+    for h in A.H.elements():
+        if h == one:
+            continue
+        inv = (one - h).inverse()
+        for s in s_points:
+            bad.add(inv * s)
+    for cand in ambient.elements():
+        if cand not in bad:
+            return cand
+    raise ConfigurationError("no free point exists; ambient field too small")
+
+
+def scalar_orbit(A: GroupA, alpha: FieldElement) -> np.ndarray:
+    """(|A|, k) digits of phi(alpha) for phi in group_elements(A), checked injective."""
+    pts = [phi.apply(alpha) for phi in group_elements(A)]
+    if len(set(pts)) != len(pts):
+        raise InternalError("orbit points collide; the base point is not free")
+    return A.ambient.digit_rows(pts)
+
+
+def scalar_build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
+    """The coset graph from one scalar product per map of A.
+
+    The left key of (s, h) is (the smallest code in s + G, h), with left
+    indices in first-appearance order; the right index is the position
+    of h^-1 * s among scalar_points(A.S).
+    """
+    S, H = A.S, A.H
+    g_points = scalar_points(G.points)
+    position = {pt: i for i, pt in enumerate(scalar_points(S))}
+    left_index: dict[tuple, int] = {}
+    edges: list[tuple[int, int]] = []
+    for s in scalar_points(S):
+        coset = min((s + g).code() for g in g_points)
+        for hi, (h, ih) in enumerate(zip(H.elements(), H.inverses)):
+            li = left_index.setdefault((coset, hi), len(left_index))
+            edges.append((li, position[ih * s]))
+    n_left, n_right = len(left_index), S.size
+    if n_left * G.size != A.size or n_right * H.order != A.size:
+        raise InternalError("coset counts inconsistent with the group size")
+    left_deg = np.zeros(n_left, dtype=np.int64)
+    right_deg = np.zeros(n_right, dtype=np.int64)
+    for l, r in edges:
+        left_deg[l] += 1
+        right_deg[r] += 1
+    if not (np.all(left_deg == G.size) and np.all(right_deg == H.order)):
+        raise InternalError("graph is not biregular")
+    return CosetGraph(
+        n_left=n_left,
+        n_right=n_right,
+        left_degree=G.size,
+        right_degree=H.order,
+        edges=np.array(edges, dtype=np.int64).reshape(len(edges), 2),
+        is_simple=len(set(edges)) == len(edges),
+    )
+
+
+# -- local checks and distance -----------------------------------------------------
+
+
+def scalar_vertex_degrees(ctx: FieldContext, cw, graph, omega) -> list[tuple[str, int, int | None]]:
     """(side, index, interpolant degree or None) for every vertex, left side first."""
     left, right = _vertex_edge_lists(graph)
+    points, values = ctx.elements_of(omega), ctx.elements_of(cw)
     out = []
     for side, groups in (("left", left), ("right", right)):
-        for vi, edge_ids in enumerate(groups):
-            interp = lagrange_interpolate([omega[e] for e in edge_ids], [cw.values[e] for e in edge_ids])
+        for vi, edge_ids in enumerate(groups.tolist()):
+            interp = lagrange_interpolate([points[e] for e in edge_ids], [values[e] for e in edge_ids])
             d = interp.degree
             out.append((side, vi, None if d == MINUS_INFINITY else int(d)))
     return out
@@ -69,7 +188,7 @@ def scalar_tables(ms, omega, prime_only: bool) -> list[np.ndarray]:
     """Digits (scalars, n, k) of every scalar multiple of every basis codeword."""
     ctx = ms.ctx
     p, k = ctx.p, ctx.k
-    rows = encode_basis_digits(ms.coeffs, omega)
+    rows = encode_basis_digits(ctx, ms.coeffs, omega)
     scalars = [ctx.from_int(c) for c in range(p)] if prime_only else list(ctx.elements())
     basis = [ctx.one()]
     for _ in range(k - 1):
@@ -166,20 +285,25 @@ def walk_difference_counts(G: TranslationGroup, H: ScalingGroup, S: FpSubspace) 
     transition rule against the assembled matrix.
     """
     counts = np.zeros(S.size, dtype=np.int64)
+    g_points = scalar_points(G.points)
     for h_inv in H.inverses:
-        for g in G.points.points():
-            counts[S.index_of(h_inv * g)] += 1
+        for g in g_points:
+            counts[_index(S, h_inv * g)] += 1
     return counts
+
+
+def _index(S: FpSubspace, x: FieldElement) -> int:
+    return int(S.index_of(np.array(x.coeffs)))
 
 
 def walk_matrix_matches_rule(graph: CosetGraph, G: TranslationGroup, H: ScalingGroup, S: FpSubspace) -> bool:
     """Exact identity: (B^T B)[s, s'] == #{(g,h) : s' = s + h^-1 g}."""
     btb = two_step_counts(graph)
     diff = walk_difference_counts(G, H, S)
-    pts = S.points()
+    pts = scalar_points(S)
     for si, s in enumerate(pts):
         for sj, s2 in enumerate(pts):
-            if btb[si, sj] != diff[S.index_of(s2 - s)]:
+            if btb[si, sj] != diff[_index(S, s2 - s)]:
                 return False
     return True
 
@@ -200,12 +324,10 @@ def sample_walk_tv(
     normalized two-step matrix.
     """
     rng = np.random.default_rng(seed)
-    g_points = G.points.points()
+    g_points = scalar_points(G.points)
     h_invs = H.inverses
-    start = S.points()[start_index]
-    targets = np.array(
-        [S.index_of(start + ih * g) for ih in h_invs for g in g_points], dtype=np.int64
-    )
+    start = scalar_points(S)[start_index]
+    targets = np.array([_index(S, start + ih * g) for ih in h_invs for g in g_points], dtype=np.int64)
     picks = rng.integers(0, len(targets), size=steps)
     hits = np.bincount(targets[picks], minlength=S.size)
     empirical = hits / steps
@@ -214,9 +336,9 @@ def sample_walk_tv(
     return 0.5 * float(np.abs(empirical - row).sum())
 
 
-def character_exponents(S: FpSubspace, a: FieldElement) -> tuple[int, ...]:
-    """Exponent vector (Tr(a*s) over s in S) of chi_a restricted to S."""
-    return tuple(trace(a * s) for s in S.points())
+def character_exponents(s_points: list[FieldElement], a: FieldElement) -> tuple[int, ...]:
+    """Exponent vector (Tr(a*s) over the points s of S, in digit order) of chi_a restricted to S."""
+    return tuple(trace(a * s) for s in s_points)
 
 
 def character_eigencheck(
@@ -233,9 +355,10 @@ def character_eigencheck(
     p = ambient.p
     btb = two_step_counts(graph)
     g_perp = G.points.dual().point_set()
+    s_points = scalar_points(S)
     seen: dict[tuple[int, ...], int] = {}
     for a in ambient.elements():
-        exps = character_exponents(S, a)
+        exps = character_exponents(s_points, a)
         cnt = sum(1 for ih in H.inverses if ih * a in g_perp)
         prev = seen.get(exps)
         if prev is not None:
@@ -416,15 +539,21 @@ def shift(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
-    """deg_h(g^(p^k)) computed by literal base expansion over F_p."""
+    """deg_h(g^(p^k)) read off the literal base-X^|H| expansion over F_p.
+
+    g^(p^k) comes from repeated squaring.  The base X^|H| has no lower
+    terms, so digit i is exactly the coefficient slice [i*|H|, (i+1)*|H|),
+    and the digit degrees are read from the reshaped coefficient array.
+    """
     garr = fppoly.make(defining_poly(instantiation, p, m), p)
     hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
     f = power(garr, p**k, p)
-    h = fppoly.make([0] * hlen + [1], p)
-    d = max_digit_degree(f, h, p)
-    if d == float("-inf"):
+    digits = np.zeros(-(-len(f) // hlen) * hlen, dtype=np.int64)
+    digits[: len(f)] = f
+    nonzero = digits.reshape(-1, hlen) != 0
+    if not nonzero.any():
         raise InternalError("Frobenius power of g vanished")
-    return int(d)
+    return int(np.where(nonzero, np.arange(hlen), -1).max())
 
 
 def monomial_is_sound(i: int, j: int, params) -> bool:
@@ -473,15 +602,15 @@ def kernel_base_degree(f: Poly, u: Poly) -> int | float:
 
 
 def scalar_encode(f: Poly, omega) -> np.ndarray:
-    """(n, k) digits of f(beta) for every orbit point, by scalar Horner evaluation."""
-    return np.array([f(x).coeffs for x in omega], dtype=np.int64).reshape(len(omega), f.ctx.k)
+    """(n, k) digits of f(beta) for every row beta of the orbit array, by scalar Horner evaluation."""
+    return f.ctx.digit_rows([f(x) for x in f.ctx.elements_of(omega)])
 
 
 def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
     """The sampled distance from a (|F|, n, k) table of every multiple of every basis codeword."""
     ctx = ms.ctx
     rng = np.random.default_rng(seed)
-    rows = encode_basis_digits(ms.coeffs, omega)
+    rows = encode_basis_digits(ctx, ms.coeffs, omega)
     mats = np.stack([mul_matrix(c) for c in ctx.elements()])
     tables = [np.einsum("cij,nj->cni", mats, row) % ctx.p for row in rows]
     best = len(omega)

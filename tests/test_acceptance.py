@@ -20,7 +20,6 @@ from orbitcodes.bounds import (
 from orbitcodes.codecore import (
     CodeParams,
     check_local_rs,
-    codeword_from_digits,
     encode_basis_digits,
     min_distance_exhaustive,
     monomial_count,
@@ -69,7 +68,7 @@ def test_02_instance_construction_tunable():
     inst = build_instance(InstanceConfig("II", 2, 2, r=HALF, gamma=Fraction(1)))
     elapsed = time.perf_counter() - t0
     g = inst.graph
-    subfield = all(x**64 == x for x in inst.S.points())
+    subfield = all(x**64 == x for x in inst.ambient.elements_of(inst.S.points()))
     facts = {
         "S=F64": inst.S.size == 64 and subfield,
         "n": inst.n == 448,
@@ -175,16 +174,15 @@ def test_08_locality_and_schur(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
     params = inst.params
-    digits = encode_basis_digits(ms.coeffs, inst.omega)
-    words = [codeword_from_digits(inst.ambient, digits[i]) for i in range(ms.dim)]
+    words = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     ok = True
     for cw in words:
-        rep = check_local_rs(cw, inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, params)
         ok &= rep.all_ok and len(rep.vertices) == 28
     rng = random.Random(8)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        ok &= schur_check(words[i], words[j], inst.graph, inst.omega, params).all_ok
+        ok &= schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, params).all_ok
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert _line("8", ok, f"{ms.dim} basis codewords x 28 vertices + 10 Schur pairs in {elapsed:.1f}s")

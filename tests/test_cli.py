@@ -237,6 +237,23 @@ def test_codeword_without_values_is_structured_error(bundle_path, tmp_path, caps
     _assert_structured_error(code, out, "'values'")
 
 
+@pytest.mark.parametrize("option,key", [("--message", "coeffs"), ("--codeword", "values")])
+@pytest.mark.parametrize(
+    "entry",
+    [[1.5], [1e30], ["1"], [True], [0, 0, 0, 0, 0, 0, 0], 1, "1"],
+    ids=["float", "huge-float", "string", "bool", "more-than-k-digits", "bare-int", "bare-string"],
+)
+def test_digit_input_that_is_not_a_list_of_integers_is_structured_error(
+    bundle_path, tmp_path, capsys, option, key, entry
+):
+    # only lists of at most k JSON integers are digit input; nothing is coerced
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({key: [entry]}))
+    command = "encode" if option == "--message" else "verify"
+    code, out = _run(capsys, command, "--bundle", bundle_path, option, str(path))
+    _assert_structured_error(code, out, repr(key), "integers")
+
+
 def test_missing_message_file_is_structured_error(bundle_path, tmp_path, capsys):
     code, out = _run(capsys, "encode", "--bundle", bundle_path, "--message", str(tmp_path / "absent.json"))
     _assert_structured_error(code, out, "absent.json")

@@ -18,11 +18,9 @@ from oracles import (
 from orbitcodes import fppoly
 from orbitcodes.codecore import (
     CodeParams,
-    Codeword,
     MessageSpace,
     admissible_monomials,
     check_local_rs,
-    codeword_from_digits,
     constraint_report,
     encode,
     encode_basis_digits,
@@ -145,9 +143,9 @@ def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
 def test_encode_constants(inst1_p2):
     inst = inst1_p2
     cw0 = encode(poly_digits(Poly.zero(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
-    assert all(v.is_zero() for v in cw0.values)
+    assert all(v.is_zero() for v in inst.ambient.elements_of(cw0))
     cw1 = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
-    assert all(v == inst.ambient.one() for v in cw1.values)
+    assert all(v == inst.ambient.one() for v in inst.ambient.elements_of(cw1))
 
 
 def test_encode_rejects_constraint_violations(inst1_p2):
@@ -157,7 +155,8 @@ def test_encode_rejects_constraint_violations(inst1_p2):
     # digits are read mod p: X^48 written with a top coefficient p = 2 is the constant 1
     padded = np.zeros((49, 1), dtype=np.int64)
     padded[0, 0], padded[48, 0] = 1, 2
-    assert encode(padded, inst.omega, inst.G, inst.H, inst.params).values == (inst.ambient.one(),) * inst.n
+    one = encode(padded, inst.omega, inst.G, inst.H, inst.params)
+    assert inst.ambient.elements_of(one) == (inst.ambient.one(),) * inst.n
     # X^3 has scaling-side base degree 0 but translation digits fine; craft a
     # violation of the local bound instead: g itself has h-base degree 2 >= 1.5
     with pytest.raises(ConstraintViolation, match="base degree|base_degree"):
@@ -168,24 +167,24 @@ def test_encode_injective_on_basis(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
     words = [encode(row, inst.omega, inst.G, inst.H, inst.params) for row in ms.coeffs]
-    seen = {tuple(v.coeffs for v in w.values) for w in words}
+    seen = {tuple(v.coeffs for v in inst.ambient.elements_of(w)) for w in words}
     assert len(seen) == ms.dim
 
 
 def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms.coeffs, inst.omega)
+    digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in (0, ms.dim - 1):
         cw = encode(ms.coeffs[bi], inst.omega, inst.G, inst.H, inst.params)
-        assert np.array_equal(digits[bi], cw.digit_array())
+        assert np.array_equal(digits[bi], cw)
         assert np.array_equal(digits[bi], scalar_encode(row_poly(inst.ambient, ms.coeffs[bi]), inst.omega))
 
 
 def test_local_rs_zero_codeword_passes(inst1_p2):
     inst = inst1_p2
-    cw = Codeword(values=tuple(inst.ambient.zero() for _ in range(inst.n)))
-    rep = check_local_rs(cw, inst.graph, inst.omega, inst.params)
+    cw = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
+    rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
     assert rep.all_ok
     assert all(v.interp_degree is None for v in rep.vertices)
 
@@ -193,9 +192,9 @@ def test_local_rs_zero_codeword_passes(inst1_p2):
 def test_local_rs_every_basis_codeword_both_sides(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms.coeffs, inst.omega)
+    digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in range(ms.dim):
-        rep = check_local_rs(codeword_from_digits(inst.ambient, digits[bi]), inst.graph, inst.omega, inst.params)
+        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, inst.params)
         assert rep.all_ok
         assert len(rep.vertices) == inst.graph.n_left + inst.graph.n_right == 28
 
@@ -221,8 +220,8 @@ def test_local_rs_random_vector_fails(inst1_p2):
     rng = np.random.default_rng(5)
     failures = 0
     for _ in range(100):
-        vec = Codeword(values=tuple(inst.ambient.from_int(int(v)) for v in rng.integers(0, 64, inst.n)))
-        if not check_local_rs(vec, inst.graph, inst.omega, inst.params).all_ok:
+        vec = inst.ambient.digit_rows([inst.ambient.from_int(int(v)) for v in rng.integers(0, 64, inst.n)])
+        if not check_local_rs(inst.ambient, vec, inst.graph, inst.omega, inst.params).all_ok:
             failures += 1
     assert failures == 100
 
@@ -232,21 +231,19 @@ def test_schur_all_ones_neutral(inst1_p2):
     ms = inst.message_space()
     cw = encode(ms.coeffs[2], inst.omega, inst.G, inst.H, inst.params)
     ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
-    prod = schur_product(cw, ones)
-    assert prod.values == cw.values
-    assert check_local_rs(prod, inst.graph, inst.omega, inst.params).all_ok
+    prod = schur_product(inst.ambient, cw, ones)
+    assert np.array_equal(prod, cw)
+    assert check_local_rs(inst.ambient, prod, inst.graph, inst.omega, inst.params).all_ok
 
 
 def test_schur_products_pass_doubled_bound(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    digits = encode_basis_digits(ms.coeffs, inst.omega)
+    digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     rng = random.Random(6)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        cw1 = codeword_from_digits(inst.ambient, digits[i])
-        cw2 = codeword_from_digits(inst.ambient, digits[j])
-        rep = schur_check(cw1, cw2, inst.graph, inst.omega, inst.params)
+        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, inst.params)
         assert rep.all_ok
 
 

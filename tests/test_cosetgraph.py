@@ -1,5 +1,6 @@
 """Coset graph structure and the two spectral oracles."""
 
+import numpy as np
 import pytest
 
 from oracles import character_eigencheck, sample_walk_tv, two_step_counts, walk_matrix_matches_rule
@@ -44,37 +45,36 @@ def test_edge_coordinate_consistency(all_instances):
     # G-orbit of that point and its right vertex the H-orbit
     for inst in all_instances:
         g = inst.graph
+        omega = inst.ambient.elements_of(inst.omega)
         by_left = {}
         by_right = {}
-        for e, (l, r) in enumerate(g.edges):
-            by_left.setdefault(l, set()).add(inst.omega[e])
-            by_right.setdefault(r, set()).add(inst.omega[e])
+        for e, (l, r) in enumerate(g.edges.tolist()):
+            by_left.setdefault(l, set()).add(omega[e])
+            by_right.setdefault(r, set()).add(omega[e])
         for pts in by_left.values():
             x = next(iter(pts))
-            assert pts == {x + t for t in inst.G.points.points()}
+            assert pts == {x + t for t in inst.ambient.elements_of(inst.G.points.points())}
         for pts in by_right.values():
             x = next(iter(pts))
             assert pts == {h * x for h in inst.H.elements()}
 
 
 def test_sigma2_svd_complete_bipartite_is_zero():
-    edges = tuple((l, r) for l in range(3) for r in range(4))
+    edges = np.array([(l, r) for l in range(3) for r in range(4)], dtype=np.int64)
     graph = CosetGraph(
         n_left=3,
         n_right=4,
         left_degree=4,
         right_degree=3,
         edges=edges,
-        left_reps=tuple(((i,), (1,)) for i in range(3)),
-        right_elements=(),
         is_simple=True,
     )
     assert sigma2_svd(graph) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sigma2_svd_budget_refusal():
-    edges = tuple((l, 0) for l in range(6000))
-    graph = CosetGraph(6000, 1, 1, 6000, edges, (), (), True)
+    edges = np.array([(l, 0) for l in range(6000)], dtype=np.int64)
+    graph = CosetGraph(6000, 1, 1, 6000, edges, True)
     with pytest.raises(BudgetError):
         sigma2_svd(graph)
 
@@ -188,7 +188,7 @@ def test_character_orthogonality_over_instance_closures(all_instances):
     for inst in all_instances:
         s_perp = inst.S.dual().point_set()
         p = inst.ambient.p
-        pts = inst.S.points()
+        pts = inst.ambient.elements_of(inst.S.points())
         for a in inst.ambient.elements():
             counts = [0] * p
             for s in pts:

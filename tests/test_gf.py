@@ -1,9 +1,13 @@
-"""Field arithmetic, trace, trace-dual subspaces, characters, embeddings."""
+"""Field arithmetic, trace, trace-dual subspaces, characters, batched products."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
@@ -11,8 +15,9 @@ from orbitcodes.gf import (
     build_field,
     char_exponent,
     dual_subspace,
-    embed,
     kernel_subspace,
+    mul_matrix,
+    mul_rows,
     trace,
 )
 
@@ -171,7 +176,7 @@ def test_character_orthogonality_on_subspaces(dim):
     s_perp = dual_subspace(space).point_set()
     for a in ctx.elements():
         counts = [0, 0]
-        for s in space.points():
+        for s in ctx.elements_of(space.points()):
             counts[char_exponent(a, s)] += 1
         if a in s_perp:
             assert counts == [space.size, 0]
@@ -179,45 +184,17 @@ def test_character_orthogonality_on_subspaces(dim):
             assert counts[0] == counts[1]
 
 
-def test_embed_is_ring_homomorphism():
-    f4 = build_field(2, 2)
-    f64 = build_field(2, 6)
-    assert embed(f4.zero(), f64) == f64.zero()
-    assert embed(f4.one(), f64) == f64.one()
-    img = embed(f4.gen(), f64)
-    # image satisfies the defining relation omega^2 + omega + 1 = 0
-    assert img * img + img + f64.one() == f64.zero()
-    els = list(f4.elements())
-    for x in els:
-        for y in els:
-            assert embed(x * y, f64) == embed(x, f64) * embed(y, f64)
-            assert embed(x + y, f64) == embed(x, f64) + embed(y, f64)
-
-
-def test_embed_trace_compatibility():
-    # Tr_{F64/F2}(embed(x)) = [F64:F4] * Tr_{F4/F2}(x) = 3 * Tr(x) = Tr(x) mod 2
-    f4 = build_field(2, 2)
-    f64 = build_field(2, 6)
-    for x in f4.elements():
-        assert trace(embed(x, f64)) == (3 * trace(x)) % 2
-
-
-def test_embed_rejects_non_dividing_degree():
-    f4 = build_field(2, 2)
-    f8 = build_field(2, 3)
-    with pytest.raises(ParameterError):
-        embed(f4.gen(), f8)
-
-
 def test_subspace_points_deterministic_and_indexed():
     ctx = build_field(2, 6)
     space = FpSubspace(ctx, [ctx.from_int(3), ctx.from_int(8)])
     pts = space.points()
-    assert len(pts) == 4 == space.size
-    for i, pt in enumerate(pts):
-        assert space.index_of(pt) == i
+    assert pts.shape == (4, 6) and len(pts) == space.size
+    assert not pts.flags.writeable
+    assert space.index_of(pts).tolist() == list(range(4))
+    assert space.index_of(np.array(ctx.one().coeffs)) == -1  # 1 lies outside span(3, 8)
+    for pt in ctx.elements_of(pts):
         assert pt in space
-    assert FpSubspace.from_vectors(ctx, pts).point_set() == space.point_set()
+    assert FpSubspace.from_vectors(ctx, ctx.elements_of(pts)).point_set() == space.point_set()
 
 
 def test_mixing_field_contexts_raises():
@@ -228,3 +205,42 @@ def test_mixing_field_contexts_raises():
         with pytest.raises(ParameterError, match="context mismatch"):
             op()
     assert a * build_field(2, 2).gen() == a * a  # equal contexts built twice still mix
+
+
+# -- batched products on digit arrays ----------------------------------------------
+
+FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (2, 21)]  # F_4, F_8, F_9, F_25, F_27, F_64, F_2^21
+
+
+@lru_cache(maxsize=None)
+def _field(p, k):
+    return build_field(p, k)
+
+
+@st.composite
+def _field_and_elements(draw, count):
+    ctx = _field(*draw(st.sampled_from(FIELDS)))
+    return ctx, [ctx.from_int(draw(st.integers(0, ctx.order - 1))) for _ in range(count)]
+
+
+@given(_field_and_elements(2))
+def test_mul_matrix_product_is_the_field_product(case):
+    ctx, (x, y) = case
+    assert tuple((mul_matrix(x) @ np.array(y.coeffs) % ctx.p).tolist()) == (x * y).coeffs
+
+
+@given(_field_and_elements(16))
+def test_mul_rows_is_the_row_wise_field_product(case):
+    ctx, elements = case
+    xs, ys = elements[:8], elements[8:]
+    expected = ctx.digit_rows([x * y for x, y in zip(xs, ys)])
+    assert np.array_equal(mul_rows(ctx, ctx.digit_rows(xs), ctx.digit_rows(ys)), expected)
+
+
+@given(_field_and_elements(1))
+def test_matrix_of_the_inverse_of_one_minus_h_inverts_the_matrix_of_one_minus_h(case):
+    ctx, (h,) = case
+    assume(h != ctx.one())
+    one_minus_h = ctx.one() - h
+    product = mul_matrix(one_minus_h.inverse()) @ mul_matrix(one_minus_h) % ctx.p
+    assert np.array_equal(product, np.eye(ctx.k, dtype=np.int64))

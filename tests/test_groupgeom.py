@@ -1,13 +1,16 @@
 """Subgroups, closure, the affine group, free points, and orbits."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import AffineMap, group_elements, scalar_build_graph, scalar_find_free_point, scalar_orbit
+from orbitcodes.cosetgraph import build_graph
 from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.gf import FpSubspace, build_field, kernel_subspace
 from orbitcodes.groupgeom import (
-    AffineMap,
     GroupA,
     ScalingGroup,
     TranslationGroup,
@@ -36,7 +39,7 @@ def test_roots_of_instancing_polynomial_in_f64():
     space = roots_of_linearized(g, f64)
     assert space.size == 4 and space.dim == 2
     # the roots are {0} plus the roots of X^3 + X + 1
-    for x in space.points():
+    for x in f64.elements_of(space.points()):
         if not x.is_zero():
             assert x**3 + x + f64.one() == f64.zero()
 
@@ -123,14 +126,14 @@ def test_closure_sizes_match_both_instantiations(inst1_p2, inst2_p2):
     assert inst1_p2.S.size == 2**4  # p^(m^2)
     assert inst2_p2.S.size == 2**6  # p^(m(m+1))
     # instantiation II closure is the full degree-m(m+1) subfield
-    for x in inst2_p2.S.points():
+    for x in inst2_p2.ambient.elements_of(inst2_p2.S.points()):
         assert x**64 == x
 
 
 def test_closure_is_h_invariant(all_instances):
     for inst in all_instances:
         for h in inst.H.elements():
-            mapped = {h * s for s in inst.S.points()}
+            mapped = {h * s for s in inst.ambient.elements_of(inst.S.points())}
             assert mapped == inst.S.point_set()
 
 
@@ -140,12 +143,12 @@ def test_group_a_sizes(all_instances):
         key = (inst.config.instantiation, inst.config.p)
         assert inst.A.size == expected[key]
         assert inst.A.size == inst.S.size * inst.H.order
-        assert len(inst.A.elements()) == len(set(inst.A.elements())) == inst.A.size
+        assert len(group_elements(inst.A)) == len(set(group_elements(inst.A))) == inst.A.size
 
 
 def test_group_a_closed_under_composition(inst1_p2):
     rng = random.Random(1)
-    maps = inst1_p2.A.elements()
+    maps = group_elements(inst1_p2.A)
     as_set = set(maps)
     for _ in range(200):
         a, b = rng.choice(maps), rng.choice(maps)
@@ -156,7 +159,7 @@ def test_group_a_closed_under_composition(inst1_p2):
 def test_translations_and_scalings_intersect_trivially(all_instances):
     # the only affine map that is both a translation and a scaling is the identity
     for inst in all_instances:
-        translations = {AffineMap(s, inst.ambient.one()) for s in inst.G.points.points()}
+        translations = {AffineMap(s, inst.ambient.one()) for s in inst.ambient.elements_of(inst.G.points.points())}
         scalings = {AffineMap(inst.ambient.zero(), h) for h in inst.H.elements()}
         both = translations & scalings
         assert both == {AffineMap.identity(inst.ambient)}
@@ -165,10 +168,10 @@ def test_translations_and_scalings_intersect_trivially(all_instances):
 def test_free_point_and_orbit(all_instances):
     for inst in all_instances:
         alpha = inst.alpha
-        for phi in inst.A.elements():
+        for phi in group_elements(inst.A):
             if not phi.is_identity():
                 assert phi.apply(alpha) != alpha
-        om = inst.omega
+        om = inst.ambient.elements_of(inst.omega)
         assert len(om) == inst.A.size
         assert len(set(om)) == len(om)  # orbit map is injective
 
@@ -180,29 +183,57 @@ def test_free_point_deterministic_first_in_order(inst1_p2):
     bad_before = []
     for v in range(alpha.code()):
         x = ambient.from_int(v)
-        free = all(phi.apply(x) != x for phi in inst1_p2.A.elements() if not phi.is_identity())
+        free = all(phi.apply(x) != x for phi in group_elements(inst1_p2.A) if not phi.is_identity())
         bad_before.append(free)
     assert not any(bad_before)
 
 
-def test_translation_only_group_every_point_free():
+def _translation_only_group():
     f64 = build_field(2, 6)
-    sub = FpSubspace(f64, [f64.from_int(3), f64.from_int(8)])
-    G = TranslationGroup(sub)
+    G = TranslationGroup(FpSubspace(f64, [f64.from_int(3), f64.from_int(8)]))
     trivial_h = ScalingGroup(f64.one(), 1)
-    A = GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
+    return G, GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
+
+
+def test_translation_only_group_every_point_free():
+    G, A = _translation_only_group()
+    f64 = A.ambient
     alpha = find_free_point(A)
     assert alpha == f64.zero()  # first element passes: translations never fix anything
     om = orbit(A, alpha)
-    assert set(om) == sub.point_set()
+    assert set(f64.elements_of(om)) == G.points.point_set()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [("I", 2, 2, None), ("II", 2, 2, Fraction(1)), ("I", 3, 2, None), ("I", 5, 2, None), ("I", 2, 3, None), "translations"],
+    ids=["I22", "II22", "I32", "I52", "I23", "translation-only"],
+)
+def test_array_build_matches_scalar_oracles(config):
+    if config == "translations":
+        G, A = _translation_only_group()
+    else:
+        from orbitcodes.instance import InstanceConfig, build_instance
+
+        inst = build_instance(InstanceConfig(config[0], config[1], config[2], gamma=config[3]))
+        G, A = inst.G, inst.A
+    alpha = find_free_point(A)
+    assert alpha == scalar_find_free_point(A)
+    om = orbit(A, alpha)
+    assert not om.flags.writeable
+    assert np.array_equal(om, scalar_orbit(A, alpha))
+    fast, slow = build_graph(A, G), scalar_build_graph(A, G)
+    assert (fast.n_left, fast.n_right, fast.is_simple) == (slow.n_left, slow.n_right, slow.is_simple)
+    assert fast.edges.dtype == np.int64 and np.array_equal(fast.edges, slow.edges)
 
 
 def test_orbit_decomposes_into_g_orbits(inst1_p2):
     inst = inst1_p2
     gsize = inst.G.size
     orbits = set()
-    for x in inst.omega:
-        key = frozenset((x + t).coeffs for t in inst.G.points.points())
+    g_points = inst.ambient.elements_of(inst.G.points.points())
+    for x in inst.ambient.elements_of(inst.omega):
+        key = frozenset((x + t).coeffs for t in g_points)
         orbits.add(key)
     assert len(orbits) == inst.n // gsize
     assert all(len(o) == gsize for o in orbits)
@@ -212,7 +243,6 @@ def test_basis_of_g_independent_over_subfield():
     # the closure argument rests on an F_p-basis of G staying independent
     # over F_{p^m}; check by exact rank computation over the subfield
     from orbitcodes.instance import InstanceConfig, build_instance
-    from fractions import Fraction
 
     for p in (2, 3):
         inst = build_instance(InstanceConfig("I", p, 2, r=Fraction(1, 2)))
@@ -223,7 +253,7 @@ def test_basis_of_g_independent_over_subfield():
 def test_multiple_by_a_subfield_element_is_dependent_over_the_subfield(inst1_p2):
     ambient = inst1_p2.ambient
     f4 = kernel_subspace(ambient, lambda x: x**4 - x)
-    lam = next(x for x in f4.points() if x not in (ambient.zero(), ambient.one()))
+    lam = next(x for x in ambient.elements_of(f4.points()) if x not in (ambient.zero(), ambient.one()))
     v = ambient.gen()
     assert not independent_over_subfield([v, lam * v], 2)
     assert independent_over_subfield([v, lam * v], 1)  # lam lies outside F_2

@@ -32,10 +32,8 @@ from oracles import (
 from orbitcodes import codecore, cosetgraph, fppoly
 from orbitcodes.codecore import (
     CodeParams,
-    Codeword,
     MessageSpace,
     check_local_rs,
-    codeword_from_digits,
     encode_basis_digits,
     message_space,
     min_distance_exhaustive,
@@ -57,8 +55,11 @@ def _fast_degrees(rep):
 
 
 def _basis_words(inst):
-    digits = encode_basis_digits(inst.message_space().coeffs, inst.omega)
-    return [codeword_from_digits(inst.ambient, d) for d in digits]
+    return encode_basis_digits(inst.ambient, inst.message_space().coeffs, inst.omega)
+
+
+def _random_word(inst, rng):
+    return inst.ambient.digit_rows([inst.ambient.from_int(int(v)) for v in rng.integers(0, inst.ambient.order, inst.n)])
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 6), (3, 4), (5, 3)])
@@ -74,18 +75,19 @@ def test_mul_matrix_matches_scalar_products(p, k):
 def test_local_degrees_match_scalar_oracle_on_basis(inst1_p2):
     inst = inst1_p2
     for cw in _basis_words(inst):
-        rep = check_local_rs(cw, inst.graph, inst.omega, inst.params)
-        assert _fast_degrees(rep) == scalar_vertex_degrees(cw, inst.graph, inst.omega)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
 def test_local_degrees_match_scalar_oracle_on_every_schur_pair(inst1_p2):
     inst = inst1_p2
     words = _basis_words(inst)
     for i, j in itertools.combinations(range(len(words)), 2):
-        prod = schur_product(words[i], words[j])
-        assert prod.values == tuple(a * b for a, b in zip(words[i].values, words[j].values))
-        rep = schur_check(words[i], words[j], inst.graph, inst.omega, inst.params)
-        assert _fast_degrees(rep) == scalar_vertex_degrees(prod, inst.graph, inst.omega)
+        prod = schur_product(inst.ambient, words[i], words[j])
+        pairs = zip(inst.ambient.elements_of(words[i]), inst.ambient.elements_of(words[j]))
+        assert inst.ambient.elements_of(prod) == tuple(a * b for a, b in pairs)
+        rep = schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, inst.params)
+        assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, prod, inst.graph, inst.omega)
         assert rep.all_ok
 
 
@@ -93,37 +95,36 @@ def test_local_degrees_match_scalar_oracle_on_random_words(inst1_p2):
     inst = inst1_p2
     rng = np.random.default_rng(11)
     for _ in range(20):
-        cw = Codeword(values=tuple(inst.ambient.from_int(int(v)) for v in rng.integers(0, 64, inst.n)))
-        rep = check_local_rs(cw, inst.graph, inst.omega, inst.params)
-        assert _fast_degrees(rep) == scalar_vertex_degrees(cw, inst.graph, inst.omega)
+        cw = _random_word(inst, rng)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
 @pytest.mark.parametrize("name", ["inst2_p2", "inst1_p3"])
 def test_local_degrees_match_scalar_oracle_on_larger_rungs(name, request):
     inst = request.getfixturevalue(name)
     words = _basis_words(inst)
-    for cw in (words[0], schur_product(words[1], words[-1])):
-        rep = check_local_rs(cw, inst.graph, inst.omega, inst.params)
-        assert _fast_degrees(rep) == scalar_vertex_degrees(cw, inst.graph, inst.omega)
+    for cw in (words[0], schur_product(inst.ambient, words[1], words[-1])):
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
 def test_local_maps_are_cached_per_graph(inst1_p2):
     inst = inst1_p2
     cw = _basis_words(inst)[0]
-    check_local_rs(cw, inst.graph, inst.omega, inst.params)
+    check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
     maps = inst.graph.local_maps
-    check_local_rs(cw, inst.graph, list(inst.omega), inst.params)
+    check_local_rs(inst.ambient, cw, inst.graph, inst.omega.copy(), inst.params)
     assert inst.graph.local_maps is maps
 
 
 def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
     inst = inst1_p2
-    omega = list(inst.omega)
-    omega[0], omega[-1] = omega[-1], omega[0]
-    zero = Codeword(values=tuple(inst.ambient.zero() for _ in range(inst.n)))
+    omega = inst.omega[[-1, *range(1, inst.n - 1), 0]]  # points 0 and n-1 swapped
+    zero = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
     with pytest.raises(ParameterError, match="base set"):
-        check_local_rs(zero, inst.graph, omega, inst.params)
-    check_local_rs(zero, inst.graph, inst.omega, inst.params)  # the cache recovers
+        check_local_rs(inst.ambient, zero, inst.graph, omega, inst.params)
+    check_local_rs(inst.ambient, zero, inst.graph, inst.omega, inst.params)  # the cache recovers
 
 
 def _subspace(ms, dims):
@@ -328,18 +329,18 @@ def test_base_degrees_match_scalar_expansion(case):
 @pytest.mark.parametrize("fixture", ["local-II22", "generic-F64"])
 def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_p2, fixture):
     if fixture == "local-II22":  # the benchmark's sizes: one chunk under the default bound
-        coeffs, omega = inst2_p2.message_space(D=96).coeffs, inst2_p2.omega
+        ctx, coeffs, omega = inst2_p2.ambient, inst2_p2.message_space(D=96).coeffs, inst2_p2.omega
         assert len(omega) * 96 * 12 <= codecore.ENCODE_CHUNK_ENTRIES
     else:  # c = k: field coefficients, on 48 points of F_64
         ctx = build_field(2, 6)
         G = TranslationGroup(FpSubspace(ctx, [ctx.from_int(9)]))
         coeffs = message_space(G, scaling_subgroup(ctx, 7), CodeParams("I", 2, 2, Fraction(1, 2), 48, 48)).coeffs
-        omega = list(ctx.elements())[5:53]
-    whole = encode_basis_digits(coeffs, omega)
-    monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", 5 * coeffs.shape[1] * omega[0].ctx.k)  # five points per chunk
-    assert np.array_equal(encode_basis_digits(coeffs, omega), whole)
+        omega = ctx.digit_rows(list(ctx.elements())[5:53])
+    whole = encode_basis_digits(ctx, coeffs, omega)
+    monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", 5 * coeffs.shape[1] * ctx.k)  # five points per chunk
+    assert np.array_equal(encode_basis_digits(ctx, coeffs, omega), whole)
     for b in (0, len(coeffs) - 1):
-        assert np.array_equal(whole[b], scalar_encode(row_poly(omega[0].ctx, coeffs[b]), omega))
+        assert np.array_equal(whole[b], scalar_encode(row_poly(ctx, coeffs[b]), omega))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
