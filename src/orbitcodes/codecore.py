@@ -8,12 +8,11 @@ the intersection of two explicitly spanned coefficient subspaces:
     V = span(X^i h^j : deg < D, i < r|H|)
 
 and both spanning families have pairwise distinct degrees, so U and V are
-cut out exactly.  When the invariant polynomials have prime-subfield
-coefficients (every instantiation built here), all of U, V and their
-intersection are defined over F_p and the linear algebra runs on fast
-integer matrices; dimensions are unchanged by scalar extension.  Otherwise
-the same F_p elimination runs on the restriction of scalars of the
-field-coefficient system.
+cut out exactly.  Polynomials are digit arrays whose coefficients carry c
+F_p digits: c = 1 when the annihilator g has prime-subfield coefficients
+(every instantiation built here), so that U, V and their intersection are
+defined over F_p, and c = k otherwise.  One F_p elimination on the
+restriction of scalars of the U rows serves both cases.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -41,7 +40,6 @@ from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, 
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
-from orbitcodes.polyring import Poly, lagrange_interpolate
 
 DISTANCE_BUDGET = 1 << 24
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
@@ -159,43 +157,38 @@ def defining_poly(instantiation: str, p: int, m: int) -> list[int]:
 def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
-    Computed as the intersection U cap V of the two constraint subspaces.
+    Computed as the intersection U cap V of the two constraint subspaces, by
+    restriction of scalars to F_p.  Row (u, a) of the expanded matrix holds
+    the digits of x^a * U_u, for x the field generator, so a combination
+    sum_u c_u U_u with c_u in F is an F_p-combination of the expanded rows.
+    The F_p-RREF of the expanded bad-column block is the expansion of its
+    F-RREF, so the F_p kernel rows whose free column is digit 0 of a
+    variable (the last nonzero entry of a kernel row is its free column)
+    are exactly the F-kernel vectors of the field system, written out in
+    digits.  With c = 1 the expansion is the U rows themselves and every
+    kernel row qualifies; the basis is then put in RREF.
+
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (verify_message_space); the result is
     stored as ms.verification and a failure raises InternalError.
     """
     ctx = G.ctx
-    p = ctx.p
+    p, c = ctx.p, _coeff_digits(G)
     D, r = params.D, params.r
-    glen, hlen = G.size, H.order
-    imax_g = max_degree_below(r * glen)
-    imax_h = max_degree_below(r * hlen)
-    g_ints = G.invariant_poly.int_coeffs()
-    bad_cols = [t for t in range(D) if (t % hlen) > imax_h]
-    dim_v = D - len(bad_cols)
-
-    if imax_g < 0 or imax_h < 0:
-        ms = MessageSpace(ctx, D, np.zeros((0, D, 1 if g_ints is not None else ctx.k), dtype=np.int64), 0, dim_v)
-    elif g_ints is not None:
-        g_arr = fppoly.make(g_ints, p)
-        pairs = _u_row_pairs(glen, imax_g, D)
-        rows = np.zeros((len(pairs), D), dtype=np.int64)
-        gj = fppoly.make([1], p)
-        cur_j = 0
-        for ridx, (i, j) in enumerate(pairs):
-            while cur_j < j:
-                gj = fppoly.mul(gj, g_arr, p)
-                cur_j += 1
-            rows[ridx, i : i + len(gj)] = gj
-        if bad_cols:
-            combos = nullspace_mod_p(rows[:, bad_cols].T, p)
-            wmat = (combos @ rows) % p
-        else:
-            wmat = rows
-        wmat, pivots = rref_mod_p(wmat, p)
-        ms = MessageSpace(ctx, D, wmat[: len(pivots), :, None], len(pairs), dim_v)
-    else:
-        ms = _message_space_generic(G, imax_g, bad_cols, dim_v, D)
+    imax_h = max_degree_below(r * H.order)
+    bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
+    pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
+    rows = _u_rows(G, pairs, D, c)
+    if c > 1:  # with c = 1 the rows are their own expansion; skip the copy
+        rows = np.einsum("utj,ajl->uatl", rows, ctx.mul_tensor()) % p
+    expanded = rows.reshape(len(pairs) * c, D * c)
+    bad = (np.array(bad_cols, dtype=np.int64)[:, None] * c + np.arange(c)).ravel()
+    kernel = nullspace_mod_p(expanded[:, bad].T, p)
+    free_col = _last_nonzero(kernel != 0)
+    basis = kernel[free_col % c == 0] @ expanded % p
+    if c == 1:
+        basis = rref_mod_p(basis, p)[0]
+    ms = MessageSpace(ctx, D, basis.reshape(-1, D, c), len(pairs), D - len(bad_cols))
 
     ms.verification = verify_message_space(ms, G, H, params)
     if not ms.verification["all_ok"]:
@@ -203,35 +196,31 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     return ms
 
 
-def _message_space_generic(G: TranslationGroup, imax_g: int, bad_cols: list[int], dim_v: int, D: int) -> MessageSpace:
-    """Field-coefficient U cap V by restriction of scalars to F_p.
+def _coeff_digits(G: TranslationGroup) -> int:
+    """Digits per coefficient of the polynomials built from g: 1 when g lies in F_p[X], k otherwise."""
+    return G.ctx.k if G.annihilator[:, 1:].any() else 1
 
-    Row (u, a) of the expanded matrix holds the digits of x^a * U_u, for x
-    the field generator, so a combination sum_u c_u U_u with c_u in F is an
-    F_p-combination of the expanded rows.  The F_p-RREF of the expanded
-    bad-column block is the expansion of its F-RREF, so the F_p kernel rows
-    whose free column is digit 0 of a variable (the last nonzero entry of a
-    kernel row is its free column) are exactly the F-kernel vectors of the
-    field system, written out in digits.
+
+def _u_rows(G: TranslationGroup, pairs: list[tuple[int, int]], D: int, c: int) -> np.ndarray:
+    """(len(pairs), D, c) digits of X^i g^j for every (i, j) of pairs, j ascending.
+
+    Each g^j is g^(j-1) times g, one shifted product with g's multiplication
+    matrices (_divisor) per nonzero term of g.
     """
-    ctx = G.ctx
-    p, k = ctx.p, ctx.k
-    pairs = _u_row_pairs(G.size, imax_g, D)
-    rows = np.zeros((len(pairs), D, k), dtype=np.int64)
-    gj = Poly.one(ctx)
+    g = _divisor(G.ctx, G.annihilator, c)
+    terms = [(e, g[e].T) for e in np.nonzero(g.any(axis=(1, 2)))[0].tolist()]
+    rows = np.zeros((len(pairs), D, c), dtype=np.int64)
+    gj = np.eye(1, c, dtype=np.int64)  # g^0 = 1
     cur_j = 0
     for ridx, (i, j) in enumerate(pairs):
         while cur_j < j:
-            gj = gj * G.invariant_poly
+            nxt = np.zeros((len(gj) + len(g) - 1, c), dtype=np.int64)
+            for e, mt in terms:
+                nxt[e : e + len(gj)] += gj @ mt
+            gj = nxt % G.ctx.p
             cur_j += 1
-        rows[ridx, i : i + len(gj.coeffs)] = [c.coeffs for c in gj.coeffs]
-    expanded = np.einsum("utj,ajl->uatl", rows, ctx.mul_tensor()) % p
-    expanded = expanded.reshape(len(pairs) * k, D * k)
-    bad = (np.array(bad_cols, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-    kernel = nullspace_mod_p(expanded[:, bad].T, p)
-    free_col = _last_nonzero(kernel != 0)
-    digits = (kernel[free_col % k == 0] @ expanded % p).reshape(-1, D, k)
-    return MessageSpace(ctx, D, digits, len(pairs), dim_v)
+        rows[ridx, i : i + len(gj)] = gj
+    return rows
 
 
 def _last_nonzero(mask: np.ndarray) -> np.ndarray:
@@ -257,15 +246,14 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     ctx = G.ctx
     coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
     c = coeffs.shape[2]
-    if c != ctx.k and (c != 1 or G.invariant_poly.int_coeffs() is None):
+    if c not in (ctx.k, _coeff_digits(G)):
         raise ParameterError(f"coefficients need {ctx.k} digits over this translation group, got {c}")
-    g_digits = np.array([x.coeffs for x in G.invariant_poly.coeffs], dtype=np.int64)
     h_digits = np.zeros((H.order + 1, ctx.k), dtype=np.int64)
     h_digits[-1, 0] = 1
     r = params.r
     values = {
         "degree": (_last_nonzero(coeffs.any(axis=2)), params.D),
-        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, g_digits, c), ctx.p), r * G.size),
+        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, G.annihilator, c), ctx.p), r * G.size),
         "scaling_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, h_digits, c), ctx.p), r * H.order),
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
@@ -385,8 +373,10 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     divided by its first point.  Every vertex of the side is then
     {a_v + b} or {a_v * b} for b in B, with a_v its first point.  The
     substitution x = a_v + y or x = a_v * y keeps the interpolant's degree,
-    so V_B^-1, the Lagrange coefficient matrix of B expanded through
-    multiplication matrices, checks every vertex of the side.
+    so V_B^-1 checks every vertex of the side.  V_B, the Vandermonde matrix
+    of B expanded to F_p, sends coefficient digits (i, a) to value digits
+    (j, l) through the powers b_j^i (_power_tensor) and mul_tensor; one
+    rref_mod_p of [V_B | I] gives [I | V_B^-1].
     """
     p, k = ctx.p, ctx.k
     first, anchors = omega[edges[0]], omega[edges[:, 0]]
@@ -402,15 +392,12 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
         raise ParameterError(f"graph vertices are not the {kind}s of one base set along omega")
     positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
 
-    base = ctx.elements_of(base_points)
-    size = len(base)
-    zero, one = ctx.zero(), ctx.one()
-    blocks = np.zeros((size, k, size, k), dtype=np.int64)
-    for j in range(size):
-        unit = [one if i == j else zero for i in range(size)]
-        for i, c in enumerate(lagrange_interpolate(base, unit).coeffs):
-            blocks[i, :, j, :] = mul_matrix(c)
-    return _SideMap(positions=positions, coeff_map=blocks.reshape(size * k, size * k))
+    width = len(base_points) * k
+    vander = np.einsum("jib,abl->jlia", _power_tensor(ctx, base_points, len(base_points)), ctx.mul_tensor()) % p
+    reduced, pivots = rref_mod_p(np.hstack([vander.reshape(width, width), np.eye(width, dtype=np.int64)]), p)
+    if pivots != list(range(width)):
+        raise InternalError("the base points of a side are not distinct")
+    return _SideMap(positions=positions, coeff_map=reduced[:, width:])
 
 
 def _local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:

@@ -1,14 +1,12 @@
 """Dense polynomial arithmetic over a prime field F_p.
 
 Polynomials are little-endian numpy int64 coefficient arrays with the
-trailing zeros stripped (the zero polynomial is the empty array).  This is
-the fast integer path used for modulus searches, splitting degrees and
-message-space linear algebra; the generic field-coefficient polynomial type
-lives in polyring.  expansion_degrees expands whole batches of polynomials, whose
-coefficients may be field elements written as F_p digit vectors.
+trailing zeros stripped (the zero polynomial is the empty array).  They
+serve modulus searches, splitting degrees and the Frobenius matrix.
+expansion_degrees expands whole batches of polynomials, whose coefficients
+may be field elements written as F_p digit vectors.
 
-Degrees here use the internal convention deg(0) = -1; the public API in
-polyring converts that to the -infinity sentinel.
+Degrees use the convention deg(0) = -1.
 """
 
 from __future__ import annotations

@@ -2,22 +2,23 @@
 
 An element of F_{p^k} is a length-k digit vector over F_p, little-endian
 in the root of the defining modulus.  All arithmetic is exact integer
-arithmetic; nothing in this module touches floating point.  On top of the
-element type the module provides the field trace down to F_p, trace-dual
-subspaces and additive-character exponents.  Batches of elements are
-(n, k) int64 digit arrays, multiplied through mul_matrix and mul_tensor.
+arithmetic; nothing in this module touches floating point.  Batches of
+elements are (n, k) int64 digit arrays, multiplied through mul_matrix and
+mul_tensor.  F_p-linear maps of the field are k x k matrices on digit
+vectors: the trace form, the Frobenius matrix, and the kernels and
+trace-dual subspaces they cut out.
 
 Contexts and elements are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from orbitcodes import fppoly
-from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
+from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.linalg import nullspace_mod_p, row_reduce_against, rref_mod_p
 from orbitcodes.numutil import is_prime, prime_factors
 
@@ -31,7 +32,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red_rows", "_trace_vec", "_mul_tensor")
+    __slots__ = ("p", "k", "modulus", "_red_rows", "_mul_tensor")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -47,7 +48,6 @@ class FieldContext:
         self.k = k
         self.modulus = mod
         self._red_rows = self._reduction_rows()
-        self._trace_vec: tuple[int, ...] | None = None
         self._mul_tensor: np.ndarray | None = None
 
     # -- basic protocol ------------------------------------------------
@@ -188,22 +188,13 @@ class FieldContext:
             self._mul_tensor = powers[idx[:, None] + idx[None, :]]
         return self._mul_tensor
 
-    def trace_vector(self) -> tuple[int, ...]:
-        """Traces of the power basis 1, X, ..., X^(k-1); trace is F_p-linear."""
-        if self._trace_vec is None:
-            vec = []
-            for j in range(self.k):
-                x = self.gen() ** j if self.k > 1 else self.one()
-                acc = x
-                y = x
-                for _ in range(self.k - 1):
-                    y = y**self.p
-                    acc = acc + y
-                if any(acc.coeffs[1:]):
-                    raise InternalError("trace fell outside the prime field")
-                vec.append(acc.coeffs[0])
-            self._trace_vec = tuple(vec)
-        return self._trace_vec
+    def trace_vector(self) -> np.ndarray:
+        """Traces of the power basis 1, X, ..., X^(k-1); trace is F_p-linear.
+
+        Tr(x) is the matrix trace of y -> x*y, so the trace of X^i is the
+        diagonal sum of its multiplication matrix, sum_j T[i, j, j].
+        """
+        return np.einsum("ijj->i", self.mul_tensor()) % self.p
 
 
 class FieldElement:
@@ -307,19 +298,6 @@ def build_field(p: int, k: int) -> FieldContext:
     return FieldContext(p, k, tuple(int(c) for c in modulus))
 
 
-def trace(x: FieldElement) -> int:
-    """Field trace down to F_p: sum of the k Frobenius conjugates."""
-    tv = x.ctx.trace_vector()
-    return sum(c * t for c, t in zip(x.coeffs, tv)) % x.ctx.p
-
-
-def char_exponent(a: FieldElement, s: FieldElement) -> int:
-    """Exponent e = Tr(a*s) of the additive character value exp(2*pi*i*e/p)."""
-    if a.ctx != s.ctx:
-        raise ParameterError("field context mismatch")
-    return trace(a * s)
-
-
 def mul_matrix(x: FieldElement) -> np.ndarray:
     """The k x k F_p matrix M of y -> x*y on digit vectors: digits(x*y) = M @ digits(y) mod p."""
     t = x.ctx.mul_tensor()
@@ -355,6 +333,11 @@ class FpSubspace:
             raise ParameterError("subspace basis is linearly dependent")
         self._rref, self._from_rref = aug[:, :k], aug[:, k:]
         self._points: np.ndarray | None = None
+
+    @classmethod
+    def kernel(cls, ctx: FieldContext, mat: np.ndarray) -> "FpSubspace":
+        """The subspace {x : mat @ digits(x) = 0 mod p} of an F_p matrix with k columns."""
+        return cls.from_vectors(ctx, ctx.elements_of(nullspace_mod_p(mat, ctx.p)))
 
     @classmethod
     def from_vectors(cls, ctx: FieldContext, vectors: Iterable[FieldElement]) -> "FpSubspace":
@@ -413,9 +396,6 @@ class FpSubspace:
         inside = ~((coords @ self._rref - x) % p).any(axis=-1)
         return np.where(inside, digit_codes(coords @ self._from_rref % p, p), -1)
 
-    def point_set(self) -> frozenset:
-        return frozenset(self.ctx.elements_of(self.points()))
-
     def dual(self) -> "FpSubspace":
         """Trace-dual subspace {a : Tr(a*m) = 0 for all m in this subspace}."""
         return dual_subspace(self)
@@ -447,37 +427,30 @@ def trace_form(ctx: FieldContext) -> np.ndarray:
     Row c @ W is the functional a -> Tr(c*a), so a batch of trace
     functionals is one product with W.
     """
-    return (ctx.mul_tensor() @ np.array(ctx.trace_vector(), dtype=np.int64)) % ctx.p
+    return (ctx.mul_tensor() @ ctx.trace_vector()) % ctx.p
 
 
 def dual_subspace(space: FpSubspace) -> FpSubspace:
     """M^perp under the trace form; dim M + dim M^perp = k and (M^perp)^perp = M."""
     ctx = space.ctx
-    gram = trace_form(ctx)
-    if space.dim == 0:
-        constraints = np.zeros((0, ctx.k), dtype=np.int64)
-    else:
-        constraints = (ctx.digit_rows(space.basis) @ gram) % ctx.p
-    null = nullspace_mod_p(constraints, ctx.p)
-    return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
+    return FpSubspace.kernel(ctx, ctx.digit_rows(space.basis) @ trace_form(ctx) % ctx.p)
 
 
-def linear_map_matrix(ctx: FieldContext, func: Callable[[FieldElement], FieldElement]) -> np.ndarray:
-    """Matrix (columns = images of the power basis) of an F_p-linear map."""
-    k = ctx.k
-    cols = []
-    x = ctx.one()
-    for _ in range(k):
-        cols.append(func(x).coeffs)
-        x = x * ctx.gen()
-    return np.array(cols, dtype=np.int64).T
+def frobenius_matrix(ctx: FieldContext) -> np.ndarray:
+    """The k x k F_p matrix F of x -> x^p on digit vectors: column j is the digits of X^(jp).
 
-
-def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldElement]) -> FpSubspace:
-    """Kernel of an F_p-linear map on the field, as a subspace."""
-    mat = linear_map_matrix(ctx, func)
-    null = nullspace_mod_p(mat, ctx.p)
-    return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
+    Frobenius is F_p-linear, so x^(p^i) has digits F^i @ digits(x), and a
+    linearized polynomial sum_i c_i X^(p^i) with F_p coefficients acts as
+    sum_i c_i F^i.
+    """
+    p, k = ctx.p, ctx.k
+    x_p = np.zeros(k, dtype=np.int64)
+    reduced = fppoly.pow_mod(fppoly.x_poly(p), p, np.array(ctx.modulus, dtype=np.int64), p)
+    x_p[: len(reduced)] = reduced
+    cols = [np.eye(1, k, dtype=np.int64)[0]]
+    for _ in range(k - 1):
+        cols.append(mul_rows(ctx, cols[-1], x_p))
+    return np.stack(cols, axis=1)
 
 
 def primitive_element(ctx: FieldContext) -> FieldElement:

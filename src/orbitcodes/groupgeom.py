@@ -1,15 +1,17 @@
 """Subgroup geometry inside the affine group of the line.
 
 Builds the translation subgroup G (an F_p-subspace with its annihilator
-polynomial), the scaling subgroup H (a cyclic multiplicative subgroup),
-the smallest H-invariant subspace S containing G, the group A = S x| H of
-affine maps x -> h*x + s, a free evaluation point, and its orbit.
+polynomial as a digit array), the scaling subgroup H (a cyclic
+multiplicative subgroup), the smallest H-invariant subspace S containing
+G, the group A = S x| H of affine maps x -> h*x + s, a free evaluation
+point, and its orbit.
 
 Enumeration orders are fixed everywhere (subspace points in digit order,
 H in generator-power order, A = {(s, h)} with the translation part
 outermost) so that edge and coordinate indexing is reproducible across
-runs.  The free point and the orbit come from one mul_matrix product per
-element of H over the whole digit array of S; no element of A is built.
+runs.  The free point is one membership test of S over a range of digit
+codes, and the orbit one mul_matrix product per element of H over the
+whole digit array of S; no element of A is built.
 """
 
 from __future__ import annotations
@@ -19,29 +21,44 @@ from typing import Iterable
 
 import numpy as np
 
+from orbitcodes import fppoly
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import (
     FieldContext,
     FieldElement,
     FpSubspace,
+    base_p_digits,
     digit_codes,
-    kernel_subspace,
+    frobenius_matrix,
     mul_matrix,
+    mul_rows,
     primitive_element,
 )
 from orbitcodes.linalg import rank_mod_p
 from orbitcodes.numutil import prime_factors
-from orbitcodes.polyring import Poly, translation_invariant_poly
 
 
 class TranslationGroup:
-    """Additive subgroup acting by translations, with its annihilator polynomial."""
+    """Additive subgroup acting by translations, with its annihilator polynomial.
+
+    annihilator is the read-only (|G| + 1, k) digit array of prod_{u in G}(X - u),
+    lowest degree first: monic of degree |G|, vanishing exactly on G and
+    constant on its translation orbits.  For an F_p-subspace it is
+    linearized (only p-power exponents appear).  Each factor X - u is one
+    shift and one mul_rows product.
+    """
 
     def __init__(self, points: FpSubspace):
         self.points = points
-        self.invariant_poly = translation_invariant_poly(points)
-        if self.invariant_poly.degree != self.size:
-            raise InternalError("annihilator degree does not match subgroup size")
+        ctx = points.ctx
+        poly = np.eye(1, ctx.k, dtype=np.int64)  # the constant 1
+        for u in points.points():
+            shifted = np.zeros((len(poly) + 1, ctx.k), dtype=np.int64)
+            shifted[1:] = poly
+            shifted[:-1] -= mul_rows(ctx, poly, u)
+            poly = shifted % ctx.p
+        poly.flags.writeable = False
+        self.annihilator = poly
 
     @property
     def size(self) -> int:
@@ -111,48 +128,33 @@ def scaling_subgroup(ctx: FieldContext, order: int) -> ScalingGroup:
     return ScalingGroup(prim ** (n // order), order)
 
 
-def roots_of_linearized(g: Poly, ambient: FieldContext) -> FpSubspace:
-    """Root subspace of a squarefree linearized polynomial.
+def roots_of_linearized(g_ints: list[int], ambient: FieldContext) -> FpSubspace:
+    """Root subspace of a squarefree linearized polynomial with F_p coefficients.
 
-    g must have nonzero X-coefficient (so gcd(g, g') = 1) and only p-power
-    exponents; its roots then form an F_p-subspace, recovered here as the
-    kernel of the F_p-linear evaluation map on the ambient field.  Raises
-    ConfigurationError when the ambient field is too small to split g.
+    g_ints are the coefficients of g, lowest degree first.  g must have a
+    nonzero X-coefficient (so gcd(g, g') = 1) and only p-power exponents;
+    g = sum_i c_i X^(p^i) then acts on the ambient field as the F_p-linear
+    map sum_i c_i F^i, F the Frobenius matrix, and its roots are that
+    map's kernel.  Raises ConfigurationError when the ambient field is too
+    small to split g.
     """
-    ints = g.int_coeffs()
-    if ints is None:
-        raise ParameterError("linearized polynomial must have prime-subfield coefficients")
-    if g.ctx.p != ambient.p:
-        raise ParameterError("characteristic mismatch")
     p = ambient.p
-    terms = []
-    for e, c in enumerate(ints):
-        if c == 0:
-            continue
-        i = 0
-        pe = 1
-        while pe < e:
-            pe *= p
-            i += 1
-        if pe != e:
+    g = fppoly.make(g_ints, p)
+    frob = frobenius_matrix(ambient)
+    power = np.eye(ambient.k, dtype=np.int64)  # F^i at exponent p^i
+    mat = np.zeros_like(power)
+    exponent = 1
+    for e in np.nonzero(g)[0].tolist():
+        while exponent < e:
+            power = frob @ power % p
+            exponent *= p
+        if exponent != e:
             raise ParameterError("polynomial is not linearized (non p-power exponent)")
-        terms.append((i, c))
-    if not terms or terms[0][0] != 0:
+        mat += int(g[e]) * power
+    if len(g) < 2 or g[1] == 0:
         raise ParameterError("linearized polynomial must have nonzero X-coefficient (squarefree)")
-
-    def apply(x: FieldElement) -> FieldElement:
-        acc = ambient.zero()
-        y = x
-        level = 0
-        for i, c in terms:
-            while level < i:
-                y = y**p
-                level += 1
-            acc = acc + ambient.element([c]) * y
-        return acc
-
-    space = kernel_subspace(ambient, apply)
-    expected = g.degree
+    space = FpSubspace.kernel(ambient, mat % p)
+    expected = fppoly.deg(g)
     if space.size != expected:
         raise ConfigurationError(
             f"ambient field F_{p}^{ambient.k} contains {space.size} of {expected} roots"
@@ -221,24 +223,21 @@ class GroupA:
 def find_free_point(A: GroupA) -> FieldElement:
     """First field element (enumeration order) with trivial stabilizer in A.
 
-    Every non-identity map with scale h != 1 fixes exactly (1-h)^-1 * s, so
-    the bad set is the union over h != 1 of (1-h)^-1 * S, one product of
-    S's point digits per h.  Pure translations are fixed-point free, so the
-    bad set has at most |A| - |S| points and a free point exists whenever
-    |F| >= |A|: it is among the first |A| - |S| + 1 digit codes, and only
-    those are looked at.
+    Every non-identity map with scale h != 1 fixes exactly (1-h)^-1 * s, and
+    pure translations are fixed-point free, so the bad set is the union
+    over h != 1 of (1-h)^-1 * S.  S is closed under H, so it is a vector
+    space over the subfield F_p(H), which contains every (1-h)^-1; each
+    (1-h)^-1 * S is S itself.  The free point is therefore the first digit
+    code outside S, found among the codes 0..|S| by one batched index_of;
+    with |H| = 1 every point is free and it is code 0.
     """
     ambient = A.ambient
     if ambient.order < A.size:
         raise ConfigurationError(f"ambient field size {ambient.order} below group size {A.size}")
-    p, one = ambient.p, ambient.one()
-    bad = np.zeros(A.size - A.S.size + 1, dtype=bool)
-    for h in A.H.elements()[1:]:  # every h but the identity
-        codes = digit_codes(A.S.points() @ mul_matrix((one - h).inverse()).T % p, p)
-        bad[codes[codes < len(bad)]] = True
-    if bad.all():
-        raise ConfigurationError("no free point exists; ambient field too small")  # pragma: no cover
-    return ambient.from_int(int(np.argmin(bad)))
+    if A.H.order == 1:
+        return ambient.zero()
+    codes = base_p_digits(np.arange(A.S.size + 1), ambient.p, ambient.k)
+    return ambient.from_int(int(np.argmax(A.S.index_of(codes) < 0)))
 
 
 def orbit(A: GroupA, alpha: FieldElement) -> np.ndarray:
@@ -270,8 +269,12 @@ def independent_over_subfield(vectors: Iterable[FieldElement], degree: int) -> b
     if not vecs:
         return True
     ambient = vecs[0].ctx
-    p = ambient.p
-    if degree < 1 or ambient.k % degree != 0:
-        raise ParameterError(f"subfield degree {degree} does not divide the ambient degree {ambient.k}")
-    K = kernel_subspace(ambient, lambda x: x ** (p**degree) - x)
-    return rank_mod_p([(w * v).coeffs for v in vecs for w in K.basis], p) == len(vecs) * degree
+    p, k = ambient.p, ambient.k
+    if degree < 1 or k % degree != 0:
+        raise ParameterError(f"subfield degree {degree} does not divide the ambient degree {k}")
+    frob, fixed = frobenius_matrix(ambient), np.eye(k, dtype=np.int64)
+    for _ in range(degree):
+        fixed = frob @ fixed % p  # F^degree: x -> x^(p^degree)
+    K = FpSubspace.kernel(ambient, (fixed - np.eye(k, dtype=np.int64)) % p)
+    products = mul_rows(ambient, ambient.digit_rows(vecs)[:, None], ambient.digit_rows(K.basis)[None])
+    return rank_mod_p(products.reshape(-1, k), p) == len(vecs) * degree

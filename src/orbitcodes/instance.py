@@ -36,7 +36,6 @@ from orbitcodes.groupgeom import (
     scaling_subgroup,
 )
 from orbitcodes.numutil import is_prime, lcm
-from orbitcodes.polyring import Poly
 
 SCHEMA_VERSION = 1
 
@@ -154,7 +153,7 @@ class Instance:
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json(),
             "field": self.ambient.to_json(),
-            "G": {"subspace": self.G.points.to_json(), "invariant_poly_degree": int(self.G.invariant_poly.degree)},
+            "G": {"subspace": self.G.points.to_json(), "invariant_poly_degree": len(self.G.annihilator) - 1},
             "H": self.H.to_json(),
             "S": self.S.to_json(),
             "A_size": self.A.size,
@@ -191,9 +190,10 @@ def build_instance(config: InstanceConfig) -> Instance:
         expected_s = p ** (m * (m + 1))
     ambient = build_field(p, ell)
     g_ints = defining_poly(config.instantiation, p, m)
-    points = roots_of_linearized(Poly.from_ints(build_field(p, 1), g_ints), ambient)
-    G = TranslationGroup(points)  # product form, compared to g below
-    if G.invariant_poly != Poly.from_ints(ambient, g_ints):
+    G = TranslationGroup(roots_of_linearized(g_ints, ambient))  # product form, compared to g below
+    g_digits = np.zeros((len(g_ints), ambient.k), dtype=np.int64)
+    g_digits[:, 0] = g_ints
+    if not np.array_equal(G.annihilator, g_digits):
         raise InternalError("annihilator product does not reproduce the defining polynomial")
     H = scaling_subgroup(ambient, h_order)
 

@@ -1,11 +1,19 @@
 """Slow reference implementations that the fast kernels are tested against.
 
+* scalar field and polynomial arithmetic: ``Poly`` (coefficient lists of
+  ``FieldElement``s, deg 0 = ``MINUS_INFINITY``), the annihilator
+  ``translation_invariant_poly`` as a product of |G| linear factors,
+  ``lagrange_interpolate``, the trace ``trace``/``char_exponent`` as sums
+  of Frobenius conjugates, ``kernel_subspace`` of a Python callable on
+  ``FieldElement``s, and ``point_set``, the points of a subspace as a set.
 * the scalar build: ``AffineMap`` and ``group_elements`` (every map of A
   as a pair of ``FieldElement``s, S in digit order outermost),
   ``scalar_find_free_point``, ``scalar_orbit`` and ``scalar_build_graph``,
   one scalar field operation per element of A or of the field.
 * ``scalar_vertex_degrees``: every vertex's restriction interpolated on
-  its own with scalar field arithmetic (``lagrange_interpolate``).
+  its own with scalar field arithmetic (``lagrange_interpolate``), and
+  ``scalar_side_coeff_maps``: each side's Lagrange map, one interpolation
+  per unit vector of its base.
 * ``dfs_min_weight``: minimum codeword weight by depth-first recursion
   over the basis rows, one scalar multiple at a time, with the scalar
   tables built from scalar ``FieldElement`` products.
@@ -33,7 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,9 +58,239 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix, trace
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.polyring import MINUS_INFINITY, Poly, lagrange_interpolate
+from orbitcodes.linalg import nullspace_mod_p
+
+MINUS_INFINITY = float("-inf")
+
+
+# -- scalar field and polynomial arithmetic ---------------------------------------
+
+
+class Poly:
+    """Polynomial with FieldElement coefficients, ascending degree.
+
+    Canonical form: the highest stored coefficient is nonzero; the zero
+    polynomial stores no coefficients at all.
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx: FieldContext, coeffs: Iterable[FieldElement] = ()):
+        cs = list(coeffs)
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.ctx = ctx
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def zero(cls, ctx: FieldContext) -> "Poly":
+        return cls(ctx)
+
+    @classmethod
+    def one(cls, ctx: FieldContext) -> "Poly":
+        return cls(ctx, [ctx.one()])
+
+    @classmethod
+    def x(cls, ctx: FieldContext) -> "Poly":
+        return cls(ctx, [ctx.zero(), ctx.one()])
+
+    @classmethod
+    def from_ints(cls, ctx: FieldContext, ints: Sequence[int]) -> "Poly":
+        return cls(ctx, [ctx.element([c]) for c in ints])
+
+    @classmethod
+    def monomial(cls, ctx: FieldContext, degree: int, coeff: FieldElement | None = None) -> "Poly":
+        c = ctx.one() if coeff is None else coeff
+        return cls(ctx, [ctx.zero()] * degree + [c])
+
+    @property
+    def degree(self) -> int | float:
+        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def leading(self) -> FieldElement:
+        if self.is_zero():
+            raise ParameterError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.ctx == other.ctx and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Poly({[c.code() for c in self.coeffs]})"
+
+    def _check_ctx(self, other: "Poly") -> None:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ParameterError("field context mismatch")
+
+    def __add__(self, other: "Poly") -> "Poly":
+        self._check_ctx(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        z = self.ctx.zero()
+        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] = a[i] + c
+        return Poly(self.ctx, a)
+
+    def __neg__(self) -> "Poly":
+        return Poly(self.ctx, [-c for c in self.coeffs])
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, FieldElement):
+            return Poly(self.ctx, [c * other for c in self.coeffs])
+        self._check_ctx(other)
+        if self.is_zero() or other.is_zero():
+            return Poly.zero(self.ctx)
+        z = self.ctx.zero()
+        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b.is_zero():
+                    out[i + j] = out[i + j] + a * b
+        return Poly(self.ctx, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ParameterError("negative polynomial power")
+        result = Poly.one(self.ctx)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def shift(self, n: int) -> "Poly":
+        """Multiply by X^n."""
+        if self.is_zero():
+            return self
+        return Poly(self.ctx, [self.ctx.zero()] * n + list(self.coeffs))
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        self._check_ctx(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        db = other.degree
+        if self.degree < db:
+            return Poly.zero(self.ctx), self
+        lc_inv = other.leading().inverse()
+        rem = list(self.coeffs)
+        q = [self.ctx.zero()] * (len(rem) - db)
+        terms = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i]
+            if c.is_zero():
+                continue
+            qc = c * lc_inv
+            q[i - db] = qc
+            for j, bc in terms:
+                rem[i - db + j] = rem[i - db + j] - qc * bc
+        return Poly(self.ctx, q), Poly(self.ctx, rem[:db])
+
+    def __call__(self, x: FieldElement) -> FieldElement:
+        acc = self.ctx.zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def int_coeffs(self) -> list[int] | None:
+        """Coefficients as prime-field ints, or None if any lies outside F_p."""
+        out = []
+        for c in self.coeffs:
+            if any(c.coeffs[1:]):
+                return None
+            out.append(c.coeffs[0])
+        return out
+
+
+def translation_invariant_poly(points: FpSubspace) -> Poly:
+    """Annihilator prod_{u in G}(X - u) of an additive subgroup, one Poly product per point."""
+    ctx = points.ctx
+    acc = Poly.one(ctx)
+    for u in ctx.elements_of(points.points()):
+        acc = acc * Poly(ctx, [-u, ctx.one()])
+    return acc
+
+
+def lagrange_interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement]) -> Poly:
+    """Unique polynomial of degree < len(points) through the given data."""
+    if len(points) != len(values):
+        raise ParameterError("point/value length mismatch")
+    if not points:
+        raise ParameterError("interpolation needs at least one point")
+    ctx = points[0].ctx
+    acc = Poly.zero(ctx)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if yi.is_zero():
+            continue
+        num = Poly.one(ctx)
+        denom = ctx.one()
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            num = num * Poly(ctx, [-xj, ctx.one()])
+            denom = denom * (xi - xj)
+        acc = acc + num * (yi / denom)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def conjugate_trace_vector(ctx: FieldContext) -> tuple[int, ...]:
+    """Traces of the power basis 1, X, ..., X^(k-1), each the sum of its k Frobenius conjugates."""
+    vec = []
+    for j in range(ctx.k):
+        x = ctx.gen() ** j if ctx.k > 1 else ctx.one()
+        acc = y = x
+        for _ in range(ctx.k - 1):
+            y = y**ctx.p
+            acc = acc + y
+        if any(acc.coeffs[1:]):
+            raise InternalError("trace fell outside the prime field")
+        vec.append(acc.coeffs[0])
+    return tuple(vec)
+
+
+def trace(x: FieldElement) -> int:
+    """Field trace down to F_p, through the conjugate sums of the power basis (trace is F_p-linear)."""
+    return sum(c * t for c, t in zip(x.coeffs, conjugate_trace_vector(x.ctx))) % x.ctx.p
+
+
+def char_exponent(a: FieldElement, s: FieldElement) -> int:
+    """Exponent e = Tr(a*s) of the additive character value exp(2*pi*i*e/p)."""
+    if a.ctx != s.ctx:
+        raise ParameterError("field context mismatch")
+    return trace(a * s)
+
+
+def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldElement]) -> FpSubspace:
+    """Kernel of an F_p-linear map given as a callable, from its images of the power basis."""
+    cols = []
+    x = ctx.one()
+    for _ in range(ctx.k):
+        cols.append(func(x).coeffs)
+        x = x * ctx.gen()
+    null = nullspace_mod_p(np.array(cols, dtype=np.int64).T, ctx.p)
+    return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
+
+
+def point_set(space: FpSubspace) -> frozenset:
+    """The points of a subspace as a set of FieldElements."""
+    return frozenset(space.ctx.elements_of(space.points()))
 
 
 # -- the scalar build ------------------------------------------------------------
@@ -180,6 +420,30 @@ def scalar_vertex_degrees(ctx: FieldContext, cw, graph, omega) -> list[tuple[str
     return out
 
 
+def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndarray]:
+    """Each side's (L*k, L*k) map from value digits to interpolant coefficient digits.
+
+    The base is vertex 0's points minus its first point (left) or divided
+    by it (right); column block j holds the multiplication matrices of the
+    coefficients of the Lagrange polynomial of base point j.
+    """
+    left, right = _vertex_edge_lists(graph)
+    points = ctx.elements_of(omega)
+    zero, one = ctx.zero(), ctx.one()
+    maps = {}
+    for side, edge_ids in (("left", left[0]), ("right", right[0])):
+        pts = [points[e] for e in edge_ids.tolist()]
+        base = [x - pts[0] for x in pts] if side == "left" else [x / pts[0] for x in pts]
+        size, k = len(base), ctx.k
+        blocks = np.zeros((size, k, size, k), dtype=np.int64)
+        for j in range(size):
+            unit = [one if i == j else zero for i in range(size)]
+            for i, c in enumerate(lagrange_interpolate(base, unit).coeffs):
+                blocks[i, :, j, :] = mul_matrix(c)
+        maps[side] = blocks.reshape(size * k, size * k)
+    return maps
+
+
 def _scalar_mult_matrix(c, basis) -> np.ndarray:
     return np.array([(c * b).coeffs for b in basis], dtype=np.int64).T
 
@@ -222,8 +486,8 @@ def scalar_sigma2_exact(
     G: TranslationGroup, H: ScalingGroup, S: FpSubspace, ambient: FieldContext
 ) -> Sigma2Exact:
     """sigma_2 from lambda_a = Pr_h[h^-1 a in G^perp], maximized over every a outside S^perp."""
-    g_perp = G.points.dual().point_set()
-    s_perp = S.dual().point_set()
+    g_perp = point_set(G.points.dual())
+    s_perp = point_set(S.dual())
     inverses = H.inverses
     best = 0
     for a in ambient.elements():
@@ -244,7 +508,7 @@ def scalar_sigma2_exact(
 def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
     """M = max over every a outside H^perp of |sum_h chi_a(h)|, from exponent histograms."""
     p = ambient.p
-    h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual().point_set()
+    h_perp = point_set(FpSubspace.from_vectors(ambient, H.elements()).dual())
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
     best_sq: Fraction | None = None
@@ -354,7 +618,7 @@ def character_eigencheck(
     """
     p = ambient.p
     btb = two_step_counts(graph)
-    g_perp = G.points.dual().point_set()
+    g_perp = point_set(G.points.dual())
     s_points = scalar_points(S)
     seen: dict[tuple[int, ...], int] = {}
     for a in ambient.elements():
@@ -395,12 +659,13 @@ def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, params) -
     bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
     zero = ctx.zero()
+    g = translation_invariant_poly(G.points)
     rows: list[list[FieldElement]] = []
     gj = Poly.one(ctx)
     cur_j = 0
     for i, j in pairs:
         while cur_j < j:
-            gj = gj * G.invariant_poly
+            gj = gj * g
             cur_j += 1
         shifted = gj.shift(i)
         rows.append(list(shifted.coeffs) + [zero] * (D - len(shifted.coeffs)))

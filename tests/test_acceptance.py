@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import base_degree, base_expand, kernel_base_degree, weight_direct
+from oracles import Poly, base_degree, base_expand, kernel_base_degree, weight_direct
 from orbitcodes.bounds import (
     polytope_indicator_i,
     polytope_indicator_ii,
@@ -32,7 +32,6 @@ from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.numutil import divisors
-from orbitcodes.polyring import Poly
 
 TOL = 1e-9
 HALF = Fraction(1, 2)

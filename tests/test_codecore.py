@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Poly,
     base_degree,
     monomial_is_sound,
     poly_digits,
@@ -38,7 +39,6 @@ from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import FpSubspace
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.polyring import Poly
 from orbitcodes.report import rate_section
 
 
@@ -98,7 +98,7 @@ def test_message_space_basis_passes_independent_checks(inst1_p2):
     assert report["all_ok"]
     # cross-check one basis element against the generic expansion route
     f = row_poly(inst.ambient, ms.coeffs[-1])
-    dg = base_degree(f, inst.G.invariant_poly)
+    dg = base_degree(f, row_poly(inst.ambient, inst.G.annihilator))
     dh = base_degree(f, scaling_invariant_poly(inst.ambient, inst.H.order))
     assert Fraction(int(dg)) < inst.params.r * inst.G.size
     assert Fraction(int(dh)) < inst.params.r * inst.H.order
@@ -111,7 +111,8 @@ def test_message_space_generic_fallback(inst1_p2):
     ambient = inst.ambient
     shifted = FpSubspace(ambient, [ambient.from_int(9)])
     G2 = TranslationGroup(shifted)
-    assert G2.invariant_poly.int_coeffs() is None
+    g2 = row_poly(ambient, G2.annihilator)
+    assert g2.int_coeffs() is None
     H2 = ScalingGroup(ambient.one(), 1)
     params = CodeParams("I", 2, 2, Fraction(1, 4), 8, 48)
     ms = message_space(G2, H2, params)
@@ -120,7 +121,7 @@ def test_message_space_generic_fallback(inst1_p2):
     for row in ms.coeffs:
         b = row_poly(ambient, row)
         assert b.degree < 8
-        assert base_degree(b, G2.invariant_poly) <= 0
+        assert base_degree(b, g2) <= 0
 
 
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
@@ -160,7 +161,7 @@ def test_encode_rejects_constraint_violations(inst1_p2):
     # X^3 has scaling-side base degree 0 but translation digits fine; craft a
     # violation of the local bound instead: g itself has h-base degree 2 >= 1.5
     with pytest.raises(ConstraintViolation, match="base degree|base_degree"):
-        encode(poly_digits(inst.G.invariant_poly), inst.omega, inst.G, inst.H, inst.params)
+        encode(inst.G.annihilator, inst.omega, inst.G, inst.H, inst.params)
 
 
 def test_encode_injective_on_basis(inst1_p2):
@@ -362,7 +363,8 @@ def test_counted_monomials_lie_in_message_space(inst1_p2):
     # every counted monomial, encoded, passes the independent constraint check
     inst = inst1_p2
     params = inst.params
+    g = row_poly(inst.ambient, inst.G.annihilator)
     for i, j in admissible_monomials(params):
-        f = (inst.G.invariant_poly**i).shift(j)
+        f = (g**i).shift(j)
         rep = constraint_report(poly_digits(f)[None], inst.G, inst.H, params)
         assert rep["all_ok"]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import character_eigencheck, sample_walk_tv, two_step_counts, walk_matrix_matches_rule
+from oracles import (
+    char_exponent,
+    character_eigencheck,
+    point_set,
+    sample_walk_tv,
+    two_step_counts,
+    walk_matrix_matches_rule,
+)
 from orbitcodes.cosetgraph import (
     CosetGraph,
     char_sum_max,
@@ -183,10 +190,8 @@ def test_two_step_row_sums(inst1_p2):
 def test_character_orthogonality_over_instance_closures(all_instances):
     # exhaustively over every a in the ambient field: the character sum over
     # the closure S vanishes unless a lies in the trace-dual of S
-    from orbitcodes.gf import char_exponent
-
     for inst in all_instances:
-        s_perp = inst.S.dual().point_set()
+        s_perp = point_set(inst.S.dual())
         p = inst.ambient.p
         pts = inst.ambient.elements_of(inst.S.points())
         for a in inst.ambient.elements():

@@ -1,5 +1,6 @@
 """Field arithmetic, trace, trace-dual subspaces, characters, batched products."""
 
+import math
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -9,16 +10,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import char_exponent, conjugate_trace_vector, kernel_subspace, point_set, trace
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
     build_field,
-    char_exponent,
     dual_subspace,
-    kernel_subspace,
+    frobenius_matrix,
     mul_matrix,
     mul_rows,
-    trace,
 )
 
 
@@ -96,6 +96,35 @@ def test_frobenius_fixed_field_has_p_elements():
         assert fixed.size == ctx.p
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 6), (3, 4), (5, 3), (2, 12)])
+def test_trace_vector_is_the_conjugate_sum(p, k):
+    # the diagonal sums of the multiplication matrices are the traces of the power basis
+    ctx = build_field(p, k)
+    assert ctx.trace_vector().tolist() == list(conjugate_trace_vector(ctx))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 6), (3, 4), (5, 3), (2, 12)])
+def test_frobenius_matrix_matches_scalar_powers(p, k):
+    ctx = build_field(p, k)
+    frob = frobenius_matrix(ctx)
+    rng = np.random.default_rng(p * 100 + k)
+    for code in rng.integers(0, ctx.order, size=20):
+        x = ctx.from_int(int(code))
+        assert tuple(int(c) for c in frob @ np.array(x.coeffs) % p) == (x**p).coeffs
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (2, 12), (5, 2)])
+def test_subfield_kernels_of_frobenius_powers_match_callable_oracle(p, k):
+    ctx = build_field(p, k)
+    frob, power = frobenius_matrix(ctx), np.eye(k, dtype=np.int64)
+    for d in range(1, k + 1):
+        power = frob @ power % p
+        fast = FpSubspace.kernel(ctx, (power - np.eye(k, dtype=np.int64)) % p)
+        slow = kernel_subspace(ctx, lambda v: v ** (p**d) - v)
+        assert fast.basis == slow.basis
+        assert fast.size == p ** math.gcd(d, k)  # the fixed field of x -> x^(p^d)
+
+
 def test_dual_of_trivial_and_full():
     ctx = build_field(2, 4)
     trivial = FpSubspace(ctx, [])
@@ -108,7 +137,7 @@ def test_dual_of_one_span_in_f4():
     f4 = build_field(2, 2)
     span1 = FpSubspace(f4, [f4.one()])
     dual = dual_subspace(span1)
-    assert dual.point_set() == {f4.zero(), f4.one()}
+    assert point_set(dual) == {f4.zero(), f4.one()}
 
 
 def _all_subspaces_f16(ctx):
@@ -123,7 +152,7 @@ def _all_subspaces_f16(ctx):
                 space = FpSubspace(ctx, list(combo))
             except ParameterError:
                 continue
-            key = space.point_set()
+            key = point_set(space)
             if key not in seen:
                 seen[key] = space
     return list(seen.values())
@@ -136,7 +165,7 @@ def test_dual_involution_exhaustive_f16():
     for space in spaces:
         dual = dual_subspace(space)
         assert space.dim + dual.dim == ctx.k
-        assert dual_subspace(dual).point_set() == space.point_set()
+        assert point_set(dual_subspace(dual)) == point_set(space)
 
 
 def test_char_exponent_trivial_and_table():
@@ -173,7 +202,7 @@ def test_character_orthogonality_on_subspaces(dim):
             continue
         vecs.append(cand)
     space = FpSubspace(ctx, vecs)
-    s_perp = dual_subspace(space).point_set()
+    s_perp = point_set(dual_subspace(space))
     for a in ctx.elements():
         counts = [0, 0]
         for s in ctx.elements_of(space.points()):
@@ -194,7 +223,7 @@ def test_subspace_points_deterministic_and_indexed():
     assert space.index_of(np.array(ctx.one().coeffs)) == -1  # 1 lies outside span(3, 8)
     for pt in ctx.elements_of(pts):
         assert pt in space
-    assert FpSubspace.from_vectors(ctx, ctx.elements_of(pts)).point_set() == space.point_set()
+    assert point_set(FpSubspace.from_vectors(ctx, ctx.elements_of(pts))) == point_set(space)
 
 
 def test_mixing_field_contexts_raises():

@@ -2,14 +2,27 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import AffineMap, group_elements, scalar_build_graph, scalar_find_free_point, scalar_orbit
+from oracles import (
+    AffineMap,
+    Poly,
+    group_elements,
+    kernel_subspace,
+    point_set,
+    poly_digits,
+    scalar_build_graph,
+    scalar_find_free_point,
+    scalar_orbit,
+    translation_invariant_poly,
+)
+from orbitcodes.codecore import defining_poly
 from orbitcodes.cosetgraph import build_graph
 from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.gf import FpSubspace, build_field, kernel_subspace
+from orbitcodes.gf import FpSubspace, build_field
 from orbitcodes.groupgeom import (
     GroupA,
     ScalingGroup,
@@ -21,22 +34,18 @@ from orbitcodes.groupgeom import (
     scaling_closure,
     scaling_subgroup,
 )
-from orbitcodes.polyring import Poly
+from orbitcodes.instance import InstanceConfig, build_instance
 
 
 def test_roots_of_x_p_minus_x_is_prime_subfield():
-    f2 = build_field(2, 1)
     f64 = build_field(2, 6)
-    g = Poly.from_ints(f2, [0, 1, 1])  # X^2 - X = X^2 + X over F_2
-    space = roots_of_linearized(g, f64)
-    assert space.point_set() == {f64.zero(), f64.one()}
+    space = roots_of_linearized([0, 1, 1], f64)  # X^2 - X = X^2 + X over F_2
+    assert point_set(space) == {f64.zero(), f64.one()}
 
 
 def test_roots_of_instancing_polynomial_in_f64():
-    f2 = build_field(2, 1)
     f64 = build_field(2, 6)
-    g = Poly.from_ints(f2, [0, 1, 1, 0, 1])  # X^4 + X^2 + X
-    space = roots_of_linearized(g, f64)
+    space = roots_of_linearized([0, 1, 1, 0, 1], f64)  # X^4 + X^2 + X
     assert space.size == 4 and space.dim == 2
     # the roots are {0} plus the roots of X^3 + X + 1
     for x in f64.elements_of(space.points()):
@@ -45,20 +54,17 @@ def test_roots_of_instancing_polynomial_in_f64():
 
 
 def test_roots_rejects_too_small_ambient():
-    f2 = build_field(2, 1)
     f4 = build_field(2, 2)
-    g = Poly.from_ints(f2, [0, 1, 1, 0, 1])  # splits only in F_8-containing fields
     with pytest.raises(ConfigurationError):
-        roots_of_linearized(g, f4)
+        roots_of_linearized([0, 1, 1, 0, 1], f4)  # splits only in F_8-containing fields
 
 
 def test_roots_rejects_non_linearized():
-    f2 = build_field(2, 1)
     f64 = build_field(2, 6)
     with pytest.raises(ParameterError):
-        roots_of_linearized(Poly.from_ints(f2, [0, 1, 0, 1]), f64)  # X^3 + X
+        roots_of_linearized([0, 1, 0, 1], f64)  # X^3 + X
     with pytest.raises(ParameterError):
-        roots_of_linearized(Poly.from_ints(f2, [0, 0, 1, 0, 1]), f64)  # zero X-coeff
+        roots_of_linearized([0, 0, 1, 0, 1], f64)  # zero X-coeff
 
 
 def test_affine_map_identity_and_inverse():
@@ -119,7 +125,7 @@ def test_closure_with_trivial_scaling_group_is_g(inst1_p2):
     G = inst1_p2.G
     trivial_h = ScalingGroup(ambient.one(), 1)
     s = scaling_closure(G, trivial_h)
-    assert s.point_set() == G.points.point_set()
+    assert point_set(s) == point_set(G.points)
 
 
 def test_closure_sizes_match_both_instantiations(inst1_p2, inst2_p2):
@@ -134,7 +140,7 @@ def test_closure_is_h_invariant(all_instances):
     for inst in all_instances:
         for h in inst.H.elements():
             mapped = {h * s for s in inst.ambient.elements_of(inst.S.points())}
-            assert mapped == inst.S.point_set()
+            assert mapped == point_set(inst.S)
 
 
 def test_group_a_sizes(all_instances):
@@ -201,21 +207,40 @@ def test_translation_only_group_every_point_free():
     alpha = find_free_point(A)
     assert alpha == f64.zero()  # first element passes: translations never fix anything
     om = orbit(A, alpha)
-    assert set(f64.elements_of(om)) == G.points.point_set()
+    assert set(f64.elements_of(om)) == point_set(G.points)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [("I", 2, 2, None), ("II", 2, 2, Fraction(1)), ("I", 3, 2, None), ("I", 5, 2, None), ("I", 2, 3, None), "translations"],
-    ids=["I22", "II22", "I32", "I52", "I23", "translation-only"],
-)
+RUNGS = [("I", 2, 2, None), ("II", 2, 2, Fraction(1)), ("I", 3, 2, None), ("I", 5, 2, None), ("I", 2, 3, None)]
+RUNG_IDS = ["I22", "II22", "I32", "I52", "I23"]
+
+
+@lru_cache(maxsize=None)
+def _rung(config):
+    return build_instance(InstanceConfig(config[0], config[1], config[2], gamma=config[3]))
+
+
+@pytest.mark.parametrize("config", RUNGS, ids=RUNG_IDS)
+def test_roots_of_linearized_match_callable_oracle(config):
+    # the Frobenius-matrix kernel equals the kernel of scalar evaluation of g
+    inst = _rung(config)
+    g_ints = defining_poly(*config[:3])
+    g = Poly.from_ints(inst.ambient, g_ints)
+    assert roots_of_linearized(g_ints, inst.ambient).basis == kernel_subspace(inst.ambient, g).basis
+
+
+@pytest.mark.parametrize("config", [*RUNGS, "translations"], ids=[*RUNG_IDS, "translation-only"])
+def test_annihilator_matches_scalar_product(config):
+    G = _translation_only_group()[0] if config == "translations" else _rung(config).G
+    assert not G.annihilator.flags.writeable
+    assert np.array_equal(G.annihilator, poly_digits(translation_invariant_poly(G.points)))
+
+
+@pytest.mark.parametrize("config", [*RUNGS, "translations"], ids=[*RUNG_IDS, "translation-only"])
 def test_array_build_matches_scalar_oracles(config):
     if config == "translations":
         G, A = _translation_only_group()
     else:
-        from orbitcodes.instance import InstanceConfig, build_instance
-
-        inst = build_instance(InstanceConfig(config[0], config[1], config[2], gamma=config[3]))
+        inst = _rung(config)
         G, A = inst.G, inst.A
     alpha = find_free_point(A)
     assert alpha == scalar_find_free_point(A)
@@ -242,8 +267,6 @@ def test_orbit_decomposes_into_g_orbits(inst1_p2):
 def test_basis_of_g_independent_over_subfield():
     # the closure argument rests on an F_p-basis of G staying independent
     # over F_{p^m}; check by exact rank computation over the subfield
-    from orbitcodes.instance import InstanceConfig, build_instance
-
     for p in (2, 3):
         inst = build_instance(InstanceConfig("I", p, 2, r=Fraction(1, 2)))
         ambient = inst.ambient

@@ -6,6 +6,7 @@ base-degree kernel, each against its slow scalar oracle (tests/oracles.py)."""
 import itertools
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from oracles import (
     scalar_char_sum_max,
     scalar_encode,
     scalar_message_space_generic,
+    scalar_side_coeff_maps,
     scalar_sigma2_exact,
     scalar_tables,
     scalar_vertex_degrees,
     scaling_invariant_poly,
     table_min_distance_sampled,
+    translation_invariant_poly,
 )
 from orbitcodes import codecore, cosetgraph, fppoly
 from orbitcodes.codecore import (
@@ -43,7 +46,7 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
-from orbitcodes.gf import FpSubspace, build_field, mul_matrix
+from orbitcodes.gf import FpSubspace, build_field, mul_matrix, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.numutil import divisors
@@ -107,6 +110,68 @@ def test_local_degrees_match_scalar_oracle_on_larger_rungs(name, request):
     for cw in (words[0], schur_product(inst.ambient, words[1], words[-1])):
         rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [("I", 2, 2, None), ("II", 2, 2, Fraction(1)), ("I", 3, 2, None), ("I", 5, 2, None), ("I", 2, 3, None)],
+    ids=["I22", "II22", "I32", "I52", "I23"],
+)
+def test_side_maps_match_scalar_lagrange_maps(config):
+    # V^-1 from one elimination equals the map built one interpolation at a time
+    inst = build_instance(InstanceConfig(config[0], config[1], config[2], gamma=config[3]))
+    maps = codecore._local_maps(inst.ambient, inst.graph, inst.omega)
+    slow = scalar_side_coeff_maps(inst.ambient, inst.graph, inst.omega)
+    for side in ("left", "right"):
+        assert np.array_equal(maps[side].coeff_map, slow[side])
+
+
+@lru_cache(maxsize=None)
+def _local_fixture(name):
+    """An instance and its basis codewords: I(2,2) at D = n, II(2,2) at the benchmark's D = 96."""
+    config = {"I22": InstanceConfig("I", 2, 2), "II22": InstanceConfig("II", 2, 2, gamma=Fraction(1), D=96)}[name]
+    inst = build_instance(config)
+    return inst, _basis_words(inst)
+
+
+def _drawn_word(name, combination, rng):
+    """A random F-combination of the basis codewords, or a random word."""
+    inst, words = _local_fixture(name)
+    ctx = inst.ambient
+    if combination:
+        scalars = rng.integers(0, ctx.p, size=(len(words), 1, ctx.k))
+        return mul_rows(ctx, scalars, words).sum(axis=0) % ctx.p
+    return rng.integers(0, ctx.p, size=words.shape[1:])
+
+
+@pytest.mark.parametrize("name", ["I22", "II22"])
+@settings(max_examples=6)  # the scalar oracle takes about 1 s per II(2,2) word
+@given(combination=st.booleans(), doubled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_local_degrees_match_scalar_oracle_property(name, combination, doubled, seed):
+    # doubled checks a Schur product of two drawn words against 2 * the local bound
+    inst, _ = _local_fixture(name)
+    ctx, rng = inst.ambient, np.random.default_rng(seed)
+    cw = _drawn_word(name, combination, rng)
+    if doubled:
+        cw = schur_product(ctx, cw, _drawn_word(name, combination, rng))
+    rep = check_local_rs(ctx, cw, inst.graph, inst.omega, inst.params, doubled=doubled)
+    slow = scalar_vertex_degrees(ctx, cw, inst.graph, inst.omega)
+    assert _fast_degrees(rep) == slow
+    allowed = {side: (2 if doubled else 1) * b["max_allowed_degree"] for side, b in rep.bounds.items()}
+    assert [v.ok for v in rep.vertices] == [d is None or d <= allowed[side] for side, _, d in slow]
+    if combination:
+        assert rep.all_ok  # codewords pass the local check, and their Schur products the doubled one
+
+
+@pytest.mark.parametrize("name", ["I22", "II22"])
+@settings(max_examples=12)
+@given(combination=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_schur_product_matches_scalar_products_property(name, combination, seed):
+    inst, _ = _local_fixture(name)
+    ctx, rng = inst.ambient, np.random.default_rng(seed)
+    a, b = _drawn_word(name, combination, rng), _drawn_word(name, combination, rng)
+    expected = tuple(x * y for x, y in zip(ctx.elements_of(a), ctx.elements_of(b)))
+    assert ctx.elements_of(schur_product(ctx, a, b)) == expected
 
 
 def test_local_maps_are_cached_per_graph(inst1_p2):
@@ -249,7 +314,9 @@ def test_spectrum_section_computed_on_i23():
 def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     ctx = build_field(p, k)
     G = TranslationGroup(FpSubspace(ctx, [ctx.from_int(g) for g in gens]))
-    assert G.invariant_poly.int_coeffs() is None  # the annihilator is outside F_p[X]
+    g = row_poly(ctx, G.annihilator)
+    assert g == translation_invariant_poly(G.points)
+    assert g.int_coeffs() is None  # the annihilator is outside F_p[X]
     H = scaling_subgroup(ctx, h_order)
     params = CodeParams("I", 2, 2, r, D, max(D, 48))
     ms = message_space(G, H, params)
@@ -259,7 +326,7 @@ def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     # the verification's per-row base degrees are those of the scalar expansion
     checks = ms.verification["checks"]
     x_h = scaling_invariant_poly(ctx, H.order)
-    for name, u in (("translation_base_degree", G.invariant_poly), ("scaling_base_degree", x_h)):
+    for name, u in (("translation_base_degree", g), ("scaling_base_degree", x_h)):
         assert checks[name][0].tolist() == [base_degree(b, u) for b in basis]
 
 
@@ -280,7 +347,7 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
     ms, p = inst.message_space(), inst.ambient.p
     checks = ms.verification["checks"]
     assert ms.coeffs.shape[2] == 1 and ms.D == inst.params.D
-    assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.invariant_poly.int_coeffs(), p)
+    assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.annihilator[:, 0], p)
     assert checks["scaling_base_degree"][0].tolist() == _fp_base_degrees(ms, [0] * inst.H.order + [1], p)
 
 

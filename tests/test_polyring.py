@@ -1,22 +1,26 @@
-"""Polynomial arithmetic, base-u expansion, invariant polynomials.
+"""The scalar polynomial oracle (tests/oracles.py): arithmetic, base-u
+expansion, invariant polynomials and interpolation.
 
-The base-u degree properties hold for the scalar expansion (tests/oracles.py)
-and for the batched kernel fppoly.expansion_degrees, which must agree with it.
+The base-u degree properties hold for the scalar expansion and for the
+batched kernel fppoly.expansion_degrees, which must agree with it.
 """
 
 import random
 
 import pytest
 
-from oracles import base_degree, base_expand, kernel_base_degree, scaling_invariant_poly
-from orbitcodes.errors import ParameterError
-from orbitcodes.gf import FpSubspace, build_field
-from orbitcodes.polyring import (
+from oracles import (
     MINUS_INFINITY,
     Poly,
+    base_degree,
+    base_expand,
+    kernel_base_degree,
     lagrange_interpolate,
+    scaling_invariant_poly,
     translation_invariant_poly,
 )
+from orbitcodes.errors import ParameterError
+from orbitcodes.gf import FpSubspace, build_field
 
 
 def _random_poly(ctx, max_deg, rng):
