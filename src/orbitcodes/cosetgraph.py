@@ -105,7 +105,7 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
         left_degree=G.size,
         right_degree=H.order,
         edges=edges,
-        is_simple=len(np.unique(left * n_right + right)) == len(edges),
+        is_simple=bool(np.diff(np.sort(left * n_right + right)).all()),
     )
 
 
@@ -206,18 +206,17 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIE
     h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual()
     _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
     h_forms = ambient.digit_rows(H.elements()) @ trace_form(ambient) % p
-    histograms = []
+    histograms: set[tuple[int, ...]] = set()
     for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
         exps = reps @ h_forms.T % p + p * np.arange(len(reps))[:, None]
         hist = np.bincount(exps.ravel(), minlength=p * len(reps)).reshape(len(reps), p)
-        histograms.append(np.unique(hist, axis=0))
+        histograms.update(map(tuple, hist.tolist()))
     if not histograms:
         raise InternalError("no nontrivial character found")  # pragma: no cover
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
-    best_counts: list[int] = []
-    for row in np.unique(np.concatenate(histograms), axis=0):
-        counts = [int(c) for c in row]
+    best_counts: tuple[int, ...] = ()
+    for counts in sorted(histograms):
         val = abs(sum(c * zeta[e] for e, c in enumerate(counts) if c))
         if val > best:
             best, best_counts = val, counts

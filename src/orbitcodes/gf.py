@@ -6,7 +6,9 @@ arithmetic; nothing in this module touches floating point.  Batches of
 elements are (n, k) int64 digit arrays, multiplied through mul_matrix and
 mul_tensor.  F_p-linear maps of the field are k x k matrices on digit
 vectors: the trace form, the Frobenius matrix, and the kernels and
-trace-dual subspaces they cut out.
+trace-dual subspaces they cut out.  The modulus search (build_field) and
+its irreducibility test run on the same digit arrays, in the candidate's
+own quotient ring F_p[X]/(modulus).
 
 Contexts and elements are immutable after construction and safe to share.
 """
@@ -17,9 +19,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from orbitcodes import fppoly
 from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.linalg import nullspace_mod_p, row_reduce_against, rref_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, row_reduce_against, rref_mod_p
 from orbitcodes.numutil import is_prime, prime_factors
 
 
@@ -42,13 +43,13 @@ class FieldContext:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ParameterError("modulus must be monic of degree k")
-        if not fppoly.is_irreducible(np.array(mod, dtype=np.int64), p):
-            raise ParameterError("modulus is not irreducible")
         self.p = p
         self.k = k
         self.modulus = mod
         self._red_rows = self._reduction_rows()
         self._mul_tensor: np.ndarray | None = None
+        if not _is_irreducible(self):
+            raise ParameterError("modulus is not irreducible")
 
     # -- basic protocol ------------------------------------------------
 
@@ -294,8 +295,40 @@ def build_field(p: int, k: int) -> FieldContext:
         raise ParameterError(f"characteristic {p} is not prime")
     if k < 1:
         raise ParameterError(f"extension degree must be >= 1, got {k}")
-    modulus = fppoly.find_irreducible(p, k)
-    return FieldContext(p, k, tuple(int(c) for c in modulus))
+    for v in range(p**k):
+        try:
+            return FieldContext(p, k, tuple(base_p_digits(np.array([v]), p, k)[0].tolist()) + (1,))
+        except ParameterError:  # the candidate X^k + (digits of v) is reducible
+            continue
+    raise ParameterError(f"no irreducible polynomial of degree {k} over F_{p}")  # pragma: no cover
+
+
+def _is_irreducible(ring: FieldContext) -> bool:
+    """Rabin's irreducibility test for the modulus f, of degree k, of ring = F_p[X]/(f).
+
+    The test runs on ring's own arithmetic, which is a field's only when f
+    passes.  f is irreducible iff k Frobenius steps return X to itself
+    and, for every prime q | k, X^(p^(k/q)) - X is a unit of the ring,
+    that is its multiplication matrix has full rank (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 14.9).  A root in F_p rejects k > 1
+    at once.
+    """
+    p, k, f = ring.p, ring.k, ring.modulus
+    if k == 1:
+        return True
+    if any(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0 for a in range(p)):
+        return False
+    frob = frobenius_matrix(ring)
+    x = np.array(ring.gen().coeffs, dtype=np.int64)
+    conjugates = [x]  # digits of X^(p^j)
+    for _ in range(k):
+        conjugates.append(frob @ conjugates[-1] % p)
+    if not np.array_equal(conjugates[k], x):
+        return False
+    unit = np.eye(1, k, dtype=np.int64)[0]  # a product is a unit iff every factor is
+    for q in prime_factors(k):
+        unit = mul_rows(ring, unit, conjugates[k // q] - x)
+    return rank_mod_p(mul_matrix(FieldElement(ring, tuple(unit.tolist()))), p) == k
 
 
 def mul_matrix(x: FieldElement) -> np.ndarray:
@@ -443,14 +476,12 @@ def frobenius_matrix(ctx: FieldContext) -> np.ndarray:
     linearized polynomial sum_i c_i X^(p^i) with F_p coefficients acts as
     sum_i c_i F^i.
     """
-    p, k = ctx.p, ctx.k
-    x_p = np.zeros(k, dtype=np.int64)
-    reduced = fppoly.pow_mod(fppoly.x_poly(p), p, np.array(ctx.modulus, dtype=np.int64), p)
-    x_p[: len(reduced)] = reduced
-    cols = [np.eye(1, k, dtype=np.int64)[0]]
-    for _ in range(k - 1):
-        cols.append(mul_rows(ctx, cols[-1], x_p))
-    return np.stack(cols, axis=1)
+    rows = powers = np.eye(ctx.k, dtype=np.int64)  # row j: digits of X^j
+    for bit in bin(ctx.p)[3:]:  # square-and-multiply every row, high bit first
+        rows = mul_rows(ctx, rows, rows)
+        if bit == "1":
+            rows = mul_rows(ctx, rows, powers)
+    return rows.T
 
 
 def primitive_element(ctx: FieldContext) -> FieldElement:

@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from orbitcodes import fppoly
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import (
     FieldContext,
@@ -128,6 +127,29 @@ def scaling_subgroup(ctx: FieldContext, order: int) -> ScalingGroup:
     return ScalingGroup(prim ** (n // order), order)
 
 
+def _p_associate(g_ints: list[int], p: int) -> list[int]:
+    """Coefficients c_i of g = sum_i c_i X^(p^i), lowest first: g's p-associate sum_i c_i y^i.
+
+    Raises ParameterError unless g has only p-power exponents and a nonzero
+    X-coefficient (which makes g squarefree, as gcd(g, g') = 1).
+    """
+    assoc: list[int] = []
+    for e, coeff in enumerate(g_ints):
+        if coeff % p == 0:
+            continue
+        i = 0
+        while e > 1 and e % p == 0:
+            e //= p
+            i += 1
+        if e != 1:
+            raise ParameterError("polynomial is not linearized (non p-power exponent)")
+        assoc += [0] * (i + 1 - len(assoc))
+        assoc[i] = coeff % p
+    if not assoc or assoc[0] == 0:
+        raise ParameterError("linearized polynomial must have nonzero X-coefficient (squarefree)")
+    return assoc
+
+
 def roots_of_linearized(g_ints: list[int], ambient: FieldContext) -> FpSubspace:
     """Root subspace of a squarefree linearized polynomial with F_p coefficients.
 
@@ -139,27 +161,40 @@ def roots_of_linearized(g_ints: list[int], ambient: FieldContext) -> FpSubspace:
     small to split g.
     """
     p = ambient.p
-    g = fppoly.make(g_ints, p)
+    assoc = _p_associate(g_ints, p)
     frob = frobenius_matrix(ambient)
-    power = np.eye(ambient.k, dtype=np.int64)  # F^i at exponent p^i
+    power = np.eye(ambient.k, dtype=np.int64)  # F^i
     mat = np.zeros_like(power)
-    exponent = 1
-    for e in np.nonzero(g)[0].tolist():
-        while exponent < e:
-            power = frob @ power % p
-            exponent *= p
-        if exponent != e:
-            raise ParameterError("polynomial is not linearized (non p-power exponent)")
-        mat += int(g[e]) * power
-    if len(g) < 2 or g[1] == 0:
-        raise ParameterError("linearized polynomial must have nonzero X-coefficient (squarefree)")
+    for c in assoc:
+        mat += c * power
+        power = frob @ power % p
     space = FpSubspace.kernel(ambient, mat % p)
-    expected = fppoly.deg(g)
+    expected = p ** (len(assoc) - 1)
     if space.size != expected:
         raise ConfigurationError(
             f"ambient field F_{p}^{ambient.k} contains {space.size} of {expected} roots"
         )
     return space
+
+
+def splitting_degree(g_ints: list[int], p: int) -> int:
+    """Degree over F_p of the splitting field of a squarefree linearized g with F_p coefficients.
+
+    The roots of g = sum_i c_i X^(p^i) form a module over F_p[y], y acting
+    as Frobenius, isomorphic to F_p[y]/(c) for the p-associate
+    c = sum_i c_i y^i (Lidl & Niederreiter, Finite Fields, 3.4).  They all
+    lie in F_(p^l) iff Frobenius^l fixes them, so the splitting degree is
+    the multiplicative order of c's m x m companion matrix, m = deg c.
+    """
+    assoc = _p_associate(g_ints, p)
+    m = len(assoc) - 1
+    companion = np.eye(m, k=-1, dtype=np.int64)
+    companion[:, -1:] = np.array(assoc[:m])[:, None] * -pow(assoc[m], p - 2, p) % p
+    power, order = companion, 1
+    while not np.array_equal(power, np.eye(m, dtype=np.int64)):
+        power = companion @ power % p
+        order += 1
+    return order
 
 
 def scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
@@ -252,7 +287,7 @@ def orbit(A: GroupA, alpha: FieldElement) -> np.ndarray:
     p = ambient.p
     scaled = ambient.digit_rows(A.H.elements()) @ mul_matrix(alpha).T % p  # h * alpha
     pts = ((A.S.points()[:, None, :] + scaled[None]) % p).reshape(A.size, ambient.k)
-    if len(np.unique(digit_codes(pts, p))) != len(pts):
+    if not np.diff(np.sort(digit_codes(pts, p))).all():
         raise InternalError("orbit points collide; the base point is not free")
     pts.flags.writeable = False
     return pts

@@ -4,7 +4,8 @@ built field, subgroup pair, closure, affine group, orbit and coset graph.
 Instantiation I (balanced): G is the root space of X^(p^m) + X^p + X, H is
 the multiplicative group of the degree-m subfield, and the ambient field is
 the smallest F_(p^l) with l a common multiple of m and the splitting degree
-of g such that p^l >= |A|.
+of g (groupgeom.splitting_degree, the order of the companion matrix of g's
+p-associate) such that p^l >= |A|.  build_field picks the ambient modulus.
 
 Instantiation II (tunable): G is the degree-m subfield, H the cyclic
 subgroup of the degree-(m+1) subfield's multiplicative group of order
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitcodes import fppoly
 from orbitcodes.codecore import CodeParams, MessageSpace, defining_poly, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
@@ -34,6 +34,7 @@ from orbitcodes.groupgeom import (
     roots_of_linearized,
     scaling_closure,
     scaling_subgroup,
+    splitting_degree,
 )
 from orbitcodes.numutil import is_prime, lcm
 
@@ -61,6 +62,8 @@ class InstanceConfig:
             raise ParameterError(f"m must be >= 2, got {self.m}")
         if not (0 < self.r < 1):
             raise ParameterError(f"r must lie in (0, 1), got {self.r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.instantiation == "II":
             g = self.gamma
             if g is None:
@@ -85,15 +88,23 @@ class InstanceConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "InstanceConfig":
+        """The config of a JSON object; p, m, D and seed are JSON integers or integer strings."""
+
+        def integer(key: str, default=None):
+            value = data.get(key, default)
+            if isinstance(value, (bool, float)):
+                raise ValueError(f"{key}={value!r} is not an integer")
+            return None if value is None else int(value)
+
         try:
             return cls(
                 instantiation=data["instantiation"],
-                p=int(data["p"]),
-                m=int(data["m"]),
+                p=integer("p"),
+                m=integer("m"),
                 r=Fraction(data.get("r", "1/2")),
-                D=None if data.get("D") is None else int(data["D"]),
+                D=integer("D"),
                 gamma=None if data.get("gamma") is None else Fraction(data["gamma"]),
-                seed=int(data.get("seed", 0)),
+                seed=integer("seed", 0),
             )
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from None
@@ -164,12 +175,8 @@ class Instance:
         }
 
 
-def _splitting_degree_of_g(p: int, m: int) -> int:
-    return fppoly.splitting_degree(fppoly.make(defining_poly("I", p, m), p), p)
-
-
 def _ambient_degree_i(p: int, m: int) -> int:
-    base = lcm(_splitting_degree_of_g(p, m), m)
+    base = lcm(splitting_degree(defining_poly("I", p, m), p), m)
     group_size = p ** (m * m) * (p**m - 1)
     ell = base
     while p**ell < group_size:

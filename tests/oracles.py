@@ -11,9 +11,10 @@
   ``scalar_find_free_point``, ``scalar_orbit`` and ``scalar_build_graph``,
   one scalar field operation per element of A or of the field.
 * ``scalar_vertex_degrees``: every vertex's restriction interpolated on
-  its own with scalar field arithmetic (``lagrange_interpolate``), and
-  ``scalar_side_coeff_maps``: each side's Lagrange map, one interpolation
-  per unit vector of its base.
+  its own with scalar field arithmetic (``lagrange_interpolate``, one
+  node polynomial per vertex), and
+  ``scalar_side_coeff_maps``: each side's Lagrange map, from the
+  Lagrange polynomials (``lagrange_weights``) of its base.
 * ``dfs_min_weight``: minimum codeword weight by depth-first recursion
   over the basis rows, one scalar multiple at a time, with the scalar
   tables built from scalar ``FieldElement`` products.
@@ -28,8 +29,11 @@
   with scalar ``FieldElement`` arithmetic.
 * the scalar base expansions: ``base_expand``/``base_degree`` over any
   field and ``base_digits``/``max_digit_degree`` over F_p, one Euclidean
-  division at a time; the direct weight and monomial checks
-  ``weight_direct`` and ``monomial_is_sound`` built on them; and
+  division at a time on little-endian coefficient lists; ``power`` by
+  repeated squaring (test_fppoly checks both against sympy's galoistools
+  and ``galois_poly`` converts to its convention); the direct weight and
+  monomial checks ``weight_direct`` and ``monomial_is_sound`` built on
+  them; and
   ``kernel_base_degree``, which puts one polynomial through the batched
   kernel ``fppoly.expansion_degrees`` in the oracles' convention.
 * ``scalar_encode``: Horner evaluation of one message at every orbit point.
@@ -42,10 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import prod, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_normal
 
 from orbitcodes import fppoly
 from orbitcodes.codecore import (
@@ -227,25 +233,42 @@ def translation_invariant_poly(points: FpSubspace) -> Poly:
     return acc
 
 
+def lagrange_weights(points: Sequence[FieldElement]) -> tuple[list[Poly], list[FieldElement]]:
+    """Numerators N / (X - x_i) and weights 1/d_i of distinct points; their products are the Lagrange polynomials.
+
+    The node polynomial N = prod_j (X - x_j) is built once; each numerator
+    comes from it by synthetic division, and its value at x_i is the
+    denominator d_i = prod_{j != i} (x_i - x_j).  All the 1/d_i come from
+    one field inverse, of the product of the d_i.
+    """
+    if not points:
+        raise ParameterError("interpolation needs at least one point")
+    ctx = points[0].ctx
+    node = Poly.one(ctx)
+    for xj in points:
+        node = node * Poly(ctx, [-xj, ctx.one()])
+    numerators = []
+    for xi in points:
+        quotient, carry = [], ctx.zero()
+        for c in reversed(node.coeffs[1:]):  # q_(t-1) = n_t + x_i * q_t, from the top
+            carry = c + xi * carry
+            quotient.append(carry)
+        numerators.append(Poly(ctx, reversed(quotient)))
+    denoms = [num(xi) for num, xi in zip(numerators, points)]
+    inv_all = prod(denoms, start=ctx.one()).inverse()
+    weights = [prod((d for j, d in enumerate(denoms) if j != i), start=inv_all) for i in range(len(denoms))]
+    return numerators, weights
+
+
 def lagrange_interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement]) -> Poly:
     """Unique polynomial of degree < len(points) through the given data."""
     if len(points) != len(values):
         raise ParameterError("point/value length mismatch")
-    if not points:
-        raise ParameterError("interpolation needs at least one point")
-    ctx = points[0].ctx
-    acc = Poly.zero(ctx)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi.is_zero():
-            continue
-        num = Poly.one(ctx)
-        denom = ctx.one()
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly(ctx, [-xj, ctx.one()])
-            denom = denom * (xi - xj)
-        acc = acc + num * (yi / denom)
+    numerators, weights = lagrange_weights(points)
+    acc = Poly.zero(points[0].ctx)
+    for num, w, yi in zip(numerators, weights, values):
+        if not yi.is_zero():
+            acc = acc + num * (yi * w)
     return acc
 
 
@@ -429,16 +452,14 @@ def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndar
     """
     left, right = _vertex_edge_lists(graph)
     points = ctx.elements_of(omega)
-    zero, one = ctx.zero(), ctx.one()
     maps = {}
     for side, edge_ids in (("left", left[0]), ("right", right[0])):
         pts = [points[e] for e in edge_ids.tolist()]
         base = [x - pts[0] for x in pts] if side == "left" else [x / pts[0] for x in pts]
         size, k = len(base), ctx.k
         blocks = np.zeros((size, k, size, k), dtype=np.int64)
-        for j in range(size):
-            unit = [one if i == j else zero for i in range(size)]
-            for i, c in enumerate(lagrange_interpolate(base, unit).coeffs):
+        for j, (num, w) in enumerate(zip(*lagrange_weights(base))):
+            for i, c in enumerate((num * w).coeffs):
                 blocks[i, :, j, :] = mul_matrix(c)
         maps[side] = blocks.reshape(size * k, size * k)
     return maps
@@ -765,42 +786,75 @@ def scaling_invariant_poly(ctx: FieldContext, order: int) -> Poly:
     return Poly.monomial(ctx, order)
 
 
-def base_digits(f: np.ndarray, u: np.ndarray, p: int) -> list[np.ndarray]:
-    """Digits c_i of the unique expansion f = sum c_i * u^i over F_p, deg c_i < deg u."""
-    if fppoly.deg(u) < 1:
+def galois_poly(coeffs, p: int) -> list[int]:
+    """Little-endian F_p coefficients as a galoistools polynomial: top coefficient first, no leading zeros."""
+    return gf_normal([int(c) for c in reversed(list(coeffs))], p, ZZ)
+
+
+def base_digits(f, u, p: int) -> list[list[int]]:
+    """Digits c_i of the unique expansion f = sum c_i * u^i over F_p, deg c_i < deg u.
+
+    f and u are little-endian coefficient sequences; so is every digit,
+    without trailing zeros (the zero digit is the empty list).  Each digit
+    is the remainder of one Euclidean division by u, from the top, that
+    walks only u's nonzero lower terms; galoistools' gf_div walks all
+    deg u of them and takes about four times as long on the message-space
+    bases.
+    """
+    cur, base = _trim([int(c) % p for c in f]), _trim([int(c) % p for c in u])
+    du = len(base) - 1
+    if du < 1:
         raise ParameterError("expansion base must be nonconstant")
+    lead_inv = pow(base[du], p - 2, p)
+    terms = [(j, c) for j, c in enumerate(base[:du]) if c]
     digits = []
-    cur = f
-    while not fppoly.is_zero(cur):
-        cur, rem = fppoly.divmod_(cur, u, p)
-        digits.append(rem)
+    while cur:
+        quotient = [0] * max(len(cur) - du, 0)
+        for i in range(len(cur) - 1, du - 1, -1):
+            q = cur[i] * lead_inv % p
+            if q:
+                quotient[i - du] = q
+                for j, c in terms:
+                    cur[i - du + j] = (cur[i - du + j] - q * c) % p
+        digits.append(_trim(cur[:du]))
+        cur = _trim(quotient)
     return digits
 
 
-def max_digit_degree(f: np.ndarray, u: np.ndarray, p: int) -> float | int:
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def max_digit_degree(f, u, p: int) -> float | int:
     """Largest digit degree in the base-u expansion over F_p; -inf for f = 0."""
     digits = base_digits(f, u, p)
     if not digits:
         return float("-inf")
-    return max(fppoly.deg(d) for d in digits)
+    return max(len(d) - 1 for d in digits)
 
 
-def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e over F_p by repeated squaring (no modulus)."""
-    result = fppoly.make([1], p)
+def power(a, e: int, p: int) -> list[int]:
+    """a**e over F_p by repeated squaring (no modulus), little-endian.
+
+    Each product is one numpy convolution: g^(p^k) reaches degree 32768 in
+    the weight checks, where galoistools' Python squaring (gf_pow) is
+    about fifty times slower.
+    """
+    result, a = np.ones(1, dtype=np.int64), np.asarray(a, dtype=np.int64) % p
     while e:
         if e & 1:
-            result = fppoly.mul(result, a, p)
-        a = fppoly.mul(a, a, p)
+            result = np.convolve(result, a) % p
         e >>= 1
-    return result
+        if e:
+            a = np.convolve(a, a) % p
+    return np.trim_zeros(result, "b").tolist()
 
 
-def shift(a: np.ndarray, n: int) -> np.ndarray:
-    """a * X^n over F_p."""
-    if fppoly.is_zero(a):
-        return a
-    return np.concatenate([np.zeros(n, dtype=np.int64), a])
+def shift(a, n: int) -> list[int]:
+    """a * X^n for a little-endian coefficient list a (the zero polynomial stays empty)."""
+    return [0] * n + list(a) if len(a) else []
 
 
 def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
@@ -810,9 +864,8 @@ def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = 
     terms, so digit i is exactly the coefficient slice [i*|H|, (i+1)*|H|),
     and the digit degrees are read from the reshaped coefficient array.
     """
-    garr = fppoly.make(defining_poly(instantiation, p, m), p)
     hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
-    f = power(garr, p**k, p)
+    f = power(defining_poly(instantiation, p, m), p**k, p)
     digits = np.zeros(-(-len(f) // hlen) * hlen, dtype=np.int64)
     digits[: len(f)] = f
     nonzero = digits.reshape(-1, hlen) != 0
@@ -825,14 +878,14 @@ def monomial_is_sound(i: int, j: int, params) -> bool:
     """Direct check (no subadditivity shortcut) that g^i X^j is admissible."""
     p, m = params.p, params.m
     glen = params.g_size
-    garr = fppoly.make(defining_poly(params.instantiation, p, m), p)
-    f = shift(power(garr, i, p), j)
-    if fppoly.deg(f) >= params.D:
+    g = defining_poly(params.instantiation, p, m)
+    f = shift(power(g, i, p), j)
+    if len(f) - 1 >= params.D:
         return False
-    dh = max_digit_degree(f, fppoly.make([0] * params.h_order + [1], p), p)
+    dh = max_digit_degree(f, [0] * params.h_order + [1], p)
     if dh != float("-inf") and not Fraction(int(dh)) < params.r * params.h_order:
         return False
-    dg = max_digit_degree(f, garr, p)
+    dg = max_digit_degree(f, g, p)
     if dg != float("-inf") and not Fraction(int(dg)) < params.r * glen:
         return False
     return True

@@ -1,9 +1,14 @@
 """End-to-end CLI invocations: bundles, analyses, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitcodes
 from orbitcodes.cli import main
 
 
@@ -19,6 +24,15 @@ def bundle_path(tmp_path_factory):
     code = main(["instantiate", "--p", "2", "--m", "2", "--inst", "I", "--r", "1/2", "--out", str(path)])
     assert code == 0
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = str(Path(orbitcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, orbitcodes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_instantiate_bundle_contents(bundle_path):
@@ -301,6 +315,36 @@ def test_bundle_config_with_a_non_integer_value_is_structured_error(bundle_path,
     doc["config"][key] = "two"
     code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
     _assert_structured_error(code, out, "malformed config value")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("m", 2.6), ("D", 7.9), ("D", True), ("p", 2.0), ("seed", 1.5), ("seed", False)],
+    ids=["float-m", "float-D", "bool-D", "float-p", "float-seed", "bool-seed"],
+)
+def test_bundle_config_with_a_float_or_bool_integer_is_structured_error(bundle_path, tmp_path, capsys, key, value):
+    # JSON floats and booleans are refused, not truncated to an int
+    doc = _valid_bundle(bundle_path)
+    doc["config"][key] = value
+    code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, "malformed config value", f"{key}={value!r}")
+
+
+def test_bundle_config_with_an_integer_string_is_accepted(bundle_path, tmp_path, capsys):
+    doc = _valid_bundle(bundle_path)
+    doc["config"]["D"] = "40"
+    code, out = _run(capsys, "rate", "--bundle", _bundle_with(tmp_path, doc))
+    assert code == 0
+    assert json.loads(out)["config"]["D"] == 40
+
+
+def test_negative_seed_is_structured_error(bundle_path, tmp_path, capsys):
+    code, out = _run(capsys, "instantiate", "--p", "2", "--m", "2", "--inst", "I", "--seed", "-3")
+    _assert_structured_error(code, out, "seed must be >= 0")
+    doc = _valid_bundle(bundle_path)
+    doc["config"]["seed"] = -3
+    code, out = _run(capsys, "verify", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, "seed must be >= 0")
 
 
 @pytest.mark.parametrize(

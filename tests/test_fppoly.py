@@ -1,4 +1,10 @@
-"""Prime-field polynomial helpers and mod-p linear algebra."""
+"""Modulus search, splitting degrees, base-u expansion and mod-p linear algebra.
+
+The F_p polynomial oracles here are sympy's galoistools: gf_irreducible_p
+for the irreducibility test, the distinct-degree factorization
+gf_ddf_zassenhaus for splitting degrees, and gf_div, gf_mul and gf_pow
+for the oracles' base expansion and repeated squaring.
+"""
 
 import itertools
 import random
@@ -6,25 +12,54 @@ import random
 import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_div, gf_irreducible_p, gf_mul, gf_pow
 
-from oracles import base_digits, power
+from oracles import base_digits, galois_poly, power
 from orbitcodes import fppoly
+from orbitcodes.codecore import defining_poly
 from orbitcodes.errors import ParameterError
+from orbitcodes.gf import FieldContext, build_field
+from orbitcodes.groupgeom import splitting_degree
 from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
 
 
+def _sympy_irreducible(f, p):
+    return gf_irreducible_p(galois_poly(f, p), p, ZZ)
+
+
+def _accepted(p, f):
+    """Whether FieldContext accepts the monic f (little-endian) as a modulus over F_p."""
+    try:
+        FieldContext(p, len(f) - 1, f)
+    except ParameterError:
+        return False
+    return True
+
+
 def test_find_irreducible_pinned_values():
-    assert list(fppoly.find_irreducible(2, 2)) == [1, 1, 1]  # X^2+X+1
-    assert list(fppoly.find_irreducible(2, 3)) == [1, 1, 0, 1]  # X^3+X+1
-    assert list(fppoly.find_irreducible(3, 2)) == [1, 0, 1]  # X^2+1
-    assert list(fppoly.find_irreducible(2, 1)) == [0, 1]  # X
+    assert build_field(2, 2).modulus == (1, 1, 1)  # X^2+X+1
+    assert build_field(2, 3).modulus == (1, 1, 0, 1)  # X^3+X+1
+    assert build_field(3, 2).modulus == (1, 0, 1)  # X^2+1
+    assert build_field(2, 1).modulus == (0, 1)  # X
+    # the ambient fields of I(5,2), II(2,2) and I(2,3); bundles record these moduli
+    assert build_field(5, 6).modulus == (2, 1, 0, 0, 0, 0, 1)
+    assert build_field(2, 12).modulus == (1, 0, 0, 1) + (0,) * 8 + (1,)
+    assert build_field(2, 21).modulus == (1, 0, 1) + (0,) * 18 + (1,)
 
 
 def test_is_irreducible_known_cases():
-    assert fppoly.is_irreducible(fppoly.make([1, 1, 1], 2), 2)
-    assert not fppoly.is_irreducible(fppoly.make([1, 0, 1], 2), 2)  # (X+1)^2
-    assert fppoly.is_irreducible(fppoly.make([1, 0, 0, 0, 0, 0, 1, 1], 2), 2)  # X^7+X^6+1
+    assert _accepted(2, (1, 1, 1))
+    assert not _accepted(2, (1, 0, 1))  # (X+1)^2
+    assert _accepted(2, (1, 0, 0, 0, 0, 0, 1, 1))  # X^7+X^6+1
+
+
+def test_reducible_modulus_is_refused():
+    with pytest.raises(ParameterError, match="not irreducible"):
+        FieldContext(2, 2, [1, 0, 1])  # (X+1)^2
+    with pytest.raises(ParameterError, match="not irreducible"):
+        FieldContext(2, 4, [1, 0, 1, 0, 1])  # no root in F_2, but (X^2+X+1)^2
+    with pytest.raises(ParameterError, match="not irreducible"):
+        FieldContext(2, 6, [1] * 7)  # (X^3+X+1)(X^3+X^2+1): X^64 = X, but X^8 - X is no unit
 
 
 @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4)])
@@ -32,8 +67,8 @@ def test_is_irreducible_matches_sympy_on_every_monic_polynomial(p, max_degree):
     checked = 0
     for degree in range(1, max_degree + 1):
         for low in itertools.product(range(p), repeat=degree):
-            f = np.array(list(low) + [1], dtype=np.int64)  # little-endian; sympy lists the top coefficient first
-            assert fppoly.is_irreducible(f, p) == gf_irreducible_p([int(c) for c in f[::-1]], p, ZZ)
+            f = tuple(low) + (1,)
+            assert _accepted(p, f) == _sympy_irreducible(f, p)
             checked += 1
     assert checked == sum(p**d for d in range(1, max_degree + 1))
 
@@ -41,67 +76,72 @@ def test_is_irreducible_matches_sympy_on_every_monic_polynomial(p, max_degree):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_find_irreducible_returns_a_monic_irreducible_of_the_degree(p, k):
-    f = fppoly.find_irreducible(p, k)
-    assert fppoly.deg(f) == k and f[-1] == 1
-    assert gf_irreducible_p([int(c) for c in f[::-1]], p, ZZ)
-
-
-def test_divmod_roundtrip_random():
-    rng = random.Random(0)
-    for p in (2, 3, 5):
-        for _ in range(300):
-            a = fppoly.make([rng.randrange(p) for _ in range(rng.randrange(1, 30))], p)
-            b = fppoly.make([rng.randrange(p) for _ in range(rng.randrange(1, 12))], p)
-            if fppoly.is_zero(b):
-                continue
-            q, r = fppoly.divmod_(a, b, p)
-            assert np.array_equal(fppoly.add(fppoly.mul(q, b, p), r, p), a)
-            assert fppoly.deg(r) < fppoly.deg(b)
-
-
-def test_mul_large_uses_exact_fft_path():
-    rng = random.Random(1)
-    a = fppoly.make([rng.randrange(3) for _ in range(1500)], 3)
-    b = fppoly.make([rng.randrange(3) for _ in range(1400)], 3)
-    big = fppoly.mul(a, b, 3)
-    # cross-check a few coefficients against direct convolution
-    direct = np.convolve(a, b) % 3
-    assert np.array_equal(big, fppoly.trim(direct))
+    f = build_field(p, k).modulus
+    assert len(f) == k + 1 and f[-1] == 1
+    assert _sympy_irreducible(f, p)
+    # the first one in digit order: every smaller candidate X^k + c is reducible
+    for v in range(sum(c * p**i for i, c in enumerate(f[:k]))):
+        low = [(v // p**i) % p for i in range(k)]
+        assert not _sympy_irreducible(low + [1], p)
 
 
 def test_base_digits_monomial_base():
     p = 2
-    f = fppoly.make([1, 0, 1, 1, 0, 0, 1], p)
-    digits = base_digits(f, fppoly.make([0, 0, 1], p), p)  # base X^2
-    assert [[int(c) for c in d] for d in digits] == [[1], [1, 1], [], [1]]
+    f = [1, 0, 1, 1, 0, 0, 1]
+    digits = base_digits(f, [0, 0, 1], p)  # base X^2
+    assert digits == [[1], [1, 1], [], [1]]
     base_x2 = np.array([0, 0, 1])[:, None, None]
-    assert fppoly.expansion_degrees(f[None, :, None], base_x2, p).tolist() == [1]
+    assert fppoly.expansion_degrees(np.array(f)[None, :, None], base_x2, p).tolist() == [1]
+
+
+def test_base_digits_match_galoistools_division():
+    rng = random.Random(0)
+    for p in (2, 3, 5):
+        for _ in range(200):
+            f = [rng.randrange(p) for _ in range(rng.randrange(0, 40))]
+            u = [rng.randrange(p) for _ in range(rng.randrange(1, 8))] + [rng.randrange(1, p)]
+            expected, cur = [], galois_poly(f, p)
+            while cur:
+                cur, rem = gf_div(cur, galois_poly(u, p), p, ZZ)
+                expected.append(rem[::-1])
+            assert base_digits(f, u, p) == expected
 
 
 def test_base_digits_rejects_constant_base():
     with pytest.raises(ParameterError):
-        base_digits(fppoly.make([1, 1], 2), fppoly.make([1], 2), 2)
+        base_digits([1, 1], [1], 2)
     with pytest.raises(ParameterError, match="nonconstant"):
         fppoly.expansion_degrees(np.ones((1, 2, 1), dtype=np.int64), np.ones((1, 1, 1), dtype=np.int64), 2)
 
 
 def test_splitting_degree():
     # X^4+X^2+X = X * (X^3+X+1): factors of degree 1 and 3
-    g = fppoly.make([0, 1, 1, 0, 1], 2)
-    assert fppoly.splitting_degree(g, 2) == 3
+    assert splitting_degree([0, 1, 1, 0, 1], 2) == 3
     # X^9+X^3+X over F_3 has splitting degree 3 as well
-    g3 = np.zeros(10, dtype=np.int64)
-    g3[[1, 3, 9]] = 1
-    assert fppoly.splitting_degree(fppoly.trim(g3), 3) == 3
+    assert splitting_degree([0, 1, 0, 1, 0, 0, 0, 0, 0, 1], 3) == 3
+    assert splitting_degree(defining_poly("I", 5, 3), 5) == 62
+    assert splitting_degree(defining_poly("I", 7, 3), 7) == 114
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("instantiation", ["I", "II"])
+def test_splitting_degree_is_the_lcm_of_the_factor_degrees(instantiation, p, m):
+    g = defining_poly(instantiation, p, m)
+    # one (product of the factors of degree d, d) pair per degree d present; full
+    # factorization (gf_factor_sqf) would only split the products, taking 6 s on I(7,3)
+    degrees = [d for _, d in gf_ddf_zassenhaus(galois_poly(g, p), p, ZZ)]
+    assert splitting_degree(g, p) == np.lcm.reduce(degrees)
 
 
 def test_power_matches_repeated_mul():
     p = 3
-    g = fppoly.make([1, 2, 0, 1], p)
-    acc = fppoly.make([1], p)
+    g = [1, 2, 0, 1]
+    acc = [1]
     for _ in range(7):
-        acc = fppoly.mul(acc, g, p)
-    assert np.array_equal(power(g, 7, p), acc)
+        acc = gf_mul(acc, galois_poly(g, p), p, ZZ)
+    assert power(g, 7, p) == acc[::-1]
+    assert power(g, 3**5, p) == gf_pow(galois_poly(g, p), 3**5, p, ZZ)[::-1]
 
 
 def test_rref_rank_nullspace_mod_p():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
-from oracles import char_exponent, conjugate_trace_vector, kernel_subspace, point_set, trace
+from oracles import char_exponent, conjugate_trace_vector, galois_poly, kernel_subspace, point_set, trace
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
@@ -111,6 +113,19 @@ def test_frobenius_matrix_matches_scalar_powers(p, k):
     for code in rng.integers(0, ctx.order, size=20):
         x = ctx.from_int(int(code))
         assert tuple(int(c) for c in frob @ np.array(x.coeffs) % p) == (x**p).coeffs
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 6), (3, 4), (5, 3), (2, 12), (5, 2)])
+def test_frobenius_matrix_matches_powers_mod_the_modulus(p, k):
+    # column j is X^(jp) reduced mod the modulus by galoistools, as the old pow_mod construction built it
+    ctx = build_field(p, k)
+    modulus = galois_poly(ctx.modulus, p)
+    expected = np.zeros((k, k), dtype=np.int64)
+    for j in range(k):
+        col = gf_pow_mod([1, 0], j * p, modulus, p, ZZ)[::-1]
+        expected[: len(col), j] = col
+    frob = frobenius_matrix(ctx)
+    assert frob.dtype == expected.dtype and np.array_equal(frob, expected)
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (2, 12), (5, 2)])
