@@ -1,4 +1,4 @@
-"""Closed-form rate and distance bounds, with a Monte Carlo volume oracle.
+"""Closed-form rate and distance bounds.
 
 The rate lower bounds come from the volume of the constraint polytope on
 the dominant digit variables: with C+1 integration variables the volume is
@@ -11,7 +11,7 @@ contributing a factor r,
     gamma^(2m+1) * r * (r^(2m+1) - max(0, r-rho)^(2m+1)) / (2m+1)!
 
 Both saturate once rho exceeds r.  Closed forms are exact rationals; the
-Monte Carlo estimator is an independent oracle for them.  Distance bounds
+tests check them against a Monte Carlo estimator.  Distance bounds
 combine the degree (Singleton-type) bound 1 - rho with the expander bound
 (1-r) * ((1-r) - sigma_2), clipped at zero.
 """
@@ -21,9 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
 
 from orbitcodes.errors import ParameterError
 
@@ -159,66 +156,3 @@ def bound_report(
         dist_lb_expander=expander,
     )
 
-
-# -- Monte Carlo volume oracle ----------------------------------------------------
-
-
-def polytope_indicator_i(r: Fraction, rho: Fraction, m: int) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """(dimension, vectorized membership test) for the balanced polytope.
-
-    Variables: the 2m dominant digit ratios plus the free-coefficient
-    ratio z, all sampled from the unit cube; membership is sum < r with
-    the last digit variable additionally below rho.
-    """
-    _validate(Fraction(r), Fraction(rho), m)
-    dim = 2 * m + 1
-    rf, rhof = float(r), float(rho)
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        return (pts.sum(axis=1) < rf) & (pts[:, 2 * m - 1] < rhof)
-
-    return dim, member
-
-
-def polytope_indicator_ii(
-    r: Fraction, rho: Fraction, m: int, gamma: Fraction
-) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """(dimension, membership test) for the tunable polytope.
-
-    2m+1 dominant digit ratios plus the decoupled z < r variable; digit
-    ratios sum below r*gamma with the last one additionally below
-    rho*gamma.
-    """
-    _validate(Fraction(r), Fraction(rho), m, Fraction(gamma))
-    nx = 2 * m + 1
-    dim = nx + 1
-    rg, rhog, rf = float(Fraction(r) * Fraction(gamma)), float(Fraction(rho) * Fraction(gamma)), float(r)
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        x = pts[:, :nx]
-        return (x.sum(axis=1) < rg) & (x[:, nx - 1] < rhog) & (pts[:, nx] < rf)
-
-    return dim, member
-
-
-def volume_monte_carlo(
-    dim: int,
-    member: Callable[[np.ndarray], np.ndarray],
-    samples: int = 10_000_000,
-    seed: int = 0,
-    chunk: int = 1_000_000,
-) -> tuple[float, float]:
-    """(estimate, standard error) of a unit-cube subvolume by uniform sampling."""
-    if samples < 1:
-        raise ParameterError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        pts = rng.random((b, dim))
-        hits += int(member(pts).sum())
-        done += b
-    est = hits / samples
-    stderr = math.sqrt(max(est * (1 - est), 1e-300) / samples)
-    return est, stderr

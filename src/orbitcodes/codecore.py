@@ -36,7 +36,7 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, mul_rows
+from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, mul_rows, pow_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
@@ -204,10 +204,11 @@ def _coeff_digits(G: TranslationGroup) -> int:
 def _u_rows(G: TranslationGroup, pairs: list[tuple[int, int]], D: int, c: int) -> np.ndarray:
     """(len(pairs), D, c) digits of X^i g^j for every (i, j) of pairs, j ascending.
 
-    Each g^j is g^(j-1) times g, one shifted product with g's multiplication
-    matrices (_divisor) per nonzero term of g.
+    Each g^j is g^(j-1) times g, one shifted product with the multiplication
+    matrices of g's coefficients (restricted to c digits) per nonzero term
+    of g.
     """
-    g = _divisor(G.ctx, G.annihilator, c)
+    g = mul_matrix(G.ctx, G.annihilator)[:, :c, :c]
     terms = [(e, g[e].T) for e in np.nonzero(g.any(axis=(1, 2)))[0].tolist()]
     rows = np.zeros((len(pairs), D, c), dtype=np.int64)
     gj = np.eye(1, c, dtype=np.int64)  # g^0 = 1
@@ -228,11 +229,6 @@ def _last_nonzero(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1, initial=-1)
 
 
-def _divisor(ctx: FieldContext, u_digits: np.ndarray, c: int) -> np.ndarray:
-    """(deg u + 1, c, c) multiplication matrices of u's coefficients, restricted to c digits."""
-    return np.einsum("ei,ijl->elj", u_digits, ctx.mul_tensor()[:, :c, :c]) % ctx.p
-
-
 def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
     """The three membership constraints of every row of a (rows, L, c) coefficient array.
 
@@ -251,10 +247,11 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     h_digits = np.zeros((H.order + 1, ctx.k), dtype=np.int64)
     h_digits[-1, 0] = 1
     r = params.r
+    g_mats, h_mats = mul_matrix(ctx, G.annihilator)[:, :c, :c], mul_matrix(ctx, h_digits)[:, :c, :c]
     values = {
         "degree": (_last_nonzero(coeffs.any(axis=2)), params.D),
-        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, G.annihilator, c), ctx.p), r * G.size),
-        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, _divisor(ctx, h_digits, c), ctx.p), r * H.order),
+        "translation_base_degree": (fppoly.expansion_degrees(coeffs, g_mats, ctx.p), r * G.size),
+        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, h_mats, ctx.p), r * H.order),
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
     return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
@@ -375,8 +372,8 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     substitution x = a_v + y or x = a_v * y keeps the interpolant's degree,
     so V_B^-1 checks every vertex of the side.  V_B, the Vandermonde matrix
     of B expanded to F_p, sends coefficient digits (i, a) to value digits
-    (j, l) through the powers b_j^i (_power_tensor) and mul_tensor; one
-    rref_mod_p of [V_B | I] gives [I | V_B^-1].
+    (j, l) through the multiplication matrices of the powers b_j^i
+    (_power_tensor); one rref_mod_p of [V_B | I] gives [I | V_B^-1].
     """
     p, k = ctx.p, ctx.k
     first, anchors = omega[edges[0]], omega[edges[:, 0]]
@@ -384,8 +381,8 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
         base_points = (first - first[0]) % p
         expected = anchors[:, None, :] + base_points[None]
     else:
-        base_points = first @ mul_matrix(ctx.element(first[0]).inverse()).T % p
-        expected = np.einsum("vi,ijl,bj->vbl", anchors, ctx.mul_tensor(), base_points)
+        base_points = mul_rows(ctx, first, pow_rows(ctx, first[0], ctx.order - 2))  # first / first[0]
+        expected = mul_rows(ctx, anchors[:, None, :], base_points[None])
     match = digit_codes(expected % p, p)[:, :, None] == digit_codes(omega[edges], p)[:, None, :]
     if not (match.sum(axis=2) == 1).all():
         kind = "translate" if translate else "multiple"
@@ -393,7 +390,7 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
 
     width = len(base_points) * k
-    vander = np.einsum("jib,abl->jlia", _power_tensor(ctx, base_points, len(base_points)), ctx.mul_tensor()) % p
+    vander = mul_matrix(ctx, _power_tensor(ctx, base_points, len(base_points))).transpose(0, 2, 1, 3)
     reduced, pivots = rref_mod_p(np.hstack([vander.reshape(width, width), np.eye(width, dtype=np.int64)]), p)
     if pivots != list(range(width)):
         raise InternalError("the base points of a side are not distinct")
@@ -481,7 +478,7 @@ def schur_check(
 
 def _power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
     """Digits (n, D, k) of beta^t for every point beta (a row of points) and t < D."""
-    mats = np.einsum("ni,ijl->nlj", points, ctx.mul_tensor()) % ctx.p  # multiplication by beta
+    mats = mul_matrix(ctx, points)  # multiplication by beta
     out = np.zeros((len(points), D, ctx.k), dtype=np.int64)
     cur = np.zeros((len(points), ctx.k), dtype=np.int64)
     cur[:, 0] = 1
@@ -565,8 +562,7 @@ def _multiples(rows: np.ndarray, ctx: FieldContext, scalars: int) -> list[np.nda
     The multipliers are the field elements of digit value below scalars,
     so scalars = p gives F_p and scalars = |F| the whole field.
     """
-    digits = base_p_digits(np.arange(scalars), ctx.p, ctx.k)
-    mats = np.einsum("sa,ajl->slj", digits, ctx.mul_tensor()) % ctx.p  # multiplication matrices
+    mats = mul_matrix(ctx, base_p_digits(np.arange(scalars), ctx.p, ctx.k))
     return [np.einsum("slj,nj->snl", mats, row) % ctx.p for row in rows]
 
 
@@ -649,8 +645,10 @@ def min_distance_sampled(
     chunk of sampled codewords is one product of the scalars' digits with a
     block of those multiples.  Chunks of samples and blocks of basis rows
     each hold at most SAMPLE_CHUNK_ENTRIES digits, and no table of all |F|
-    multiples is built.
+    multiples is built.  Fewer than one sample is refused.
     """
+    if samples < 1:
+        raise ParameterError(f"need at least one sample, got {samples}")
     ctx = ms.ctx
     p, k = ctx.p, ctx.k
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from orbitcodes.errors import BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_matrix, trace_form
+from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_matrix, mul_rows, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import rank_mod_p
 
@@ -75,7 +75,8 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     element h^-1 * s of S.  Left indices are assigned in first-appearance
     order along the edges; right indices are the digit-order positions in
     S.  Both come from whole-array operations: one reduction of S's points
-    against G's RREF, and one mul_matrix product per element of H.
+    against G's RREF, and the multiplication matrices of all of H's
+    inverses (one batched mul_matrix) applied to every point of S.
     """
     S, H = A.S, A.H
     p = A.ambient.p
@@ -86,7 +87,7 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     rank = np.empty(n_left, dtype=np.int64)  # sorted key -> first-appearance order
     rank[np.argsort(first)] = np.arange(n_left)
     left = rank[key_index]
-    inverse_mats = np.stack([mul_matrix(ih) for ih in H.inverses])
+    inverse_mats = mul_matrix(A.ambient, H.inverses)
     right = S.index_of(np.einsum("hlj,sj->shl", inverse_mats, S.points()) % p).ravel()
     if (right < 0).any():
         raise InternalError("h^-1 * s fell outside the translation space")
@@ -167,14 +168,13 @@ def sigma2_exact(
     square root is floating point.
     """
     p, k = ambient.p, ambient.k
-    s_basis, g_basis = ambient.digit_rows(S.basis), ambient.digit_rows(G.points.basis)
-    closure = np.concatenate([s_basis, g_basis, s_basis @ mul_matrix(H.generator).T % p])
+    closure = np.concatenate([S.basis, G.points.basis, mul_rows(ambient, S.basis, H.generator)])
     if rank_mod_p(closure, p) != S.dim:
         raise ParameterError("S must contain G and be closed under scaling by H")
     s_perp = S.dual()
     _check_scan_budget(ambient.order // s_perp.size - 1, field_budget)
-    g_forms = g_basis @ trace_form(ambient) % p
-    phi = np.concatenate([g_forms @ mul_matrix(ih) % p for ih in H.inverses])  # (|H| * dim G, k)
+    g_forms = G.points.basis @ trace_form(ambient) % p
+    phi = (g_forms @ mul_matrix(ambient, H.inverses) % p).reshape(-1, k)  # (|H| * dim G, k)
     best = 0
     for reps in s_perp.nonzero_coset_reps(_scan_chunk(len(phi))):
         values = (reps @ phi.T % p).reshape(len(reps), H.order, G.points.dim)
@@ -203,9 +203,9 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIE
     histogram autocorrelation identity |sum|^2 = B_0 - B_1.
     """
     p = ambient.p
-    h_perp = FpSubspace.from_vectors(ambient, H.elements()).dual()
+    h_perp = FpSubspace.from_vectors(ambient, H.elements).dual()
     _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
-    h_forms = ambient.digit_rows(H.elements()) @ trace_form(ambient) % p
+    h_forms = H.elements @ trace_form(ambient) % p
     histograms: set[tuple[int, ...]] = set()
     for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
         exps = reps @ h_forms.T % p + p * np.arange(len(reps))[:, None]

@@ -2,13 +2,15 @@
 
 An element of F_{p^k} is a length-k digit vector over F_p, little-endian
 in the root of the defining modulus.  All arithmetic is exact integer
-arithmetic; nothing in this module touches floating point.  Batches of
-elements are (n, k) int64 digit arrays, multiplied through mul_matrix and
-mul_tensor.  F_p-linear maps of the field are k x k matrices on digit
-vectors: the trace form, the Frobenius matrix, and the kernels and
-trace-dual subspaces they cut out.  The modulus search (build_field) and
-its irreducibility test run on the same digit arrays, in the candidate's
-own quotient ring F_p[X]/(modulus).
+arithmetic; nothing in this module touches floating point.  Elements are
+(..., k) int64 digit arrays: mul_rows multiplies them, pow_rows raises
+them to powers and mul_matrix gives their multiplication matrices, all
+through mul_tensor.  F_p-linear maps of the field are k x k matrices on
+digit vectors: the trace form, the Frobenius matrix, and the kernels and
+trace-dual subspaces they cut out, each with a (dim, k) basis array.  The
+modulus search (build_field) and its irreducibility test run on the same
+digit arrays, in the candidate's own quotient ring F_p[X]/(modulus).
+FieldElement, the scalar element, is only the tests' oracle.
 
 Contexts and elements are immutable after construction and safe to share.
 """
@@ -319,7 +321,7 @@ def _is_irreducible(ring: FieldContext) -> bool:
     if any(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0 for a in range(p)):
         return False
     frob = frobenius_matrix(ring)
-    x = np.array(ring.gen().coeffs, dtype=np.int64)
+    x = np.eye(1, k, 1, dtype=np.int64)[0]
     conjugates = [x]  # digits of X^(p^j)
     for _ in range(k):
         conjugates.append(frob @ conjugates[-1] % p)
@@ -328,13 +330,14 @@ def _is_irreducible(ring: FieldContext) -> bool:
     unit = np.eye(1, k, dtype=np.int64)[0]  # a product is a unit iff every factor is
     for q in prime_factors(k):
         unit = mul_rows(ring, unit, conjugates[k // q] - x)
-    return rank_mod_p(mul_matrix(FieldElement(ring, tuple(unit.tolist()))), p) == k
+    return rank_mod_p(mul_matrix(ring, unit), p) == k
 
 
-def mul_matrix(x: FieldElement) -> np.ndarray:
-    """The k x k F_p matrix M of y -> x*y on digit vectors: digits(x*y) = M @ digits(y) mod p."""
-    t = x.ctx.mul_tensor()
-    return np.einsum("i,ijl->lj", np.array(x.coeffs, dtype=np.int64), t) % x.ctx.p
+def mul_matrix(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
+    """(..., k, k) matrices M of y -> x*y, digits(x*y) = M @ digits(y) mod p, for the rows x of an (..., k) array."""
+    k = ctx.k
+    x = np.asarray(digits, dtype=np.int64)
+    return (x @ ctx.mul_tensor().reshape(k, k * k)).reshape(x.shape[:-1] + (k, k)).swapaxes(-1, -2) % ctx.p
 
 
 def mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,24 +347,41 @@ def mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (k * k,)) @ ctx.mul_tensor().reshape(k * k, k) % ctx.p
 
 
+def pow_rows(ctx: FieldContext, rows: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every row x of an (..., k) digit array, e >= 0, by square-and-multiply through mul_rows."""
+    if e < 0:
+        raise ParameterError(f"exponent must be >= 0, got {e}")
+    rows = np.asarray(rows, dtype=np.int64) % ctx.p
+    if e == 0:
+        return np.broadcast_to(np.eye(1, ctx.k, dtype=np.int64)[0], rows.shape).copy()
+    out = rows
+    for bit in bin(e)[3:]:  # high bit first; the leading 1 is rows itself
+        out = mul_rows(ctx, out, out)
+        if bit == "1":
+            out = mul_rows(ctx, out, rows)
+    return out
+
+
 class FpSubspace:
     """An F_p-linear subspace of a field, given by an independent basis.
 
-    Point i is sum_j c_j * basis[j] for the little-endian base-p digits c
-    of i (digit order).  The RREF of the basis gives every point's
-    coordinates at the pivot columns, and _from_rref turns those into the
-    digits c, so index_of and reduce work on whole digit arrays at once.
+    basis is a read-only (dim, k) digit array, and point i is sum_j c_j *
+    basis[j] for the little-endian base-p digits c of i (digit order).
+    The RREF of the basis gives every point's coordinates at the pivot
+    columns, and _from_rref turns those into the digits c, so index_of and
+    reduce work on whole digit arrays at once.
     """
 
     __slots__ = ("ctx", "basis", "_rref", "_pivots", "_from_rref", "_points")
 
-    def __init__(self, ctx: FieldContext, basis: Sequence[FieldElement]):
+    def __init__(self, ctx: FieldContext, basis: np.ndarray):
         self.ctx = ctx
-        self.basis = tuple(basis)
-        dim, k = len(self.basis), ctx.k
-        mat = ctx.digit_rows(self.basis)
+        k = ctx.k
+        self.basis = np.array(basis, dtype=np.int64).reshape(-1, k) % ctx.p
+        self.basis.flags.writeable = False
+        dim = len(self.basis)
         # [basis | I] reduces to [rref | E] with E @ basis = rref
-        aug, self._pivots = rref_mod_p(np.hstack([mat, np.eye(dim, dtype=np.int64)]), ctx.p)
+        aug, self._pivots = rref_mod_p(np.hstack([self.basis, np.eye(dim, dtype=np.int64)]), ctx.p)
         if any(c >= k for c in self._pivots):
             raise ParameterError("subspace basis is linearly dependent")
         self._rref, self._from_rref = aug[:, :k], aug[:, k:]
@@ -370,17 +390,16 @@ class FpSubspace:
     @classmethod
     def kernel(cls, ctx: FieldContext, mat: np.ndarray) -> "FpSubspace":
         """The subspace {x : mat @ digits(x) = 0 mod p} of an F_p matrix with k columns."""
-        return cls.from_vectors(ctx, ctx.elements_of(nullspace_mod_p(mat, ctx.p)))
+        return cls.from_vectors(ctx, nullspace_mod_p(mat, ctx.p))
 
     @classmethod
-    def from_vectors(cls, ctx: FieldContext, vectors: Iterable[FieldElement]) -> "FpSubspace":
-        """Span of arbitrary vectors, with a canonical echelonized basis."""
-        mat = np.array([v.coeffs for v in vectors], dtype=np.int64)
+    def from_vectors(cls, ctx: FieldContext, vectors: np.ndarray) -> "FpSubspace":
+        """Span of the rows of an (n, k) digit array, with the canonical (RREF) basis."""
+        mat = np.asarray(vectors, dtype=np.int64).reshape(-1, ctx.k)
         if mat.size == 0:
-            return cls(ctx, [])
+            return cls(ctx, mat)
         rr, pivots = rref_mod_p(mat, ctx.p)
-        basis = [ctx.element(row) for row in rr[: len(pivots)]]
-        return cls(ctx, basis)
+        return cls(ctx, rr[: len(pivots)])
 
     @property
     def dim(self) -> int:
@@ -394,7 +413,7 @@ class FpSubspace:
         """Read-only (size, k) digit array of all points, in digit order over the basis."""
         if self._points is None:
             digits = base_p_digits(np.arange(self.size), self.ctx.p, self.dim)
-            self._points = digits @ self.ctx.digit_rows(self.basis) % self.ctx.p
+            self._points = digits @ self.basis % self.ctx.p
             self._points.flags.writeable = False
         return self._points
 
@@ -418,9 +437,6 @@ class FpSubspace:
         """Canonical representative of the coset x + (this subspace), for every row x of an (..., k) digit array."""
         return row_reduce_against(np.asarray(digits), self._rref, self._pivots, self.ctx.p)
 
-    def __contains__(self, x: FieldElement) -> bool:
-        return not self.reduce(np.array(x.coeffs)).any()
-
     def index_of(self, digits: np.ndarray) -> np.ndarray:
         """Digit-order index of every row of an (..., k) digit array; -1 for a row outside the subspace."""
         p = self.ctx.p
@@ -434,7 +450,7 @@ class FpSubspace:
         return dual_subspace(self)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "basis": [b.to_json() for b in self.basis]}
+        return {"dim": self.dim, "basis": self.basis.tolist()}
 
 
 def base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
@@ -466,7 +482,7 @@ def trace_form(ctx: FieldContext) -> np.ndarray:
 def dual_subspace(space: FpSubspace) -> FpSubspace:
     """M^perp under the trace form; dim M + dim M^perp = k and (M^perp)^perp = M."""
     ctx = space.ctx
-    return FpSubspace.kernel(ctx, ctx.digit_rows(space.basis) @ trace_form(ctx) % ctx.p)
+    return FpSubspace.kernel(ctx, space.basis @ trace_form(ctx) % ctx.p)
 
 
 def frobenius_matrix(ctx: FieldContext) -> np.ndarray:
@@ -476,20 +492,25 @@ def frobenius_matrix(ctx: FieldContext) -> np.ndarray:
     linearized polynomial sum_i c_i X^(p^i) with F_p coefficients acts as
     sum_i c_i F^i.
     """
-    rows = powers = np.eye(ctx.k, dtype=np.int64)  # row j: digits of X^j
-    for bit in bin(ctx.p)[3:]:  # square-and-multiply every row, high bit first
-        rows = mul_rows(ctx, rows, rows)
-        if bit == "1":
-            rows = mul_rows(ctx, rows, powers)
-    return rows.T
+    return pow_rows(ctx, np.eye(ctx.k, dtype=np.int64), ctx.p).T  # row j of the identity: digits of X^j
 
 
-def primitive_element(ctx: FieldContext) -> FieldElement:
-    """First generator of the multiplicative group in enumeration order."""
+def primitive_element(ctx: FieldContext) -> np.ndarray:
+    """(k,) digit row of the first generator of the multiplicative group in digit-code order.
+
+    x generates it iff x^(n/q) != 1 for every prime q | n = |F| - 1.  The
+    codes are tested in batches of 1, 2, 4, ... from code p: for k > 1 the
+    codes below p are F_p^*, whose orders divide p - 1 < n.
+    """
     n = ctx.order - 1
-    factors = prime_factors(n)
-    for v in range(1, ctx.order):
-        x = ctx.from_int(v)
-        if all((x ** (n // q)) != ctx.one() for q in factors):
-            return x
+    one = np.eye(1, ctx.k, dtype=np.int64)[0]
+    lo, size = (ctx.p if ctx.k > 1 else 1), 1
+    while lo < ctx.order:
+        cands = base_p_digits(np.arange(lo, min(lo + size, ctx.order)), ctx.p, ctx.k)
+        ok = np.ones(len(cands), dtype=bool)
+        for q in prime_factors(n):
+            ok &= (pow_rows(ctx, cands, n // q) != one).any(axis=1)
+        if ok.any():
+            return cands[np.argmax(ok)]
+        lo, size = lo + size, 2 * size
     raise ConfigurationError("no primitive element found")  # pragma: no cover

@@ -2,39 +2,37 @@
 
 Builds the translation subgroup G (an F_p-subspace with its annihilator
 polynomial as a digit array), the scaling subgroup H (a cyclic
-multiplicative subgroup), the smallest H-invariant subspace S containing
-G, the group A = S x| H of affine maps x -> h*x + s, a free evaluation
-point, and its orbit.
+multiplicative subgroup, held as the digit array of its powers), the
+smallest H-invariant subspace S containing G, the group A = S x| H of
+affine maps x -> h*x + s, a free evaluation point, and its orbit.  Every
+field element here is a digit array: H's powers and inverses, the bases
+of G and S, and the free point alpha.
 
 Enumeration orders are fixed everywhere (subspace points in digit order,
 H in generator-power order, A = {(s, h)} with the translation part
 outermost) so that edge and coordinate indexing is reproducible across
-runs.  The free point is one membership test of S over a range of digit
-codes, and the orbit one mul_matrix product per element of H over the
-whole digit array of S; no element of A is built.
+runs.  S is a Krylov closure of G's basis under the generator's
+multiplication matrix, the free point is one membership test of S over a
+range of digit codes, and the orbit one mul_rows product of H with alpha
+added to the whole digit array of S; no element of A is built.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import (
     FieldContext,
-    FieldElement,
     FpSubspace,
     base_p_digits,
     digit_codes,
     frobenius_matrix,
     mul_matrix,
     mul_rows,
+    pow_rows,
     primitive_element,
 )
-from orbitcodes.linalg import rank_mod_p
-from orbitcodes.numutil import prime_factors
 
 
 class TranslationGroup:
@@ -72,46 +70,42 @@ class TranslationGroup:
 
 
 class ScalingGroup:
-    """Cyclic multiplicative subgroup acting by scalings x -> h*x."""
+    """Cyclic multiplicative subgroup acting by scalings x -> h*x.
 
-    def __init__(self, generator: FieldElement, order: int):
+    generator is a (k,) digit row; elements, its powers with the identity
+    first, and inverses[i] = elements[-i mod order] are read-only (order, k)
+    arrays.  The powers come in doubling blocks, g^m..g^(2m-1) =
+    (1..g^(m-1)) * g^m: O(log order) mul_rows products.
+    """
+
+    def __init__(self, ctx: FieldContext, generator: np.ndarray, order: int):
         if order < 1:
             raise ParameterError(f"scaling group order must be >= 1, got {order}")
-        if generator.is_zero():
+        gen = np.array(generator, dtype=np.int64).reshape(ctx.k) % ctx.p
+        if not gen.any():
             raise ParameterError("scaling generator must be nonzero")
-        if generator**order != generator.ctx.one():
+        one = np.eye(1, ctx.k, dtype=np.int64)
+        powers, step = one, gen  # step = g^len(powers)
+        while len(powers) < order:
+            powers = np.concatenate([powers, mul_rows(ctx, powers, step)])[:order]
+            step = mul_rows(ctx, step, step)
+        if not np.array_equal(mul_rows(ctx, powers[-1], gen), one[0]):
             raise ParameterError("generator order does not divide the stated order")
-        for q in prime_factors(order):
-            if generator ** (order // q) == generator.ctx.one():
-                raise ParameterError(f"generator has order smaller than {order}")
-        self.generator = generator
+        if (powers[1:] == one).all(axis=1).any():
+            raise ParameterError(f"generator has order smaller than {order}")
+        self.ctx = ctx
         self.order = order
-
-    @property
-    def ctx(self) -> FieldContext:
-        return self.generator.ctx
-
-    @cached_property
-    def _elements(self) -> tuple[FieldElement, ...]:
-        out = [self.ctx.one()]
-        for _ in range(self.order - 1):
-            out.append(out[-1] * self.generator)
-        return tuple(out)
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """Powers of the generator, identity first (generator-power order)."""
-        return self._elements
-
-    @cached_property
-    def inverses(self) -> tuple[FieldElement, ...]:
-        els = self._elements
-        return tuple(els[(-i) % self.order] for i in range(self.order))
+        self.generator = gen
+        self.elements = powers
+        self.inverses = powers[(-np.arange(order)) % order]
+        for arr in (gen, powers, self.inverses):
+            arr.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"ScalingGroup(order={self.order})"
 
     def to_json(self) -> dict:
-        return {"generator": self.generator.to_json(), "order": self.order}
+        return {"generator": self.generator.tolist(), "order": self.order}
 
 
 def scaling_subgroup(ctx: FieldContext, order: int) -> ScalingGroup:
@@ -123,8 +117,7 @@ def scaling_subgroup(ctx: FieldContext, order: int) -> ScalingGroup:
     n = ctx.order - 1
     if order < 1 or n % order != 0:
         raise ParameterError(f"no multiplicative subgroup of order {order} in field of size {ctx.order}")
-    prim = primitive_element(ctx)
-    return ScalingGroup(prim ** (n // order), order)
+    return ScalingGroup(ctx, pow_rows(ctx, primitive_element(ctx), n // order), order)
 
 
 def _p_associate(g_ints: list[int], p: int) -> list[int]:
@@ -198,26 +191,22 @@ def splitting_degree(g_ints: list[int], p: int) -> int:
 
 
 def scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
-    """Smallest F_p-subspace containing G and invariant under H.
+    """Smallest F_p-subspace containing G and invariant under H, with its canonical RREF basis.
 
-    Iterates span growth to a fixpoint: fold in h*b for the generator h and
-    every current basis vector until nothing new appears.  Closure under
-    the generator implies closure under all of H.
+    A Krylov loop: append the images b @ M^T of the basis under the
+    generator's multiplication matrix M and echelonize again, until the
+    rank stops growing.  The span is then closed under the generator,
+    hence under all of H, and any H-invariant space containing G contains
+    every step.
     """
     ctx = G.ctx
+    mat = mul_matrix(ctx, H.generator)
     current = FpSubspace.from_vectors(ctx, G.points.basis)
-    queue = list(current.basis)
-    while queue:
-        v = queue.pop()
-        w = H.generator * v
-        if w not in current:
-            current = FpSubspace.from_vectors(ctx, list(current.basis) + [w])
-            queue.append(w)
-    # fixpoint check: one full sweep with no growth
-    for b in current.basis:
-        if H.generator * b not in current:
-            raise InternalError("closure did not stabilize")  # pragma: no cover
-    return current
+    while True:
+        grown = FpSubspace.from_vectors(ctx, np.concatenate([current.basis, current.basis @ mat.T % ctx.p]))
+        if grown.dim == current.dim:
+            return current
+        current = grown
 
 
 class GroupA:
@@ -225,16 +214,15 @@ class GroupA:
 
     Elements are exactly the maps x -> h*x + s with s in S, h in H, and the
     parametrization (s, h) is a bijection, so |A| = |S|*|H|.  Map e is
-    (S.points()[e // |H|], H.elements()[e % |H|]); orbit and build_graph
+    (S.points()[e // |H|], H.elements[e % |H|]); orbit and build_graph
     index edges this way.
     """
 
     def __init__(self, S: FpSubspace, H: ScalingGroup, ambient: FieldContext):
         if S.ctx != ambient or H.ctx != ambient:
             raise ParameterError("subgroups must live in the ambient context")
-        for b in S.basis:
-            if H.generator * b not in S:
-                raise ParameterError("translation space is not invariant under the scaling group")
+        if (S.index_of(mul_rows(ambient, S.basis, H.generator)) < 0).any():
+            raise ParameterError("translation space is not invariant under the scaling group")
         self.S = S
         self.H = H
         self.ambient = ambient
@@ -246,17 +234,9 @@ class GroupA:
     def __repr__(self) -> str:
         return f"GroupA(|S|={self.S.size}, |H|={self.H.order})"
 
-    def to_json(self) -> dict:
-        return {
-            "S": self.S.to_json(),
-            "H": self.H.to_json(),
-            "ambient": self.ambient.to_json(),
-            "size": self.size,
-        }
 
-
-def find_free_point(A: GroupA) -> FieldElement:
-    """First field element (enumeration order) with trivial stabilizer in A.
+def find_free_point(A: GroupA) -> np.ndarray:
+    """(k,) digit row of the first field element (digit-code order) with trivial stabilizer in A.
 
     Every non-identity map with scale h != 1 fixes exactly (1-h)^-1 * s, and
     pure translations are fixed-point free, so the bad set is the union
@@ -270,46 +250,28 @@ def find_free_point(A: GroupA) -> FieldElement:
     if ambient.order < A.size:
         raise ConfigurationError(f"ambient field size {ambient.order} below group size {A.size}")
     if A.H.order == 1:
-        return ambient.zero()
-    codes = base_p_digits(np.arange(A.S.size + 1), ambient.p, ambient.k)
-    return ambient.from_int(int(np.argmax(A.S.index_of(codes) < 0)))
+        alpha = np.zeros(ambient.k, dtype=np.int64)
+    else:
+        codes = base_p_digits(np.arange(A.S.size + 1), ambient.p, ambient.k)
+        alpha = codes[np.argmax(A.S.index_of(codes) < 0)]
+    alpha.flags.writeable = False
+    return alpha
 
 
-def orbit(A: GroupA, alpha: FieldElement) -> np.ndarray:
+def orbit(A: GroupA, alpha: np.ndarray) -> np.ndarray:
     """Evaluation orbit, the read-only (|A|, k) digit array of h*alpha + s over (s, h) in A.
 
     Row e is the map (s, h) with s = S.points()[e // |H|] and h =
-    H.elements()[e % |H|], the translation part outermost.  The free action
+    H.elements[e % |H|], the translation part outermost.  The free action
     makes the orbit map injective, which is verified on the digit codes;
     edge e of the coset graph is coordinate e of every codeword.
     """
     ambient = A.ambient
     p = ambient.p
-    scaled = ambient.digit_rows(A.H.elements()) @ mul_matrix(alpha).T % p  # h * alpha
+    scaled = mul_rows(ambient, A.H.elements, alpha)  # h * alpha
     pts = ((A.S.points()[:, None, :] + scaled[None]) % p).reshape(A.size, ambient.k)
     if not np.diff(np.sort(digit_codes(pts, p))).all():
         raise InternalError("orbit points collide; the base point is not free")
     pts.flags.writeable = False
     return pts
 
-
-def independent_over_subfield(vectors: Iterable[FieldElement], degree: int) -> bool:
-    """Whether vectors are linearly independent over the subfield K of the given degree.
-
-    The K-span of the vectors is the F_p-span of {w*v : w in an F_p-basis
-    of K}, so they are K-independent iff that set has F_p-rank
-    len(vectors) * [K:F_p].
-    """
-    vecs = list(vectors)
-    if not vecs:
-        return True
-    ambient = vecs[0].ctx
-    p, k = ambient.p, ambient.k
-    if degree < 1 or k % degree != 0:
-        raise ParameterError(f"subfield degree {degree} does not divide the ambient degree {k}")
-    frob, fixed = frobenius_matrix(ambient), np.eye(k, dtype=np.int64)
-    for _ in range(degree):
-        fixed = frob @ fixed % p  # F^degree: x -> x^(p^degree)
-    K = FpSubspace.kernel(ambient, (fixed - np.eye(k, dtype=np.int64)) % p)
-    products = mul_rows(ambient, ambient.digit_rows(vecs)[:, None], ambient.digit_rows(K.basis)[None])
-    return rank_mod_p(products.reshape(-1, k), p) == len(vecs) * degree

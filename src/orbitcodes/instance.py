@@ -24,7 +24,7 @@ import numpy as np
 from orbitcodes.codecore import CodeParams, MessageSpace, defining_poly, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, build_field
+from orbitcodes.gf import FieldContext, FpSubspace, build_field
 from orbitcodes.groupgeom import (
     GroupA,
     ScalingGroup,
@@ -88,23 +88,26 @@ class InstanceConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "InstanceConfig":
-        """The config of a JSON object; p, m, D and seed are JSON integers or integer strings."""
+        """The config of a JSON object: p, m, D, seed integers or integer strings, r, gamma integers or fraction strings.
 
-        def integer(key: str, default=None):
-            value = data.get(key, default)
-            if isinstance(value, (bool, float)):
-                raise ValueError(f"{key}={value!r} is not an integer")
-            return None if value is None else int(value)
+        Floats and booleans are refused; a float holds the nearest binary fraction, not the rational it spells.
+        """
+
+        def value(key: str, default, convert):
+            raw = data.get(key, default)
+            if isinstance(raw, (bool, float)):
+                raise ValueError(f"{key}={raw!r} is not an integer or a string")
+            return None if raw is None else convert(raw)
 
         try:
             return cls(
                 instantiation=data["instantiation"],
-                p=integer("p"),
-                m=integer("m"),
-                r=Fraction(data.get("r", "1/2")),
-                D=integer("D"),
-                gamma=None if data.get("gamma") is None else Fraction(data["gamma"]),
-                seed=integer("seed", 0),
+                p=value("p", None, int),
+                m=value("m", None, int),
+                r=value("r", "1/2", Fraction),
+                D=value("D", None, int),
+                gamma=value("gamma", None, Fraction),
+                seed=value("seed", 0, int),
             )
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from None
@@ -114,8 +117,9 @@ class InstanceConfig:
 class Instance:
     """A fully built instance; immutable after construction.
 
-    omega is the read-only (n, k) digit array of the orbit: row e is the
-    evaluation point of coordinate e and edge e of the graph.
+    alpha is the free point's read-only (k,) digit row and omega the
+    read-only (n, k) digit array of its orbit: row e is the evaluation
+    point of coordinate e and edge e of the graph.
     """
 
     config: InstanceConfig
@@ -124,7 +128,7 @@ class Instance:
     H: ScalingGroup
     S: FpSubspace
     A: GroupA
-    alpha: FieldElement
+    alpha: np.ndarray
     omega: np.ndarray
     graph: CosetGraph
 
@@ -168,7 +172,7 @@ class Instance:
             "H": self.H.to_json(),
             "S": self.S.to_json(),
             "A_size": self.A.size,
-            "alpha": self.alpha.to_json(),
+            "alpha": self.alpha.tolist(),
             "n": self.n,
             "omega": self.omega.tolist(),
             "graph": self.graph.summary_json(),
@@ -249,7 +253,7 @@ def load_bundle(data) -> Instance:
     inst = build_instance(config)
     if data.get("n") != inst.n:
         raise ParameterError(f"bundle records n={data.get('n')} but the build gives {inst.n}")
-    if data.get("alpha") != inst.alpha.to_json():
+    if data.get("alpha") != inst.alpha.tolist():
         raise ParameterError("bundle records a different free point than the build")
     if data.get("graph") != inst.graph.summary_json():
         raise ParameterError("bundle graph summary disagrees with the build")

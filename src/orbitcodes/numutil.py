@@ -37,18 +37,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
 def lcm(*values: int) -> int:
     out = 1
     for v in values:

@@ -30,7 +30,7 @@ from orbitcodes.cosetgraph import (
     sigma2_svd,
     spectral_bounds,
 )
-from orbitcodes.errors import BudgetError
+from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.instance import Instance, SCHEMA_VERSION
 
 DEFAULT_BUDGETS = {
@@ -108,6 +108,9 @@ def rate_section(inst: Instance, budgets: dict | None = None, sigma2: float | No
 
 
 def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float | None = None, sample: int = 0) -> dict:
+    """Exhaustive distance under budget; over budget, sample > 0 draws that many codewords instead."""
+    if sample < 0:
+        raise ParameterError(f"sample count must be >= 0, got {sample}")
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     params = inst.params
     ms = inst.message_space()

@@ -6,7 +6,11 @@
   ``lagrange_interpolate``, the trace ``trace``/``char_exponent`` as sums
   of Frobenius conjugates, ``kernel_subspace`` of a Python callable on
   ``FieldElement``s, and ``point_set``, the points of a subspace as a set.
-* the scalar build: ``AffineMap`` and ``group_elements`` (every map of A
+* the scalar build: ``scalar_primitive_element``, ``scalar_scaling_group``
+  (H's powers and their inverses, one scalar product or inverse each),
+  ``scalar_scaling_closure`` (a queue of scalar products with H's
+  generator, tested by ``contains``), ``independent_over_subfield``,
+  ``divisors``; ``AffineMap`` and ``group_elements`` (every map of A
   as a pair of ``FieldElement``s, S in digit order outermost),
   ``scalar_find_free_point``, ``scalar_orbit`` and ``scalar_build_graph``,
   one scalar field operation per element of A or of the field.
@@ -39,6 +43,10 @@
 * ``scalar_encode``: Horner evaluation of one message at every orbit point.
 * ``table_min_distance_sampled``: the sampled distance from full tables of
   every scalar multiple of every basis codeword.
+* the Monte Carlo volume oracle for the closed-form polytope volumes of
+  ``bounds``: ``polytope_indicator_i``/``_ii`` (membership tests of the
+  two polytopes) and ``volume_monte_carlo`` (uniform sampling of the unit
+  cube).
 """
 
 from __future__ import annotations
@@ -54,8 +62,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_normal
 
 from orbitcodes import fppoly
+from orbitcodes.bounds import _validate
 from orbitcodes.codecore import (
-    _divisor,
     _u_row_pairs,
     _vertex_edge_lists,
     defining_poly,
@@ -64,9 +72,10 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, mul_matrix
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix, mul_matrix, mul_rows
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import nullspace_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rank_mod_p
+from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
 
@@ -307,8 +316,7 @@ def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldEleme
     for _ in range(ctx.k):
         cols.append(func(x).coeffs)
         x = x * ctx.gen()
-    null = nullspace_mod_p(np.array(cols, dtype=np.int64).T, ctx.p)
-    return FpSubspace.from_vectors(ctx, [ctx.element(row) for row in null])
+    return FpSubspace.from_vectors(ctx, nullspace_mod_p(np.array(cols, dtype=np.int64).T, ctx.p))
 
 
 def point_set(space: FpSubspace) -> frozenset:
@@ -349,17 +357,99 @@ class AffineMap:
         return self.shift.is_zero() and self.scale == self.scale.ctx.one()
 
 
+def contains(space: FpSubspace, x: FieldElement) -> bool:
+    """Whether x lies in the subspace (its coset representative is zero)."""
+    return not space.reduce(np.array(x.coeffs)).any()
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending."""
+    small, large = [], []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            small.append(f)
+            if f != n // f:
+                large.append(n // f)
+        f += 1
+    return small + large[::-1]
+
+
+def scalar_primitive_element(ctx: FieldContext) -> FieldElement:
+    """First generator of the multiplicative group in enumeration order, by scalar powers from code 1."""
+    n = ctx.order - 1
+    factors = prime_factors(n)
+    for v in range(1, ctx.order):
+        x = ctx.from_int(v)
+        if all((x ** (n // q)) != ctx.one() for q in factors):
+            return x
+    raise ConfigurationError("no primitive element found")
+
+
+def scalar_scaling_group(generator: FieldElement, order: int) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
+    """(powers, inverses) of a generator of exactly the given order, by scalar products.
+
+    powers are 1, g, ..., g^(order-1) and inverses[i] is powers[i].inverse();
+    an order the generator does not have is refused by the prime-divisor
+    test g^order = 1 and g^(order/q) != 1 for every prime q | order.
+    """
+    one = generator.ctx.one()
+    if generator**order != one or any(generator ** (order // q) == one for q in prime_factors(order)):
+        raise ParameterError(f"generator does not have order {order}")
+    powers = [one]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * generator)
+    return tuple(powers), tuple(x.inverse() for x in powers)
+
+
+def scalar_scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
+    """Smallest H-invariant subspace containing G, by a queue of scalar products h*v with the generator."""
+    ctx = G.ctx
+    gen = ctx.elements_of(H.generator[None])[0]
+    current = FpSubspace.from_vectors(ctx, G.points.basis)
+    queue = list(ctx.elements_of(current.basis))
+    while queue:
+        w = gen * queue.pop()
+        if not contains(current, w):
+            current = FpSubspace.from_vectors(ctx, np.vstack([current.basis, w.coeffs]))
+            queue.append(w)
+    if not all(contains(current, gen * b) for b in ctx.elements_of(current.basis)):
+        raise InternalError("closure did not stabilize")
+    return current
+
+
+def independent_over_subfield(ctx: FieldContext, vectors: np.ndarray, degree: int) -> bool:
+    """Whether the rows of an (n, k) digit array are linearly independent over the subfield K of the given degree.
+
+    The K-span of the vectors is the F_p-span of {w*v : w in an F_p-basis
+    of K}, so they are K-independent iff that set has F_p-rank
+    len(vectors) * [K:F_p].
+    """
+    vecs = np.asarray(vectors, dtype=np.int64).reshape(-1, ctx.k)
+    p, k = ctx.p, ctx.k
+    if degree < 1 or k % degree != 0:
+        raise ParameterError(f"subfield degree {degree} does not divide the ambient degree {k}")
+    if not len(vecs):
+        return True
+    frob, fixed = frobenius_matrix(ctx), np.eye(k, dtype=np.int64)
+    for _ in range(degree):
+        fixed = frob @ fixed % p  # F^degree: x -> x^(p^degree)
+    K = FpSubspace.kernel(ctx, (fixed - np.eye(k, dtype=np.int64)) % p)
+    products = mul_rows(ctx, vecs[:, None], K.basis[None])
+    return rank_mod_p(products.reshape(-1, k), p) == len(vecs) * degree
+
+
 def scalar_points(S: FpSubspace) -> list[FieldElement]:
     """The points of S in digit order: point i is sum_j c_j * basis[j] for the base-p digits c of i."""
     pts = [S.ctx.zero()]
-    for b in S.basis:
+    for b in S.ctx.elements_of(S.basis):
         pts = [x + c * b for c in range(S.ctx.p) for x in pts]
     return pts
 
 
 def group_elements(A: GroupA) -> tuple[AffineMap, ...]:
     """All |S|*|H| maps of A, S in digit order outermost, H in power order."""
-    return tuple(AffineMap(s, h) for s in scalar_points(A.S) for h in A.H.elements())
+    return tuple(AffineMap(s, h) for s in scalar_points(A.S) for h in A.ambient.elements_of(A.H.elements))
 
 
 def scalar_find_free_point(A: GroupA) -> FieldElement:
@@ -370,7 +460,7 @@ def scalar_find_free_point(A: GroupA) -> FieldElement:
     one = ambient.one()
     s_points = scalar_points(A.S)
     bad = set()
-    for h in A.H.elements():
+    for h in ambient.elements_of(A.H.elements):
         if h == one:
             continue
         inv = (one - h).inverse()
@@ -404,7 +494,7 @@ def scalar_build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     edges: list[tuple[int, int]] = []
     for s in scalar_points(S):
         coset = min((s + g).code() for g in g_points)
-        for hi, (h, ih) in enumerate(zip(H.elements(), H.inverses)):
+        for hi, ih in enumerate(A.ambient.elements_of(H.inverses)):
             li = left_index.setdefault((coset, hi), len(left_index))
             edges.append((li, position[ih * s]))
     n_left, n_right = len(left_index), S.size
@@ -460,7 +550,7 @@ def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndar
         blocks = np.zeros((size, k, size, k), dtype=np.int64)
         for j, (num, w) in enumerate(zip(*lagrange_weights(base))):
             for i, c in enumerate((num * w).coeffs):
-                blocks[i, :, j, :] = mul_matrix(c)
+                blocks[i, :, j, :] = mul_matrix(ctx, np.array(c.coeffs))
         maps[side] = blocks.reshape(size * k, size * k)
     return maps
 
@@ -509,7 +599,7 @@ def scalar_sigma2_exact(
     """sigma_2 from lambda_a = Pr_h[h^-1 a in G^perp], maximized over every a outside S^perp."""
     g_perp = point_set(G.points.dual())
     s_perp = point_set(S.dual())
-    inverses = H.inverses
+    inverses = ambient.elements_of(H.inverses)
     best = 0
     for a in ambient.elements():
         if a in s_perp:
@@ -529,7 +619,7 @@ def scalar_sigma2_exact(
 def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
     """M = max over every a outside H^perp of |sum_h chi_a(h)|, from exponent histograms."""
     p = ambient.p
-    h_perp = point_set(FpSubspace.from_vectors(ambient, H.elements()).dual())
+    h_perp = point_set(FpSubspace.from_vectors(ambient, H.elements).dual())
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
     best_sq: Fraction | None = None
@@ -537,7 +627,7 @@ def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
         if a in h_perp:
             continue
         counts = [0] * p
-        for h in H.elements():
+        for h in ambient.elements_of(H.elements):
             counts[trace(a * h)] += 1
         val = abs(sum(c * zeta[e] for e, c in enumerate(counts) if c))
         if val > best:
@@ -571,7 +661,7 @@ def walk_difference_counts(G: TranslationGroup, H: ScalingGroup, S: FpSubspace) 
     """
     counts = np.zeros(S.size, dtype=np.int64)
     g_points = scalar_points(G.points)
-    for h_inv in H.inverses:
+    for h_inv in H.ctx.elements_of(H.inverses):
         for g in g_points:
             counts[_index(S, h_inv * g)] += 1
     return counts
@@ -610,7 +700,7 @@ def sample_walk_tv(
     """
     rng = np.random.default_rng(seed)
     g_points = scalar_points(G.points)
-    h_invs = H.inverses
+    h_invs = H.ctx.elements_of(H.inverses)
     start = scalar_points(S)[start_index]
     targets = np.array([_index(S, start + ih * g) for ih in h_invs for g in g_points], dtype=np.int64)
     picks = rng.integers(0, len(targets), size=steps)
@@ -644,7 +734,7 @@ def character_eigencheck(
     seen: dict[tuple[int, ...], int] = {}
     for a in ambient.elements():
         exps = character_exponents(s_points, a)
-        cnt = sum(1 for ih in H.inverses if ih * a in g_perp)
+        cnt = sum(1 for ih in ambient.elements_of(H.inverses) if ih * a in g_perp)
         prev = seen.get(exps)
         if prev is not None:
             if prev != cnt:
@@ -912,7 +1002,7 @@ def kernel_base_degree(f: Poly, u: Poly) -> int | float:
     ctx = f.ctx
     u = u * u.leading().inverse()
     c = 1 if f.int_coeffs() is not None and u.int_coeffs() is not None else ctx.k
-    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], _divisor(ctx, poly_digits(u), c), ctx.p)[0])
+    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], mul_matrix(ctx, poly_digits(u))[:, :c, :c], ctx.p)[0])
     return MINUS_INFINITY if d < 0 else d
 
 
@@ -929,7 +1019,7 @@ def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
     ctx = ms.ctx
     rng = np.random.default_rng(seed)
     rows = encode_basis_digits(ctx, ms.coeffs, omega)
-    mats = np.stack([mul_matrix(c) for c in ctx.elements()])
+    mats = mul_matrix(ctx, ctx.digit_rows(list(ctx.elements())))
     tables = [np.einsum("cij,nj->cni", mats, row) % ctx.p for row in rows]
     best = len(omega)
     done = 0
@@ -944,3 +1034,67 @@ def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
         best = min(best, int(weights.min()))
         done += b
     return best
+
+
+# -- Monte Carlo volume oracle ----------------------------------------------------
+
+
+def polytope_indicator_i(r: Fraction, rho: Fraction, m: int) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """(dimension, vectorized membership test) for the balanced polytope.
+
+    Variables: the 2m dominant digit ratios plus the free-coefficient
+    ratio z, all sampled from the unit cube; membership is sum < r with
+    the last digit variable additionally below rho.
+    """
+    _validate(Fraction(r), Fraction(rho), m)
+    dim = 2 * m + 1
+    rf, rhof = float(r), float(rho)
+
+    def member(pts: np.ndarray) -> np.ndarray:
+        return (pts.sum(axis=1) < rf) & (pts[:, 2 * m - 1] < rhof)
+
+    return dim, member
+
+
+def polytope_indicator_ii(
+    r: Fraction, rho: Fraction, m: int, gamma: Fraction
+) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """(dimension, membership test) for the tunable polytope.
+
+    2m+1 dominant digit ratios plus the decoupled z < r variable; digit
+    ratios sum below r*gamma with the last one additionally below
+    rho*gamma.
+    """
+    _validate(Fraction(r), Fraction(rho), m, Fraction(gamma))
+    nx = 2 * m + 1
+    dim = nx + 1
+    rg, rhog, rf = float(Fraction(r) * Fraction(gamma)), float(Fraction(rho) * Fraction(gamma)), float(r)
+
+    def member(pts: np.ndarray) -> np.ndarray:
+        x = pts[:, :nx]
+        return (x.sum(axis=1) < rg) & (x[:, nx - 1] < rhog) & (pts[:, nx] < rf)
+
+    return dim, member
+
+
+def volume_monte_carlo(
+    dim: int,
+    member: Callable[[np.ndarray], np.ndarray],
+    samples: int = 10_000_000,
+    seed: int = 0,
+    chunk: int = 1_000_000,
+) -> tuple[float, float]:
+    """(estimate, standard error) of a unit-cube subvolume by uniform sampling."""
+    if samples < 1:
+        raise ParameterError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        pts = rng.random((b, dim))
+        hits += int(member(pts).sum())
+        done += b
+    est = hits / samples
+    stderr = sqrt(max(est * (1 - est), 1e-300) / samples)
+    return est, stderr

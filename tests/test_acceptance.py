@@ -9,14 +9,18 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import Poly, base_degree, base_expand, kernel_base_degree, weight_direct
-from orbitcodes.bounds import (
+from oracles import (
+    Poly,
+    base_degree,
+    base_expand,
+    divisors,
+    kernel_base_degree,
     polytope_indicator_i,
     polytope_indicator_ii,
-    volume_i,
-    volume_ii,
     volume_monte_carlo,
+    weight_direct,
 )
+from orbitcodes.bounds import volume_i, volume_ii
 from orbitcodes.codecore import (
     CodeParams,
     check_local_rs,
@@ -31,7 +35,6 @@ from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd, spectr
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.numutil import divisors
 
 TOL = 1e-9
 HALF = Fraction(1, 2)

@@ -7,16 +7,14 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from oracles import polytope_indicator_i, polytope_indicator_ii, volume_monte_carlo
 from orbitcodes.bounds import (
     bound_report,
     counting_baseline,
     distance_bounds,
-    polytope_indicator_i,
-    polytope_indicator_ii,
     rate_lower_bound,
     volume_i,
     volume_ii,
-    volume_monte_carlo,
 )
 from orbitcodes.errors import ParameterError
 

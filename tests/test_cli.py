@@ -330,6 +330,43 @@ def test_bundle_config_with_a_float_or_bool_integer_is_structured_error(bundle_p
     _assert_structured_error(code, out, "malformed config value", f"{key}={value!r}")
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("r", 0.1), ("gamma", 0.5), ("r", True)],
+    ids=["float-r", "float-gamma", "bool-r"],
+)
+def test_bundle_config_with_a_float_or_bool_fraction_is_structured_error(bundle_path, tmp_path, capsys, key, value):
+    # a float holds the nearest binary fraction (0.1 is 3602879701896397/36028797018963968), not the rational it spells
+    doc = _valid_bundle(bundle_path)
+    if key == "gamma":
+        doc["config"].update(instantiation="II", p=3)  # gamma = 1/2 divides p - 1 = 2
+    doc["config"][key] = value
+    code, out = _run(capsys, "rate", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out, "malformed config value", f"{key}={value!r}")
+
+
+def test_bundle_config_with_a_decimal_fraction_string_is_accepted(bundle_path, tmp_path, capsys):
+    doc = _valid_bundle(bundle_path)
+    doc["config"]["r"] = "0.5"
+    code, out = _run(capsys, "rate", "--bundle", _bundle_with(tmp_path, doc))
+    assert code == 0
+    assert json.loads(out)["config"]["r"] == "1/2"
+
+
+@pytest.fixture(scope="module")
+def bundle_ii_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundles") / "inst2_p2.json"
+    assert main(["instantiate", "--p", "2", "--m", "2", "--inst", "II", "--gamma", "1", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["distance", "report"])
+def test_negative_sample_is_structured_error(bundle_ii_path, capsys, command):
+    # II(2,2) is over the exhaustive budget, so the sample count is what the distance section would use
+    code, out = _run(capsys, command, "--bundle", bundle_ii_path, "--sample", "-5")
+    _assert_structured_error(code, out, "sample count must be >= 0, got -5")
+
+
 def test_bundle_config_with_an_integer_string_is_accepted(bundle_path, tmp_path, capsys):
     doc = _valid_bundle(bundle_path)
     doc["config"]["D"] = "40"

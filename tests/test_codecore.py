@@ -109,11 +109,11 @@ def test_message_space_generic_fallback(inst1_p2):
     # coefficients exercises the field-coefficient fallback path
     inst = inst1_p2
     ambient = inst.ambient
-    shifted = FpSubspace(ambient, [ambient.from_int(9)])
+    shifted = FpSubspace(ambient, ambient.digit_rows([ambient.from_int(9)]))
     G2 = TranslationGroup(shifted)
     g2 = row_poly(ambient, G2.annihilator)
     assert g2.int_coeffs() is None
-    H2 = ScalingGroup(ambient.one(), 1)
+    H2 = ScalingGroup(ambient, ambient.one().coeffs, 1)
     params = CodeParams("I", 2, 2, Fraction(1, 4), 8, 48)
     ms = message_space(G2, H2, params)
     # deg_g < 1/4 * 2 forces constant digits: the space is span(g^j, j <= 3)
@@ -310,6 +310,13 @@ def test_min_distance_sampled_upper_bound(inst1_p2):
     ms = inst.message_space()
     est = min_distance_sampled(ms, inst.omega, samples=2000, seed=0)
     assert 18 <= est <= inst.n  # sampling can only overestimate the minimum
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_min_distance_sampled_refuses_fewer_than_one_sample(inst1_p2, samples):
+    # no sample is drawn, so n would be reported as a bound that nothing supports
+    with pytest.raises(ParameterError, match="at least one sample"):
+        min_distance_sampled(inst1_p2.message_space(), inst1_p2.omega, samples=samples)
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     char_exponent,
     character_eigencheck,
+    divisors,
     point_set,
     sample_walk_tv,
     two_step_counts,
@@ -21,7 +22,6 @@ from orbitcodes.cosetgraph import (
 from orbitcodes.errors import BudgetError
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import ScalingGroup, scaling_subgroup
-from orbitcodes.numutil import divisors
 
 
 def test_graph_shapes(inst1_p2, inst1_p3, inst2_p2):
@@ -63,7 +63,7 @@ def test_edge_coordinate_consistency(all_instances):
             assert pts == {x + t for t in inst.ambient.elements_of(inst.G.points.points())}
         for pts in by_right.values():
             x = next(iter(pts))
-            assert pts == {h * x for h in inst.H.elements()}
+            assert pts == {h * x for h in inst.ambient.elements_of(inst.H.elements)}
 
 
 def test_sigma2_svd_complete_bipartite_is_zero():
@@ -108,7 +108,7 @@ def test_sigma2_exact_degenerate_one_step_walk(inst1_p2):
     # S^perp has lambda_a = [a in G^perp] and G^perp = S^perp, so sigma2 = 0;
     # feeding a larger S makes some a hit G^perp and sigma2 = 1
     ambient = inst1_p2.ambient
-    trivial_h = ScalingGroup(ambient.one(), 1)
+    trivial_h = ScalingGroup(ambient, ambient.one().coeffs, 1)
     g = inst1_p2.G
     assert sigma2_exact(g, trivial_h, g.points, ambient).value == 0.0
     assert sigma2_exact(g, trivial_h, inst1_p2.S, ambient).value == 1.0

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
-from oracles import char_exponent, conjugate_trace_vector, galois_poly, kernel_subspace, point_set, trace
+from oracles import (
+    char_exponent,
+    conjugate_trace_vector,
+    contains,
+    galois_poly,
+    kernel_subspace,
+    point_set,
+    scalar_primitive_element,
+    trace,
+)
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
@@ -21,6 +30,8 @@ from orbitcodes.gf import (
     frobenius_matrix,
     mul_matrix,
     mul_rows,
+    pow_rows,
+    primitive_element,
 )
 
 
@@ -136,21 +147,21 @@ def test_subfield_kernels_of_frobenius_powers_match_callable_oracle(p, k):
         power = frob @ power % p
         fast = FpSubspace.kernel(ctx, (power - np.eye(k, dtype=np.int64)) % p)
         slow = kernel_subspace(ctx, lambda v: v ** (p**d) - v)
-        assert fast.basis == slow.basis
+        assert np.array_equal(fast.basis, slow.basis)
         assert fast.size == p ** math.gcd(d, k)  # the fixed field of x -> x^(p^d)
 
 
 def test_dual_of_trivial_and_full():
     ctx = build_field(2, 4)
     trivial = FpSubspace(ctx, [])
-    full = FpSubspace.from_vectors(ctx, list(ctx.elements()))
+    full = FpSubspace.from_vectors(ctx, ctx.digit_rows(list(ctx.elements())))
     assert dual_subspace(trivial).size == ctx.order
     assert dual_subspace(full).size == 1
 
 
 def test_dual_of_one_span_in_f4():
     f4 = build_field(2, 2)
-    span1 = FpSubspace(f4, [f4.one()])
+    span1 = FpSubspace(f4, f4.digit_rows([f4.one()]))
     dual = dual_subspace(span1)
     assert point_set(dual) == {f4.zero(), f4.one()}
 
@@ -164,7 +175,7 @@ def _all_subspaces_f16(ctx):
             continue
         for combo in combinations(nonzero, d):
             try:
-                space = FpSubspace(ctx, list(combo))
+                space = FpSubspace(ctx, ctx.digit_rows(combo))
             except ParameterError:
                 continue
             key = point_set(space)
@@ -212,11 +223,11 @@ def test_character_orthogonality_on_subspaces(dim):
     while len(vecs) < dim:
         cand = ctx.from_int(rng.randrange(1, 64))
         try:
-            FpSubspace(ctx, vecs + [cand])
+            FpSubspace(ctx, ctx.digit_rows(vecs + [cand]))
         except ParameterError:
             continue
         vecs.append(cand)
-    space = FpSubspace(ctx, vecs)
+    space = FpSubspace(ctx, ctx.digit_rows(vecs))
     s_perp = point_set(dual_subspace(space))
     for a in ctx.elements():
         counts = [0, 0]
@@ -230,15 +241,15 @@ def test_character_orthogonality_on_subspaces(dim):
 
 def test_subspace_points_deterministic_and_indexed():
     ctx = build_field(2, 6)
-    space = FpSubspace(ctx, [ctx.from_int(3), ctx.from_int(8)])
+    space = FpSubspace(ctx, ctx.digit_rows([ctx.from_int(3), ctx.from_int(8)]))
     pts = space.points()
     assert pts.shape == (4, 6) and len(pts) == space.size
     assert not pts.flags.writeable
     assert space.index_of(pts).tolist() == list(range(4))
     assert space.index_of(np.array(ctx.one().coeffs)) == -1  # 1 lies outside span(3, 8)
     for pt in ctx.elements_of(pts):
-        assert pt in space
-    assert point_set(FpSubspace.from_vectors(ctx, ctx.elements_of(pts))) == point_set(space)
+        assert contains(space, pt)
+    assert point_set(FpSubspace.from_vectors(ctx, pts)) == point_set(space)
 
 
 def test_mixing_field_contexts_raises():
@@ -270,7 +281,7 @@ def _field_and_elements(draw, count):
 @given(_field_and_elements(2))
 def test_mul_matrix_product_is_the_field_product(case):
     ctx, (x, y) = case
-    assert tuple((mul_matrix(x) @ np.array(y.coeffs) % ctx.p).tolist()) == (x * y).coeffs
+    assert tuple((mul_matrix(ctx, np.array(x.coeffs)) @ np.array(y.coeffs) % ctx.p).tolist()) == (x * y).coeffs
 
 
 @given(_field_and_elements(16))
@@ -286,5 +297,49 @@ def test_matrix_of_the_inverse_of_one_minus_h_inverts_the_matrix_of_one_minus_h(
     ctx, (h,) = case
     assume(h != ctx.one())
     one_minus_h = ctx.one() - h
-    product = mul_matrix(one_minus_h.inverse()) @ mul_matrix(one_minus_h) % ctx.p
+    product = mul_matrix(ctx, np.array(one_minus_h.inverse().coeffs)) @ mul_matrix(ctx, np.array(one_minus_h.coeffs)) % ctx.p
     assert np.array_equal(product, np.eye(ctx.k, dtype=np.int64))
+
+
+# -- powers, batched matrices and the primitive element on the ladder fields ------------
+
+# the ambient fields of I(2,2), II(2,2), I(3,2), I(5,2), I(2,3) and I(7,2)
+LADDER_FIELDS = [(2, 6), (2, 12), (3, 6), (5, 6), (2, 21), (7, 6)]
+
+
+@given(st.sampled_from(LADDER_FIELDS), st.data())
+def test_pow_rows_matches_scalar_powers(field, data):
+    ctx = _field(*field)
+    codes = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=4))
+    e = data.draw(st.integers(0, 2 * ctx.order))  # past the group order too
+    xs = [ctx.from_int(c) for c in codes]
+    got = pow_rows(ctx, ctx.digit_rows(xs), e)
+    assert got.dtype == np.int64 and np.array_equal(got, ctx.digit_rows([x**e for x in xs]))
+
+
+def test_pow_rows_refuses_a_negative_exponent():
+    ctx = _field(2, 6)
+    with pytest.raises(ParameterError, match="exponent"):
+        pow_rows(ctx, ctx.digit_rows([ctx.gen()]), -1)
+
+
+@given(st.sampled_from(LADDER_FIELDS), st.data())
+def test_batched_mul_matrix_matches_scalar_products(field, data):
+    # column j of the matrix of x is x * X^j, on a (2, 3) grid of elements
+    ctx = _field(*field)
+    codes = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=6, max_size=6))
+    xs = [ctx.from_int(c) for c in codes]
+    mats = mul_matrix(ctx, ctx.digit_rows(xs).reshape(2, 3, ctx.k))
+    assert mats.shape == (2, 3, ctx.k, ctx.k)
+    powers = [ctx.one()]
+    for _ in range(ctx.k - 1):
+        powers.append(powers[-1] * ctx.gen())
+    for x, mat in zip(xs, mats.reshape(6, ctx.k, ctx.k)):
+        assert np.array_equal(mat.T, ctx.digit_rows([x * xj for xj in powers]))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), *LADDER_FIELDS])
+def test_primitive_element_matches_scalar_oracle(p, k):
+    ctx = _field(p, k)
+    row = primitive_element(ctx)
+    assert row.shape == (k,) and tuple(row.tolist()) == scalar_primitive_element(ctx).coeffs

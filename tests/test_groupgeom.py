@@ -11,12 +11,16 @@ from oracles import (
     AffineMap,
     Poly,
     group_elements,
+    independent_over_subfield,
     kernel_subspace,
     point_set,
     poly_digits,
     scalar_build_graph,
     scalar_find_free_point,
     scalar_orbit,
+    scalar_primitive_element,
+    scalar_scaling_closure,
+    scalar_scaling_group,
     translation_invariant_poly,
 )
 from orbitcodes.codecore import defining_poly
@@ -28,7 +32,6 @@ from orbitcodes.groupgeom import (
     ScalingGroup,
     TranslationGroup,
     find_free_point,
-    independent_over_subfield,
     orbit,
     roots_of_linearized,
     scaling_closure,
@@ -105,7 +108,7 @@ def test_scaling_subgroup_orders_and_containment():
     f64 = build_field(2, 6)
     h = scaling_subgroup(f64, 3)  # F_4^x inside F_64
     assert h.order == 3
-    els = h.elements()
+    els = f64.elements_of(h.elements)
     assert els[0] == f64.one()
     assert len(set(els)) == 3
     for x in els:
@@ -117,15 +120,44 @@ def test_scaling_subgroup_orders_and_containment():
 def test_scaling_group_rejects_wrong_order():
     f64 = build_field(2, 6)
     with pytest.raises(ParameterError):
-        ScalingGroup(f64.one(), 3)  # 1 has order 1, not 3
+        ScalingGroup(f64, f64.one().coeffs, 3)  # 1 has order 1, not 3
+
+
+@pytest.mark.parametrize(
+    "code,order,message",
+    [
+        (0, 3, "must be nonzero"),
+        (1, 0, "order must be >= 1"),
+        ("g3", 2, "does not divide the stated order"),  # g3 has order 3
+        ("g3", 6, "order smaller than 6"),
+        ("g9", 3, "does not divide the stated order"),  # g9 has order 9
+        ("g9", 27, "order smaller than 27"),
+    ],
+)
+def test_scaling_group_order_errors(code, order, message):
+    f64 = build_field(2, 6)
+    if isinstance(code, str):  # an element of order 3 or 9: a power of the primitive element
+        gen = scalar_primitive_element(f64) ** (63 // int(code[1:]))
+    else:
+        gen = f64.from_int(code)
+    with pytest.raises(ParameterError, match=message):
+        ScalingGroup(f64, gen.coeffs, order)
 
 
 def test_closure_with_trivial_scaling_group_is_g(inst1_p2):
     ambient = inst1_p2.ambient
     G = inst1_p2.G
-    trivial_h = ScalingGroup(ambient.one(), 1)
+    trivial_h = ScalingGroup(ambient, ambient.one().coeffs, 1)
     s = scaling_closure(G, trivial_h)
     assert point_set(s) == point_set(G.points)
+
+
+def test_group_a_refuses_a_translation_space_not_invariant_under_h(inst1_p2):
+    # G itself is not closed under H; its closure S is
+    inst = inst1_p2
+    with pytest.raises(ParameterError, match="not invariant"):
+        GroupA(inst.G.points, inst.H, inst.ambient)
+    assert GroupA(inst.S, inst.H, inst.ambient).size == inst.n
 
 
 def test_closure_sizes_match_both_instantiations(inst1_p2, inst2_p2):
@@ -138,7 +170,7 @@ def test_closure_sizes_match_both_instantiations(inst1_p2, inst2_p2):
 
 def test_closure_is_h_invariant(all_instances):
     for inst in all_instances:
-        for h in inst.H.elements():
+        for h in inst.ambient.elements_of(inst.H.elements):
             mapped = {h * s for s in inst.ambient.elements_of(inst.S.points())}
             assert mapped == point_set(inst.S)
 
@@ -166,14 +198,14 @@ def test_translations_and_scalings_intersect_trivially(all_instances):
     # the only affine map that is both a translation and a scaling is the identity
     for inst in all_instances:
         translations = {AffineMap(s, inst.ambient.one()) for s in inst.ambient.elements_of(inst.G.points.points())}
-        scalings = {AffineMap(inst.ambient.zero(), h) for h in inst.H.elements()}
+        scalings = {AffineMap(inst.ambient.zero(), h) for h in inst.ambient.elements_of(inst.H.elements)}
         both = translations & scalings
         assert both == {AffineMap.identity(inst.ambient)}
 
 
 def test_free_point_and_orbit(all_instances):
     for inst in all_instances:
-        alpha = inst.alpha
+        alpha = inst.ambient.elements_of(inst.alpha[None])[0]
         for phi in group_elements(inst.A):
             if not phi.is_identity():
                 assert phi.apply(alpha) != alpha
@@ -184,7 +216,7 @@ def test_free_point_and_orbit(all_instances):
 
 def test_free_point_deterministic_first_in_order(inst1_p2):
     ambient = inst1_p2.ambient
-    alpha = find_free_point(inst1_p2.A)
+    alpha = ambient.elements_of(find_free_point(inst1_p2.A)[None])[0]
     # nothing earlier in enumeration order is free
     bad_before = []
     for v in range(alpha.code()):
@@ -196,8 +228,8 @@ def test_free_point_deterministic_first_in_order(inst1_p2):
 
 def _translation_only_group():
     f64 = build_field(2, 6)
-    G = TranslationGroup(FpSubspace(f64, [f64.from_int(3), f64.from_int(8)]))
-    trivial_h = ScalingGroup(f64.one(), 1)
+    G = TranslationGroup(FpSubspace(f64, f64.digit_rows([f64.from_int(3), f64.from_int(8)])))
+    trivial_h = ScalingGroup(f64, f64.one().coeffs, 1)
     return G, GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
 
 
@@ -205,7 +237,7 @@ def test_translation_only_group_every_point_free():
     G, A = _translation_only_group()
     f64 = A.ambient
     alpha = find_free_point(A)
-    assert alpha == f64.zero()  # first element passes: translations never fix anything
+    assert f64.elements_of(alpha[None])[0] == f64.zero()  # first element passes: translations never fix anything
     om = orbit(A, alpha)
     assert set(f64.elements_of(om)) == point_set(G.points)
 
@@ -225,7 +257,7 @@ def test_roots_of_linearized_match_callable_oracle(config):
     inst = _rung(config)
     g_ints = defining_poly(*config[:3])
     g = Poly.from_ints(inst.ambient, g_ints)
-    assert roots_of_linearized(g_ints, inst.ambient).basis == kernel_subspace(inst.ambient, g).basis
+    assert np.array_equal(roots_of_linearized(g_ints, inst.ambient).basis, kernel_subspace(inst.ambient, g).basis)
 
 
 @pytest.mark.parametrize("config", [*RUNGS, "translations"], ids=[*RUNG_IDS, "translation-only"])
@@ -242,11 +274,11 @@ def test_array_build_matches_scalar_oracles(config):
     else:
         inst = _rung(config)
         G, A = inst.G, inst.A
-    alpha = find_free_point(A)
-    assert alpha == scalar_find_free_point(A)
+    alpha, scalar_alpha = find_free_point(A), scalar_find_free_point(A)
+    assert A.ambient.elements_of(alpha[None])[0] == scalar_alpha
     om = orbit(A, alpha)
     assert not om.flags.writeable
-    assert np.array_equal(om, scalar_orbit(A, alpha))
+    assert np.array_equal(om, scalar_orbit(A, scalar_alpha))
     fast, slow = build_graph(A, G), scalar_build_graph(A, G)
     assert (fast.n_left, fast.n_right, fast.is_simple) == (slow.n_left, slow.n_right, slow.is_simple)
     assert fast.edges.dtype == np.int64 and np.array_equal(fast.edges, slow.edges)
@@ -270,7 +302,7 @@ def test_basis_of_g_independent_over_subfield():
     for p in (2, 3):
         inst = build_instance(InstanceConfig("I", p, 2, r=Fraction(1, 2)))
         ambient = inst.ambient
-        assert independent_over_subfield(inst.G.points.basis, 2)
+        assert independent_over_subfield(ambient, inst.G.points.basis, 2)
 
 
 def test_multiple_by_a_subfield_element_is_dependent_over_the_subfield(inst1_p2):
@@ -278,5 +310,25 @@ def test_multiple_by_a_subfield_element_is_dependent_over_the_subfield(inst1_p2)
     f4 = kernel_subspace(ambient, lambda x: x**4 - x)
     lam = next(x for x in ambient.elements_of(f4.points()) if x not in (ambient.zero(), ambient.one()))
     v = ambient.gen()
-    assert not independent_over_subfield([v, lam * v], 2)
-    assert independent_over_subfield([v, lam * v], 1)  # lam lies outside F_2
+    assert not independent_over_subfield(ambient, ambient.digit_rows([v, lam * v]), 2)
+    assert independent_over_subfield(ambient, ambient.digit_rows([v, lam * v]), 1)  # lam lies outside F_2
+
+
+LADDER = [*RUNGS, ("I", 7, 2, None)]
+
+
+@pytest.mark.parametrize("config", LADDER, ids=[*RUNG_IDS, "I72"])
+def test_scaling_group_and_closure_match_scalar_oracles(config):
+    # H's generator is prim^(n/|H|) for the first primitive element; its powers,
+    # their inverses and S's RREF basis agree bit for bit with the scalar build
+    inst = _rung(config)
+    ctx, H = inst.ambient, inst.H
+    gen = scalar_primitive_element(ctx) ** ((ctx.order - 1) // H.order)
+    assert tuple(H.generator.tolist()) == gen.coeffs
+    powers, inverses = scalar_scaling_group(gen, H.order)
+    for arr, expected in ((H.elements, powers), (H.inverses, inverses)):
+        assert not arr.flags.writeable and arr.dtype == np.int64
+        assert np.array_equal(arr, ctx.digit_rows(expected))
+    assert not inst.S.basis.flags.writeable
+    assert np.array_equal(inst.S.basis, scalar_scaling_closure(inst.G, H).basis)
+    assert not inst.alpha.flags.writeable and inst.alpha.shape == (ctx.k,)

@@ -132,7 +132,7 @@ def test_translation_invariant_poly_trivial_group():
 
 def test_translation_invariant_poly_f2_in_f4():
     f4 = build_field(2, 2)
-    sub = FpSubspace(f4, [f4.one()])  # F_2 inside F_4
+    sub = FpSubspace(f4, f4.digit_rows([f4.one()]))  # F_2 inside F_4
     g = translation_invariant_poly(sub)
     assert g == Poly.from_ints(f4, [0, 1, 1])  # X^2 + X
 
@@ -140,7 +140,7 @@ def test_translation_invariant_poly_f2_in_f4():
 def test_translation_invariant_poly_is_linearized():
     # nonzero coefficients only at p-power exponents, for a subspace
     ctx = build_field(2, 6)
-    sub = FpSubspace(ctx, [ctx.from_int(3), ctx.from_int(8), ctx.from_int(17)])
+    sub = FpSubspace(ctx, ctx.digit_rows([ctx.from_int(3), ctx.from_int(8), ctx.from_int(17)]))
     g = translation_invariant_poly(sub)
     assert g.degree == 8
     p_powers = {1, 2, 4, 8}
@@ -154,7 +154,7 @@ def test_translation_invariant_poly_is_linearized():
 
 def test_invariance_under_translations():
     ctx = build_field(2, 6)
-    sub = FpSubspace(ctx, [ctx.from_int(3), ctx.from_int(8)])
+    sub = FpSubspace(ctx, ctx.digit_rows([ctx.from_int(3), ctx.from_int(8)]))
     g = translation_invariant_poly(sub)
     rng = random.Random(3)
     for _ in range(200):
