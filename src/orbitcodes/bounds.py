@@ -135,10 +135,8 @@ def bound_report(
     D: int | None = None,
     n: int | None = None,
 ) -> BoundReport:
-    if instantiation == "I":
-        vol = volume_i(r, rho, m)
-    else:
-        vol = volume_ii(r, rho, m, gamma)
+    rate_lb = rate_lower_bound(instantiation, r, rho, m, gamma)
+    vol = rate_lb * gamma if instantiation == "II" else rate_lb  # the II rate bound is the volume / gamma
     alg, expander = distance_bounds(r, rho, sigma2)
     counting = None
     if D is not None and n is not None:
@@ -150,7 +148,7 @@ def bound_report(
         rho=Fraction(rho),
         gamma=None if gamma is None else Fraction(gamma),
         volume=vol,
-        rate_lb_polytope=rate_lower_bound(instantiation, r, rho, m, gamma),
+        rate_lb_polytope=rate_lb,
         rate_lb_counting=counting,
         dist_lb_algebraic=alg,
         dist_lb_expander=expander,

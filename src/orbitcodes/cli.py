@@ -92,13 +92,17 @@ def _load_bundle(path: str):
     return load_bundle(_read_json(path))
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = canonical_json(doc)
+def _write(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout when no path is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out_path: str | None) -> None:
+    _write(canonical_json(doc), out_path)
 
 
 def _config_from_args(args) -> InstanceConfig:
@@ -125,12 +129,7 @@ def cmd_graph(args) -> int:
     inst = _load_bundle(args.bundle)
     lines = ["edge_id,left_idx,right_idx"]
     lines += [f"{e},{l},{r}" for e, (l, r) in enumerate(inst.graph.edges.tolist())]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -151,11 +150,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    inst = _load_bundle(args.bundle)
-    body = distance_section(inst, _budgets(), sample=args.sample)
-    doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "distance": body}
-    _emit(doc, args.out)
-    return 0 if body.get("ok", True) else 1
+    return _section_command(args, lambda inst, budgets: distance_section(inst, budgets, sample=args.sample))
 
 
 def cmd_encode(args) -> int:
@@ -232,12 +227,7 @@ def cmd_sweep(args) -> int:
                         ]
                     )
                 )
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.out)
     return 0
 
 

@@ -8,11 +8,9 @@ the intersection of two explicitly spanned coefficient subspaces:
     V = span(X^i h^j : deg < D, i < r|H|)
 
 and both spanning families have pairwise distinct degrees, so U and V are
-cut out exactly.  Polynomials are digit arrays whose coefficients carry c
-F_p digits: c = 1 when the annihilator g has prime-subfield coefficients
-(every instantiation built here), so that U, V and their intersection are
-defined over F_p, and c = k otherwise.  One F_p elimination on the
-restriction of scalars of the U rows serves both cases.
+cut out exactly.  The annihilator g lies in F_p[X] (both instantiations
+define G as the roots of such a polynomial), so U, V and their
+intersection are defined over F_p and one F_p elimination computes it.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -109,14 +107,13 @@ class CodeParams:
 class MessageSpace:
     """Basis of the admissible polynomial space as one coefficient digit array.
 
-    coeffs[b, t] holds the digits of the coefficient of X^t in basis
-    polynomial b.  Its last axis has c = 1 digit when g has prime-field
-    coefficients (the basis is then defined over F_p) and c = k otherwise.
+    coeffs[b, t, 0] is the coefficient of X^t in basis polynomial b: the
+    basis is defined over F_p, so each coefficient is one digit.
     """
 
     ctx: FieldContext
     D: int
-    coeffs: np.ndarray  # (dim, D, c) int64
+    coeffs: np.ndarray  # (dim, D, 1) int64
     dim_u: int
     dim_v: int
     verification: dict | None = None  # verify_message_space of the basis, set by message_space
@@ -157,38 +154,24 @@ def defining_poly(instantiation: str, p: int, m: int) -> list[int]:
 def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
-    Computed as the intersection U cap V of the two constraint subspaces, by
-    restriction of scalars to F_p.  Row (u, a) of the expanded matrix holds
-    the digits of x^a * U_u, for x the field generator, so a combination
-    sum_u c_u U_u with c_u in F is an F_p-combination of the expanded rows.
-    The F_p-RREF of the expanded bad-column block is the expansion of its
-    F-RREF, so the F_p kernel rows whose free column is digit 0 of a
-    variable (the last nonzero entry of a kernel row is its free column)
-    are exactly the F-kernel vectors of the field system, written out in
-    digits.  With c = 1 the expansion is the U rows themselves and every
-    kernel row qualifies; the basis is then put in RREF.
+    Computed as the intersection U cap V of the two constraint subspaces:
+    the combinations of the U rows that vanish on every column outside V
+    are the kernel of U's bad-column block, and the basis is their span,
+    put in RREF.  Raises ParameterError when g lies outside F_p[X].
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (verify_message_space); the result is
     stored as ms.verification and a failure raises InternalError.
     """
-    ctx = G.ctx
-    p, c = ctx.p, _coeff_digits(G)
+    p = G.ctx.p
     D, r = params.D, params.r
     imax_h = max_degree_below(r * H.order)
     bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
-    rows = _u_rows(G, pairs, D, c)
-    if c > 1:  # with c = 1 the rows are their own expansion; skip the copy
-        rows = np.einsum("utj,ajl->uatl", rows, ctx.mul_tensor()) % p
-    expanded = rows.reshape(len(pairs) * c, D * c)
-    bad = (np.array(bad_cols, dtype=np.int64)[:, None] * c + np.arange(c)).ravel()
-    kernel = nullspace_mod_p(expanded[:, bad].T, p)
-    free_col = _last_nonzero(kernel != 0)
-    basis = kernel[free_col % c == 0] @ expanded % p
-    if c == 1:
-        basis = rref_mod_p(basis, p)[0]
-    ms = MessageSpace(ctx, D, basis.reshape(-1, D, c), len(pairs), D - len(bad_cols))
+    rows = _u_rows(_fp_annihilator(G), pairs, D, p)
+    kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
+    basis = rref_mod_p(kernel @ rows % p, p)[0]
+    ms = MessageSpace(G.ctx, D, basis[:, :, None], len(pairs), D - len(bad_cols))
 
     ms.verification = verify_message_space(ms, G, H, params)
     if not ms.verification["all_ok"]:
@@ -196,29 +179,28 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     return ms
 
 
-def _coeff_digits(G: TranslationGroup) -> int:
-    """Digits per coefficient of the polynomials built from g: 1 when g lies in F_p[X], k otherwise."""
-    return G.ctx.k if G.annihilator[:, 1:].any() else 1
+def _fp_annihilator(G: TranslationGroup) -> np.ndarray:
+    """The F_p coefficients of G's annihilator g; ParameterError when g lies outside F_p[X]."""
+    if G.annihilator[:, 1:].any():
+        raise ParameterError("the annihilator of the translation group has coefficients outside F_p")
+    return G.annihilator[:, 0]
 
 
-def _u_rows(G: TranslationGroup, pairs: list[tuple[int, int]], D: int, c: int) -> np.ndarray:
-    """(len(pairs), D, c) digits of X^i g^j for every (i, j) of pairs, j ascending.
+def _u_rows(g: np.ndarray, pairs: list[tuple[int, int]], D: int, p: int) -> np.ndarray:
+    """(len(pairs), D) F_p coefficients of X^i g^j for every (i, j) of pairs, j ascending.
 
-    Each g^j is g^(j-1) times g, one shifted product with the multiplication
-    matrices of g's coefficients (restricted to c digits) per nonzero term
-    of g.
+    Each g^j is g^(j-1) times g: one shifted multiple per nonzero term of g.
     """
-    g = mul_matrix(G.ctx, G.annihilator)[:, :c, :c]
-    terms = [(e, g[e].T) for e in np.nonzero(g.any(axis=(1, 2)))[0].tolist()]
-    rows = np.zeros((len(pairs), D, c), dtype=np.int64)
-    gj = np.eye(1, c, dtype=np.int64)  # g^0 = 1
+    terms = [(e, int(g[e])) for e in np.nonzero(g)[0].tolist()]
+    rows = np.zeros((len(pairs), D), dtype=np.int64)
+    gj = np.ones(1, dtype=np.int64)  # g^0 = 1
     cur_j = 0
     for ridx, (i, j) in enumerate(pairs):
         while cur_j < j:
-            nxt = np.zeros((len(gj) + len(g) - 1, c), dtype=np.int64)
-            for e, mt in terms:
-                nxt[e : e + len(gj)] += gj @ mt
-            gj = nxt % G.ctx.p
+            nxt = np.zeros(len(gj) + len(g) - 1, dtype=np.int64)
+            for e, coeff in terms:
+                nxt[e : e + len(gj)] += coeff * gj
+            gj = nxt % p
             cur_j += 1
         rows[ridx, i : i + len(gj)] = gj
     return rows
@@ -237,21 +219,18 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     digits come from one batched Euclidean expansion per base
     (fppoly.expansion_degrees), not from how the rows were built.  A zero
     row has no digits (degree -infinity, written -1) and passes every
-    check.  c is k, or 1 when g has prime-field coefficients.
+    check.  c is 1 (F_p coefficients, as in a message-space basis) or k
+    (field coefficients).
     """
     ctx = G.ctx
     coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
-    c = coeffs.shape[2]
-    if c not in (ctx.k, _coeff_digits(G)):
-        raise ParameterError(f"coefficients need {ctx.k} digits over this translation group, got {c}")
-    h_digits = np.zeros((H.order + 1, ctx.k), dtype=np.int64)
-    h_digits[-1, 0] = 1
+    if coeffs.shape[2] not in (1, ctx.k):
+        raise ParameterError(f"coefficients need 1 or {ctx.k} digits, got {coeffs.shape[2]}")
     r = params.r
-    g_mats, h_mats = mul_matrix(ctx, G.annihilator)[:, :c, :c], mul_matrix(ctx, h_digits)[:, :c, :c]
     values = {
         "degree": (_last_nonzero(coeffs.any(axis=2)), params.D),
-        "translation_base_degree": (fppoly.expansion_degrees(coeffs, g_mats, ctx.p), r * G.size),
-        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, h_mats, ctx.p), r * H.order),
+        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _fp_annihilator(G), ctx.p), r * G.size),
+        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, [0] * H.order + [1], ctx.p), r * H.order),
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
     return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
@@ -529,11 +508,10 @@ def min_distance_exhaustive(
 
     Enumerates the full field-linear code when |F|^dim fits the budget and
     the |F| multiples of one basis codeword fit LOW_TABLE_BYTES.  Otherwise,
-    when the basis has prime-field coefficients (c = 1) and p^dim fits, it
-    exhausts the prime-rational subcode exactly; that value upper-bounds
-    the code distance while every lower bound proved for the code applies
-    to it, and the mode is recorded so reports stay honest about which
-    set was enumerated.
+    when p^dim fits, it exhausts the prime-rational subcode (the F_p span
+    of the basis) exactly; that value upper-bounds the code distance while
+    every lower bound proved for the code applies to it, and the mode is
+    recorded so reports stay honest about which set was enumerated.
     """
     ctx = ms.ctx
     if ms.dim == 0:
@@ -543,7 +521,7 @@ def min_distance_exhaustive(
     table_bytes = q * len(omega) * ctx.k * 8  # the multiples of one basis codeword
     if q**ms.dim <= budget and table_bytes <= LOW_TABLE_BYTES:
         scalars, mode = q, "full-field"
-    elif ms.coeffs.shape[2] == 1 and p**ms.dim <= budget:
+    elif p**ms.dim <= budget:
         scalars, mode = p, "prime-subcode"
     else:
         reason = (
@@ -551,7 +529,7 @@ def min_distance_exhaustive(
             if q**ms.dim > budget
             else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
         )
-        raise BudgetError(f"{reason}; use min_distance_sampled for a lower-confidence estimate")
+        raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
     tables = _multiples(encode_basis_digits(ctx, ms.coeffs, omega), ctx, scalars)
     return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim, dim=ms.dim)
 

@@ -28,9 +28,9 @@
 * the two-step walk diagnostics (``two_step_counts`` through
   ``character_eigencheck``): exact and sampled cross-checks of the walk
   rule and of the character eigenvectors, over whole fields or closures.
-* ``scalar_message_space_generic``: the message-space basis for an
-  annihilator outside F_p[X], by Gaussian elimination over the field
-  with scalar ``FieldElement`` arithmetic.
+* ``scalar_message_space_generic``: the message-space basis by Gaussian
+  elimination over the whole field with scalar ``FieldElement``
+  arithmetic, on rows X^i g^j built as ``Poly`` products.
 * the scalar base expansions: ``base_expand``/``base_degree`` over any
   field and ``base_digits``/``max_digit_degree`` over F_p, one Euclidean
   division at a time on little-endian coefficient lists; ``power`` by
@@ -994,15 +994,18 @@ def row_poly(ctx: FieldContext, row: np.ndarray) -> Poly:
 def kernel_base_degree(f: Poly, u: Poly) -> int | float:
     """f's base-u degree from fppoly.expansion_degrees, MINUS_INFINITY for f = 0.
 
-    Uses one digit per coefficient when f and u have prime-field
-    coefficients, and all k digits otherwise.  The kernel divides by the
-    monic u / lc(u); the digits in that base are those in base u times
+    u must have prime-field coefficients, which the kernel takes as
+    integers; f uses one digit per coefficient when it has prime-field
+    coefficients too, and all k digits otherwise.  The kernel divides by
+    the monic u / lc(u); the digits in that base are those in base u times
     powers of lc(u), so the degrees agree.
     """
     ctx = f.ctx
-    u = u * u.leading().inverse()
-    c = 1 if f.int_coeffs() is not None and u.int_coeffs() is not None else ctx.k
-    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], mul_matrix(ctx, poly_digits(u))[:, :c, :c], ctx.p)[0])
+    u_ints = (u * u.leading().inverse()).int_coeffs()
+    if u_ints is None:
+        raise ValueError("the kernel's base must have prime-field coefficients")
+    c = 1 if f.int_coeffs() is not None else ctx.k
+    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], u_ints, ctx.p)[0])
     return MINUS_INFINITY if d < 0 else d
 
 

@@ -86,6 +86,15 @@ def test_bound_report_fields_in_range():
     for key in ("volume", "rate_lb_polytope", "rate_lb_counting", "dist_lb_algebraic", "dist_lb_expander"):
         assert 0 <= doc[key] <= 1
     assert doc["dist_lb_combined"] == max(doc["dist_lb_algebraic"], doc["dist_lb_expander"])
+    assert rep.volume == volume_ii(HALF, Fraction(5, 6), 2, ONE)
+    assert rep.rate_lb_polytope == rate_lower_bound("II", HALF, Fraction(5, 6), 2, ONE)
+
+
+def test_bound_report_refuses_a_missing_gamma_or_an_unknown_instantiation():
+    with pytest.raises(ParameterError, match="needs gamma"):
+        bound_report("II", 2, HALF, ONE, gamma=None)
+    with pytest.raises(ParameterError, match="unknown instantiation"):
+        bound_report("III", 2, HALF, ONE)
 
 
 def test_monte_carlo_unit_cube():

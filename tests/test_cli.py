@@ -208,6 +208,7 @@ def test_budget_env_override(bundle_path, capsys, monkeypatch):
     assert code == 0  # budget skip is not a failure
     sec = json.loads(out)["distance"]
     assert sec["status"].startswith("skipped: budget")
+    assert "min_distance_sampled (--sample) gives an upper bound" in sec["status"]
 
 
 def _assert_structured_error(code, out, *fragments):

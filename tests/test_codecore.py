@@ -104,24 +104,20 @@ def test_message_space_basis_passes_independent_checks(inst1_p2):
     assert Fraction(int(dh)) < inst.params.r * inst.H.order
 
 
-def test_message_space_generic_fallback(inst1_p2):
-    # a translation group whose annihilator has genuine extension-field
-    # coefficients exercises the field-coefficient fallback path
+def test_message_space_refuses_an_annihilator_outside_fp(inst1_p2):
+    # the group spanned by code 9 of F_64 has an annihilator with genuine
+    # extension-field coefficients: the message space and the constraint
+    # report, whose F_p path needs g in F_p[X], refuse it
     inst = inst1_p2
     ambient = inst.ambient
-    shifted = FpSubspace(ambient, ambient.digit_rows([ambient.from_int(9)]))
-    G2 = TranslationGroup(shifted)
-    g2 = row_poly(ambient, G2.annihilator)
-    assert g2.int_coeffs() is None
+    G2 = TranslationGroup(FpSubspace(ambient, ambient.digit_rows([ambient.from_int(9)])))
+    assert row_poly(ambient, G2.annihilator).int_coeffs() is None
     H2 = ScalingGroup(ambient, ambient.one().coeffs, 1)
     params = CodeParams("I", 2, 2, Fraction(1, 4), 8, 48)
-    ms = message_space(G2, H2, params)
-    # deg_g < 1/4 * 2 forces constant digits: the space is span(g^j, j <= 3)
-    assert ms.dim == 4
-    for row in ms.coeffs:
-        b = row_poly(ambient, row)
-        assert b.degree < 8
-        assert base_degree(b, g2) <= 0
+    with pytest.raises(ParameterError, match="outside F_p"):
+        message_space(G2, H2, params)
+    with pytest.raises(ParameterError, match="outside F_p"):
+        constraint_report(np.zeros((1, 8, 1), dtype=np.int64), G2, H2, params)
 
 
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):

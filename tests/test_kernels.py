@@ -1,6 +1,6 @@
 """The batched local check, the digit-array Schur product, the chunked
 distance enumeration and sampling, the quotient spectral scans, the
-restriction-of-scalars message space, the chunked encoding and the batched
+F_p message space, the chunked encoding and the batched
 base-degree kernel, each against its slow scalar oracle (tests/oracles.py)."""
 
 import itertools
@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (
     BaseUExpansion,
+    Poly,
     base_degree,
     dfs_min_weight,
     divisors,
@@ -48,8 +49,9 @@ from orbitcodes.codecore import (
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.gf import FpSubspace, build_field, mul_matrix, mul_rows
-from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
+from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, roots_of_linearized, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
+from orbitcodes.linalg import rref_mod_p
 from orbitcodes.report import distance_section, spectrum_section
 
 
@@ -301,28 +303,37 @@ def test_spectrum_section_computed_on_i23():
     assert all(sec["checks"].values()) and sec["ok"]
 
 
+X4_X = [0, 1, 0, 0, 1]  # X^4 + X: its roots are F_4 inside F_64
+X4_X2_X = [0, 1, 1, 0, 1]  # X^4 + X^2 + X = X (X^3 + X + 1): its roots lie in F_8 inside F_64
+X3_MINUS_X = [0, 2, 0, 1]  # X^3 - X over F_3: its roots are F_3
+
+
+# gens: the F_p coefficients of the polynomial whose roots form G
 @pytest.mark.parametrize(
     "p,k,gens,h_order,r,D",
     [
-        (2, 6, (9,), 1, Fraction(1, 4), 8),  # the fallback fixture of test_codecore
-        (2, 6, (9,), 7, Fraction(1, 2), 48),
-        (2, 6, (9, 5), 9, Fraction(3, 4), 48),
-        (3, 3, (4,), 13, Fraction(1, 2), 26),
-        (2, 6, (9,), 7, Fraction(1, 2), 260),  # D > 256: the generic path has no size limit
+        (2, 6, X4_X, 1, Fraction(1, 4), 8),
+        (2, 6, X4_X, 7, Fraction(1, 2), 48),
+        (2, 6, X4_X2_X, 9, Fraction(3, 4), 48),
+        (3, 3, X3_MINUS_X, 13, Fraction(1, 2), 26),
+        (2, 6, X4_X2_X, 7, Fraction(1, 2), 260),  # D > 256: the path has no size limit
     ],
 )
 def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     ctx = build_field(p, k)
-    G = TranslationGroup(FpSubspace(ctx, ctx.digit_rows([ctx.from_int(g) for g in gens])))
+    G = TranslationGroup(roots_of_linearized(gens, ctx))
     g = row_poly(ctx, G.annihilator)
     assert g == translation_invariant_poly(G.points)
-    assert g.int_coeffs() is None  # the annihilator is outside F_p[X]
+    assert g.int_coeffs() == gens
     H = scaling_subgroup(ctx, h_order)
     params = CodeParams("I", 2, 2, r, D, max(D, 48))
     ms = message_space(G, H, params)
-    assert ms.coeffs.shape[2] == k and ms.verification["all_ok"]
+    assert ms.coeffs.shape[2] == 1 and ms.verification["all_ok"]
+    # the field elimination of the oracle spans the same F_p space
+    oracle = [b.int_coeffs() for b in scalar_message_space_generic(G, H, params)]
+    oracle_rows = np.array([b + [0] * (D - len(b)) for b in oracle], dtype=np.int64).reshape(len(oracle), D)
+    assert np.array_equal(rref_mod_p(oracle_rows, p)[0], ms.coeffs[:, :, 0])
     basis = [row_poly(ctx, row) for row in ms.coeffs]
-    assert basis == scalar_message_space_generic(G, H, params)
     # the verification's per-row base degrees are those of the scalar expansion
     checks = ms.verification["checks"]
     x_h = scaling_invariant_poly(ctx, H.order)
@@ -354,23 +365,23 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
 def _expansion_cases(draw):
     """Rows and a monic divisor u over F_2, F_3, F_4 or F_9, with c = 1 or c = k digits.
 
-    Rows are either arbitrary or built as sum_i d_i u^i from digits d_i of
-    a drawn degree below deg u, so that a wrong digit would show in the
-    largest digit degree.
+    u has F_p coefficients.  Rows are either arbitrary or built as
+    sum_i d_i u^i from digits d_i of a drawn degree below deg u, so that a
+    wrong digit would show in the largest digit degree.
     """
     p, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
     ctx = build_field(p, k)
     c = draw(st.sampled_from(sorted({1, k})))
     degree = draw(st.integers(1, 6))
     low = 1 if draw(st.booleans()) else 0  # 1: every lower term of u is nonzero
-    u = np.concatenate([draw(arrays(np.int64, (degree, c), elements=st.integers(low, p - 1))), np.eye(1, c, dtype=np.int64)])
+    u = draw(st.lists(st.integers(low, p - 1), min_size=degree, max_size=degree)) + [1]
     n_rows = draw(st.integers(1, 4))
     if draw(st.booleans()):
         rows = draw(arrays(np.int64, (n_rows, draw(st.integers(0, 40)), c), elements=st.integers(0, p - 1)))
     else:
         shape = (n_rows, draw(st.integers(0, 7)), draw(st.integers(1, degree)), c)
         digits = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
-        u_poly = row_poly(ctx, u)
+        u_poly = Poly.from_ints(ctx, u)
         polys = [BaseUExpansion(u_poly, tuple(row_poly(ctx, d) for d in row)).reconstruct() for row in digits]
         rows = np.zeros((n_rows, max([len(f.coeffs) for f in polys] + [0]), c), dtype=np.int64)
         for row, f in zip(rows, polys):
@@ -383,11 +394,8 @@ def _expansion_cases(draw):
 @given(_expansion_cases())
 def test_base_degrees_match_scalar_expansion(case):
     ctx, u, rows = case
-    c = u.shape[1]
-    padded = np.zeros((len(u), ctx.k), dtype=np.int64)
-    padded[:, :c] = u
-    got = fppoly.expansion_degrees(rows, mul_matrix(ctx, padded)[:, :c, :c], ctx.p)
-    u_poly = row_poly(ctx, u)
+    got = fppoly.expansion_degrees(rows, u, ctx.p)
+    u_poly = Poly.from_ints(ctx, u)
     expected = [base_degree(row_poly(ctx, row), u_poly) for row in rows]
     assert got.tolist() == [-1 if d == float("-inf") else d for d in expected]
 
@@ -397,10 +405,9 @@ def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_
     if fixture == "local-II22":  # the benchmark's sizes: one chunk under the default bound
         ctx, coeffs, omega = inst2_p2.ambient, inst2_p2.message_space(D=96).coeffs, inst2_p2.omega
         assert len(omega) * 96 * 12 <= codecore.ENCODE_CHUNK_ENTRIES
-    else:  # c = k: field coefficients, on 48 points of F_64
+    else:  # c = k: random field coefficients, on 48 points of F_64
         ctx = build_field(2, 6)
-        G = TranslationGroup(FpSubspace(ctx, ctx.digit_rows([ctx.from_int(9)])))
-        coeffs = message_space(G, scaling_subgroup(ctx, 7), CodeParams("I", 2, 2, Fraction(1, 2), 48, 48)).coeffs
+        coeffs = np.random.default_rng(0).integers(0, 2, size=(12, 48, 6))
         omega = ctx.digit_rows(list(ctx.elements())[5:53])
     whole = encode_basis_digits(ctx, coeffs, omega)
     monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", 5 * coeffs.shape[1] * ctx.k)  # five points per chunk
