@@ -2,7 +2,10 @@
 
 Subcommands: instantiate, graph, spectrum, rate, encode, verify, distance,
 report, sweep.  `instantiate` writes a bundle JSON that every analysis
-command consumes, so the expensive construction runs once.  Exit code 0
+command consumes.  The bundle records the config, not the construction:
+load_bundle rebuilds the instance from the config on every command and
+checks the rebuilt alpha, n and graph summary against the bundle's, so a
+tampered bundle is refused rather than analysed.  Exit code 0
 means every checked inequality held (budget-skipped sections do not fail);
 anticipated errors surface as structured JSON with exit code 2.
 
@@ -204,12 +207,13 @@ def _grid(text: str) -> list[Fraction]:
 
 def cmd_sweep(args) -> int:
     rows = ["inst,m,r,rho,gamma,volume,rate_lb_polytope,dist_lb_algebraic,dist_lb_expander_asymptotic,form"]
+    if (args.inst == "II") != bool(args.gamma_grid):
+        needs = "needs" if args.inst == "II" else "takes no"
+        raise ParameterError(f"sweep over instantiation {args.inst} {needs} --gamma-grid")
     gammas = _grid(args.gamma_grid) if args.gamma_grid else [None]
     for r in _grid(args.r_grid):
         for rho in _grid(args.rho_grid):
             for gamma in gammas:
-                if args.inst == "II" and gamma is None:
-                    raise OrbitcodesError("sweep over instantiation II needs --gamma-grid")
                 br = bounds_mod.bound_report(args.inst, args.m, r, rho, gamma=gamma, sigma2=0.0)
                 rows.append(
                     ",".join(

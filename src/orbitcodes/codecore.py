@@ -12,6 +12,11 @@ cut out exactly.  The annihilator g lies in F_p[X] (both instantiations
 define G as the roots of such a polynomial), so U, V and their
 intersection are defined over F_p and one F_p elimination computes it.
 
+Polynomials are (rows, L) arrays of F_p coefficients, lowest degree
+first: the message-space basis, and the rows that constraint_report
+checks and encode_basis_digits encodes.  Only encode takes field
+coefficients, and it splits them into such rows.
+
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
 integer degree that passes, so at integral r*len the allowed degrees stop
@@ -91,29 +96,17 @@ class CodeParams:
     def rho(self) -> Fraction:
         return Fraction(self.D, self.n)
 
-    def to_json(self) -> dict:
-        return {
-            "instantiation": self.instantiation,
-            "p": self.p,
-            "m": self.m,
-            "r": str(self.r),
-            "D": self.D,
-            "n": self.n,
-            "gamma": None if self.gamma is None else str(self.gamma),
-        }
-
 
 @dataclass
 class MessageSpace:
-    """Basis of the admissible polynomial space as one coefficient digit array.
+    """Basis of the admissible polynomial space as one coefficient array.
 
-    coeffs[b, t, 0] is the coefficient of X^t in basis polynomial b: the
-    basis is defined over F_p, so each coefficient is one digit.
+    coeffs[b, t] is the F_p coefficient of X^t in basis polynomial b.
     """
 
     ctx: FieldContext
     D: int
-    coeffs: np.ndarray  # (dim, D, 1) int64
+    coeffs: np.ndarray  # (dim, D) int64
     dim_u: int
     dim_v: int
     verification: dict | None = None  # verify_message_space of the basis, set by message_space
@@ -121,9 +114,6 @@ class MessageSpace:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "dim_u": self.dim_u, "dim_v": self.dim_v, "D": self.D}
 
 
 def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
@@ -171,7 +161,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     rows = _u_rows(_fp_annihilator(G), pairs, D, p)
     kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
     basis = rref_mod_p(kernel @ rows % p, p)[0]
-    ms = MessageSpace(G.ctx, D, basis[:, :, None], len(pairs), D - len(bad_cols))
+    ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
 
     ms.verification = verify_message_space(ms, G, H, params)
     if not ms.verification["all_ok"]:
@@ -212,23 +202,20 @@ def _last_nonzero(mask: np.ndarray) -> np.ndarray:
 
 
 def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
-    """The three membership constraints of every row of a (rows, L, c) coefficient array.
+    """The three membership constraints of every row of a (rows, L) array of F_p coefficients.
 
     Each check maps to (per-row values, bound, per-row pass flags): the
     degree, and the largest digit degree in base g and in base X^|H|.  The
     digits come from one batched Euclidean expansion per base
     (fppoly.expansion_degrees), not from how the rows were built.  A zero
     row has no digits (degree -infinity, written -1) and passes every
-    check.  c is 1 (F_p coefficients, as in a message-space basis) or k
-    (field coefficients).
+    check.
     """
     ctx = G.ctx
     coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
-    if coeffs.shape[2] not in (1, ctx.k):
-        raise ParameterError(f"coefficients need 1 or {ctx.k} digits, got {coeffs.shape[2]}")
     r = params.r
     values = {
-        "degree": (_last_nonzero(coeffs.any(axis=2)), params.D),
+        "degree": (_last_nonzero(coeffs != 0), params.D),
         "translation_base_degree": (fppoly.expansion_degrees(coeffs, _fp_annihilator(G), ctx.p), r * G.size),
         "scaling_base_degree": (fppoly.expansion_degrees(coeffs, [0] * H.order + [1], ctx.p), r * H.order),
     }
@@ -251,18 +238,26 @@ def encode(
     """The (n, k) digit array of f(beta) for beta in the orbit, after checking f's constraints.
 
     f is given by its (L, c) coefficient digit array, lowest degree first,
-    and omega is the (n, k) orbit digit array.
+    with c = 1 (F_p coefficients) or c = k (field coefficients), and omega
+    is the (n, k) orbit digit array.  f = sum_a x^a f_a for its c digit
+    polynomials f_a in F_p[X] and the powers x^a of the field generator.
+    Both bases lie in F_p[X], so f's degree and base degrees are the
+    largest of its digit polynomials', and f's codeword is
+    sum_a x^a (f_a's codeword), through mul_tensor()[:c].
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
+    ctx = G.ctx
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    if coeffs.ndim != 2:
-        raise ParameterError(f"message coefficients must be an (L, c) digit array, got shape {coeffs.shape}")
-    rep = constraint_report(coeffs[None], G, H, params)
+    if coeffs.ndim != 2 or coeffs.shape[1] not in (1, ctx.k):
+        raise ParameterError(f"message coefficients must be an (L, 1) or (L, {ctx.k}) array, got shape {coeffs.shape}")
+    digit_polys = coeffs.T
+    rep = constraint_report(digit_polys, G, H, params)
     for name, (values, bound, ok) in rep["checks"].items():
-        if not ok[0]:
-            raise ConstraintViolation(f"{name} violated: {values[0]} must be < {bound}")
-    return encode_basis_digits(G.ctx, coeffs[None], omega)[0]
+        if not ok.all():
+            raise ConstraintViolation(f"{name} violated: {values.max()} must be < {bound}")
+    words = encode_basis_digits(ctx, digit_polys, omega)
+    return np.einsum("anj,ajl->nl", words, ctx.mul_tensor()[: len(words)]) % ctx.p
 
 
 def schur_product(ctx: FieldContext, cw1: np.ndarray, cw2: np.ndarray) -> np.ndarray:
@@ -468,20 +463,19 @@ def _power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
 
 
 def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Digit tensor (rows, n, k) of the codewords of a (rows, D, c) coefficient array on an (n, k) orbit array.
+    """Digit tensor (rows, n, k) of the codewords of a (rows, D) F_p coefficient array on an (n, k) orbit array.
 
-    The codeword of row b at beta is sum_t coeffs[b, t] * beta^t.  The sum
-    over t pairs coefficient digits with power digits, and mul_tensor()[:c]
-    turns each pair into the digits of its product.  Orbit points are taken
-    in chunks whose power tensor holds at most ENCODE_CHUNK_ENTRIES entries.
+    The codeword of row b at beta is sum_t coeffs[b, t] * beta^t: with F_p
+    coefficients, one sum over t of coefficients times power digits.
+    Orbit points are taken in chunks whose power tensor holds at most
+    ENCODE_CHUNK_ENTRIES entries.
     """
-    rows, D, c = coeffs.shape
+    rows, D = coeffs.shape
     n, k, p = len(omega), ctx.k, ctx.p
     out = np.zeros((rows, n, k), dtype=np.int64)
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
-        pairs = np.einsum("bta,ntj->bnaj", coeffs, _power_tensor(ctx, omega[lo : lo + chunk], D)) % p
-        out[:, lo : lo + chunk] = np.einsum("bnaj,ajl->bnl", pairs, ctx.mul_tensor()[:c]) % p
+        out[:, lo : lo + chunk] = np.einsum("bt,ntj->bnj", coeffs, _power_tensor(ctx, omega[lo : lo + chunk], D)) % p
     return out
 
 
@@ -493,10 +487,6 @@ class DistanceResult:
     value: int
     mode: str  # "full-field" or "prime-subcode"
     enumerated: int
-    dim: int
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "mode": self.mode, "enumerated": self.enumerated, "dim": self.dim}
 
 
 def min_distance_exhaustive(
@@ -531,7 +521,7 @@ def min_distance_exhaustive(
         )
         raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
     tables = _multiples(encode_basis_digits(ctx, ms.coeffs, omega), ctx, scalars)
-    return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim, dim=ms.dim)
+    return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim)
 
 
 def _multiples(rows: np.ndarray, ctx: FieldContext, scalars: int) -> list[np.ndarray]:

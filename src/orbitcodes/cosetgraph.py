@@ -135,9 +135,6 @@ class Sigma2Exact:
     value: float
     lambda_max: Fraction
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _check_scan_budget(points: int, budget: int) -> None:
     if points > budget:

@@ -1,10 +1,10 @@
-"""Base-u expansion of batches of polynomials over F_p, the one polynomial division in src.
+"""Base-u expansion of batches of F_p polynomials, the one polynomial division in src.
 
-expansion_degrees expands whole batches of polynomials, whose coefficients
-may be field elements written as F_p digit vectors, in a base with F_p
-coefficients.  Every other polynomial job works on digit arrays
-elsewhere: the modulus search and the Frobenius matrix in gf, the roots
-and the splitting degree of a linearized polynomial in groupgeom.
+expansion_degrees expands whole batches of polynomials with F_p
+coefficients in a base with F_p coefficients.  Every other polynomial job
+works on digit arrays elsewhere: the modulus search and the Frobenius
+matrix in gf, the roots and the splitting degree of a linearized
+polynomial in groupgeom.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from orbitcodes.errors import ParameterError
 def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     """Largest digit degree of every row's expansion in base u; -1 for a zero row.
 
-    rows is an (R, L, c) array: row r is sum_t rows[r, t] X^t, with each
-    coefficient written as c F_p digits.  u is the monic divisor's F_p
-    coefficients, lowest degree first.  Since u lies in F_p[X], division by
-    u acts on each digit separately, so the c axis just rides along.
+    rows is an (R, L) array of F_p coefficients: row r is sum_t rows[r, t]
+    X^t.  u is the monic divisor's F_p coefficients, lowest degree first.
 
     All rows are expanded at once by iterated synthetic division (von zur
     Gathen & Gerhard, Modern Computer Algebra, 9.2): dividing the quotient
@@ -38,7 +36,7 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         raise ParameterError("expansion base must be monic")
     lower = [(e, int(u[e])) for e in range(degree) if u[e]]
     step = degree - max((e for e, _ in lower), default=0)
-    work = np.moveaxis(np.asarray(rows, dtype=np.int64), 1, 0).copy()  # (L, R, c): columns are slabs
+    work = np.asarray(rows, dtype=np.int64).T.copy()  # (L, R): columns are slabs
     length = work.shape[0]
     for start in range(0, length - degree, degree) if lower else ():
         for top in range(length, start + degree, -step):
@@ -48,4 +46,4 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
             for e, coeff in lower:
                 work[low - degree + e : top - degree + e] -= coeff * quotient
     offsets = np.arange(length) % degree
-    return np.where((work % p).any(axis=2), offsets[:, None], -1).max(axis=0, initial=-1)
+    return np.where(work % p != 0, offsets[:, None], -1).max(axis=0, initial=-1)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, row_reduce_against, rref_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.numutil import is_prime, prime_factors
 
 
@@ -434,8 +434,15 @@ class FpSubspace:
             yield rows
 
     def reduce(self, digits: np.ndarray) -> np.ndarray:
-        """Canonical representative of the coset x + (this subspace), for every row x of an (..., k) digit array."""
-        return row_reduce_against(np.asarray(digits), self._rref, self._pivots, self.ctx.p)
+        """Canonical representative of the coset x + (this subspace), for every row x of an (..., k) digit array.
+
+        It is x minus its pivot coordinates times the RREF basis: RREF rows
+        vanish on each other's pivots, so the representative is zero at every
+        pivot column.
+        """
+        p = self.ctx.p
+        x = np.asarray(digits, dtype=np.int64) % p
+        return (x - x[..., self._pivots] @ self._rref) % p
 
     def index_of(self, digits: np.ndarray) -> np.ndarray:
         """Digit-order index of every row of an (..., k) digit array; -1 for a row outside the subspace."""

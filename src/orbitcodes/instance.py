@@ -16,6 +16,7 @@ integral (and keeps |H| above p^m so the weight profile applies).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from orbitcodes.groupgeom import (
     scaling_subgroup,
     splitting_degree,
 )
-from orbitcodes.numutil import is_prime, lcm
+from orbitcodes.numutil import is_prime
 
 SCHEMA_VERSION = 1
 
@@ -180,7 +181,7 @@ class Instance:
 
 
 def _ambient_degree_i(p: int, m: int) -> int:
-    base = lcm(splitting_degree(defining_poly("I", p, m), p), m)
+    base = math.lcm(splitting_degree(defining_poly("I", p, m), p), m)
     group_size = p ** (m * m) * (p**m - 1)
     ell = base
     while p**ell < group_size:

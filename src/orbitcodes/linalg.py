@@ -48,22 +48,16 @@ def rank_mod_p(mat, p: int) -> int:
 
 
 def nullspace_mod_p(mat, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : mat @ x = 0 mod p}."""
+    """Basis (as rows) of {x : mat @ x = 0 mod p}.
+
+    Basis row i is 1 at the i-th free column and, at each pivot column,
+    minus that pivot row's RREF entry in the free column.
+    """
     a = _as_matrix(mat, p)
     cols = a.shape[1]
     rr, pivots = rref_mod_p(a, p)
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.delete(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-rr[row, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rr[:, free].T % p
     return basis
-
-
-def row_reduce_against(vec: np.ndarray, rr: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Remainder of every row of vec (..., cols) after eliminating the pivot coordinates of rr."""
-    v = vec.astype(np.int64) % p
-    for row, c in enumerate(pivots):
-        v = (v - v[..., c, None] * rr[row]) % p
-    return v

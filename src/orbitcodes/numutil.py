@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -34,11 +32,4 @@ def prime_factors(n: int) -> list[int]:
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
-    return out
-
-
-def lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
     return out

@@ -6,6 +6,9 @@
   ``lagrange_interpolate``, the trace ``trace``/``char_exponent`` as sums
   of Frobenius conjugates, ``kernel_subspace`` of a Python callable on
   ``FieldElement``s, and ``point_set``, the points of a subspace as a set.
+* mod-p elimination one column at a time: ``row_reduce_against``, the
+  coset representative by one pivot after another, and
+  ``scalar_nullspace``, the kernel basis by entry-wise back-substitution.
 * the scalar build: ``scalar_primitive_element``, ``scalar_scaling_group``
   (H's powers and their inverses, one scalar product or inverse each),
   ``scalar_scaling_closure`` (a queue of scalar products with H's
@@ -74,7 +77,7 @@ from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix, mul_matrix, mul_rows
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
@@ -322,6 +325,30 @@ def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldEleme
 def point_set(space: FpSubspace) -> frozenset:
     """The points of a subspace as a set of FieldElements."""
     return frozenset(space.ctx.elements_of(space.points()))
+
+
+# -- mod-p elimination, one column at a time ---------------------------------------
+
+
+def row_reduce_against(vec: np.ndarray, rr: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Remainder of every row of vec (..., cols) after eliminating the pivot coordinates of rr, one pivot at a time."""
+    v = vec.astype(np.int64) % p
+    for row, c in enumerate(pivots):
+        v = (v - v[..., c, None] * rr[row]) % p
+    return v
+
+
+def scalar_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis (as rows) of {x : mat @ x = 0 mod p}, by back-substitution one entry at a time."""
+    cols = mat.shape[1]
+    rr, pivots = rref_mod_p(mat, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for row, pc in enumerate(pivots):
+            basis[i, pc] = (-rr[row, fc]) % p
+    return basis
 
 
 # -- the scalar build ------------------------------------------------------------
@@ -987,25 +1014,25 @@ def poly_digits(f: Poly) -> np.ndarray:
 
 
 def row_poly(ctx: FieldContext, row: np.ndarray) -> Poly:
-    """The polynomial of an (L, c) coefficient digit row."""
-    return Poly(ctx, [ctx.element(d) for d in row.tolist()])
+    """The polynomial of an (L,) row of F_p coefficients or an (L, c) coefficient digit row."""
+    digits = row[:, None] if row.ndim == 1 else row
+    return Poly(ctx, [ctx.element(d) for d in digits.tolist()])
 
 
 def kernel_base_degree(f: Poly, u: Poly) -> int | float:
     """f's base-u degree from fppoly.expansion_degrees, MINUS_INFINITY for f = 0.
 
     u must have prime-field coefficients, which the kernel takes as
-    integers; f uses one digit per coefficient when it has prime-field
-    coefficients too, and all k digits otherwise.  The kernel divides by
-    the monic u / lc(u); the digits in that base are those in base u times
-    powers of lc(u), so the degrees agree.
+    integers; f goes in as its k digit polynomials, whose largest base-u
+    degree is f's, since division by u acts on each digit separately.  The
+    kernel divides by the monic u / lc(u); the digits in that base are
+    those in base u times powers of lc(u), so the degrees agree.
     """
     ctx = f.ctx
     u_ints = (u * u.leading().inverse()).int_coeffs()
     if u_ints is None:
         raise ValueError("the kernel's base must have prime-field coefficients")
-    c = 1 if f.int_coeffs() is not None else ctx.k
-    d = int(fppoly.expansion_degrees(poly_digits(f)[None, :, :c], u_ints, ctx.p)[0])
+    d = int(fppoly.expansion_degrees(poly_digits(f).T, u_ints, ctx.p).max(initial=-1))
     return MINUS_INFINITY if d < 0 else d
 
 

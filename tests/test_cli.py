@@ -202,6 +202,21 @@ def test_sweep_csv(capsys):
     assert "0.000260416" in row
 
 
+def test_sweep_needs_a_gamma_grid_for_ii(capsys):
+    argv = ["sweep", "--inst", "II", "--m", "2", "--r-grid", "1/2", "--rho-grid", "1/2,1"]
+    code, out = _run(capsys, *argv)
+    _assert_structured_error(code, out, "instantiation II needs --gamma-grid")
+    code, out = _run(capsys, *argv, "--gamma-grid", "1/2,1")
+    assert code == 0
+    assert [line.split(",")[4] for line in out.strip().splitlines()[1:]] == ["1/2", "1", "1/2", "1"]
+
+
+def test_sweep_refuses_a_gamma_grid_for_i(capsys):
+    argv = ["sweep", "--inst", "I", "--m", "2", "--r-grid", "1/2", "--rho-grid", "1", "--gamma-grid", "1/2"]
+    code, out = _run(capsys, *argv)
+    _assert_structured_error(code, out, "instantiation I takes no --gamma-grid")
+
+
 def test_budget_env_override(bundle_path, capsys, monkeypatch):
     monkeypatch.setenv("ORBITCODES_DISTANCE_BUDGET", "4")
     code, out = _run(capsys, "distance", "--bundle", bundle_path)

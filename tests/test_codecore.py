@@ -36,7 +36,7 @@ from orbitcodes.codecore import (
     weight_closed_form,
 )
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
-from orbitcodes.gf import FpSubspace
+from orbitcodes.gf import FpSubspace, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.report import rate_section
@@ -67,7 +67,7 @@ def test_message_space_contains_constants(all_instances):
         ms = inst.message_space()
         assert ms.dim >= 1
         # the constant 1 lies in the space: verify by direct constraint check
-        rep = constraint_report(poly_digits(Poly.one(inst.ambient))[None], inst.G, inst.H, inst.params)
+        rep = constraint_report(poly_digits(Poly.one(inst.ambient)).T, inst.G, inst.H, inst.params)
         assert rep["all_ok"]
 
 
@@ -117,7 +117,7 @@ def test_message_space_refuses_an_annihilator_outside_fp(inst1_p2):
     with pytest.raises(ParameterError, match="outside F_p"):
         message_space(G2, H2, params)
     with pytest.raises(ParameterError, match="outside F_p"):
-        constraint_report(np.zeros((1, 8, 1), dtype=np.int64), G2, H2, params)
+        constraint_report(np.zeros((1, 8), dtype=np.int64), G2, H2, params)
 
 
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
@@ -160,10 +160,47 @@ def test_encode_rejects_constraint_violations(inst1_p2):
         encode(inst.G.annihilator, inst.omega, inst.G, inst.H, inst.params)
 
 
+@pytest.mark.parametrize("name,D", [("inst1_p2", None), ("inst2_p2", 96)])
+def test_encode_field_coefficients(request, name, D):
+    # random F-combinations of the basis polynomials, with coefficients outside
+    # F_p, encode to the same F-combinations of the basis codewords
+    inst = request.getfixturevalue(name)
+    ctx, params = inst.ambient, inst.code_params(D=D)
+    ms = inst.message_space(D=D)
+    words = encode_basis_digits(ctx, ms.coeffs, inst.omega)
+    bounds = {
+        "degree": params.D,
+        "translation_base_degree": params.r * inst.G.size,
+        "scaling_base_degree": params.r * inst.H.order,
+    }
+    bases = {
+        "translation_base_degree": row_poly(ctx, inst.G.annihilator),
+        "scaling_base_degree": scaling_invariant_poly(ctx, inst.H.order),
+    }
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        scalars = [ctx.from_int(int(v)) for v in rng.integers(0, ctx.order, ms.dim)]
+        f = Poly.zero(ctx)
+        for s, row in zip(scalars, ms.coeffs):
+            f = f + row_poly(ctx, row) * s
+        assert f.int_coeffs() is None
+        expected = mul_rows(ctx, ctx.digit_rows(scalars)[:, None, :], words).sum(axis=0) % ctx.p
+        cw = encode(poly_digits(f), inst.omega, inst.G, inst.H, params)
+        assert np.array_equal(cw, expected)
+        assert np.array_equal(cw, scalar_encode(f, inst.omega))
+        # one coefficient pushed past a bound: the first failing check, by the scalar oracle, names the violation
+        for t in (max_degree_below(bounds["scaling_base_degree"]) + 1, params.D):
+            bad = f + Poly.monomial(ctx, t, ctx.from_int(int(rng.integers(ctx.p, ctx.order))))
+            values = {"degree": bad.degree, **{check: base_degree(bad, u) for check, u in bases.items()}}
+            check, value = next((c, v) for c, v in values.items() if v > max_degree_below(bounds[c]))
+            with pytest.raises(ConstraintViolation, match=rf"^{check} violated: {value} must be < {bounds[check]}$"):
+                encode(poly_digits(bad), inst.omega, inst.G, inst.H, params)
+
+
 def test_encode_injective_on_basis(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    words = [encode(row, inst.omega, inst.G, inst.H, inst.params) for row in ms.coeffs]
+    words = [encode(row[:, None], inst.omega, inst.G, inst.H, inst.params) for row in ms.coeffs]
     seen = {tuple(v.coeffs for v in inst.ambient.elements_of(w)) for w in words}
     assert len(seen) == ms.dim
 
@@ -173,7 +210,7 @@ def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
     ms = inst.message_space()
     digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in (0, ms.dim - 1):
-        cw = encode(ms.coeffs[bi], inst.omega, inst.G, inst.H, inst.params)
+        cw = encode(ms.coeffs[bi][:, None], inst.omega, inst.G, inst.H, inst.params)
         assert np.array_equal(digits[bi], cw)
         assert np.array_equal(digits[bi], scalar_encode(row_poly(inst.ambient, ms.coeffs[bi]), inst.omega))
 
@@ -226,7 +263,7 @@ def test_local_rs_random_vector_fails(inst1_p2):
 def test_schur_all_ones_neutral(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    cw = encode(ms.coeffs[2], inst.omega, inst.G, inst.H, inst.params)
+    cw = encode(ms.coeffs[2][:, None], inst.omega, inst.G, inst.H, inst.params)
     ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
     prod = schur_product(inst.ambient, cw, ones)
     assert np.array_equal(prod, cw)
@@ -259,7 +296,7 @@ def test_min_distance_constant_code(inst1_p2):
     ms = MessageSpace(
         inst.ambient,
         inst.params.D,
-        np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64)[:, :, None],
+        np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64),
         1,
         1,
     )
@@ -369,5 +406,5 @@ def test_counted_monomials_lie_in_message_space(inst1_p2):
     g = row_poly(inst.ambient, inst.G.annihilator)
     for i, j in admissible_monomials(params):
         f = (g**i).shift(j)
-        rep = constraint_report(poly_digits(f)[None], inst.G, inst.H, params)
+        rep = constraint_report(poly_digits(f).T, inst.G, inst.H, params)
         assert rep["all_ok"]

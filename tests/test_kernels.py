@@ -1,7 +1,8 @@
 """The batched local check, the digit-array Schur product, the chunked
 distance enumeration and sampling, the quotient spectral scans, the
-F_p message space, the chunked encoding and the batched
-base-degree kernel, each against its slow scalar oracle (tests/oracles.py)."""
+F_p message space, the chunked encoding, the batched
+base-degree kernel, and the mod-p kernel basis and coset representative,
+each against its slow scalar oracle (tests/oracles.py)."""
 
 import itertools
 import tracemalloc
@@ -23,9 +24,11 @@ from oracles import (
     max_digit_degree,
     poly_digits,
     row_poly,
+    row_reduce_against,
     scalar_char_sum_max,
     scalar_encode,
     scalar_message_space_generic,
+    scalar_nullspace,
     scalar_side_coeff_maps,
     scalar_sigma2_exact,
     scalar_tables,
@@ -51,8 +54,47 @@ from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.gf import FpSubspace, build_field, mul_matrix, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, roots_of_linearized, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.linalg import rref_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
 from orbitcodes.report import distance_section, spectrum_section
+
+
+def _mod_p_matrices(p, rng):
+    """Random matrices mod p, among them empty, zero and full-rank ones."""
+    full = np.triu(rng.integers(0, p, size=(6, 6)), 1) + np.eye(6, dtype=np.int64)  # unit upper triangular
+    low_rank = rng.integers(0, p, size=(7, 2)) @ rng.integers(0, p, size=(2, 9)) % p
+    return [
+        np.zeros((0, 5), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((3, 6), dtype=np.int64),
+        full,
+        full[:, rng.permutation(6)],
+        full[:4],
+        rng.integers(0, p, size=(5, 9)),
+        rng.integers(0, p, size=(9, 5)),
+        low_rank,
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nullspace_matches_back_substitution(p):
+    for mat in _mod_p_matrices(p, np.random.default_rng(p)):
+        got = nullspace_mod_p(mat, p)
+        assert got.dtype == np.int64 and np.array_equal(got, scalar_nullspace(mat, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_reduce_matches_pivot_loop(p):
+    k = 6
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(p)
+    digits = rng.integers(0, 3 * p, size=(4, 5, k))  # unreduced digits, as reduce reads them mod p
+    spans = [mat for mat in _mod_p_matrices(p, rng) if mat.shape[1] == k]  # zero, full rank, rank 4
+    for vectors in [np.zeros((0, k), dtype=np.int64)] + spans:
+        space = FpSubspace.from_vectors(ctx, vectors)
+        rr, pivots = rref_mod_p(space.basis, p)
+        for x in (digits, digits[0, 0], digits[:0]):
+            assert np.array_equal(space.reduce(x), row_reduce_against(x, rr, pivots, p))
 
 
 def _fast_degrees(rep):
@@ -328,11 +370,11 @@ def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     H = scaling_subgroup(ctx, h_order)
     params = CodeParams("I", 2, 2, r, D, max(D, 48))
     ms = message_space(G, H, params)
-    assert ms.coeffs.shape[2] == 1 and ms.verification["all_ok"]
+    assert ms.coeffs.ndim == 2 and ms.verification["all_ok"]
     # the field elimination of the oracle spans the same F_p space
     oracle = [b.int_coeffs() for b in scalar_message_space_generic(G, H, params)]
     oracle_rows = np.array([b + [0] * (D - len(b)) for b in oracle], dtype=np.int64).reshape(len(oracle), D)
-    assert np.array_equal(rref_mod_p(oracle_rows, p)[0], ms.coeffs[:, :, 0])
+    assert np.array_equal(rref_mod_p(oracle_rows, p)[0], ms.coeffs)
     basis = [row_poly(ctx, row) for row in ms.coeffs]
     # the verification's per-row base degrees are those of the scalar expansion
     checks = ms.verification["checks"]
@@ -343,7 +385,7 @@ def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
 
 def _fp_base_degrees(ms, u_ints, p):
     """Per-row base degrees of a prime-field basis by the scalar F_p expansion, -1 for a zero row."""
-    degrees = [max_digit_degree(row[:, 0], u_ints, p) for row in ms.coeffs]
+    degrees = [max_digit_degree(row, u_ints, p) for row in ms.coeffs]
     return [-1 if d == float("-inf") else d for d in degrees]
 
 
@@ -356,7 +398,7 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
         inst = request.getfixturevalue(name)
     ms, p = inst.message_space(), inst.ambient.p
     checks = ms.verification["checks"]
-    assert ms.coeffs.shape[2] == 1 and ms.D == inst.params.D
+    assert ms.coeffs.ndim == 2 and ms.D == inst.params.D
     assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.annihilator[:, 0], p)
     assert checks["scaling_base_degree"][0].tolist() == _fp_base_degrees(ms, [0] * inst.H.order + [1], p)
 
@@ -364,6 +406,8 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
 @st.composite
 def _expansion_cases(draw):
     """Rows and a monic divisor u over F_2, F_3, F_4 or F_9, with c = 1 or c = k digits.
+
+    The kernel takes each row as its c digit polynomials.
 
     u has F_p coefficients.  Rows are either arbitrary or built as
     sum_i d_i u^i from digits d_i of a drawn degree below deg u, so that a
@@ -394,7 +438,9 @@ def _expansion_cases(draw):
 @given(_expansion_cases())
 def test_base_degrees_match_scalar_expansion(case):
     ctx, u, rows = case
-    got = fppoly.expansion_degrees(rows, u, ctx.p)
+    n_rows, length, c = rows.shape
+    digit_polys = rows.transpose(0, 2, 1).reshape(n_rows * c, length)
+    got = fppoly.expansion_degrees(digit_polys, u, ctx.p).reshape(n_rows, c).max(axis=1)
     u_poly = Poly.from_ints(ctx, u)
     expected = [base_degree(row_poly(ctx, row), u_poly) for row in rows]
     assert got.tolist() == [-1 if d == float("-inf") else d for d in expected]
@@ -405,9 +451,9 @@ def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_
     if fixture == "local-II22":  # the benchmark's sizes: one chunk under the default bound
         ctx, coeffs, omega = inst2_p2.ambient, inst2_p2.message_space(D=96).coeffs, inst2_p2.omega
         assert len(omega) * 96 * 12 <= codecore.ENCODE_CHUNK_ENTRIES
-    else:  # c = k: random field coefficients, on 48 points of F_64
+    else:  # the digit polynomials of random field coefficients, on 48 points of F_64
         ctx = build_field(2, 6)
-        coeffs = np.random.default_rng(0).integers(0, 2, size=(12, 48, 6))
+        coeffs = np.random.default_rng(0).integers(0, 2, size=(12, 48, 6)).transpose(0, 2, 1).reshape(72, 48)
         omega = ctx.digit_rows(list(ctx.elements())[5:53])
     whole = encode_basis_digits(ctx, coeffs, omega)
     monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", 5 * coeffs.shape[1] * ctx.k)  # five points per chunk
