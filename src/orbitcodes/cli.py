@@ -200,7 +200,7 @@ def cmd_report(args) -> int:
 
 def _grid(text: str) -> list[Fraction]:
     try:
-        return [Fraction(tok) for tok in text.split(",") if tok]
+        return [Fraction(tok) for tok in text.split(",")]  # an empty entry is malformed too
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"malformed fraction list {text!r}: {exc}") from None
 

@@ -267,43 +267,49 @@ def schur_product(ctx: FieldContext, cw1: np.ndarray, cw2: np.ndarray) -> np.nda
     return mul_rows(ctx, cw1, cw2)
 
 
-@dataclass(frozen=True)
-class VertexCheck:
-    side: str
-    index: int
-    interp_degree: int | None  # None for the zero restriction
-    max_allowed: int
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "index": self.index,
-            "interp_degree": self.interp_degree,
-            "max_allowed": self.max_allowed,
-            "ok": self.ok,
-        }
-
-
 @dataclass
 class LocalCheckReport:
-    vertices: list[VertexCheck]
+    """Interpolant degree at every vertex, left vertices first (-1 for a zero restriction)."""
+
+    vertices: np.ndarray  # (n_left + n_right,) int64
+    n_left: int
+    allowed: tuple[int, int]  # largest passing degree on the left and on the right
     bounds: dict[str, dict]
 
     @property
-    def all_ok(self) -> bool:
-        return all(v.ok for v in self.vertices)
+    def ok(self) -> np.ndarray:
+        """Per-vertex pass flags."""
+        return self.vertices <= np.where(np.arange(len(self.vertices)) < self.n_left, *self.allowed)
 
-    def failures(self) -> list[VertexCheck]:
-        return [v for v in self.vertices if not v.ok]
+    @property
+    def all_ok(self) -> bool:
+        return bool(self.ok.all())
+
+    def _vertex_dicts(self) -> list[dict]:
+        """The JSON of every vertex: side, index on its side, degree (None for a zero restriction), bound, flag."""
+        n_left = self.n_left
+        return [
+            {
+                "side": "left" if i < n_left else "right",
+                "index": i if i < n_left else i - n_left,
+                "interp_degree": None if d < 0 else d,
+                "max_allowed": self.allowed[i >= n_left],
+                "ok": ok,
+            }
+            for i, (d, ok) in enumerate(zip(self.vertices.tolist(), self.ok.tolist()))
+        ]
+
+    def failures(self) -> list[dict]:
+        return [v for v in self._vertex_dicts() if not v["ok"]]
 
     def to_json(self) -> dict:
+        vertices = self._vertex_dicts()
         return {
             "all_ok": self.all_ok,
             "bounds": self.bounds,
-            "vertices": [v.to_json() for v in self.vertices],
-            "failures": [v.to_json() for v in self.failures()],
-            "vertices_checked": len(self.vertices),
+            "vertices": vertices,
+            "failures": [v for v in vertices if not v["ok"]],
+            "vertices_checked": len(vertices),
         }
 
 
@@ -405,8 +411,9 @@ def check_local_rs(
     right; this is exactly the local Reed-Solomon membership.  With
     doubled=True the Schur bound deg < 2*ceil(r*len) - 1 is applied
     instead, for coordinate-wise products.  The interpolants of all
-    vertices of a side come from one matrix product (see _side_map).  The
-    codeword and the orbit are (n, k) digit arrays indexed by edge.
+    vertices of a side come from one matrix product (see _side_map), and
+    the report holds the two sides' degree arrays as one.  The codeword
+    and the orbit are (n, k) digit arrays indexed by edge.
     """
     shape = (graph.edge_count, ctx.k)
     if np.shape(cw) != shape or np.shape(omega) != shape:
@@ -417,22 +424,13 @@ def check_local_rs(
     }
     maps = _local_maps(ctx, graph, omega)
     digits = np.asarray(cw, dtype=np.int64) % ctx.p
-    vertices = []
-    for side in ("left", "right"):
-        allowed = bounds[side]["max_allowed_degree"]
-        if doubled:
-            allowed = 2 * allowed
-        for vi, d in enumerate(_vertex_degrees(maps[side], digits, ctx.p).tolist()):
-            vertices.append(
-                VertexCheck(
-                    side=side,
-                    index=vi,
-                    interp_degree=None if d < 0 else d,
-                    max_allowed=allowed,
-                    ok=d <= allowed,
-                )
-            )
-    return LocalCheckReport(vertices=vertices, bounds=bounds)
+    factor = 2 if doubled else 1
+    return LocalCheckReport(
+        vertices=np.concatenate([_vertex_degrees(maps[side], digits, ctx.p) for side in bounds]),
+        n_left=graph.n_left,
+        allowed=tuple(factor * b["max_allowed_degree"] for b in bounds.values()),
+        bounds=bounds,
+    )
 
 
 def schur_check(

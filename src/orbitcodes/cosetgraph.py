@@ -242,37 +242,3 @@ def spectral_bounds(
     else:
         raise ParameterError(f"unknown instantiation {instantiation!r}")
     return bound_general, bound_instance
-
-
-@dataclass
-class SpectralReport:
-    sigma2_exact: float
-    sigma2_svd: float
-    bound_general: float
-    bound_instance: float
-    char_sum_max: float
-    lambda_max: Fraction
-
-    TOLERANCE = 1e-9
-
-    def checks(self) -> dict[str, bool]:
-        return {
-            "oracle_agreement": abs(self.sigma2_exact - self.sigma2_svd) <= self.TOLERANCE,
-            "within_instance_bound": self.sigma2_exact <= self.bound_instance + self.TOLERANCE,
-            "within_general_bound": self.sigma2_exact <= self.bound_general + self.TOLERANCE,
-        }
-
-    def all_ok(self) -> bool:
-        return all(self.checks().values())
-
-    def to_json(self) -> dict:
-        return {
-            "sigma2_exact": self.sigma2_exact,
-            "sigma2_svd": self.sigma2_svd,
-            "bound_general": self.bound_general,
-            "bound_instance": self.bound_instance,
-            "M": self.char_sum_max,
-            "lambda_max": str(self.lambda_max),
-            "checks": self.checks(),
-        }
-

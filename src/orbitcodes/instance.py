@@ -242,7 +242,8 @@ def load_bundle(data) -> Instance:
     """
     if not isinstance(data, dict):
         raise ParameterError(f"bundle must be a JSON object, got {type(data).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
+    # In Python true == 1 and 48.0 == 48, so each stored integer is also checked to be a JSON integer.
+    if data.get("schema_version") != SCHEMA_VERSION or type(data["schema_version"]) is not int:
         raise ParameterError(f"unsupported bundle schema {data.get('schema_version')!r}")
     config_data = data.get("config")
     if not isinstance(config_data, dict):
@@ -252,9 +253,10 @@ def load_bundle(data) -> Instance:
         raise ParameterError(f"bundle config lacks {', '.join(missing)}")
     config = InstanceConfig.from_json(config_data)
     inst = build_instance(config)
-    if data.get("n") != inst.n:
-        raise ParameterError(f"bundle records n={data.get('n')} but the build gives {inst.n}")
-    if data.get("alpha") != inst.alpha.tolist():
+    if data.get("n") != inst.n or type(data["n"]) is not int:
+        raise ParameterError(f"bundle records n={data.get('n')!r} but the build gives {inst.n}")
+    alpha = data.get("alpha")
+    if alpha != inst.alpha.tolist() or not all(type(c) is int for c in alpha):
         raise ParameterError("bundle records a different free point than the build")
     if data.get("graph") != inst.graph.summary_json():
         raise ParameterError("bundle graph summary disagrees with the build")

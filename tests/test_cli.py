@@ -1,5 +1,6 @@
 """End-to-end CLI invocations: bundles, analyses, determinism, error paths."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -202,6 +203,13 @@ def test_sweep_csv(capsys):
     assert "0.000260416" in row
 
 
+@pytest.mark.parametrize("grid", [",", "1/2,,1/3", "1/2,"], ids=["only-a-comma", "empty-middle", "trailing-comma"])
+def test_sweep_refuses_an_empty_grid_entry(capsys, grid):
+    for r_grid, rho_grid in ((grid, "1"), ("1/2", grid)):
+        code, out = _run(capsys, "sweep", "--inst", "I", "--m", "2", "--r-grid", r_grid, "--rho-grid", rho_grid)
+        _assert_structured_error(code, out, "malformed fraction list", repr(grid))
+
+
 def test_sweep_needs_a_gamma_grid_for_ii(capsys):
     argv = ["sweep", "--inst", "II", "--m", "2", "--r-grid", "1/2", "--rho-grid", "1/2,1"]
     code, out = _run(capsys, *argv)
@@ -361,6 +369,22 @@ def test_bundle_config_with_a_float_or_bool_fraction_is_structured_error(bundle_
     _assert_structured_error(code, out, "malformed config value", f"{key}={value!r}")
 
 
+@pytest.mark.parametrize(
+    "key,tamper",
+    [("schema_version", lambda v: True), ("n", float), ("alpha", lambda v: [float(c) for c in v])],
+    ids=["bool-schema_version", "float-n", "float-alpha"],
+)
+def test_bundle_with_a_bool_or_float_for_a_stored_integer_is_structured_error(
+    bundle_path, tmp_path, capsys, key, tamper
+):
+    # true == 1 and 48.0 == 48 in Python, but the bundle records JSON integers
+    doc = _valid_bundle(bundle_path)
+    assert tamper(doc[key]) == doc[key]
+    doc[key] = tamper(doc[key])
+    code, out = _run(capsys, "rate", "--bundle", _bundle_with(tmp_path, doc))
+    _assert_structured_error(code, out)
+
+
 def test_bundle_config_with_a_decimal_fraction_string_is_accepted(bundle_path, tmp_path, capsys):
     doc = _valid_bundle(bundle_path)
     doc["config"]["r"] = "0.5"
@@ -423,3 +447,35 @@ def test_malformed_number_is_structured_error(bundle_path, tmp_path, capsys, fla
         argv = ["instantiate", "--p", "2", "--m", "2", "--inst", "II" if flag == "--gamma" else "I", flag, value]
     code, out = _run(capsys, *argv)
     _assert_structured_error(code, out)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_codeword_output_is_pinned(tmp_path, capsys):
+    # the all-vertex JSON of one II(2,2) codeword at D = 96, then with one value flipped so that vertices fail
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["instantiate", "--p", "2", "--m", "2", "--inst", "II", "--gamma", "1", "--D", "96", "--out", bundle]) == 0
+    msg, cw = tmp_path / "msg.json", tmp_path / "cw.json"
+    msg.write_text(json.dumps({"coeffs": [[1], [0, 1]]}))
+    assert main(["encode", "--bundle", bundle, "--message", str(msg), "--out", str(cw)]) == 0
+    code, out = _run(capsys, "verify", "--bundle", bundle, "--codeword", str(cw))
+    assert code == 0
+    assert _sha256(out) == "54624ba48e2661577fbd8ecf1b50cdb89e222581d808497bd2671ad8202456dc"
+    data = json.loads(cw.read_text())
+    data["values"][5][0] = 1 - data["values"][5][0]
+    cw.write_text(json.dumps(data))
+    code, out = _run(capsys, "verify", "--bundle", bundle, "--codeword", str(cw))
+    assert code == 1
+    assert json.loads(out)["verify"]["local_rs"]["failures"]
+    assert _sha256(out) == "c7bb129edada16ea512869fb50210c2cd1aa1ab574f12112523d82b2439d56dc"
+
+
+def test_verify_basis_output_is_pinned(tmp_path, capsys):
+    # I(3,2) at D = n: the first 64 of 108 basis codewords and 10 Schur pairs
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["instantiate", "--p", "3", "--m", "2", "--inst", "I", "--D", "n", "--out", bundle]) == 0
+    code, out = _run(capsys, "verify", "--bundle", bundle)
+    assert code == 0
+    assert _sha256(out) == "6d3db572876529d69d7256de3a526cc8c81528abcc85235cd8e00524d534429f"

@@ -16,7 +16,7 @@ from oracles import (
     scaling_invariant_poly,
     weight_direct,
 )
-from orbitcodes import fppoly
+from orbitcodes import fppoly, report
 from orbitcodes.codecore import (
     CodeParams,
     MessageSpace,
@@ -39,7 +39,7 @@ from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import FpSubspace, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.report import rate_section
+from orbitcodes.report import rate_section, verify_section
 
 
 def test_max_degree_below():
@@ -220,7 +220,7 @@ def test_local_rs_zero_codeword_passes(inst1_p2):
     cw = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
     rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
     assert rep.all_ok
-    assert all(v.interp_degree is None for v in rep.vertices)
+    assert rep.vertices.tolist() == [-1] * (inst.graph.n_left + inst.graph.n_right)  # -1: zero restriction
 
 
 def test_local_rs_every_basis_codeword_both_sides(inst1_p2):
@@ -279,6 +279,21 @@ def test_schur_products_pass_doubled_bound(inst1_p2):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
         rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, inst.params)
         assert rep.all_ok
+
+
+def test_verify_encodes_only_the_checked_basis_rows(inst1_p3, monkeypatch):
+    # I(3,2) at D = n has 108 basis rows; verify checks the first 64 and 10 Schur pairs
+    encoded = []
+
+    def spy(ctx, coeffs, omega):
+        encoded.append(len(coeffs))
+        return encode_basis_digits(ctx, coeffs, omega)
+
+    monkeypatch.setattr(report, "encode_basis_digits", spy)
+    sec = verify_section(inst1_p3)
+    assert inst1_p3.message_space().dim == 108
+    assert sec["ok"] and sec["basis_checked"] == 64 and sec["schur_pairs_checked"] == 10
+    assert encoded and sum(encoded) <= 64 + 2 * 10
 
 
 def test_schur_doubled_bound_nonvacuous_below_half():
