@@ -7,7 +7,8 @@ load_bundle rebuilds the instance from the config on every command and
 checks the rebuilt alpha, n and graph summary against the bundle's, so a
 tampered bundle is refused rather than analysed.  Exit code 0
 means every checked inequality held (budget-skipped sections do not fail);
-anticipated errors surface as structured JSON with exit code 2.
+anticipated errors, and running out of memory, surface as structured JSON
+with exit code 2.
 
 Budget defaults can be overridden with environment variables:
 ORBITCODES_DISTANCE_BUDGET, ORBITCODES_SVD_SIDE, ORBITCODES_FIELD_SCAN,
@@ -159,20 +160,17 @@ def cmd_distance(args) -> int:
 def cmd_encode(args) -> int:
     inst = _load_bundle(args.bundle)
     coeffs = _read_digits(inst.ambient, _read_json(args.message), "coeffs", args.message)
-    cw = encode(coeffs, inst.omega, inst.G, inst.H, inst.params)
+    cw = encode(coeffs, inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.tolist()}, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    inst = _load_bundle(args.bundle)
-    cw = None
-    if args.codeword:
-        cw = _read_digits(inst.ambient, _read_json(args.codeword), "values", args.codeword)
-    body = verify_section(inst, _budgets(), codeword=cw)
-    doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), "verify": body}
-    _emit(doc, args.out)
-    return 0 if body.get("ok", False) else 1
+    def section(inst, budgets):
+        cw = _read_digits(inst.ambient, _read_json(args.codeword), "values", args.codeword) if args.codeword else None
+        return verify_section(inst, budgets, codeword=cw)
+
+    return _section_command(args, section)
 
 
 def cmd_report(args) -> int:
@@ -308,10 +306,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OrbitcodesError as exc:
+    except (OrbitcodesError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; the record names the public class
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "error": {"type": type(exc).__name__, "condition": str(exc)},
+            "error": {"type": kind, "condition": str(exc) or "out of memory"},
         }
         sys.stdout.write(canonical_json(doc))
         return 2

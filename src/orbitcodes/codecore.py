@@ -55,48 +55,6 @@ def max_degree_below(bound: Fraction | int) -> int:
     return math.ceil(bound) - 1
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameters of one code instance."""
-
-    instantiation: str
-    p: int
-    m: int
-    r: Fraction
-    D: int
-    n: int
-    gamma: Fraction | None = None
-
-    def __post_init__(self):
-        if self.instantiation not in ("I", "II"):
-            raise ParameterError(f"unknown instantiation {self.instantiation!r}")
-        if not (0 < self.r < 1):
-            raise ParameterError(f"local rate must lie in (0, 1), got {self.r}")
-        if not (1 <= self.D <= self.n):
-            raise ParameterError(f"degree bound D={self.D} outside [1, n={self.n}]")
-        if self.instantiation == "II":
-            if self.gamma is None:
-                raise ParameterError("instantiation II needs gamma")
-            if not (0 < self.gamma <= 1):
-                raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-            if (self.gamma * (self.p ** (self.m + 1) - 1)).denominator != 1:
-                raise ParameterError(f"gamma={self.gamma} gives a non-integer scaling-group order")
-
-    @property
-    def g_size(self) -> int:
-        return self.p**self.m
-
-    @property
-    def h_order(self) -> int:
-        if self.instantiation == "I":
-            return self.p**self.m - 1
-        return int(self.gamma * (self.p ** (self.m + 1) - 1))
-
-    @property
-    def rho(self) -> Fraction:
-        return Fraction(self.D, self.n)
-
-
 @dataclass
 class MessageSpace:
     """Basis of the admissible polynomial space as one coefficient array.
@@ -141,7 +99,7 @@ def defining_poly(instantiation: str, p: int, m: int) -> list[int]:
     return g
 
 
-def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> MessageSpace:
+def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
     Computed as the intersection U cap V of the two constraint subspaces:
@@ -154,7 +112,6 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     stored as ms.verification and a failure raises InternalError.
     """
     p = G.ctx.p
-    D, r = params.D, params.r
     imax_h = max_degree_below(r * H.order)
     bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
@@ -163,7 +120,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> M
     basis = rref_mod_p(kernel @ rows % p, p)[0]
     ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
 
-    ms.verification = verify_message_space(ms, G, H, params)
+    ms.verification = verify_message_space(ms, G, H, r)
     if not ms.verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")
     return ms
@@ -201,7 +158,7 @@ def _last_nonzero(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1, initial=-1)
 
 
-def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
+def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> dict:
     """The three membership constraints of every row of a (rows, L) array of F_p coefficients.
 
     Each check maps to (per-row values, bound, per-row pass flags): the
@@ -213,9 +170,8 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     """
     ctx = G.ctx
     coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
-    r = params.r
     values = {
-        "degree": (_last_nonzero(coeffs != 0), params.D),
+        "degree": (_last_nonzero(coeffs != 0), D),
         "translation_base_degree": (fppoly.expansion_degrees(coeffs, _fp_annihilator(G), ctx.p), r * G.size),
         "scaling_base_degree": (fppoly.expansion_degrees(coeffs, [0] * H.order + [1], ctx.p), r * H.order),
     }
@@ -223,9 +179,9 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
 
 
-def verify_message_space(ms: MessageSpace, G: TranslationGroup, H: ScalingGroup, params: CodeParams) -> dict:
-    """constraint_report of every basis row, from one expansion per base."""
-    return constraint_report(ms.coeffs, G, H, params)
+def verify_message_space(ms: MessageSpace, G: TranslationGroup, H: ScalingGroup, r: Fraction) -> dict:
+    """constraint_report of every basis row at the space's D, from one expansion per base."""
+    return constraint_report(ms.coeffs, G, H, r, ms.D)
 
 
 def encode(
@@ -233,7 +189,8 @@ def encode(
     omega: np.ndarray,
     G: TranslationGroup,
     H: ScalingGroup,
-    params: CodeParams,
+    r: Fraction,
+    D: int,
 ) -> np.ndarray:
     """The (n, k) digit array of f(beta) for beta in the orbit, after checking f's constraints.
 
@@ -252,7 +209,7 @@ def encode(
     if coeffs.ndim != 2 or coeffs.shape[1] not in (1, ctx.k):
         raise ParameterError(f"message coefficients must be an (L, 1) or (L, {ctx.k}) array, got shape {coeffs.shape}")
     digit_polys = coeffs.T
-    rep = constraint_report(digit_polys, G, H, params)
+    rep = constraint_report(digit_polys, G, H, r, D)
     for name, (values, bound, ok) in rep["checks"].items():
         if not ok.all():
             raise ConstraintViolation(f"{name} violated: {values.max()} must be < {bound}")
@@ -401,7 +358,7 @@ def check_local_rs(
     cw: np.ndarray,
     graph: CosetGraph,
     omega: np.ndarray,
-    params: CodeParams,
+    r: Fraction,
     doubled: bool = False,
 ) -> LocalCheckReport:
     """Interpolate the restriction at every vertex and check its degree.
@@ -419,8 +376,8 @@ def check_local_rs(
     if np.shape(cw) != shape or np.shape(omega) != shape:
         raise ParameterError(f"codeword and orbit must be digit arrays of shape {shape}")
     bounds = {
-        "left": _side_bound_info(params.r, graph.left_degree),
-        "right": _side_bound_info(params.r, graph.right_degree),
+        "left": _side_bound_info(r, graph.left_degree),
+        "right": _side_bound_info(r, graph.right_degree),
     }
     maps = _local_maps(ctx, graph, omega)
     digits = np.asarray(cw, dtype=np.int64) % ctx.p
@@ -439,10 +396,10 @@ def schur_check(
     cw2: np.ndarray,
     graph: CosetGraph,
     omega: np.ndarray,
-    params: CodeParams,
+    r: Fraction,
 ) -> LocalCheckReport:
     """Doubled-degree local check for the coordinate-wise product."""
-    return check_local_rs(ctx, schur_product(ctx, cw1, cw2), graph, omega, params, doubled=True)
+    return check_local_rs(ctx, schur_product(ctx, cw1, cw2), graph, omega, r, doubled=True)
 
 
 # -- fast batch encoding -------------------------------------------------------
@@ -678,33 +635,34 @@ def _digit_weight_sum(i: int, p: int, m: int, instantiation: str) -> int:
     return total
 
 
-def monomial_count(params: CodeParams, r: Fraction | None = None) -> int:
+def monomial_count(config, D: int, r: Fraction | None = None) -> int:
     """Number of monomials g^i X^j passing the digit-weighted constraints.
 
     The local constraint bounds j plus the p-adic-digit-weighted sum of i
     by r|H| (subadditivity makes this sufficient for true h-base-degree
     membership); the global constraint bounds the monomial degree by D.
     Counted monomials have pairwise distinct degrees, so the count lower
-    bounds the message-space dimension.  The r override admits degenerate
-    rates (r <= 0 counts nothing) without relaxing CodeParams validation.
+    bounds the message-space dimension.  config is read by attribute
+    (instantiation, p, m, r and h_order, as on an InstanceConfig); the r
+    override admits degenerate rates (r <= 0 counts nothing) that a
+    config refuses.
     """
-    return sum(1 for _ in admissible_monomials(params, r=r))
+    return sum(1 for _ in admissible_monomials(config, D, r=r))
 
 
-def admissible_monomials(params: CodeParams, r: Fraction | None = None) -> Iterator[tuple[int, int]]:
-    p, m, D = params.p, params.m, params.D
-    r = params.r if r is None else Fraction(r)
+def admissible_monomials(config, D: int, r: Fraction | None = None) -> Iterator[tuple[int, int]]:
+    p, m, instantiation = config.p, config.m, config.instantiation
+    r = config.r if r is None else Fraction(r)
     if r <= 0:
         return
-    glen = params.g_size
-    hbound = r * params.h_order
-    jcap_g = max_degree_below(r * glen) if params.instantiation == "II" else None
+    glen = p**m
+    hbound = r * config.h_order
+    jcap_g = max_degree_below(r * glen) if instantiation == "II" else None
     for i in range((D - 1) // glen + 1):
-        w = _digit_weight_sum(i, p, m, params.instantiation)
+        w = _digit_weight_sum(i, p, m, instantiation)
         jmax = max_degree_below(hbound - w)
         jmax = min(jmax, D - 1 - i * glen)
         if jcap_g is not None:
             jmax = min(jmax, jcap_g)
         for j in range(jmax + 1):
             yield (i, j)
-

@@ -453,8 +453,11 @@ class FpSubspace:
         return np.where(inside, digit_codes(coords @ self._from_rref % p, p), -1)
 
     def dual(self) -> "FpSubspace":
-        """Trace-dual subspace {a : Tr(a*m) = 0 for all m in this subspace}."""
-        return dual_subspace(self)
+        """Trace dual M^perp = {a : Tr(a*m) = 0 for all m in M} of this subspace M.
+
+        dim M + dim M^perp = k and (M^perp)^perp = M.
+        """
+        return FpSubspace.kernel(self.ctx, self.basis @ trace_form(self.ctx) % self.ctx.p)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "basis": self.basis.tolist()}
@@ -484,12 +487,6 @@ def trace_form(ctx: FieldContext) -> np.ndarray:
     functionals is one product with W.
     """
     return (ctx.mul_tensor() @ ctx.trace_vector()) % ctx.p
-
-
-def dual_subspace(space: FpSubspace) -> FpSubspace:
-    """M^perp under the trace form; dim M + dim M^perp = k and (M^perp)^perp = M."""
-    ctx = space.ctx
-    return FpSubspace.kernel(ctx, space.basis @ trace_form(ctx) % ctx.p)
 
 
 def frobenius_matrix(ctx: FieldContext) -> np.ndarray:

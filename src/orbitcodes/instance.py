@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitcodes.codecore import CodeParams, MessageSpace, defining_poly, message_space
+from orbitcodes.codecore import MessageSpace, defining_poly, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FpSubspace, build_field
@@ -75,6 +75,13 @@ class InstanceConfig:
                 )
         elif self.gamma is not None:
             raise ParameterError("gamma only applies to instantiation II")
+
+    @property
+    def h_order(self) -> int:
+        """|H|: p^m - 1 for I, gamma * (p^(m+1) - 1) for II (an integer, since 1/gamma divides p - 1)."""
+        if self.instantiation == "I":
+            return self.p**self.m - 1
+        return int(self.gamma * (self.p ** (self.m + 1) - 1))
 
     def to_json(self) -> dict:
         return {
@@ -140,29 +147,21 @@ class Instance:
         return len(self.omega)
 
     @property
-    def params(self) -> CodeParams:
-        return self.code_params()
-
-    def code_params(self, r: Fraction | None = None, D: int | None = None) -> CodeParams:
-        cfg = self.config
-        rr = cfg.r if r is None else r
-        dd = (cfg.D if cfg.D is not None else self.n) if D is None else D
-        return CodeParams(
-            instantiation=cfg.instantiation,
-            p=cfg.p,
-            m=cfg.m,
-            r=Fraction(rr),
-            D=dd,
-            n=self.n,
-            gamma=cfg.gamma,
-        )
+    def D(self) -> int:
+        """The degree bound: the config's D, or n when the config leaves it open."""
+        return self.n if self.config.D is None else self.config.D
 
     def message_space(self, r: Fraction | None = None, D: int | None = None) -> MessageSpace:
-        params = self.code_params(r, D)
-        key = (params.r, params.D)
-        if key not in self._ms_cache:
-            self._ms_cache[key] = message_space(self.G, self.H, params)
-        return self._ms_cache[key]
+        """The message space at the config's (r, D), or at an override of either; cached per (r, D)."""
+        r = self.config.r if r is None else Fraction(r)
+        D = self.D if D is None else D
+        if not (0 < r < 1):
+            raise ParameterError(f"local rate must lie in (0, 1), got {r}")
+        if not (1 <= D <= self.n):
+            raise ParameterError(f"degree bound D={D} outside [1, n={self.n}]")
+        if (r, D) not in self._ms_cache:
+            self._ms_cache[r, D] = message_space(self.G, self.H, r, D)
+        return self._ms_cache[r, D]
 
     def bundle_json(self) -> dict:
         return {
@@ -194,11 +193,9 @@ def build_instance(config: InstanceConfig) -> Instance:
     p, m = config.p, config.m
     if config.instantiation == "I":
         ell = _ambient_degree_i(p, m)
-        h_order = p**m - 1
         expected_s = p ** (m * m)
     else:
         ell = 2 * m * (m + 1)
-        h_order = int(config.gamma * (p ** (m + 1) - 1))
         expected_s = p ** (m * (m + 1))
     ambient = build_field(p, ell)
     g_ints = defining_poly(config.instantiation, p, m)
@@ -207,7 +204,7 @@ def build_instance(config: InstanceConfig) -> Instance:
     g_digits[:, 0] = g_ints
     if not np.array_equal(G.annihilator, g_digits):
         raise InternalError("annihilator product does not reproduce the defining polynomial")
-    H = scaling_subgroup(ambient, h_order)
+    H = scaling_subgroup(ambient, config.h_order)
 
     S = scaling_closure(G, H)
     if S.size != expected_s:
@@ -242,7 +239,8 @@ def load_bundle(data) -> Instance:
     """
     if not isinstance(data, dict):
         raise ParameterError(f"bundle must be a JSON object, got {type(data).__name__}")
-    # In Python true == 1 and 48.0 == 48, so each stored integer is also checked to be a JSON integer.
+    # In Python true == 1 and 48.0 == 48, so each stored integer is also checked to be a JSON integer,
+    # and the graph summary's simple flag a JSON boolean.
     if data.get("schema_version") != SCHEMA_VERSION or type(data["schema_version"]) is not int:
         raise ParameterError(f"unsupported bundle schema {data.get('schema_version')!r}")
     config_data = data.get("config")
@@ -258,6 +256,7 @@ def load_bundle(data) -> Instance:
     alpha = data.get("alpha")
     if alpha != inst.alpha.tolist() or not all(type(c) is int for c in alpha):
         raise ParameterError("bundle records a different free point than the build")
-    if data.get("graph") != inst.graph.summary_json():
+    graph, summary = data.get("graph"), inst.graph.summary_json()
+    if graph != summary or any(type(graph[key]) is not (bool if key == "simple" else int) for key in summary):
         raise ParameterError("bundle graph summary disagrees with the build")
     return inst

@@ -70,26 +70,24 @@ def spectrum_section(inst: Instance, budgets: dict | None = None) -> dict:
 
 
 def rate_section(inst: Instance, budgets: dict | None = None, sigma2: float | None = None) -> dict:
-    params = inst.params
+    cfg, D, n = inst.config, inst.D, inst.n
     ms = inst.message_space()
-    count = monomial_count(params)
-    baseline = bounds_mod.counting_baseline(params.r, params.D, params.n)
-    rho = params.rho
+    count = monomial_count(cfg, D)
+    baseline = bounds_mod.counting_baseline(cfg.r, D, n)
     br = bounds_mod.bound_report(
-        params.instantiation,
-        params.m,
-        params.r,
-        rho,
-        gamma=params.gamma,
+        cfg.instantiation,
+        cfg.m,
+        cfg.r,
+        Fraction(D, n),
+        gamma=cfg.gamma,
         sigma2=0.0 if sigma2 is None else sigma2,
-        D=params.D,
-        n=params.n,
+        D=D,
+        n=n,
     )
-    floor_bound = 2 * math.floor(params.r * params.D) - params.D
     checks = {
         "monomial_count_le_dim": count <= ms.dim,
-        "dim_ge_counting_floor": ms.dim >= max(0, floor_bound),
-        "dim_ge_u_plus_v_minus_d": ms.dim >= ms.dim_u + ms.dim_v - params.D,
+        "dim_ge_counting_floor": ms.dim >= baseline * n,
+        "dim_ge_u_plus_v_minus_d": ms.dim >= ms.dim_u + ms.dim_v - D,
         "basis_constraints_pass": ms.verification["all_ok"],
     }
     return {
@@ -97,7 +95,7 @@ def rate_section(inst: Instance, budgets: dict | None = None, sigma2: float | No
         "dim": ms.dim,
         "dim_u": ms.dim_u,
         "dim_v": ms.dim_v,
-        "rate": ms.dim / params.n,
+        "rate": ms.dim / n,
         "monomial_count": count,
         "counting_baseline_finite": float(baseline),
         "bounds": br.to_json(),
@@ -111,16 +109,16 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
     if sample < 0:
         raise ParameterError(f"sample count must be >= 0, got {sample}")
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
-    params = inst.params
+    r, D, n = inst.config.r, inst.D, inst.n
     ms = inst.message_space()
-    algebraic = params.n - params.D + 1
+    algebraic = n - D + 1
     if sigma2 is None:
         sigma2 = 0.0  # conservative: the expander bound is then an asymptotic form
         expander_form = "asymptotic form (sigma2 = 0 not measured here)"
     else:
         expander_form = "finite-p form"
-    _, expander_rel = bounds_mod.distance_bounds(params.r, params.rho, sigma2)
-    expander = math.ceil(params.n * expander_rel - 1e-12)
+    _, expander_rel = bounds_mod.distance_bounds(r, Fraction(D, n), sigma2)
+    expander = math.ceil(n * expander_rel - 1e-12)
     out = {
         "bound_algebraic": algebraic,
         "bound_expander": expander,
@@ -152,9 +150,9 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
 def verify_section(inst: Instance, budgets: dict | None = None, codeword: np.ndarray | None = None) -> dict:
     """Local RS check of a provided (n, k) codeword digit array, or of the first basis codewords and Schur pairs."""
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
-    params = inst.params
+    r = inst.config.r
     if codeword is not None:
-        rep = check_local_rs(inst.ambient, codeword, inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, codeword, inst.graph, inst.omega, r)
         return {
             "status": "computed",
             "source": "provided codeword",
@@ -175,12 +173,12 @@ def verify_section(inst: Instance, budgets: dict | None = None, codeword: np.nda
     digits = dict(zip(rows, encode_basis_digits(inst.ambient, ms.coeffs[rows], inst.omega)))
     failures = []
     for bi in range(limit):
-        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, r)
         if not rep.all_ok:
             failures.append({"basis_index": bi, "failures": rep.failures()})
     schur_fail = []
     for i, j in sorted(pairs):
-        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, params)
+        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, r)
         if not rep.all_ok:
             schur_fail.append({"pair": [i, j], "failures": rep.failures()})
     return {

@@ -783,7 +783,7 @@ def character_eigencheck(
     return len(seen) == S.size
 
 
-def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, params) -> list[Poly]:
+def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> list[Poly]:
     """Basis of U cap V from the field-coefficient rows X^i g^j, eliminated over the field.
 
     The combinations c with sum_u c_u U_u vanishing on every column t with
@@ -792,7 +792,6 @@ def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, params) -
     order.
     """
     ctx = G.ctx
-    D, r = params.D, params.r
     imax_h = max_degree_below(r * H.order)
     bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
@@ -991,19 +990,18 @@ def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = 
     return int(np.where(nonzero, np.arange(hlen), -1).max())
 
 
-def monomial_is_sound(i: int, j: int, params) -> bool:
-    """Direct check (no subadditivity shortcut) that g^i X^j is admissible."""
-    p, m = params.p, params.m
-    glen = params.g_size
-    g = defining_poly(params.instantiation, p, m)
+def monomial_is_sound(i: int, j: int, config, D: int, r: Fraction) -> bool:
+    """Direct check (no subadditivity shortcut) that g^i X^j is admissible for an InstanceConfig's code at (r, D)."""
+    p, m = config.p, config.m
+    g = defining_poly(config.instantiation, p, m)
     f = shift(power(g, i, p), j)
-    if len(f) - 1 >= params.D:
+    if len(f) - 1 >= D:
         return False
-    dh = max_digit_degree(f, [0] * params.h_order + [1], p)
-    if dh != float("-inf") and not Fraction(int(dh)) < params.r * params.h_order:
+    dh = max_digit_degree(f, [0] * config.h_order + [1], p)
+    if dh != float("-inf") and not Fraction(int(dh)) < r * config.h_order:
         return False
     dg = max_digit_degree(f, g, p)
-    if dg != float("-inf") and not Fraction(int(dg)) < params.r * glen:
+    if dg != float("-inf") and not Fraction(int(dg)) < r * p**m:
         return False
     return True
 

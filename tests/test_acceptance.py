@@ -22,7 +22,6 @@ from oracles import (
 )
 from orbitcodes.bounds import volume_i, volume_ii
 from orbitcodes.codecore import (
-    CodeParams,
     check_local_rs,
     encode_basis_digits,
     min_distance_exhaustive,
@@ -161,12 +160,11 @@ def test_07_rate_chain(all_instances):
         for r in (Fraction(1, 4), HALF, Fraction(3, 4)):
             for D in (n, 5 * n // 6):
                 ms = inst.message_space(r=r, D=D)
-                params = inst.code_params(r=r, D=D)
-                count = monomial_count(params)
+                count = monomial_count(inst.config, D, r=r)
                 floor = 2 * math.floor(r * D) - D
                 ok &= count <= ms.dim
                 ok &= ms.dim >= max(0, floor)
-                ok &= verify_message_space(ms, inst.G, inst.H, params)["all_ok"]
+                ok &= verify_message_space(ms, inst.G, inst.H, r)["all_ok"]
         details.append(f"{inst.config.instantiation}@p{inst.config.p}")
     assert _line("7", ok, f"count<=dim, counting floor, per-basis deg_u checks on {details}")
 
@@ -175,16 +173,16 @@ def test_08_locality_and_schur(inst1_p2):
     t0 = time.perf_counter()
     inst = inst1_p2
     ms = inst.message_space()
-    params = inst.params
+    r = inst.config.r
     words = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     ok = True
     for cw in words:
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, params)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, r)
         ok &= rep.all_ok and len(rep.vertices) == 28
     rng = random.Random(8)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        ok &= schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, params).all_ok
+        ok &= schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, r).all_ok
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert _line("8", ok, f"{ms.dim} basis codewords x 28 vertices + 10 Schur pairs in {elapsed:.1f}s")
@@ -242,8 +240,7 @@ def _normalized_counts():
     out = {}
     for p in (2, 3, 5):
         n = p**4 * (p**2 - 1)
-        params = CodeParams("I", p, 2, HALF, n, n)
-        out[p] = monomial_count(params) / p**6
+        out[p] = monomial_count(InstanceConfig("I", p, 2, r=HALF), n) / p**6
     return out
 
 
@@ -280,7 +277,7 @@ def test_11_convergence_trend():
     ratios = {}
     for p in (2, 3, 5, 7, 11):
         n = p**4 * (p**2 - 1)
-        count, expected = monomial_count(CodeParams("I", p, 2, HALF, n, n)), _lattice_count_i(p)
+        count, expected = monomial_count(InstanceConfig("I", p, 2, r=HALF), n), _lattice_count_i(p)
         assert count == expected, f"p={p}: monomial_count {count} != closed form {expected}"
         lo, hi = envelope(p)
         ratios[p] = Fraction(count, p**6)
@@ -298,7 +295,7 @@ def test_11b_convergence_trend_measured():
     """Exact-count regression: the measured ratios decrease toward the volume."""
     ratios = _normalized_counts()
     n7 = 7**4 * (7**2 - 1)
-    ratios[7] = monomial_count(CodeParams("I", 7, 2, HALF, n7, n7)) / 7**6
+    ratios[7] = monomial_count(InstanceConfig("I", 7, 2, r=HALF), n7) / 7**6
     vol = float(volume_i(HALF, Fraction(1), 2))
     counts = {2: 2, 3: 8, 5: 60, 7: 252}
     ok = all(abs(ratios[p] - counts[p] / p**6) < 1e-15 for p in counts)

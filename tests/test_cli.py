@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import orbitcodes
+from orbitcodes import cli
 from orbitcodes.cli import main
 
 
@@ -369,20 +370,44 @@ def test_bundle_config_with_a_float_or_bool_fraction_is_structured_error(bundle_
     _assert_structured_error(code, out, "malformed config value", f"{key}={value!r}")
 
 
+GRAPH_COUNTS = ("n_left", "n_right", "left_degree", "right_degree", "edges")
+
+
 @pytest.mark.parametrize(
     "key,tamper",
-    [("schema_version", lambda v: True), ("n", float), ("alpha", lambda v: [float(c) for c in v])],
-    ids=["bool-schema_version", "float-n", "float-alpha"],
+    [
+        ("schema_version", lambda v: True),
+        ("n", float),
+        ("alpha", lambda v: [float(c) for c in v]),
+        *[("graph", lambda g, c=c: {**g, c: float(g[c])}) for c in GRAPH_COUNTS],
+        ("graph", lambda g: {**g, "simple": int(g["simple"])}),
+    ],
+    ids=["bool-schema_version", "float-n", "float-alpha", *(f"float-graph-{c}" for c in GRAPH_COUNTS), "int-graph-simple"],
 )
 def test_bundle_with_a_bool_or_float_for_a_stored_integer_is_structured_error(
     bundle_path, tmp_path, capsys, key, tamper
 ):
     # true == 1 and 48.0 == 48 in Python, but the bundle records JSON integers
+    # (and the graph summary's simple flag a JSON boolean)
     doc = _valid_bundle(bundle_path)
     assert tamper(doc[key]) == doc[key]
     doc[key] = tamper(doc[key])
     code, out = _run(capsys, "rate", "--bundle", _bundle_with(tmp_path, doc))
     _assert_structured_error(code, out)
+
+
+def test_running_out_of_memory_is_structured_error(capsys, monkeypatch):
+    # numpy reports a failed allocation with a private subclass of MemoryError
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def exhausted(config):
+        raise _ArrayMemoryError("Unable to allocate 26.3 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_instance", exhausted)
+    code, out = _run(capsys, "instantiate", "--p", "2", "--m", "5", "--inst", "I")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "MemoryError", "condition": "Unable to allocate 26.3 GiB for an array"}
 
 
 def test_bundle_config_with_a_decimal_fraction_string_is_accepted(bundle_path, tmp_path, capsys):

@@ -18,7 +18,6 @@ from oracles import (
 )
 from orbitcodes import fppoly, report
 from orbitcodes.codecore import (
-    CodeParams,
     MessageSpace,
     admissible_monomials,
     check_local_rs,
@@ -49,17 +48,28 @@ def test_max_degree_below():
     assert max_degree_below(Fraction(0)) == -1
 
 
-def test_code_params_validation():
+def test_config_and_instance_validate_code_parameters(inst1_p2, inst2_p2):
+    # the config owns the instantiation, r and gamma rules; the instance owns an (r, D) override
     with pytest.raises(ParameterError):
-        CodeParams("I", 2, 2, Fraction(0), 48, 48)
+        inst1_p2.message_space(r=Fraction(0))
     with pytest.raises(ParameterError):
-        CodeParams("I", 2, 2, Fraction(1, 2), 49, 48)
+        inst1_p2.message_space(D=inst1_p2.n + 1)
     with pytest.raises(ParameterError):
-        CodeParams("II", 2, 2, Fraction(1, 2), 448, 448)  # missing gamma
+        InstanceConfig("II", 2, 2)  # missing gamma
     with pytest.raises(ParameterError):
-        CodeParams("II", 3, 2, Fraction(1, 2), 100, 100, gamma=Fraction(1, 5))
-    params = CodeParams("II", 2, 2, Fraction(1, 2), 448, 448, gamma=Fraction(1))
-    assert params.h_order == 7 and params.g_size == 4
+        InstanceConfig("II", 3, 2, gamma=Fraction(1, 5))
+    config = InstanceConfig("II", 2, 2, gamma=Fraction(1))
+    assert config.h_order == 7 and inst2_p2.G.size == 4
+
+
+@pytest.mark.parametrize(
+    "config",
+    [("I", 2, 2, None), ("II", 2, 2, Fraction(1)), ("I", 3, 2, None), ("I", 5, 2, None), ("I", 2, 3, None)],
+    ids=["I22", "II22", "I32", "I52", "I23"],
+)
+def test_config_h_order_is_the_built_order(config):
+    cfg = InstanceConfig(config[0], config[1], config[2], gamma=config[3])
+    assert cfg.h_order == build_instance(cfg).H.order
 
 
 def test_message_space_contains_constants(all_instances):
@@ -67,7 +77,7 @@ def test_message_space_contains_constants(all_instances):
         ms = inst.message_space()
         assert ms.dim >= 1
         # the constant 1 lies in the space: verify by direct constraint check
-        rep = constraint_report(poly_digits(Poly.one(inst.ambient)).T, inst.G, inst.H, inst.params)
+        rep = constraint_report(poly_digits(Poly.one(inst.ambient)).T, inst.G, inst.H, inst.config.r, inst.D)
         assert rep["all_ok"]
 
 
@@ -94,14 +104,14 @@ def test_message_space_counting_floor(all_instances):
 def test_message_space_basis_passes_independent_checks(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    report = verify_message_space(ms, inst.G, inst.H, inst.params)
+    report = verify_message_space(ms, inst.G, inst.H, inst.config.r)
     assert report["all_ok"]
     # cross-check one basis element against the generic expansion route
     f = row_poly(inst.ambient, ms.coeffs[-1])
     dg = base_degree(f, row_poly(inst.ambient, inst.G.annihilator))
     dh = base_degree(f, scaling_invariant_poly(inst.ambient, inst.H.order))
-    assert Fraction(int(dg)) < inst.params.r * inst.G.size
-    assert Fraction(int(dh)) < inst.params.r * inst.H.order
+    assert Fraction(int(dg)) < inst.config.r * inst.G.size
+    assert Fraction(int(dh)) < inst.config.r * inst.H.order
 
 
 def test_message_space_refuses_an_annihilator_outside_fp(inst1_p2):
@@ -113,11 +123,10 @@ def test_message_space_refuses_an_annihilator_outside_fp(inst1_p2):
     G2 = TranslationGroup(FpSubspace(ambient, ambient.digit_rows([ambient.from_int(9)])))
     assert row_poly(ambient, G2.annihilator).int_coeffs() is None
     H2 = ScalingGroup(ambient, ambient.one().coeffs, 1)
-    params = CodeParams("I", 2, 2, Fraction(1, 4), 8, 48)
     with pytest.raises(ParameterError, match="outside F_p"):
-        message_space(G2, H2, params)
+        message_space(G2, H2, Fraction(1, 4), 8)
     with pytest.raises(ParameterError, match="outside F_p"):
-        constraint_report(np.zeros((1, 8), dtype=np.int64), G2, H2, params)
+        constraint_report(np.zeros((1, 8), dtype=np.int64), G2, H2, Fraction(1, 4), 8)
 
 
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
@@ -139,25 +148,25 @@ def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
 
 def test_encode_constants(inst1_p2):
     inst = inst1_p2
-    cw0 = encode(poly_digits(Poly.zero(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
+    cw0 = encode(poly_digits(Poly.zero(inst.ambient)), inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     assert all(v.is_zero() for v in inst.ambient.elements_of(cw0))
-    cw1 = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
+    cw1 = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     assert all(v == inst.ambient.one() for v in inst.ambient.elements_of(cw1))
 
 
 def test_encode_rejects_constraint_violations(inst1_p2):
     inst = inst1_p2
     with pytest.raises(ConstraintViolation, match="^degree violated: 48 must be < 48$"):
-        encode(poly_digits(Poly.monomial(inst.ambient, 48)), inst.omega, inst.G, inst.H, inst.params)
+        encode(poly_digits(Poly.monomial(inst.ambient, 48)), inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     # digits are read mod p: X^48 written with a top coefficient p = 2 is the constant 1
     padded = np.zeros((49, 1), dtype=np.int64)
     padded[0, 0], padded[48, 0] = 1, 2
-    one = encode(padded, inst.omega, inst.G, inst.H, inst.params)
+    one = encode(padded, inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     assert inst.ambient.elements_of(one) == (inst.ambient.one(),) * inst.n
     # X^3 has scaling-side base degree 0 but translation digits fine; craft a
     # violation of the local bound instead: g itself has h-base degree 2 >= 1.5
     with pytest.raises(ConstraintViolation, match="base degree|base_degree"):
-        encode(inst.G.annihilator, inst.omega, inst.G, inst.H, inst.params)
+        encode(inst.G.annihilator, inst.omega, inst.G, inst.H, inst.config.r, inst.D)
 
 
 @pytest.mark.parametrize("name,D", [("inst1_p2", None), ("inst2_p2", 96)])
@@ -165,13 +174,13 @@ def test_encode_field_coefficients(request, name, D):
     # random F-combinations of the basis polynomials, with coefficients outside
     # F_p, encode to the same F-combinations of the basis codewords
     inst = request.getfixturevalue(name)
-    ctx, params = inst.ambient, inst.code_params(D=D)
+    ctx, r, D = inst.ambient, inst.config.r, inst.D if D is None else D
     ms = inst.message_space(D=D)
     words = encode_basis_digits(ctx, ms.coeffs, inst.omega)
     bounds = {
-        "degree": params.D,
-        "translation_base_degree": params.r * inst.G.size,
-        "scaling_base_degree": params.r * inst.H.order,
+        "degree": D,
+        "translation_base_degree": r * inst.G.size,
+        "scaling_base_degree": r * inst.H.order,
     }
     bases = {
         "translation_base_degree": row_poly(ctx, inst.G.annihilator),
@@ -185,22 +194,22 @@ def test_encode_field_coefficients(request, name, D):
             f = f + row_poly(ctx, row) * s
         assert f.int_coeffs() is None
         expected = mul_rows(ctx, ctx.digit_rows(scalars)[:, None, :], words).sum(axis=0) % ctx.p
-        cw = encode(poly_digits(f), inst.omega, inst.G, inst.H, params)
+        cw = encode(poly_digits(f), inst.omega, inst.G, inst.H, r, D)
         assert np.array_equal(cw, expected)
         assert np.array_equal(cw, scalar_encode(f, inst.omega))
         # one coefficient pushed past a bound: the first failing check, by the scalar oracle, names the violation
-        for t in (max_degree_below(bounds["scaling_base_degree"]) + 1, params.D):
+        for t in (max_degree_below(bounds["scaling_base_degree"]) + 1, D):
             bad = f + Poly.monomial(ctx, t, ctx.from_int(int(rng.integers(ctx.p, ctx.order))))
             values = {"degree": bad.degree, **{check: base_degree(bad, u) for check, u in bases.items()}}
             check, value = next((c, v) for c, v in values.items() if v > max_degree_below(bounds[c]))
             with pytest.raises(ConstraintViolation, match=rf"^{check} violated: {value} must be < {bounds[check]}$"):
-                encode(poly_digits(bad), inst.omega, inst.G, inst.H, params)
+                encode(poly_digits(bad), inst.omega, inst.G, inst.H, r, D)
 
 
 def test_encode_injective_on_basis(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    words = [encode(row[:, None], inst.omega, inst.G, inst.H, inst.params) for row in ms.coeffs]
+    words = [encode(row[:, None], inst.omega, inst.G, inst.H, inst.config.r, inst.D) for row in ms.coeffs]
     seen = {tuple(v.coeffs for v in inst.ambient.elements_of(w)) for w in words}
     assert len(seen) == ms.dim
 
@@ -210,7 +219,7 @@ def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
     ms = inst.message_space()
     digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in (0, ms.dim - 1):
-        cw = encode(ms.coeffs[bi][:, None], inst.omega, inst.G, inst.H, inst.params)
+        cw = encode(ms.coeffs[bi][:, None], inst.omega, inst.G, inst.H, inst.config.r, inst.D)
         assert np.array_equal(digits[bi], cw)
         assert np.array_equal(digits[bi], scalar_encode(row_poly(inst.ambient, ms.coeffs[bi]), inst.omega))
 
@@ -218,7 +227,7 @@ def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
 def test_local_rs_zero_codeword_passes(inst1_p2):
     inst = inst1_p2
     cw = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
-    rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+    rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
     assert rep.all_ok
     assert rep.vertices.tolist() == [-1] * (inst.graph.n_left + inst.graph.n_right)  # -1: zero restriction
 
@@ -228,7 +237,7 @@ def test_local_rs_every_basis_codeword_both_sides(inst1_p2):
     ms = inst.message_space()
     digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in range(ms.dim):
-        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, inst.params)
+        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, inst.config.r)
         assert rep.all_ok
         assert len(rep.vertices) == inst.graph.n_left + inst.graph.n_right == 28
 
@@ -255,7 +264,7 @@ def test_local_rs_random_vector_fails(inst1_p2):
     failures = 0
     for _ in range(100):
         vec = inst.ambient.digit_rows([inst.ambient.from_int(int(v)) for v in rng.integers(0, 64, inst.n)])
-        if not check_local_rs(inst.ambient, vec, inst.graph, inst.omega, inst.params).all_ok:
+        if not check_local_rs(inst.ambient, vec, inst.graph, inst.omega, inst.config.r).all_ok:
             failures += 1
     assert failures == 100
 
@@ -263,11 +272,11 @@ def test_local_rs_random_vector_fails(inst1_p2):
 def test_schur_all_ones_neutral(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    cw = encode(ms.coeffs[2][:, None], inst.omega, inst.G, inst.H, inst.params)
-    ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.params)
+    cw = encode(ms.coeffs[2][:, None], inst.omega, inst.G, inst.H, inst.config.r, inst.D)
+    ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     prod = schur_product(inst.ambient, cw, ones)
     assert np.array_equal(prod, cw)
-    assert check_local_rs(inst.ambient, prod, inst.graph, inst.omega, inst.params).all_ok
+    assert check_local_rs(inst.ambient, prod, inst.graph, inst.omega, inst.config.r).all_ok
 
 
 def test_schur_products_pass_doubled_bound(inst1_p2):
@@ -277,7 +286,7 @@ def test_schur_products_pass_doubled_bound(inst1_p2):
     rng = random.Random(6)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, inst.params)
+        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, inst.config.r)
         assert rep.all_ok
 
 
@@ -310,8 +319,8 @@ def test_min_distance_constant_code(inst1_p2):
     inst = inst1_p2
     ms = MessageSpace(
         inst.ambient,
-        inst.params.D,
-        np.array([[1] + [0] * (inst.params.D - 1)], dtype=np.int64),
+        inst.D,
+        np.array([[1] + [0] * (inst.D - 1)], dtype=np.int64),
         1,
         1,
     )
@@ -382,44 +391,42 @@ def test_weight_patterns_from_the_lemmas():
 
 
 def test_monomial_count_degenerate_rates(inst1_p2):
-    params = inst1_p2.params
-    assert monomial_count(params, r=Fraction(0)) == 0
-    assert monomial_count(params, r=Fraction(-1, 2)) == 0
+    config, D = inst1_p2.config, inst1_p2.D
+    assert monomial_count(config, D, r=Fraction(0)) == 0
+    assert monomial_count(config, D, r=Fraction(-1, 2)) == 0
     # any positive rate admits at least the constant monomial
-    assert monomial_count(params, r=Fraction(1, 1000)) == 1
+    assert monomial_count(config, D, r=Fraction(1, 1000)) == 1
 
 
 def test_monomial_count_le_dimension(all_instances):
     for inst in all_instances:
         for r in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            params = inst.code_params(r=r)
-            assert monomial_count(params) <= inst.message_space(r=r).dim
+            assert monomial_count(inst.config, inst.D, r=r) <= inst.message_space(r=r).dim
 
 
 def test_monomial_count_regressions(inst1_p2, inst1_p3, inst2_p2):
-    assert monomial_count(inst1_p2.params) == 2
-    assert monomial_count(inst1_p3.params) == 8
-    assert monomial_count(inst2_p2.params) == 6
+    assert monomial_count(inst1_p2.config, inst1_p2.D) == 2
+    assert monomial_count(inst1_p3.config, inst1_p3.D) == 8
+    assert monomial_count(inst2_p2.config, inst2_p2.D) == 6
 
 
 def test_monomials_are_sound_and_distinct_degrees(inst1_p2, inst1_p3):
     rng = random.Random(7)
     for inst in (inst1_p2, inst1_p3):
-        params = inst.code_params(r=Fraction(3, 4))
-        monos = list(admissible_monomials(params))
-        degrees = {i * params.g_size + j for i, j in monos}
+        r = Fraction(3, 4)
+        monos = list(admissible_monomials(inst.config, inst.D, r=r))
+        degrees = {i * inst.G.size + j for i, j in monos}
         assert len(degrees) == len(monos)
         sample = monos if len(monos) <= 100 else rng.sample(monos, 100)
         for i, j in sample:
-            assert monomial_is_sound(i, j, params)
+            assert monomial_is_sound(i, j, inst.config, inst.D, r)
 
 
 def test_counted_monomials_lie_in_message_space(inst1_p2):
     # every counted monomial, encoded, passes the independent constraint check
     inst = inst1_p2
-    params = inst.params
     g = row_poly(inst.ambient, inst.G.annihilator)
-    for i, j in admissible_monomials(params):
+    for i, j in admissible_monomials(inst.config, inst.D):
         f = (g**i).shift(j)
-        rep = constraint_report(poly_digits(f).T, inst.G, inst.H, params)
+        rep = constraint_report(poly_digits(f).T, inst.G, inst.H, inst.config.r, inst.D)
         assert rep["all_ok"]

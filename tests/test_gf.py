@@ -26,7 +26,6 @@ from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
     build_field,
-    dual_subspace,
     frobenius_matrix,
     mul_matrix,
     mul_rows,
@@ -155,14 +154,14 @@ def test_dual_of_trivial_and_full():
     ctx = build_field(2, 4)
     trivial = FpSubspace(ctx, [])
     full = FpSubspace.from_vectors(ctx, ctx.digit_rows(list(ctx.elements())))
-    assert dual_subspace(trivial).size == ctx.order
-    assert dual_subspace(full).size == 1
+    assert trivial.dual().size == ctx.order
+    assert full.dual().size == 1
 
 
 def test_dual_of_one_span_in_f4():
     f4 = build_field(2, 2)
     span1 = FpSubspace(f4, f4.digit_rows([f4.one()]))
-    dual = dual_subspace(span1)
+    dual = span1.dual()
     assert point_set(dual) == {f4.zero(), f4.one()}
 
 
@@ -189,9 +188,9 @@ def test_dual_involution_exhaustive_f16():
     spaces = _all_subspaces_f16(ctx)
     assert len(spaces) == 67  # total number of subspaces of F_2^4
     for space in spaces:
-        dual = dual_subspace(space)
+        dual = space.dual()
         assert space.dim + dual.dim == ctx.k
-        assert point_set(dual_subspace(dual)) == point_set(space)
+        assert point_set(dual.dual()) == point_set(space)
 
 
 def test_char_exponent_trivial_and_table():
@@ -228,7 +227,7 @@ def test_character_orthogonality_on_subspaces(dim):
             continue
         vecs.append(cand)
     space = FpSubspace(ctx, ctx.digit_rows(vecs))
-    s_perp = point_set(dual_subspace(space))
+    s_perp = point_set(space.dual())
     for a in ctx.elements():
         counts = [0, 0]
         for s in ctx.elements_of(space.points()):

@@ -39,7 +39,6 @@ from oracles import (
 )
 from orbitcodes import codecore, cosetgraph, fppoly
 from orbitcodes.codecore import (
-    CodeParams,
     MessageSpace,
     check_local_rs,
     encode_basis_digits,
@@ -124,7 +123,7 @@ def test_mul_matrix_matches_scalar_products(p, k):
 def test_local_degrees_match_scalar_oracle_on_basis(inst1_p2):
     inst = inst1_p2
     for cw in _basis_words(inst):
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -135,7 +134,7 @@ def test_local_degrees_match_scalar_oracle_on_every_schur_pair(inst1_p2):
         prod = schur_product(inst.ambient, words[i], words[j])
         pairs = zip(inst.ambient.elements_of(words[i]), inst.ambient.elements_of(words[j]))
         assert inst.ambient.elements_of(prod) == tuple(a * b for a, b in pairs)
-        rep = schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, inst.params)
+        rep = schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, prod, inst.graph, inst.omega)
         assert rep.all_ok
 
@@ -145,7 +144,7 @@ def test_local_degrees_match_scalar_oracle_on_random_words(inst1_p2):
     rng = np.random.default_rng(11)
     for _ in range(20):
         cw = _random_word(inst, rng)
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -154,7 +153,7 @@ def test_local_degrees_match_scalar_oracle_on_larger_rungs(name, request):
     inst = request.getfixturevalue(name)
     words = _basis_words(inst)
     for cw in (words[0], schur_product(inst.ambient, words[1], words[-1])):
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -200,7 +199,7 @@ def test_local_degrees_match_scalar_oracle_property(name, combination, doubled, 
     cw = _drawn_word(name, combination, rng)
     if doubled:
         cw = schur_product(ctx, cw, _drawn_word(name, combination, rng))
-    rep = check_local_rs(ctx, cw, inst.graph, inst.omega, inst.params, doubled=doubled)
+    rep = check_local_rs(ctx, cw, inst.graph, inst.omega, inst.config.r, doubled=doubled)
     slow = scalar_vertex_degrees(ctx, cw, inst.graph, inst.omega)
     assert _fast_degrees(rep) == slow
     allowed = {side: (2 if doubled else 1) * b["max_allowed_degree"] for side, b in rep.bounds.items()}
@@ -223,9 +222,9 @@ def test_schur_product_matches_scalar_products_property(name, combination, seed)
 def test_local_maps_are_cached_per_graph(inst1_p2):
     inst = inst1_p2
     cw = _basis_words(inst)[0]
-    check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.params)
+    check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
     maps = inst.graph.local_maps
-    check_local_rs(inst.ambient, cw, inst.graph, inst.omega.copy(), inst.params)
+    check_local_rs(inst.ambient, cw, inst.graph, inst.omega.copy(), inst.config.r)
     assert inst.graph.local_maps is maps
 
 
@@ -234,8 +233,8 @@ def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
     omega = inst.omega[[-1, *range(1, inst.n - 1), 0]]  # points 0 and n-1 swapped
     zero = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
     with pytest.raises(ParameterError, match="base set"):
-        check_local_rs(inst.ambient, zero, inst.graph, omega, inst.params)
-    check_local_rs(inst.ambient, zero, inst.graph, inst.omega, inst.params)  # the cache recovers
+        check_local_rs(inst.ambient, zero, inst.graph, omega, inst.config.r)
+    check_local_rs(inst.ambient, zero, inst.graph, inst.omega, inst.config.r)  # the cache recovers
 
 
 def _subspace(ms, dims):
@@ -370,11 +369,10 @@ def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     assert g == translation_invariant_poly(G.points)
     assert g.int_coeffs() == gens
     H = scaling_subgroup(ctx, h_order)
-    params = CodeParams("I", 2, 2, r, D, max(D, 48))
-    ms = message_space(G, H, params)
+    ms = message_space(G, H, r, D)
     assert ms.coeffs.ndim == 2 and ms.verification["all_ok"]
     # the field elimination of the oracle spans the same F_p space
-    oracle = [b.int_coeffs() for b in scalar_message_space_generic(G, H, params)]
+    oracle = [b.int_coeffs() for b in scalar_message_space_generic(G, H, r, D)]
     oracle_rows = np.array([b + [0] * (D - len(b)) for b in oracle], dtype=np.int64).reshape(len(oracle), D)
     assert np.array_equal(rref_mod_p(oracle_rows, p)[0], ms.coeffs)
     basis = [row_poly(ctx, row) for row in ms.coeffs]
@@ -400,7 +398,7 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
         inst = request.getfixturevalue(name)
     ms, p = inst.message_space(), inst.ambient.p
     checks = ms.verification["checks"]
-    assert ms.coeffs.ndim == 2 and ms.D == inst.params.D
+    assert ms.coeffs.ndim == 2 and ms.D == inst.D
     assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.annihilator[:, 0], p)
     assert checks["scaling_base_degree"][0].tolist() == _fp_base_degrees(ms, [0] * inst.H.order + [1], p)
 
