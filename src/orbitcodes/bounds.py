@@ -19,7 +19,6 @@ combine the degree (Singleton-type) bound 1 - rho with the expander bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from orbitcodes.errors import ParameterError
@@ -91,40 +90,6 @@ def distance_bounds(r: Fraction, rho: Fraction, sigma2: float) -> tuple[Fraction
     return algebraic, expander
 
 
-@dataclass
-class BoundReport:
-    """Closed-form bound summary for one parameter point."""
-
-    instantiation: str
-    m: int
-    r: Fraction
-    rho: Fraction
-    gamma: Fraction | None
-    volume: Fraction
-    rate_lb_polytope: Fraction
-    rate_lb_counting: Fraction | None  # None when n is not specified (asymptotic sweep)
-    dist_lb_algebraic: Fraction
-    dist_lb_expander: float
-
-    def dist_lb_combined(self) -> float:
-        return max(float(self.dist_lb_algebraic), self.dist_lb_expander)
-
-    def to_json(self) -> dict:
-        return {
-            "instantiation": self.instantiation,
-            "m": self.m,
-            "r": str(self.r),
-            "rho": str(self.rho),
-            "gamma": None if self.gamma is None else str(self.gamma),
-            "volume": float(self.volume),
-            "rate_lb_polytope": float(self.rate_lb_polytope),
-            "rate_lb_counting": None if self.rate_lb_counting is None else float(self.rate_lb_counting),
-            "dist_lb_algebraic": float(self.dist_lb_algebraic),
-            "dist_lb_expander": self.dist_lb_expander,
-            "dist_lb_combined": self.dist_lb_combined(),
-        }
-
-
 def bound_report(
     instantiation: str,
     m: int,
@@ -134,23 +99,24 @@ def bound_report(
     sigma2: float = 0.0,
     D: int | None = None,
     n: int | None = None,
-) -> BoundReport:
-    rate_lb = rate_lower_bound(instantiation, r, rho, m, gamma)
-    vol = rate_lb * gamma if instantiation == "II" else rate_lb  # the II rate bound is the volume / gamma
-    alg, expander = distance_bounds(r, rho, sigma2)
-    counting = None
-    if D is not None and n is not None:
-        counting = counting_baseline(r, D, n)
-    return BoundReport(
-        instantiation=instantiation,
-        m=m,
-        r=Fraction(r),
-        rho=Fraction(rho),
-        gamma=None if gamma is None else Fraction(gamma),
-        volume=vol,
-        rate_lb_polytope=rate_lb,
-        rate_lb_counting=counting,
-        dist_lb_algebraic=alg,
-        dist_lb_expander=expander,
-    )
+) -> dict:
+    """The closed-form bounds at one parameter point, as the rate section writes them and sweep reads them.
 
+    rate_lb_counting is None unless both D and n are given (an asymptotic sweep gives neither).
+    """
+    rate_lb = rate_lower_bound(instantiation, r, rho, m, gamma)
+    volume = volume_ii(r, rho, m, gamma) if instantiation == "II" else rate_lb
+    algebraic, expander = distance_bounds(r, rho, sigma2)
+    return {
+        "instantiation": instantiation,
+        "m": m,
+        "r": str(Fraction(r)),
+        "rho": str(Fraction(rho)),
+        "gamma": None if gamma is None else str(Fraction(gamma)),
+        "volume": float(volume),
+        "rate_lb_polytope": float(rate_lb),
+        "rate_lb_counting": None if D is None or n is None else float(counting_baseline(r, D, n)),
+        "dist_lb_algebraic": float(algebraic),
+        "dist_lb_expander": expander,
+        "dist_lb_combined": max(float(algebraic), expander),
+    }

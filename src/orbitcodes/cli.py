@@ -221,10 +221,10 @@ def cmd_sweep(args) -> int:
                             str(r),
                             str(rho),
                             "" if gamma is None else str(gamma),
-                            f"{float(br.volume):.12g}",
-                            f"{float(br.rate_lb_polytope):.12g}",
-                            f"{float(br.dist_lb_algebraic):.12g}",
-                            f"{br.dist_lb_expander:.12g}",
+                            f"{br['volume']:.12g}",
+                            f"{br['rate_lb_polytope']:.12g}",
+                            f"{br['dist_lb_algebraic']:.12g}",
+                            f"{br['dist_lb_expander']:.12g}",
                             "asymptotic form",
                         ]
                     )

@@ -67,7 +67,7 @@ class MessageSpace:
     coeffs: np.ndarray  # (dim, D) int64
     dim_u: int
     dim_v: int
-    verification: dict | None = None  # verify_message_space of the basis, set by message_space
+    verification: dict | None = None  # constraint_report of the basis, set by message_space
 
     @property
     def dim(self) -> int:
@@ -85,20 +85,6 @@ def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def defining_poly(instantiation: str, p: int, m: int) -> list[int]:
-    """F_p coefficients of g, little-endian: X^(p^m) + X^p + X for I, X^(p^m) - X for II."""
-    g = [0] * (p**m + 1)
-    if instantiation == "I":
-        for e in (1, p, p**m):
-            g[e] = (g[e] + 1) % p
-    elif instantiation == "II":
-        g[1] = -1 % p
-        g[p**m] = 1
-    else:
-        raise ParameterError(f"unknown instantiation {instantiation!r}")
-    return g
-
-
 def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
@@ -108,7 +94,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     put in RREF.  Raises ParameterError when g lies outside F_p[X].
 
     Every basis row is then re-checked against all three constraints by one
-    batched base expansion per base (verify_message_space); the result is
+    batched base expansion per base (constraint_report); the result is
     stored as ms.verification and a failure raises InternalError.
     """
     p = G.ctx.p
@@ -120,7 +106,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     basis = rref_mod_p(kernel @ rows % p, p)[0]
     ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
 
-    ms.verification = verify_message_space(ms, G, H, r)
+    ms.verification = constraint_report(basis, G, H, r, D)
     if not ms.verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")
     return ms
@@ -177,11 +163,6 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
     return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
-
-
-def verify_message_space(ms: MessageSpace, G: TranslationGroup, H: ScalingGroup, r: Fraction) -> dict:
-    """constraint_report of every basis row at the space's D, from one expansion per base."""
-    return constraint_report(ms.coeffs, G, H, r, ms.D)
 
 
 def encode(
@@ -599,38 +580,15 @@ def min_distance_sampled(
     return best
 
 
-# -- weight profile of Frobenius powers ----------------------------------------
-
-
-def weight_closed_form(k: int, p: int, m: int, instantiation: str) -> int:
-    """Closed-form h-base degree of g^(p^k) for the two instantiations.
-
-    Balanced construction: period m with the pattern p^1, ..., p^(m-1)
-    capped at p^(m-1) on the last residue.  Tunable construction: period
-    m+1 with value p^m on residue 0 and p^(k mod (m+1)) elsewhere.
-    """
-    if k < 0:
-        raise ParameterError("weight index must be nonnegative")
-    if instantiation == "I":
-        b = k % m
-        return p ** (m - 1) if b == m - 1 else p ** (b + 1)
-    if instantiation == "II":
-        t = k % (m + 1)
-        return p**m if t == 0 else p**t
-    raise ParameterError(f"unknown instantiation {instantiation!r}")
-
-
 # -- admissible monomial counting ------------------------------------------------
 
 
-def _digit_weight_sum(i: int, p: int, m: int, instantiation: str) -> int:
+def _digit_weight_sum(i: int, config) -> int:
     total = 0
     k = 0
     while i:
-        digit = i % p
-        if digit:
-            total += digit * weight_closed_form(k, p, m, instantiation)
-        i //= p
+        total += (i % config.p) * config.weight(k)
+        i //= config.p
         k += 1
     return total
 
@@ -638,31 +596,26 @@ def _digit_weight_sum(i: int, p: int, m: int, instantiation: str) -> int:
 def monomial_count(config, D: int, r: Fraction | None = None) -> int:
     """Number of monomials g^i X^j passing the digit-weighted constraints.
 
-    The local constraint bounds j plus the p-adic-digit-weighted sum of i
-    by r|H| (subadditivity makes this sufficient for true h-base-degree
-    membership); the global constraint bounds the monomial degree by D.
-    Counted monomials have pairwise distinct degrees, so the count lower
-    bounds the message-space dimension.  config is read by attribute
-    (instantiation, p, m, r and h_order, as on an InstanceConfig); the r
-    override admits degenerate rates (r <= 0 counts nothing) that a
-    config refuses.
+    The local constraints bound j by r|G| and j plus the p-adic-digit-weighted
+    sum of i by r|H| (subadditivity makes this sufficient for true
+    h-base-degree membership); the global constraint bounds the monomial
+    degree by D.  Counted monomials have pairwise distinct degrees, so the
+    count lower bounds the message-space dimension.  config is read by
+    attribute (p, m, r, h_order and weight, as on an InstanceConfig); the r
+    override admits degenerate rates (r <= 0 counts nothing) that a config
+    refuses.
     """
     return sum(1 for _ in admissible_monomials(config, D, r=r))
 
 
 def admissible_monomials(config, D: int, r: Fraction | None = None) -> Iterator[tuple[int, int]]:
-    p, m, instantiation = config.p, config.m, config.instantiation
     r = config.r if r is None else Fraction(r)
     if r <= 0:
         return
-    glen = p**m
+    glen = config.p**config.m
     hbound = r * config.h_order
-    jcap_g = max_degree_below(r * glen) if instantiation == "II" else None
+    jcap_g = max_degree_below(r * glen)  # binds on II only: on I, r|H| - w < r|G|
     for i in range((D - 1) // glen + 1):
-        w = _digit_weight_sum(i, p, m, instantiation)
-        jmax = max_degree_below(hbound - w)
-        jmax = min(jmax, D - 1 - i * glen)
-        if jcap_g is not None:
-            jmax = min(jmax, jcap_g)
+        jmax = min(max_degree_below(hbound - _digit_weight_sum(i, config)), D - 1 - i * glen, jcap_g)
         for j in range(jmax + 1):
             yield (i, j)

@@ -223,22 +223,3 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIE
         b1 = sum(best_counts[e] * best_counts[(e + 1) % p] for e in range(p))
         best_sq = Fraction(b0 - b1)
     return CharSumMax(value=best, sq_exact=best_sq)
-
-
-def spectral_bounds(
-    p: int, M: float, h_order: int, m: int, instantiation: str
-) -> tuple[float, float]:
-    """(general bound, instantiation bound) on sigma_2.
-
-    general = sqrt(1/p + M/|H|); the instantiation bound specializes M to
-    the orthogonality value 1 (balanced construction) or the Gauss-sum
-    bound sqrt(q) with q = p^(m+1) (tunable construction).
-    """
-    bound_general = sqrt(1.0 / p + M / h_order)
-    if instantiation == "I":
-        bound_instance = sqrt(1.0 / p + 1.0 / (p**m - 1))
-    elif instantiation == "II":
-        bound_instance = sqrt(1.0 / p + sqrt(p ** (m + 1)) / h_order)
-    else:
-        raise ParameterError(f"unknown instantiation {instantiation!r}")
-    return bound_general, bound_instance

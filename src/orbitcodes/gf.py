@@ -464,8 +464,18 @@ class FpSubspace:
 
 
 def base_p_digits(idx: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Little-endian base-p digits of each index, one row per index."""
-    return (idx[:, None] // p ** np.arange(width, dtype=np.int64)) % p
+    """Little-endian base-p digits of each index, one row per index.
+
+    Repeated division, so no power of p is formed: at any width, the digits
+    above an index's top digit are 0.
+    """
+    out = np.zeros((len(idx), width), dtype=np.int64)
+    rest = np.array(idx, dtype=np.int64)
+    for t in range(width):
+        if not rest.any():
+            break
+        rest, out[:, t] = np.divmod(rest, p)
+    return out
 
 
 def digit_codes(digits: np.ndarray, p: int) -> np.ndarray:

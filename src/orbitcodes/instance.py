@@ -1,6 +1,11 @@
 """Instance construction: from (p, m, instantiation, gamma, r, D) to a fully
 built field, subgroup pair, closure, affine group, orbit and coset graph.
 
+Every fact that differs between the two constructions is a member of
+InstanceConfig: the defining polynomial g, |H|, the ambient degree, the
+closure size |S|, the weight profile of g^(p^k) and the bound on the
+character sum M.
+
 Instantiation I (balanced): G is the root space of X^(p^m) + X^p + X, H is
 the multiplicative group of the degree-m subfield, and the ambient field is
 the smallest F_(p^l) with l a common multiple of m and the splitting degree
@@ -22,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitcodes.codecore import MessageSpace, defining_poly, message_space
+from orbitcodes.codecore import MessageSpace, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FpSubspace, build_field
@@ -82,6 +87,60 @@ class InstanceConfig:
         if self.instantiation == "I":
             return self.p**self.m - 1
         return int(self.gamma * (self.p ** (self.m + 1) - 1))
+
+    @property
+    def g(self) -> list[int]:
+        """F_p coefficients of the defining polynomial g, little-endian: X^(p^m) + X^p + X for I, X^(p^m) - X for II."""
+        p, m = self.p, self.m
+        g = [0] * (p**m + 1)
+        if self.instantiation == "I":
+            g[1] = g[p] = g[p**m] = 1  # m >= 2 keeps the three exponents apart
+        else:
+            g[1], g[p**m] = p - 1, 1
+        return g
+
+    @property
+    def ambient_degree(self) -> int:
+        """l of the ambient field F_(p^l).
+
+        2m(m+1) for II; for I the first multiple of lcm(splitting degree of g, m) with p^l >= |A|.
+        """
+        p, m = self.p, self.m
+        if self.instantiation == "II":
+            return 2 * m * (m + 1)
+        base = math.lcm(splitting_degree(self.g, p), m)
+        ell = base
+        while p**ell < self.closure_size * self.h_order:  # |A| = |S| |H|
+            ell += base
+        return ell
+
+    @property
+    def closure_size(self) -> int:
+        """|S|, the size of the closure of G under H: p^(m^2) for I, p^(m(m+1)) for II."""
+        p, m = self.p, self.m
+        return p ** (m * m) if self.instantiation == "I" else p ** (m * (m + 1))
+
+    def weight(self, k: int) -> int:
+        """The h-base degree of g^(p^k).
+
+        Balanced construction: period m with the pattern p^1, ..., p^(m-1)
+        capped at p^(m-1) on the last residue.  Tunable construction: period
+        m+1 with value p^m on residue 0 and p^(k mod (m+1)) elsewhere.
+        """
+        if k < 0:
+            raise ParameterError("weight index must be nonnegative")
+        p, m = self.p, self.m
+        if self.instantiation == "I":
+            return p ** min(k % m + 1, m - 1)
+        return p ** (k % (m + 1) or m)
+
+    @property
+    def char_sum_bound(self) -> float:
+        """The bound on M, the largest nontrivial character sum over H.
+
+        1 for I (orthogonality), sqrt(p^(m+1)) for II (the Gauss-sum bound).
+        """
+        return 1.0 if self.instantiation == "I" else math.sqrt(self.p ** (self.m + 1))
 
     def to_json(self) -> dict:
         return {
@@ -179,26 +238,10 @@ class Instance:
         }
 
 
-def _ambient_degree_i(p: int, m: int) -> int:
-    base = math.lcm(splitting_degree(defining_poly("I", p, m), p), m)
-    group_size = p ** (m * m) * (p**m - 1)
-    ell = base
-    while p**ell < group_size:
-        ell += base
-    return ell
-
-
 def build_instance(config: InstanceConfig) -> Instance:
     """Deterministic construction of the full instance for a config."""
-    p, m = config.p, config.m
-    if config.instantiation == "I":
-        ell = _ambient_degree_i(p, m)
-        expected_s = p ** (m * m)
-    else:
-        ell = 2 * m * (m + 1)
-        expected_s = p ** (m * (m + 1))
-    ambient = build_field(p, ell)
-    g_ints = defining_poly(config.instantiation, p, m)
+    ambient = build_field(config.p, config.ambient_degree)
+    g_ints = config.g
     G = TranslationGroup(roots_of_linearized(g_ints, ambient))  # product form, compared to g below
     g_digits = np.zeros((len(g_ints), ambient.k), dtype=np.int64)
     g_digits[:, 0] = g_ints
@@ -207,8 +250,8 @@ def build_instance(config: InstanceConfig) -> Instance:
     H = scaling_subgroup(ambient, config.h_order)
 
     S = scaling_closure(G, H)
-    if S.size != expected_s:
-        raise ConfigurationError(f"closure size {S.size} differs from the expected {expected_s}")
+    if S.size != config.closure_size:
+        raise ConfigurationError(f"closure size {S.size} differs from the expected {config.closure_size}")
     A = GroupA(S, H, ambient)
     alpha = find_free_point(A)
     om = orbit(A, alpha)

@@ -69,7 +69,6 @@ from orbitcodes.bounds import _validate
 from orbitcodes.codecore import (
     _u_row_pairs,
     _vertex_edge_lists,
-    defining_poly,
     encode_basis_digits,
     max_degree_below,
 )
@@ -973,15 +972,15 @@ def shift(a, n: int) -> list[int]:
     return [0] * n + list(a) if len(a) else []
 
 
-def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = Fraction(1)) -> int:
-    """deg_h(g^(p^k)) read off the literal base-X^|H| expansion over F_p.
+def weight_direct(k: int, config) -> int:
+    """deg_h(g^(p^k)) for an InstanceConfig's g and |H|, read off the literal base-X^|H| expansion over F_p.
 
     g^(p^k) comes from repeated squaring.  The base X^|H| has no lower
     terms, so digit i is exactly the coefficient slice [i*|H|, (i+1)*|H|),
     and the digit degrees are read from the reshaped coefficient array.
     """
-    hlen = p**m - 1 if instantiation == "I" else int(gamma * (p ** (m + 1) - 1))
-    f = power(defining_poly(instantiation, p, m), p**k, p)
+    p, hlen = config.p, config.h_order
+    f = power(config.g, p**k, p)
     digits = np.zeros(-(-len(f) // hlen) * hlen, dtype=np.int64)
     digits[: len(f)] = f
     nonzero = digits.reshape(-1, hlen) != 0
@@ -992,8 +991,7 @@ def weight_direct(k: int, p: int, m: int, instantiation: str, gamma: Fraction = 
 
 def monomial_is_sound(i: int, j: int, config, D: int, r: Fraction) -> bool:
     """Direct check (no subadditivity shortcut) that g^i X^j is admissible for an InstanceConfig's code at (r, D)."""
-    p, m = config.p, config.m
-    g = defining_poly(config.instantiation, p, m)
+    p, m, g = config.p, config.m, config.g
     f = shift(power(g, i, p), j)
     if len(f) - 1 >= D:
         return False

@@ -23,17 +23,17 @@ from oracles import (
 from orbitcodes.bounds import volume_i, volume_ii
 from orbitcodes.codecore import (
     check_local_rs,
+    constraint_report,
     encode_basis_digits,
     min_distance_exhaustive,
     monomial_count,
     schur_check,
-    verify_message_space,
-    weight_closed_form,
 )
-from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd, spectral_bounds
+from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
+from orbitcodes.report import spectrum_section
 
 TOL = 1e-9
 HALF = Fraction(1, 2)
@@ -100,9 +100,7 @@ def test_04_spectral_bounds_and_character_sums(all_instances):
     for inst in all_instances:
         exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
         m_res = char_sum_max(inst.H, inst.ambient)
-        _, bound = spectral_bounds(
-            inst.config.p, m_res.value, inst.H.order, inst.config.m, inst.config.instantiation
-        )
+        bound = spectrum_section(inst)["bound_instance"]
         ok &= exact.value <= bound + TOL
         details.append(f"{inst.config.instantiation}@p{inst.config.p}: {exact.value:.6f}<={bound:.6f}")
         if inst.config.instantiation == "I":
@@ -144,9 +142,9 @@ def test_06_weight_lemmas():
     t0 = time.perf_counter()
     ok = True
     for p, m in ((2, 2), (3, 2), (2, 3)):
-        for instantiation, kmax in (("I", m * m), ("II", m * (m + 1))):
+        for config, kmax in ((InstanceConfig("I", p, m), m * m), (InstanceConfig("II", p, m, gamma=Fraction(1)), m * (m + 1))):
             for k in range(kmax + 1):
-                ok &= weight_closed_form(k, p, m, instantiation) == weight_direct(k, p, m, instantiation)
+                ok &= config.weight(k) == weight_direct(k, config)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     assert _line("6", ok, f"closed-form weights equal direct expansions at (2,2),(3,2),(2,3) in {elapsed:.1f}s")
@@ -164,7 +162,7 @@ def test_07_rate_chain(all_instances):
                 floor = 2 * math.floor(r * D) - D
                 ok &= count <= ms.dim
                 ok &= ms.dim >= max(0, floor)
-                ok &= verify_message_space(ms, inst.G, inst.H, r)["all_ok"]
+                ok &= constraint_report(ms.coeffs, inst.G, inst.H, r, D)["all_ok"]
         details.append(f"{inst.config.instantiation}@p{inst.config.p}")
     assert _line("7", ok, f"count<=dim, counting floor, per-basis deg_u checks on {details}")
 

@@ -504,3 +504,53 @@ def test_verify_basis_output_is_pinned(tmp_path, capsys):
     code, out = _run(capsys, "verify", "--bundle", bundle)
     assert code == 0
     assert _sha256(out) == "6d3db572876529d69d7256de3a526cc8c81528abcc85235cd8e00524d534429f"
+
+
+@pytest.fixture(scope="module")
+def pinned_bundles(tmp_path_factory):
+    base = tmp_path_factory.mktemp("pinned")
+    configs = {
+        "II22-D96": ["--p", "2", "--m", "2", "--inst", "II", "--gamma", "1", "--D", "96"],
+        "I32-r1/3-D200": ["--p", "3", "--m", "2", "--inst", "I", "--r", "1/3", "--D", "200"],
+    }
+    paths = {}
+    for name, args in configs.items():
+        paths[name] = str(base / f"{name.replace('/', '_')}.json")
+        assert main(["instantiate", *args, "--out", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command,bundle,digest",
+    [
+        ("spectrum", "II22-D96", "7c1d09ddb05a0f3399c4ee8294f745523d6963ebbbbf6c58357cc58cb063b55c"),
+        ("rate", "II22-D96", "9be4944c986873d7f94b986b2c63feaf80b300995378de9dd2e40e01f36bf046"),
+        ("rate", "I32-r1/3-D200", "8e860ab4d6e2c5f7a38ac93209f068c216fcaeed570a5b1f47d477e11e954a93"),
+    ],
+    ids=["spectrum-II22", "rate-II22", "rate-I32"],
+)
+def test_spectrum_and_rate_output_is_pinned(pinned_bundles, capsys, command, bundle, digest):
+    # the σ₂ bounds and the rate section's bound record, on both constructions
+    code, out = _run(capsys, command, "--bundle", pinned_bundles[bundle])
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["--inst", "I", "--m", "3", "--r-grid", "1/3,2/3", "--rho-grid", "1/5,1"],
+            "eeb518f2a414c2c23822eddd4016a85fb2b19050ca28feb435c55e6d3e64e303",
+        ),
+        (
+            ["--inst", "II", "--m", "2", "--r-grid", "1/4,1/2", "--rho-grid", "1/2,1", "--gamma-grid", "1/2,1"],
+            "422bcc5eab88bbeae22ab77164549bdd3606cd0afbb08a20c1df77c18abec7d6",
+        ),
+    ],
+    ids=["I-m3", "II-m2"],
+)
+def test_sweep_output_is_pinned(capsys, argv, digest):
+    code, out = _run(capsys, "sweep", *argv)
+    assert code == 0
+    assert _sha256(out) == digest

@@ -31,8 +31,6 @@ from orbitcodes.codecore import (
     monomial_count,
     schur_check,
     schur_product,
-    verify_message_space,
-    weight_closed_form,
 )
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import FpSubspace, mul_rows
@@ -104,7 +102,7 @@ def test_message_space_counting_floor(all_instances):
 def test_message_space_basis_passes_independent_checks(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    report = verify_message_space(ms, inst.G, inst.H, inst.config.r)
+    report = constraint_report(ms.coeffs, inst.G, inst.H, inst.config.r, ms.D)
     assert report["all_ok"]
     # cross-check one basis element against the generic expansion route
     f = row_poly(inst.ambient, ms.coeffs[-1])
@@ -379,15 +377,17 @@ def test_min_distance_sampled_refuses_fewer_than_one_sample(inst1_p2, samples):
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("instantiation", ["I", "II"])
 def test_weight_closed_form_matches_direct(p, m, instantiation):
+    config = InstanceConfig(instantiation, p, m, gamma=Fraction(1) if instantiation == "II" else None)
     kmax = m * m if instantiation == "I" else m * (m + 1)
     for k in range(kmax + 1):
-        assert weight_closed_form(k, p, m, instantiation) == weight_direct(k, p, m, instantiation)
+        assert config.weight(k) == weight_direct(k, config)
 
 
 def test_weight_patterns_from_the_lemmas():
-    assert [weight_closed_form(k, 2, 2, "I") for k in range(4)] == [2, 2, 2, 2]
-    assert [weight_closed_form(k, 3, 3, "I") for k in range(6)] == [3, 9, 9, 3, 9, 9]
-    assert [weight_closed_form(k, 2, 2, "II") for k in range(6)] == [4, 2, 4, 4, 2, 4]
+    i22, i33, ii22 = InstanceConfig("I", 2, 2), InstanceConfig("I", 3, 3), InstanceConfig("II", 2, 2, gamma=Fraction(1))
+    assert [i22.weight(k) for k in range(4)] == [2, 2, 2, 2]
+    assert [i33.weight(k) for k in range(6)] == [3, 9, 9, 3, 9, 9]
+    assert [ii22.weight(k) for k in range(6)] == [4, 2, 4, 4, 2, 4]
 
 
 def test_monomial_count_degenerate_rates(inst1_p2):
@@ -405,9 +405,10 @@ def test_monomial_count_le_dimension(all_instances):
 
 
 def test_monomial_count_regressions(inst1_p2, inst1_p3, inst2_p2):
-    assert monomial_count(inst1_p2.config, inst1_p2.D) == 2
-    assert monomial_count(inst1_p3.config, inst1_p3.D) == 8
-    assert monomial_count(inst2_p2.config, inst2_p2.D) == 6
+    # at D = n and r = 1/4, 1/3, 1/2, 2/3; on I the g-cap j < r|G| never binds
+    rates = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    for inst, counts in ((inst1_p2, [1, 1, 2, 2]), (inst1_p3, [2, 3, 8, 18]), (inst2_p2, [1, 4, 6, 15])):
+        assert [monomial_count(inst.config, inst.D, r=r) for r in rates] == counts
 
 
 def test_monomials_are_sound_and_distinct_degrees(inst1_p2, inst1_p3):

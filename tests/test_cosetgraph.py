@@ -17,11 +17,12 @@ from orbitcodes.cosetgraph import (
     char_sum_max,
     sigma2_exact,
     sigma2_svd,
-    spectral_bounds,
 )
 from orbitcodes.errors import BudgetError
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import ScalingGroup, scaling_subgroup
+from orbitcodes.instance import InstanceConfig, build_instance
+from orbitcodes.report import spectrum_section
 
 
 def test_graph_shapes(inst1_p2, inst1_p3, inst2_p2):
@@ -144,23 +145,21 @@ def test_gauss_bound_all_subgroups(p, k):
             assert res.sq_exact <= q
 
 
-def test_spectral_bounds_formulas():
-    bg, bi = spectral_bounds(2, 1.0, 3, 2, "I")
-    assert bi == pytest.approx((5 / 6) ** 0.5, abs=1e-12)
-    assert bg == pytest.approx((5 / 6) ** 0.5, abs=1e-12)
-    _, bi5 = spectral_bounds(5, 1.0, 24, 2, "I")
-    assert bi5 == pytest.approx((1 / 5 + 1 / 24) ** 0.5, abs=1e-12)
-    _, bi_ii = spectral_bounds(2, 1.0, 7, 2, "II")
-    assert bi_ii == pytest.approx((0.5 + 8**0.5 / 7) ** 0.5, abs=1e-12)
+def test_spectral_bounds_formulas(inst1_p2, inst2_p2):
+    # sqrt(1/p + M/|H|) at the measured M (1 on I(2,2)) and at the construction's bound on M
+    spec = spectrum_section(inst1_p2)
+    assert spec["bound_instance"] == pytest.approx((5 / 6) ** 0.5, abs=1e-12)
+    assert spec["bound_general"] == pytest.approx((5 / 6) ** 0.5, abs=1e-12)
+    i52 = spectrum_section(build_instance(InstanceConfig("I", 5, 2)))
+    assert i52["bound_instance"] == pytest.approx((1 / 5 + 1 / 24) ** 0.5, abs=1e-12)
+    assert spectrum_section(inst2_p2)["bound_instance"] == pytest.approx((0.5 + 8**0.5 / 7) ** 0.5, abs=1e-12)
 
 
 def test_sigma2_below_instance_bound(all_instances):
     for inst in all_instances:
         exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
-        m = char_sum_max(inst.H, inst.ambient)
-        bg, bi = spectral_bounds(
-            inst.config.p, m.value, inst.H.order, inst.config.m, inst.config.instantiation
-        )
+        spec = spectrum_section(inst)
+        bg, bi = spec["bound_general"], spec["bound_instance"]
         assert exact.value <= bi + 1e-9
         assert exact.value <= bg + 1e-9
 

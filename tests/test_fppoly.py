@@ -8,6 +8,7 @@ for the oracles' base expansion and repeated squaring.
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_div, gf_irreducible_p,
 
 from oracles import base_digits, galois_poly, power
 from orbitcodes import fppoly
-from orbitcodes.codecore import defining_poly
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import FieldContext, build_field
+from orbitcodes.instance import InstanceConfig
 from orbitcodes.groupgeom import splitting_degree
 from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
 
@@ -118,15 +119,15 @@ def test_splitting_degree():
     assert splitting_degree([0, 1, 1, 0, 1], 2) == 3
     # X^9+X^3+X over F_3 has splitting degree 3 as well
     assert splitting_degree([0, 1, 0, 1, 0, 0, 0, 0, 0, 1], 3) == 3
-    assert splitting_degree(defining_poly("I", 5, 3), 5) == 62
-    assert splitting_degree(defining_poly("I", 7, 3), 7) == 114
+    assert splitting_degree(InstanceConfig("I", 5, 3).g, 5) == 62
+    assert splitting_degree(InstanceConfig("I", 7, 3).g, 7) == 114
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("instantiation", ["I", "II"])
 def test_splitting_degree_is_the_lcm_of_the_factor_degrees(instantiation, p, m):
-    g = defining_poly(instantiation, p, m)
+    g = InstanceConfig(instantiation, p, m, gamma=Fraction(1) if instantiation == "II" else None).g
     # one (product of the factors of degree d, d) pair per degree d present; full
     # factorization (gf_factor_sqf) would only split the products, taking 6 s on I(7,3)
     degrees = [d for _, d in gf_ddf_zassenhaus(galois_poly(g, p), p, ZZ)]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from functools import lru_cache
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from oracles import (
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
+    base_p_digits,
     build_field,
     frobenius_matrix,
     mul_matrix,
@@ -342,3 +344,15 @@ def test_primitive_element_matches_scalar_oracle(p, k):
     ctx = _field(p, k)
     row = primitive_element(ctx)
     assert row.shape == (k,) and tuple(row.tolist()) == scalar_primitive_element(ctx).coeffs
+
+
+@pytest.mark.parametrize("p,width", [(2, 70), (3, 41)])
+def test_base_p_digits_past_the_int64_range_of_p_to_the_width(p, width):
+    # p^(width-1) exceeds 2^63: every digit above an int64 index's top digit is 0, with no numpy warning
+    idx = np.array([0, 1, 2, 3, 4, p**5 + 1, 2**62])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digits = base_p_digits(idx, p, width)
+    for row, i in zip(digits.tolist(), idx.tolist()):
+        expected = [(i // p**t) % p for t in range(width)]
+        assert row == expected

@@ -23,7 +23,6 @@ from oracles import (
     scalar_scaling_group,
     translation_invariant_poly,
 )
-from orbitcodes.codecore import defining_poly
 from orbitcodes.cosetgraph import build_graph
 from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.gf import FpSubspace, build_field
@@ -255,7 +254,7 @@ def _rung(config):
 def test_roots_of_linearized_match_callable_oracle(config):
     # the Frobenius-matrix kernel equals the kernel of scalar evaluation of g
     inst = _rung(config)
-    g_ints = defining_poly(*config[:3])
+    g_ints = InstanceConfig(*config[:3], gamma=config[3]).g
     g = Poly.from_ints(inst.ambient, g_ints)
     assert np.array_equal(roots_of_linearized(g_ints, inst.ambient).basis, kernel_subspace(inst.ambient, g).basis)
 
