@@ -554,3 +554,57 @@ def test_sweep_output_is_pinned(capsys, argv, digest):
     code, out = _run(capsys, "sweep", *argv)
     assert code == 0
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "args,digests",
+    [
+        (
+            ["--p", "2", "--m", "2", "--inst", "I"],
+            (
+                "84b9b0b3647a55b63f3e0cbfd6deba1f625c7146b085ae27b3225e57b0373e2b",
+                "8b82554eb378517497e47035a6c0de98f0b0fffb597af019c2c730ef0ec4cd78",
+                "254a972f0c7b3cd5876ffa24fc26bf83b4425ccc79c8eeb0e5d6284a15f12fbe",
+                "950d661362508de2409750ee54266a563f8a446863a10ec05522ae720b0174a9",
+            ),
+        ),
+        (
+            ["--p", "2", "--m", "2", "--inst", "II", "--gamma", "1", "--D", "96"],
+            (
+                "eb2c5475e0d240719cd67e9bad2caee117a0f69b91e73c6a61955c895ddd5600",
+                "ba9be34d44d868dfa82794faf5a56034504e54e7d5fe6f631395445202d98616",
+                "54624ba48e2661577fbd8ecf1b50cdb89e222581d808497bd2671ad8202456dc",
+                "119401a3d9f3bdcc1375718b73d4988241dec9864f3c7c7d77332e64fc5f921b",
+            ),
+        ),
+        (
+            ["--p", "3", "--m", "2", "--inst", "I", "--D", "200"],
+            (
+                "d77658c38c3f1e7ba70c68851578af5886806ec992073478c5c08207eb89a317",
+                "b25db5121cc7f6e96367f7855e28df0073a8d93955536caf09bc27bf4c0ed12b",
+                "3d22d725a4e2b8ea160eac9fca0ac50295c591fca19e8549753d601ef89f2ad0",
+                "02c1f1f2c22a55c83d8d8df22978194192e494686952ec1d6e92125c88fcfe98",
+            ),
+        ),
+    ],
+    ids=["I22", "II22-D96", "I32-D200"],
+)
+def test_bundle_graph_and_verify_output_is_pinned(tmp_path, capsys, args, digests):
+    # the bundle, the graph CSV, and the all-vertex verify JSON of the codeword of 1 + X,
+    # then of that codeword with value 0 replaced by 1, which fails its local check
+    bundle = tmp_path / "bundle.json"
+    assert main(["instantiate", *args, "--out", str(bundle)]) == 0
+    code, graph = _run(capsys, "graph", "--bundle", str(bundle))
+    assert code == 0
+    msg, cw = tmp_path / "msg.json", tmp_path / "cw.json"
+    msg.write_text(json.dumps({"coeffs": [[1], [0, 1]]}))
+    assert main(["encode", "--bundle", str(bundle), "--message", str(msg), "--out", str(cw)]) == 0
+    code, good = _run(capsys, "verify", "--bundle", str(bundle), "--codeword", str(cw))
+    assert code == 0
+    data = json.loads(cw.read_text())
+    data["values"][0] = [1]
+    cw.write_text(json.dumps(data))
+    code, bad = _run(capsys, "verify", "--bundle", str(bundle), "--codeword", str(cw))
+    assert code == 1
+    outputs = (bundle.read_text(), graph, good, bad)
+    assert tuple(_sha256(text) for text in outputs) == digests
