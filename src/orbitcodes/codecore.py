@@ -8,9 +8,9 @@ the intersection of two explicitly spanned coefficient subspaces:
     V = span(X^i h^j : deg < D, i < r|H|)
 
 and both spanning families have pairwise distinct degrees, so U and V are
-cut out exactly.  The annihilator g lies in F_p[X] (both instantiations
-define G as the roots of such a polynomial), so U, V and their
-intersection are defined over F_p and one F_p elimination computes it.
+cut out exactly.  G is the root space of its defining polynomial g in
+F_p[X] (TranslationGroup), so U, V and their intersection are defined
+over F_p and one F_p elimination computes it.
 
 Polynomials are (rows, L) arrays of F_p coefficients, lowest degree
 first: the message-space basis, and the rows that constraint_report
@@ -34,6 +34,7 @@ import numpy as np
 
 from orbitcodes import fppoly
 from orbitcodes.errors import (
+    DEFAULT_BUDGETS,
     BudgetError,
     ConstraintViolation,
     InternalError,
@@ -44,7 +45,6 @@ from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
 
-DISTANCE_BUDGET = 1 << 24
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power tensor of one chunk of orbit points
 SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
@@ -91,7 +91,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     Computed as the intersection U cap V of the two constraint subspaces:
     the combinations of the U rows that vanish on every column outside V
     are the kernel of U's bad-column block, and the basis is their span,
-    put in RREF.  Raises ParameterError when g lies outside F_p[X].
+    put in RREF.
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (constraint_report); the result is
@@ -101,7 +101,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     imax_h = max_degree_below(r * H.order)
     bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
-    rows = _u_rows(_fp_annihilator(G), pairs, D, p)
+    rows = _u_rows(G.g, pairs, D, p)
     kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
     basis = rref_mod_p(kernel @ rows % p, p)[0]
     ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
@@ -110,13 +110,6 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     if not ms.verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")
     return ms
-
-
-def _fp_annihilator(G: TranslationGroup) -> np.ndarray:
-    """The F_p coefficients of G's annihilator g; ParameterError when g lies outside F_p[X]."""
-    if G.annihilator[:, 1:].any():
-        raise ParameterError("the annihilator of the translation group has coefficients outside F_p")
-    return G.annihilator[:, 0]
 
 
 def _u_rows(g: np.ndarray, pairs: list[tuple[int, int]], D: int, p: int) -> np.ndarray:
@@ -158,7 +151,7 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
     values = {
         "degree": (_last_nonzero(coeffs != 0), D),
-        "translation_base_degree": (fppoly.expansion_degrees(coeffs, _fp_annihilator(G), ctx.p), r * G.size),
+        "translation_base_degree": (fppoly.expansion_degrees(coeffs, G.g, ctx.p), r * G.size),
         "scaling_base_degree": (fppoly.expansion_degrees(coeffs, [0] * H.order + [1], ctx.p), r * H.order),
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
@@ -315,15 +308,10 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     return _SideMap(positions=positions, coeff_map=reduced[:, width:])
 
 
-def _local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:
-    """Both side maps of a graph, built on the first check and cached on it with the orbit they were built for."""
-    cached = graph.local_maps
-    if cached is None or cached[0] != ctx or not np.array_equal(cached[1], omega):
-        omega = np.array(omega, dtype=np.int64) % ctx.p
-        left, right = _vertex_edge_lists(graph)
-        maps = {"left": _side_map(ctx, left, omega, translate=True), "right": _side_map(ctx, right, omega, translate=False)}
-        graph.local_maps = (ctx, omega, maps)
-    return graph.local_maps[2]
+def local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:
+    """The side maps of a graph's left and right vertices along its (n, k) orbit digit array."""
+    left, right = _vertex_edge_lists(graph)
+    return {"left": _side_map(ctx, left, omega, translate=True), "right": _side_map(ctx, right, omega, translate=False)}
 
 
 def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
@@ -337,8 +325,7 @@ def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
 def check_local_rs(
     ctx: FieldContext,
     cw: np.ndarray,
-    graph: CosetGraph,
-    omega: np.ndarray,
+    maps: dict[str, _SideMap],
     r: Fraction,
     doubled: bool = False,
 ) -> LocalCheckReport:
@@ -349,23 +336,20 @@ def check_local_rs(
     right; this is exactly the local Reed-Solomon membership.  With
     doubled=True the Schur bound deg < 2*ceil(r*len) - 1 is applied
     instead, for coordinate-wise products.  The interpolants of all
-    vertices of a side come from one matrix product (see _side_map), and
-    the report holds the two sides' degree arrays as one.  The codeword
-    and the orbit are (n, k) digit arrays indexed by edge.
+    vertices of a side come from one matrix product with that side's map
+    (local_maps), and the report holds the two sides' degree arrays as one.
+    The codeword is an (n, k) digit array indexed by edge.
     """
-    shape = (graph.edge_count, ctx.k)
-    if np.shape(cw) != shape or np.shape(omega) != shape:
-        raise ParameterError(f"codeword and orbit must be digit arrays of shape {shape}")
-    bounds = {
-        "left": _side_bound_info(r, graph.left_degree),
-        "right": _side_bound_info(r, graph.right_degree),
-    }
-    maps = _local_maps(ctx, graph, omega)
+    left = maps["left"].positions
+    shape = (left.size, ctx.k)  # every edge lies at one left vertex
+    if np.shape(cw) != shape:
+        raise ParameterError(f"codeword must be a digit array of shape {shape}")
+    bounds = {side: _side_bound_info(r, side_map.positions.shape[1]) for side, side_map in maps.items()}
     digits = np.asarray(cw, dtype=np.int64) % ctx.p
     factor = 2 if doubled else 1
     return LocalCheckReport(
         vertices=np.concatenate([_vertex_degrees(maps[side], digits, ctx.p) for side in bounds]),
-        n_left=graph.n_left,
+        n_left=len(left),
         allowed=tuple(factor * b["max_allowed_degree"] for b in bounds.values()),
         bounds=bounds,
     )
@@ -375,12 +359,11 @@ def schur_check(
     ctx: FieldContext,
     cw1: np.ndarray,
     cw2: np.ndarray,
-    graph: CosetGraph,
-    omega: np.ndarray,
+    maps: dict[str, _SideMap],
     r: Fraction,
 ) -> LocalCheckReport:
     """Doubled-degree local check for the coordinate-wise product."""
-    return check_local_rs(ctx, schur_product(ctx, cw1, cw2), graph, omega, r, doubled=True)
+    return check_local_rs(ctx, schur_product(ctx, cw1, cw2), maps, r, doubled=True)
 
 
 # -- fast batch encoding -------------------------------------------------------
@@ -428,7 +411,7 @@ class DistanceResult:
 def min_distance_exhaustive(
     ms: MessageSpace,
     omega: np.ndarray,
-    budget: int = DISTANCE_BUDGET,
+    budget: int = DEFAULT_BUDGETS["distance"],
 ) -> DistanceResult:
     """Minimum Hamming weight by exhaustive message enumeration.
 

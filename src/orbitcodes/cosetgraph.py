@@ -18,23 +18,21 @@ because it is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from orbitcodes.errors import BudgetError, InternalError, ParameterError
+from orbitcodes.errors import DEFAULT_BUDGETS, BudgetError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_matrix, mul_rows, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import rank_mod_p
 
-SVD_SIDE_BUDGET = 5000
-FIELD_SCAN_BUDGET = 1 << 20  # max points one exhaustive character scan visits
 SCAN_CHUNK_ENTRIES = 1 << 20
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CosetGraph:
     """Bipartite coset graph; edge e is map e of A and coordinate e of every codeword."""
 
@@ -44,8 +42,6 @@ class CosetGraph:
     right_degree: int
     edges: np.ndarray  # (n, 2) int64: the left and right vertex of every edge
     is_simple: bool
-    # (ctx, omega, per-side local check maps), filled by codecore on the first check
-    local_maps: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -110,7 +106,7 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     )
 
 
-def sigma2_svd(graph: CosetGraph, side_budget: int = SVD_SIDE_BUDGET) -> float:
+def sigma2_svd(graph: CosetGraph, side_budget: int = DEFAULT_BUDGETS["svd_side"]) -> float:
     """Second singular value of T = B / sqrt(dL*dR), by dense SVD.
 
     The largest singular value must be 1 (checked to 1e-9); sizes beyond
@@ -151,7 +147,7 @@ def sigma2_exact(
     H: ScalingGroup,
     S: FpSubspace,
     ambient: FieldContext,
-    field_budget: int = FIELD_SCAN_BUDGET,
+    field_budget: int = DEFAULT_BUDGETS["field_scan"],
 ) -> Sigma2Exact:
     """sigma_2 from the walk eigenvalues lambda_a = Pr_h[h^-1 a in G^perp].
 
@@ -188,7 +184,7 @@ class CharSumMax:
     sq_exact: Fraction | None  # exact |sum|^2 for p <= 3, else None
 
 
-def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = FIELD_SCAN_BUDGET) -> CharSumMax:
+def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = DEFAULT_BUDGETS["field_scan"]) -> CharSumMax:
     """M = max over a not in H^perp of |sum_{h in H} chi_a(h)|.
 
     The exponents Tr(a*h) depend only on a mod span(H)^perp, so one

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the budget table.
 
 All exceptions derive from OrbitcodesError so the CLI can turn any
 anticipated failure into a structured error report.  The distinction
@@ -14,7 +14,17 @@ mirrors how callers should react:
 * ConstraintViolation -- a polynomial failed a message-space constraint;
                          the message names the violated bound.
 * InternalError       -- an invariant that should be unbreakable broke.
+
+DEFAULT_BUDGETS holds the default of every size budget whose excess
+raises BudgetError; the kernels take their defaults from it.
 """
+
+DEFAULT_BUDGETS = {
+    "distance": 1 << 24,  # codewords one exhaustive distance enumeration visits
+    "svd_side": 5000,  # largest graph side the dense SVD oracle takes
+    "field_scan": 1 << 20,  # max points one exhaustive character scan visits
+    "verify_basis": 64,  # basis codewords the verify section checks
+}
 
 
 class OrbitcodesError(Exception):

@@ -1,7 +1,7 @@
 """Subgroup geometry inside the affine group of the line.
 
-Builds the translation subgroup G (an F_p-subspace with its annihilator
-polynomial as a digit array), the scaling subgroup H (a cyclic
+Builds the translation subgroup G (the root space of its defining
+polynomial g, an F_p coefficient row), the scaling subgroup H (a cyclic
 multiplicative subgroup, held as the digit array of its powers), the
 smallest H-invariant subspace S containing G, the group A = S x| H of
 affine maps x -> h*x + s, a free evaluation point, and its orbit.  Every
@@ -36,26 +36,27 @@ from orbitcodes.gf import (
 
 
 class TranslationGroup:
-    """Additive subgroup acting by translations, with its annihilator polynomial.
+    """Additive subgroup acting by translations: the root space of its defining polynomial g.
 
-    annihilator is the read-only (|G| + 1, k) digit array of prod_{u in G}(X - u),
-    lowest degree first: monic of degree |G|, vanishing exactly on G and
-    constant on its translation orbits.  For an F_p-subspace it is
-    linearized (only p-power exponents appear).  Each factor X - u is one
-    shift and one mul_rows product.
+    g is a monic squarefree linearized polynomial with F_p coefficients,
+    lowest degree first, held as the read-only int64 row g; points is its
+    root subspace (roots_of_linearized), which has deg g points.  A monic
+    polynomial with deg g distinct roots is the product of its linear
+    factors, so g = prod_{u in G}(X - u): it vanishes exactly on G and is
+    constant on its translation orbits.  g is linear over F_p, so checking
+    that it vanishes on G's basis checks it on all of G.
     """
 
-    def __init__(self, points: FpSubspace):
-        self.points = points
-        ctx = points.ctx
-        poly = np.eye(1, ctx.k, dtype=np.int64)  # the constant 1
-        for u in points.points():
-            shifted = np.zeros((len(poly) + 1, ctx.k), dtype=np.int64)
-            shifted[1:] = poly
-            shifted[:-1] -= mul_rows(ctx, poly, u)
-            poly = shifted % ctx.p
-        poly.flags.writeable = False
-        self.annihilator = poly
+    def __init__(self, g_ints: list[int], ambient: FieldContext):
+        g = np.array(g_ints, dtype=np.int64) % ambient.p
+        if not len(g) or g[-1] != 1:
+            raise ParameterError("the defining polynomial of a translation group must be monic")
+        self.points = roots_of_linearized(g_ints, ambient)
+        values = sum(int(c) * pow_rows(ambient, self.points.basis, e) for e, c in enumerate(g.tolist()) if c)
+        if (values % ambient.p).any():
+            raise InternalError("the defining polynomial does not vanish on its root space")
+        g.flags.writeable = False
+        self.g = g
 
     @property
     def size(self) -> int:

@@ -21,15 +21,16 @@ integral (and keeps |H| above p^m so the weight profile applies).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from orbitcodes.codecore import MessageSpace, message_space
+from orbitcodes.codecore import MessageSpace, local_maps, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
-from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
+from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.gf import FieldContext, FpSubspace, build_field
 from orbitcodes.groupgeom import (
     GroupA,
@@ -37,7 +38,6 @@ from orbitcodes.groupgeom import (
     TranslationGroup,
     find_free_point,
     orbit,
-    roots_of_linearized,
     scaling_closure,
     scaling_subgroup,
     splitting_degree,
@@ -222,12 +222,17 @@ class Instance:
             self._ms_cache[r, D] = message_space(self.G, self.H, r, D)
         return self._ms_cache[r, D]
 
+    @functools.cached_property
+    def local_maps(self) -> dict:
+        """The local check maps of both sides of the graph along the orbit, built on first use."""
+        return local_maps(self.ambient, self.graph, self.omega)
+
     def bundle_json(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json(),
             "field": self.ambient.to_json(),
-            "G": {"subspace": self.G.points.to_json(), "invariant_poly_degree": len(self.G.annihilator) - 1},
+            "G": {"subspace": self.G.points.to_json(), "invariant_poly_degree": len(self.G.g) - 1},
             "H": self.H.to_json(),
             "S": self.S.to_json(),
             "A_size": self.A.size,
@@ -241,12 +246,7 @@ class Instance:
 def build_instance(config: InstanceConfig) -> Instance:
     """Deterministic construction of the full instance for a config."""
     ambient = build_field(config.p, config.ambient_degree)
-    g_ints = config.g
-    G = TranslationGroup(roots_of_linearized(g_ints, ambient))  # product form, compared to g below
-    g_digits = np.zeros((len(g_ints), ambient.k), dtype=np.int64)
-    g_digits[:, 0] = g_ints
-    if not np.array_equal(G.annihilator, g_digits):
-        raise InternalError("annihilator product does not reproduce the defining polynomial")
+    G = TranslationGroup(config.g, ambient)
     H = scaling_subgroup(ambient, config.h_order)
 
     S = scaling_closure(G, H)

@@ -175,12 +175,12 @@ def test_08_locality_and_schur(inst1_p2):
     words = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     ok = True
     for cw in words:
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, r)
+        rep = check_local_rs(inst.ambient, cw, inst.local_maps, r)
         ok &= rep.all_ok and len(rep.vertices) == 28
     rng = random.Random(8)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        ok &= schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, r).all_ok
+        ok &= schur_check(inst.ambient, words[i], words[j], inst.local_maps, r).all_ok
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert _line("8", ok, f"{ms.dim} basis codewords x 28 vertices + 10 Schur pairs in {elapsed:.1f}s")

@@ -235,6 +235,15 @@ def test_budget_env_override(bundle_path, capsys, monkeypatch):
     assert "min_distance_sampled (--sample) gives an upper bound" in sec["status"]
 
 
+def test_refused_svd_oracle_still_feeds_sigma2_to_the_report(bundle_path, capsys, monkeypatch):
+    monkeypatch.setenv("ORBITCODES_SVD_SIDE", "1")
+    code, out = _run(capsys, "report", "--bundle", bundle_path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["spectrum"]["oracle"].startswith("skipped: budget")
+    assert doc["distance"]["expander_form"] == "finite-p form"
+
+
 def _assert_structured_error(code, out, *fragments):
     assert code == 2
     err = json.loads(out)["error"]

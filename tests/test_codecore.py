@@ -25,7 +25,6 @@ from orbitcodes.codecore import (
     encode,
     encode_basis_digits,
     max_degree_below,
-    message_space,
     min_distance_exhaustive,
     min_distance_sampled,
     monomial_count,
@@ -33,8 +32,7 @@ from orbitcodes.codecore import (
     schur_product,
 )
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
-from orbitcodes.gf import FpSubspace, mul_rows
-from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
+from orbitcodes.gf import mul_rows
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.report import rate_section, verify_section
 
@@ -106,25 +104,10 @@ def test_message_space_basis_passes_independent_checks(inst1_p2):
     assert report["all_ok"]
     # cross-check one basis element against the generic expansion route
     f = row_poly(inst.ambient, ms.coeffs[-1])
-    dg = base_degree(f, row_poly(inst.ambient, inst.G.annihilator))
+    dg = base_degree(f, row_poly(inst.ambient, inst.G.g))
     dh = base_degree(f, scaling_invariant_poly(inst.ambient, inst.H.order))
     assert Fraction(int(dg)) < inst.config.r * inst.G.size
     assert Fraction(int(dh)) < inst.config.r * inst.H.order
-
-
-def test_message_space_refuses_an_annihilator_outside_fp(inst1_p2):
-    # the group spanned by code 9 of F_64 has an annihilator with genuine
-    # extension-field coefficients: the message space and the constraint
-    # report, whose F_p path needs g in F_p[X], refuse it
-    inst = inst1_p2
-    ambient = inst.ambient
-    G2 = TranslationGroup(FpSubspace(ambient, ambient.digit_rows([ambient.from_int(9)])))
-    assert row_poly(ambient, G2.annihilator).int_coeffs() is None
-    H2 = ScalingGroup(ambient, ambient.one().coeffs, 1)
-    with pytest.raises(ParameterError, match="outside F_p"):
-        message_space(G2, H2, Fraction(1, 4), 8)
-    with pytest.raises(ParameterError, match="outside F_p"):
-        constraint_report(np.zeros((1, 8), dtype=np.int64), G2, H2, Fraction(1, 4), 8)
 
 
 def test_rate_section_verifies_each_basis_polynomial_once(monkeypatch):
@@ -164,7 +147,7 @@ def test_encode_rejects_constraint_violations(inst1_p2):
     # X^3 has scaling-side base degree 0 but translation digits fine; craft a
     # violation of the local bound instead: g itself has h-base degree 2 >= 1.5
     with pytest.raises(ConstraintViolation, match="base degree|base_degree"):
-        encode(inst.G.annihilator, inst.omega, inst.G, inst.H, inst.config.r, inst.D)
+        encode(inst.G.g[:, None], inst.omega, inst.G, inst.H, inst.config.r, inst.D)
 
 
 @pytest.mark.parametrize("name,D", [("inst1_p2", None), ("inst2_p2", 96)])
@@ -181,7 +164,7 @@ def test_encode_field_coefficients(request, name, D):
         "scaling_base_degree": r * inst.H.order,
     }
     bases = {
-        "translation_base_degree": row_poly(ctx, inst.G.annihilator),
+        "translation_base_degree": row_poly(ctx, inst.G.g),
         "scaling_base_degree": scaling_invariant_poly(ctx, inst.H.order),
     }
     rng = np.random.default_rng(8)
@@ -225,7 +208,7 @@ def test_encode_basis_digits_matches_scalar_encode(inst1_p2):
 def test_local_rs_zero_codeword_passes(inst1_p2):
     inst = inst1_p2
     cw = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
-    rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
+    rep = check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
     assert rep.all_ok
     assert rep.vertices.tolist() == [-1] * (inst.graph.n_left + inst.graph.n_right)  # -1: zero restriction
 
@@ -235,7 +218,7 @@ def test_local_rs_every_basis_codeword_both_sides(inst1_p2):
     ms = inst.message_space()
     digits = encode_basis_digits(inst.ambient, ms.coeffs, inst.omega)
     for bi in range(ms.dim):
-        rep = check_local_rs(inst.ambient, digits[bi], inst.graph, inst.omega, inst.config.r)
+        rep = check_local_rs(inst.ambient, digits[bi], inst.local_maps, inst.config.r)
         assert rep.all_ok
         assert len(rep.vertices) == inst.graph.n_left + inst.graph.n_right == 28
 
@@ -262,7 +245,7 @@ def test_local_rs_random_vector_fails(inst1_p2):
     failures = 0
     for _ in range(100):
         vec = inst.ambient.digit_rows([inst.ambient.from_int(int(v)) for v in rng.integers(0, 64, inst.n)])
-        if not check_local_rs(inst.ambient, vec, inst.graph, inst.omega, inst.config.r).all_ok:
+        if not check_local_rs(inst.ambient, vec, inst.local_maps, inst.config.r).all_ok:
             failures += 1
     assert failures == 100
 
@@ -274,7 +257,7 @@ def test_schur_all_ones_neutral(inst1_p2):
     ones = encode(poly_digits(Poly.one(inst.ambient)), inst.omega, inst.G, inst.H, inst.config.r, inst.D)
     prod = schur_product(inst.ambient, cw, ones)
     assert np.array_equal(prod, cw)
-    assert check_local_rs(inst.ambient, prod, inst.graph, inst.omega, inst.config.r).all_ok
+    assert check_local_rs(inst.ambient, prod, inst.local_maps, inst.config.r).all_ok
 
 
 def test_schur_products_pass_doubled_bound(inst1_p2):
@@ -284,7 +267,7 @@ def test_schur_products_pass_doubled_bound(inst1_p2):
     rng = random.Random(6)
     for _ in range(10):
         i, j = rng.randrange(ms.dim), rng.randrange(ms.dim)
-        rep = schur_check(inst.ambient, digits[i], digits[j], inst.graph, inst.omega, inst.config.r)
+        rep = schur_check(inst.ambient, digits[i], digits[j], inst.local_maps, inst.config.r)
         assert rep.all_ok
 
 
@@ -426,7 +409,7 @@ def test_monomials_are_sound_and_distinct_degrees(inst1_p2, inst1_p3):
 def test_counted_monomials_lie_in_message_space(inst1_p2):
     # every counted monomial, encoded, passes the independent constraint check
     inst = inst1_p2
-    g = row_poly(inst.ambient, inst.G.annihilator)
+    g = row_poly(inst.ambient, inst.G.g)
     for i, j in admissible_monomials(inst.config, inst.D):
         f = (g**i).shift(j)
         rep = constraint_report(poly_digits(f).T, inst.G, inst.H, inst.config.r, inst.D)

@@ -155,6 +155,18 @@ def test_spectral_bounds_formulas(inst1_p2, inst2_p2):
     assert spectrum_section(inst2_p2)["bound_instance"] == pytest.approx((0.5 + 8**0.5 / 7) ** 0.5, abs=1e-12)
 
 
+def test_refused_svd_oracle_keeps_the_exact_spectrum(inst1_p2):
+    # only sigma2_svd and the agreement check go; the section stays computed and passing
+    full = spectrum_section(inst1_p2)
+    refused = spectrum_section(inst1_p2, {"svd_side": 1})
+    assert refused["oracle"] == "skipped: budget (graph sides 12x16 exceed the SVD budget 1)"
+    assert refused["status"] == "computed" and refused["ok"] is True
+    assert refused["checks"] == {k: v for k, v in full["checks"].items() if k != "oracle_agreement"}
+    kept = ("sigma2_exact", "lambda_max", "M", "bound_general", "bound_instance")
+    assert {k: refused[k] for k in kept} == {k: full[k] for k in kept}
+    assert "sigma2_svd" not in refused and "sigma2_svd" in full
+
+
 def test_sigma2_below_instance_bound(all_instances):
     for inst in all_instances:
         exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)

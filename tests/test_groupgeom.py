@@ -23,9 +23,10 @@ from oracles import (
     scalar_scaling_group,
     translation_invariant_poly,
 )
+from orbitcodes import groupgeom
 from orbitcodes.cosetgraph import build_graph
-from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.gf import FpSubspace, build_field
+from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
+from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import (
     GroupA,
     ScalingGroup,
@@ -225,9 +226,12 @@ def test_free_point_deterministic_first_in_order(inst1_p2):
     assert not any(bad_before)
 
 
+X4_X2_X = [0, 1, 1, 0, 1]  # X^4 + X^2 + X over F_2
+
+
 def _translation_only_group():
     f64 = build_field(2, 6)
-    G = TranslationGroup(FpSubspace(f64, f64.digit_rows([f64.from_int(3), f64.from_int(8)])))
+    G = TranslationGroup(X4_X2_X, f64)
     trivial_h = ScalingGroup(f64, f64.one().coeffs, 1)
     return G, GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
 
@@ -261,9 +265,28 @@ def test_roots_of_linearized_match_callable_oracle(config):
 
 @pytest.mark.parametrize("config", [*RUNGS, "translations"], ids=[*RUNG_IDS, "translation-only"])
 def test_annihilator_matches_scalar_product(config):
+    # g is prod_{u in G}(X - u), whose coefficients lie in F_p
     G = _translation_only_group()[0] if config == "translations" else _rung(config).G
-    assert not G.annihilator.flags.writeable
-    assert np.array_equal(G.annihilator, poly_digits(translation_invariant_poly(G.points)))
+    product = poly_digits(translation_invariant_poly(G.points))
+    assert not G.g.flags.writeable
+    assert not product[:, 1:].any()
+    assert np.array_equal(G.g, product[:, 0])
+
+
+def test_translation_group_refuses_a_non_monic_or_non_linearized_g():
+    with pytest.raises(ParameterError, match="monic"):
+        TranslationGroup([0, 1, 0, 2], build_field(3, 2))  # 2X^3 + X
+    with pytest.raises(ParameterError, match="not linearized"):
+        TranslationGroup([0, 1, 0, 1], build_field(2, 6))  # X^3 + X
+
+
+def test_translation_group_checks_that_g_vanishes_on_its_roots(monkeypatch):
+    # handed F_4, the roots of X^4 - X, for g = X^4 + X^2 + X, the check refuses the pair
+    f64 = build_field(2, 6)
+    f4 = roots_of_linearized([0, 1, 0, 0, 1], f64)
+    monkeypatch.setattr(groupgeom, "roots_of_linearized", lambda g, ambient: f4)
+    with pytest.raises(InternalError, match="does not vanish"):
+        TranslationGroup(X4_X2_X, f64)
 
 
 @pytest.mark.parametrize("config", [*RUNGS, "translations"], ids=[*RUNG_IDS, "translation-only"])

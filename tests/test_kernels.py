@@ -51,7 +51,7 @@ from orbitcodes.codecore import (
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.gf import FpSubspace, build_field, mul_matrix, mul_rows
-from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, roots_of_linearized, scaling_subgroup
+from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
 from orbitcodes.report import distance_section, spectrum_section
@@ -123,7 +123,7 @@ def test_mul_matrix_matches_scalar_products(p, k):
 def test_local_degrees_match_scalar_oracle_on_basis(inst1_p2):
     inst = inst1_p2
     for cw in _basis_words(inst):
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
+        rep = check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -134,7 +134,7 @@ def test_local_degrees_match_scalar_oracle_on_every_schur_pair(inst1_p2):
         prod = schur_product(inst.ambient, words[i], words[j])
         pairs = zip(inst.ambient.elements_of(words[i]), inst.ambient.elements_of(words[j]))
         assert inst.ambient.elements_of(prod) == tuple(a * b for a, b in pairs)
-        rep = schur_check(inst.ambient, words[i], words[j], inst.graph, inst.omega, inst.config.r)
+        rep = schur_check(inst.ambient, words[i], words[j], inst.local_maps, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, prod, inst.graph, inst.omega)
         assert rep.all_ok
 
@@ -144,7 +144,7 @@ def test_local_degrees_match_scalar_oracle_on_random_words(inst1_p2):
     rng = np.random.default_rng(11)
     for _ in range(20):
         cw = _random_word(inst, rng)
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
+        rep = check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -153,7 +153,7 @@ def test_local_degrees_match_scalar_oracle_on_larger_rungs(name, request):
     inst = request.getfixturevalue(name)
     words = _basis_words(inst)
     for cw in (words[0], schur_product(inst.ambient, words[1], words[-1])):
-        rep = check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
+        rep = check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
         assert _fast_degrees(rep) == scalar_vertex_degrees(inst.ambient, cw, inst.graph, inst.omega)
 
 
@@ -165,7 +165,7 @@ def test_local_degrees_match_scalar_oracle_on_larger_rungs(name, request):
 def test_side_maps_match_scalar_lagrange_maps(config):
     # V^-1 from one elimination equals the map built one interpolation at a time
     inst = build_instance(InstanceConfig(config[0], config[1], config[2], gamma=config[3]))
-    maps = codecore._local_maps(inst.ambient, inst.graph, inst.omega)
+    maps = inst.local_maps
     slow = scalar_side_coeff_maps(inst.ambient, inst.graph, inst.omega)
     for side in ("left", "right"):
         assert np.array_equal(maps[side].coeff_map, slow[side])
@@ -199,7 +199,7 @@ def test_local_degrees_match_scalar_oracle_property(name, combination, doubled, 
     cw = _drawn_word(name, combination, rng)
     if doubled:
         cw = schur_product(ctx, cw, _drawn_word(name, combination, rng))
-    rep = check_local_rs(ctx, cw, inst.graph, inst.omega, inst.config.r, doubled=doubled)
+    rep = check_local_rs(ctx, cw, inst.local_maps, inst.config.r, doubled=doubled)
     slow = scalar_vertex_degrees(ctx, cw, inst.graph, inst.omega)
     assert _fast_degrees(rep) == slow
     allowed = {side: (2 if doubled else 1) * b["max_allowed_degree"] for side, b in rep.bounds.items()}
@@ -222,10 +222,10 @@ def test_schur_product_matches_scalar_products_property(name, combination, seed)
 def test_local_maps_are_cached_per_graph(inst1_p2):
     inst = inst1_p2
     cw = _basis_words(inst)[0]
-    check_local_rs(inst.ambient, cw, inst.graph, inst.omega, inst.config.r)
-    maps = inst.graph.local_maps
-    check_local_rs(inst.ambient, cw, inst.graph, inst.omega.copy(), inst.config.r)
-    assert inst.graph.local_maps is maps
+    check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
+    maps = inst.local_maps
+    check_local_rs(inst.ambient, cw, inst.local_maps, inst.config.r)
+    assert inst.local_maps is maps
 
 
 def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
@@ -233,8 +233,8 @@ def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
     omega = inst.omega[[-1, *range(1, inst.n - 1), 0]]  # points 0 and n-1 swapped
     zero = np.zeros((inst.n, inst.ambient.k), dtype=np.int64)
     with pytest.raises(ParameterError, match="base set"):
-        check_local_rs(inst.ambient, zero, inst.graph, omega, inst.config.r)
-    check_local_rs(inst.ambient, zero, inst.graph, inst.omega, inst.config.r)  # the cache recovers
+        codecore.local_maps(inst.ambient, inst.graph, omega)
+    check_local_rs(inst.ambient, zero, inst.local_maps, inst.config.r)
 
 
 def _subspace(ms, dims):
@@ -306,7 +306,7 @@ def test_spectral_scans_match_scalar_oracles_one_point_per_chunk(monkeypatch, in
 def test_spectral_scans_match_scalar_oracles_on_every_subgroup(p, k):
     # G = F_p and S = span(H), the smallest H-closed space containing it
     ctx = build_field(p, k)
-    prime_field = TranslationGroup(FpSubspace.from_vectors(ctx, ctx.digit_rows([ctx.one()])))
+    prime_field = TranslationGroup([0, p - 1] + [0] * (p - 2) + [1], ctx)  # the roots of X^p - X
     for d in divisors(ctx.order - 1):
         h = scaling_subgroup(ctx, d)
         _assert_sigma2_matches_oracle(prime_field, h, FpSubspace.from_vectors(ctx, h.elements), ctx)
@@ -364,8 +364,8 @@ X3_MINUS_X = [0, 2, 0, 1]  # X^3 - X over F_3: its roots are F_3
 )
 def test_generic_message_space_matches_scalar_oracle(p, k, gens, h_order, r, D):
     ctx = build_field(p, k)
-    G = TranslationGroup(roots_of_linearized(gens, ctx))
-    g = row_poly(ctx, G.annihilator)
+    G = TranslationGroup(gens, ctx)
+    g = row_poly(ctx, G.g)
     assert g == translation_invariant_poly(G.points)
     assert g.int_coeffs() == gens
     H = scaling_subgroup(ctx, h_order)
@@ -399,7 +399,7 @@ def test_base_degrees_match_scalar_oracle_on_full_bases(name, request):
     ms, p = inst.message_space(), inst.ambient.p
     checks = ms.verification["checks"]
     assert ms.coeffs.ndim == 2 and ms.D == inst.D
-    assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.annihilator[:, 0], p)
+    assert checks["translation_base_degree"][0].tolist() == _fp_base_degrees(ms, inst.G.g, p)
     assert checks["scaling_base_degree"][0].tolist() == _fp_base_degrees(ms, [0] * inst.H.order + [1], p)
 
 
