@@ -43,7 +43,7 @@ from orbitcodes.errors import (
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, mul_rows, pow_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rref_mod_p
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power tensor of one chunk of orbit points
@@ -91,7 +91,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     Computed as the intersection U cap V of the two constraint subspaces:
     the combinations of the U rows that vanish on every column outside V
     are the kernel of U's bad-column block, and the basis is their span,
-    put in RREF.
+    one F_p product (linalg.matmul_mod_p) put in RREF.
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (constraint_report); the result is
@@ -103,7 +103,8 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
     rows = _u_rows(G.g, pairs, D, p)
     kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
-    basis = rref_mod_p(kernel @ rows % p, p)[0]
+    basis = rref_mod_p(matmul_mod_p(kernel, rows, p), p)[0]
+    del rows, kernel  # the re-check below runs without them
     ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
 
     ms.verification = constraint_report(basis, G, H, r, D)
@@ -530,9 +531,10 @@ def min_distance_sampled(
     sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
     the powers of the field generator, which come from mul_tensor; so a
     chunk of sampled codewords is one product of the scalars' digits with a
-    block of those multiples.  Chunks of samples and blocks of basis rows
-    each hold at most SAMPLE_CHUNK_ENTRIES digits, and no table of all |F|
-    multiples is built.  Fewer than one sample is refused.
+    block of those multiples (linalg.matmul_mod_p), summed over blocks.
+    Chunks of samples and blocks of basis rows each hold at most
+    SAMPLE_CHUNK_ENTRIES digits, and no table of all |F| multiples is
+    built.  Fewer than one sample is refused.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
@@ -550,14 +552,12 @@ def min_distance_sampled(
         codes = rng.integers(0, ctx.order, size=(b, ms.dim))
         codes[(codes == 0).all(axis=1), 0] = 1
         for lo in range(0, b, sample_chunk):
-            # The scalars' digits, (chunk, dim, k).  Products run in float64 (BLAS)
-            # and are exact: every sum stays below dim * k * p^2, far below 2^53.
-            part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k).astype(np.float64)
-            acc = np.zeros((len(part), n * k))
+            part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k)  # the scalars' digits
+            acc = np.zeros((len(part), n * k), dtype=np.int64)
             for t in range(0, ms.dim, row_block):
                 multiples = np.einsum("tnj,ajl->tanl", rows[t : t + row_block], ctx.mul_tensor()) % p
-                acc += part[:, t : t + row_block].reshape(len(part), -1) @ multiples.reshape(-1, n * k)
-            weights = (acc.reshape(-1, n, k).astype(np.int64) % p).any(axis=2).sum(axis=1)
+                acc += matmul_mod_p(part[:, t : t + row_block].reshape(len(part), -1), multiples.reshape(-1, n * k), p)
+            weights = (acc.reshape(-1, n, k) % p).any(axis=2).sum(axis=1)
             best = min(best, int(weights.min()))
         done += b
     return best

@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from orbitcodes.errors import ParameterError
+from orbitcodes.linalg import matmul_mod_p
+
+EXPANSION_CHUNK_ENTRIES = 1 << 17  # bound on the digit rows X^t built and multiplied at a time
 
 
 def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -20,13 +23,19 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     rows is an (R, L) array of F_p coefficients: row r is sum_t rows[r, t]
     X^t.  u is the monic divisor's F_p coefficients, lowest degree first.
 
-    All rows are expanded at once by iterated synthetic division (von zur
-    Gathen & Gerhard, Modern Computer Algebra, 9.2): dividing the quotient
-    stored from column `start` on leaves the next digit in its low deg u
-    columns and the new quotient above, so a row's largest digit degree is
-    its largest t mod deg u over nonzero columns t.  Quotient column i only
-    updates columns at or below i - step, step = deg u minus u's largest
-    lower exponent, so step columns go in one vector operation.
+    The expansion is F_p-linear, so it is one product with the matrix E
+    whose row t holds the base-u digits of X^t (radix conversion as a
+    linear map; von zur Gathen & Gerhard, Modern Computer Algebra, 9.2).
+    Digit j of a row sits in columns j*deg u to (j+1)*deg u - 1, so a
+    row's largest digit degree is its largest column mod deg u over
+    nonzero columns.  Below deg u, X^t is its own digit.  Above it, X^t =
+    X^(t - deg u)*u - sum_e u_e X^(t - deg u + e) over u's lower terms:
+    the first term is row t - deg u with every digit moved up one block,
+    and the rest are earlier rows, at least step = deg u minus u's
+    largest lower exponent back, so step rows of E come in one vector
+    operation.  E is built and multiplied in chunks of rows that hold at
+    most EXPANSION_CHUNK_ENTRIES entries.  For u = X^(deg u) the digits
+    are the coefficients themselves.
     """
     u = np.asarray(u, dtype=np.int64) % p
     degree = len(u) - 1
@@ -34,16 +43,32 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         raise ParameterError("expansion base must be nonconstant")
     if u[-1] != 1:
         raise ParameterError("expansion base must be monic")
+    rows = np.asarray(rows, dtype=np.int64)
+    length = rows.shape[1]
     lower = [(e, int(u[e])) for e in range(degree) if u[e]]
-    step = degree - max((e for e, _ in lower), default=0)
-    work = np.asarray(rows, dtype=np.int64).T.copy()  # (L, R): columns are slabs
-    length = work.shape[0]
-    for start in range(0, length - degree, degree) if lower else ():
-        for top in range(length, start + degree, -step):
-            low = max(start + degree, top - step)
-            quotient = work[low:top]
-            quotient %= p  # targets are reduced only when read, which keeps entries small
+    if not lower:
+        offsets = np.arange(length) % degree
+        return np.where(rows % p != 0, offsets, -1).max(axis=1, initial=-1)
+    step = degree - max(e for e, _ in lower)
+    width = -(-length // degree) * degree  # whole digit blocks
+    chunk = max(1, min(length, EXPANSION_CHUNK_ENTRIES // max(width, 1)))
+    digits = np.zeros((len(rows), width), dtype=np.int64)
+    # buf[i] holds the digits of X^(lo - degree + i): the chunk's rows after the degree rows before them
+    buf = np.zeros((degree + chunk, width), dtype=np.int64)
+    for lo in range(0, length, chunk):
+        buf[:degree] = buf[chunk:]
+        hi = min(lo + chunk, length)
+        for t in range(lo, min(hi, degree)):
+            buf[degree + t - lo] = 0
+            buf[degree + t - lo, t] = 1
+        for t in range(max(lo, degree), hi, step):
+            new = buf[degree + t - lo : degree + min(t + step, hi) - lo]
+            back = t - lo  # the buf index of row t - degree
+            new[:, :degree] = 0
+            new[:, degree:] = buf[back : back + len(new), :-degree]
             for e, coeff in lower:
-                work[low - degree + e : top - degree + e] -= coeff * quotient
-    offsets = np.arange(length) % degree
-    return np.where(work % p != 0, offsets[:, None], -1).max(axis=0, initial=-1)
+                new -= coeff * buf[back + e : back + e + len(new)]
+            new %= p
+        digits += matmul_mod_p(rows[:, lo:hi] % p, buf[degree : degree + hi - lo], p)
+    offsets = np.arange(width) % degree
+    return np.where(digits % p != 0, offsets, -1).max(axis=1, initial=-1)

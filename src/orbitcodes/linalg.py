@@ -1,13 +1,54 @@
 """Exact linear algebra over prime fields, on numpy integer matrices.
 
-Matrices are 2-d int64 arrays with entries reduced mod p.  Everything here
-is plain Gaussian elimination; the primes involved are tiny, so scalar
-inverses come from Fermat's little theorem.
+Matrices are 2-d int64 arrays.  rref_mod_p is the one Gaussian
+elimination; it reduces mod p lazily (Dumas, Giorgi & Pernet,
+FFLAS-FFPACK, ACM TOMS 2008): a column is reduced when it is read as the
+pivot column, the pivot row once, and the row updates run without a
+reduction; an int64 growth bound keeps them exact.  The primes
+involved are tiny, so scalar inverses come from Fermat's little theorem.
+
+matmul_mod_p is the one F_p matrix product.  numpy has no BLAS path for
+int64, so it multiplies in float64, which is exact while every sum stays
+below 2^53.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from orbitcodes.errors import ParameterError
+
+FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+INT64_LIMIT = 1 << 63
+MATMUL_CHUNK_ENTRIES = 1 << 17  # bound on the float64 copies of one inner chunk, unless the product is larger
+
+
+def matmul_mod_p(a, b, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for integer matrices with entries in (-p, p).
+
+    The inner dimension is taken in chunks whose float64 copies of both
+    operands hold no more entries than MATMUL_CHUNK_ENTRIES or the
+    product, whichever is larger, one BLAS GEMM per chunk, and the float
+    sum is reduced once as x - p*floor(x/p).  Every partial sum is below
+    inner*(p-1)^2 in absolute value; a shape that lets it reach 2^53 is
+    refused.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    inner = a.shape[1]
+    if inner != b.shape[0]:
+        raise ParameterError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    if inner * (p - 1) ** 2 >= FLOAT_EXACT:
+        raise ParameterError(f"an inner dimension of {inner} mod {p} can reach 2^53, where float64 products stop being exact")
+    acc = np.zeros((a.shape[0], b.shape[1]))
+    chunk = max(1, max(MATMUL_CHUNK_ENTRIES, acc.size) // max(1, a.shape[0] + b.shape[1]))
+    for lo in range(0, inner, chunk):
+        acc += a[:, lo : lo + chunk].astype(np.float64) @ b[lo : lo + chunk].astype(np.float64)
+    quotient = acc / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    acc -= quotient
+    del quotient  # before the int64 copy, which needs the memory
+    return acc.astype(np.int64)
 
 
 def _as_matrix(mat, p: int) -> np.ndarray:
@@ -18,29 +59,43 @@ def _as_matrix(mat, p: int) -> np.ndarray:
 
 
 def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices.
+
+    Entries start reduced and each pivot adds at most (p-1)^2 to an
+    entry's absolute value, so no entry exceeds (p-1) + min(rows,
+    cols)*(p-1)^2; a shape that lets that bound reach 2^63 is refused.
+    The row updates start at the pivot column, and a column is read only
+    at its own step, so the RREF is reduced once, at the end.
+    """
     a = _as_matrix(mat, p)
     rows, cols = a.shape
+    if (p - 1) + min(rows, cols) * (p - 1) ** 2 >= INT64_LIMIT:
+        raise ParameterError(f"eliminating a {rows}x{cols} matrix mod {p} can overflow int64")
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
+            col[r], col[pr] = col[pr], col[r]
+        inv = pow(int(col[r]), p - 2, p)
+        row = a[r, c:] % p
+        if inv != 1:
+            row = row * inv % p
+        a[r, c:] = row
+        col[r] = 0
+        other = col.nonzero()[0]
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            a[other, c:] -= col[other, None] * row
         pivots.append(c)
         r += 1
-    return a[: len(pivots)], pivots
+    return a[: len(pivots)] % p, pivots
 
 
 def rank_mod_p(mat, p: int) -> int:

@@ -7,8 +7,10 @@
   of Frobenius conjugates, ``kernel_subspace`` of a Python callable on
   ``FieldElement``s, and ``point_set``, the points of a subspace as a set.
 * mod-p elimination one column at a time: ``row_reduce_against``, the
-  coset representative by one pivot after another, and
-  ``scalar_nullspace``, the kernel basis by entry-wise back-substitution.
+  coset representative by one pivot after another,
+  ``eager_rref_mod_p``, the elimination that reduces every row update
+  mod p at once, and ``scalar_nullspace``, the kernel basis by
+  entry-wise back-substitution on that elimination's RREF.
 * the scalar build: ``scalar_primitive_element``, ``scalar_scaling_group``
   (H's powers and their inverses, one scalar product or inverse each),
   ``scalar_scaling_closure`` (a queue of scalar products with H's
@@ -40,7 +42,8 @@
   repeated squaring (test_fppoly checks both against sympy's galoistools
   and ``galois_poly`` converts to its convention); the direct weight and
   monomial checks ``weight_direct`` and ``monomial_is_sound`` built on
-  them; and
+  them; ``synthetic_expansion_degrees``, the batched base-u degrees by
+  iterated synthetic division on all rows at once; and
   ``kernel_base_degree``, which puts one polynomial through the batched
   kernel ``fppoly.expansion_degrees`` in the oracles' convention.
 * ``scalar_encode``: Horner evaluation of one message at every orbit point.
@@ -76,7 +79,7 @@ from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix, mul_matrix, mul_rows
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
+from orbitcodes.linalg import nullspace_mod_p, rank_mod_p
 from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
@@ -337,10 +340,39 @@ def row_reduce_against(vec: np.ndarray, rr: np.ndarray, pivots: list[int], p: in
     return v
 
 
+def eager_rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot column indices, every row update reduced mod p at once."""
+    a = np.array(mat, dtype=np.int64, copy=True)
+    if a.ndim != 2:
+        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
+    a %= p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[: len(pivots)], pivots
+
+
 def scalar_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows) of {x : mat @ x = 0 mod p}, by back-substitution one entry at a time."""
     cols = mat.shape[1]
-    rr, pivots = rref_mod_p(mat, p)
+    rr, pivots = eager_rref_mod_p(mat, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     for i, fc in enumerate(free):
@@ -934,6 +966,38 @@ def base_digits(f, u, p: int) -> list[list[int]]:
         digits.append(_trim(cur[:du]))
         cur = _trim(quotient)
     return digits
+
+
+def synthetic_expansion_degrees(rows: np.ndarray, u, p: int) -> np.ndarray:
+    """Largest digit degree of every row's expansion in base u; -1 for a zero row.
+
+    All rows are expanded at once by iterated synthetic division (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 9.2): dividing the quotient
+    stored from column `start` on leaves the next digit in its low deg u
+    columns and the new quotient above, so a row's largest digit degree is
+    its largest t mod deg u over nonzero columns t.  Quotient column i only
+    updates columns at or below i - step, step = deg u minus u's largest
+    lower exponent, so step columns go in one vector operation.
+    """
+    u = np.asarray(u, dtype=np.int64) % p
+    degree = len(u) - 1
+    if degree < 1:
+        raise ParameterError("expansion base must be nonconstant")
+    if u[-1] != 1:
+        raise ParameterError("expansion base must be monic")
+    lower = [(e, int(u[e])) for e in range(degree) if u[e]]
+    step = degree - max((e for e, _ in lower), default=0)
+    work = np.asarray(rows, dtype=np.int64).T.copy()  # (L, R): columns are slabs
+    length = work.shape[0]
+    for start in range(0, length - degree, degree) if lower else ():
+        for top in range(length, start + degree, -step):
+            low = max(start + degree, top - step)
+            quotient = work[low:top]
+            quotient %= p  # targets are reduced only when read, which keeps entries small
+            for e, coeff in lower:
+                work[low - degree + e : top - degree + e] -= coeff * quotient
+    offsets = np.arange(length) % degree
+    return np.where(work % p != 0, offsets[:, None], -1).max(axis=0, initial=-1)
 
 
 def _trim(coeffs: list[int]) -> list[int]:

@@ -16,12 +16,12 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_div, gf_irreducible_p, gf_mul, gf_pow
 
 from oracles import base_digits, galois_poly, power
-from orbitcodes import fppoly
+from orbitcodes import fppoly, linalg
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import FieldContext, build_field
 from orbitcodes.instance import InstanceConfig
 from orbitcodes.groupgeom import splitting_degree
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
 
 
 def _sympy_irreducible(f, p):
@@ -156,3 +156,33 @@ def test_rref_rank_nullspace_mod_p():
             assert not ((mat @ null.T) % p).any()
         # rref preserves the row space
         assert rank_mod_p(np.concatenate([mat, rr]), p) == len(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_matmul_mod_p_matches_int64_product(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    shapes = [(1, 1, 1), (3, 0, 4), (0, 5, 2), (6, 9, 0), (7, 40, 11), (25, 3, 2)]
+    for chunk_entries in (linalg.MATMUL_CHUNK_ENTRIES, 1, 40):  # default, one inner column per chunk, a few
+        monkeypatch.setattr(linalg, "MATMUL_CHUNK_ENTRIES", chunk_entries)
+        for rows, inner, cols in shapes:
+            a = rng.integers(-p + 1, p, size=(rows, inner))  # negative entries too
+            b = rng.integers(0, p, size=(inner, cols))
+            got = matmul_mod_p(a, b, p)
+            assert got.dtype == np.int64 and np.array_equal(got, a @ b % p)
+
+
+def test_matmul_mod_p_refuses_shapes_that_reach_two_to_the_53():
+    p = 2**26 + 15  # prime; (p-1)^2 is just above 2^52, so two inner terms can reach 2^53
+    assert 1 * (p - 1) ** 2 < 2**53 <= 2 * (p - 1) ** 2
+    top = np.full((1, 1), p - 1, dtype=np.int64)
+    assert matmul_mod_p(top, top, p).tolist() == [[(p - 1) ** 2 % p]]  # exact just below the bound
+    with pytest.raises(ParameterError, match="2\\^53"):
+        matmul_mod_p(np.full((1, 2), p - 1), np.full((2, 1), p - 1), p)
+    with pytest.raises(ParameterError, match="cannot multiply"):
+        matmul_mod_p(np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64), 2)
+
+
+def test_rref_mod_p_refuses_int64_overflow():
+    p = 2**32 + 15  # prime; one pivot's update alone can pass 2^63
+    with pytest.raises(ParameterError, match="overflow int64"):
+        rref_mod_p(np.eye(2, dtype=np.int64), p)

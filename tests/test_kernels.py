@@ -1,9 +1,11 @@
 """The batched local check, the digit-array Schur product, the chunked
 distance enumeration and sampling, the quotient spectral scans, the
 F_p message space, the chunked encoding, the batched
-base-degree kernel, and the mod-p kernel basis and coset representative,
-each against its slow scalar oracle (tests/oracles.py)."""
+base-degree kernel, the lazy-reduction elimination, and the mod-p kernel
+basis and coset representative, each against its slow scalar oracle
+(tests/oracles.py)."""
 
+import hashlib
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +23,7 @@ from oracles import (
     base_degree,
     dfs_min_weight,
     divisors,
+    eager_rref_mod_p,
     max_digit_degree,
     poly_digits,
     row_poly,
@@ -34,6 +37,7 @@ from oracles import (
     scalar_tables,
     scalar_vertex_degrees,
     scaling_invariant_poly,
+    synthetic_expansion_degrees,
     table_min_distance_sampled,
     translation_invariant_poly,
 )
@@ -80,6 +84,38 @@ def test_nullspace_matches_back_substitution(p):
     for mat in _mod_p_matrices(p, np.random.default_rng(p)):
         got = nullspace_mod_p(mat, p)
         assert got.dtype == np.int64 and np.array_equal(got, scalar_nullspace(mat, p))
+
+
+@st.composite
+def _elimination_cases(draw):
+    """A matrix mod p with unreduced and negative entries: empty, zero, full-rank, low-rank or random, tall or wide."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["zero", "full-rank", "low-rank", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = min(rows, cols)
+    if kind == "zero":
+        mat = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "full-rank":  # a unit triangular block, bordered by random entries, rows and columns permuted
+        mat = rng.integers(0, p, size=(rows, cols))
+        mat[:small, :small] = np.triu(mat[:small, :small], 1) + np.eye(small, dtype=np.int64)
+        mat[small:, :] = rng.integers(0, p, size=(rows - small, small)) @ mat[:small] % p
+        mat = mat[rng.permutation(rows)][:, rng.permutation(cols)]
+    elif kind == "low-rank":
+        rank = draw(st.integers(0, small))
+        mat = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols))
+    else:
+        mat = rng.integers(0, p, size=(rows, cols))
+    return p, mat + p * rng.integers(-3, 4, size=mat.shape)
+
+
+@settings(max_examples=600)
+@given(_elimination_cases())
+def test_rref_matches_eager_elimination(case):
+    p, mat = case
+    rr, pivots = rref_mod_p(mat, p)
+    expected, expected_pivots = eager_rref_mod_p(mat, p)
+    assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -444,6 +480,41 @@ def test_base_degrees_match_scalar_expansion(case):
     u_poly = Poly.from_ints(ctx, u)
     expected = [base_degree(row_poly(ctx, row), u_poly) for row in rows]
     assert got.tolist() == [-1 if d == float("-inf") else d for d in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("lower", [(), (0, 1, 1), (1, 1, 0, 2, 1), (0, 0, 0, 1)])  # none; like g; a constant term; a gap
+def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
+    rng = np.random.default_rng(p)
+    u = [c % p for c in lower] + [0] * (5 - len(lower)) + [1]  # u's coefficients below X^5 are lower
+    for length in (0, 1, 4, 5, 6, 13, 40, 67):  # L = 0, L < deg u, L a multiple and not, many chunks
+        rows = rng.integers(0, p, size=(7, length))
+        rows[[2, 5]] = 0  # zero rows
+        rows[6, length // 2 :] = 0
+        expected = synthetic_expansion_degrees(rows, u, p)
+        width = -(-length // 5) * 5
+        for chunk_rows in (None, 1, 3, 7):  # the default, then rows of the digit matrix per chunk
+            if chunk_rows:
+                monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", chunk_rows * width)
+            got = fppoly.expansion_degrees(rows, u, p)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+        monkeypatch.undo()
+    assert fppoly.expansion_degrees(np.zeros((0, 9), dtype=np.int64), u, p).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("inst1_p3", "f78db4dbb1af9b0997de0ad6b1b277c0a4374202e076affb30922b1b0e867f7e"),
+        ("inst2_p2", "dea90e39f6a55d3050e76cd1640341901fbc62d73cf4c5178166c97568404906"),
+    ],
+)
+def test_message_space_basis_at_full_length_is_pinned(name, digest, request):
+    # the int64 bytes of the basis at D = n, as the eager elimination and synthetic division computed it
+    inst = request.getfixturevalue(name)
+    ms = inst.message_space()
+    assert ms.D == inst.n
+    assert hashlib.sha256(ms.coeffs.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fixture", ["local-II22", "generic-F64"])
