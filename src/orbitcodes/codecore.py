@@ -15,7 +15,11 @@ over F_p and one F_p elimination computes it.
 Polynomials are (rows, L) arrays of F_p coefficients, lowest degree
 first: the message-space basis, and the rows that constraint_report
 checks and encode_basis_digits encodes.  Only encode takes field
-coefficients, and it splits them into such rows.
+coefficients, and it splits them into such rows.  Codewords are (n, k)
+digit arrays, and every F_p product on them (encoding, the local
+checks, the Schur products and the multiples the distance enumerates)
+is one linalg.matmul_mod_p, on plain matrices or on stacks of per-point
+product matrices (_product_matrices).
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -46,7 +50,7 @@ from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rref_mod_p
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
-ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power tensor of one chunk of orbit points
+ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
 SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
 
 
@@ -175,7 +179,7 @@ def encode(
     polynomials f_a in F_p[X] and the powers x^a of the field generator.
     Both bases lie in F_p[X], so f's degree and base degrees are the
     largest of its digit polynomials', and f's codeword is
-    sum_a x^a (f_a's codeword), through mul_tensor()[:c].
+    sum_a x^a (f_a's codeword), one F_p product with mul_tensor()[:c].
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
@@ -188,15 +192,18 @@ def encode(
     for name, (values, bound, ok) in rep["checks"].items():
         if not ok.all():
             raise ConstraintViolation(f"{name} violated: {values.max()} must be < {bound}")
-    words = encode_basis_digits(ctx, digit_polys, omega)
-    return np.einsum("anj,ajl->nl", words, ctx.mul_tensor()[: len(words)]) % ctx.p
+    words = encode_basis_digits(ctx, digit_polys, omega)  # (c, n, k)
+    c, n, k = words.shape
+    return matmul_mod_p(words.transpose(1, 0, 2).reshape(n, c * k), ctx.mul_tensor()[:c].reshape(c * k, k), ctx.p)
 
 
 def schur_product(ctx: FieldContext, cw1: np.ndarray, cw2: np.ndarray) -> np.ndarray:
-    """Coordinate-wise product of two (n, k) codeword digit arrays."""
+    """Coordinate-wise product of two (n, k) codeword digit arrays: cw1's digits times cw2's product matrices."""
     if np.shape(cw1) != np.shape(cw2):
         raise ParameterError("codeword length mismatch")
-    return mul_rows(ctx, cw1, cw2)
+    p = ctx.p
+    cw1, cw2 = np.asarray(cw1) % p, np.asarray(cw2) % p
+    return matmul_mod_p(cw1[..., None, :], _product_matrices(ctx, cw2), p)[..., 0, :]
 
 
 @dataclass
@@ -285,7 +292,7 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     so V_B^-1 checks every vertex of the side.  V_B, the Vandermonde matrix
     of B expanded to F_p, sends coefficient digits (i, a) to value digits
     (j, l) through the multiplication matrices of the powers b_j^i
-    (_power_tensor); one rref_mod_p of [V_B | I] gives [I | V_B^-1].
+    (_power_table); one rref_mod_p of [V_B | I] gives [I | V_B^-1].
     """
     p, k = ctx.p, ctx.k
     first, anchors = omega[edges[0]], omega[edges[:, 0]]
@@ -302,7 +309,7 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
 
     width = len(base_points) * k
-    vander = mul_matrix(ctx, _power_tensor(ctx, base_points, len(base_points))).transpose(0, 2, 1, 3)
+    vander = mul_matrix(ctx, _power_table(ctx, base_points, len(base_points))).transpose(0, 2, 1, 3)
     reduced, pivots = rref_mod_p(np.hstack([vander.reshape(width, width), np.eye(width, dtype=np.int64)]), p)
     if pivots != list(range(width)):
         raise InternalError("the base points of a side are not distinct")
@@ -319,7 +326,7 @@ def _vertex_degrees(side: _SideMap, digits: np.ndarray, p: int) -> np.ndarray:
     """Interpolant degree at every vertex of a side (-1 for a zero restriction)."""
     vals = digits[side.positions]
     nv, size, k = vals.shape
-    coeffs = (vals.reshape(nv, size * k) @ side.coeff_map.T) % p
+    coeffs = matmul_mod_p(vals.reshape(nv, size * k), side.coeff_map.T, p)
     return _last_nonzero(coeffs.reshape(nv, size, k).any(axis=2))
 
 
@@ -370,32 +377,62 @@ def schur_check(
 # -- fast batch encoding -------------------------------------------------------
 
 
-def _power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
-    """Digits (n, D, k) of beta^t for every point beta (a row of points) and t < D."""
-    mats = mul_matrix(ctx, points)  # multiplication by beta
-    out = np.zeros((len(points), D, ctx.k), dtype=np.int64)
-    cur = np.zeros((len(points), ctx.k), dtype=np.int64)
-    cur[:, 0] = 1
-    for t in range(D):
-        out[:, t, :] = cur
-        cur = np.einsum("nij,nj->ni", mats, cur) % ctx.p
-    return out
+def _product_matrices(ctx: FieldContext, x: np.ndarray) -> np.ndarray:
+    """(..., k, k) matrices R with digits(y*x) = digits(y) @ R mod p, for the rows x of an (..., k) digit array.
+
+    Row i of R is the digits of x times x^i, the i-th power of the field
+    generator, so all of them are one F_p product of x with mul_tensor
+    (gf.mul_matrix gives the transposes, through int64 arithmetic).
+    """
+    k = ctx.k
+    x = np.asarray(x)
+    return matmul_mod_p(x.reshape(-1, k), ctx.mul_tensor().reshape(k, k * k), ctx.p).reshape(x.shape[:-1] + (k, k))
+
+
+def _power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
+    """Digits (n, D, k) of beta^t for every point beta (a row of an (n, k) array of points) and t < D.
+
+    The table is built by doubling: powers 0..m-1 times beta^m are powers
+    m..2m-1, so each step is one stacked F_p product of every point's
+    powers so far with its product matrix of beta^m (_product_matrices),
+    and D powers take about log2(D) steps.  Its entries are digits,
+    stored in the narrowest integer type that holds p - 1.
+    """
+    p, k = ctx.p, ctx.k
+    table = np.zeros((len(points), D, k), dtype=np.min_scalar_type(p - 1))
+    if D:
+        table[:, 0, 0] = 1
+    step = np.asarray(points) % p  # beta^m
+    m = 1
+    while m < D:
+        new = min(m, D - m)
+        mats = _product_matrices(ctx, step)
+        table[:, m : m + new] = matmul_mod_p(table[:, :new], mats, p)
+        m += new
+        if m < D:
+            step = matmul_mod_p(step[:, None, :], mats, p)[:, 0]  # beta^(2m)
+    return table
 
 
 def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Digit tensor (rows, n, k) of the codewords of a (rows, D) F_p coefficient array on an (n, k) orbit array.
 
     The codeword of row b at beta is sum_t coeffs[b, t] * beta^t: with F_p
-    coefficients, one sum over t of coefficients times power digits.
-    Orbit points are taken in chunks whose power tensor holds at most
+    coefficients, the coefficient rows times the powers' digits
+    (_power_table) as a (D, n*k) table, one F_p product
+    (linalg.matmul_mod_p).
+    Orbit points are taken in chunks whose power table holds at most
     ENCODE_CHUNK_ENTRIES entries.
     """
     rows, D = coeffs.shape
     n, k, p = len(omega), ctx.k, ctx.p
+    coeffs = np.asarray(coeffs) % p
     out = np.zeros((rows, n, k), dtype=np.int64)
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
-        out[:, lo : lo + chunk] = np.einsum("bt,ntj->bnj", coeffs, _power_tensor(ctx, omega[lo : lo + chunk], D)) % p
+        points = omega[lo : lo + chunk]
+        table = _power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, len(points) * k)
+        out[:, lo : lo + chunk] = matmul_mod_p(coeffs, table, p).reshape(rows, len(points), k)
     return out
 
 
@@ -440,35 +477,48 @@ def min_distance_exhaustive(
             else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
         )
         raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
-    tables = _multiples(encode_basis_digits(ctx, ms.coeffs, omega), ctx, scalars)
-    return DistanceResult(value=_min_weight_chunked(tables, p), mode=mode, enumerated=scalars**ms.dim)
+    # the multipliers are the field elements of digit value below scalars: F_p, or the whole field
+    multipliers = base_p_digits(np.arange(scalars), p, ctx.k)
+    tables = _multiples(ctx, encode_basis_digits(ctx, ms.coeffs, omega), multipliers)
+    return DistanceResult(value=_min_weight_chunked(list(tables), p), mode=mode, enumerated=scalars**ms.dim)
 
 
-def _multiples(rows: np.ndarray, ctx: FieldContext, scalars: int) -> list[np.ndarray]:
-    """Per basis codeword, the digits (scalars, n, k) of its multiples.
+def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Digits (rows, s, n, k) of every multiplier times every codeword.
 
-    The multipliers are the field elements of digit value below scalars,
-    so scalars = p gives F_p and scalars = |F| the whole field.
+    rows is a (rows, n, k) array of codewords and multipliers an (s, k)
+    digit array; the multiples are one stacked F_p product of the
+    codewords with the multipliers' product matrices (_product_matrices).
     """
-    mats = mul_matrix(ctx, base_p_digits(np.arange(scalars), ctx.p, ctx.k))
-    return [np.einsum("slj,nj->snl", mats, row) % ctx.p for row in rows]
+    return matmul_mod_p(rows[:, None], _product_matrices(ctx, multipliers), ctx.p)
 
 
-def _pack(digits: np.ndarray) -> np.ndarray:
-    """uint8 digits (..., n, k), each element zero-padded to whole 64-bit words."""
+def _pack(digits: np.ndarray, p: int) -> np.ndarray:
+    """Words (..., n, w) holding the digits (..., n, k) of every coordinate.
+
+    At p = 2 the digits are the bits of the smallest unsigned word that
+    holds k of them (uint8, uint16 or uint32), or of ceil(k/64) uint64
+    words.  Otherwise they are uint8 bytes, zero-padded to whole uint64
+    words.
+    """
     k = digits.shape[-1]
-    out = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
-    out[..., :k] = digits
-    return out
+    if p == 2:
+        bits = next((w for w in (8, 16, 32) if k <= w), 64)
+        padded = np.zeros(digits.shape[:-1] + (-(-k // bits) * bits,), dtype=np.uint8)
+        padded[..., :k] = digits
+        return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"uint{bits}"))
+    padded = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
+    padded[..., :k] = digits
+    return padded.view(np.uint64)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Digit-wise a + b mod p on packed uint8 arrays (word-wise XOR when p = 2)."""
+    """Digit-wise a + b mod p on packed words: XOR at p = 2, else byte-wise sums."""
     if p == 2:
-        return (a.view(np.uint64) ^ b.view(np.uint64)).view(np.uint8)
-    s = a + b
+        return a ^ b
+    s = a.view(np.uint8) + b.view(np.uint8)
     np.subtract(s, p, out=s, where=s >= p)
-    return s
+    return s.view(np.uint64)
 
 
 def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
@@ -480,19 +530,23 @@ def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
     order, and weighs prefix + every low entry at once.  A coordinate of
     prefix + low is zero iff low equals -prefix there, so with the
     leading tables negated up front the weight is a count of the
-    coordinates whose 64-bit words differ from the prefix's.
+    coordinates whose packed words (_pack) differ from the prefix's.
     """
     if p >= 128:
         raise ParameterError(f"packed enumeration needs p < 128, got {p}")
-    packed = [_pack(t) for t in tables]
+    packed = [_pack(t, p) for t in tables]
     lead = len(packed) - 1
     low = packed[lead]
     while lead > 0 and packed[lead - 1].shape[0] * low.nbytes <= LOW_TABLE_BYTES:
         lead -= 1
         low = _add_mod(packed[lead][:, None], low[None], p).reshape((-1,) + low.shape[1:])
-    low_words = np.ascontiguousarray(low.view(np.uint64).transpose(2, 0, 1))  # (words, entries, n)
-    negated = [(p - t) % p for t in packed[:lead]]
+    low_words = np.ascontiguousarray(low.transpose(2, 0, 1))  # (words, entries, n)
+    negated = packed[:lead]  # negation is the identity at p = 2
+    if p != 2:
+        negated = [((p - t.view(np.uint8)) % p).view(np.uint64) for t in negated]
     n = low.shape[1]
+    differs = np.empty(low_words.shape[1:], dtype=bool)
+    count_type = np.min_scalar_type(n)
 
     best = n
     choice = [0] * lead
@@ -501,11 +555,11 @@ def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
     while True:
         for i in range(stale, lead):
             sums[i + 1] = _add_mod(sums[i], negated[i][choice[i]], p)
-        prefix = sums[lead].view(np.uint64).T
-        differs = low_words[0] != prefix[0]
+        prefix = sums[lead].T
+        np.not_equal(low_words[0], prefix[0], out=differs)
         for w in range(1, len(prefix)):
             differs |= low_words[w] != prefix[w]
-        weights = np.count_nonzero(differs, axis=1)
+        weights = differs.sum(axis=1, dtype=count_type)
         if not any(choice):
             weights = weights[1:]  # the zero prefix with the zero low entry is the zero codeword
         if weights.size:
@@ -529,9 +583,9 @@ def min_distance_sampled(
 
     Messages are drawn 8192 at a time.  Scalar s times basis codeword w is
     sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
-    the powers of the field generator, which come from mul_tensor; so a
-    chunk of sampled codewords is one product of the scalars' digits with a
-    block of those multiples (linalg.matmul_mod_p), summed over blocks.
+    the powers of the field generator (_multiples); so a chunk of sampled
+    codewords is one product of the scalars' digits with a block of those
+    multiples (linalg.matmul_mod_p), summed over blocks.
     Chunks of samples and blocks of basis rows each hold at most
     SAMPLE_CHUNK_ENTRIES digits, and no table of all |F| multiples is
     built.  Fewer than one sample is refused.
@@ -555,7 +609,7 @@ def min_distance_sampled(
             part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k)  # the scalars' digits
             acc = np.zeros((len(part), n * k), dtype=np.int64)
             for t in range(0, ms.dim, row_block):
-                multiples = np.einsum("tnj,ajl->tanl", rows[t : t + row_block], ctx.mul_tensor()) % p
+                multiples = _multiples(ctx, rows[t : t + row_block], np.eye(k, dtype=np.int64))
                 acc += matmul_mod_p(part[:, t : t + row_block].reshape(len(part), -1), multiples.reshape(-1, n * k), p)
             weights = (acc.reshape(-1, n, k) % p).any(axis=2).sum(axis=1)
             best = min(best, int(weights.min()))

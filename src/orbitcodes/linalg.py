@@ -7,12 +7,15 @@ pivot column, the pivot row once, and the row updates run without a
 reduction; an int64 growth bound keeps them exact.  The primes
 involved are tiny, so scalar inverses come from Fermat's little theorem.
 
-matmul_mod_p is the one F_p matrix product.  numpy has no BLAS path for
+matmul_mod_p is the one F_p matrix product, of plain matrices or of
+stacks of them broadcast as np.matmul does.  numpy has no BLAS path for
 int64, so it multiplies in float64, which is exact while every sum stays
 below 2^53.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,28 +24,48 @@ from orbitcodes.errors import ParameterError
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
 MATMUL_CHUNK_ENTRIES = 1 << 17  # bound on the float64 copies of one inner chunk, unless the product is larger
+STACK_BLOCK_ENTRIES = 1 << 15  # bound on the product of one block of a stack, and so on its float64 sum and quotient
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for integer matrices with entries in (-p, p).
+    """a @ b mod p as int64, for integer arrays with entries in (-p, p).
 
-    The inner dimension is taken in chunks whose float64 copies of both
-    operands hold no more entries than MATMUL_CHUNK_ENTRIES or the
-    product, whichever is larger, one BLAS GEMM per chunk, and the float
-    sum is reduced once as x - p*floor(x/p).  Every partial sum is below
-    inner*(p-1)^2 in absolute value; a shape that lets it reach 2^53 is
-    refused.
+    As in np.matmul, a and b are (..., rows, inner) and (..., inner, cols)
+    stacks of matrices whose leading dimensions broadcast, and every pair
+    of matrices is multiplied; two plain matrices are a stack of one.
+    A stack whose product has more than STACK_BLOCK_ENTRIES entries is
+    taken in blocks of its leading axis that stay within that bound.  In
+    a block, or a plain product, the inner dimension is taken in chunks
+    whose float64 copies of both operands hold no more entries than
+    MATMUL_CHUNK_ENTRIES or the product, whichever is larger, one BLAS
+    GEMM per chunk and matrix, and the float sum is reduced once as
+    x - p*floor(x/p).  Every partial sum is below inner*(p-1)^2 in
+    absolute value; a shape that lets it reach 2^53 is refused, and so
+    are stacks that do not broadcast.
     """
     a, b = np.asarray(a), np.asarray(b)
-    inner = a.shape[1]
-    if inner != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ParameterError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    try:
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ParameterError(f"cannot multiply shapes {a.shape} and {b.shape}: the stacks do not broadcast") from None
+    inner = a.shape[-1]
     if inner * (p - 1) ** 2 >= FLOAT_EXACT:
         raise ParameterError(f"an inner dimension of {inner} mod {p} can reach 2^53, where float64 products stop being exact")
-    acc = np.zeros((a.shape[0], b.shape[1]))
-    chunk = max(1, max(MATMUL_CHUNK_ENTRIES, acc.size) // max(1, a.shape[0] + b.shape[1]))
+    size = math.prod(stack) * a.shape[-2] * b.shape[-1]
+    if stack and stack[0] > 1 and size > STACK_BLOCK_ENTRIES:
+        out = np.empty(stack + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+        block = max(1, stack[0] * STACK_BLOCK_ENTRIES // size)
+        for lo in range(0, stack[0], block):  # an operand of size 1 or without that axis broadcasts whole
+            a_part, b_part = (x[lo : lo + block] if x.ndim == out.ndim and len(x) > 1 else x for x in (a, b))
+            out[lo : lo + block] = matmul_mod_p(a_part, b_part, p)
+        return out
+    per_inner = (a.size + b.size) // max(1, inner)  # float entries one inner index adds to the copies
+    chunk = max(1, max(MATMUL_CHUNK_ENTRIES, size) // max(1, per_inner))
+    acc = np.zeros(stack + (a.shape[-2], b.shape[-1]))
     for lo in range(0, inner, chunk):
-        acc += a[:, lo : lo + chunk].astype(np.float64) @ b[lo : lo + chunk].astype(np.float64)
+        acc += a[..., lo : lo + chunk].astype(np.float64) @ b[..., lo : lo + chunk, :].astype(np.float64)
     quotient = acc / p
     np.floor(quotient, out=quotient)
     quotient *= p
@@ -108,9 +131,8 @@ def nullspace_mod_p(mat, p: int) -> np.ndarray:
     Basis row i is 1 at the i-th free column and, at each pivot column,
     minus that pivot row's RREF entry in the free column.
     """
-    a = _as_matrix(mat, p)
-    cols = a.shape[1]
-    rr, pivots = rref_mod_p(a, p)
+    rr, pivots = rref_mod_p(mat, p)
+    cols = rr.shape[1]
     free = np.delete(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1

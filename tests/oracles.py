@@ -47,6 +47,11 @@
   ``kernel_base_degree``, which puts one polynomial through the batched
   kernel ``fppoly.expansion_degrees`` in the oracles' convention.
 * ``scalar_encode``: Horner evaluation of one message at every orbit point.
+* the int64 einsum kernels the encoder and the distance tables replaced:
+  ``einsum_power_tensor`` (the powers of every point, one batched
+  mat-vec per power), ``einsum_encode_basis_digits`` (coefficients times
+  that tensor, contracted in int64) and ``einsum_multiples`` (every
+  multiplier's multiplication matrix applied to every codeword).
 * ``table_min_distance_sampled``: the sampled distance from full tables of
   every scalar multiple of every basis codeword.
 * the Monte Carlo volume oracle for the closed-form polytope volumes of
@@ -1102,6 +1107,28 @@ def kernel_base_degree(f: Poly, u: Poly) -> int | float:
 def scalar_encode(f: Poly, omega) -> np.ndarray:
     """(n, k) digits of f(beta) for every row beta of the orbit array, by scalar Horner evaluation."""
     return f.ctx.digit_rows([f(x) for x in f.ctx.elements_of(omega)])
+
+
+def einsum_power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
+    """Digits (n, D, k) of beta^t for every point beta (a row of points) and t < D, one mat-vec per power."""
+    mats = mul_matrix(ctx, points)  # multiplication by beta
+    out = np.zeros((len(points), D, ctx.k), dtype=np.int64)
+    cur = np.zeros((len(points), ctx.k), dtype=np.int64)
+    cur[:, 0] = 1
+    for t in range(D):
+        out[:, t, :] = cur
+        cur = np.einsum("nij,nj->ni", mats, cur) % ctx.p
+    return out
+
+
+def einsum_encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Digit tensor (rows, n, k) of the codewords of a (rows, D) F_p coefficient array, contracted in int64."""
+    return np.einsum("bt,ntj->bnj", coeffs, einsum_power_tensor(ctx, omega, coeffs.shape[1])) % ctx.p
+
+
+def einsum_multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Digits (rows, s, n, k) of every row of an (s, k) multiplier array times every (n, k) codeword."""
+    return np.einsum("slj,rnj->rsnl", mul_matrix(ctx, multipliers), rows) % ctx.p
 
 
 def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:

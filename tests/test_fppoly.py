@@ -171,6 +171,40 @@ def test_matmul_mod_p_matches_int64_product(monkeypatch, p):
             assert got.dtype == np.int64 and np.array_equal(got, a @ b % p)
 
 
+@pytest.mark.parametrize("p", [2, 5, 251])
+def test_matmul_mod_p_stacks_broadcast_as_matmul(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    shapes = [
+        ((4, 3, 5), (4, 5, 2)),
+        ((4, 3, 5), (5, 2)),  # a plain matrix against a stack, either way round
+        ((3, 5), (6, 5, 2)),
+        ((2, 1, 3, 5), (4, 5, 2)),  # stacks of size 1 and missing stack axes broadcast
+        ((1, 3, 5), (7, 5, 2)),
+        ((7, 3, 5), (1, 5, 2)),
+        ((3, 0, 4), (3, 4, 2)),
+        ((2, 3, 0), (2, 0, 4)),
+    ]
+    for block_entries, chunk_entries in ((linalg.STACK_BLOCK_ENTRIES, linalg.MATMUL_CHUNK_ENTRIES), (1, 1), (10, 40)):
+        monkeypatch.setattr(linalg, "STACK_BLOCK_ENTRIES", block_entries)  # one matrix per block, or a few
+        monkeypatch.setattr(linalg, "MATMUL_CHUNK_ENTRIES", chunk_entries)
+        for shape_a, shape_b in shapes:
+            a = rng.integers(-p + 1, p, size=shape_a)
+            b = rng.integers(0, p, size=shape_b)
+            got = matmul_mod_p(a, b, p)
+            assert got.dtype == np.int64 and np.array_equal(got, np.matmul(a, b) % p)
+
+
+def test_matmul_mod_p_refuses_stacks_that_do_not_broadcast():
+    with pytest.raises(ParameterError, match="stacks do not broadcast"):
+        matmul_mod_p(np.ones((2, 3, 4), dtype=np.int64), np.ones((3, 4, 5), dtype=np.int64), 2)
+    with pytest.raises(ParameterError, match="stacks do not broadcast"):
+        matmul_mod_p(np.ones((2, 2, 3, 4), dtype=np.int64), np.ones((3, 4, 5), dtype=np.int64), 2)
+    with pytest.raises(ParameterError, match="cannot multiply"):  # mismatched inner dimension of a stack
+        matmul_mod_p(np.ones((2, 3, 4), dtype=np.int64), np.ones((2, 5, 5), dtype=np.int64), 2)
+    with pytest.raises(ParameterError, match="cannot multiply"):  # a vector is not a matrix
+        matmul_mod_p(np.ones(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64), 2)
+
+
 def test_matmul_mod_p_refuses_shapes_that_reach_two_to_the_53():
     p = 2**26 + 15  # prime; (p-1)^2 is just above 2^52, so two inner terms can reach 2^53
     assert 1 * (p - 1) ** 2 < 2**53 <= 2 * (p - 1) ** 2

@@ -24,6 +24,9 @@ from oracles import (
     dfs_min_weight,
     divisors,
     eager_rref_mod_p,
+    einsum_encode_basis_digits,
+    einsum_multiples,
+    einsum_power_tensor,
     max_digit_degree,
     poly_digits,
     row_poly,
@@ -54,7 +57,7 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
-from orbitcodes.gf import FpSubspace, build_field, mul_matrix, mul_rows
+from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_matrix, mul_rows
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
@@ -296,17 +299,35 @@ def test_distance_matches_dfs_oracle_at_p3(inst1_p3):
     assert res.value == dfs_min_weight(scalar_tables(ms, inst.omega, prime_only=True), 3)
 
 
-@pytest.mark.parametrize("p,sizes,k", [(2, [2] * 7, 3), (3, [3] * 5, 2), (5, [5, 5, 5], 9), (2, [4, 4, 4], 12)])
+@pytest.mark.parametrize(
+    "p,sizes,k",
+    [(2, [2] * 7, 3), (3, [3] * 5, 2), (5, [5, 5, 5], 9), (2, [4, 4, 4], 12)]
+    # every packed word at p = 2: uint8, uint16, uint32, one and two uint64, each at its edges
+    + [(2, [2] * 6, k) for k in (1, 8, 9, 16, 17, 33, 64, 65)],
+)
 def test_chunked_enumeration_matches_dfs_with_many_prefixes(monkeypatch, p, sizes, k):
     # a tiny low table forces several leading rows into the prefix loop
     monkeypatch.setattr(codecore, "LOW_TABLE_BYTES", 64)
     rng = np.random.default_rng(sum(sizes) + k)
+    # half the coordinates lie in the span of a random vector and the top unit
+    # vector, so that sums cancel there, or differ in the top digit alone
+    u, top = rng.integers(0, p, size=k), np.eye(k, dtype=np.int64)[-1]
     tables = []
     for size in sizes:
         tab = rng.integers(0, p, size=(size, 6, k))
+        span = rng.integers(0, p, size=(size, 6, 1)) * u + rng.integers(0, p, size=(size, 6, 1)) * top
+        tab = np.where(rng.random((size, 6, 1)) < 0.5, span % p, tab)
         tab[0] = 0
         tables.append(tab)
     assert codecore._min_weight_chunked(tables, p) == dfs_min_weight(tables, p)
+
+
+def test_packed_words_at_p2_are_the_smallest_that_hold_k_bits():
+    widths = [(1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (17, np.uint32, 1), (33, np.uint64, 1), (65, np.uint64, 2)]
+    for k, dtype, words in widths:
+        packed = codecore._pack(np.ones((3, 5, k), dtype=np.int64), 2)
+        assert (packed.dtype, packed.shape) == (dtype, (3, 5, words))
+    assert codecore._pack(np.ones((3, 5, 9), dtype=np.int64), 3).shape == (3, 5, 2)  # bytes in uint64 words
 
 
 def _assert_sigma2_matches_oracle(G, H, S, ambient):
@@ -531,6 +552,43 @@ def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_
     assert np.array_equal(encode_basis_digits(ctx, coeffs, omega), whole)
     for b in (0, len(coeffs) - 1):
         assert np.array_equal(whole[b], scalar_encode(row_poly(ctx, coeffs[b]), omega))
+
+
+def _points(ctx, n, seed):
+    """n distinct nonzero field elements as an (n, k) digit array."""
+    codes = np.random.default_rng(seed).permutation(np.arange(1, ctx.order))[:n]
+    return base_p_digits(codes, ctx.p, ctx.k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 3), (5, 2)])
+def test_encode_basis_digits_matches_einsum_oracle(monkeypatch, p, k):
+    # doubling plus one F_p product against the D-step int64 mat-vec and contraction, in chunks
+    # of one, three and five points and the default; the power table itself too
+    ctx = build_field(p, k)
+    omega = _points(ctx, 23, p)
+    rng = np.random.default_rng(k)
+    for D in (0, 1, 2, 3, 5, 8, 96):
+        coeffs = rng.integers(0, p, size=(4, D))
+        expected = einsum_encode_basis_digits(ctx, coeffs, omega)
+        assert np.array_equal(codecore._power_table(ctx, omega, D), einsum_power_tensor(ctx, omega, D))
+        for points in (1, 3, 5, None):
+            if points is not None:
+                monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", points * max(D, 1) * k)
+            got = encode_basis_digits(ctx, coeffs, omega)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fixture", ["inst1_p2", "inst1_p3"])
+def test_multiples_match_einsum_oracle(request, fixture):
+    # F_p, the whole field, and the generator's powers (the sampled distance's multipliers)
+    inst = request.getfixturevalue(fixture)
+    ctx = inst.ambient
+    rows = encode_basis_digits(ctx, inst.message_space(D=24).coeffs, inst.omega)
+    for scalars in (ctx.p, ctx.order, None):
+        multipliers = np.eye(ctx.k, dtype=np.int64) if scalars is None else base_p_digits(np.arange(scalars), ctx.p, ctx.k)
+        got = codecore._multiples(ctx, rows, multipliers)
+        assert got.dtype == np.int64 and np.array_equal(got, einsum_multiples(ctx, rows, multipliers))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
