@@ -19,7 +19,7 @@ coefficients, and it splits them into such rows.  Codewords are (n, k)
 digit arrays, and every F_p product on them (encoding, the local
 checks, the Schur products and the multiples the distance enumerates)
 is one linalg.matmul_mod_p, on plain matrices or on stacks of per-point
-product matrices (_product_matrices).
+product matrices (gf.product_matrices), or one gf.mul_rows.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -44,7 +44,7 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_matrix, mul_rows, pow_rows
+from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rref_mod_p
@@ -198,12 +198,10 @@ def encode(
 
 
 def schur_product(ctx: FieldContext, cw1: np.ndarray, cw2: np.ndarray) -> np.ndarray:
-    """Coordinate-wise product of two (n, k) codeword digit arrays: cw1's digits times cw2's product matrices."""
+    """Coordinate-wise product of two (n, k) codeword digit arrays (gf.mul_rows)."""
     if np.shape(cw1) != np.shape(cw2):
         raise ParameterError("codeword length mismatch")
-    p = ctx.p
-    cw1, cw2 = np.asarray(cw1) % p, np.asarray(cw2) % p
-    return matmul_mod_p(cw1[..., None, :], _product_matrices(ctx, cw2), p)[..., 0, :]
+    return mul_rows(ctx, cw1, cw2)
 
 
 @dataclass
@@ -291,8 +289,8 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     substitution x = a_v + y or x = a_v * y keeps the interpolant's degree,
     so V_B^-1 checks every vertex of the side.  V_B, the Vandermonde matrix
     of B expanded to F_p, sends coefficient digits (i, a) to value digits
-    (j, l) through the multiplication matrices of the powers b_j^i
-    (_power_table); one rref_mod_p of [V_B | I] gives [I | V_B^-1].
+    (j, l) through the product matrices of the powers b_j^i (gf); one
+    rref_mod_p of [V_B | I] gives [I | V_B^-1].
     """
     p, k = ctx.p, ctx.k
     first, anchors = omega[edges[0]], omega[edges[:, 0]]
@@ -309,7 +307,7 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
     positions = np.take_along_axis(edges, match.argmax(axis=2), axis=1)
 
     width = len(base_points) * k
-    vander = mul_matrix(ctx, _power_table(ctx, base_points, len(base_points))).transpose(0, 2, 1, 3)
+    vander = product_matrices(ctx, power_table(ctx, base_points, len(base_points))).transpose(0, 3, 1, 2)
     reduced, pivots = rref_mod_p(np.hstack([vander.reshape(width, width), np.eye(width, dtype=np.int64)]), p)
     if pivots != list(range(width)):
         raise InternalError("the base points of a side are not distinct")
@@ -377,49 +375,12 @@ def schur_check(
 # -- fast batch encoding -------------------------------------------------------
 
 
-def _product_matrices(ctx: FieldContext, x: np.ndarray) -> np.ndarray:
-    """(..., k, k) matrices R with digits(y*x) = digits(y) @ R mod p, for the rows x of an (..., k) digit array.
-
-    Row i of R is the digits of x times x^i, the i-th power of the field
-    generator, so all of them are one F_p product of x with mul_tensor
-    (gf.mul_matrix gives the transposes, through int64 arithmetic).
-    """
-    k = ctx.k
-    x = np.asarray(x)
-    return matmul_mod_p(x.reshape(-1, k), ctx.mul_tensor().reshape(k, k * k), ctx.p).reshape(x.shape[:-1] + (k, k))
-
-
-def _power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
-    """Digits (n, D, k) of beta^t for every point beta (a row of an (n, k) array of points) and t < D.
-
-    The table is built by doubling: powers 0..m-1 times beta^m are powers
-    m..2m-1, so each step is one stacked F_p product of every point's
-    powers so far with its product matrix of beta^m (_product_matrices),
-    and D powers take about log2(D) steps.  Its entries are digits,
-    stored in the narrowest integer type that holds p - 1.
-    """
-    p, k = ctx.p, ctx.k
-    table = np.zeros((len(points), D, k), dtype=np.min_scalar_type(p - 1))
-    if D:
-        table[:, 0, 0] = 1
-    step = np.asarray(points) % p  # beta^m
-    m = 1
-    while m < D:
-        new = min(m, D - m)
-        mats = _product_matrices(ctx, step)
-        table[:, m : m + new] = matmul_mod_p(table[:, :new], mats, p)
-        m += new
-        if m < D:
-            step = matmul_mod_p(step[:, None, :], mats, p)[:, 0]  # beta^(2m)
-    return table
-
-
 def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Digit tensor (rows, n, k) of the codewords of a (rows, D) F_p coefficient array on an (n, k) orbit array.
 
     The codeword of row b at beta is sum_t coeffs[b, t] * beta^t: with F_p
     coefficients, the coefficient rows times the powers' digits
-    (_power_table) as a (D, n*k) table, one F_p product
+    (gf.power_table) as a (D, n*k) table, one F_p product
     (linalg.matmul_mod_p).
     Orbit points are taken in chunks whose power table holds at most
     ENCODE_CHUNK_ENTRIES entries.
@@ -431,7 +392,7 @@ def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
         points = omega[lo : lo + chunk]
-        table = _power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, len(points) * k)
+        table = power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, len(points) * k)
         out[:, lo : lo + chunk] = matmul_mod_p(coeffs, table, p).reshape(rows, len(points), k)
     return out
 
@@ -488,9 +449,9 @@ def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> 
 
     rows is a (rows, n, k) array of codewords and multipliers an (s, k)
     digit array; the multiples are one stacked F_p product of the
-    codewords with the multipliers' product matrices (_product_matrices).
+    codewords with the multipliers' product matrices (gf.product_matrices).
     """
-    return matmul_mod_p(rows[:, None], _product_matrices(ctx, multipliers), ctx.p)
+    return matmul_mod_p(rows[:, None], product_matrices(ctx, multipliers), ctx.p)
 
 
 def _pack(digits: np.ndarray, p: int) -> np.ndarray:

@@ -25,9 +25,9 @@ from math import sqrt
 import numpy as np
 
 from orbitcodes.errors import DEFAULT_BUDGETS, BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_matrix, mul_rows, trace_form
+from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_rows, product_matrices, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import rank_mod_p
+from orbitcodes.linalg import matmul_mod_p, rank_mod_p
 
 SCAN_CHUNK_ENTRIES = 1 << 20
 
@@ -71,8 +71,8 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     element h^-1 * s of S.  Left indices are assigned in first-appearance
     order along the edges; right indices are the digit-order positions in
     S.  Both come from whole-array operations: one reduction of S's points
-    against G's RREF, and the multiplication matrices of all of H's
-    inverses (one batched mul_matrix) applied to every point of S.
+    against G's RREF, and one stacked F_p product of S's points with the
+    product matrices of all of H's inverses (gf.product_matrices).
     """
     S, H = A.S, A.H
     p = A.ambient.p
@@ -83,8 +83,8 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     rank = np.empty(n_left, dtype=np.int64)  # sorted key -> first-appearance order
     rank[np.argsort(first)] = np.arange(n_left)
     left = rank[key_index]
-    inverse_mats = mul_matrix(A.ambient, H.inverses)
-    right = S.index_of(np.einsum("hlj,sj->shl", inverse_mats, S.points()) % p).ravel()
+    scaled = matmul_mod_p(S.points(), product_matrices(A.ambient, H.inverses), p)  # (|H|, |S|, k): s * h^-1
+    right = S.index_of(scaled).T.ravel()
     if (right < 0).any():
         raise InternalError("h^-1 * s fell outside the translation space")
 
@@ -166,11 +166,11 @@ def sigma2_exact(
         raise ParameterError("S must contain G and be closed under scaling by H")
     s_perp = S.dual()
     _check_scan_budget(ambient.order // s_perp.size - 1, field_budget)
-    g_forms = G.points.basis @ trace_form(ambient) % p
-    phi = (g_forms @ mul_matrix(ambient, H.inverses) % p).reshape(-1, k)  # (|H| * dim G, k)
+    products = mul_rows(ambient, H.inverses[:, None], G.points.basis[None])  # (|H|, dim G, k): g_i * h^-1
+    phi = matmul_mod_p(products.reshape(-1, k), trace_form(ambient), p)  # row (h, i): a -> Tr(g_i * h^-1 * a)
     best = 0
     for reps in s_perp.nonzero_coset_reps(_scan_chunk(len(phi))):
-        values = (reps @ phi.T % p).reshape(len(reps), H.order, G.points.dim)
+        values = matmul_mod_p(reps, phi.T, p).reshape(len(reps), H.order, G.points.dim)
         best = max(best, int((~values.any(axis=2)).sum(axis=1).max()))
     lam = Fraction(best, H.order)
     return Sigma2Exact(value=sqrt(lam), lambda_max=lam)
@@ -198,10 +198,10 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = DEF
     p = ambient.p
     h_perp = FpSubspace.from_vectors(ambient, H.elements).dual()
     _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
-    h_forms = H.elements @ trace_form(ambient) % p
+    h_forms = matmul_mod_p(H.elements, trace_form(ambient), p)
     histograms: set[tuple[int, ...]] = set()
     for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
-        exps = reps @ h_forms.T % p + p * np.arange(len(reps))[:, None]
+        exps = matmul_mod_p(reps, h_forms.T, p) + p * np.arange(len(reps))[:, None]
         hist = np.bincount(exps.ravel(), minlength=p * len(reps)).reshape(len(reps), p)
         histograms.update(map(tuple, hist.tolist()))
     if not histograms:

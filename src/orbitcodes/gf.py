@@ -1,16 +1,17 @@
 """Exact arithmetic in prime fields and their extensions.
 
 An element of F_{p^k} is a length-k digit vector over F_p, little-endian
-in the root of the defining modulus.  All arithmetic is exact integer
-arithmetic; nothing in this module touches floating point.  Elements are
-(..., k) int64 digit arrays: mul_rows multiplies them, pow_rows raises
-them to powers and mul_matrix gives their multiplication matrices, all
-through mul_tensor.  F_p-linear maps of the field are k x k matrices on
-digit vectors: the trace form, the Frobenius matrix, and the kernels and
-trace-dual subspaces they cut out, each with a (dim, k) basis array.  The
-modulus search (build_field) and its irreducibility test run on the same
-digit arrays, in the candidate's own quotient ring F_p[X]/(modulus).
-FieldElement, the scalar element, is only the tests' oracle.
+in the root of the defining modulus.  All arithmetic is exact.  Elements
+are (..., k) int64 digit arrays, and this module is the one home of their
+products, all built on mul_tensor: mul_rows, pow_rows, power_table and
+product_matrices, the matrices R with digits(y*x) = digits(y) @ R.
+F_p-linear maps of the field are k x k matrices on digit vectors: the
+trace form, the Frobenius matrix, and the kernels and trace-dual
+subspaces they cut out, each with a (dim, k) basis array.  Every F_p
+product is one linalg.matmul_mod_p.  The modulus search (build_field)
+and its irreducibility test run on the same digit arrays, in the
+candidate's own quotient ring F_p[X]/(modulus).  FieldElement, the
+scalar element, is only the tests' oracle.
 
 Contexts and elements are immutable after construction and safe to share.
 """
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from orbitcodes.errors import ConfigurationError, ParameterError
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.numutil import is_prime, prime_factors
 
 
@@ -48,8 +49,12 @@ class FieldContext:
         self.p = p
         self.k = k
         self.modulus = mod
+        if k > 1 and any(sum(c * pow(a, i, p) for i, c in enumerate(mod)) % p == 0 for a in range(p)):
+            raise ParameterError("modulus is not irreducible")  # it has a root in F_p; no table is built
         self._red_rows = self._reduction_rows()
-        self._mul_tensor: np.ndarray | None = None
+        powers = np.concatenate([np.eye(k, dtype=np.int64), np.array(self._red_rows, dtype=np.int64)])  # digits of X^t
+        self._mul_tensor = powers[np.add.outer(np.arange(k), np.arange(k))]
+        self._mul_tensor.flags.writeable = False
         if not _is_irreducible(self):
             raise ParameterError("modulus is not irreducible")
 
@@ -176,19 +181,11 @@ class FieldContext:
         return self._pow(a, self.order - 2)
 
     def mul_tensor(self) -> np.ndarray:
-        """(k, k, k) tensor T with T[i, j] = digits of X^(i+j) mod the modulus.
+        """Read-only (k, k, k) tensor T with T[i, j] = digits of X^(i+j) mod the modulus.
 
         For digit vectors a, b the product a*b has digits
         sum_{i,j} a_i b_j T[i, j] (mod p); every batched product uses it.
         """
-        if self._mul_tensor is None:
-            k = self.k
-            powers = np.zeros((2 * k - 1, k), dtype=np.int64)
-            powers[np.arange(k), np.arange(k)] = 1
-            if k > 1:
-                powers[k:] = self._red_rows
-            idx = np.arange(k)
-            self._mul_tensor = powers[idx[:, None] + idx[None, :]]
         return self._mul_tensor
 
     def trace_vector(self) -> np.ndarray:
@@ -197,7 +194,7 @@ class FieldContext:
         Tr(x) is the matrix trace of y -> x*y, so the trace of X^i is the
         diagonal sum of its multiplication matrix, sum_j T[i, j, j].
         """
-        return np.einsum("ijj->i", self.mul_tensor()) % self.p
+        return np.trace(self.mul_tensor(), axis1=1, axis2=2) % self.p
 
 
 class FieldElement:
@@ -311,55 +308,89 @@ def _is_irreducible(ring: FieldContext) -> bool:
     The test runs on ring's own arithmetic, which is a field's only when f
     passes.  f is irreducible iff k Frobenius steps return X to itself
     and, for every prime q | k, X^(p^(k/q)) - X is a unit of the ring,
-    that is its multiplication matrix has full rank (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 14.9).  A root in F_p rejects k > 1
-    at once.
+    that is its product matrix has full rank (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 14.9).  FieldContext has already rejected a
+    modulus of degree k > 1 with a root in F_p.
     """
-    p, k, f = ring.p, ring.k, ring.modulus
+    p, k = ring.p, ring.k
     if k == 1:
         return True
-    if any(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0 for a in range(p)):
-        return False
     frob = frobenius_matrix(ring)
-    x = np.eye(1, k, 1, dtype=np.int64)[0]
+    x = np.eye(k, 1, -1, dtype=np.int64)  # the digits of X, as a column
     conjugates = [x]  # digits of X^(p^j)
     for _ in range(k):
-        conjugates.append(frob @ conjugates[-1] % p)
+        conjugates.append(matmul_mod_p(frob, conjugates[-1], p))
     if not np.array_equal(conjugates[k], x):
         return False
     unit = np.eye(1, k, dtype=np.int64)[0]  # a product is a unit iff every factor is
     for q in prime_factors(k):
-        unit = mul_rows(ring, unit, conjugates[k // q] - x)
-    return rank_mod_p(mul_matrix(ring, unit), p) == k
+        unit = mul_rows(ring, unit, (conjugates[k // q] - x)[:, 0])
+    return rank_mod_p(product_matrices(ring, unit), p) == k
 
 
-def mul_matrix(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
-    """(..., k, k) matrices M of y -> x*y, digits(x*y) = M @ digits(y) mod p, for the rows x of an (..., k) array."""
+def product_matrices(ctx: FieldContext, x: np.ndarray) -> np.ndarray:
+    """(..., k, k) matrices R of y -> y*x, digits(y*x) = digits(y) @ R mod p, for the rows x of an (..., k) digit array.
+
+    Row i of R is the digits of x times X^i, so all of them are one F_p
+    product (linalg.matmul_mod_p) of x with mul_tensor.
+    """
     k = ctx.k
-    x = np.asarray(digits, dtype=np.int64)
-    return (x @ ctx.mul_tensor().reshape(k, k * k)).reshape(x.shape[:-1] + (k, k)).swapaxes(-1, -2) % ctx.p
+    x = np.asarray(x)
+    return matmul_mod_p(x.reshape(-1, k), ctx.mul_tensor().reshape(k, k * k), ctx.p).reshape(x.shape[:-1] + (k, k))
 
 
 def mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of two broadcastable (..., k) digit arrays, through mul_tensor."""
-    k = ctx.k
-    outer = np.asarray(a, dtype=np.int64)[..., :, None] * np.asarray(b, dtype=np.int64)[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (k * k,)) @ ctx.mul_tensor().reshape(k * k, k) % ctx.p
+    """Row-wise products of two broadcastable (..., k) digit arrays: their digits' outer products mod p times mul_tensor."""
+    k, p = ctx.k, ctx.p
+    outer = (np.asarray(a, dtype=np.int64) % p)[..., :, None] * (np.asarray(b, dtype=np.int64) % p)[..., None, :]
+    if p > 2:  # a product of two digits is a digit only at p = 2
+        outer %= p
+    return matmul_mod_p(outer.reshape(-1, k * k), ctx.mul_tensor().reshape(k * k, k), p).reshape(outer.shape[:-2] + (k,))
 
 
-def pow_rows(ctx: FieldContext, rows: np.ndarray, e: int) -> np.ndarray:
-    """x^e for every row x of an (..., k) digit array, e >= 0, by square-and-multiply through mul_rows."""
-    if e < 0:
-        raise ParameterError(f"exponent must be >= 0, got {e}")
+def pow_rows(ctx: FieldContext, rows: np.ndarray, e: int | np.ndarray) -> np.ndarray:
+    """x^e for every row x of an (..., k) digit array and exponent e >= 0, or an array of exponents.
+
+    Exponents broadcast against the rows' leading shape, as in np.power.
+    Square-and-multiply from the low bit, through mul_rows, so that all
+    exponents share one chain of squarings of the rows.
+    """
+    e = np.asarray(e, dtype=np.int64)
+    if (e < 0).any():
+        raise ParameterError(f"exponent must be >= 0, got {e.min()}")
     rows = np.asarray(rows, dtype=np.int64) % ctx.p
-    if e == 0:
-        return np.broadcast_to(np.eye(1, ctx.k, dtype=np.int64)[0], rows.shape).copy()
-    out = rows
-    for bit in bin(e)[3:]:  # high bit first; the leading 1 is rows itself
-        out = mul_rows(ctx, out, out)
-        if bit == "1":
-            out = mul_rows(ctx, out, rows)
+    out = np.where((e & 1 == 1)[..., None], rows, np.eye(1, ctx.k, dtype=np.int64)[0])  # x^(e mod 2)
+    for bit in range(1, int(e.max(initial=0)).bit_length()):
+        rows = mul_rows(ctx, rows, rows)  # x^(2^bit)
+        odd = (e >> bit) & 1 == 1
+        if odd.any():
+            out = np.where(odd[..., None], mul_rows(ctx, out, rows), out)
     return out
+
+
+def power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
+    """Digits (n, D, k) of beta^t for every point beta (a row of an (n, k) array of points) and t < D.
+
+    The table is built by doubling: powers 0..m-1 times beta^m are powers
+    m..2m-1, so each step is one stacked F_p product of every point's
+    powers so far with its product matrix of beta^m (product_matrices),
+    and D powers take about log2(D) steps.  Its entries are digits,
+    stored in the narrowest integer type that holds p - 1.
+    """
+    p, k = ctx.p, ctx.k
+    table = np.zeros((len(points), D, k), dtype=np.min_scalar_type(p - 1))
+    if D:
+        table[:, 0, 0] = 1
+    step = np.asarray(points) % p  # beta^m
+    m = 1
+    while m < D:
+        new = min(m, D - m)
+        mats = product_matrices(ctx, step)
+        table[:, m : m + new] = matmul_mod_p(table[:, :new], mats, p)
+        m += new
+        if m < D:
+            step = matmul_mod_p(step[:, None, :], mats, p)[:, 0]  # beta^(2m)
+    return table
 
 
 class FpSubspace:
@@ -413,7 +444,7 @@ class FpSubspace:
         """Read-only (size, k) digit array of all points, in digit order over the basis."""
         if self._points is None:
             digits = base_p_digits(np.arange(self.size), self.ctx.p, self.dim)
-            self._points = digits @ self.basis % self.ctx.p
+            self._points = matmul_mod_p(digits, self.basis, self.ctx.p)
             self._points.flags.writeable = False
         return self._points
 
@@ -441,23 +472,24 @@ class FpSubspace:
         pivot column.
         """
         p = self.ctx.p
-        x = np.asarray(digits, dtype=np.int64) % p
-        return (x - x[..., self._pivots] @ self._rref) % p
+        x = np.asarray(digits, dtype=np.int64).reshape(-1, self.ctx.k) % p
+        return ((x - matmul_mod_p(x[:, self._pivots], self._rref, p)) % p).reshape(np.shape(digits))
 
     def index_of(self, digits: np.ndarray) -> np.ndarray:
         """Digit-order index of every row of an (..., k) digit array; -1 for a row outside the subspace."""
         p = self.ctx.p
-        x = np.asarray(digits, dtype=np.int64) % p
-        coords = x[..., self._pivots]  # x = coords @ rref when x lies in the subspace
-        inside = ~((coords @ self._rref - x) % p).any(axis=-1)
-        return np.where(inside, digit_codes(coords @ self._from_rref % p, p), -1)
+        x = np.asarray(digits, dtype=np.int64).reshape(-1, self.ctx.k) % p
+        coords = x[:, self._pivots]  # x = coords @ rref when x lies in the subspace
+        inside = (matmul_mod_p(coords, self._rref, p) == x).all(axis=1)
+        codes = np.where(inside, digit_codes(matmul_mod_p(coords, self._from_rref, p), p), -1)
+        return codes.reshape(np.shape(digits)[:-1])
 
     def dual(self) -> "FpSubspace":
         """Trace dual M^perp = {a : Tr(a*m) = 0 for all m in M} of this subspace M.
 
         dim M + dim M^perp = k and (M^perp)^perp = M.
         """
-        return FpSubspace.kernel(self.ctx, self.basis @ trace_form(self.ctx) % self.ctx.p)
+        return FpSubspace.kernel(self.ctx, matmul_mod_p(self.basis, trace_form(self.ctx), self.ctx.p))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "basis": self.basis.tolist()}
@@ -496,7 +528,8 @@ def trace_form(ctx: FieldContext) -> np.ndarray:
     Row c @ W is the functional a -> Tr(c*a), so a batch of trace
     functionals is one product with W.
     """
-    return (ctx.mul_tensor() @ ctx.trace_vector()) % ctx.p
+    k = ctx.k
+    return matmul_mod_p(ctx.mul_tensor().reshape(k * k, k), ctx.trace_vector()[:, None], ctx.p).reshape(k, k)
 
 
 def frobenius_matrix(ctx: FieldContext) -> np.ndarray:
@@ -513,17 +546,17 @@ def primitive_element(ctx: FieldContext) -> np.ndarray:
     """(k,) digit row of the first generator of the multiplicative group in digit-code order.
 
     x generates it iff x^(n/q) != 1 for every prime q | n = |F| - 1.  The
-    codes are tested in batches of 1, 2, 4, ... from code p: for k > 1 the
-    codes below p are F_p^*, whose orders divide p - 1 < n.
+    codes are tested in batches of 4, 8, 16, ... from code p, every prime
+    in one pow_rows call: for k > 1 the codes below p are F_p^*, whose
+    orders divide p - 1 < n.
     """
     n = ctx.order - 1
     one = np.eye(1, ctx.k, dtype=np.int64)[0]
-    lo, size = (ctx.p if ctx.k > 1 else 1), 1
+    exponents = np.array([n // q for q in prime_factors(n)], dtype=np.int64)[:, None]
+    lo, size = (ctx.p if ctx.k > 1 else 1), 4
     while lo < ctx.order:
         cands = base_p_digits(np.arange(lo, min(lo + size, ctx.order)), ctx.p, ctx.k)
-        ok = np.ones(len(cands), dtype=bool)
-        for q in prime_factors(n):
-            ok &= (pow_rows(ctx, cands, n // q) != one).any(axis=1)
+        ok = (pow_rows(ctx, cands, exponents) != one).any(axis=2).all(axis=0)  # one row of powers per prime
         if ok.any():
             return cands[np.argmax(ok)]
         lo, size = lo + size, 2 * size

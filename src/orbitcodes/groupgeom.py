@@ -11,10 +11,10 @@ of G and S, and the free point alpha.
 Enumeration orders are fixed everywhere (subspace points in digit order,
 H in generator-power order, A = {(s, h)} with the translation part
 outermost) so that edge and coordinate indexing is reproducible across
-runs.  S is a Krylov closure of G's basis under the generator's
-multiplication matrix, the free point is one membership test of S over a
-range of digit codes, and the orbit one mul_rows product of H with alpha
-added to the whole digit array of S; no element of A is built.
+runs.  S is a Krylov closure of G's basis under the generator's product
+matrix, the free point is one membership test of S over a range of digit
+codes, and the orbit one mul_rows product of H with alpha added to the
+whole digit array of S; no element of A is built.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from orbitcodes.gf import (
     base_p_digits,
     digit_codes,
     frobenius_matrix,
-    mul_matrix,
     mul_rows,
     pow_rows,
+    power_table,
     primitive_element,
+    product_matrices,
 )
+from orbitcodes.linalg import matmul_mod_p
 
 
 class TranslationGroup:
@@ -52,8 +54,8 @@ class TranslationGroup:
         if not len(g) or g[-1] != 1:
             raise ParameterError("the defining polynomial of a translation group must be monic")
         self.points = roots_of_linearized(g_ints, ambient)
-        values = sum(int(c) * pow_rows(ambient, self.points.basis, e) for e, c in enumerate(g.tolist()) if c)
-        if (values % ambient.p).any():
+        terms = np.nonzero(g)[0]  # the exponents of g: one pow_rows call gives every term's powers
+        if ((g[terms, None, None] * pow_rows(ambient, self.points.basis, terms[:, None])).sum(axis=0) % ambient.p).any():
             raise InternalError("the defining polynomial does not vanish on its root space")
         g.flags.writeable = False
         self.g = g
@@ -75,8 +77,7 @@ class ScalingGroup:
 
     generator is a (k,) digit row; elements, its powers with the identity
     first, and inverses[i] = elements[-i mod order] are read-only (order, k)
-    arrays.  The powers come in doubling blocks, g^m..g^(2m-1) =
-    (1..g^(m-1)) * g^m: O(log order) mul_rows products.
+    arrays.  The powers are the generator's row of gf.power_table.
     """
 
     def __init__(self, ctx: FieldContext, generator: np.ndarray, order: int):
@@ -86,10 +87,7 @@ class ScalingGroup:
         if not gen.any():
             raise ParameterError("scaling generator must be nonzero")
         one = np.eye(1, ctx.k, dtype=np.int64)
-        powers, step = one, gen  # step = g^len(powers)
-        while len(powers) < order:
-            powers = np.concatenate([powers, mul_rows(ctx, powers, step)])[:order]
-            step = mul_rows(ctx, step, step)
+        powers = power_table(ctx, gen[None], order)[0].astype(np.int64)
         if not np.array_equal(mul_rows(ctx, powers[-1], gen), one[0]):
             raise ParameterError("generator order does not divide the stated order")
         if (powers[1:] == one).all(axis=1).any():
@@ -161,7 +159,7 @@ def roots_of_linearized(g_ints: list[int], ambient: FieldContext) -> FpSubspace:
     mat = np.zeros_like(power)
     for c in assoc:
         mat += c * power
-        power = frob @ power % p
+        power = matmul_mod_p(frob, power, p)
     space = FpSubspace.kernel(ambient, mat % p)
     expected = p ** (len(assoc) - 1)
     if space.size != expected:
@@ -186,7 +184,7 @@ def splitting_degree(g_ints: list[int], p: int) -> int:
     companion[:, -1:] = np.array(assoc[:m])[:, None] * -pow(assoc[m], p - 2, p) % p
     power, order = companion, 1
     while not np.array_equal(power, np.eye(m, dtype=np.int64)):
-        power = companion @ power % p
+        power = matmul_mod_p(companion, power, p)
         order += 1
     return order
 
@@ -194,17 +192,17 @@ def splitting_degree(g_ints: list[int], p: int) -> int:
 def scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
     """Smallest F_p-subspace containing G and invariant under H, with its canonical RREF basis.
 
-    A Krylov loop: append the images b @ M^T of the basis under the
-    generator's multiplication matrix M and echelonize again, until the
-    rank stops growing.  The span is then closed under the generator,
-    hence under all of H, and any H-invariant space containing G contains
-    every step.
+    A Krylov loop: append the images b @ R of the basis under the
+    generator's product matrix R and echelonize again, until the rank
+    stops growing.  The span is then closed under the generator, hence
+    under all of H, and any H-invariant space containing G contains every
+    step.
     """
     ctx = G.ctx
-    mat = mul_matrix(ctx, H.generator)
+    mat = product_matrices(ctx, H.generator)
     current = FpSubspace.from_vectors(ctx, G.points.basis)
     while True:
-        grown = FpSubspace.from_vectors(ctx, np.concatenate([current.basis, current.basis @ mat.T % ctx.p]))
+        grown = FpSubspace.from_vectors(ctx, np.concatenate([current.basis, matmul_mod_p(current.basis, mat, ctx.p)]))
         if grown.dim == current.dim:
             return current
         current = grown

@@ -8,9 +8,9 @@ reduction; an int64 growth bound keeps them exact.  The primes
 involved are tiny, so scalar inverses come from Fermat's little theorem.
 
 matmul_mod_p is the one F_p matrix product, of plain matrices or of
-stacks of them broadcast as np.matmul does.  numpy has no BLAS path for
-int64, so it multiplies in float64, which is exact while every sum stays
-below 2^53.
+stacks of them broadcast as np.matmul does.  A small product runs as one
+int64 np.matmul; numpy has no BLAS path for int64, so a larger one
+multiplies in float64, which is exact while every sum stays below 2^53.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
 MATMUL_CHUNK_ENTRIES = 1 << 17  # bound on the float64 copies of one inner chunk, unless the product is larger
 STACK_BLOCK_ENTRIES = 1 << 15  # bound on the product of one block of a stack, and so on its float64 sum and quotient
+INT64_PRODUCT_WORK = 1 << 14  # products with at most this many multiply-adds (inner * entries) run in int64
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
@@ -33,27 +34,31 @@ def matmul_mod_p(a, b, p: int) -> np.ndarray:
     As in np.matmul, a and b are (..., rows, inner) and (..., inner, cols)
     stacks of matrices whose leading dimensions broadcast, and every pair
     of matrices is multiplied; two plain matrices are a stack of one.
-    A stack whose product has more than STACK_BLOCK_ENTRIES entries is
+    A product of at most INT64_PRODUCT_WORK multiply-adds is one int64
+    np.matmul, cheaper there than float64 copies and floor.  In a larger
+    one, a stack with more than STACK_BLOCK_ENTRIES product entries is
     taken in blocks of its leading axis that stay within that bound.  In
     a block, or a plain product, the inner dimension is taken in chunks
     whose float64 copies of both operands hold no more entries than
     MATMUL_CHUNK_ENTRIES or the product, whichever is larger, one BLAS
     GEMM per chunk and matrix, and the float sum is reduced once as
     x - p*floor(x/p).  Every partial sum is below inner*(p-1)^2 in
-    absolute value; a shape that lets it reach 2^53 is refused, and so
-    are stacks that do not broadcast.
+    absolute value; a shape that lets it reach 2^53 is refused, in
+    either arithmetic, and so are stacks that do not broadcast.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ParameterError(f"cannot multiply shapes {a.shape} and {b.shape}")
     try:
-        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) if a.ndim > 2 or b.ndim > 2 else ()
     except ValueError:
         raise ParameterError(f"cannot multiply shapes {a.shape} and {b.shape}: the stacks do not broadcast") from None
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 >= FLOAT_EXACT:
         raise ParameterError(f"an inner dimension of {inner} mod {p} can reach 2^53, where float64 products stop being exact")
     size = math.prod(stack) * a.shape[-2] * b.shape[-1]
+    if inner * size <= INT64_PRODUCT_WORK:
+        return np.matmul(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)) % p
     if stack and stack[0] > 1 and size > STACK_BLOCK_ENTRIES:
         out = np.empty(stack + (a.shape[-2], b.shape[-1]), dtype=np.int64)
         block = max(1, stack[0] * STACK_BLOCK_ENTRIES // size)

@@ -47,6 +47,11 @@
   ``kernel_base_degree``, which puts one polynomial through the batched
   kernel ``fppoly.expansion_degrees`` in the oracles' convention.
 * ``scalar_encode``: Horner evaluation of one message at every orbit point.
+* ``int64_mul_matrix`` and ``int64_mul_rows``: the field's multiplication
+  matrices in the column convention (digits(x*y) = M @ digits(y)) and the
+  row-wise products, both contracted with the multiplication tensor in
+  int64, as the build computed them before every product went through
+  ``linalg.matmul_mod_p``.
 * the int64 einsum kernels the encoder and the distance tables replaced:
   ``einsum_power_tensor`` (the powers of every point, one batched
   mat-vec per power), ``einsum_encode_basis_digits`` (coefficients times
@@ -82,12 +87,29 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix, mul_matrix, mul_rows
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import nullspace_mod_p, rank_mod_p
 from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
+
+
+# -- int64 products through the multiplication tensor ---------------------------
+
+
+def int64_mul_matrix(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
+    """(..., k, k) matrices M of y -> x*y, digits(x*y) = M @ digits(y) mod p, for the rows x of an (..., k) array."""
+    k = ctx.k
+    x = np.asarray(digits, dtype=np.int64)
+    return (x @ ctx.mul_tensor().reshape(k, k * k)).reshape(x.shape[:-1] + (k, k)).swapaxes(-1, -2) % ctx.p
+
+
+def int64_mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two broadcastable (..., k) digit arrays, through mul_tensor in int64."""
+    k = ctx.k
+    outer = np.asarray(a, dtype=np.int64)[..., :, None] * np.asarray(b, dtype=np.int64)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (k * k,)) @ ctx.mul_tensor().reshape(k * k, k) % ctx.p
 
 
 # -- scalar field and polynomial arithmetic ---------------------------------------
@@ -498,7 +520,7 @@ def independent_over_subfield(ctx: FieldContext, vectors: np.ndarray, degree: in
     for _ in range(degree):
         fixed = frob @ fixed % p  # F^degree: x -> x^(p^degree)
     K = FpSubspace.kernel(ctx, (fixed - np.eye(k, dtype=np.int64)) % p)
-    products = mul_rows(ctx, vecs[:, None], K.basis[None])
+    products = int64_mul_rows(ctx, vecs[:, None], K.basis[None])
     return rank_mod_p(products.reshape(-1, k), p) == len(vecs) * degree
 
 
@@ -613,7 +635,7 @@ def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndar
         blocks = np.zeros((size, k, size, k), dtype=np.int64)
         for j, (num, w) in enumerate(zip(*lagrange_weights(base))):
             for i, c in enumerate((num * w).coeffs):
-                blocks[i, :, j, :] = mul_matrix(ctx, np.array(c.coeffs))
+                blocks[i, :, j, :] = int64_mul_matrix(ctx, np.array(c.coeffs))
         maps[side] = blocks.reshape(size * k, size * k)
     return maps
 
@@ -1111,7 +1133,7 @@ def scalar_encode(f: Poly, omega) -> np.ndarray:
 
 def einsum_power_tensor(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
     """Digits (n, D, k) of beta^t for every point beta (a row of points) and t < D, one mat-vec per power."""
-    mats = mul_matrix(ctx, points)  # multiplication by beta
+    mats = int64_mul_matrix(ctx, points)  # multiplication by beta
     out = np.zeros((len(points), D, ctx.k), dtype=np.int64)
     cur = np.zeros((len(points), ctx.k), dtype=np.int64)
     cur[:, 0] = 1
@@ -1128,7 +1150,7 @@ def einsum_encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.
 
 def einsum_multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     """Digits (rows, s, n, k) of every row of an (s, k) multiplier array times every (n, k) codeword."""
-    return np.einsum("slj,rnj->rsnl", mul_matrix(ctx, multipliers), rows) % ctx.p
+    return np.einsum("slj,rnj->rsnl", int64_mul_matrix(ctx, multipliers), rows) % ctx.p
 
 
 def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
@@ -1136,7 +1158,7 @@ def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
     ctx = ms.ctx
     rng = np.random.default_rng(seed)
     rows = encode_basis_digits(ctx, ms.coeffs, omega)
-    mats = mul_matrix(ctx, ctx.digit_rows(list(ctx.elements())))
+    mats = int64_mul_matrix(ctx, ctx.digit_rows(list(ctx.elements())))
     tables = [np.einsum("cij,nj->cni", mats, row) % ctx.p for row in rows]
     best = len(omega)
     done = 0

@@ -162,7 +162,9 @@ def test_rref_rank_nullspace_mod_p():
 def test_matmul_mod_p_matches_int64_product(monkeypatch, p):
     rng = np.random.default_rng(p)
     shapes = [(1, 1, 1), (3, 0, 4), (0, 5, 2), (6, 9, 0), (7, 40, 11), (25, 3, 2)]
-    for chunk_entries in (linalg.MATMUL_CHUNK_ENTRIES, 1, 40):  # default, one inner column per chunk, a few
+    # float64 throughout (0), or int64 throughout; then the default, one inner column per chunk, a few
+    for int64_work, chunk_entries in itertools.product((0, 1 << 40), (linalg.MATMUL_CHUNK_ENTRIES, 1, 40)):
+        monkeypatch.setattr(linalg, "INT64_PRODUCT_WORK", int64_work)
         monkeypatch.setattr(linalg, "MATMUL_CHUNK_ENTRIES", chunk_entries)
         for rows, inner, cols in shapes:
             a = rng.integers(-p + 1, p, size=(rows, inner))  # negative entries too
@@ -184,7 +186,9 @@ def test_matmul_mod_p_stacks_broadcast_as_matmul(monkeypatch, p):
         ((3, 0, 4), (3, 4, 2)),
         ((2, 3, 0), (2, 0, 4)),
     ]
-    for block_entries, chunk_entries in ((linalg.STACK_BLOCK_ENTRIES, linalg.MATMUL_CHUNK_ENTRIES), (1, 1), (10, 40)):
+    sizes = ((linalg.STACK_BLOCK_ENTRIES, linalg.MATMUL_CHUNK_ENTRIES), (1, 1), (10, 40))
+    for int64_work, (block_entries, chunk_entries) in itertools.product((0, 1 << 40), sizes):  # float64 or int64 throughout
+        monkeypatch.setattr(linalg, "INT64_PRODUCT_WORK", int64_work)
         monkeypatch.setattr(linalg, "STACK_BLOCK_ENTRIES", block_entries)  # one matrix per block, or a few
         monkeypatch.setattr(linalg, "MATMUL_CHUNK_ENTRIES", chunk_entries)
         for shape_a, shape_b in shapes:
@@ -205,13 +209,15 @@ def test_matmul_mod_p_refuses_stacks_that_do_not_broadcast():
         matmul_mod_p(np.ones(3, dtype=np.int64), np.ones((3, 2), dtype=np.int64), 2)
 
 
-def test_matmul_mod_p_refuses_shapes_that_reach_two_to_the_53():
+def test_matmul_mod_p_refuses_shapes_that_reach_two_to_the_53(monkeypatch):
     p = 2**26 + 15  # prime; (p-1)^2 is just above 2^52, so two inner terms can reach 2^53
     assert 1 * (p - 1) ** 2 < 2**53 <= 2 * (p - 1) ** 2
     top = np.full((1, 1), p - 1, dtype=np.int64)
-    assert matmul_mod_p(top, top, p).tolist() == [[(p - 1) ** 2 % p]]  # exact just below the bound
-    with pytest.raises(ParameterError, match="2\\^53"):
-        matmul_mod_p(np.full((1, 2), p - 1), np.full((2, 1), p - 1), p)
+    for int64_work in (0, linalg.INT64_PRODUCT_WORK):  # float64, then the default: int64 at these small shapes
+        monkeypatch.setattr(linalg, "INT64_PRODUCT_WORK", int64_work)
+        assert matmul_mod_p(top, top, p).tolist() == [[(p - 1) ** 2 % p]]  # exact just below the bound
+        with pytest.raises(ParameterError, match="2\\^53"):  # refused even where int64 would be exact
+            matmul_mod_p(np.full((1, 2), p - 1), np.full((2, 1), p - 1), p)
     with pytest.raises(ParameterError, match="cannot multiply"):
         matmul_mod_p(np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64), 2)
 

@@ -29,10 +29,10 @@ from orbitcodes.gf import (
     base_p_digits,
     build_field,
     frobenius_matrix,
-    mul_matrix,
     mul_rows,
     pow_rows,
     primitive_element,
+    product_matrices,
 )
 
 
@@ -282,7 +282,7 @@ def _field_and_elements(draw, count):
 @given(_field_and_elements(2))
 def test_mul_matrix_product_is_the_field_product(case):
     ctx, (x, y) = case
-    assert tuple((mul_matrix(ctx, np.array(x.coeffs)) @ np.array(y.coeffs) % ctx.p).tolist()) == (x * y).coeffs
+    assert tuple((np.array(y.coeffs) @ product_matrices(ctx, np.array(x.coeffs)) % ctx.p).tolist()) == (x * y).coeffs
 
 
 @given(_field_and_elements(16))
@@ -298,7 +298,8 @@ def test_matrix_of_the_inverse_of_one_minus_h_inverts_the_matrix_of_one_minus_h(
     ctx, (h,) = case
     assume(h != ctx.one())
     one_minus_h = ctx.one() - h
-    product = mul_matrix(ctx, np.array(one_minus_h.inverse().coeffs)) @ mul_matrix(ctx, np.array(one_minus_h.coeffs)) % ctx.p
+    inverse = product_matrices(ctx, np.array(one_minus_h.inverse().coeffs))
+    product = product_matrices(ctx, np.array(one_minus_h.coeffs)) @ inverse % ctx.p
     assert np.array_equal(product, np.eye(ctx.k, dtype=np.int64))
 
 
@@ -318,25 +319,49 @@ def test_pow_rows_matches_scalar_powers(field, data):
     assert got.dtype == np.int64 and np.array_equal(got, ctx.digit_rows([x**e for x in xs]))
 
 
+@given(st.sampled_from(LADDER_FIELDS), st.data())
+def test_pow_rows_of_an_exponent_array_is_one_pow_rows_per_exponent(field, data):
+    # exponents broadcast against the rows: a column of them gives one row of powers per exponent
+    ctx = _field(*field)
+    codes = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=4))
+    exponents = data.draw(st.lists(st.integers(0, 2 * ctx.order), min_size=0, max_size=5))
+    rows = base_p_digits(np.array(codes), ctx.p, ctx.k)
+    got = pow_rows(ctx, rows, np.array(exponents, dtype=np.int64)[:, None])
+    assert got.dtype == np.int64 and got.shape == (len(exponents), len(codes), ctx.k)
+    for e, powers in zip(exponents, got):
+        assert np.array_equal(powers, pow_rows(ctx, rows, e))
+    per_row = [data.draw(st.integers(0, 2 * ctx.order)) for _ in codes]  # one exponent for each row
+    got = pow_rows(ctx, rows, np.array(per_row))
+    assert np.array_equal(got, np.stack([pow_rows(ctx, row, e) for row, e in zip(rows, per_row)]))
+
+
 def test_pow_rows_refuses_a_negative_exponent():
     ctx = _field(2, 6)
     with pytest.raises(ParameterError, match="exponent"):
         pow_rows(ctx, ctx.digit_rows([ctx.gen()]), -1)
+    with pytest.raises(ParameterError, match="exponent"):
+        pow_rows(ctx, ctx.digit_rows([ctx.gen()]), np.array([[3], [-2]]))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 6)])
+def test_mul_tensor_is_read_only(p, k):
+    with pytest.raises(ValueError, match="read-only"):
+        _field(p, k).mul_tensor()[0, 0, 0] = 1
 
 
 @given(st.sampled_from(LADDER_FIELDS), st.data())
 def test_batched_mul_matrix_matches_scalar_products(field, data):
-    # column j of the matrix of x is x * X^j, on a (2, 3) grid of elements
+    # row j of the product matrix of x is x * X^j, on a (2, 3) grid of elements
     ctx = _field(*field)
     codes = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=6, max_size=6))
     xs = [ctx.from_int(c) for c in codes]
-    mats = mul_matrix(ctx, ctx.digit_rows(xs).reshape(2, 3, ctx.k))
+    mats = product_matrices(ctx, ctx.digit_rows(xs).reshape(2, 3, ctx.k))
     assert mats.shape == (2, 3, ctx.k, ctx.k)
     powers = [ctx.one()]
     for _ in range(ctx.k - 1):
         powers.append(powers[-1] * ctx.gen())
     for x, mat in zip(xs, mats.reshape(6, ctx.k, ctx.k)):
-        assert np.array_equal(mat.T, ctx.digit_rows([x * xj for xj in powers]))
+        assert np.array_equal(mat, ctx.digit_rows([x * xj for xj in powers]))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), *LADDER_FIELDS])

@@ -27,6 +27,8 @@ from oracles import (
     einsum_encode_basis_digits,
     einsum_multiples,
     einsum_power_tensor,
+    int64_mul_matrix,
+    int64_mul_rows,
     max_digit_degree,
     poly_digits,
     row_poly,
@@ -44,7 +46,7 @@ from oracles import (
     table_min_distance_sampled,
     translation_invariant_poly,
 )
-from orbitcodes import codecore, cosetgraph, fppoly
+from orbitcodes import codecore, cosetgraph, fppoly, linalg
 from orbitcodes.codecore import (
     MessageSpace,
     check_local_rs,
@@ -57,7 +59,7 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
-from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_matrix, mul_rows
+from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
@@ -155,8 +157,25 @@ def test_mul_matrix_matches_scalar_products(p, k):
     rng = np.random.default_rng(p * 10 + k)
     for x_code, y_code in rng.integers(0, ctx.order, size=(20, 2)):
         x, y = ctx.from_int(int(x_code)), ctx.from_int(int(y_code))
-        got = mul_matrix(ctx, np.array(x.coeffs)) @ np.array(y.coeffs) % p
+        got = np.array(y.coeffs) @ product_matrices(ctx, np.array(x.coeffs)) % p
         assert tuple(int(c) for c in got) == (x * y).coeffs
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (2, 21)])
+def test_field_products_match_int64_oracles(monkeypatch, p, k):
+    # F_4, F_8, F_9, F_25, F_27, F_64 and F_2^21, with every product in float64 (0) or in int64;
+    # a product matrix is the transpose of the oracle's multiplication matrix
+    ctx = build_field(p, k)
+    x, y = np.random.default_rng(p * 100 + k).integers(0, p, size=(2, 3, 40, k))
+    for int64_work in (0, 1 << 40):
+        monkeypatch.setattr(linalg, "INT64_PRODUCT_WORK", int64_work)
+        mats = product_matrices(ctx, x)
+        assert mats.dtype == np.int64 and np.array_equal(mats, int64_mul_matrix(ctx, x).swapaxes(-1, -2))
+        for a in (x, x[:, :1]):  # 40 rows of both, and one row of a against 40 of b
+            products = mul_rows(ctx, a, y)
+            assert products.dtype == np.int64 and np.array_equal(products, int64_mul_rows(ctx, a, y))
+        for D in (0, 1, 2, 5, 64):
+            assert np.array_equal(power_table(ctx, x[0], D), einsum_power_tensor(ctx, x[0], D))
 
 
 def test_local_degrees_match_scalar_oracle_on_basis(inst1_p2):
@@ -570,7 +589,7 @@ def test_encode_basis_digits_matches_einsum_oracle(monkeypatch, p, k):
     for D in (0, 1, 2, 3, 5, 8, 96):
         coeffs = rng.integers(0, p, size=(4, D))
         expected = einsum_encode_basis_digits(ctx, coeffs, omega)
-        assert np.array_equal(codecore._power_table(ctx, omega, D), einsum_power_tensor(ctx, omega, D))
+        assert np.array_equal(power_table(ctx, omega, D), einsum_power_tensor(ctx, omega, D))
         for points in (1, 3, 5, None):
             if points is not None:
                 monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", points * max(D, 1) * k)
