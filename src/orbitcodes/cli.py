@@ -11,7 +11,7 @@ anticipated errors, and running out of memory, surface as structured JSON
 with exit code 2.
 
 Budget defaults can be overridden with environment variables:
-ORBITCODES_DISTANCE_BUDGET, ORBITCODES_SVD_SIDE, ORBITCODES_FIELD_SCAN,
+ORBITCODES_DISTANCE_BUDGET, ORBITCODES_ORACLE_EDGES, ORBITCODES_FIELD_SCAN,
 ORBITCODES_VERIFY_BASIS.  Each must be a nonnegative integer; a bad value,
 like a missing or malformed input file, is a structured error (exit 2).
 """
@@ -42,7 +42,7 @@ from orbitcodes.report import (
 
 _ENV_BUDGETS = {
     "distance": "ORBITCODES_DISTANCE_BUDGET",
-    "svd_side": "ORBITCODES_SVD_SIDE",
+    "oracle_edges": "ORBITCODES_ORACLE_EDGES",
     "field_scan": "ORBITCODES_FIELD_SCAN",
     "verify_basis": "ORBITCODES_VERIFY_BASIS",
 }

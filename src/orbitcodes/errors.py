@@ -10,7 +10,8 @@ mirrors how callers should react:
                          chosen ambient field (too small to split, no
                          free point).
 * BudgetError         -- the computation would exceed a stated size
-                         budget; refuse rather than grind.
+                         budget, or an iteration its step cap; refuse
+                         rather than grind.
 * ConstraintViolation -- a polynomial failed a message-space constraint;
                          the message names the violated bound.
 * InternalError       -- an invariant that should be unbreakable broke.
@@ -21,7 +22,7 @@ raises BudgetError; the kernels take their defaults from it.
 
 DEFAULT_BUDGETS = {
     "distance": 1 << 24,  # codewords one exhaustive distance enumeration visits
-    "svd_side": 5000,  # largest graph side the dense SVD oracle takes
+    "oracle_edges": 1 << 21,  # max edges the matrix-free sigma_2 oracle walks
     "field_scan": 1 << 20,  # max points one exhaustive character scan visits
     "verify_basis": 64,  # basis codewords the verify section checks
 }

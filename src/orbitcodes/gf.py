@@ -353,18 +353,24 @@ def pow_rows(ctx: FieldContext, rows: np.ndarray, e: int | np.ndarray) -> np.nda
 
     Exponents broadcast against the rows' leading shape, as in np.power.
     Square-and-multiply from the low bit, through mul_rows, so that all
-    exponents share one chain of squarings of the rows.
+    exponents share one chain of squarings of the rows.  An exponent's
+    lowest set bit takes its square as it is, with no product by 1.
     """
     e = np.asarray(e, dtype=np.int64)
     if (e < 0).any():
         raise ParameterError(f"exponent must be >= 0, got {e.min()}")
     rows = np.asarray(rows, dtype=np.int64) % ctx.p
-    out = np.where((e & 1 == 1)[..., None], rows, np.eye(1, ctx.k, dtype=np.int64)[0])  # x^(e mod 2)
+    started = e & 1 == 1  # some bit of e at or below the current one is set
+    out = np.where(started[..., None], rows, np.eye(1, ctx.k, dtype=np.int64)[0])  # x^(e mod 2)
     for bit in range(1, int(e.max(initial=0)).bit_length()):
         rows = mul_rows(ctx, rows, rows)  # x^(2^bit)
         odd = (e >> bit) & 1 == 1
-        if odd.any():
-            out = np.where(odd[..., None], mul_rows(ctx, out, rows), out)
+        product, first = odd & started, odd & ~started
+        if product.any():
+            out = np.where(product[..., None], mul_rows(ctx, out, rows), out)
+        if first.any():
+            out = np.where(first[..., None], rows, out)
+            started = started | first
     return out
 
 

@@ -20,7 +20,7 @@ from orbitcodes.codecore import (
     monomial_count,
     schur_check,
 )
-from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd
+from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_oracle
 from orbitcodes.errors import DEFAULT_BUDGETS, BudgetError, ParameterError
 from orbitcodes.instance import Instance, SCHEMA_VERSION
 
@@ -28,7 +28,7 @@ SPECTRAL_TOLERANCE = 1e-9  # slack of the sigma_2 comparisons, which are in floa
 
 
 def spectrum_section(inst: Instance, budgets: dict | None = None) -> dict:
-    """The exact sigma_2 and M with their bounds; a refused SVD oracle leaves out only its value and agreement."""
+    """The exact sigma_2 and M with their bounds; a refused sigma_2 oracle leaves out only its value and agreement."""
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     try:
         exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=b["field_scan"])
@@ -52,7 +52,7 @@ def spectrum_section(inst: Instance, budgets: dict | None = None) -> dict:
         "checks": checks,
     }
     try:
-        out["sigma2_svd"] = sigma2_svd(inst.graph, side_budget=b["svd_side"])
+        out["sigma2_svd"] = sigma2_oracle(inst.graph, edge_budget=b["oracle_edges"])
         checks["oracle_agreement"] = abs(exact.value - out["sigma2_svd"]) <= SPECTRAL_TOLERANCE
     except BudgetError as exc:
         out["oracle"] = f"skipped: budget ({exc})"

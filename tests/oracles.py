@@ -30,6 +30,9 @@
 * ``scalar_sigma2_exact`` and ``scalar_char_sum_max``: the exact spectral
   scans over every element of the ambient field, one scalar product per
   (element, group element) pair.
+* ``biadjacency`` and ``sigma2_svd``: the graph's dense bi-adjacency
+  matrix and sigma_2 by dense SVD of it (with the check sigma_1 = 1), the
+  check on the small rungs of ``cosetgraph.sigma2_oracle``.
 * the two-step walk diagnostics (``two_step_counts`` through
   ``character_eigencheck``): exact and sampled cross-checks of the walk
   rule and of the character eigenvectors, over whole fields or closures.
@@ -728,12 +731,31 @@ def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
     return CharSumMax(value=best, sq_exact=best_sq)
 
 
+# -- the dense spectral oracle ------------------------------------------------
+
+
+def biadjacency(graph: CosetGraph) -> np.ndarray:
+    """Integer (n_left, n_right) matrix B; entry (l, r) counts the edges between l and r."""
+    b = np.zeros((graph.n_left, graph.n_right), dtype=np.int64)
+    np.add.at(b, (graph.edges[:, 0], graph.edges[:, 1]), 1)
+    return b
+
+
+def sigma2_svd(graph: CosetGraph) -> float:
+    """Second singular value of T = B / sqrt(dL*dR), by dense SVD; the largest must be 1 (to 1e-9)."""
+    t = biadjacency(graph) / sqrt(graph.left_degree * graph.right_degree)
+    svals = np.linalg.svd(t, compute_uv=False)
+    if abs(svals[0] - 1.0) > 1e-9:
+        raise InternalError(f"leading singular value {svals[0]!r} differs from 1")
+    return float(svals[1]) if len(svals) > 1 else 0.0
+
+
 # -- two-step walk diagnostics -----------------------------------------------
 
 
 def two_step_counts(graph: CosetGraph) -> np.ndarray:
     """Integer matrix B^T B; entry (j, j') counts 2-paths between right cosets."""
-    b = graph.biadjacency()
+    b = biadjacency(graph)
     return b.T @ b
 
 

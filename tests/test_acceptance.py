@@ -17,6 +17,7 @@ from oracles import (
     kernel_base_degree,
     polytope_indicator_i,
     polytope_indicator_ii,
+    sigma2_svd,
     volume_monte_carlo,
     weight_direct,
 )
@@ -29,7 +30,7 @@ from orbitcodes.codecore import (
     monomial_count,
     schur_check,
 )
-from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_svd
+from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance

@@ -236,11 +236,11 @@ def test_budget_env_override(bundle_path, capsys, monkeypatch):
 
 
 def test_refused_svd_oracle_still_feeds_sigma2_to_the_report(bundle_path, capsys, monkeypatch):
-    monkeypatch.setenv("ORBITCODES_SVD_SIDE", "1")
+    monkeypatch.setenv("ORBITCODES_ORACLE_EDGES", "47")
     code, out = _run(capsys, "report", "--bundle", bundle_path)
     assert code == 0
     doc = json.loads(out)
-    assert doc["spectrum"]["oracle"].startswith("skipped: budget")
+    assert doc["spectrum"]["oracle"] == "skipped: budget (graph of 48 edges exceeds the oracle edge budget 47)"
     assert doc["distance"]["expander_form"] == "finite-p form"
 
 
@@ -262,6 +262,13 @@ def test_budget_env_negative_is_structured_error(bundle_path, capsys, monkeypatc
     monkeypatch.setenv("ORBITCODES_VERIFY_BASIS", "-1")
     code, out = _run(capsys, "verify", "--bundle", bundle_path)
     _assert_structured_error(code, out, "ORBITCODES_VERIFY_BASIS", "negative")
+
+
+@pytest.mark.parametrize("value,fragment", [("2e6", "not an integer"), ("-5", "negative")])
+def test_oracle_edges_env_bad_value_is_structured_error(bundle_path, capsys, monkeypatch, value, fragment):
+    monkeypatch.setenv("ORBITCODES_ORACLE_EDGES", value)
+    code, out = _run(capsys, "spectrum", "--bundle", bundle_path)
+    _assert_structured_error(code, out, "ORBITCODES_ORACLE_EDGES", fragment)
 
 
 def test_invalid_json_message_is_structured_error(bundle_path, tmp_path, capsys):

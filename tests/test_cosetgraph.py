@@ -1,24 +1,29 @@
-"""Coset graph structure and the two spectral oracles."""
+"""Coset graph structure and the spectral oracles."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (
+    biadjacency,
     char_exponent,
     character_eigencheck,
     divisors,
     point_set,
     sample_walk_tv,
+    sigma2_svd,
     two_step_counts,
     walk_matrix_matches_rule,
 )
+from orbitcodes import cosetgraph
 from orbitcodes.cosetgraph import (
     CosetGraph,
     char_sum_max,
     sigma2_exact,
-    sigma2_svd,
+    sigma2_oracle,
 )
-from orbitcodes.errors import BudgetError
+from orbitcodes.errors import BudgetError, InternalError
 from orbitcodes.gf import build_field
 from orbitcodes.groupgeom import ScalingGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
@@ -41,7 +46,7 @@ def test_graph_simple_and_biregular(all_instances):
     for inst in all_instances:
         g = inst.graph
         assert g.is_simple
-        b = g.biadjacency()
+        b = biadjacency(g)
         assert b.max() == 1
         assert (b.sum(axis=1) == g.left_degree).all()
         assert (b.sum(axis=0) == g.right_degree).all()
@@ -78,13 +83,15 @@ def test_sigma2_svd_complete_bipartite_is_zero():
         is_simple=True,
     )
     assert sigma2_svd(graph) == pytest.approx(0.0, abs=1e-12)
+    assert sigma2_oracle(graph) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sigma2_svd_budget_refusal():
     edges = np.array([(l, 0) for l in range(6000)], dtype=np.int64)
     graph = CosetGraph(6000, 1, 1, 6000, edges, True)
-    with pytest.raises(BudgetError):
-        sigma2_svd(graph)
+    with pytest.raises(BudgetError, match=r"^graph of 6000 edges exceeds the oracle edge budget 5999$"):
+        sigma2_oracle(graph, edge_budget=5999)
+    assert sigma2_oracle(graph, edge_budget=6000) == 0.0
 
 
 def test_sigma2_oracles_agree(all_instances):
@@ -97,8 +104,6 @@ def test_sigma2_oracles_agree(all_instances):
 
 
 def test_sigma2_exact_values_regression(inst1_p2, inst1_p3, inst2_p2):
-    from fractions import Fraction
-
     assert sigma2_exact(inst1_p2.G, inst1_p2.H, inst1_p2.S, inst1_p2.ambient).lambda_max == Fraction(1, 3)
     assert sigma2_exact(inst1_p3.G, inst1_p3.H, inst1_p3.S, inst1_p3.ambient).lambda_max == Fraction(1, 4)
     assert sigma2_exact(inst2_p2.G, inst2_p2.H, inst2_p2.S, inst2_p2.ambient).lambda_max == Fraction(3, 7)
@@ -158,13 +163,71 @@ def test_spectral_bounds_formulas(inst1_p2, inst2_p2):
 def test_refused_svd_oracle_keeps_the_exact_spectrum(inst1_p2):
     # only sigma2_svd and the agreement check go; the section stays computed and passing
     full = spectrum_section(inst1_p2)
-    refused = spectrum_section(inst1_p2, {"svd_side": 1})
-    assert refused["oracle"] == "skipped: budget (graph sides 12x16 exceed the SVD budget 1)"
+    refused = spectrum_section(inst1_p2, {"oracle_edges": 47})
+    assert refused["oracle"] == "skipped: budget (graph of 48 edges exceeds the oracle edge budget 47)"
     assert refused["status"] == "computed" and refused["ok"] is True
     assert refused["checks"] == {k: v for k, v in full["checks"].items() if k != "oracle_agreement"}
     kept = ("sigma2_exact", "lambda_max", "M", "bound_general", "bound_instance")
     assert {k: refused[k] for k in kept} == {k: full[k] for k in kept}
     assert "sigma2_svd" not in refused and "sigma2_svd" in full
+
+
+@pytest.fixture(scope="module")
+def oracle_rungs(all_instances):
+    # the reference instances, I(2,3) and I(5,2): the rungs where the dense SVD is quick
+    return all_instances + [build_instance(InstanceConfig("I", p, m)) for p, m in ((2, 3), (5, 2))]
+
+
+def test_sigma2_oracle_prints_as_the_dense_svd(oracle_rungs):
+    # the report prints sigma2_svd at 12 significant digits
+    for inst in oracle_rungs:
+        assert format(sigma2_oracle(inst.graph), ".12g") == format(sigma2_svd(inst.graph), ".12g")
+
+
+def test_sigma2_oracle_is_deterministic(oracle_rungs):
+    for inst in oracle_rungs:
+        assert sigma2_oracle(inst.graph) == sigma2_oracle(inst.graph)
+
+
+def _graph(edges) -> CosetGraph:
+    edges = np.array(edges, dtype=np.int64)
+    n_left, n_right = edges.max(axis=0) + 1
+    return CosetGraph(int(n_left), int(n_right), len(edges) // n_left, len(edges) // n_right, edges, True)
+
+
+def test_sigma2_oracle_degenerate_graphs(inst1_p2):
+    # one left vertex has one singular value, and two disjoint copies of a graph
+    # have sigma_2 = sigma_1 = 1 (K_{3,4} is test_sigma2_svd_complete_bipartite_is_zero)
+    star = _graph([(0, r) for r in range(5)])
+    e = inst1_p2.graph.edges
+    twice = _graph(np.concatenate([e, e + (inst1_p2.graph.n_left, inst1_p2.graph.n_right)]))
+    for graph, value in ((star, 0.0), (twice, 1.0)):
+        assert sigma2_oracle(graph) == pytest.approx(value, abs=1e-12)
+        assert sigma2_svd(graph) == pytest.approx(value, abs=1e-12)
+
+
+def test_sigma2_oracle_refuses_a_graph_that_is_not_biregular():
+    # 4 edges as the degrees promise, but left vertex 0 has 3 of them and right vertex 1 none
+    graph = CosetGraph(2, 2, 2, 2, np.array([(0, 0), (0, 0), (0, 1), (1, 0)], dtype=np.int64), False)
+    with pytest.raises(InternalError, match="not biregular"):
+        sigma2_oracle(graph)
+
+
+def test_sigma2_oracle_iteration_cap_is_a_budget_refusal(inst2_p2, monkeypatch):
+    monkeypatch.setattr(cosetgraph, "ORACLE_ITERATIONS", 1)
+    with pytest.raises(BudgetError, match=r"^sigma_2 oracle did not converge in 1 iterations$"):
+        sigma2_oracle(inst2_p2.graph)
+    refused = spectrum_section(inst2_p2)
+    assert refused["oracle"] == "skipped: budget (sigma_2 oracle did not converge in 1 iterations)"
+    assert refused["ok"] is True and "oracle_agreement" not in refused["checks"]
+
+
+def test_spectrum_section_of_ii23_carries_the_oracle():
+    # II(2,3), 7680 x 4096 vertices, under the default budgets
+    spec = spectrum_section(build_instance(InstanceConfig("II", 2, 3, gamma=Fraction(1))))
+    assert spec["lambda_max"] == "7/15"
+    assert "oracle" not in spec and spec["checks"]["oracle_agreement"] is True
+    assert format(spec["sigma2_svd"], ".12g") == format(spec["sigma2_exact"], ".12g")
 
 
 def test_sigma2_below_instance_bound(all_instances):

@@ -23,6 +23,7 @@ from oracles import (
     scalar_primitive_element,
     trace,
 )
+from orbitcodes import gf
 from orbitcodes.errors import ParameterError
 from orbitcodes.gf import (
     FpSubspace,
@@ -341,6 +342,21 @@ def test_pow_rows_refuses_a_negative_exponent():
         pow_rows(ctx, ctx.digit_rows([ctx.gen()]), -1)
     with pytest.raises(ParameterError, match="exponent"):
         pow_rows(ctx, ctx.digit_rows([ctx.gen()]), np.array([[3], [-2]]))
+
+
+def test_pow_rows_takes_the_lowest_set_bit_without_a_product(monkeypatch):
+    # one squaring for each bit up to the top one; a product only at a set bit above the lowest set one
+    ctx = _field(2, 6)
+    x = ctx.gen() ** 5
+    calls = []
+    mul_rows = gf.mul_rows
+    monkeypatch.setattr(gf, "mul_rows", lambda *args: calls.append(1) or mul_rows(*args))
+    cases = [(2, [2], 1), (np.array([[2], [4], [8]]), [2, 4, 8], 3), (np.array([[3], [5]]), [3, 5], 4)]
+    for e, exponents, count in cases:
+        calls.clear()
+        got = pow_rows(ctx, ctx.digit_rows([x]), e)
+        assert len(calls) == count, e
+        assert np.array_equal(got.reshape(-1, ctx.k), ctx.digit_rows([x**d for d in exponents]))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 6)])
