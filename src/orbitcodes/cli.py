@@ -153,8 +153,16 @@ def cmd_rate(args) -> int:
     return _section_command(args, rate_section)
 
 
+def _sample(args) -> int:
+    """The --sample count, refused when negative before the bundle is read or any section runs."""
+    if args.sample < 0:
+        raise ParameterError(f"sample count must be >= 0, got {args.sample}")
+    return args.sample
+
+
 def cmd_distance(args) -> int:
-    return _section_command(args, lambda inst, budgets: distance_section(inst, budgets, sample=args.sample))
+    sample = _sample(args)
+    return _section_command(args, lambda inst, budgets: distance_section(inst, budgets, sample=sample))
 
 
 def cmd_encode(args) -> int:
@@ -174,6 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    sample = _sample(args)
     inst = _load_bundle(args.bundle)
     chosen = {
         "spectrum": args.spectrum,
@@ -190,7 +199,7 @@ def cmd_report(args) -> int:
         distance=chosen["distance"],
         verify=chosen["verify"],
         budgets=_budgets(),
-        sample=args.sample,
+        sample=sample,
     )
     _emit(doc, args.out)
     return 0 if doc["ok"] else 1

@@ -19,7 +19,9 @@ coefficients, and it splits them into such rows.  Codewords are (n, k)
 digit arrays, and every F_p product on them (encoding, the local
 checks, the Schur products and the multiples the distance enumerates)
 is one linalg.matmul_mod_p, on plain matrices or on stacks of per-point
-product matrices (gf.product_matrices), or one gf.mul_rows.
+product matrices (gf.product_matrices), or one gf.mul_rows.  A
+CodewordStore encodes each basis row of a message space at most once;
+the exhaustive and the sampled distance read their codewords from it.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -30,7 +32,7 @@ at r*len - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -383,18 +385,50 @@ def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray
     (gf.power_table) as a (D, n*k) table, one F_p product
     (linalg.matmul_mod_p).
     Orbit points are taken in chunks whose power table holds at most
-    ENCODE_CHUNK_ENTRIES entries.
+    ENCODE_CHUNK_ENTRIES entries.  The digits are stored, as in the power
+    table, in the narrowest integer type that holds p - 1.
     """
     rows, D = coeffs.shape
     n, k, p = len(omega), ctx.k, ctx.p
     coeffs = np.asarray(coeffs) % p
-    out = np.zeros((rows, n, k), dtype=np.int64)
+    out = np.zeros((rows, n, k), dtype=np.min_scalar_type(p - 1))
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
         points = omega[lo : lo + chunk]
         table = power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, len(points) * k)
         out[:, lo : lo + chunk] = matmul_mod_p(coeffs, table, p).reshape(rows, len(points), k)
     return out
+
+
+@dataclass(eq=False)
+class CodewordStore:
+    """The codewords of a message space's basis rows on an (n, k) orbit array, each row encoded at most once.
+
+    store(rows) is the (len(rows), n, k) digit array of the codewords of
+    the listed basis rows, in that order and with any repeats.  The rows
+    not held yet are encoded first, all in one encode_basis_digits call,
+    and kept; the result is a copy, so the held rows never change.
+    """
+
+    ms: MessageSpace
+    omega: np.ndarray
+    _held: dict = field(default_factory=dict, repr=False)  # basis row -> its (n, k) codeword
+
+    @property
+    def n(self) -> int:
+        return len(self.omega)
+
+    def __call__(self, rows) -> np.ndarray:
+        ctx, rows = self.ms.ctx, [int(b) for b in rows]
+        if not all(0 <= b < self.ms.dim for b in rows):
+            raise ParameterError(f"basis rows must lie in [0, {self.ms.dim})")
+        missing = sorted(set(rows).difference(self._held))
+        if missing:
+            self._held.update(zip(missing, encode_basis_digits(ctx, self.ms.coeffs[missing], self.omega)))
+        out = np.empty((len(rows), self.n, ctx.k), dtype=np.min_scalar_type(ctx.p - 1))
+        for i, b in enumerate(rows):
+            out[i] = self._held[b]
+        return out
 
 
 # -- minimum distance ------------------------------------------------------------
@@ -408,11 +442,10 @@ class DistanceResult:
 
 
 def min_distance_exhaustive(
-    ms: MessageSpace,
-    omega: np.ndarray,
+    codewords: CodewordStore,
     budget: int = DEFAULT_BUDGETS["distance"],
 ) -> DistanceResult:
-    """Minimum Hamming weight by exhaustive message enumeration.
+    """Minimum Hamming weight of the code of a codeword store's message space, by exhaustive message enumeration.
 
     Enumerates the full field-linear code when |F|^dim fits the budget and
     the |F| multiples of one basis codeword fit LOW_TABLE_BYTES.  Otherwise,
@@ -420,13 +453,17 @@ def min_distance_exhaustive(
     of the basis) exactly; that value upper-bounds the code distance while
     every lower bound proved for the code applies to it, and the mode is
     recorded so reports stay honest about which set was enumerated.
+    The budget is checked first, so a refusal encodes nothing; then every
+    basis codeword is read from the store, which encodes those it does
+    not hold yet.
     """
+    ms = codewords.ms
     ctx = ms.ctx
     if ms.dim == 0:
         raise ParameterError("zero-dimensional code has no minimum distance")
     q = ctx.order
     p = ctx.p
-    table_bytes = q * len(omega) * ctx.k * 8  # the multiples of one basis codeword
+    table_bytes = q * codewords.n * ctx.k * 8  # the multiples of one basis codeword
     if q**ms.dim <= budget and table_bytes <= LOW_TABLE_BYTES:
         scalars, mode = q, "full-field"
     elif p**ms.dim <= budget:
@@ -440,7 +477,7 @@ def min_distance_exhaustive(
         raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
     # the multipliers are the field elements of digit value below scalars: F_p, or the whole field
     multipliers = base_p_digits(np.arange(scalars), p, ctx.k)
-    tables = _multiples(ctx, encode_basis_digits(ctx, ms.coeffs, omega), multipliers)
+    tables = _multiples(ctx, codewords(range(ms.dim)), multipliers)
     return DistanceResult(value=_min_weight_chunked(list(tables), p), mode=mode, enumerated=scalars**ms.dim)
 
 
@@ -535,29 +572,32 @@ def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
 
 
 def min_distance_sampled(
-    ms: MessageSpace,
-    omega: np.ndarray,
+    codewords: CodewordStore,
     samples: int = 100_000,
     seed: int = 0,
 ) -> int:
-    """Smallest weight among random nonzero field-linear codewords (upper bound).
+    """Smallest weight among random nonzero field-linear codewords of a codeword store's message space (upper bound).
 
     Messages are drawn 8192 at a time.  Scalar s times basis codeword w is
     sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
     the powers of the field generator (_multiples); so a chunk of sampled
     codewords is one product of the scalars' digits with a block of those
     multiples (linalg.matmul_mod_p), summed over blocks.
-    Chunks of samples and blocks of basis rows each hold at most
-    SAMPLE_CHUNK_ENTRIES digits, and no table of all |F| multiples is
-    built.  Fewer than one sample is refused.
+    Every basis codeword is read from the store, in its narrow digit type:
+    the store's rows and their copy take 2*dim*n*k bytes at p < 257 (about
+    80 MB on I(2,3) at D = n).  Beyond those, chunks of samples and blocks
+    of basis rows each hold at most SAMPLE_CHUNK_ENTRIES digits, and no
+    table of all |F| multiples is built.  Fewer than one sample is refused
+    before anything is encoded.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
+    ms = codewords.ms
     ctx = ms.ctx
     p, k = ctx.p, ctx.k
     rng = np.random.default_rng(seed)
-    rows = encode_basis_digits(ctx, ms.coeffs, omega)
-    n = len(omega)
+    rows = codewords(range(ms.dim))
+    n = codewords.n
     sample_chunk = max(1, SAMPLE_CHUNK_ENTRIES // (n * k))
     row_block = max(1, SAMPLE_CHUNK_ENTRIES // (k * n * k))
     best = n

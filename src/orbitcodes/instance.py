@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitcodes.codecore import MessageSpace, local_maps, message_space
+from orbitcodes.codecore import CodewordStore, MessageSpace, local_maps, message_space
 from orbitcodes.cosetgraph import CosetGraph, build_graph
 from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.gf import FieldContext, FpSubspace, build_field
@@ -182,8 +182,11 @@ class InstanceConfig:
 
 @dataclass(eq=False)
 class Instance:
-    """A fully built instance; immutable after construction.
+    """A fully built instance.
 
+    Its fields do not change after construction.  It caches what it
+    builds on first use: the message space at each (r, D) asked for, the
+    local check maps and the store of the config's basis codewords.
     alpha is the free point's read-only (k,) digit row and omega the
     read-only (n, k) digit array of its orbit: row e is the evaluation
     point of coordinate e and edge e of the graph.
@@ -221,6 +224,11 @@ class Instance:
         if (r, D) not in self._ms_cache:
             self._ms_cache[r, D] = message_space(self.G, self.H, r, D)
         return self._ms_cache[r, D]
+
+    @functools.cached_property
+    def codewords(self) -> CodewordStore:
+        """The codewords of the config's message-space basis: inst.codewords(rows) encodes each row at most once."""
+        return CodewordStore(self.message_space(), self.omega)
 
     @functools.cached_property
     def local_maps(self) -> dict:

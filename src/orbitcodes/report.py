@@ -14,7 +14,6 @@ import numpy as np
 from orbitcodes import bounds as bounds_mod
 from orbitcodes.codecore import (
     check_local_rs,
-    encode_basis_digits,
     min_distance_exhaustive,
     min_distance_sampled,
     monomial_count,
@@ -101,7 +100,7 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
         raise ParameterError(f"sample count must be >= 0, got {sample}")
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     r, D, n = inst.config.r, inst.D, inst.n
-    ms = inst.message_space()
+    codewords = inst.codewords
     algebraic = n - D + 1
     if sigma2 is None:
         sigma2 = 0.0  # conservative: the expander bound is then an asymptotic form
@@ -116,7 +115,7 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
         "expander_form": expander_form,
     }
     try:
-        res = min_distance_exhaustive(ms, inst.omega, budget=b["distance"])
+        res = min_distance_exhaustive(codewords, budget=b["distance"])
         checks = {
             "ge_algebraic_bound": res.value >= algebraic,
             "ge_expander_bound": res.value >= expander,
@@ -134,7 +133,7 @@ def distance_section(inst: Instance, budgets: dict | None = None, sigma2: float 
     except BudgetError as exc:
         out.update({"status": f"skipped: budget ({exc})", "ok": True})
         if sample:
-            out["sampled_upper_bound"] = min_distance_sampled(ms, inst.omega, samples=sample, seed=inst.config.seed)
+            out["sampled_upper_bound"] = min_distance_sampled(codewords, samples=sample, seed=inst.config.seed)
     return out
 
 
@@ -160,8 +159,8 @@ def verify_section(inst: Instance, budgets: dict | None = None, codeword: np.nda
         i, j = int(rng.integers(0, ms.dim)), int(rng.integers(0, ms.dim))
         if i != j:
             pairs.add((min(i, j), max(i, j)))
-    rows = sorted(set(range(limit)).union(*pairs))  # encode only the basis rows that are checked
-    digits = dict(zip(rows, encode_basis_digits(inst.ambient, ms.coeffs[rows], inst.omega)))
+    rows = sorted(set(range(limit)).union(*pairs))  # only the basis rows that are checked
+    digits = dict(zip(rows, inst.codewords(rows)))
     failures = []
     for bi in range(limit):
         rep = check_local_rs(inst.ambient, digits[bi], inst.local_maps, r)

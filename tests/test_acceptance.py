@@ -23,6 +23,7 @@ from oracles import (
 )
 from orbitcodes.bounds import volume_i, volume_ii
 from orbitcodes.codecore import (
+    CodewordStore,
     check_local_rs,
     constraint_report,
     encode_basis_digits,
@@ -193,7 +194,7 @@ def test_09_distance(inst1_p2):
     results = {}
     ok = True
     for D in (48, 40):
-        res = min_distance_exhaustive(inst.message_space(D=D), inst.omega)
+        res = min_distance_exhaustive(CodewordStore(inst.message_space(D=D), inst.omega))
         results[D] = res.value
         ok &= res.value >= inst.n - D + 1
         expander = math.ceil(inst.n * (1 - HALF) * max(0.0, float(1 - HALF) - sigma2) - 1e-12)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import orbitcodes
-from orbitcodes import cli
+from orbitcodes import cli, report
 from orbitcodes.cli import main
 
 
@@ -446,6 +446,28 @@ def test_negative_sample_is_structured_error(bundle_ii_path, capsys, command):
     # II(2,2) is over the exhaustive budget, so the sample count is what the distance section would use
     code, out = _run(capsys, command, "--bundle", bundle_ii_path, "--sample", "-5")
     _assert_structured_error(code, out, "sample count must be >= 0, got -5")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--spectrum"],
+        ["report", "--rate", "--verify"],
+        ["report", "--spectrum", "--rate"],
+        ["report"],
+        ["distance"],
+    ],
+)
+def test_negative_sample_is_refused_before_any_section(bundle_path, capsys, monkeypatch, argv):
+    # the count is refused whatever sections are chosen, and before any of them runs
+    called = []
+    for name in ("spectrum", "rate", "distance", "verify"):
+        section = f"{name}_section"
+        for module in (cli, report):
+            monkeypatch.setattr(module, section, lambda *a, _name=section, **kw: called.append(_name))
+    code, out = _run(capsys, *argv, "--bundle", bundle_path, "--sample", "-3")
+    _assert_structured_error(code, out, "sample count must be >= 0, got -3")
+    assert called == []
 
 
 def test_bundle_config_with_an_integer_string_is_accepted(bundle_path, tmp_path, capsys):

@@ -16,8 +16,9 @@ from oracles import (
     scaling_invariant_poly,
     weight_direct,
 )
-from orbitcodes import fppoly, report
+from orbitcodes import codecore, fppoly
 from orbitcodes.codecore import (
+    CodewordStore,
     MessageSpace,
     admissible_monomials,
     check_local_rs,
@@ -34,7 +35,7 @@ from orbitcodes.codecore import (
 from orbitcodes.errors import BudgetError, ConstraintViolation, ParameterError
 from orbitcodes.gf import mul_rows
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.report import rate_section, verify_section
+from orbitcodes.report import distance_section, full_report, rate_section, verify_section
 
 
 def test_max_degree_below():
@@ -271,19 +272,68 @@ def test_schur_products_pass_doubled_bound(inst1_p2):
         assert rep.all_ok
 
 
-def test_verify_encodes_only_the_checked_basis_rows(inst1_p3, monkeypatch):
-    # I(3,2) at D = n has 108 basis rows; verify checks the first 64 and 10 Schur pairs
-    encoded = []
+@pytest.fixture
+def encoded(monkeypatch):
+    """The row count of every encode_basis_digits call the codeword store makes."""
+    calls = []
 
     def spy(ctx, coeffs, omega):
-        encoded.append(len(coeffs))
+        calls.append(len(coeffs))
         return encode_basis_digits(ctx, coeffs, omega)
 
-    monkeypatch.setattr(report, "encode_basis_digits", spy)
+    monkeypatch.setattr(codecore, "encode_basis_digits", spy)
+    return calls
+
+
+def test_verify_encodes_only_the_checked_basis_rows(inst1_p3, encoded):
+    # I(3,2) at D = n has 108 basis rows; verify checks the first 64 and 10 Schur pairs
     sec = verify_section(inst1_p3)
     assert inst1_p3.message_space().dim == 108
     assert sec["ok"] and sec["basis_checked"] == 64 and sec["schur_pairs_checked"] == 10
     assert encoded and sum(encoded) <= 64 + 2 * 10
+
+
+def test_report_encodes_each_basis_row_once(encoded):
+    # the benchmark's local-II22 instance: distance encodes all 16 basis rows, and verify's 12 come from the store
+    inst = build_instance(InstanceConfig("II", 2, 2, gamma=Fraction(1), D=96))
+    doc = full_report(inst, spectrum=False, rate=False, budgets={"verify_basis": 4})
+    assert doc["ok"] and doc["distance"]["status"] == "computed"
+    assert inst.message_space().dim == 16
+    assert encoded == [16]
+
+
+def test_codeword_store_encodes_each_row_once(encoded):
+    inst = build_instance(InstanceConfig("I", 3, 2, D=80))  # dim 14, at p = 3
+    ctx, ms = inst.ambient, inst.message_space()
+    first = inst.codewords([3, 0, 7])
+    again = inst.codewords([7, 7, 3, 0, 0])
+    assert encoded == [3]
+    assert np.array_equal(again, first[[2, 2, 0, 1, 1]])
+    whole = inst.codewords(range(ms.dim))
+    assert encoded == [3, ms.dim - 3]
+    assert inst.codewords is inst.codewords and inst.codewords.ms is ms
+    # narrow digits, bit-equal to one encoding of the whole basis
+    assert whole.dtype == first.dtype == np.min_scalar_type(ctx.p - 1) == np.uint8
+    assert np.array_equal(whole, encode_basis_digits(ctx, ms.coeffs, inst.omega))
+    whole[:] = 0  # a copy: the held rows do not change
+    assert np.array_equal(inst.codewords([3, 0, 7]), first)
+    assert inst.codewords([]).shape == (0, inst.n, ctx.k)
+    assert encoded == [3, ms.dim - 3]
+    for bad in ([ms.dim], [-1]):
+        with pytest.raises(ParameterError, match="basis rows"):
+            inst.codewords(bad)
+
+
+@pytest.mark.parametrize("sample", [0, 5])
+def test_refused_distance_encodes_only_when_it_samples(encoded, sample):
+    # a refused exhaustive distance encodes nothing; the sampler encodes every row, and verify then reads them
+    inst = build_instance(InstanceConfig("I", 2, 2))
+    sec = distance_section(inst, {"distance": 1}, sample=sample)
+    assert sec["status"].startswith("skipped: budget")
+    assert ("sampled_upper_bound" in sec) == bool(sample)
+    assert encoded == ([11] if sample else [])
+    assert verify_section(inst)["ok"]
+    assert encoded == [11]
 
 
 def test_schur_doubled_bound_nonvacuous_below_half():
@@ -305,7 +355,7 @@ def test_min_distance_constant_code(inst1_p2):
         1,
         1,
     )
-    res = min_distance_exhaustive(ms, inst.omega)
+    res = min_distance_exhaustive(CodewordStore(ms, inst.omega))
     assert res.value == inst.n
     assert res.mode == "full-field"
 
@@ -317,8 +367,8 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
     ms = inst.message_space()
     for dims in (1, 2, 3):
         sub = MessageSpace(ms.ctx, ms.D, ms.coeffs[:dims], ms.dim_u, ms.dim_v)
-        full = min_distance_exhaustive(sub, inst.omega)
-        prime = min_distance_exhaustive(sub, inst.omega, budget=2**dims)
+        full = min_distance_exhaustive(CodewordStore(sub, inst.omega))
+        prime = min_distance_exhaustive(CodewordStore(sub, inst.omega), budget=2**dims)
         assert full.mode == "full-field" and prime.mode == "prime-subcode"
         assert prime.value >= full.value
         assert (full.value, prime.value) == {1: (48, 48), 2: (47, 47), 3: (44, 44)}[dims]
@@ -326,9 +376,9 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
 
 def test_min_distance_regressions(inst1_p2):
     inst = inst1_p2
-    res48 = min_distance_exhaustive(inst.message_space(), inst.omega)
+    res48 = min_distance_exhaustive(CodewordStore(inst.message_space(), inst.omega))
     assert (res48.value, res48.mode) == (18, "prime-subcode")
-    res40 = min_distance_exhaustive(inst.message_space(D=40), inst.omega)
+    res40 = min_distance_exhaustive(CodewordStore(inst.message_space(D=40), inst.omega))
     assert (res40.value, res40.mode) == (30, "prime-subcode")
     # subcode monotonicity and the degree bound
     assert res40.value >= res48.value
@@ -340,13 +390,13 @@ def test_min_distance_budget_refusal(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space(r=Fraction(3, 4))  # dim 36: 2^36 above budget
     with pytest.raises(BudgetError, match="sampl"):
-        min_distance_exhaustive(ms, inst.omega)
+        min_distance_exhaustive(CodewordStore(ms, inst.omega))
 
 
 def test_min_distance_sampled_upper_bound(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
-    est = min_distance_sampled(ms, inst.omega, samples=2000, seed=0)
+    est = min_distance_sampled(CodewordStore(ms, inst.omega), samples=2000, seed=0)
     assert 18 <= est <= inst.n  # sampling can only overestimate the minimum
 
 
@@ -354,7 +404,7 @@ def test_min_distance_sampled_upper_bound(inst1_p2):
 def test_min_distance_sampled_refuses_fewer_than_one_sample(inst1_p2, samples):
     # no sample is drawn, so n would be reported as a bound that nothing supports
     with pytest.raises(ParameterError, match="at least one sample"):
-        min_distance_sampled(inst1_p2.message_space(), inst1_p2.omega, samples=samples)
+        min_distance_sampled(CodewordStore(inst1_p2.message_space(), inst1_p2.omega), samples=samples)
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])

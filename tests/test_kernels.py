@@ -48,6 +48,7 @@ from oracles import (
 )
 from orbitcodes import codecore, cosetgraph, fppoly, linalg
 from orbitcodes.codecore import (
+    CodewordStore,
     MessageSpace,
     check_local_rs,
     encode_basis_digits,
@@ -303,8 +304,8 @@ def _subspace(ms, dims):
 def test_distance_matches_dfs_oracle_in_both_modes(inst1_p2, dims):
     inst = inst1_p2
     sub = _subspace(inst.message_space(), dims)
-    full = min_distance_exhaustive(sub, inst.omega)
-    prime = min_distance_exhaustive(sub, inst.omega, budget=2**dims)
+    full = min_distance_exhaustive(CodewordStore(sub, inst.omega))
+    prime = min_distance_exhaustive(CodewordStore(sub, inst.omega), budget=2**dims)
     assert (full.mode, prime.mode) == ("full-field", "prime-subcode")
     assert full.value == dfs_min_weight(scalar_tables(sub, inst.omega, prime_only=False), 2)
     assert prime.value == dfs_min_weight(scalar_tables(sub, inst.omega, prime_only=True), 2)
@@ -313,7 +314,7 @@ def test_distance_matches_dfs_oracle_in_both_modes(inst1_p2, dims):
 def test_distance_matches_dfs_oracle_at_p3(inst1_p3):
     inst = inst1_p3
     ms = inst.message_space(D=24)
-    res = min_distance_exhaustive(ms, inst.omega)
+    res = min_distance_exhaustive(CodewordStore(ms, inst.omega))
     assert (res.value, res.mode, res.enumerated) == (639, "prime-subcode", 3**6)
     assert res.value == dfs_min_weight(scalar_tables(ms, inst.omega, prime_only=True), 3)
 
@@ -594,7 +595,7 @@ def test_encode_basis_digits_matches_einsum_oracle(monkeypatch, p, k):
             if points is not None:
                 monkeypatch.setattr(codecore, "ENCODE_CHUNK_ENTRIES", points * max(D, 1) * k)
             got = encode_basis_digits(ctx, coeffs, omega)
-            assert got.dtype == np.int64 and np.array_equal(got, expected)
+            assert got.dtype == np.min_scalar_type(p - 1) and np.array_equal(got, expected)
             monkeypatch.undo()
 
 
@@ -617,9 +618,9 @@ def test_sampled_distance_matches_table_oracle(monkeypatch, inst1_p2, seed):
     inst = inst1_p2
     ms = inst.message_space()
     expected = table_min_distance_sampled(ms, inst.omega, samples=9000, seed=seed)
-    assert min_distance_sampled(ms, inst.omega, samples=9000, seed=seed) == expected
+    assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=9000, seed=seed) == expected
     monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", 3 * inst.n * inst.ambient.k**2)
-    assert min_distance_sampled(ms, inst.omega, samples=9000, seed=seed) == expected
+    assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=9000, seed=seed) == expected
 
 
 def test_sampled_distance_memory_is_bounded(inst2_p2):
@@ -629,7 +630,7 @@ def test_sampled_distance_memory_is_bounded(inst2_p2):
     assert (ms.dim, ms.D) == (70, inst.n)
     tracemalloc.start()
     try:
-        value = min_distance_sampled(ms, inst.omega, samples=1000, seed=0)
+        value = min_distance_sampled(CodewordStore(ms, inst.omega), samples=1000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
