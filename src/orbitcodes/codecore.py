@@ -49,7 +49,7 @@ from orbitcodes.errors import (
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
@@ -494,17 +494,14 @@ def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> 
 def _pack(digits: np.ndarray, p: int) -> np.ndarray:
     """Words (..., n, w) holding the digits (..., n, k) of every coordinate.
 
-    At p = 2 the digits are the bits of the smallest unsigned word that
-    holds k of them (uint8, uint16 or uint32), or of ceil(k/64) uint64
-    words.  Otherwise they are uint8 bytes, zero-padded to whole uint64
-    words.
+    At p = 2 the digits are the bits (linalg.pack_bits) of the smallest
+    unsigned word that holds k of them (uint8, uint16 or uint32), or of
+    ceil(k/64) uint64 words.  Otherwise they are uint8 bytes, zero-padded
+    to whole uint64 words.
     """
     k = digits.shape[-1]
     if p == 2:
-        bits = next((w for w in (8, 16, 32) if k <= w), 64)
-        padded = np.zeros(digits.shape[:-1] + (-(-k // bits) * bits,), dtype=np.uint8)
-        padded[..., :k] = digits
-        return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"uint{bits}"))
+        return pack_bits(digits, next((w for w in (8, 16, 32) if k <= w), 64))
     padded = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
     padded[..., :k] = digits
     return padded.view(np.uint64)

@@ -1,16 +1,23 @@
 """Exact linear algebra over prime fields, on numpy integer matrices.
 
-Matrices are 2-d int64 arrays.  rref_mod_p is the one Gaussian
-elimination; it reduces mod p lazily (Dumas, Giorgi & Pernet,
-FFLAS-FFPACK, ACM TOMS 2008): a column is reduced when it is read as the
-pivot column, the pivot row once, and the row updates run without a
-reduction; an int64 growth bound keeps them exact.  The primes
-involved are tiny, so scalar inverses come from Fermat's little theorem.
+Matrices come in and go out as 2-d int64 arrays.  rref_mod_p is the one
+Gaussian elimination.  At p = 2 it runs on rows packed as the bits of
+uint64 words (pack_bits), and a row update is one XOR of words (M4RI:
+Albrecht, Bard & Hart, ACM TOMS 2010, without its tables).  At p > 2 it
+reduces mod p lazily (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
+2008): a column is reduced when it is read as the pivot column, the
+pivot row once, and the row updates run without a reduction; an int64
+growth bound keeps them exact.  The primes involved are tiny, so scalar
+inverses come from Fermat's little theorem.
 
 matmul_mod_p is the one F_p matrix product, of plain matrices or of
 stacks of them broadcast as np.matmul does.  A small product runs as one
 int64 np.matmul; numpy has no BLAS path for int64, so a larger one
 multiplies in float64, which is exact while every sum stays below 2^53.
+
+pack_bits and unpack_bits are the one packing of F_2 vectors into words,
+which the elimination, the base-u expansion (fppoly) and the distance
+enumeration (codecore) share.
 """
 
 from __future__ import annotations
@@ -79,6 +86,27 @@ def matmul_mod_p(a, b, p: int) -> np.ndarray:
     return acc.astype(np.int64)
 
 
+def pack_bits(bits, word_bits: int = 64) -> np.ndarray:
+    """Words (..., ceil(n / word_bits)) holding the 0/1 entries (..., n) of bits, little-endian.
+
+    Entry j of a vector is bit j % word_bits of word j // word_bits, and the
+    bits past n in the last word are 0.  The words are unsigned integers of
+    word_bits = 8, 16, 32 or 64 bits; entries other than 0 and 1 must be
+    reduced first.
+    """
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-n // word_bits) * word_bits,), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"<u{word_bits // 8}"))
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits (..., n) of every vector of words packed by pack_bits, as uint8 0/1 entries."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little").reshape(words.shape[:-1] + (n,))
+
+
 def _as_matrix(mat, p: int) -> np.ndarray:
     a = np.array(mat, dtype=np.int64, copy=True)
     if a.ndim != 2:
@@ -87,15 +115,21 @@ def _as_matrix(mat, p: int) -> np.ndarray:
 
 
 def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices.
+    """Reduced row echelon form (int64) and pivot column indices.
 
-    Entries start reduced and each pivot adds at most (p-1)^2 to an
-    entry's absolute value, so no entry exceeds (p-1) + min(rows,
-    cols)*(p-1)^2; a shape that lets that bound reach 2^63 is refused.
-    The row updates start at the pivot column, and a column is read only
-    at its own step, so the RREF is reduced once, at the end.
+    At p = 2 the rows are packed once (pack_bits): the pivot search reads
+    one bit of one word per row, and a row update XORs the pivot row into
+    another from the pivot's word onward, since the pivot row is zero
+    before its pivot column.  At p > 2 entries start reduced and each
+    pivot adds at most (p-1)^2 to an entry's absolute value, so no entry
+    exceeds (p-1) + min(rows, cols)*(p-1)^2; a shape that lets that bound
+    reach 2^63 is refused.  The row updates start at the pivot column, and
+    a column is read only at its own step, so the RREF is reduced once, at
+    the end.
     """
     a = _as_matrix(mat, p)
+    if p == 2:
+        return _rref_packed(a)
     rows, cols = a.shape
     if (p - 1) + min(rows, cols) * (p - 1) ** 2 >= INT64_LIMIT:
         raise ParameterError(f"eliminating a {rows}x{cols} matrix mod {p} can overflow int64")
@@ -124,6 +158,32 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a[: len(pivots)] % p, pivots
+
+
+def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """rref_mod_p at p = 2 of a reduced 0/1 matrix, on its rows packed into uint64 words."""
+    rows, cols = a.shape
+    packed = pack_bits(a)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        w = c // 64
+        col = packed[:, w] & np.uint64(1 << (c % 64))  # column c's bit of every row
+        pr = r + int(col[r:].argmax())  # the first row at or below r with the bit, if any
+        if not col[pr]:
+            continue
+        if pr != r:
+            packed[[r, pr]] = packed[[pr, r]]
+            col[pr] = col[r]
+        col[r] = 0
+        other = col.nonzero()[0]
+        if other.size:
+            packed[other, w:] ^= packed[r, w:]
+        pivots.append(c)
+        r += 1
+    return unpack_bits(packed[:r], cols).astype(np.int64), pivots
 
 
 def rank_mod_p(mat, p: int) -> int:

@@ -1,9 +1,10 @@
 """The batched local check, the digit-array Schur product, the chunked
 distance enumeration and sampling, the quotient spectral scans, the
 F_p message space, the chunked encoding, the batched
-base-degree kernel, the lazy-reduction elimination, and the mod-p kernel
-basis and coset representative, each against its slow scalar oracle
-(tests/oracles.py)."""
+base-degree kernel (XOR on packed words at p = 2), the elimination
+(bit-packed at p = 2, lazy reduction above), the bit packing, and the
+mod-p kernel basis and coset representative, each against its slow
+scalar oracle (tests/oracles.py)."""
 
 import hashlib
 import itertools
@@ -87,16 +88,28 @@ def _mod_p_matrices(p, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_nullspace_matches_back_substitution(p):
-    for mat in _mod_p_matrices(p, np.random.default_rng(p)):
+    rng = np.random.default_rng(p)
+    mats = _mod_p_matrices(p, rng)
+    if p == 2:  # a wide low-rank matrix whose rows span three words, the last one partial
+        mats.append(rng.integers(0, 2, size=(40, 12)) @ rng.integers(0, 2, size=(12, 150)) % 2)
+    for mat in mats:
         got = nullspace_mod_p(mat, p)
         assert got.dtype == np.int64 and np.array_equal(got, scalar_nullspace(mat, p))
 
 
 @st.composite
 def _elimination_cases(draw):
-    """A matrix mod p with unreduced and negative entries: empty, zero, full-rank, low-rank or random, tall or wide."""
+    """A matrix mod p with unreduced and negative entries: empty, zero, full-rank, low-rank or random, tall or wide.
+
+    At p = 2, where rows are packed into 64-bit words, the widths include
+    a word's edges and run to about 200 columns, with up to 200 rows.
+    """
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 12))
+    if p == 2:
+        rows = draw(st.integers(0, 9) | st.integers(0, 200))
+        cols = draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(0, 200))
+    else:
+        rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 12))
     kind = draw(st.sampled_from(["zero", "full-rank", "low-rank", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     small = min(rows, cols)
@@ -342,6 +355,18 @@ def test_chunked_enumeration_matches_dfs_with_many_prefixes(monkeypatch, p, size
     assert codecore._min_weight_chunked(tables, p) == dfs_min_weight(tables, p)
 
 
+def test_pack_bits_round_trips_little_endian_at_word_edges():
+    rng = np.random.default_rng(0)
+    for shape in [(0, 0), (0, 70), (3, 0), (0, 4, 65), (2, 3, 1), (5, 63), (5, 64), (5, 65), (2, 3, 129)]:
+        bits = rng.integers(0, 2, size=shape)
+        words = linalg.pack_bits(bits)
+        assert (words.dtype, words.shape) == (np.uint64, shape[:-1] + (-(-shape[-1] // 64),))
+        for j in range(shape[-1]):  # entry j is bit j % 64 of word j // 64
+            assert np.array_equal((words[..., j // 64] >> np.uint64(j % 64)) & np.uint64(1), bits[..., j])
+        assert np.array_equal(linalg.unpack_bits(words, shape[-1]), bits)
+        assert np.array_equal(linalg.unpack_bits(np.repeat(words, 2, axis=-1)[..., ::2], shape[-1]), bits)  # a strided view
+
+
 def test_packed_words_at_p2_are_the_smallest_that_hold_k_bits():
     widths = [(1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (17, np.uint32, 1), (33, np.uint64, 1), (65, np.uint64, 2)]
     for k, dtype, words in widths:
@@ -528,13 +553,15 @@ def test_base_degrees_match_scalar_expansion(case):
 def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
     rng = np.random.default_rng(p)
     u = [c % p for c in lower] + [0] * (5 - len(lower)) + [1]  # u's coefficients below X^5 are lower
-    for length in (0, 1, 4, 5, 6, 13, 40, 67):  # L = 0, L < deg u, L a multiple and not, many chunks
+    # L = 0, L < deg u, L a multiple and not, many chunks; then digit widths 130, 130 and 325
+    # that end past a 64-bit word, cut by chunks of 70 rows that split a word of coefficients
+    for length in (0, 1, 4, 5, 6, 13, 40, 67, 128, 129, 321):
         rows = rng.integers(0, p, size=(7, length))
         rows[[2, 5]] = 0  # zero rows
         rows[6, length // 2 :] = 0
         expected = synthetic_expansion_degrees(rows, u, p)
         width = -(-length // 5) * 5
-        for chunk_rows in (None, 1, 3, 7):  # the default, then rows of the digit matrix per chunk
+        for chunk_rows in (None, 1, 3, 7, 70):  # the default, then rows of the digit matrix per chunk
             if chunk_rows:
                 monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", chunk_rows * width)
             got = fppoly.expansion_degrees(rows, u, p)
