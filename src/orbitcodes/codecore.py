@@ -49,7 +49,7 @@ from orbitcodes.errors import (
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p, unpack_bits, xor_rows
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
@@ -97,7 +97,9 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     Computed as the intersection U cap V of the two constraint subspaces:
     the combinations of the U rows that vanish on every column outside V
     are the kernel of U's bad-column block, and the basis is their span,
-    one F_p product (linalg.matmul_mod_p) put in RREF.
+    one F_p product put in RREF.  At p = 2 the kernel is a few percent
+    nonzero, and the product is the XOR of the packed U rows that each
+    kernel row selects (linalg.xor_rows); at p > 2 it is linalg.matmul_mod_p.
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (constraint_report); the result is
@@ -109,8 +111,15 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
     rows = _u_rows(G.g, pairs, D, p)
     kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
-    basis = rref_mod_p(matmul_mod_p(kernel, rows, p), p)[0]
-    del rows, kernel  # the re-check below runs without them
+    if p == 2:  # the kernel is sparse: XOR the packed U rows it selects
+        packed = pack_bits(rows)
+        span = np.zeros((len(kernel), packed.shape[1]), dtype=packed.dtype)
+        xor_rows(span, kernel, packed)
+        span = unpack_bits(span, D)
+    else:
+        span = matmul_mod_p(kernel, rows, p)
+    basis = rref_mod_p(span, p)[0]
+    del rows, kernel, span  # the re-check below runs without them
     ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
 
     ms.verification = constraint_report(basis, G, H, r, D)
@@ -618,16 +627,6 @@ def min_distance_sampled(
 # -- admissible monomial counting ------------------------------------------------
 
 
-def _digit_weight_sum(i: int, config) -> int:
-    total = 0
-    k = 0
-    while i:
-        total += (i % config.p) * config.weight(k)
-        i //= config.p
-        k += 1
-    return total
-
-
 def monomial_count(config, D: int, r: Fraction | None = None) -> int:
     """Number of monomials g^i X^j passing the digit-weighted constraints.
 
@@ -640,17 +639,35 @@ def monomial_count(config, D: int, r: Fraction | None = None) -> int:
     override admits degenerate rates (r <= 0 counts nothing) that a config
     refuses.
     """
-    return sum(1 for _ in admissible_monomials(config, D, r=r))
+    return sum(jmax + 1 for _, jmax in _j_maxima(config, D, r) if jmax >= 0)
 
 
 def admissible_monomials(config, D: int, r: Fraction | None = None) -> Iterator[tuple[int, int]]:
+    """The (i, j) of every monomial that monomial_count counts, i ascending, then j."""
+    for i, jmax in _j_maxima(config, D, r):
+        for j in range(jmax + 1):
+            yield (i, j)
+
+
+def _j_maxima(config, D: int, r: Fraction | None) -> Iterator[tuple[int, int]]:
+    """(i, the largest admissible j) for every i with deg g^i < D; no i when r <= 0, and jmax < 0 admits no j.
+
+    The h-base bound j + w(i) < r|H| has an integer digit weight w(i), so
+    it is j <= max_degree_below(r|H|) - w(i), with no rational arithmetic
+    per i.
+    """
     r = config.r if r is None else Fraction(r)
     if r <= 0:
         return
-    glen = config.p**config.m
-    hbound = r * config.h_order
+    p, glen = config.p, config.p**config.m
+    top = (D - 1) // glen
+    weights = [config.weight(k) for k in range(max(1, top.bit_length()))]  # one per base-p digit of i <= top
+    jcap_h = max_degree_below(r * config.h_order)
     jcap_g = max_degree_below(r * glen)  # binds on II only: on I, r|H| - w < r|G|
-    for i in range((D - 1) // glen + 1):
-        jmax = min(max_degree_below(hbound - _digit_weight_sum(i, config)), D - 1 - i * glen, jcap_g)
-        for j in range(jmax + 1):
-            yield (i, j)
+    for i in range(top + 1):
+        w, rest, k = 0, i, 0
+        while rest:
+            w += (rest % p) * weights[k]
+            rest //= p
+            k += 1
+        yield i, min(jcap_h - w, D - 1 - i * glen, jcap_g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from orbitcodes.errors import ParameterError
-from orbitcodes.linalg import matmul_mod_p, pack_bits, unpack_bits
+from orbitcodes.linalg import matmul_mod_p, pack_bits, unpack_bits, xor_rows
 
 EXPANSION_CHUNK_ENTRIES = 1 << 17  # bound on the digit rows X^t built and multiplied at a time
 
@@ -37,11 +37,12 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     most EXPANSION_CHUNK_ENTRIES entries.  For u = X^(deg u) the digits
     are the coefficients themselves.
 
-    At p = 2 each chunk of E is packed into words (linalg.pack_bits), and
-    a row's digits are the XOR of the packed E rows at its nonzero
-    coefficients: one gather and one np.bitwise_xor.reduceat per chunk,
-    whose gather holds about R*EXPANSION_CHUNK_ENTRIES bits.  At p > 2
-    the product runs through linalg.matmul_mod_p.
+    At p = 2 the recurrence runs on a uint8 buffer, where the lower terms
+    of u are XORed in with no multiply and no reduction; each chunk of E is
+    packed into words (linalg.pack_bits), and a row's digits are the XOR of
+    the packed E rows at its nonzero coefficients (linalg.xor_rows).  At
+    p > 2 the recurrence runs in int64 and the product through
+    linalg.matmul_mod_p.
     """
     u = np.asarray(u, dtype=np.int64) % p
     degree = len(u) - 1
@@ -63,7 +64,7 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     else:
         digits = np.zeros((len(rows), width), dtype=np.int64)
     # buf[i] holds the digits of X^(lo - degree + i): the chunk's rows after the degree rows before them
-    buf = np.zeros((degree + chunk, width), dtype=np.int64)
+    buf = np.zeros((degree + chunk, width), dtype=np.uint8 if p == 2 else np.int64)
     for lo in range(0, length, chunk):
         buf[:degree] = buf[chunk:]
         hi = min(lo + chunk, length)
@@ -75,11 +76,15 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
             back = t - lo  # the buf index of row t - degree
             new[:, :degree] = 0
             new[:, degree:] = buf[back : back + len(new), :-degree]
-            for e, coeff in lower:
-                new -= coeff * buf[back + e : back + e + len(new)]
-            new %= p
+            if p == 2:
+                for e, _ in lower:
+                    new ^= buf[back + e : back + e + len(new)]
+            else:
+                for e, coeff in lower:
+                    new -= coeff * buf[back + e : back + e + len(new)]
+                new %= p
         if p == 2:
-            _xor_rows(digits, rows[:, lo:hi] % 2, pack_bits(buf[degree : degree + hi - lo]))
+            xor_rows(digits, rows[:, lo:hi], pack_bits(buf[degree : degree + hi - lo]))
         else:
             digits += matmul_mod_p(rows[:, lo:hi] % p, buf[degree : degree + hi - lo], p)
     if p == 2:
@@ -87,11 +92,3 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     offsets = np.arange(width) % degree
     return np.where(digits % p != 0, offsets, -1).max(axis=1, initial=-1)
 
-
-def _xor_rows(acc: np.ndarray, coeffs: np.ndarray, packed: np.ndarray) -> None:
-    """acc[r] ^= the XOR of packed[t] over the nonzero coeffs[r, t], for every row r of a 0/1 matrix."""
-    hit, at = coeffs.nonzero()  # row-major, so each row's terms are consecutive
-    if hit.size == 0:
-        return
-    starts = np.flatnonzero(np.diff(hit, prepend=-1))
-    acc[hit[starts]] ^= np.bitwise_xor.reduceat(packed[at], starts, axis=0)

@@ -1,8 +1,9 @@
 """Exact linear algebra over prime fields, on numpy integer matrices.
 
-Matrices come in and go out as 2-d int64 arrays.  rref_mod_p is the one
-Gaussian elimination.  At p = 2 it runs on rows packed as the bits of
-uint64 words (pack_bits), and a row update is one XOR of words (M4RI:
+Matrices come in as integer arrays and go out as 2-d int64 arrays.
+rref_mod_p is the one Gaussian elimination.  At p = 2 it runs on rows
+packed as the bits of uint64 words (pack_bits), with no int64 copy of
+its input, and a row update is one XOR of words (M4RI:
 Albrecht, Bard & Hart, ACM TOMS 2010, without its tables).  At p > 2 it
 reduces mod p lazily (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
 2008): a column is reduced when it is read as the pivot column, the
@@ -17,7 +18,12 @@ multiplies in float64, which is exact while every sum stays below 2^53.
 
 pack_bits and unpack_bits are the one packing of F_2 vectors into words,
 which the elimination, the base-u expansion (fppoly) and the distance
-enumeration (codecore) share.
+enumeration (codecore) share.  xor_rows is the one F_2 product on packed
+rows, for a sparse left operand: the XOR of the rows that each row of
+coefficients selects, gathered in bounded chunks and summed by
+np.bitwise_xor.reduceat.  The message space's kernel product and the
+base-u expansion use it at p = 2; matmul_mod_p stays the product for
+dense operands, such as the sampled distance's.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ INT64_LIMIT = 1 << 63
 MATMUL_CHUNK_ENTRIES = 1 << 17  # bound on the float64 copies of one inner chunk, unless the product is larger
 STACK_BLOCK_ENTRIES = 1 << 15  # bound on the product of one block of a stack, and so on its float64 sum and quotient
 INT64_PRODUCT_WORK = 1 << 14  # products with at most this many multiply-adds (inner * entries) run in int64
+XOR_GATHER_WORDS = 1 << 17  # bound on the words of one gather of xor_rows (1 MiB)
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
@@ -87,17 +94,19 @@ def matmul_mod_p(a, b, p: int) -> np.ndarray:
 
 
 def pack_bits(bits, word_bits: int = 64) -> np.ndarray:
-    """Words (..., ceil(n / word_bits)) holding the 0/1 entries (..., n) of bits, little-endian.
+    """Words (..., ceil(n / word_bits)) holding the entries (..., n) of bits mod 2, little-endian.
 
     Entry j of a vector is bit j % word_bits of word j // word_bits, and the
     bits past n in the last word are 0.  The words are unsigned integers of
-    word_bits = 8, 16, 32 or 64 bits; entries other than 0 and 1 must be
-    reduced first.
+    word_bits = 8, 16, 32 or 64 bits.  The entries are bool or integers of
+    any sign; their low bits, which are their residues mod 2 in two's
+    complement, are read in one pass into a byte buffer, so no reduced copy
+    of bits is made.
     """
     bits = np.asarray(bits)
     n = bits.shape[-1]
     padded = np.zeros(bits.shape[:-1] + (-(-n // word_bits) * word_bits,), dtype=np.uint8)
-    padded[..., :n] = bits
+    np.bitwise_and(bits, 1, out=padded[..., :n], casting="unsafe")
     return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"<u{word_bits // 8}"))
 
 
@@ -107,29 +116,59 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little").reshape(words.shape[:-1] + (n,))
 
 
-def _as_matrix(mat, p: int) -> np.ndarray:
-    a = np.array(mat, dtype=np.int64, copy=True)
-    if a.ndim != 2:
+def xor_rows(acc: np.ndarray, coeffs, packed: np.ndarray) -> None:
+    """acc[r] ^= the XOR of packed[t] over the odd coeffs[r, t], for every r: acc + coeffs @ packed over F_2.
+
+    acc and packed are rows of words (pack_bits), and coeffs is an
+    integer or bool matrix, read mod 2.  The terms (r, t) come in row-major
+    order, so each row's terms are consecutive; they are taken in chunks
+    whose gather packed[t] holds at most XOR_GATHER_WORDS words (at least
+    one term), and one np.bitwise_xor.reduceat per chunk sums each row's
+    run.  A row whose terms straddle two chunks is XORed into twice, which
+    is the same sum.  The work is one gathered row per nonzero
+    coefficient, so this is the F_2 product for sparse coeffs; a dense
+    left operand belongs in matmul_mod_p.
+    """
+    hit, at = np.nonzero(np.bitwise_and(coeffs, 1))
+    chunk = max(1, XOR_GATHER_WORDS // max(1, packed.shape[-1]))
+    for lo in range(0, hit.size, chunk):
+        rows, terms = hit[lo : lo + chunk], at[lo : lo + chunk]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # the first term of each row in the chunk
+        acc[rows[starts]] ^= np.bitwise_xor.reduceat(packed[terms], starts, axis=0)
+
+
+def _as_matrix(mat) -> np.ndarray:
+    """mat as a 2-d integer array, with no copy where it already is one; 0-d and 1-d inputs are one row."""
+    a = np.asarray(mat)
+    if a.ndim > 2:
+        raise ParameterError(f"cannot eliminate an array of shape {a.shape}: it is not a matrix")
+    if a.dtype.kind not in "biu":
+        a = a.astype(np.int64)
+    if a.ndim < 2:
         a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-    return a % p
+    return a
 
 
 def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (int64) and pivot column indices.
 
-    At p = 2 the rows are packed once (pack_bits): the pivot search reads
-    one bit of one word per row, and a row update XORs the pivot row into
-    another from the pivot's word onward, since the pivot row is zero
-    before its pivot column.  At p > 2 entries start reduced and each
-    pivot adds at most (p-1)^2 to an entry's absolute value, so no entry
-    exceeds (p-1) + min(rows, cols)*(p-1)^2; a shape that lets that bound
-    reach 2^63 is refused.  The row updates start at the pivot column, and
-    a column is read only at its own step, so the RREF is reduced once, at
+    mat is a matrix of bool or integer entries of any sign; 0-d and 1-d
+    inputs are one row, and an array of more dimensions is refused.  It is
+    never written to.  At p = 2 its entries are packed mod 2 straight into
+    words (pack_bits), with no int64 copy: the pivot search reads one bit
+    of one word per row, and a row update XORs the pivot row into another
+    from the pivot's word onward, since the pivot row is zero before its
+    pivot column.  At p > 2 an int64 copy starts reduced and each pivot
+    adds at most (p-1)^2 to an entry's absolute value, so no entry exceeds
+    (p-1) + min(rows, cols)*(p-1)^2; a shape that lets that bound reach
+    2^63 is refused.  The row updates start at the pivot column, and a
+    column is read only at its own step, so the RREF is reduced once, at
     the end.
     """
-    a = _as_matrix(mat, p)
+    a = _as_matrix(mat)
     if p == 2:
         return _rref_packed(a)
+    a = a.astype(np.int64, copy=False) % p
     rows, cols = a.shape
     if (p - 1) + min(rows, cols) * (p - 1) ** 2 >= INT64_LIMIT:
         raise ParameterError(f"eliminating a {rows}x{cols} matrix mod {p} can overflow int64")
@@ -161,7 +200,7 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """rref_mod_p at p = 2 of a reduced 0/1 matrix, on its rows packed into uint64 words."""
+    """rref_mod_p at p = 2 of an integer matrix, on its rows packed mod 2 into uint64 words."""
     rows, cols = a.shape
     packed = pack_bits(a)
     pivots: list[int] = []

@@ -39,13 +39,19 @@
 * ``scalar_message_space_generic``: the message-space basis by Gaussian
   elimination over the whole field with scalar ``FieldElement``
   arithmetic, on rows X^i g^j built as ``Poly`` products.
+* ``matmul_message_basis``: the F_p message-space basis with the kernel
+  product through ``linalg.matmul_mod_p`` and ``eager_rref_mod_p``, as
+  ``codecore.message_space`` computed it at every p before p = 2 took the
+  XOR product.
 * the scalar base expansions: ``base_expand``/``base_degree`` over any
   field and ``base_digits``/``max_digit_degree`` over F_p, one Euclidean
   division at a time on little-endian coefficient lists; ``power`` by
   repeated squaring (test_fppoly checks both against sympy's galoistools
   and ``galois_poly`` converts to its convention); the direct weight and
   monomial checks ``weight_direct`` and ``monomial_is_sound`` built on
-  them; ``synthetic_expansion_degrees``, the batched base-u degrees by
+  them; ``digit_weighted_monomials``, the monomials that
+  ``codecore.monomial_count`` counts, by testing every (i, j) against the
+  rational bounds; ``synthetic_expansion_degrees``, the batched base-u degrees by
   iterated synthetic division on all rows at once; and
   ``kernel_base_degree``, which puts one polynomial through the batched
   kernel ``fppoly.expansion_degrees`` in the oracles' convention.
@@ -84,6 +90,7 @@ from orbitcodes import fppoly
 from orbitcodes.bounds import _validate
 from orbitcodes.codecore import (
     _u_row_pairs,
+    _u_rows,
     _vertex_edge_lists,
     encode_basis_digits,
     max_degree_below,
@@ -92,7 +99,7 @@ from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import nullspace_mod_p, rank_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p
 from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
@@ -900,6 +907,20 @@ def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, r: Fracti
     return [b for b in basis if not b.is_zero()]
 
 
+def matmul_message_basis(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> np.ndarray:
+    """The (dim, D) int64 message-space basis: the kernel of U's bad-column block times U's rows, in RREF.
+
+    The product is one linalg.matmul_mod_p and the RREF the eager
+    elimination, at every p.
+    """
+    p = G.ctx.p
+    imax_h = max_degree_below(r * H.order)
+    bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
+    rows = _u_rows(G.g, _u_row_pairs(G.size, max_degree_below(r * G.size), D), D, p)
+    kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
+    return eager_rref_mod_p(matmul_mod_p(kernel, rows, p), p)[0]
+
+
 def _field_nullspace(constraint_columns: list[list[FieldElement]], nvars: int, ctx) -> list[list[FieldElement]]:
     """Kernel basis of the system (columns as constraints) over the field."""
     rows = [list(col) for col in constraint_columns]
@@ -1115,6 +1136,24 @@ def monomial_is_sound(i: int, j: int, config, D: int, r: Fraction) -> bool:
     if dg != float("-inf") and not Fraction(int(dg)) < r * p**m:
         return False
     return True
+
+
+def digit_weighted_monomials(config, D: int, r: Fraction) -> list[tuple[int, int]]:
+    """Every (i, j) with i*|G| + j < D, j < r|G| and j + w(i) < r|H|, i ascending, then j.
+
+    w(i) is the sum of i's base-p digits, digit k weighted by
+    config.weight(k); the bounds are compared as Fractions.
+    """
+    glen = config.p**config.m
+    g_bound, h_bound = r * glen, r * config.h_order
+    out = []
+    for i in range(D // glen + 1):
+        w, rest, k = 0, i, 0
+        while rest:
+            w += (rest % config.p) * config.weight(k)
+            rest, k = rest // config.p, k + 1
+        out += [(i, j) for j in range(D) if i * glen + j < D and j < g_bound and j + w < h_bound]
+    return out
 
 
 def poly_digits(f: Poly) -> np.ndarray:

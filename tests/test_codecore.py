@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     Poly,
     base_degree,
+    digit_weighted_monomials,
     monomial_is_sound,
     poly_digits,
     row_poly,
@@ -442,6 +443,18 @@ def test_monomial_count_regressions(inst1_p2, inst1_p3, inst2_p2):
     rates = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
     for inst, counts in ((inst1_p2, [1, 1, 2, 2]), (inst1_p3, [2, 3, 8, 18]), (inst2_p2, [1, 4, 6, 15])):
         assert [monomial_count(inst.config, inst.D, r=r) for r in rates] == counts
+
+
+def test_monomial_count_matches_the_listed_monomials(all_instances):
+    # the count sums each i's largest j; the list yields every j; both against the rational bounds
+    rates = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    degenerate = [Fraction(0), Fraction(-1, 2), Fraction(1, 1000), Fraction(1), Fraction(3, 2)]
+    for inst in all_instances:
+        for D in (1, inst.G.size + 1, inst.D // 3, inst.D):
+            for r in rates + degenerate:
+                monos = list(admissible_monomials(inst.config, D, r=r))
+                assert monomial_count(inst.config, D, r=r) == len(monos)
+                assert monos == digit_weighted_monomials(inst.config, D, r)
 
 
 def test_monomials_are_sound_and_distinct_degrees(inst1_p2, inst1_p3):

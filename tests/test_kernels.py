@@ -2,9 +2,10 @@
 distance enumeration and sampling, the quotient spectral scans, the
 F_p message space, the chunked encoding, the batched
 base-degree kernel (XOR on packed words at p = 2), the elimination
-(bit-packed at p = 2, lazy reduction above), the bit packing, and the
-mod-p kernel basis and coset representative, each against its slow
-scalar oracle (tests/oracles.py)."""
+(bit-packed at p = 2, lazy reduction above), the bit packing, the
+packed F_2 product xor_rows and the p = 2 message space built with it,
+and the mod-p kernel basis and coset representative, each against its
+slow oracle (tests/oracles.py, or matmul_mod_p for the product)."""
 
 import hashlib
 import itertools
@@ -30,6 +31,7 @@ from oracles import (
     einsum_power_tensor,
     int64_mul_matrix,
     int64_mul_rows,
+    matmul_message_basis,
     max_digit_degree,
     poly_digits,
     row_poly,
@@ -64,7 +66,7 @@ from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
-from orbitcodes.linalg import nullspace_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.report import distance_section, spectrum_section
 
 
@@ -135,6 +137,37 @@ def test_rref_matches_eager_elimination(case):
     rr, pivots = rref_mod_p(mat, p)
     expected, expected_pivots = eager_rref_mod_p(mat, p)
     assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
+
+
+def test_rref_mod_p_at_p2_reads_bool_uint8_and_negative_inputs_without_writing_them():
+    rng = np.random.default_rng(5)
+    base = rng.integers(-9, 10, size=(40, 130))
+    inputs = [
+        base % 2 == 1,
+        rng.integers(0, 256, size=(40, 130)).astype(np.uint8),
+        base,
+        base.T[::3],  # a strided view
+    ]
+    for mat in inputs:
+        before = mat.copy()
+        mat.flags.writeable = False  # a write raises
+        rr, pivots = rref_mod_p(mat, 2)
+        expected, expected_pivots = eager_rref_mod_p(mat.astype(np.int64), 2)
+        assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
+        assert mat.dtype == before.dtype and np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_mod_p_refuses_arrays_of_more_than_two_dimensions(p):
+    for shape in ((2, 3, 4), (1, 1, 5), (0, 2, 2)):
+        for eliminate in (rref_mod_p, rank_mod_p, nullspace_mod_p):
+            with pytest.raises(ParameterError, match="not a matrix"):
+                eliminate(np.ones(shape, dtype=np.int64), p)
+    for mat, shape in ((np.int64(p + 1), (1, 1)), (np.array([0, p + 2, -1]), (1, 3)), (np.zeros(0, dtype=np.int64), (0, 0))):
+        rr, pivots = rref_mod_p(mat, p)  # 0-d and 1-d inputs are one row; an empty one is no matrix at all
+        expected, expected_pivots = eager_rref_mod_p(mat, p)
+        assert np.array_equal(rr, expected) and pivots == expected_pivots
+        assert rr.shape == (len(pivots), shape[1]) and len(pivots) == min(shape)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -365,6 +398,48 @@ def test_pack_bits_round_trips_little_endian_at_word_edges():
             assert np.array_equal((words[..., j // 64] >> np.uint64(j % 64)) & np.uint64(1), bits[..., j])
         assert np.array_equal(linalg.unpack_bits(words, shape[-1]), bits)
         assert np.array_equal(linalg.unpack_bits(np.repeat(words, 2, axis=-1)[..., ::2], shape[-1]), bits)  # a strided view
+        # entries are read mod 2: bool, unreduced uint8 and negative int64 give the same words
+        wide = bits + 2 * rng.integers(-60, 60, size=shape)
+        for same in (bits == 1, wide.astype(np.uint8), wide, np.asfortranarray(wide)):
+            assert np.array_equal(linalg.pack_bits(same), words)
+
+
+class _RecordingWords(np.ndarray):
+    """Packed words that record the size of every gather taken from them."""
+
+    gathers: list[int] = []
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        _RecordingWords.gathers.append(out.size)
+        return out.view(np.ndarray)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 129])
+def test_xor_rows_matches_matmul_mod_p(monkeypatch, width):
+    # acc += coeffs @ rows over F_2 on packed rows, against matmul_mod_p: coefficient matrices with
+    # no rows or no columns, all zero, sparse with zero, dense and unreduced rows; every gather
+    # whole, then one term, three terms and four terms at a time, which split a row's terms
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 2, size=(37, width))
+    sparse = rng.integers(0, 2, size=(9, 37)) * (rng.random((9, 37)) < 0.2)
+    sparse[2] = 0
+    sparse[5] = 1
+    sparse[7] = rng.integers(-5, 6, size=37)
+    cases = [(sparse, rows), (np.zeros((0, 37), dtype=np.int64), rows), (np.zeros((4, 37), dtype=np.int64), rows)]
+    cases.append((np.zeros((3, 0), dtype=np.int64), rows[:0]))
+    words = -(-width // 64)
+    for gather in (linalg.XOR_GATHER_WORDS, words, 3 * words, 5 * words - 1):
+        monkeypatch.setattr(linalg, "XOR_GATHER_WORDS", gather)
+        for coeffs, right in cases:
+            start = rng.integers(0, 2, size=(len(coeffs), width))
+            acc = linalg.pack_bits(start)
+            _RecordingWords.gathers = []
+            linalg.xor_rows(acc, coeffs, linalg.pack_bits(right).view(_RecordingWords))
+            expected = (start + matmul_mod_p(coeffs % 2, right, 2)) % 2
+            assert acc.dtype == np.uint64 and np.array_equal(linalg.unpack_bits(acc, width), expected)
+            assert sum(_RecordingWords.gathers) == np.count_nonzero(coeffs % 2) * words
+            assert max(_RecordingWords.gathers, default=0) <= max(gather, words)
 
 
 def test_packed_words_at_p2_are_the_smallest_that_hold_k_bits():
@@ -568,6 +643,18 @@ def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
             assert got.dtype == np.int64 and np.array_equal(got, expected)
         monkeypatch.undo()
     assert fppoly.expansion_degrees(np.zeros((0, 9), dtype=np.int64), u, p).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["inst1_p2", "inst2_p2", "I23"])
+def test_message_space_at_p2_matches_the_matmul_product(name, request):
+    # the kernel product by XOR of packed rows against one matmul_mod_p, basis bytes and all
+    inst = build_instance(InstanceConfig("I", 2, 3)) if name == "I23" else request.getfixturevalue(name)
+    lengths = [D for D in (8, 26, 48, 260, 896) if D <= inst.n]
+    for D, r in itertools.product(lengths, [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]):
+        ms = inst.message_space(r=r, D=D)
+        expected = matmul_message_basis(inst.G, inst.H, r, D)
+        assert ms.coeffs.dtype == np.int64 and ms.coeffs.shape == expected.shape
+        assert ms.coeffs.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
