@@ -1,16 +1,19 @@
 """Message space, encoding, local Reed-Solomon verification, and distance.
 
 The message space consists of the polynomials f with deg(f) < D whose
-g-base and h-base degrees stay strictly below r|G| and r|H|.  It equals
-the intersection of two explicitly spanned coefficient subspaces:
+g-base and h-base degrees stay strictly below r|G| and r|H|.  It is the
+intersection of two coefficient subspaces, each cut out by its digit
+constraints:
 
-    U = span(X^i g^j : deg < D, i < r|G|)
-    V = span(X^i h^j : deg < D, i < r|H|)
+    U = {f : every base-g digit of f has degree < r|G|}
+    V = {f : every base-X^|H| digit of f has degree < r|H|}
 
-and both spanning families have pairwise distinct degrees, so U and V are
-cut out exactly.  G is the root space of its defining polynomial g in
-F_p[X] (TranslationGroup), so U, V and their intersection are defined
-over F_p and one F_p elimination computes it.
+V is the vectors that vanish at every degree t with t mod |H| at or
+above r|H|.  U is the kernel of the base-g digit map (fppoly.digit_chunks)
+restricted to the digit columns c with c mod |G| at or above r|G|.  G is
+the root space of its defining polynomial g in F_p[X]
+(TranslationGroup), so U, V and their intersection are defined over F_p
+and one F_p kernel computes it.
 
 Polynomials are (rows, L) arrays of F_p coefficients, lowest degree
 first: the message-space basis, and the rows that constraint_report
@@ -48,8 +51,8 @@ from orbitcodes.errors import (
 )
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
-from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p, unpack_bits, xor_rows
+from orbitcodes.cosetgraph import CosetGraph, vertex_edges
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
@@ -65,7 +68,8 @@ def max_degree_below(bound: Fraction | int) -> int:
 class MessageSpace:
     """Basis of the admissible polynomial space as one coefficient array.
 
-    coeffs[b, t] is the F_p coefficient of X^t in basis polynomial b.
+    coeffs[b, t] is the F_p coefficient of X^t in basis polynomial b, and
+    verification is the basis's constraint_report.
     """
 
     ctx: FieldContext
@@ -73,79 +77,45 @@ class MessageSpace:
     coeffs: np.ndarray  # (dim, D) int64
     dim_u: int
     dim_v: int
-    verification: dict | None = None  # constraint_report of the basis, set by message_space
+    verification: dict
 
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
 
 
-def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
-    pairs = []
-    j = 0
-    while j * glen < D:
-        top = min(imax, D - 1 - j * glen)
-        for i in range(top + 1):
-            pairs.append((i, j))
-        j += 1
-    return pairs
-
-
 def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> MessageSpace:
     """Exact basis of {f : deg f < D, deg_g f < r|G|, deg_h f < r|H|}.
 
-    Computed as the intersection U cap V of the two constraint subspaces:
-    the combinations of the U rows that vanish on every column outside V
-    are the kernel of U's bad-column block, and the basis is their span,
-    one F_p product put in RREF.  At p = 2 the kernel is a few percent
-    nonzero, and the product is the XOR of the packed U rows that each
-    kernel row selects (linalg.xor_rows); at p > 2 it is linalg.matmul_mod_p.
+    V is the coefficient vectors that vanish on the columns t with t mod
+    |H| above the scaling bound.  U is the kernel of the base-g digit map
+    on its bad digit columns: the base-g digits of f are f times the
+    digit matrix E, whose row t holds the digits of X^t
+    (fppoly.digit_chunks), and digit j sits in columns j*|G| to
+    (j+1)*|G| - 1, so f lies in U iff f*E vanishes on the columns c < D
+    with c mod |G| above the translation bound.  U cap V is therefore one
+    kernel, of E's block of V's rows and U's bad columns, gathered chunk
+    by chunk; the basis is that kernel placed into V's columns, in RREF.
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (constraint_report); the result is
     stored as ms.verification and a failure raises InternalError.
     """
     p = G.ctx.p
-    imax_h = max_degree_below(r * H.order)
-    bad_cols = [t for t in range(D) if (t % H.order) > imax_h]
-    pairs = _u_row_pairs(G.size, max_degree_below(r * G.size), D)
-    rows = _u_rows(G.g, pairs, D, p)
-    kernel = nullspace_mod_p(rows[:, bad_cols].T, p)
-    if p == 2:  # the kernel is sparse: XOR the packed U rows it selects
-        packed = pack_bits(rows)
-        span = np.zeros((len(kernel), packed.shape[1]), dtype=packed.dtype)
-        xor_rows(span, kernel, packed)
-        span = unpack_bits(span, D)
-    else:
-        span = matmul_mod_p(kernel, rows, p)
+    good = np.flatnonzero(np.arange(D) % H.order <= max_degree_below(r * H.order))  # V's columns
+    bad = np.flatnonzero(np.arange(D) % G.size > max_degree_below(r * G.size))  # U's excluded digit columns
+    block = np.zeros((len(bad), len(good)), dtype=np.min_scalar_type(p - 1))  # E's block, transposed
+    for lo, chunk in fppoly.digit_chunks(G.g, D, p):
+        at = slice(*np.searchsorted(good, [lo, lo + len(chunk)]))
+        block[:, at] = chunk[np.ix_(good[at] - lo, bad)].T
+    kernel = nullspace_mod_p(block, p)
+    span = np.zeros((len(kernel), D), dtype=np.int64)
+    span[:, good] = kernel
     basis = rref_mod_p(span, p)[0]
-    del rows, kernel, span  # the re-check below runs without them
-    ms = MessageSpace(G.ctx, D, basis, len(pairs), D - len(bad_cols))
-
-    ms.verification = constraint_report(basis, G, H, r, D)
-    if not ms.verification["all_ok"]:
+    verification = constraint_report(basis, G, H, r, D)
+    if not verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")
-    return ms
-
-
-def _u_rows(g: np.ndarray, pairs: list[tuple[int, int]], D: int, p: int) -> np.ndarray:
-    """(len(pairs), D) F_p coefficients of X^i g^j for every (i, j) of pairs, j ascending.
-
-    Each g^j is g^(j-1) times g: one shifted multiple per nonzero term of g.
-    """
-    terms = [(e, int(g[e])) for e in np.nonzero(g)[0].tolist()]
-    rows = np.zeros((len(pairs), D), dtype=np.int64)
-    gj = np.ones(1, dtype=np.int64)  # g^0 = 1
-    cur_j = 0
-    for ridx, (i, j) in enumerate(pairs):
-        while cur_j < j:
-            nxt = np.zeros(len(gj) + len(g) - 1, dtype=np.int64)
-            for e, coeff in terms:
-                nxt[e : e + len(gj)] += coeff * gj
-            gj = nxt % p
-            cur_j += 1
-        rows[ridx, i : i + len(gj)] = gj
-    return rows
+    return MessageSpace(G.ctx, D, basis, D - len(bad), len(good), verification)
 
 
 def _last_nonzero(mask: np.ndarray) -> np.ndarray:
@@ -261,13 +231,6 @@ class LocalCheckReport:
         }
 
 
-def _vertex_edge_lists(graph: CosetGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(vertices, degree) edge ids of every left and every right vertex, each row ascending."""
-    left = np.argsort(graph.edges[:, 0], kind="stable").reshape(graph.n_left, graph.left_degree)
-    right = np.argsort(graph.edges[:, 1], kind="stable").reshape(graph.n_right, graph.right_degree)
-    return left, right
-
-
 def _side_bound_info(r: Fraction, length: int) -> dict:
     bound = r * length
     return {
@@ -327,7 +290,7 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
 
 def local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:
     """The side maps of a graph's left and right vertices along its (n, k) orbit digit array."""
-    left, right = _vertex_edge_lists(graph)
+    left, right = vertex_edges(graph)
     return {"left": _side_map(ctx, left, omega, translate=True), "right": _side_map(ctx, right, omega, translate=False)}
 
 

@@ -105,11 +105,19 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     )
 
 
-def _neighbours(keys: np.ndarray, values: np.ndarray, count: int, degree: int) -> np.ndarray:
-    """(count, degree) array whose row v lists values[e] over the edges e with keys[e] == v."""
-    if len(keys) != count * degree or (np.bincount(keys, minlength=count)[:count] != degree).any():
-        raise InternalError("graph is not biregular")
-    return values[np.argsort(keys, kind="stable")].reshape(count, degree)
+def vertex_edges(graph: CosetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(n_left, left_degree) and (n_right, right_degree) arrays of the edge ids at every vertex, each row ascending.
+
+    A graph whose edges do not give every vertex its side's degree is not
+    biregular and is refused.
+    """
+    sides = []
+    for side, count, degree in ((0, graph.n_left, graph.left_degree), (1, graph.n_right, graph.right_degree)):
+        keys = graph.edges[:, side]
+        if len(keys) != count * degree or (np.bincount(keys, minlength=count)[:count] != degree).any():
+            raise InternalError("graph is not biregular")
+        sides.append(np.argsort(keys, kind="stable").reshape(count, degree))
+    return sides[0], sides[1]
 
 
 def sigma2_oracle(graph: CosetGraph, edge_budget: int = DEFAULT_BUDGETS["oracle_edges"]) -> float:
@@ -126,9 +134,9 @@ def sigma2_oracle(graph: CosetGraph, edge_budget: int = DEFAULT_BUDGETS["oracle_
     """
     if graph.edge_count > edge_budget:
         raise BudgetError(f"graph of {graph.edge_count} edges exceeds the oracle edge budget {edge_budget}")
-    e = graph.edges
-    by_right = _neighbours(e[:, 1], e[:, 0], graph.n_right, graph.right_degree)  # left neighbours of each right vertex
-    by_left = _neighbours(e[:, 0], e[:, 1], graph.n_left, graph.left_degree)
+    left, right = vertex_edges(graph)
+    by_right = graph.edges[right, 0]  # left neighbours of each right vertex
+    by_left = graph.edges[left, 1]
     first, second = (by_right, by_left) if graph.n_left <= graph.n_right else (by_left, by_right)
     scale = 1.0 / (graph.left_degree * graph.right_degree)
 

@@ -21,9 +21,9 @@ which the elimination, the base-u expansion (fppoly) and the distance
 enumeration (codecore) share.  xor_rows is the one F_2 product on packed
 rows, for a sparse left operand: the XOR of the rows that each row of
 coefficients selects, gathered in bounded chunks and summed by
-np.bitwise_xor.reduceat.  The message space's kernel product and the
-base-u expansion use it at p = 2; matmul_mod_p stays the product for
-dense operands, such as the sampled distance's.
+np.bitwise_xor.reduceat.  The base-u expansion uses it at p = 2;
+matmul_mod_p stays the product for dense operands, such as the sampled
+distance's.
 """
 
 from __future__ import annotations

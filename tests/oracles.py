@@ -39,10 +39,13 @@
 * ``scalar_message_space_generic``: the message-space basis by Gaussian
   elimination over the whole field with scalar ``FieldElement``
   arithmetic, on rows X^i g^j built as ``Poly`` products.
-* ``matmul_message_basis``: the F_p message-space basis with the kernel
-  product through ``linalg.matmul_mod_p`` and ``eager_rref_mod_p``, as
-  ``codecore.message_space`` computed it at every p before p = 2 took the
-  XOR product.
+* ``matmul_message_basis``: the F_p message-space basis from U's
+  spanning rows X^i g^j (``_u_row_pairs``, ``_u_rows``), the kernel of
+  their bad h-columns times the rows through ``linalg.matmul_mod_p``, and
+  ``eager_rref_mod_p``, as ``codecore.message_space`` computed it before
+  it took U as the kernel of the base-g digit map.  It builds no digit
+  matrix, so it is independent of ``fppoly.digit_chunks``, which both the
+  construction and its base-g re-check now read.
 * the scalar base expansions: ``base_expand``/``base_degree`` over any
   field and ``base_digits``/``max_digit_degree`` over F_p, one Euclidean
   division at a time on little-endian coefficient lists; ``power`` by
@@ -88,14 +91,8 @@ from sympy.polys.galoistools import gf_normal
 
 from orbitcodes import fppoly
 from orbitcodes.bounds import _validate
-from orbitcodes.codecore import (
-    _u_row_pairs,
-    _u_rows,
-    _vertex_edge_lists,
-    encode_basis_digits,
-    max_degree_below,
-)
-from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
+from orbitcodes.codecore import encode_basis_digits, max_degree_below
+from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact, vertex_edges
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
@@ -617,7 +614,7 @@ def scalar_build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
 
 def scalar_vertex_degrees(ctx: FieldContext, cw, graph, omega) -> list[tuple[str, int, int | None]]:
     """(side, index, interpolant degree or None) for every vertex, left side first."""
-    left, right = _vertex_edge_lists(graph)
+    left, right = vertex_edges(graph)
     points, values = ctx.elements_of(omega), ctx.elements_of(cw)
     out = []
     for side, groups in (("left", left), ("right", right)):
@@ -635,7 +632,7 @@ def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndar
     by it (right); column block j holds the multiplication matrices of the
     coefficients of the Lagrange polynomial of base point j.
     """
-    left, right = _vertex_edge_lists(graph)
+    left, right = vertex_edges(graph)
     points = ctx.elements_of(omega)
     maps = {}
     for side, edge_ids in (("left", left[0]), ("right", right[0])):
@@ -868,6 +865,37 @@ def character_eigencheck(
         if not np.all(delta == delta[:, :1]):
             return False
     return len(seen) == S.size
+
+
+def _u_row_pairs(glen: int, imax: int, D: int) -> list[tuple[int, int]]:
+    pairs = []
+    j = 0
+    while j * glen < D:
+        top = min(imax, D - 1 - j * glen)
+        for i in range(top + 1):
+            pairs.append((i, j))
+        j += 1
+    return pairs
+
+
+def _u_rows(g: np.ndarray, pairs: list[tuple[int, int]], D: int, p: int) -> np.ndarray:
+    """(len(pairs), D) F_p coefficients of X^i g^j for every (i, j) of pairs, j ascending.
+
+    Each g^j is g^(j-1) times g: one shifted multiple per nonzero term of g.
+    """
+    terms = [(e, int(g[e])) for e in np.nonzero(g)[0].tolist()]
+    rows = np.zeros((len(pairs), D), dtype=np.int64)
+    gj = np.ones(1, dtype=np.int64)  # g^0 = 1
+    cur_j = 0
+    for ridx, (i, j) in enumerate(pairs):
+        while cur_j < j:
+            nxt = np.zeros(len(gj) + len(g) - 1, dtype=np.int64)
+            for e, coeff in terms:
+                nxt[e : e + len(gj)] += coeff * gj
+            gj = nxt % p
+            cur_j += 1
+        rows[ridx, i : i + len(gj)] = gj
+    return rows
 
 
 def scalar_message_space_generic(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> list[Poly]:

@@ -229,9 +229,9 @@ def test_local_rs_touches_every_coordinate_twice(inst1_p2):
     inst = inst1_p2
     left_seen = np.zeros(inst.n, dtype=int)
     right_seen = np.zeros(inst.n, dtype=int)
-    from orbitcodes.codecore import _vertex_edge_lists
+    from orbitcodes.cosetgraph import vertex_edges
 
-    left, right = _vertex_edge_lists(inst.graph)
+    left, right = vertex_edges(inst.graph)
     for edges in left:
         for e in edges:
             left_seen[e] += 1
@@ -349,13 +349,8 @@ def test_schur_doubled_bound_nonvacuous_below_half():
 
 def test_min_distance_constant_code(inst1_p2):
     inst = inst1_p2
-    ms = MessageSpace(
-        inst.ambient,
-        inst.D,
-        np.array([[1] + [0] * (inst.D - 1)], dtype=np.int64),
-        1,
-        1,
-    )
+    coeffs = np.array([[1] + [0] * (inst.D - 1)], dtype=np.int64)
+    ms = MessageSpace(inst.ambient, inst.D, coeffs, 1, 1, constraint_report(coeffs, inst.G, inst.H, inst.config.r, inst.D))
     res = min_distance_exhaustive(CodewordStore(ms, inst.omega))
     assert res.value == inst.n
     assert res.mode == "full-field"
@@ -367,7 +362,8 @@ def test_min_distance_full_field_vs_prime_subcode(inst1_p2):
     inst = inst1_p2
     ms = inst.message_space()
     for dims in (1, 2, 3):
-        sub = MessageSpace(ms.ctx, ms.D, ms.coeffs[:dims], ms.dim_u, ms.dim_v)
+        coeffs = ms.coeffs[:dims]
+        sub = MessageSpace(ms.ctx, ms.D, coeffs, ms.dim_u, ms.dim_v, constraint_report(coeffs, inst.G, inst.H, inst.config.r, ms.D))
         full = min_distance_exhaustive(CodewordStore(sub, inst.omega))
         prime = min_distance_exhaustive(CodewordStore(sub, inst.omega), budget=2**dims)
         assert full.mode == "full-field" and prime.mode == "prime-subcode"

@@ -1,11 +1,12 @@
 """The batched local check, the digit-array Schur product, the chunked
 distance enumeration and sampling, the quotient spectral scans, the
-F_p message space, the chunked encoding, the batched
-base-degree kernel (XOR on packed words at p = 2), the elimination
-(bit-packed at p = 2, lazy reduction above), the bit packing, the
-packed F_2 product xor_rows and the p = 2 message space built with it,
-and the mod-p kernel basis and coset representative, each against its
-slow oracle (tests/oracles.py, or matmul_mod_p for the product)."""
+F_p message space (the kernel of the base-g digit map, against U's
+spanning rows), the chunked encoding, the base-u digit matrix and the
+batched base-degree kernel (XOR on packed words at p = 2), the
+elimination (bit-packed at p = 2, lazy reduction above), the bit
+packing, the packed F_2 product xor_rows, and the mod-p kernel basis and
+coset representative, each against its slow oracle (tests/oracles.py,
+or matmul_mod_p for the product)."""
 
 import hashlib
 import itertools
@@ -22,7 +23,9 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     BaseUExpansion,
     Poly,
+    _u_row_pairs,
     base_degree,
+    base_digits,
     dfs_min_weight,
     divisors,
     eager_rref_mod_p,
@@ -54,7 +57,9 @@ from orbitcodes.codecore import (
     CodewordStore,
     MessageSpace,
     check_local_rs,
+    constraint_report,
     encode_basis_digits,
+    max_degree_below,
     message_space,
     min_distance_exhaustive,
     min_distance_sampled,
@@ -342,14 +347,17 @@ def test_local_check_rejects_an_unstructured_orbit(inst1_p2):
     check_local_rs(inst.ambient, zero, inst.local_maps, inst.config.r)
 
 
-def _subspace(ms, dims):
-    return MessageSpace(ms.ctx, ms.D, ms.coeffs[:dims], ms.dim_u, ms.dim_v)
+def _subspace(inst, dims):
+    """The span of the first dims basis rows of the instance's message space, with its own constraint report."""
+    ms = inst.message_space()
+    coeffs = ms.coeffs[:dims]
+    return MessageSpace(ms.ctx, ms.D, coeffs, ms.dim_u, ms.dim_v, constraint_report(coeffs, inst.G, inst.H, inst.config.r, ms.D))
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_distance_matches_dfs_oracle_in_both_modes(inst1_p2, dims):
     inst = inst1_p2
-    sub = _subspace(inst.message_space(), dims)
+    sub = _subspace(inst, dims)
     full = min_distance_exhaustive(CodewordStore(sub, inst.omega))
     prime = min_distance_exhaustive(CodewordStore(sub, inst.omega), budget=2**dims)
     assert (full.mode, prime.mode) == ("full-field", "prime-subcode")
@@ -645,9 +653,9 @@ def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
     assert fppoly.expansion_degrees(np.zeros((0, 9), dtype=np.int64), u, p).shape == (0,)
 
 
-@pytest.mark.parametrize("name", ["inst1_p2", "inst2_p2", "I23"])
+@pytest.mark.parametrize("name", ["inst1_p2", "inst2_p2", "I23", "inst1_p3"])
 def test_message_space_at_p2_matches_the_matmul_product(name, request):
-    # the kernel product by XOR of packed rows against one matmul_mod_p, basis bytes and all
+    # the kernel of the base-g digit map against U's spanning rows times their kernel, basis bytes and all
     inst = build_instance(InstanceConfig("I", 2, 3)) if name == "I23" else request.getfixturevalue(name)
     lengths = [D for D in (8, 26, 48, 260, 896) if D <= inst.n]
     for D, r in itertools.product(lengths, [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]):
@@ -655,6 +663,26 @@ def test_message_space_at_p2_matches_the_matmul_product(name, request):
         expected = matmul_message_basis(inst.G, inst.H, r, D)
         assert ms.coeffs.dtype == np.int64 and ms.coeffs.shape == expected.shape
         assert ms.coeffs.tobytes() == expected.tobytes()
+        assert ms.dim_u == len(_u_row_pairs(inst.G.size, max_degree_below(r * inst.G.size), D))
+        assert ms.dim_v == D - sum(t % inst.H.order > max_degree_below(r * inst.H.order) for t in range(D))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_chunks_rows_are_the_base_digits_of_monomials(monkeypatch, p):
+    # u has a constant term and a gap, and its top lower term X^3 makes step 2; chunks of 3 rows cross every block edge
+    u = [1, 0, p - 1, 1, 0, 1]
+    monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", 3 * 30)
+    rows, seen = [], []
+    for lo, chunk in fppoly.digit_chunks(u, 28, p):
+        assert chunk.shape == (min(3, 28 - lo), 30)
+        seen.append(lo)
+        rows.extend(chunk.copy())  # the next chunk overwrites this one
+    assert seen == list(range(0, 28, 3))
+    for t, row in enumerate(rows):
+        digits = np.zeros(30, dtype=np.int64)
+        for j, d in enumerate(base_digits([0] * t + [1], u, p)):
+            digits[5 * j : 5 * j + len(d)] = d
+        assert row.tolist() == digits.tolist()
 
 
 @pytest.mark.parametrize(
