@@ -9,7 +9,9 @@ bi-adjacency operator is computed two independent ways:
 * exactly, by counting over additive characters: for each a outside the
   trace-dual of S, the two-step walk eigenvalue is
   lambda_a = |{h in H : h^-1 * a in G^perp}| / |H|, and sigma_2 is the
-  square root of the largest such eigenvalue (an exact rational);
+  square root of the largest such eigenvalue (an exact rational).  It
+  and the character-sum maximum M share one budgeted scan of trace
+  functionals over the classes mod a trace dual;
 * numerically, by block subspace iteration with T*T^T, applied
   matrix-free as two gathers along the edge list (sigma2_oracle).
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -68,20 +71,20 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     Edge e is the map (s, h) of A (see GroupA).  It lies in the G-coset
     keyed by (s reduced mod G, h) and in the H-coset identified with the
     element h^-1 * s of S.  Left indices are assigned in first-appearance
-    order along the edges; right indices are the digit-order positions in
+    order along the edges: one np.unique of the reduced keys gives every
+    G-coset its first s, and (s, h) is left vertex (its coset's rank by
+    first s) * |H| + h.  Right indices are the digit-order positions in
     S.  Both come from whole-array operations: one reduction of S's points
     against G's RREF, and one stacked F_p product of S's points with the
     product matrices of all of H's inverses (gf.product_matrices).
     """
     S, H = A.S, A.H
     p = A.ambient.p
-    _, coset = np.unique(digit_codes(G.points.reduce(S.points()), p), return_inverse=True)
-    keys = (coset.reshape(-1, 1) * H.order + np.arange(H.order)).ravel()
-    _, first, key_index = np.unique(keys, return_index=True, return_inverse=True)
-    n_left, n_right = len(first), S.size
-    rank = np.empty(n_left, dtype=np.int64)  # sorted key -> first-appearance order
-    rank[np.argsort(first)] = np.arange(n_left)
-    left = rank[key_index]
+    _, first, coset = np.unique(digit_codes(G.points.reduce(S.points()), p), return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)  # sorted G-coset -> the rank of its first s
+    rank[np.argsort(first)] = np.arange(len(first))
+    left = (rank[coset].reshape(-1, 1) * H.order + np.arange(H.order)).ravel()
+    n_left, n_right = len(first) * H.order, S.size
     scaled = matmul_mod_p(S.points(), product_matrices(A.ambient, H.inverses), p)  # (|H|, |S|, k): s * h^-1
     right = S.index_of(scaled).T.ravel()
     if (right < 0).any():
@@ -171,14 +174,22 @@ class Sigma2Exact:
     lambda_max: Fraction
 
 
-def _check_scan_budget(points: int, budget: int) -> None:
-    if points > budget:
-        raise BudgetError(f"character scan of {points} points exceeds the exhaustive-scan budget {budget}")
+def _character_scan(space: FpSubspace, elements: np.ndarray, field_budget: int) -> Iterator[np.ndarray]:
+    """Tr(a*e) for one a in every nonzero class mod space^perp and every row e of elements, a chunk of a's at a time.
 
-
-def _scan_chunk(columns: int) -> int:
-    # representatives per chunk, so that one chunk's functional values stay near 1M entries
-    return max(1, SCAN_CHUNK_ENTRIES // max(1, columns))
+    The classes are refused past field_budget before any functional is
+    formed.  The functionals a -> Tr(a*e) are elements times the trace
+    form, and each chunk of representatives (space^perp.nonzero_coset_reps)
+    is one F_p product with them, its values kept near SCAN_CHUNK_ENTRIES.
+    """
+    ctx = space.ctx
+    perp = space.dual()
+    points = ctx.order // perp.size - 1
+    if points > field_budget:
+        raise BudgetError(f"character scan of {points} points exceeds the exhaustive-scan budget {field_budget}")
+    forms = matmul_mod_p(elements, trace_form(ctx), ctx.p).T
+    for reps in perp.nonzero_coset_reps(max(1, SCAN_CHUNK_ENTRIES // max(1, forms.shape[1]))):
+        yield matmul_mod_p(reps, forms, ctx.p)
 
 
 def sigma2_exact(
@@ -203,14 +214,11 @@ def sigma2_exact(
     closure = np.concatenate([S.basis, G.points.basis, mul_rows(ambient, S.basis, H.generator)])
     if rank_mod_p(closure, p) != S.dim:
         raise ParameterError("S must contain G and be closed under scaling by H")
-    s_perp = S.dual()
-    _check_scan_budget(ambient.order // s_perp.size - 1, field_budget)
     products = mul_rows(ambient, H.inverses[:, None], G.points.basis[None])  # (|H|, dim G, k): g_i * h^-1
-    phi = matmul_mod_p(products.reshape(-1, k), trace_form(ambient), p)  # row (h, i): a -> Tr(g_i * h^-1 * a)
     best = 0
-    for reps in s_perp.nonzero_coset_reps(_scan_chunk(len(phi))):
-        values = matmul_mod_p(reps, phi.T, p).reshape(len(reps), H.order, G.points.dim)
-        best = max(best, int((~values.any(axis=2)).sum(axis=1).max()))
+    for values in _character_scan(S, products.reshape(-1, k), field_budget):  # column (h, i): Tr(a * g_i * h^-1)
+        vanishing = ~values.reshape(len(values), H.order, G.points.dim).any(axis=2)  # h^-1 a in G^perp
+        best = max(best, int(vanishing.sum(axis=1).max()))
     lam = Fraction(best, H.order)
     return Sigma2Exact(value=sqrt(lam), lambda_max=lam)
 
@@ -235,13 +243,10 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = DEF
     histogram autocorrelation identity |sum|^2 = B_0 - B_1.
     """
     p = ambient.p
-    h_perp = FpSubspace.from_vectors(ambient, H.elements).dual()
-    _check_scan_budget(ambient.order // h_perp.size - 1, field_budget)
-    h_forms = matmul_mod_p(H.elements, trace_form(ambient), p)
     histograms: set[tuple[int, ...]] = set()
-    for reps in h_perp.nonzero_coset_reps(_scan_chunk(H.order)):
-        exps = matmul_mod_p(reps, h_forms.T, p) + p * np.arange(len(reps))[:, None]
-        hist = np.bincount(exps.ravel(), minlength=p * len(reps)).reshape(len(reps), p)
+    for exps in _character_scan(FpSubspace(ambient, H.elements), H.elements, field_budget):
+        exps += p * np.arange(len(exps))[:, None]
+        hist = np.bincount(exps.ravel(), minlength=p * len(exps)).reshape(len(exps), p)
         histograms.update(map(tuple, hist.tolist()))
     if not histograms:
         raise InternalError("no nontrivial character found")  # pragma: no cover

@@ -5,9 +5,11 @@ digits of X^t, by one recurrence in bounded chunks of rows.
 expansion_degrees expands whole batches of polynomials with F_p
 coefficients through it, and codecore.message_space reads its block of
 E from the same chunks: the translation constraint is a kernel of that
-digit map.  Every other polynomial job works on digit arrays elsewhere:
-the modulus search and the Frobenius matrix in gf, the roots and the
-splitting degree of a linearized polynomial in groupgeom.
+digit map.  The field's reduction reads it too: gf's multiplication
+tensor takes X^t mod the modulus as digit 0 of the base-modulus chunks.
+Every other polynomial job works on digit arrays elsewhere: the modulus
+search and the Frobenius matrix in gf, the roots and the splitting
+degree of a linearized polynomial in groupgeom.
 """
 
 from __future__ import annotations

@@ -4,10 +4,13 @@ An element of F_{p^k} is a length-k digit vector over F_p, little-endian
 in the root of the defining modulus.  All arithmetic is exact.  Elements
 are (..., k) int64 digit arrays, and this module is the one home of their
 products, all built on mul_tensor: mul_rows, pow_rows, power_table and
-product_matrices, the matrices R with digits(y*x) = digits(y) @ R.
+product_matrices, the matrices R with digits(y*x) = digits(y) @ R.  The
+tensor's powers X^t mod the modulus are digit 0 of their expansion in
+base modulus, fppoly.digit_chunks, the one polynomial division.
 F_p-linear maps of the field are k x k matrices on digit vectors: the
 trace form, the Frobenius matrix, and the kernels and trace-dual
-subspaces they cut out, each with a (dim, k) basis array.  Every F_p
+subspaces they cut out.  A subspace (FpSubspace) is the RREF of its
+spanning rows, a (dim, k) basis array from one elimination.  Every F_p
 product is one linalg.matmul_mod_p.  The modulus search (build_field)
 and its irreducibility test run on the same digit arrays, in the
 candidate's own quotient ring F_p[X]/(modulus).  FieldElement, the
@@ -23,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from orbitcodes.errors import ConfigurationError, ParameterError
+from orbitcodes.fppoly import digit_chunks
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.numutil import is_prime, prime_factors
 
@@ -36,7 +40,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_red_rows", "_mul_tensor")
+    __slots__ = ("p", "k", "modulus", "_mul_tensor")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -51,8 +55,8 @@ class FieldContext:
         self.modulus = mod
         if k > 1 and any(sum(c * pow(a, i, p) for i, c in enumerate(mod)) % p == 0 for a in range(p)):
             raise ParameterError("modulus is not irreducible")  # it has a root in F_p; no table is built
-        self._red_rows = self._reduction_rows()
-        powers = np.concatenate([np.eye(k, dtype=np.int64), np.array(self._red_rows, dtype=np.int64)])  # digits of X^t
+        # digits of X^t mod the modulus, t < 2k - 1: digit 0 of its base-modulus expansion (a copy, as the buffer is reused)
+        powers = np.concatenate([block[:, :k].astype(np.int64) for _, block in digit_chunks(mod, 2 * k - 1, p)])
         self._mul_tensor = powers[np.add.outer(np.arange(k), np.arange(k))]
         self._mul_tensor.flags.writeable = False
         if not _is_irreducible(self):
@@ -127,22 +131,6 @@ class FieldContext:
 
     # -- arithmetic cores -----------------------------------------------
 
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # row i = coefficients of X^(k+i) reduced mod the modulus
-        p, k = self.p, self.k
-        rows = []
-        cur = [(-c) % p for c in self.modulus[:k]]  # X^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[: k - 1]
-            top = cur[k - 1]
-            if top:
-                for j in range(k):
-                    nxt[j] = (nxt[j] + top * rows[0][j]) % p
-            rows.append(tuple(nxt))
-            cur = nxt
-        return tuple(rows)
-
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, k = self.p, self.k
         if k == 1:
@@ -157,7 +145,7 @@ class FieldContext:
         for i in range(k, 2 * k - 1):
             c = conv[i]
             if c:
-                row = self._red_rows[i - k]
+                row = self._mul_tensor[k - 1, i - k + 1].tolist()  # X^i mod the modulus
                 for j in range(k):
                     out[j] += c * row[j]
         return tuple(v % p for v in out)
@@ -411,43 +399,28 @@ def power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
 
 
 class FpSubspace:
-    """An F_p-linear subspace of a field, given by an independent basis.
+    """The F_p-linear span of the rows of a digit array, held as their RREF.
 
-    basis is a read-only (dim, k) digit array, and point i is sum_j c_j *
-    basis[j] for the little-endian base-p digits c of i (digit order).
-    The RREF of the basis gives every point's coordinates at the pivot
-    columns, and _from_rref turns those into the digits c, so index_of and
-    reduce work on whole digit arrays at once.
+    basis is the read-only (dim, k) reduced row echelon form of the
+    spanning rows, from one linalg.rref_mod_p, so every subspace has one
+    canonical basis whatever rows span it.  Point i is sum_j c_j * basis[j]
+    for the little-endian base-p digits c of i (digit order).  A point's
+    digits c are its entries at the pivot columns, where the basis is the
+    identity, so index_of and reduce work on whole digit arrays at once.
     """
 
-    __slots__ = ("ctx", "basis", "_rref", "_pivots", "_from_rref", "_points")
+    __slots__ = ("ctx", "basis", "_pivots", "_points")
 
-    def __init__(self, ctx: FieldContext, basis: np.ndarray):
+    def __init__(self, ctx: FieldContext, vectors: np.ndarray):
         self.ctx = ctx
-        k = ctx.k
-        self.basis = np.array(basis, dtype=np.int64).reshape(-1, k) % ctx.p
+        self.basis, self._pivots = rref_mod_p(np.asarray(vectors, dtype=np.int64).reshape(-1, ctx.k), ctx.p)
         self.basis.flags.writeable = False
-        dim = len(self.basis)
-        # [basis | I] reduces to [rref | E] with E @ basis = rref
-        aug, self._pivots = rref_mod_p(np.hstack([self.basis, np.eye(dim, dtype=np.int64)]), ctx.p)
-        if any(c >= k for c in self._pivots):
-            raise ParameterError("subspace basis is linearly dependent")
-        self._rref, self._from_rref = aug[:, :k], aug[:, k:]
         self._points: np.ndarray | None = None
 
     @classmethod
     def kernel(cls, ctx: FieldContext, mat: np.ndarray) -> "FpSubspace":
         """The subspace {x : mat @ digits(x) = 0 mod p} of an F_p matrix with k columns."""
-        return cls.from_vectors(ctx, nullspace_mod_p(mat, ctx.p))
-
-    @classmethod
-    def from_vectors(cls, ctx: FieldContext, vectors: np.ndarray) -> "FpSubspace":
-        """Span of the rows of an (n, k) digit array, with the canonical (RREF) basis."""
-        mat = np.asarray(vectors, dtype=np.int64).reshape(-1, ctx.k)
-        if mat.size == 0:
-            return cls(ctx, mat)
-        rr, pivots = rref_mod_p(mat, ctx.p)
-        return cls(ctx, rr[: len(pivots)])
+        return cls(ctx, nullspace_mod_p(mat, ctx.p))
 
     @property
     def dim(self) -> int:
@@ -490,16 +463,15 @@ class FpSubspace:
         """
         p = self.ctx.p
         x = np.asarray(digits, dtype=np.int64).reshape(-1, self.ctx.k) % p
-        return ((x - matmul_mod_p(x[:, self._pivots], self._rref, p)) % p).reshape(np.shape(digits))
+        return ((x - matmul_mod_p(x[:, self._pivots], self.basis, p)) % p).reshape(np.shape(digits))
 
     def index_of(self, digits: np.ndarray) -> np.ndarray:
         """Digit-order index of every row of an (..., k) digit array; -1 for a row outside the subspace."""
         p = self.ctx.p
         x = np.asarray(digits, dtype=np.int64).reshape(-1, self.ctx.k) % p
-        coords = x[:, self._pivots]  # x = coords @ rref when x lies in the subspace
-        inside = (matmul_mod_p(coords, self._rref, p) == x).all(axis=1)
-        codes = np.where(inside, digit_codes(matmul_mod_p(coords, self._from_rref, p), p), -1)
-        return codes.reshape(np.shape(digits)[:-1])
+        coords = x[:, self._pivots]  # x = coords @ basis when x lies in the subspace, and coords are its digits
+        inside = (matmul_mod_p(coords, self.basis, p) == x).all(axis=1)
+        return np.where(inside, digit_codes(coords, p), -1).reshape(np.shape(digits)[:-1])
 
     def dual(self) -> "FpSubspace":
         """Trace dual M^perp = {a : Tr(a*m) = 0 for all m in M} of this subspace M.

@@ -200,9 +200,9 @@ def scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
     """
     ctx = G.ctx
     mat = product_matrices(ctx, H.generator)
-    current = FpSubspace.from_vectors(ctx, G.points.basis)
+    current = G.points
     while True:
-        grown = FpSubspace.from_vectors(ctx, np.concatenate([current.basis, matmul_mod_p(current.basis, mat, ctx.p)]))
+        grown = FpSubspace(ctx, np.concatenate([current.basis, matmul_mod_p(current.basis, mat, ctx.p)]))
         if grown.dim == current.dim:
             return current
         current = grown

@@ -355,7 +355,7 @@ def kernel_subspace(ctx: FieldContext, func: Callable[[FieldElement], FieldEleme
     for _ in range(ctx.k):
         cols.append(func(x).coeffs)
         x = x * ctx.gen()
-    return FpSubspace.from_vectors(ctx, nullspace_mod_p(np.array(cols, dtype=np.int64).T, ctx.p))
+    return FpSubspace(ctx, nullspace_mod_p(np.array(cols, dtype=np.int64).T, ctx.p))
 
 
 def point_set(space: FpSubspace) -> frozenset:
@@ -498,12 +498,12 @@ def scalar_scaling_closure(G: TranslationGroup, H: ScalingGroup) -> FpSubspace:
     """Smallest H-invariant subspace containing G, by a queue of scalar products h*v with the generator."""
     ctx = G.ctx
     gen = ctx.elements_of(H.generator[None])[0]
-    current = FpSubspace.from_vectors(ctx, G.points.basis)
+    current = FpSubspace(ctx, G.points.basis)
     queue = list(ctx.elements_of(current.basis))
     while queue:
         w = gen * queue.pop()
         if not contains(current, w):
-            current = FpSubspace.from_vectors(ctx, np.vstack([current.basis, w.coeffs]))
+            current = FpSubspace(ctx, np.vstack([current.basis, w.coeffs]))
             queue.append(w)
     if not all(contains(current, gen * b) for b in ctx.elements_of(current.basis)):
         raise InternalError("closure did not stabilize")
@@ -711,7 +711,7 @@ def scalar_sigma2_exact(
 def scalar_char_sum_max(H: ScalingGroup, ambient: FieldContext) -> CharSumMax:
     """M = max over every a outside H^perp of |sum_h chi_a(h)|, from exponent histograms."""
     p = ambient.p
-    h_perp = point_set(FpSubspace.from_vectors(ambient, H.elements).dual())
+    h_perp = point_set(FpSubspace(ambient, H.elements).dual())
     zeta = np.exp(2j * np.pi * np.arange(p) / p)
     best = -1.0
     best_sq: Fraction | None = None

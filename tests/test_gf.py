@@ -14,6 +14,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
 from oracles import (
+    Poly,
     char_exponent,
     conjugate_trace_vector,
     contains,
@@ -156,7 +157,7 @@ def test_subfield_kernels_of_frobenius_powers_match_callable_oracle(p, k):
 def test_dual_of_trivial_and_full():
     ctx = build_field(2, 4)
     trivial = FpSubspace(ctx, [])
-    full = FpSubspace.from_vectors(ctx, ctx.digit_rows(list(ctx.elements())))
+    full = FpSubspace(ctx, ctx.digit_rows(list(ctx.elements())))
     assert trivial.dual().size == ctx.order
     assert full.dual().size == 1
 
@@ -176,9 +177,8 @@ def _all_subspaces_f16(ctx):
             seen[frozenset({ctx.zero()})] = FpSubspace(ctx, [])
             continue
         for combo in combinations(nonzero, d):
-            try:
-                space = FpSubspace(ctx, ctx.digit_rows(combo))
-            except ParameterError:
+            space = FpSubspace(ctx, ctx.digit_rows(combo))
+            if space.dim < d:  # the combo is dependent
                 continue
             key = point_set(space)
             if key not in seen:
@@ -224,12 +224,10 @@ def test_character_orthogonality_on_subspaces(dim):
     vecs = []
     while len(vecs) < dim:
         cand = ctx.from_int(rng.randrange(1, 64))
-        try:
-            FpSubspace(ctx, ctx.digit_rows(vecs + [cand]))
-        except ParameterError:
-            continue
-        vecs.append(cand)
+        if FpSubspace(ctx, ctx.digit_rows(vecs + [cand])).dim > len(vecs):
+            vecs.append(cand)
     space = FpSubspace(ctx, ctx.digit_rows(vecs))
+    assert space.dim == dim
     s_perp = point_set(space.dual())
     for a in ctx.elements():
         counts = [0, 0]
@@ -251,7 +249,7 @@ def test_subspace_points_deterministic_and_indexed():
     assert space.index_of(np.array(ctx.one().coeffs)) == -1  # 1 lies outside span(3, 8)
     for pt in ctx.elements_of(pts):
         assert contains(space, pt)
-    assert point_set(FpSubspace.from_vectors(ctx, pts)) == point_set(space)
+    assert point_set(FpSubspace(ctx, pts)) == point_set(space)
 
 
 def test_mixing_field_contexts_raises():
@@ -363,6 +361,19 @@ def test_pow_rows_takes_the_lowest_set_bit_without_a_product(monkeypatch):
 def test_mul_tensor_is_read_only(p, k):
     with pytest.raises(ValueError, match="read-only"):
         _field(p, k).mul_tensor()[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 5), (11, 4), (2, 24), *LADDER_FIELDS])
+def test_mul_tensor_entries_are_powers_of_x_reduced_by_scalar_division(p, k):
+    # T[i, j] = X^(i+j) mod the modulus, against the oracle's polynomial division over F_p
+    ctx, prime = _field(p, k), _field(p, 1)
+    modulus = Poly.from_ints(prime, ctx.modulus)
+    tensor = ctx.mul_tensor()
+    for t in range(2 * k - 1):
+        _, rem = divmod(Poly.from_ints(prime, [0] * t + [1]), modulus)
+        expected = [c.coeffs[0] for c in rem.coeffs] + [0] * (k - len(rem.coeffs))
+        for i in range(max(0, t - k + 1), min(t, k - 1) + 1):
+            assert tensor[i, t - i].tolist() == expected, (t, i)
 
 
 @given(st.sampled_from(LADDER_FIELDS), st.data())

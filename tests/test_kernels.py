@@ -183,10 +183,35 @@ def test_subspace_reduce_matches_pivot_loop(p):
     digits = rng.integers(0, 3 * p, size=(4, 5, k))  # unreduced digits, as reduce reads them mod p
     spans = [mat for mat in _mod_p_matrices(p, rng) if mat.shape[1] == k]  # zero, full rank, rank 4
     for vectors in [np.zeros((0, k), dtype=np.int64)] + spans:
-        space = FpSubspace.from_vectors(ctx, vectors)
+        space = FpSubspace(ctx, vectors)
         rr, pivots = rref_mod_p(space.basis, p)
         for x in (digits, digits[0, 0], digits[:0]):
             assert np.array_equal(space.reduce(x), row_reduce_against(x, rr, pivots, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_is_the_rref_of_its_spanning_rows(p):
+    # unreduced, repeated and dependent spanning rows: the basis is their RREF, whatever rows span it
+    k = 4
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(p)
+    free = rng.integers(-2 * p, 3 * p, size=(3, k))
+    zero = np.zeros((1, k), dtype=np.int64)
+    everything = base_p_digits(np.arange(ctx.order), p, k)
+    repeated = np.vstack([free[:2], free[:1], free[0] + (p - 1) * free[1], zero])
+    for rows in (zero[:0], zero, free[:1], repeated, np.vstack([free, free.sum(axis=0)])):
+        space = FpSubspace(ctx, rows)
+        expected, _ = eager_rref_mod_p(rows, p)
+        assert np.array_equal(space.basis, expected) and space.basis.shape == (space.dim, k)
+        points = []
+        for digits in base_p_digits(np.arange(space.size), p, space.dim).tolist():  # digit order over the basis
+            point = np.zeros(k, dtype=np.int64)
+            for c, row in zip(digits, space.basis):
+                point += c * row
+            points.append(tuple((point % p).tolist()))
+        assert [tuple(x) for x in space.points().tolist()] == points
+        where = {x: i for i, x in enumerate(points)}
+        assert space.index_of(everything).tolist() == [where.get(tuple(x), -1) for x in everything.tolist()]
 
 
 def _fast_degrees(rep):
@@ -494,7 +519,7 @@ def test_spectral_scans_match_scalar_oracles_on_every_subgroup(p, k):
     prime_field = TranslationGroup([0, p - 1] + [0] * (p - 2) + [1], ctx)  # the roots of X^p - X
     for d in divisors(ctx.order - 1):
         h = scaling_subgroup(ctx, d)
-        _assert_sigma2_matches_oracle(prime_field, h, FpSubspace.from_vectors(ctx, h.elements), ctx)
+        _assert_sigma2_matches_oracle(prime_field, h, FpSubspace(ctx, h.elements), ctx)
         _assert_char_sum_matches_oracle(h, ctx)
 
 
