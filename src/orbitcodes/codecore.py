@@ -51,7 +51,7 @@ from orbitcodes.errors import (
 )
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
-from orbitcodes.cosetgraph import CosetGraph, vertex_edges
+from orbitcodes.cosetgraph import CosetGraph
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
@@ -289,8 +289,8 @@ def _side_map(ctx: FieldContext, edges: np.ndarray, omega: np.ndarray, translate
 
 
 def local_maps(ctx: FieldContext, graph: CosetGraph, omega: np.ndarray) -> dict[str, _SideMap]:
-    """The side maps of a graph's left and right vertices along its (n, k) orbit digit array."""
-    left, right = vertex_edges(graph)
+    """The side maps of a graph's left and right vertices (graph.incidence) along its (n, k) orbit digit array."""
+    left, right = graph.incidence
     return {"left": _side_map(ctx, left, omega, translate=True), "right": _side_map(ctx, right, omega, translate=False)}
 
 

@@ -3,11 +3,12 @@
 Left vertices are the right cosets of the translation subgroup G in A,
 right vertices the right cosets of the scaling subgroup H (identified with
 the elements of the translation space S), and the edges are the elements
-of A itself.  The second singular value of the degree-normalized
-bi-adjacency operator is computed two independent ways:
+of A itself; a CosetGraph checks that it is biregular and sorts its edges
+by vertex once, for all readers (incidence).  The second singular value
+of the degree-normalized bi-adjacency operator is computed two ways:
 
 * exactly, by counting over additive characters: for each a outside the
-  trace-dual of S, the two-step walk eigenvalue is
+  trace-dual of S, read with H from A, the two-step walk eigenvalue is
   lambda_a = |{h in H : h^-1 * a in G^perp}| / |H|, and sigma_2 is the
   square root of the largest such eigenvalue (an exact rational).  It
   and the character-sum maximum M share one budgeted scan of trace
@@ -23,15 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 from typing import Iterator
 
 import numpy as np
 
 from orbitcodes.errors import DEFAULT_BUDGETS, BudgetError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FpSubspace, digit_codes, mul_rows, product_matrices, trace_form
+from orbitcodes.gf import FpSubspace, digit_codes, mul_rows, product_matrices, trace_form
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import matmul_mod_p, rank_mod_p
+from orbitcodes.linalg import matmul_mod_p
 
 SCAN_CHUNK_ENTRIES = 1 << 20
 ORACLE_BLOCK = 8  # vectors in sigma2_oracle's subspace
@@ -41,7 +43,7 @@ ORACLE_TOLERANCE = 1e-13  # residual norm of the converged top Ritz pair
 
 @dataclass(frozen=True, eq=False)
 class CosetGraph:
-    """Bipartite coset graph; edge e is map e of A and coordinate e of every codeword."""
+    """Bipartite coset graph, refused when made unless biregular; edge e is map e of A and coordinate e of every codeword."""
 
     n_left: int
     n_right: int
@@ -50,9 +52,23 @@ class CosetGraph:
     edges: np.ndarray  # (n, 2) int64: the left and right vertex of every edge
     is_simple: bool
 
+    def __post_init__(self):
+        for side, count, degree in ((0, self.n_left, self.left_degree), (1, self.n_right, self.right_degree)):
+            keys = self.edges[:, side]
+            if len(keys) != count * degree or (np.bincount(keys, minlength=count)[:count] != degree).any():
+                raise InternalError("graph is not biregular")
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_left, left_degree) and (n_right, right_degree) read-only arrays of the edge ids at each vertex, rows ascending."""
+        left, right = (np.argsort(self.edges[:, side], kind="stable") for side in (0, 1))
+        left, right = left.reshape(self.n_left, self.left_degree), right.reshape(self.n_right, self.right_degree)
+        left.flags.writeable = right.flags.writeable = False
+        return left, right
 
     def summary_json(self) -> dict:
         return {
@@ -89,13 +105,6 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
     right = S.index_of(scaled).T.ravel()
     if (right < 0).any():
         raise InternalError("h^-1 * s fell outside the translation space")
-
-    if n_left * G.size != A.size or n_right * H.order != A.size:
-        raise InternalError("coset counts inconsistent with the group size")
-    left_deg = np.bincount(left, minlength=n_left)
-    right_deg = np.bincount(right, minlength=n_right)
-    if not (np.all(left_deg == G.size) and np.all(right_deg == H.order)):
-        raise InternalError("graph is not biregular")
     edges = np.stack([left, right], axis=1)
     edges.flags.writeable = False
     return CosetGraph(
@@ -106,21 +115,6 @@ def build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
         edges=edges,
         is_simple=bool(np.diff(np.sort(left * n_right + right)).all()),
     )
-
-
-def vertex_edges(graph: CosetGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(n_left, left_degree) and (n_right, right_degree) arrays of the edge ids at every vertex, each row ascending.
-
-    A graph whose edges do not give every vertex its side's degree is not
-    biregular and is refused.
-    """
-    sides = []
-    for side, count, degree in ((0, graph.n_left, graph.left_degree), (1, graph.n_right, graph.right_degree)):
-        keys = graph.edges[:, side]
-        if len(keys) != count * degree or (np.bincount(keys, minlength=count)[:count] != degree).any():
-            raise InternalError("graph is not biregular")
-        sides.append(np.argsort(keys, kind="stable").reshape(count, degree))
-    return sides[0], sides[1]
 
 
 def sigma2_oracle(graph: CosetGraph, edge_budget: int = DEFAULT_BUDGETS["oracle_edges"]) -> float:
@@ -137,7 +131,7 @@ def sigma2_oracle(graph: CosetGraph, edge_budget: int = DEFAULT_BUDGETS["oracle_
     """
     if graph.edge_count > edge_budget:
         raise BudgetError(f"graph of {graph.edge_count} edges exceeds the oracle edge budget {edge_budget}")
-    left, right = vertex_edges(graph)
+    left, right = graph.incidence
     by_right = graph.edges[right, 0]  # left neighbours of each right vertex
     by_left = graph.edges[left, 1]
     first, second = (by_right, by_left) if graph.n_left <= graph.n_right else (by_left, by_right)
@@ -192,29 +186,23 @@ def _character_scan(space: FpSubspace, elements: np.ndarray, field_budget: int) 
         yield matmul_mod_p(reps, forms, ctx.p)
 
 
-def sigma2_exact(
-    G: TranslationGroup,
-    H: ScalingGroup,
-    S: FpSubspace,
-    ambient: FieldContext,
-    field_budget: int = DEFAULT_BUDGETS["field_scan"],
-) -> Sigma2Exact:
-    """sigma_2 from the walk eigenvalues lambda_a = Pr_h[h^-1 a in G^perp].
+def sigma2_exact(G: TranslationGroup, A: GroupA, field_budget: int = DEFAULT_BUDGETS["field_scan"]) -> Sigma2Exact:
+    """sigma_2 from the walk eigenvalues lambda_a = Pr_h[h^-1 a in G^perp], for A = S x| H.
 
-    Maximizes over a outside S^perp.  S contains G and is closed under H,
-    so S^perp lies in G^perp and is closed under H: lambda_a depends only
-    on a mod S^perp, and one representative per nonzero class (|S| - 1
-    points, not |F|) reaches every value.  h^-1 a lies in G^perp iff the
-    dim G trace functionals a -> Tr(g_i h^-1 a) vanish, so all |H| * dim G
-    of them are one F_p matrix product per chunk of representatives.  The
-    maximum is an exact rational with denominator |H| and only the final
-    square root is floating point.
+    Maximizes over a outside S^perp.  A holds an S closed under H, and G
+    must lie in S (refused otherwise), so S^perp lies in G^perp and is
+    closed under H: lambda_a depends only on a mod S^perp, and one
+    representative per nonzero class (|S| - 1 points, not |F|) reaches
+    every value.  h^-1 a lies in G^perp iff the dim G trace functionals
+    a -> Tr(g_i h^-1 a) vanish, so all |H| * dim G of them are one F_p
+    matrix product per chunk of representatives.  The maximum is an exact
+    rational with denominator |H| and only the final square root is
+    floating point.
     """
-    p, k = ambient.p, ambient.k
-    closure = np.concatenate([S.basis, G.points.basis, mul_rows(ambient, S.basis, H.generator)])
-    if rank_mod_p(closure, p) != S.dim:
-        raise ParameterError("S must contain G and be closed under scaling by H")
-    products = mul_rows(ambient, H.inverses[:, None], G.points.basis[None])  # (|H|, dim G, k): g_i * h^-1
+    S, H, k = A.S, A.H, A.ambient.k
+    if (S.index_of(G.points.basis) < 0).any():
+        raise ParameterError("the translation space of A must contain G")
+    products = mul_rows(A.ambient, H.inverses[:, None], G.points.basis[None])  # (|H|, dim G, k): g_i * h^-1
     best = 0
     for values in _character_scan(S, products.reshape(-1, k), field_budget):  # column (h, i): Tr(a * g_i * h^-1)
         vanishing = ~values.reshape(len(values), H.order, G.points.dim).any(axis=2)  # h^-1 a in G^perp
@@ -231,7 +219,7 @@ class CharSumMax:
     sq_exact: Fraction | None  # exact |sum|^2 for p <= 3, else None
 
 
-def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = DEFAULT_BUDGETS["field_scan"]) -> CharSumMax:
+def char_sum_max(H: ScalingGroup, field_budget: int = DEFAULT_BUDGETS["field_scan"]) -> CharSumMax:
     """M = max over a not in H^perp of |sum_{h in H} chi_a(h)|.
 
     The exponents Tr(a*h) depend only on a mod span(H)^perp, so one
@@ -242,9 +230,9 @@ def char_sum_max(H: ScalingGroup, ambient: FieldContext, field_budget: int = DEF
     squared magnitude of the maximum is also returned exactly via the
     histogram autocorrelation identity |sum|^2 = B_0 - B_1.
     """
-    p = ambient.p
+    p = H.ctx.p
     histograms: set[tuple[int, ...]] = set()
-    for exps in _character_scan(FpSubspace(ambient, H.elements), H.elements, field_budget):
+    for exps in _character_scan(FpSubspace(H.ctx, H.elements), H.elements, field_budget):
         exps += p * np.arange(len(exps))[:, None]
         hist = np.bincount(exps.ravel(), minlength=p * len(exps)).reshape(len(exps), p)
         histograms.update(map(tuple, hist.tolist()))

@@ -52,16 +52,18 @@ def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
     one buffer that the next chunk overwrites.
 
     At p = 2 the buffer is uint8 and the lower terms of u are XORed in,
-    with no multiply and no reduction; at p > 2 it is int64, reduced mod p
-    per step.
+    with no multiply and no reduction.  At p > 2 each of u's t lower terms
+    adds (p - u_e) times an earlier row and a step is reduced once, so the
+    buffer is the narrowest unsigned type holding (p - 1)(1 + t(p - 1)).
     """
     u, degree = _monic_base(u, p)
     lower = [(e, int(u[e])) for e in range(degree) if u[e]]
     step = degree - max((e for e, _ in lower), default=0)
     width = -(-length // degree) * degree  # whole digit blocks
     chunk = max(1, min(length, EXPANSION_CHUNK_ENTRIES // max(width, 1)))
+    bound = 1 if p == 2 else (p - 1) * (1 + len(lower) * (p - 1))  # a step's largest entry before its reduction
     # buf[i] holds the digits of X^(lo - degree + i): the chunk's rows after the degree rows before them
-    buf = np.zeros((degree + chunk, width), dtype=np.uint8 if p == 2 else np.int64)
+    buf = np.zeros((degree + chunk, width), dtype=np.min_scalar_type(bound))
     for lo in range(0, length, chunk):
         buf[:degree] = buf[chunk:]
         hi = min(lo + chunk, length)
@@ -78,7 +80,7 @@ def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
                     new ^= buf[back + e : back + e + len(new)]
             else:
                 for e, coeff in lower:
-                    new -= coeff * buf[back + e : back + e + len(new)]
+                    new += (p - coeff) * buf[back + e : back + e + len(new)]
                 new %= p
         yield lo, buf[degree : degree + hi - lo]
 

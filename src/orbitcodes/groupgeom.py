@@ -214,17 +214,18 @@ class GroupA:
     Elements are exactly the maps x -> h*x + s with s in S, h in H, and the
     parametrization (s, h) is a bijection, so |A| = |S|*|H|.  Map e is
     (S.points()[e // |H|], H.elements[e % |H|]); orbit and build_graph
-    index edges this way.
+    index edges this way.  The field is S's; an H from another field, or
+    one that does not map S to itself, is refused: the one such check.
     """
 
-    def __init__(self, S: FpSubspace, H: ScalingGroup, ambient: FieldContext):
-        if S.ctx != ambient or H.ctx != ambient:
-            raise ParameterError("subgroups must live in the ambient context")
-        if (S.index_of(mul_rows(ambient, S.basis, H.generator)) < 0).any():
+    def __init__(self, S: FpSubspace, H: ScalingGroup):
+        if H.ctx != S.ctx:
+            raise ParameterError("the scaling group must live in the field of the translation space")
+        if (S.index_of(mul_rows(S.ctx, S.basis, H.generator)) < 0).any():
             raise ParameterError("translation space is not invariant under the scaling group")
         self.S = S
         self.H = H
-        self.ambient = ambient
+        self.ambient = S.ctx
 
     @property
     def size(self) -> int:

@@ -260,7 +260,7 @@ def build_instance(config: InstanceConfig) -> Instance:
     S = scaling_closure(G, H)
     if S.size != config.closure_size:
         raise ConfigurationError(f"closure size {S.size} differs from the expected {config.closure_size}")
-    A = GroupA(S, H, ambient)
+    A = GroupA(S, H)
     alpha = find_free_point(A)
     om = orbit(A, alpha)
     graph = build_graph(A, G)

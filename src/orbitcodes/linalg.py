@@ -5,11 +5,11 @@ rref_mod_p is the one Gaussian elimination.  At p = 2 it runs on rows
 packed as the bits of uint64 words (pack_bits), with no int64 copy of
 its input, and a row update is one XOR of words (M4RI:
 Albrecht, Bard & Hart, ACM TOMS 2010, without its tables).  At p > 2 it
-reduces mod p lazily (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
-2008): a column is reduced when it is read as the pivot column, the
-pivot row once, and the row updates run without a reduction; an int64
-growth bound keeps them exact.  The primes involved are tiny, so scalar
-inverses come from Fermat's little theorem.
+reduces a C-ordered copy mod p lazily (Dumas, Giorgi & Pernet,
+FFLAS-FFPACK, ACM TOMS 2008): a column is reduced when it is read as the
+pivot column, the pivot row once, and the row updates run without a
+reduction; an int64 growth bound keeps them exact.  The primes involved
+are tiny, so scalar inverses come from Fermat's little theorem.
 
 matmul_mod_p is the one F_p matrix product, of plain matrices or of
 stacks of them broadcast as np.matmul does.  A small product runs as one
@@ -158,17 +158,17 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
     words (pack_bits), with no int64 copy: the pivot search reads one bit
     of one word per row, and a row update XORs the pivot row into another
     from the pivot's word onward, since the pivot row is zero before its
-    pivot column.  At p > 2 an int64 copy starts reduced and each pivot
-    adds at most (p-1)^2 to an entry's absolute value, so no entry exceeds
-    (p-1) + min(rows, cols)*(p-1)^2; a shape that lets that bound reach
-    2^63 is refused.  The row updates start at the pivot column, and a
-    column is read only at its own step, so the RREF is reduced once, at
-    the end.
+    pivot column.  At p > 2 a C-ordered int64 copy (whatever mat's layout)
+    starts reduced and each pivot adds at most (p-1)^2 to an entry's
+    absolute value, so no entry exceeds (p-1) + min(rows, cols)*(p-1)^2;
+    a shape that lets that bound reach 2^63 is refused.  The row updates
+    start at the pivot column, and a column is read only at its own step,
+    so the RREF is reduced once, at the end.
     """
     a = _as_matrix(mat)
     if p == 2:
         return _rref_packed(a)
-    a = a.astype(np.int64, copy=False) % p
+    a = np.remainder(a, p, dtype=np.int64, order="C")
     rows, cols = a.shape
     if (p - 1) + min(rows, cols) * (p - 1) ** 2 >= INT64_LIMIT:
         raise ParameterError(f"eliminating a {rows}x{cols} matrix mod {p} can overflow int64")

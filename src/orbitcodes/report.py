@@ -30,8 +30,8 @@ def spectrum_section(inst: Instance, budgets: dict | None = None) -> dict:
     """The exact sigma_2 and M with their bounds; a refused sigma_2 oracle leaves out only its value and agreement."""
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     try:
-        exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=b["field_scan"])
-        M = char_sum_max(inst.H, inst.ambient, field_budget=b["field_scan"]).value
+        exact = sigma2_exact(inst.G, inst.A, field_budget=b["field_scan"])
+        M = char_sum_max(inst.H, field_budget=b["field_scan"]).value
     except BudgetError as exc:
         return {"status": f"skipped: budget ({exc})", "ok": True}
     # sigma_2 <= sqrt(1/p + M/|H|), at the measured M and at the construction's bound on M

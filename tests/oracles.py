@@ -92,7 +92,7 @@ from sympy.polys.galoistools import gf_normal
 from orbitcodes import fppoly
 from orbitcodes.bounds import _validate
 from orbitcodes.codecore import encode_basis_digits, max_degree_below
-from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact, vertex_edges
+from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
 from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
@@ -614,7 +614,7 @@ def scalar_build_graph(A: GroupA, G: TranslationGroup) -> CosetGraph:
 
 def scalar_vertex_degrees(ctx: FieldContext, cw, graph, omega) -> list[tuple[str, int, int | None]]:
     """(side, index, interpolant degree or None) for every vertex, left side first."""
-    left, right = vertex_edges(graph)
+    left, right = graph.incidence
     points, values = ctx.elements_of(omega), ctx.elements_of(cw)
     out = []
     for side, groups in (("left", left), ("right", right)):
@@ -632,7 +632,7 @@ def scalar_side_coeff_maps(ctx: FieldContext, graph, omega) -> dict[str, np.ndar
     by it (right); column block j holds the multiplication matrices of the
     coefficients of the Lagrange polynomial of base point j.
     """
-    left, right = vertex_edges(graph)
+    left, right = graph.incidence
     points = ctx.elements_of(omega)
     maps = {}
     for side, edge_ids in (("left", left[0]), ("right", right[0])):

@@ -88,7 +88,7 @@ def test_03_spectral_oracle_agreement(all_instances):
     t0 = time.perf_counter()
     gaps = []
     for inst in all_instances:
-        exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
+        exact = sigma2_exact(inst.G, inst.A)
         svd = sigma2_svd(inst.graph)
         gaps.append(abs(exact.value - svd))
     elapsed = time.perf_counter() - t0
@@ -100,8 +100,8 @@ def test_04_spectral_bounds_and_character_sums(all_instances):
     details = []
     ok = True
     for inst in all_instances:
-        exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
-        m_res = char_sum_max(inst.H, inst.ambient)
+        exact = sigma2_exact(inst.G, inst.A)
+        m_res = char_sum_max(inst.H)
         bound = spectrum_section(inst)["bound_instance"]
         ok &= exact.value <= bound + TOL
         details.append(f"{inst.config.instantiation}@p{inst.config.p}: {exact.value:.6f}<={bound:.6f}")
@@ -110,7 +110,7 @@ def test_04_spectral_bounds_and_character_sums(all_instances):
     for p, k in ((2, 3), (3, 2), (2, 4), (3, 3)):
         ctx = build_field(p, k)
         for d in divisors(ctx.order - 1):
-            res = char_sum_max(scaling_subgroup(ctx, d), ctx)
+            res = char_sum_max(scaling_subgroup(ctx, d))
             ok &= res.value <= math.sqrt(ctx.order) + TOL
     details.append("Gauss bound over all subgroups of F8,F9,F16,F27")
     assert _line("4", ok, "; ".join(details))
@@ -190,7 +190,7 @@ def test_08_locality_and_schur(inst1_p2):
 
 def test_09_distance(inst1_p2):
     inst = inst1_p2
-    sigma2 = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient).value
+    sigma2 = sigma2_exact(inst.G, inst.A).value
     results = {}
     ok = True
     for D in (48, 40):

@@ -229,9 +229,7 @@ def test_local_rs_touches_every_coordinate_twice(inst1_p2):
     inst = inst1_p2
     left_seen = np.zeros(inst.n, dtype=int)
     right_seen = np.zeros(inst.n, dtype=int)
-    from orbitcodes.cosetgraph import vertex_edges
-
-    left, right = vertex_edges(inst.graph)
+    left, right = inst.graph.incidence
     for edges in left:
         for e in edges:
             left_seen[e] += 1

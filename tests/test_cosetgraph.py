@@ -16,7 +16,7 @@ from oracles import (
     two_step_counts,
     walk_matrix_matches_rule,
 )
-from orbitcodes import cosetgraph
+from orbitcodes import codecore, cosetgraph
 from orbitcodes.cosetgraph import (
     CosetGraph,
     char_sum_max,
@@ -25,7 +25,7 @@ from orbitcodes.cosetgraph import (
 )
 from orbitcodes.errors import BudgetError, InternalError
 from orbitcodes.gf import build_field
-from orbitcodes.groupgeom import ScalingGroup, scaling_subgroup
+from orbitcodes.groupgeom import GroupA, ScalingGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.report import spectrum_section
 
@@ -96,7 +96,7 @@ def test_sigma2_svd_budget_refusal():
 
 def test_sigma2_oracles_agree(all_instances):
     for inst in all_instances:
-        exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
+        exact = sigma2_exact(inst.G, inst.A)
         svd = sigma2_svd(inst.graph)
         assert abs(exact.value - svd) <= 1e-9
         assert 0 <= exact.lambda_max < 1
@@ -104,9 +104,9 @@ def test_sigma2_oracles_agree(all_instances):
 
 
 def test_sigma2_exact_values_regression(inst1_p2, inst1_p3, inst2_p2):
-    assert sigma2_exact(inst1_p2.G, inst1_p2.H, inst1_p2.S, inst1_p2.ambient).lambda_max == Fraction(1, 3)
-    assert sigma2_exact(inst1_p3.G, inst1_p3.H, inst1_p3.S, inst1_p3.ambient).lambda_max == Fraction(1, 4)
-    assert sigma2_exact(inst2_p2.G, inst2_p2.H, inst2_p2.S, inst2_p2.ambient).lambda_max == Fraction(3, 7)
+    assert sigma2_exact(inst1_p2.G, inst1_p2.A).lambda_max == Fraction(1, 3)
+    assert sigma2_exact(inst1_p3.G, inst1_p3.A).lambda_max == Fraction(1, 4)
+    assert sigma2_exact(inst2_p2.G, inst2_p2.A).lambda_max == Fraction(3, 7)
 
 
 def test_sigma2_exact_degenerate_one_step_walk(inst1_p2):
@@ -116,8 +116,8 @@ def test_sigma2_exact_degenerate_one_step_walk(inst1_p2):
     ambient = inst1_p2.ambient
     trivial_h = ScalingGroup(ambient, ambient.one().coeffs, 1)
     g = inst1_p2.G
-    assert sigma2_exact(g, trivial_h, g.points, ambient).value == 0.0
-    assert sigma2_exact(g, trivial_h, inst1_p2.S, ambient).value == 1.0
+    assert sigma2_exact(g, GroupA(g.points, trivial_h)).value == 0.0
+    assert sigma2_exact(g, GroupA(inst1_p2.S, trivial_h)).value == 1.0
 
 
 def test_char_sum_max_full_multiplicative_group_is_one():
@@ -125,7 +125,7 @@ def test_char_sum_max_full_multiplicative_group_is_one():
     for p, k in ((2, 2), (3, 2), (2, 3)):
         ctx = build_field(p, k)
         h = scaling_subgroup(ctx, ctx.order - 1)
-        res = char_sum_max(h, ctx)
+        res = char_sum_max(h)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         if p <= 3:
             assert res.sq_exact == 1
@@ -134,7 +134,7 @@ def test_char_sum_max_full_multiplicative_group_is_one():
 def test_char_sum_max_index_two_subgroup_f9():
     f9 = build_field(3, 2)
     h = scaling_subgroup(f9, 4)  # index 2 in F_9^x
-    res = char_sum_max(h, f9)
+    res = char_sum_max(h)
     assert res.value <= 3.0 + 1e-9  # Gauss bound sqrt(9)
 
 
@@ -144,7 +144,7 @@ def test_gauss_bound_all_subgroups(p, k):
     q = ctx.order
     for d in divisors(q - 1):
         h = scaling_subgroup(ctx, d)
-        res = char_sum_max(h, ctx)
+        res = char_sum_max(h)
         assert res.value <= q**0.5 + 1e-9
         if p <= 3:
             assert res.sq_exact <= q
@@ -207,10 +207,22 @@ def test_sigma2_oracle_degenerate_graphs(inst1_p2):
 
 
 def test_sigma2_oracle_refuses_a_graph_that_is_not_biregular():
-    # 4 edges as the degrees promise, but left vertex 0 has 3 of them and right vertex 1 none
-    graph = CosetGraph(2, 2, 2, 2, np.array([(0, 0), (0, 0), (0, 1), (1, 0)], dtype=np.int64), False)
+    # 4 edges as the degrees promise, but left vertex 0 has 3 of them and right vertex 1 none:
+    # no such graph is made, so none reaches the oracle
     with pytest.raises(InternalError, match="not biregular"):
-        sigma2_oracle(graph)
+        CosetGraph(2, 2, 2, 2, np.array([(0, 0), (0, 0), (0, 1), (1, 0)], dtype=np.int64), False)
+
+
+def test_local_maps_and_sigma2_oracle_read_one_incidence(inst1_p2, monkeypatch):
+    # the edges are sorted by vertex once per graph: both consumers get the same arrays
+    seen = []
+    cached = CosetGraph.incidence
+    monkeypatch.setattr(CosetGraph, "incidence", property(lambda graph: seen.append(cached.__get__(graph)) or seen[-1]))
+    codecore.local_maps(inst1_p2.ambient, inst1_p2.graph, inst1_p2.omega)
+    sigma2_oracle(inst1_p2.graph)
+    (left, right), (left_again, right_again) = seen
+    assert left is left_again and right is right_again
+    assert not left.flags.writeable and not right.flags.writeable
 
 
 def test_sigma2_oracle_iteration_cap_is_a_budget_refusal(inst2_p2, monkeypatch):
@@ -232,7 +244,7 @@ def test_spectrum_section_of_ii23_carries_the_oracle():
 
 def test_sigma2_below_instance_bound(all_instances):
     for inst in all_instances:
-        exact = sigma2_exact(inst.G, inst.H, inst.S, inst.ambient)
+        exact = sigma2_exact(inst.G, inst.A)
         spec = spectrum_section(inst)
         bg, bi = spec["bound_general"], spec["bound_instance"]
         assert exact.value <= bi + 1e-9

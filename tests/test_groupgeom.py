@@ -153,11 +153,13 @@ def test_closure_with_trivial_scaling_group_is_g(inst1_p2):
 
 
 def test_group_a_refuses_a_translation_space_not_invariant_under_h(inst1_p2):
-    # G itself is not closed under H; its closure S is
+    # G itself is not closed under H; its closure S is.  A takes its field from S and refuses an H from another
     inst = inst1_p2
     with pytest.raises(ParameterError, match="not invariant"):
-        GroupA(inst.G.points, inst.H, inst.ambient)
-    assert GroupA(inst.S, inst.H, inst.ambient).size == inst.n
+        GroupA(inst.G.points, inst.H)
+    assert GroupA(inst.S, inst.H).size == inst.n
+    with pytest.raises(ParameterError, match="field of the translation space"):
+        GroupA(inst.S, scaling_subgroup(build_field(2, 4), 3))
 
 
 def test_closure_sizes_match_both_instantiations(inst1_p2, inst2_p2):
@@ -233,7 +235,7 @@ def _translation_only_group():
     f64 = build_field(2, 6)
     G = TranslationGroup(X4_X2_X, f64)
     trivial_h = ScalingGroup(f64, f64.one().coeffs, 1)
-    return G, GroupA(scaling_closure(G, trivial_h), trivial_h, f64)
+    return G, GroupA(scaling_closure(G, trivial_h), trivial_h)
 
 
 def test_translation_only_group_every_point_free():

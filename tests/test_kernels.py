@@ -69,7 +69,7 @@ from orbitcodes.codecore import (
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
 from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_rows, power_table, product_matrices
-from orbitcodes.groupgeom import ScalingGroup, TranslationGroup, scaling_subgroup
+from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
 from orbitcodes.report import distance_section, spectrum_section
@@ -102,6 +102,12 @@ def test_nullspace_matches_back_substitution(p):
     for mat in mats:
         got = nullspace_mod_p(mat, p)
         assert got.dtype == np.int64 and np.array_equal(got, scalar_nullspace(mat, p))
+    if p in (3, 5):  # transposed and column-reversed views eliminate as their C-ordered copies do
+        for view in [m for mat in mats for m in (mat.T, mat[:, ::-1])]:
+            copy = np.ascontiguousarray(view)
+            (rr, pivots), (expected, expected_pivots) = rref_mod_p(view, p), rref_mod_p(copy, p)
+            assert rr.flags.c_contiguous and np.array_equal(rr, expected) and pivots == expected_pivots
+            assert np.array_equal(nullspace_mod_p(view, p), nullspace_mod_p(copy, p))
 
 
 @st.composite
@@ -484,13 +490,13 @@ def test_packed_words_at_p2_are_the_smallest_that_hold_k_bits():
 
 
 def _assert_sigma2_matches_oracle(G, H, S, ambient):
-    fast, slow = sigma2_exact(G, H, S, ambient), scalar_sigma2_exact(G, H, S, ambient)
+    fast, slow = sigma2_exact(G, GroupA(S, H)), scalar_sigma2_exact(G, H, S, ambient)
     assert (fast.lambda_max, fast.value) == (slow.lambda_max, slow.value)
     return fast
 
 
 def _assert_char_sum_matches_oracle(H, ambient):
-    fast, slow = char_sum_max(H, ambient), scalar_char_sum_max(H, ambient)
+    fast, slow = char_sum_max(H), scalar_char_sum_max(H, ambient)
     assert (fast.value, fast.sq_exact) == (slow.value, slow.sq_exact)
     return fast
 
@@ -534,17 +540,23 @@ def test_scan_budget_bounds_points_visited(inst1_p2):
     # I(2,2): |S| = 16 gives 15 nonzero classes mod S^perp, span(H) = F_4 gives 3
     inst = inst1_p2
     with pytest.raises(BudgetError, match="15 points"):
-        sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=14)
-    assert sigma2_exact(inst.G, inst.H, inst.S, inst.ambient, field_budget=15).lambda_max == Fraction(1, 3)
+        sigma2_exact(inst.G, inst.A, field_budget=14)
+    assert sigma2_exact(inst.G, inst.A, field_budget=15).lambda_max == Fraction(1, 3)
     with pytest.raises(BudgetError, match="3 points"):
-        char_sum_max(inst.H, inst.ambient, field_budget=2)
-    assert char_sum_max(inst.H, inst.ambient, field_budget=3).value == 1.0
+        char_sum_max(inst.H, field_budget=2)
+    assert char_sum_max(inst.H, field_budget=3).value == 1.0
 
 
 def test_sigma2_exact_rejects_a_space_not_closed_under_h(inst1_p2):
+    # A refuses an S that H does not fix, and sigma2_exact an A whose S misses G:
+    # a line of S outside G is closed under the trivial H but does not contain G
     inst = inst1_p2
-    with pytest.raises(ParameterError, match="closed under scaling"):
-        sigma2_exact(inst.G, inst.H, inst.G.points, inst.ambient)
+    with pytest.raises(ParameterError, match="not invariant"):
+        GroupA(inst.G.points, inst.H)
+    trivial_h = ScalingGroup(inst.ambient, inst.ambient.one().coeffs, 1)
+    outside = inst.S.points()[np.argmax(inst.G.points.index_of(inst.S.points()) < 0)]
+    with pytest.raises(ParameterError, match="contain G"):
+        sigma2_exact(inst.G, GroupA(FpSubspace(inst.ambient, outside[None]), trivial_h))
 
 
 def test_spectrum_section_computed_on_i23():
@@ -692,14 +704,15 @@ def test_message_space_at_p2_matches_the_matmul_product(name, request):
         assert ms.dim_v == D - sum(t % inst.H.order > max_degree_below(r * inst.H.order) for t in range(D))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17])
 def test_digit_chunks_rows_are_the_base_digits_of_monomials(monkeypatch, p):
-    # u has a constant term and a gap, and its top lower term X^3 makes step 2; chunks of 3 rows cross every block edge
+    # u has a constant term and a gap, and its top lower term X^3 makes step 2; chunks of 3 rows cross every block edge.
+    # A step's sums reach (p - 1)(1 + 3(p - 1)) before their reduction: 444 and 784 at p = 13 and 17 need uint16
     u = [1, 0, p - 1, 1, 0, 1]
     monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", 3 * 30)
     rows, seen = [], []
     for lo, chunk in fppoly.digit_chunks(u, 28, p):
-        assert chunk.shape == (min(3, 28 - lo), 30)
+        assert chunk.shape == (min(3, 28 - lo), 30) and chunk.dtype == (np.uint16 if p > 7 else np.uint8)
         seen.append(lo)
         rows.extend(chunk.copy())  # the next chunk overwrites this one
     assert seen == list(range(0, 28, 3))
