@@ -19,10 +19,12 @@ Polynomials are (rows, L) arrays of F_p coefficients, lowest degree
 first: the message-space basis, and the rows that constraint_report
 checks and encode_basis_digits encodes.  Only encode takes field
 coefficients, and it splits them into such rows.  Codewords are (n, k)
-digit arrays, and every F_p product on them (encoding, the local
-checks, the Schur products and the multiples the distance enumerates)
-is one linalg.matmul_mod_p, on plain matrices or on stacks of per-point
-product matrices (gf.product_matrices), or one gf.mul_rows.  A
+digit arrays.  Encoding is gf.power_sums, on packed words at p = 2 and
+one linalg.matmul_mod_p otherwise; every other F_p product on them (the
+local checks, the Schur products and the multiples the distance
+enumerates) is one linalg.matmul_mod_p, on plain matrices or on stacks
+of per-point product matrices (gf.product_matrices), or one
+gf.mul_rows.  A
 CodewordStore encodes each basis row of a message space at most once;
 the exhaustive and the sampled distance read their codewords from it.
 
@@ -49,10 +51,10 @@ from orbitcodes.errors import (
     InternalError,
     ParameterError,
 )
-from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_table, product_matrices
+from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_sums, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p, word_width
 
 LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
@@ -352,13 +354,11 @@ def schur_check(
 def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Digit tensor (rows, n, k) of the codewords of a (rows, D) F_p coefficient array on an (n, k) orbit array.
 
-    The codeword of row b at beta is sum_t coeffs[b, t] * beta^t: with F_p
-    coefficients, the coefficient rows times the powers' digits
-    (gf.power_table) as a (D, n*k) table, one F_p product
-    (linalg.matmul_mod_p).
-    Orbit points are taken in chunks whose power table holds at most
-    ENCODE_CHUNK_ENTRIES entries.  The digits are stored, as in the power
-    table, in the narrowest integer type that holds p - 1.
+    The codeword of row b at beta is sum_t coeffs[b, t] * beta^t, the
+    power sum gf.power_sums of the row at beta.  Orbit points are taken in
+    chunks whose power table (gf.power_table) would hold at most
+    ENCODE_CHUNK_ENTRIES digits.  The digits are stored in the narrowest
+    integer type that holds p - 1.
     """
     rows, D = coeffs.shape
     n, k, p = len(omega), ctx.k, ctx.p
@@ -366,9 +366,7 @@ def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray
     out = np.zeros((rows, n, k), dtype=np.min_scalar_type(p - 1))
     chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
     for lo in range(0, n, chunk):
-        points = omega[lo : lo + chunk]
-        table = power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, len(points) * k)
-        out[:, lo : lo + chunk] = matmul_mod_p(coeffs, table, p).reshape(rows, len(points), k)
+        out[:, lo : lo + chunk] = power_sums(ctx, coeffs, omega[lo : lo + chunk])
     return out
 
 
@@ -473,7 +471,7 @@ def _pack(digits: np.ndarray, p: int) -> np.ndarray:
     """
     k = digits.shape[-1]
     if p == 2:
-        return pack_bits(digits, next((w for w in (8, 16, 32) if k <= w), 64))
+        return pack_bits(digits, word_width(k))
     padded = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
     padded[..., :k] = digits
     return padded.view(np.uint64)

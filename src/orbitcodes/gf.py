@@ -3,15 +3,19 @@
 An element of F_{p^k} is a length-k digit vector over F_p, little-endian
 in the root of the defining modulus.  All arithmetic is exact.  Elements
 are (..., k) int64 digit arrays, and this module is the one home of their
-products, all built on mul_tensor: mul_rows, pow_rows, power_table and
-product_matrices, the matrices R with digits(y*x) = digits(y) @ R.  The
-tensor's powers X^t mod the modulus are digit 0 of their expansion in
-base modulus, fppoly.digit_chunks, the one polynomial division.
-F_p-linear maps of the field are k x k matrices on digit vectors: the
-trace form, the Frobenius matrix, and the kernels and trace-dual
-subspaces they cut out.  A subspace (FpSubspace) is the RREF of its
-spanning rows, a (dim, k) basis array from one elimination.  Every F_p
-product is one linalg.matmul_mod_p.  The modulus search (build_field)
+products: mul_rows, pow_rows, power_table and product_matrices, the
+matrices R with digits(y*x) = digits(y) @ R, all built on mul_tensor,
+and power_sums, the codewords sum_t c_t * beta^t.  The tensor's powers
+X^t mod the modulus are digit 0 of their expansion in base modulus,
+fppoly.digit_chunks, the one polynomial division.  F_p-linear maps of
+the field are k x k matrices on digit vectors: the trace form, the
+Frobenius matrix, and the kernels and trace-dual subspaces they cut
+out.  A subspace (FpSubspace) is the RREF of its spanning rows, a
+(dim, k) basis array from one elimination.  Every F_p product is one
+linalg.matmul_mod_p, but power_sums' at p = 2 and k <= 64: there an
+element is one word of k bits (linalg.pack_bits), a product by a power
+is shift-and-reduce and XOR, and the sum is one linalg.xor_rows.  The
+modulus search (build_field)
 and its irreducibility test run on the same digit arrays, in the
 candidate's own quotient ring F_p[X]/(modulus).  FieldElement, the
 scalar element, is only the tests' oracle.
@@ -27,7 +31,7 @@ import numpy as np
 
 from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.fppoly import digit_chunks
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rank_mod_p, rref_mod_p, unpack_bits, word_width, xor_rows
 from orbitcodes.numutil import is_prime, prime_factors
 
 
@@ -395,6 +399,82 @@ def power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
         m += new
         if m < D:
             step = matmul_mod_p(step[:, None, :], mats, p)[:, 0]  # beta^(2m)
+    return table
+
+
+def power_sums(ctx: FieldContext, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Digits (rows, n, k) of sum_t coeffs[b, t] * beta^t for every row b of coeffs and every point beta (a row of points).
+
+    coeffs is a (rows, D) array of F_p integers in (-p, p), and points an
+    (n, k) digit array.  At p = 2 with k <= 64 a field element is one word
+    of k bits (linalg.pack_bits, in the smallest word that holds them):
+    the powers are a (D, n) table of words (_power_words), each row's sum
+    of them is one linalg.xor_rows, and the sums are unpacked once.
+    Otherwise the powers' digits (power_table), as a (D, n*k) table, times
+    coeffs are one linalg.matmul_mod_p.  The digits are stored in the
+    narrowest integer type that holds p - 1.
+    """
+    p, k = ctx.p, ctx.k
+    rows, D = np.shape(coeffs)
+    n = len(points)
+    if p == 2 and k <= 64:
+        table = _power_words(ctx, points, D)
+        sums = np.zeros((rows, n), dtype=table.dtype)
+        xor_rows(sums, coeffs, table)
+        return unpack_bits(sums[..., None], k)
+    table = power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, n * k)
+    return matmul_mod_p(coeffs, table, p).reshape(rows, n, k).astype(np.min_scalar_type(p - 1))
+
+
+def _power_words(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
+    """Words (D, n) of beta^t for every point beta (a row of an (n, k) array of points) and t < D, at p = 2 and k <= 64.
+
+    Doubling, as in power_table, with the product by XOR.  The k words
+    beta^m * X^i come from beta^m by shift-and-reduce, up to 8 bits at a
+    time: the s bits shifted past X^(k-1) are an h < 2^s, which comes
+    back as h * X^k, read from a table of them.  The product of a word
+    with beta^m is the XOR of those k words at its set bits, so one
+    product of powers 0..m-1 and of beta^m gives powers m..2m-1 and
+    beta^2m.
+    """
+    k, n = ctx.k, len(points)
+    step = pack_bits(points, word_width(k))[:, 0]  # beta^m
+    word = step.dtype.type
+    table = np.zeros((D, n), dtype=step.dtype)
+    if D:
+        table[0] = 1
+    modulus = sum(c << i for i, c in enumerate(ctx.modulus))
+    reach = max(1, min(8, k - 1))  # the most bits one step shifts
+    overflow = np.zeros(1, dtype=step.dtype)  # overflow[h] = h * X^k mod the modulus, for h < 2^reach
+    x = modulus ^ 1 << k  # X^(k+b) mod the modulus, from b = 0
+    for _ in range(reach):
+        overflow = np.concatenate([overflow, overflow ^ word(x)])
+        x = x << 1 ^ (modulus if x >> (k - 1) & 1 else 0)
+    shift = np.arange(1, reach + 1, dtype=step.dtype)[:, None, None]
+    low = word((1 << k) - 1)
+    bit = np.arange(k, dtype=step.dtype)[:, None, None]
+    shifted = np.empty((k, 1, n), dtype=step.dtype)  # beta^m * X^i
+    terms = np.empty((k, D // 2 + 1, n), dtype=step.dtype)  # bit i of an operand times beta^m * X^i
+    m = 1
+    while m < D:
+        new = min(m, D - m)
+        shifted[0, 0] = step
+        for i in range(0, k - 1, reach):
+            block = shifted[i + 1 : i + 1 + reach]
+            s = shift[: len(block)]
+            np.left_shift(shifted[i], s, out=block)
+            block &= low
+            block ^= overflow[shifted[i] >> (k - s)]
+        table[m] = step
+        operands = table[: new + 1] if 2 * m < D else table[:new]  # powers 0..new-1, and beta^m while beta^2m is needed
+        part = terms[:, : len(operands)]
+        np.right_shift(operands, bit, out=part)
+        part &= 1
+        part *= shifted
+        product = np.bitwise_xor.reduce(part, axis=0)
+        table[m : m + new] = product[:new]
+        step = product[-1]
+        m += new
     return table
 
 

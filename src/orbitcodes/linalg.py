@@ -17,13 +17,15 @@ int64 np.matmul; numpy has no BLAS path for int64, so a larger one
 multiplies in float64, which is exact while every sum stays below 2^53.
 
 pack_bits and unpack_bits are the one packing of F_2 vectors into words,
-which the elimination, the base-u expansion (fppoly) and the distance
-enumeration (codecore) share.  xor_rows is the one F_2 product on packed
-rows, for a sparse left operand: the XOR of the rows that each row of
-coefficients selects, gathered in bounded chunks and summed by
-np.bitwise_xor.reduceat.  The base-u expansion uses it at p = 2;
-matmul_mod_p stays the product for dense operands, such as the sampled
-distance's.
+which the elimination, the base-u expansion (fppoly), the encoding's
+field elements (gf.power_sums) and the distance enumeration (codecore)
+share; word_width is their one rule for the smallest word that holds a
+vector.  xor_rows is the one F_2 product on packed rows, for a sparse
+left operand: the XOR of the rows that each row of coefficients
+selects, gathered in bounded chunks and summed by
+np.bitwise_xor.reduceat.  The base-u expansion and the encoding's power
+sums use it at p = 2; matmul_mod_p stays the product for dense
+operands, such as the sampled distance's.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ def pack_bits(bits, word_bits: int = 64) -> np.ndarray:
     padded = np.zeros(bits.shape[:-1] + (-(-n // word_bits) * word_bits,), dtype=np.uint8)
     np.bitwise_and(bits, 1, out=padded[..., :n], casting="unsafe")
     return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"<u{word_bits // 8}"))
+
+
+def word_width(n: int) -> int:
+    """Bits of the smallest unsigned word (8, 16 or 32 bits) that holds n bits, or 64 for any larger n."""
+    return next((w for w in (8, 16, 32) if n <= w), 64)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:

@@ -52,7 +52,7 @@ from oracles import (
     table_min_distance_sampled,
     translation_invariant_poly,
 )
-from orbitcodes import codecore, cosetgraph, fppoly, linalg
+from orbitcodes import codecore, cosetgraph, fppoly, gf, linalg
 from orbitcodes.codecore import (
     CodewordStore,
     MessageSpace,
@@ -755,15 +755,21 @@ def test_encode_basis_digits_in_chunks_matches_scalar_encode(monkeypatch, inst2_
 
 
 def _points(ctx, n, seed):
-    """n distinct nonzero field elements as an (n, k) digit array."""
-    codes = np.random.default_rng(seed).permutation(np.arange(1, ctx.order))[:n]
-    return base_p_digits(codes, ctx.p, ctx.k)
+    """n field elements as an (n, k) digit array, 0 among them, distinct where the field has n elements."""
+    rng = np.random.default_rng(seed)
+    if ctx.order > 1 << 20:  # too many codes to draw from: random digit rows, distinct with overwhelming odds
+        digits = rng.integers(0, ctx.p, size=(n, ctx.k))
+    else:
+        digits = base_p_digits(rng.choice(ctx.order, size=n, replace=ctx.order < n), ctx.p, ctx.k)
+    digits[n // 3] = 0
+    return digits
 
 
-@pytest.mark.parametrize("p,k", [(2, 6), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 6), (2, 8), (2, 9), (2, 16), (2, 17), (2, 32), (2, 33), (2, 64), (2, 65), (3, 3), (5, 2)])
 def test_encode_basis_digits_matches_einsum_oracle(monkeypatch, p, k):
-    # doubling plus one F_p product against the D-step int64 mat-vec and contraction, in chunks
-    # of one, three and five points and the default; the power table itself too
+    # the power sums against the D-step int64 mat-vec and contraction, in chunks of one, three and
+    # five points and the default; the power table itself too.  At p = 2 they run on words of 8, 16,
+    # 32 and 64 bits up to k = 64 and on digits at k = 65; 0 is a point, and 0^0 = 1
     ctx = build_field(p, k)
     omega = _points(ctx, 23, p)
     rng = np.random.default_rng(k)
@@ -777,6 +783,19 @@ def test_encode_basis_digits_matches_einsum_oracle(monkeypatch, p, k):
             got = encode_basis_digits(ctx, coeffs, omega)
             assert got.dtype == np.min_scalar_type(p - 1) and np.array_equal(got, expected)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p,k,on_words", [(2, 6, True), (2, 64, True), (3, 3, False)])
+def test_encode_basis_digits_sums_on_words_at_p2(monkeypatch, p, k, on_words):
+    # at p = 2 and k <= 64 the power sums run on words, with no F_p product; at p = 3 on digits
+    ctx = build_field(p, k)
+    omega = _points(ctx, 9, p)
+    coeffs = np.random.default_rng(0).integers(0, p, size=(3, 12))
+    calls = []
+    for module in (gf, codecore):
+        monkeypatch.setattr(module, "matmul_mod_p", lambda *args, real=matmul_mod_p: calls.append(1) or real(*args))
+    got = encode_basis_digits(ctx, coeffs, omega)
+    assert (not calls) == on_words and np.array_equal(got, einsum_encode_basis_digits(ctx, coeffs, omega))
 
 
 @pytest.mark.parametrize("fixture", ["inst1_p2", "inst1_p3"])
