@@ -21,12 +21,16 @@ checks and encode_basis_digits encodes.  Only encode takes field
 coefficients, and it splits them into such rows.  Codewords are (n, k)
 digit arrays.  Encoding is gf.power_sums, on packed words at p = 2 and
 one linalg.matmul_mod_p otherwise; every other F_p product on them (the
-local checks, the Schur products and the multiples the distance
-enumerates) is one linalg.matmul_mod_p, on plain matrices or on stacks
-of per-point product matrices (gf.product_matrices), or one
-gf.mul_rows.  A
-CodewordStore encodes each basis row of a message space at most once;
-the exhaustive and the sampled distance read their codewords from it.
+local checks, the Schur products and the multiples of the full-field
+distance and of the sampler) is one linalg.matmul_mod_p, on plain
+matrices or on stacks of per-point product matrices
+(gf.product_matrices), or one gf.mul_rows.  A CodewordStore encodes
+each basis row of a message space at most once; the exhaustive and the
+sampled distance read their codewords from it.  The exhaustive distance
+weighs no codeword: a message m vanishes at coordinate j iff it lies in
+the kernel of the generators' digits at j, so its weight is n minus the
+number of such kernels, and linalg.kernel_counts counts them for every
+m, one bounded slab of messages at a time.
 
 Strictness convention: every bound of the form deg < r*len is evaluated as
 an exact rational comparison.  max_degree_below(r*len) is the largest
@@ -54,9 +58,9 @@ from orbitcodes.errors import (
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_sums, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rref_mod_p, word_width
+from orbitcodes.linalg import kernel_counts, matmul_mod_p, nullspace_mod_p, rref_mod_p
 
-LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
+LOW_TABLE_BYTES = 1 << 20  # the full field is enumerated only when the |F| multiples of one basis codeword fit this
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
 SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
 
@@ -360,14 +364,9 @@ def encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.ndarray
     ENCODE_CHUNK_ENTRIES digits.  The digits are stored in the narrowest
     integer type that holds p - 1.
     """
-    rows, D = coeffs.shape
-    n, k, p = len(omega), ctx.k, ctx.p
-    coeffs = np.asarray(coeffs) % p
-    out = np.zeros((rows, n, k), dtype=np.min_scalar_type(p - 1))
-    chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * k))
-    for lo in range(0, n, chunk):
-        out[:, lo : lo + chunk] = power_sums(ctx, coeffs, omega[lo : lo + chunk])
-    return out
+    D = coeffs.shape[1]
+    chunk = max(1, ENCODE_CHUNK_ENTRIES // (max(D, 1) * ctx.k))
+    return power_sums(ctx, np.asarray(coeffs) % ctx.p, omega, chunk)
 
 
 @dataclass(eq=False)
@@ -425,7 +424,10 @@ def min_distance_exhaustive(
     recorded so reports stay honest about which set was enumerated.
     The budget is checked first, so a refusal encodes nothing; then every
     basis codeword is read from the store, which encodes those it does
-    not hold yet.
+    not hold yet.  The enumerated code is the F_p span of its generators
+    (_min_weight): the basis codewords in the prime subcode, and their
+    dim*k multiples x^a * w by the powers of the field generator in the
+    full field (_multiples).
     """
     ms = codewords.ms
     ctx = ms.ctx
@@ -445,10 +447,27 @@ def min_distance_exhaustive(
             else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
         )
         raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
-    # the multipliers are the field elements of digit value below scalars: F_p, or the whole field
-    multipliers = base_p_digits(np.arange(scalars), p, ctx.k)
-    tables = _multiples(ctx, codewords(range(ms.dim)), multipliers)
-    return DistanceResult(value=_min_weight_chunked(list(tables), p), mode=mode, enumerated=scalars**ms.dim)
+    generators = codewords(range(ms.dim))
+    if mode == "full-field":
+        generators = _multiples(ctx, generators, np.eye(ctx.k, dtype=np.int64)).reshape(-1, codewords.n, ctx.k)
+    return DistanceResult(value=_min_weight(generators, p), mode=mode, enumerated=scalars**ms.dim)
+
+
+def _min_weight(generators: np.ndarray, p: int) -> int:
+    """Minimum weight of the nonzero F_p combinations sum_t m_t * w_t of (N, n, k) generator codewords w_t.
+
+    m vanishes at coordinate j iff M_j @ m = 0 mod p, where column t of
+    the k x N matrix M_j holds w_t's digits at j.  So the weight of m is n
+    minus the number of kernels ker M_j that hold m, and
+    linalg.kernel_counts counts those for every m, one slab of codes at a
+    time; m = 0 has code 0, the first of the first slab.
+    """
+    most = 0
+    for i, counts in enumerate(kernel_counts(generators.transpose(1, 2, 0), p)):
+        if i == 0:
+            counts[0] = 0
+        most = max(most, int(counts.max()))
+    return generators.shape[1] - most
 
 
 def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
@@ -459,83 +478,6 @@ def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> 
     codewords with the multipliers' product matrices (gf.product_matrices).
     """
     return matmul_mod_p(rows[:, None], product_matrices(ctx, multipliers), ctx.p)
-
-
-def _pack(digits: np.ndarray, p: int) -> np.ndarray:
-    """Words (..., n, w) holding the digits (..., n, k) of every coordinate.
-
-    At p = 2 the digits are the bits (linalg.pack_bits) of the smallest
-    unsigned word that holds k of them (uint8, uint16 or uint32), or of
-    ceil(k/64) uint64 words.  Otherwise they are uint8 bytes, zero-padded
-    to whole uint64 words.
-    """
-    k = digits.shape[-1]
-    if p == 2:
-        return pack_bits(digits, word_width(k))
-    padded = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
-    padded[..., :k] = digits
-    return padded.view(np.uint64)
-
-
-def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Digit-wise a + b mod p on packed words: XOR at p = 2, else byte-wise sums."""
-    if p == 2:
-        return a ^ b
-    s = a.view(np.uint8) + b.view(np.uint8)
-    np.subtract(s, p, out=s, where=s >= p)
-    return s.view(np.uint64)
-
-
-def _min_weight_chunked(tables: list[np.ndarray], p: int) -> int:
-    """Minimum weight over all combinations of one entry per table, except all zeros.
-
-    Entry 0 of every table is the zero multiple.  The trailing tables are
-    combined into one low table of at most LOW_TABLE_BYTES; the loop runs
-    over the combinations (prefixes) of the leading tables, in odometer
-    order, and weighs prefix + every low entry at once.  A coordinate of
-    prefix + low is zero iff low equals -prefix there, so with the
-    leading tables negated up front the weight is a count of the
-    coordinates whose packed words (_pack) differ from the prefix's.
-    """
-    if p >= 128:
-        raise ParameterError(f"packed enumeration needs p < 128, got {p}")
-    packed = [_pack(t, p) for t in tables]
-    lead = len(packed) - 1
-    low = packed[lead]
-    while lead > 0 and packed[lead - 1].shape[0] * low.nbytes <= LOW_TABLE_BYTES:
-        lead -= 1
-        low = _add_mod(packed[lead][:, None], low[None], p).reshape((-1,) + low.shape[1:])
-    low_words = np.ascontiguousarray(low.transpose(2, 0, 1))  # (words, entries, n)
-    negated = packed[:lead]  # negation is the identity at p = 2
-    if p != 2:
-        negated = [((p - t.view(np.uint8)) % p).view(np.uint64) for t in negated]
-    n = low.shape[1]
-    differs = np.empty(low_words.shape[1:], dtype=bool)
-    count_type = np.min_scalar_type(n)
-
-    best = n
-    choice = [0] * lead
-    sums = [np.zeros_like(low[0])] * (lead + 1)  # sums[i]: chosen entries of the first i tables
-    stale = 0
-    while True:
-        for i in range(stale, lead):
-            sums[i + 1] = _add_mod(sums[i], negated[i][choice[i]], p)
-        prefix = sums[lead].T
-        np.not_equal(low_words[0], prefix[0], out=differs)
-        for w in range(1, len(prefix)):
-            differs |= low_words[w] != prefix[w]
-        weights = differs.sum(axis=1, dtype=count_type)
-        if not any(choice):
-            weights = weights[1:]  # the zero prefix with the zero low entry is the zero codeword
-        if weights.size:
-            best = min(best, int(weights.min()))
-        stale = lead - 1
-        while stale >= 0 and choice[stale] == len(negated[stale]) - 1:
-            choice[stale] = 0
-            stale -= 1
-        if stale < 0:
-            return best
-        choice[stale] += 1
 
 
 def min_distance_sampled(

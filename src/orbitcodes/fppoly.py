@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from orbitcodes.errors import ParameterError
-from orbitcodes.linalg import matmul_mod_p, pack_bits, unpack_bits, xor_rows
+from orbitcodes.linalg import matmul_mod_p, odd_terms, pack_bits, unpack_bits, xor_rows
 
 EXPANSION_CHUNK_ENTRIES = 1 << 17  # bound on the digit rows X^t built and multiplied at a time
 
@@ -114,7 +114,7 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     for lo, block in digit_chunks(u, length, p):
         hi = lo + len(block)
         if p == 2:
-            xor_rows(digits, rows[:, lo:hi], pack_bits(block))
+            xor_rows(digits, odd_terms(rows[:, lo:hi]), pack_bits(block))
         else:
             digits += matmul_mod_p(rows[:, lo:hi] % p, block, p)
     if p == 2:

@@ -31,7 +31,7 @@ import numpy as np
 
 from orbitcodes.errors import ConfigurationError, ParameterError
 from orbitcodes.fppoly import digit_chunks
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rank_mod_p, rref_mod_p, unpack_bits, word_width, xor_rows
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, odd_terms, pack_bits, rank_mod_p, rref_mod_p, unpack_bits, word_width, xor_rows
 from orbitcodes.numutil import is_prime, prime_factors
 
 
@@ -402,28 +402,38 @@ def power_table(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
     return table
 
 
-def power_sums(ctx: FieldContext, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+def power_sums(ctx: FieldContext, coeffs: np.ndarray, points: np.ndarray, chunk: int) -> np.ndarray:
     """Digits (rows, n, k) of sum_t coeffs[b, t] * beta^t for every row b of coeffs and every point beta (a row of points).
 
     coeffs is a (rows, D) array of F_p integers in (-p, p), and points an
-    (n, k) digit array.  At p = 2 with k <= 64 a field element is one word
-    of k bits (linalg.pack_bits, in the smallest word that holds them):
-    the powers are a (D, n) table of words (_power_words), each row's sum
-    of them is one linalg.xor_rows, and the sums are unpacked once.
-    Otherwise the powers' digits (power_table), as a (D, n*k) table, times
-    coeffs are one linalg.matmul_mod_p.  The digits are stored in the
-    narrowest integer type that holds p - 1.
+    (n, k) digit array, taken chunk points at a time.  At p = 2 with
+    k <= 64 a field element is one word of k bits (linalg.pack_bits, in
+    the smallest word that holds them): the powers of a chunk are a
+    (D, chunk) table of words (_power_words), each row's sum of them is
+    one linalg.xor_rows, over the odd terms of coeffs (linalg.odd_terms),
+    found once for all chunks, and the sums are unpacked once per chunk.
+    Otherwise the powers' digits (power_table), as a (D, chunk*k) table,
+    times coeffs are one linalg.matmul_mod_p per chunk.  The digits are
+    stored in the narrowest integer type that holds p - 1.
     """
     p, k = ctx.p, ctx.k
     rows, D = np.shape(coeffs)
     n = len(points)
-    if p == 2 and k <= 64:
-        table = _power_words(ctx, points, D)
-        sums = np.zeros((rows, n), dtype=table.dtype)
-        xor_rows(sums, coeffs, table)
-        return unpack_bits(sums[..., None], k)
-    table = power_table(ctx, points, D).transpose(1, 0, 2).reshape(D, n * k)
-    return matmul_mod_p(coeffs, table, p).reshape(rows, n, k).astype(np.min_scalar_type(p - 1))
+    out = np.zeros((rows, n, k), dtype=np.min_scalar_type(p - 1))
+    on_words = p == 2 and k <= 64
+    if on_words:
+        terms = odd_terms(coeffs)
+    for lo in range(0, n, chunk):
+        part = points[lo : lo + chunk]
+        if on_words:
+            table = _power_words(ctx, part, D)
+            sums = np.zeros((rows, len(part)), dtype=table.dtype)
+            xor_rows(sums, terms, table)
+            out[:, lo : lo + chunk] = unpack_bits(sums[..., None], k)
+        else:
+            table = power_table(ctx, part, D).transpose(1, 0, 2).reshape(D, len(part) * k)
+            out[:, lo : lo + chunk] = matmul_mod_p(coeffs, table, p).reshape(rows, len(part), k)
+    return out
 
 
 def _power_words(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:

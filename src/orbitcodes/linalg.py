@@ -1,7 +1,8 @@
 """Exact linear algebra over prime fields, on numpy integer matrices.
 
 Matrices come in as integer arrays and go out as 2-d int64 arrays.
-rref_mod_p is the one Gaussian elimination.  At p = 2 it runs on rows
+rref_mod_p is the one Gaussian elimination of a matrix (kernel_counts,
+below, sweeps a whole stack of small ones at once).  At p = 2 it runs on rows
 packed as the bits of uint64 words (pack_bits), with no int64 copy of
 its input, and a row update is one XOR of words (M4RI:
 Albrecht, Bard & Hart, ACM TOMS 2010, without its tables).  At p > 2 it
@@ -18,19 +19,28 @@ multiplies in float64, which is exact while every sum stays below 2^53.
 
 pack_bits and unpack_bits are the one packing of F_2 vectors into words,
 which the elimination, the base-u expansion (fppoly), the encoding's
-field elements (gf.power_sums) and the distance enumeration (codecore)
-share; word_width is their one rule for the smallest word that holds a
-vector.  xor_rows is the one F_2 product on packed rows, for a sparse
-left operand: the XOR of the rows that each row of coefficients
-selects, gathered in bounded chunks and summed by
-np.bitwise_xor.reduceat.  The base-u expansion and the encoding's power
-sums use it at p = 2; matmul_mod_p stays the product for dense
-operands, such as the sampled distance's.
+field elements (gf.power_sums) and the kernel counter share; word_width
+is their one rule for the smallest word that holds a vector.  xor_rows
+is the one F_2 product on packed rows, for a sparse left operand: the
+XOR of the rows that each row of coefficients selects (odd_terms, which
+products with the same coefficients share), gathered in bounded chunks
+and summed by np.bitwise_xor.reduceat.  The base-u expansion and the
+encoding's power sums use it at p = 2; matmul_mod_p stays the product
+for dense operands, such as the sampled distance's.
+
+kernel_counts counts, for every m in F_p^N, the matrices of an
+(s, rows, N) stack that vanish at m: one elimination sweep per row
+across the whole stack (on N-bit words at p = 2), then each matrix's
+kernel elements, one slab of at most KERNEL_SLAB_CODES consecutive codes
+at a time, enumerated in bounded chunks and counted by np.unique.  The
+exhaustive distance (codecore) is n minus its largest count at a
+nonzero message.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +52,8 @@ MATMUL_CHUNK_ENTRIES = 1 << 17  # bound on the float64 copies of one inner chunk
 STACK_BLOCK_ENTRIES = 1 << 15  # bound on the product of one block of a stack, and so on its float64 sum and quotient
 INT64_PRODUCT_WORK = 1 << 14  # products with at most this many multiply-adds (inner * entries) run in int64
 XOR_GATHER_WORDS = 1 << 17  # bound on the words of one gather of xor_rows (1 MiB)
+KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the words or digits of one chunk of kernel_counts' kernel elements
+KERNEL_SLAB_CODES = 1 << 20  # bound on the counters of one slab of kernel_counts
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
@@ -123,25 +135,31 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little").reshape(words.shape[:-1] + (n,))
 
 
-def xor_rows(acc: np.ndarray, coeffs, packed: np.ndarray) -> None:
-    """acc[r] ^= the XOR of packed[t] over the odd coeffs[r, t], for every r: acc + coeffs @ packed over F_2.
+def odd_terms(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, terms) index arrays of the odd entries of an integer or bool matrix, in row-major order: the terms xor_rows sums."""
+    return np.nonzero(np.bitwise_and(coeffs, 1))
 
-    acc and packed are rows of words (pack_bits), and coeffs is an
-    integer or bool matrix, read mod 2.  The terms (r, t) come in row-major
-    order, so each row's terms are consecutive; they are taken in chunks
-    whose gather packed[t] holds at most XOR_GATHER_WORDS words (at least
-    one term), and one np.bitwise_xor.reduceat per chunk sums each row's
-    run.  A row whose terms straddle two chunks is XORed into twice, which
-    is the same sum.  The work is one gathered row per nonzero
-    coefficient, so this is the F_2 product for sparse coeffs; a dense
-    left operand belongs in matmul_mod_p.
+
+def xor_rows(acc: np.ndarray, terms: tuple[np.ndarray, np.ndarray], packed: np.ndarray) -> None:
+    """acc[r] ^= the XOR of packed[t] over the terms (r, t), for every r: acc + coeffs @ packed over F_2.
+
+    acc and packed are rows of words (pack_bits), and terms is
+    odd_terms(coeffs), the odd entries of a coefficient matrix, which
+    several products with the same coeffs may share.  The terms come in
+    row-major order, so each row's terms are consecutive; they are taken
+    in chunks whose gather packed[t] holds at most XOR_GATHER_WORDS words
+    (at least one term), and one np.bitwise_xor.reduceat per chunk sums
+    each row's run.  A row whose terms straddle two chunks is XORed into
+    twice, which is the same sum.  The work is one gathered row per
+    nonzero coefficient, so this is the F_2 product for sparse coeffs; a
+    dense left operand belongs in matmul_mod_p.
     """
-    hit, at = np.nonzero(np.bitwise_and(coeffs, 1))
+    hit, at = terms
     chunk = max(1, XOR_GATHER_WORDS // max(1, packed.shape[-1]))
     for lo in range(0, hit.size, chunk):
-        rows, terms = hit[lo : lo + chunk], at[lo : lo + chunk]
+        rows, cols = hit[lo : lo + chunk], at[lo : lo + chunk]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))  # the first term of each row in the chunk
-        acc[rows[starts]] ^= np.bitwise_xor.reduceat(packed[terms], starts, axis=0)
+        acc[rows[starts]] ^= np.bitwise_xor.reduceat(packed[cols], starts, axis=0)
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -249,3 +267,156 @@ def nullspace_mod_p(mat, p: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -rr[:, free].T % p
     return basis
+
+
+def kernel_counts(mats, p: int) -> Iterator[np.ndarray]:
+    """How many matrices of an (s, rows, N) stack vanish at each m in F_p^N, one slab of codes at a time.
+
+    m's code is c = sum_t m_t * p^t.  Slab i holds the counters of the
+    codes [i * p^L, (i + 1) * p^L), in the narrowest unsigned type that
+    holds s, where p^L is the largest power of p up to p^N that is at most
+    KERNEL_SLAB_CODES; the slabs come in order, each in a fresh array.
+    Each matrix adds 1 at every element of its kernel: that is
+    sum_M p^(N - rank M) elements and p^N counters, not s * p^N products,
+    and the memory is one slab and one chunk of elements, whatever N.
+
+    A kernel vector (_kernel_bases) is 1 at its free column f, 0 at the
+    other free columns and nonzero elsewhere only at pivot columns below
+    f.  So an element's top N - L digits, its slab, are fixed by its
+    coefficients on the free columns from L up, which are its digits
+    there.  Slab i takes those coefficients from i's digits, keeps the
+    matrices whose combination of those vectors has i's digits on top,
+    and adds every combination of the vectors below L to it.  The
+    matrices are taken by their number d of vectors below L.  An element
+    is a word of N bits at p = 2, whose low L bits are its code in the
+    slab, and L digits at p > 2; a chunk holds at most
+    KERNEL_CHUNK_ENTRIES words or digits.  The combinations of the first
+    vectors of a block of matrices are one table (_span), and each
+    combination of the remaining ones is added to it in turn, one chunk
+    each, counted by np.unique.  The stack is checked here, before any
+    slab is counted; p^N must stay below 2^63.
+    """
+    mats = np.asarray(mats)
+    if mats.ndim != 3:
+        raise ParameterError(f"kernel counts need an (s, rows, N) stack of matrices, got shape {mats.shape}")
+    s, rows, N = mats.shape
+    if p**N >= INT64_LIMIT:
+        raise ParameterError(f"codes of {N} base-{p} digits overflow int64")
+    if N == 0:
+        return iter([np.full(1, s, dtype=np.min_scalar_type(s))])
+    L = N
+    while L and p**L > KERNEL_SLAB_CODES:
+        L -= 1
+    return _slabs(*_kernel_bases(mats, p), p, L, np.min_scalar_type(s))
+
+
+def _slabs(basis: np.ndarray, free: np.ndarray, p: int, L: int, dtype) -> Iterator[np.ndarray]:
+    """kernel_counts' slabs of p^L codes, from the kernel vectors and free-column masks of _kernel_bases."""
+    s, N = free.shape
+    low = free.copy()
+    low[:, L:] = False
+    high = free[:, L:]
+    dims = low.sum(axis=1)
+    vectors = basis if p == 2 else basis[..., :L]  # the vectors below L are 0 from L up
+    groups = []
+    for d in sorted(set(dims.tolist())):  # a plain np.unique imports numpy.ma on its first call, about 15 ms
+        group = np.flatnonzero(dims == d)
+        groups.append((group, vectors[group][low[group]].reshape((len(group), d) + vectors.shape[2:])))
+    per_chunk = max(1, KERNEL_CHUNK_ENTRIES // (1 if p == 2 else max(L, 1)))
+    powers = p ** np.arange(L, dtype=np.int64)
+    top = p ** np.arange(N - L, dtype=np.int64)
+    for i in range(p ** (N - L)):
+        digits = i // top % p  # the top N - L digits of slab i's codes
+        if p == 2:
+            shift = np.bitwise_xor.reduce(basis[:, L:] * (high & (digits == 1)), axis=1)
+            hit = shift >> L == i
+            shift &= (1 << L) - 1
+        else:
+            shift = matmul_mod_p((high * digits)[:, None], basis[:, L:], p)[:, 0]
+            hit = (shift[:, L:] == digits).all(axis=1)
+            shift = shift[:, :L].astype(basis.dtype)
+        counts = np.zeros(p**L, dtype=dtype)
+        for group, gens in groups:
+            at, gens = group[hit[group]], gens[hit[group]]
+            k = gens.shape[1]
+            while p**k > per_chunk:
+                k -= 1
+            block = max(1, per_chunk // p**k)
+            for lo in range(0, len(at), block):
+                table = _span(gens[lo : lo + block, :k], p)
+                if p == 2:
+                    table ^= shift[at[lo : lo + block], None]
+                else:
+                    table = (table + shift[at[lo : lo + block], None]) % p
+                for rest in _span(gens[lo : lo + block, k:], p).swapaxes(0, 1):  # one combination of the rest per matrix
+                    codes = (table ^ rest[:, None]).astype(np.int64) if p == 2 else (table + rest[:, None]) % p @ powers
+                    found, times = np.unique(codes, return_counts=True)
+                    counts[found] += times.astype(dtype)
+        yield counts
+
+
+def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel vectors of every matrix of an (s, rows, N) stack, and the (s, N) mask of their free columns.
+
+    One elimination sweep per row over the whole stack: row r, reduced by
+    the earlier pivots, takes its first nonzero column as its pivot, is
+    scaled to 1 there and is subtracted from every other row with an entry
+    in that column.  Rows are not swapped, so each matrix ends in RREF up
+    to the order of its rows, with its dependent rows 0.  Entry f holds
+    the kernel vector of free column f: 1 at f, 0 at the other free
+    columns and, at each pivot column, minus that pivot row's entry in f
+    (as in nullspace_mod_p), which is nonzero only below f; the entries of
+    pivot columns mean nothing.  At p = 2 a row and a kernel vector are
+    words of N bits (pack_bits, word_width), a row's pivot is its lowest
+    set bit and the update is XOR.  At p > 2 they are digits, held in the
+    narrowest unsigned type that holds p^2 - 1, which bounds a row update
+    before its % p, and _span's sums.  One call of nullspace_mod_p per
+    matrix gives the same vectors, but its fixed cost per call made the
+    distance command on I(3,2) at D = 40 about a third slower end to end.
+    """
+    s, rows, N = mats.shape
+    if p == 2:
+        a = pack_bits(mats, word_width(N))[..., 0]  # (s, rows) words
+        one = a.dtype.type(1)
+        leads = np.empty_like(a)
+        for r in range(rows):
+            row = a[:, r].copy()
+            lead = row & (~row + one)  # the lowest set bit, 0 for a zero row
+            a ^= np.where(a & lead[:, None], row[:, None], 0)
+            a[:, r] = row
+            leads[:, r] = lead
+        cols = np.arange(N, dtype=a.dtype)
+        basis = np.bitwise_or.reduce(((a[..., None] >> cols) & one) * leads[..., None], axis=1) | one << cols
+        free = (np.bitwise_or.reduce(leads, axis=1)[:, None] >> cols) & one == 0
+        return basis, free
+    a = (mats % p).astype(np.min_scalar_type(p * p - 1))
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=a.dtype)
+    stack = np.arange(s)
+    pivot = np.full((s, rows), -1)
+    for r in range(rows):
+        nonzero = a[:, r] != 0
+        c = nonzero.argmax(axis=1)
+        row = a[:, r] * inverse[a[stack, r, c]][:, None] % p  # 0 for a zero row
+        a += (p - a[stack, :, c])[..., None] * row[:, None, :]
+        a %= p
+        a[:, r] = row
+        pivot[:, r] = np.where(nonzero.any(axis=1), c, -1)
+    at, r = np.nonzero(pivot >= 0)
+    free = np.ones((s, N), dtype=bool)
+    free[at, pivot[at, r]] = False
+    basis = np.zeros((s, N, N), dtype=a.dtype)
+    basis[:, np.arange(N), np.arange(N)] = 1
+    basis[at, :, pivot[at, r]] = (p - a[at, r]) % p
+    return basis, free
+
+
+def _span(gens: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p combination (g, p^d, ...) of the d elements along axis 1 of (g, d, ...) gens: words at p = 2, digits at p > 2."""
+    out = np.zeros((len(gens), 1) + gens.shape[2:], dtype=gens.dtype)
+    for j in range(gens.shape[1]):
+        term = gens[:, j, None]
+        if p == 2:
+            out = np.concatenate([out, out ^ term], axis=1)
+        else:
+            out = np.concatenate([(out + x * term) % p for x in range(p)], axis=1)
+    return out

@@ -71,6 +71,12 @@
   multiplier's multiplication matrix applied to every codeword).
 * ``table_min_distance_sampled``: the sampled distance from full tables of
   every scalar multiple of every basis codeword.
+* ``chunked_min_weight`` (with ``_pack`` and ``_add_mod``): the exhaustive
+  minimum weight as ``codecore`` enumerated it before it counted each
+  coordinate's kernel, every codeword weighed against every coordinate
+  on packed words, the trailing rows' multiples in one low table of at
+  most ``LOW_TABLE_BYTES``; and ``chunked_min_distance``, the exhaustive
+  distance of a codeword store (value, mode and count) on it.
 * the Monte Carlo volume oracle for the closed-form polytope volumes of
   ``bounds``: ``polytope_indicator_i``/``_ii`` (membership tests of the
   two polytopes) and ``volume_monte_carlo`` (uniform sampling of the unit
@@ -93,10 +99,10 @@ from orbitcodes import fppoly
 from orbitcodes.bounds import _validate
 from orbitcodes.codecore import encode_basis_digits, max_degree_below
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
-from orbitcodes.errors import ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, frobenius_matrix
+from orbitcodes.errors import DEFAULT_BUDGETS, ConfigurationError, InternalError, ParameterError
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, base_p_digits, frobenius_matrix
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
-from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p
+from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rank_mod_p, word_width
 from orbitcodes.numutil import prime_factors
 
 MINUS_INFINITY = float("-inf")
@@ -1212,7 +1218,7 @@ def kernel_base_degree(f: Poly, u: Poly) -> int | float:
     return MINUS_INFINITY if d < 0 else d
 
 
-# -- scalar encoding and sampled distance ----------------------------------------
+# -- scalar encoding, chunked and sampled distance ---------------------------------
 
 
 def scalar_encode(f: Poly, omega) -> np.ndarray:
@@ -1240,6 +1246,108 @@ def einsum_encode_basis_digits(ctx: FieldContext, coeffs: np.ndarray, omega: np.
 def einsum_multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     """Digits (rows, s, n, k) of every row of an (s, k) multiplier array times every (n, k) codeword."""
     return np.einsum("slj,rnj->rsnl", int64_mul_matrix(ctx, multipliers), rows) % ctx.p
+
+
+LOW_TABLE_BYTES = 1 << 20  # bound on the combined table of the trailing basis rows
+
+
+def chunked_min_distance(codewords, budget: int = DEFAULT_BUDGETS["distance"]) -> tuple[int, str, int]:
+    """(value, mode, enumerated) of the exhaustive distance of a codeword store, as codecore computed it before it counted kernels.
+
+    The mode rule is codecore.min_distance_exhaustive's, with the same
+    bound LOW_TABLE_BYTES on the |F| multiples of one basis codeword; the
+    tables of every scalar multiple of every basis codeword come from
+    einsum_multiples and go to chunked_min_weight.
+    """
+    ms = codewords.ms
+    ctx = ms.ctx
+    q, p = ctx.order, ctx.p
+    if q**ms.dim <= budget and q * codewords.n * ctx.k * 8 <= LOW_TABLE_BYTES:
+        scalars, mode = q, "full-field"
+    elif p**ms.dim <= budget:
+        scalars, mode = p, "prime-subcode"
+    else:
+        raise ValueError("over the enumeration budget")
+    multipliers = base_p_digits(np.arange(scalars), p, ctx.k)
+    tables = einsum_multiples(ctx, codewords(range(ms.dim)), multipliers)
+    return chunked_min_weight(list(tables), p), mode, scalars**ms.dim
+
+
+def _pack(digits: np.ndarray, p: int) -> np.ndarray:
+    """Words (..., n, w) holding the digits (..., n, k) of every coordinate.
+
+    At p = 2 the digits are the bits (linalg.pack_bits) of the smallest
+    unsigned word that holds k of them (uint8, uint16 or uint32), or of
+    ceil(k/64) uint64 words.  Otherwise they are uint8 bytes, zero-padded
+    to whole uint64 words.
+    """
+    k = digits.shape[-1]
+    if p == 2:
+        return pack_bits(digits, word_width(k))
+    padded = np.zeros(digits.shape[:-1] + (-(-k // 8) * 8,), dtype=np.uint8)
+    padded[..., :k] = digits
+    return padded.view(np.uint64)
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Digit-wise a + b mod p on packed words: XOR at p = 2, else byte-wise sums."""
+    if p == 2:
+        return a ^ b
+    s = a.view(np.uint8) + b.view(np.uint8)
+    np.subtract(s, p, out=s, where=s >= p)
+    return s.view(np.uint64)
+
+
+def chunked_min_weight(tables: list[np.ndarray], p: int) -> int:
+    """Minimum weight over all combinations of one entry per table, except all zeros.
+
+    Entry 0 of every table is the zero multiple.  The trailing tables are
+    combined into one low table of at most LOW_TABLE_BYTES; the loop runs
+    over the combinations (prefixes) of the leading tables, in odometer
+    order, and weighs prefix + every low entry at once.  A coordinate of
+    prefix + low is zero iff low equals -prefix there, so with the
+    leading tables negated up front the weight is a count of the
+    coordinates whose packed words (_pack) differ from the prefix's.
+    """
+    if p >= 128:
+        raise ParameterError(f"packed enumeration needs p < 128, got {p}")
+    packed = [_pack(t, p) for t in tables]
+    lead = len(packed) - 1
+    low = packed[lead]
+    while lead > 0 and packed[lead - 1].shape[0] * low.nbytes <= LOW_TABLE_BYTES:
+        lead -= 1
+        low = _add_mod(packed[lead][:, None], low[None], p).reshape((-1,) + low.shape[1:])
+    low_words = np.ascontiguousarray(low.transpose(2, 0, 1))  # (words, entries, n)
+    negated = packed[:lead]  # negation is the identity at p = 2
+    if p != 2:
+        negated = [((p - t.view(np.uint8)) % p).view(np.uint64) for t in negated]
+    n = low.shape[1]
+    differs = np.empty(low_words.shape[1:], dtype=bool)
+    count_type = np.min_scalar_type(n)
+
+    best = n
+    choice = [0] * lead
+    sums = [np.zeros_like(low[0])] * (lead + 1)  # sums[i]: chosen entries of the first i tables
+    stale = 0
+    while True:
+        for i in range(stale, lead):
+            sums[i + 1] = _add_mod(sums[i], negated[i][choice[i]], p)
+        prefix = sums[lead].T
+        np.not_equal(low_words[0], prefix[0], out=differs)
+        for w in range(1, len(prefix)):
+            differs |= low_words[w] != prefix[w]
+        weights = differs.sum(axis=1, dtype=count_type)
+        if not any(choice):
+            weights = weights[1:]  # the zero prefix with the zero low entry is the zero codeword
+        if weights.size:
+            best = min(best, int(weights.min()))
+        stale = lead - 1
+        while stale >= 0 and choice[stale] == len(negated[stale]) - 1:
+            choice[stale] = 0
+            stale -= 1
+        if stale < 0:
+            return best
+        choice[stale] += 1
 
 
 def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:

@@ -1,15 +1,18 @@
-"""The batched local check, the digit-array Schur product, the chunked
-distance enumeration and sampling, the quotient spectral scans, the
-F_p message space (the kernel of the base-g digit map, against U's
-spanning rows), the chunked encoding, the base-u digit matrix and the
-batched base-degree kernel (XOR on packed words at p = 2), the
-elimination (bit-packed at p = 2, lazy reduction above), the bit
-packing, the packed F_2 product xor_rows, and the mod-p kernel basis and
-coset representative, each against its slow oracle (tests/oracles.py,
-or matmul_mod_p for the product)."""
+"""The batched local check, the digit-array Schur product, the exhaustive
+distance by counting each coordinate's kernel (against the chunked
+enumeration and depth-first search) and the stacked kernel counter
+(against brute force and nullspace_mod_p), the sampled distance, the
+quotient spectral scans, the F_p message space (the kernel of the base-g
+digit map, against U's spanning rows), the chunked encoding, the base-u
+digit matrix and the batched base-degree kernel (XOR on packed words at
+p = 2), the elimination (bit-packed at p = 2, lazy reduction above), the
+bit packing, the packed F_2 product xor_rows, and the mod-p kernel basis
+and coset representative, each against its slow oracle
+(tests/oracles.py, or matmul_mod_p for the product)."""
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +29,7 @@ from oracles import (
     _u_row_pairs,
     base_degree,
     base_digits,
+    chunked_min_distance,
     dfs_min_weight,
     divisors,
     eager_rref_mod_p,
@@ -68,7 +72,7 @@ from orbitcodes.codecore import (
 )
 from orbitcodes.cosetgraph import char_sum_max, sigma2_exact
 from orbitcodes.errors import BudgetError, ParameterError
-from orbitcodes.gf import FpSubspace, base_p_digits, build_field, mul_rows, power_table, product_matrices
+from orbitcodes.gf import FpSubspace, base_p_digits, build_field, digit_codes, mul_rows, power_table, product_matrices
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup, scaling_subgroup
 from orbitcodes.instance import InstanceConfig, build_instance
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, rank_mod_p, rref_mod_p
@@ -407,24 +411,172 @@ def test_distance_matches_dfs_oracle_at_p3(inst1_p3):
 @pytest.mark.parametrize(
     "p,sizes,k",
     [(2, [2] * 7, 3), (3, [3] * 5, 2), (5, [5, 5, 5], 9), (2, [4, 4, 4], 12)]
-    # every packed word at p = 2: uint8, uint16, uint32, one and two uint64, each at its edges
+    # k digits per coordinate, so k rows in each coordinate's matrix: at p = 2 the word edges of
+    # uint8, uint16, uint32, one and two uint64 words, fewer and more rows than generators
     + [(2, [2] * 6, k) for k in (1, 8, 9, 16, 17, 33, 64, 65)],
 )
 def test_chunked_enumeration_matches_dfs_with_many_prefixes(monkeypatch, p, sizes, k):
-    # a tiny low table forces several leading rows into the prefix loop
-    monkeypatch.setattr(codecore, "LOW_TABLE_BYTES", 64)
+    # the generators span prod(sizes) codewords; tiny chunk bounds split every kernel into many chunks
     rng = np.random.default_rng(sum(sizes) + k)
-    # half the coordinates lie in the span of a random vector and the top unit
-    # vector, so that sums cancel there, or differ in the top digit alone
+    N = round(math.log(math.prod(sizes), p))
+    # half the coordinates lie in the span of a random vector and the top unit vector, so that
+    # sums cancel there, or differ in the top digit alone
     u, top = rng.integers(0, p, size=k), np.eye(k, dtype=np.int64)[-1]
-    tables = []
-    for size in sizes:
-        tab = rng.integers(0, p, size=(size, 6, k))
-        span = rng.integers(0, p, size=(size, 6, 1)) * u + rng.integers(0, p, size=(size, 6, 1)) * top
-        tab = np.where(rng.random((size, 6, 1)) < 0.5, span % p, tab)
-        tab[0] = 0
-        tables.append(tab)
-    assert codecore._min_weight_chunked(tables, p) == dfs_min_weight(tables, p)
+    gens = rng.integers(0, p, size=(N, 6, k))
+    span = rng.integers(0, p, size=(N, 6, 1)) * u + rng.integers(0, p, size=(N, 6, 1)) * top
+    gens = np.where(rng.random((1, 6, 1)) < 0.5, span % p, gens)
+    expected = dfs_min_weight([np.stack([x * g % p for x in range(p)]) for g in gens], p)
+    for chunk, slab in itertools.product((1, 5, linalg.KERNEL_CHUNK_ENTRIES), (p, linalg.KERNEL_SLAB_CODES)):
+        monkeypatch.setattr(linalg, "KERNEL_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(linalg, "KERNEL_SLAB_CODES", slab)
+        assert codecore._min_weight(gens, p) == expected
+
+
+def _brute_kernel_counts(mats, p):
+    """counts[c]: the matrices M with M @ m = 0 mod p, by the product with every m, 2^14 at a time."""
+    N = mats.shape[2]
+    counts = np.zeros(p**N, dtype=np.int64)
+    for lo in range(0, p**N, 1 << 14):
+        digits = base_p_digits(np.arange(lo, min(p**N, lo + (1 << 14))), p, N)
+        for mat in mats:
+            counts[lo : lo + len(digits)] += ~matmul_mod_p(mat % p, digits.T, p).any(axis=0)
+    return counts
+
+
+def _nullspace_kernel_counts(mats, p):
+    """counts[c] from every F_p combination of each matrix's nullspace_mod_p basis, one matrix at a time."""
+    counts = np.zeros(p ** mats.shape[2], dtype=np.int64)
+    for mat in mats:
+        basis = nullspace_mod_p(mat, p)
+        elements = base_p_digits(np.arange(p ** len(basis)), p, len(basis)) @ basis % p
+        counts[digit_codes(elements, p)] += 1  # a kernel's elements are distinct
+    return counts
+
+
+def _slab_counts(mats, p):
+    """kernel_counts' slabs, checked to be of one length p^L, the largest power of p up to p^N within KERNEL_SLAB_CODES, and joined."""
+    slabs = list(linalg.kernel_counts(mats, p))
+    N = mats.shape[2]
+    L = max(L for L in range(N + 1) if L == 0 or p**L <= linalg.KERNEL_SLAB_CODES)
+    assert [len(counts) for counts in slabs] == [p**L] * p ** (N - L)
+    return np.concatenate(slabs)
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in (2, 3, 5) for N in (1, 8, 9, 16, 17) if p**N <= 1 << 19])
+def test_kernel_counts_match_brute_force_and_nullspace(monkeypatch, p, N):
+    # stacks of zero, random unreduced, rank-deficient and duplicate-row matrices with 1, 12 and 65
+    # rows; one element per chunk, a few, a fifth of F_p^N and the default; one code per slab, about
+    # sqrt(p^N), p^N / p and the default; and an empty stack
+    rng = np.random.default_rng(10 * N + p)
+    entries = 1 if p == 2 else N
+    chunks = [linalg.KERNEL_CHUNK_ENTRIES, (p**N // 5 + 1) * entries] + ([entries, 7 * entries] if p**N <= 1 << 12 else [])
+    slabs = [linalg.KERNEL_SLAB_CODES, p ** (N - 1)] + ([1, p ** (N // 2)] if p**N <= 1 << 8 else [])
+    for rows in (1, 12, 65):
+        duplicate = rng.integers(0, p, size=(rows, N))
+        duplicate[1::2] = duplicate[0]
+        mats = np.stack(
+            [
+                np.zeros((rows, N), dtype=np.int64),
+                rng.integers(-2 * p, 2 * p, size=(rows, N)),
+                rng.integers(0, p, size=(rows, 2)) @ rng.integers(0, p, size=(2, N)),  # rank at most 2, unreduced
+                duplicate,
+                rng.integers(0, p, size=(rows, N)),
+            ]
+        )
+        expected = _brute_kernel_counts(mats, p)
+        assert np.array_equal(_nullspace_kernel_counts(mats, p), expected)
+        for chunk, slab in itertools.product(chunks, slabs):
+            monkeypatch.setattr(linalg, "KERNEL_CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(linalg, "KERNEL_SLAB_CODES", slab)
+            got = _slab_counts(mats, p)
+            assert got.dtype == np.uint8 and np.array_equal(got, expected)
+            assert np.array_equal(_slab_counts(mats[:0], p), np.zeros(p**N, dtype=np.uint8))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p,N,rows", [(2, 26, 20), (3, 15, 11)])
+def test_kernel_counts_hold_one_slab_at_a_time(p, N, rows):
+    # p^N is 2^26 and 3^15: one uint8 counter per message would take 64 MB and 14 MB.  Kernels of
+    # dimension N - rows to N - rows + 4, with free columns below the slab's top digits (zeroed
+    # columns, zeroed rows) and above them, some duplicated, against their elements enumerated
+    # one matrix at a time
+    rng = np.random.default_rng(N)
+    mats = rng.integers(0, p, size=(24, rows, N))
+    for mat in mats[::2]:
+        mat[:, rng.choice(N, size=rng.integers(1, 5), replace=False)] = 0
+    for mat in mats[1::3]:
+        mat[: rng.integers(0, 5)] = 0
+    mats[-4:] = mats[:4]
+    codes = []
+    for mat in mats:
+        basis = nullspace_mod_p(mat, p)
+        codes.append(digit_codes(base_p_digits(np.arange(p ** len(basis)), p, len(basis)) @ basis % p, p))
+    found, times = np.unique(np.concatenate(codes), return_counts=True)
+    L = max(L for L in range(N + 1) if p**L <= linalg.KERNEL_SLAB_CODES)
+    tracemalloc.start()
+    for i, counts in enumerate(linalg.kernel_counts(mats, p)):
+        assert (counts.dtype, len(counts)) == (np.uint8, p**L)
+        at = (found >= i * p**L) & (found < (i + 1) * p**L)
+        assert np.array_equal(np.flatnonzero(counts), found[at] - i * p**L)
+        assert np.array_equal(counts[found[at] - i * p**L], times[at])
+        del counts
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert i + 1 == p ** (N - L) > 1
+    assert peak < p**N // 4
+
+
+def test_kernel_counts_refusals_and_counter_width():
+    # counters hold the stack's size; a stack must be 3-d, and every code must fit int64, checked
+    # when the counter is called, before any slab is counted
+    assert _slab_counts(np.zeros((256, 1, 2), dtype=np.int64), 2).tolist() == [256] * 4
+    assert _slab_counts(np.zeros((256, 1, 2), dtype=np.int64), 2).dtype == np.uint16
+    assert _slab_counts(np.ones((3, 2, 0), dtype=np.int64), 5).tolist() == [3]
+    with pytest.raises(ParameterError, match="stack"):
+        linalg.kernel_counts(np.zeros((2, 3)), 2)
+    with pytest.raises(ParameterError, match="overflow int64"):
+        linalg.kernel_counts(np.zeros((1, 1, 63), dtype=np.int64), 2)
+
+
+def _exhaustive_distance_cases():
+    """(fixture, D or None, dims or None) of the instances where the distance is compared with the chunked oracle."""
+    return (
+        [("inst2_p2", 96, None)]
+        + [("inst1_p2", D, None) for D in (10, 20, 30, 40, 48)]
+        + [("inst1_p2", None, dims) for dims in (1, 2, 3)]
+        + [("inst1_p3", D, None) for D in (24, 40)]
+    )
+
+
+@pytest.mark.parametrize("fixture,D,dims", _exhaustive_distance_cases())
+def test_exhaustive_distance_matches_chunked_oracle(request, fixture, D, dims):
+    # value, mode and count against the enumeration that weighed every codeword at every coordinate
+    inst = request.getfixturevalue(fixture)
+    ms = inst.message_space(D=D) if D is not None else _subspace(inst, dims)
+    store = CodewordStore(ms, inst.omega)
+    res = min_distance_exhaustive(store)
+    assert (res.value, res.mode, res.enumerated) == chunked_min_distance(store)
+    if fixture == "inst2_p2":  # the benchmark's local-II22 code
+        assert (res.value, res.mode, res.enumerated) == (440, "prime-subcode", 2**16)
+    if dims is not None:
+        assert res.mode == "full-field"
+
+
+def test_exhaustive_distance_at_a_raised_budget_holds_one_slab(monkeypatch, inst2_p2):
+    # II(2,2) at D = 144: 2^25 prime-subcode messages, above the default budget, in 32 slabs of 2^20
+    # counters or 512 of 2^16; one uint16 counter per message would take 64 MB
+    store = CodewordStore(inst2_p2.message_space(D=144), inst2_p2.omega)
+    store(range(store.ms.dim))
+    with pytest.raises(BudgetError):
+        min_distance_exhaustive(store)
+    for slab in (linalg.KERNEL_SLAB_CODES, 1 << 16):
+        monkeypatch.setattr(linalg, "KERNEL_SLAB_CODES", slab)
+        tracemalloc.start()
+        res = min_distance_exhaustive(store, budget=1 << 25)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (res.value, res.mode, res.enumerated) == (438, "prime-subcode", 2**25)
+        assert peak < 16 << 20
 
 
 def test_pack_bits_round_trips_little_endian_at_word_edges():
@@ -474,7 +626,7 @@ def test_xor_rows_matches_matmul_mod_p(monkeypatch, width):
             start = rng.integers(0, 2, size=(len(coeffs), width))
             acc = linalg.pack_bits(start)
             _RecordingWords.gathers = []
-            linalg.xor_rows(acc, coeffs, linalg.pack_bits(right).view(_RecordingWords))
+            linalg.xor_rows(acc, linalg.odd_terms(coeffs), linalg.pack_bits(right).view(_RecordingWords))
             expected = (start + matmul_mod_p(coeffs % 2, right, 2)) % 2
             assert acc.dtype == np.uint64 and np.array_equal(linalg.unpack_bits(acc, width), expected)
             assert sum(_RecordingWords.gathers) == np.count_nonzero(coeffs % 2) * words
@@ -484,9 +636,8 @@ def test_xor_rows_matches_matmul_mod_p(monkeypatch, width):
 def test_packed_words_at_p2_are_the_smallest_that_hold_k_bits():
     widths = [(1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (17, np.uint32, 1), (33, np.uint64, 1), (65, np.uint64, 2)]
     for k, dtype, words in widths:
-        packed = codecore._pack(np.ones((3, 5, k), dtype=np.int64), 2)
+        packed = linalg.pack_bits(np.ones((3, 5, k), dtype=np.int64), linalg.word_width(k))
         assert (packed.dtype, packed.shape) == (dtype, (3, 5, words))
-    assert codecore._pack(np.ones((3, 5, 9), dtype=np.int64), 3).shape == (3, 5, 2)  # bytes in uint64 words
 
 
 def _assert_sigma2_matches_oracle(G, H, S, ambient):
