@@ -20,11 +20,13 @@ first: the message-space basis, and the rows that constraint_report
 checks and encode_basis_digits encodes.  Only encode takes field
 coefficients, and it splits them into such rows.  Codewords are (n, k)
 digit arrays.  Encoding is gf.power_sums, on packed words at p = 2 and
-one linalg.matmul_mod_p otherwise; every other F_p product on them (the
-local checks, the Schur products and the multiples of the full-field
-distance and of the sampler) is one linalg.matmul_mod_p, on plain
-matrices or on stacks of per-point product matrices
-(gf.product_matrices), or one gf.mul_rows.  A CodewordStore encodes
+one linalg.matmul_mod_p otherwise; every other F_p product on them is
+one linalg.matmul_mod_p, on plain matrices or on stacks of per-point
+product matrices (gf.product_matrices), or one gf.mul_rows.  A field
+scalar s acts on a codeword w through its product matrix R_s, so the
+full-field distance's generators x^a * w are the rows of w's R_w, and
+the sampled codewords are the basis codewords times their scalars' R_s.
+A CodewordStore encodes
 each basis row of a message space at most once; the exhaustive and the
 sampled distance read their codewords from it.  The exhaustive distance
 weighs no codeword: a message m vanishes at coordinate j iff it lies in
@@ -58,9 +60,12 @@ from orbitcodes.errors import (
 from orbitcodes.gf import FieldContext, base_p_digits, digit_codes, mul_rows, pow_rows, power_sums, power_table, product_matrices
 from orbitcodes.groupgeom import ScalingGroup, TranslationGroup
 from orbitcodes.cosetgraph import CosetGraph
-from orbitcodes.linalg import kernel_counts, matmul_mod_p, nullspace_mod_p, rref_mod_p
+from orbitcodes.linalg import INT64_LIMIT, kernel_counts, matmul_mod_p, nullspace_mod_p, rref_mod_p
 
-LOW_TABLE_BYTES = 1 << 20  # the full field is enumerated only when the |F| multiples of one basis codeword fit this
+# Selects the full field when |F|*n*k*8 bytes fit; kept so that modes and report bytes stay fixed, it sizes
+# no table: the full field allocates dim*n*k^2 generator digits and counter slabs, and a rule on those
+# bytes would be a separate, byte-changing change.
+LOW_TABLE_BYTES = 1 << 20
 ENCODE_CHUNK_ENTRIES = 1 << 20  # bound on the power table of one chunk of orbit points
 SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
 
@@ -166,7 +171,8 @@ def encode(
     polynomials f_a in F_p[X] and the powers x^a of the field generator.
     Both bases lie in F_p[X], so f's degree and base degrees are the
     largest of its digit polynomials', and f's codeword is
-    sum_a x^a (f_a's codeword), one F_p product with mul_tensor()[:c].
+    sum_a x^a (f_a's codeword), one F_p product with mul_tensor()[:c],
+    the product matrices of 1, x, ..., x^(c-1).
     The evaluation map is injective on the message space because message
     degrees stay below D <= n and the orbit points are distinct.
     """
@@ -417,39 +423,43 @@ def min_distance_exhaustive(
     """Minimum Hamming weight of the code of a codeword store's message space, by exhaustive message enumeration.
 
     Enumerates the full field-linear code when |F|^dim fits the budget and
-    the |F| multiples of one basis codeword fit LOW_TABLE_BYTES.  Otherwise,
-    when p^dim fits, it exhausts the prime-rational subcode (the F_p span
-    of the basis) exactly; that value upper-bounds the code distance while
-    every lower bound proved for the code applies to it, and the mode is
-    recorded so reports stay honest about which set was enumerated.
+    |F|*n*k*8 bytes fit LOW_TABLE_BYTES.  Otherwise, when p^dim fits, it
+    exhausts the prime-rational subcode (the F_p span of the basis)
+    exactly; that value upper-bounds the code distance while every lower
+    bound proved for the code applies to it, and the mode is recorded so
+    reports stay honest about which set was enumerated.  A count fits
+    when it is within the budget and below 2^63, the int64 limit of the
+    message codes (linalg.kernel_counts).  LOW_TABLE_BYTES is kept so that
+    modes and report bytes stay fixed; the full field allocates dim*n*k^2
+    generator digits plus counter slabs, and a rule on those bytes would
+    be a separate, byte-changing change.
     The budget is checked first, so a refusal encodes nothing; then every
     basis codeword is read from the store, which encodes those it does
     not hold yet.  The enumerated code is the F_p span of its generators
-    (_min_weight): the basis codewords in the prime subcode, and their
-    dim*k multiples x^a * w by the powers of the field generator in the
-    full field (_multiples).
+    (_min_weight): the basis codewords in the prime subcode, and in the
+    full field their dim*k multiples x^a * w, the rows of their product
+    matrices (gf.product_matrices).
     """
     ms = codewords.ms
     ctx = ms.ctx
     if ms.dim == 0:
         raise ParameterError("zero-dimensional code has no minimum distance")
-    q = ctx.order
-    p = ctx.p
-    table_bytes = q * codewords.n * ctx.k * 8  # the multiples of one basis codeword
-    if q**ms.dim <= budget and table_bytes <= LOW_TABLE_BYTES:
+    q, p, n = ctx.order, ctx.p, codewords.n
+    limit = min(budget, INT64_LIMIT - 1)
+    if q**ms.dim <= limit and q * n * ctx.k * 8 <= LOW_TABLE_BYTES:
         scalars, mode = q, "full-field"
-    elif p**ms.dim <= budget:
+    elif p**ms.dim <= limit:
         scalars, mode = p, "prime-subcode"
     else:
         reason = (
             f"|F|^dim = {q}^{ms.dim} exceeds the enumeration budget {budget}"
-            if q**ms.dim > budget
-            else f"the {q} multiples of one basis codeword take {table_bytes} bytes, above {LOW_TABLE_BYTES}"
+            if p**ms.dim > budget
+            else f"p^dim = {p}^{ms.dim} messages reach 2^63, the int64 limit of their codes"
         )
         raise BudgetError(f"{reason}; min_distance_sampled (--sample) gives an upper bound instead")
     generators = codewords(range(ms.dim))
     if mode == "full-field":
-        generators = _multiples(ctx, generators, np.eye(ctx.k, dtype=np.int64)).reshape(-1, codewords.n, ctx.k)
+        generators = product_matrices(ctx, generators).transpose(0, 2, 1, 3).reshape(-1, n, ctx.k)
     return DistanceResult(value=_min_weight(generators, p), mode=mode, enumerated=scalars**ms.dim)
 
 
@@ -470,16 +480,6 @@ def _min_weight(generators: np.ndarray, p: int) -> int:
     return generators.shape[1] - most
 
 
-def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """Digits (rows, s, n, k) of every multiplier times every codeword.
-
-    rows is a (rows, n, k) array of codewords and multipliers an (s, k)
-    digit array; the multiples are one stacked F_p product of the
-    codewords with the multipliers' product matrices (gf.product_matrices).
-    """
-    return matmul_mod_p(rows[:, None], product_matrices(ctx, multipliers), ctx.p)
-
-
 def min_distance_sampled(
     codewords: CodewordStore,
     samples: int = 100_000,
@@ -487,42 +487,36 @@ def min_distance_sampled(
 ) -> int:
     """Smallest weight among random nonzero field-linear codewords of a codeword store's message space (upper bound).
 
-    Messages are drawn 8192 at a time.  Scalar s times basis codeword w is
-    sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
-    the powers of the field generator (_multiples); so a chunk of sampled
-    codewords is one product of the scalars' digits with a block of those
-    multiples (linalg.matmul_mod_p), summed over blocks.
-    Every basis codeword is read from the store, in its narrow digit type:
-    the store's rows and their copy take 2*dim*n*k bytes at p < 257 (about
-    80 MB on I(2,3) at D = n).  Beyond those, chunks of samples and blocks
-    of basis rows each hold at most SAMPLE_CHUNK_ENTRIES digits, and no
-    table of all |F| multiples is built.  Fewer than one sample is refused
-    before anything is encoded.
+    Messages are drawn 8192 at a time.  A scalar s acts on a codeword w
+    through its product matrix, digits(w*s) = digits(w) @ R_s
+    (gf.product_matrices), so sum_b s_b * w_b is the (n, dim*k) array
+    whose column (b, i) is digit i of w_b times the stacked R_{s_b}, and a
+    chunk of samples is one linalg.matmul_mod_p with their matrices side
+    by side.  The basis codewords are read from the store once, in their
+    narrow type: the store's rows and that array take 2*dim*n*k bytes at
+    p < 257 (about 80 MB on I(2,3) at D = n).  A chunk's (n, chunk*k)
+    product and (dim*k, chunk*k) matrices stay within SAMPLE_CHUNK_ENTRIES.
+    Fewer than one sample is refused before anything is encoded.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
     ms = codewords.ms
     ctx = ms.ctx
-    p, k = ctx.p, ctx.k
+    p, k, n = ctx.p, ctx.k, codewords.n
     rng = np.random.default_rng(seed)
-    rows = codewords(range(ms.dim))
-    n = codewords.n
-    sample_chunk = max(1, SAMPLE_CHUNK_ENTRIES // (n * k))
-    row_block = max(1, SAMPLE_CHUNK_ENTRIES // (k * n * k))
+    columns = codewords(range(ms.dim)).transpose(1, 0, 2).reshape(n, ms.dim * k)
+    chunk = max(1, SAMPLE_CHUNK_ENTRIES // (k * max(n, ms.dim * k)))
     best = n
     done = 0
     while done < samples:
         b = min(8192, samples - done)
         codes = rng.integers(0, ctx.order, size=(b, ms.dim))
         codes[(codes == 0).all(axis=1), 0] = 1
-        for lo in range(0, b, sample_chunk):
-            part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k)  # the scalars' digits
-            acc = np.zeros((len(part), n * k), dtype=np.int64)
-            for t in range(0, ms.dim, row_block):
-                multiples = _multiples(ctx, rows[t : t + row_block], np.eye(k, dtype=np.int64))
-                acc += matmul_mod_p(part[:, t : t + row_block].reshape(len(part), -1), multiples.reshape(-1, n * k), p)
-            weights = (acc.reshape(-1, n, k) % p).any(axis=2).sum(axis=1)
-            best = min(best, int(weights.min()))
+        for lo in range(0, b, chunk):
+            part = codes[lo : lo + chunk]
+            mats = product_matrices(ctx, base_p_digits(part.ravel(), p, k)).reshape(len(part), ms.dim, k, k)
+            words = matmul_mod_p(columns, mats.transpose(1, 2, 0, 3).reshape(ms.dim * k, len(part) * k), p)
+            best = min(best, int(words.reshape(n, len(part), k).any(axis=2).sum(axis=0).min()))
         done += b
     return best
 

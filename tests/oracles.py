@@ -70,7 +70,11 @@
   that tensor, contracted in int64) and ``einsum_multiples`` (every
   multiplier's multiplication matrix applied to every codeword).
 * ``table_min_distance_sampled``: the sampled distance from full tables of
-  every scalar multiple of every basis codeword.
+  every scalar multiple of every basis codeword; and
+  ``blocked_min_distance_sampled`` (with ``_multiples``), the sampler as
+  ``codecore`` ran it before a scalar acted through its product matrix:
+  each chunk of samples times the multiples x^a·w of one block of basis
+  rows at a time, rebuilt for every chunk.
 * ``chunked_min_weight`` (with ``_pack`` and ``_add_mod``): the exhaustive
   minimum weight as ``codecore`` enumerated it before it counted each
   coordinate's kernel, every codeword weighed against every coordinate
@@ -100,7 +104,7 @@ from orbitcodes.bounds import _validate
 from orbitcodes.codecore import encode_basis_digits, max_degree_below
 from orbitcodes.cosetgraph import CharSumMax, CosetGraph, Sigma2Exact
 from orbitcodes.errors import DEFAULT_BUDGETS, ConfigurationError, InternalError, ParameterError
-from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, base_p_digits, frobenius_matrix
+from orbitcodes.gf import FieldContext, FieldElement, FpSubspace, base_p_digits, frobenius_matrix, product_matrices
 from orbitcodes.groupgeom import GroupA, ScalingGroup, TranslationGroup
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, pack_bits, rank_mod_p, word_width
 from orbitcodes.numutil import prime_factors
@@ -1368,6 +1372,70 @@ def table_min_distance_sampled(ms, omega, samples: int, seed: int) -> int:
             acc += tab[codes[:, t]]
         weights = (acc % ctx.p).any(axis=2).sum(axis=1)
         best = min(best, int(weights.min()))
+        done += b
+    return best
+
+
+SAMPLE_CHUNK_ENTRIES = 1 << 22  # bound on the digits of one chunk of sampled codewords
+
+
+def _multiples(ctx: FieldContext, rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Digits (rows, s, n, k) of every multiplier times every codeword.
+
+    rows is a (rows, n, k) array of codewords and multipliers an (s, k)
+    digit array; the multiples are one stacked F_p product of the
+    codewords with the multipliers' product matrices (gf.product_matrices).
+    """
+    return matmul_mod_p(rows[:, None], product_matrices(ctx, multipliers), ctx.p)
+
+
+def blocked_min_distance_sampled(
+    codewords,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> int:
+    """Smallest weight among random nonzero field-linear codewords of a codeword store's message space (upper bound).
+
+    codecore.min_distance_sampled as it was before a scalar acted through
+    its product matrix: the multiples of a block of basis rows are rebuilt
+    for every chunk of samples.  It draws the same messages, so the two
+    return the same value at every seed.
+    Messages are drawn 8192 at a time.  Scalar s times basis codeword w is
+    sum_a s_a * (x^a w), for the digits s_a of s and the multiples x^a w by
+    the powers of the field generator (_multiples); so a chunk of sampled
+    codewords is one product of the scalars' digits with a block of those
+    multiples (linalg.matmul_mod_p), summed over blocks.
+    Every basis codeword is read from the store, in its narrow digit type:
+    the store's rows and their copy take 2*dim*n*k bytes at p < 257 (about
+    80 MB on I(2,3) at D = n).  Beyond those, chunks of samples and blocks
+    of basis rows each hold at most SAMPLE_CHUNK_ENTRIES digits, and no
+    table of all |F| multiples is built.  Fewer than one sample is refused
+    before anything is encoded.
+    """
+    if samples < 1:
+        raise ParameterError(f"need at least one sample, got {samples}")
+    ms = codewords.ms
+    ctx = ms.ctx
+    p, k = ctx.p, ctx.k
+    rng = np.random.default_rng(seed)
+    rows = codewords(range(ms.dim))
+    n = codewords.n
+    sample_chunk = max(1, SAMPLE_CHUNK_ENTRIES // (n * k))
+    row_block = max(1, SAMPLE_CHUNK_ENTRIES // (k * n * k))
+    best = n
+    done = 0
+    while done < samples:
+        b = min(8192, samples - done)
+        codes = rng.integers(0, ctx.order, size=(b, ms.dim))
+        codes[(codes == 0).all(axis=1), 0] = 1
+        for lo in range(0, b, sample_chunk):
+            part = base_p_digits(codes[lo : lo + sample_chunk].ravel(), p, k).reshape(-1, ms.dim, k)  # the scalars' digits
+            acc = np.zeros((len(part), n * k), dtype=np.int64)
+            for t in range(0, ms.dim, row_block):
+                multiples = _multiples(ctx, rows[t : t + row_block], np.eye(k, dtype=np.int64))
+                acc += matmul_mod_p(part[:, t : t + row_block].reshape(len(part), -1), multiples.reshape(-1, n * k), p)
+            weights = (acc.reshape(-1, n, k) % p).any(axis=2).sum(axis=1)
+            best = min(best, int(weights.min()))
         done += b
     return best
 

@@ -441,6 +441,19 @@ def bundle_ii_path(tmp_path_factory):
     return str(path)
 
 
+def test_budget_past_int64_skips_to_the_sampler(bundle_ii_path, capsys, monkeypatch):
+    # II(2,2) at D = n: 2^70 admits the 2^70 prime-subcode messages, whose int64 codes would overflow
+    monkeypatch.setenv("ORBITCODES_DISTANCE_BUDGET", str(2**70))
+    code, out = _run(capsys, "distance", "--bundle", bundle_ii_path, "--sample", "5")
+    assert code == 0
+    sec = json.loads(out)["distance"]
+    assert sec["status"] == (
+        "skipped: budget (p^dim = 2^70 messages reach 2^63, the int64 limit of their codes; "
+        "min_distance_sampled (--sample) gives an upper bound instead)"
+    )
+    assert sec["ok"] and 1 <= sec["sampled_upper_bound"] <= 448
+
+
 @pytest.mark.parametrize("command", ["distance", "report"])
 def test_negative_sample_is_structured_error(bundle_ii_path, capsys, command):
     # II(2,2) is over the exhaustive budget, so the sample count is what the distance section would use

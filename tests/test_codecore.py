@@ -335,6 +335,22 @@ def test_refused_distance_encodes_only_when_it_samples(encoded, sample):
     assert encoded == [11]
 
 
+def test_budget_past_int64_refuses_before_encoding(inst2_p2, encoded):
+    # II(2,2) at D = n has dim 70: within a budget of 2^70, but its message codes would overflow int64
+    store = CodewordStore(inst2_p2.message_space(), inst2_p2.omega)
+    with pytest.raises(BudgetError, match="the int64 limit"):
+        min_distance_exhaustive(store, budget=2**70)
+    assert encoded == []
+
+
+def test_budget_past_int64_falls_back_to_the_prime_subcode(inst1_p2):
+    # I(2,2) at D = n: the full field's 2^66 codes would overflow int64, the prime subcode's 2^11 do not
+    store = CodewordStore(inst1_p2.message_space(), inst1_p2.omega)
+    wide = min_distance_exhaustive(store, budget=2**70)
+    assert (wide.mode, wide.enumerated) == ("prime-subcode", 2**11)
+    assert wide == min_distance_exhaustive(store, budget=2**11)
+
+
 def test_schur_doubled_bound_nonvacuous_below_half():
     # at r < 1/2 the doubled local dimension stays below the orbit size, so
     # the product check can actually fail; above 1/2 it is vacuous

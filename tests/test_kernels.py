@@ -29,6 +29,7 @@ from oracles import (
     _u_row_pairs,
     base_degree,
     base_digits,
+    blocked_min_distance_sampled,
     chunked_min_distance,
     dfs_min_weight,
     divisors,
@@ -951,26 +952,71 @@ def test_encode_basis_digits_sums_on_words_at_p2(monkeypatch, p, k, on_words):
 
 @pytest.mark.parametrize("fixture", ["inst1_p2", "inst1_p3"])
 def test_multiples_match_einsum_oracle(request, fixture):
-    # F_p, the whole field, and the generator's powers (the sampled distance's multipliers)
+    # a scalar acts on a codeword through its product matrix: F_p and the whole field as multipliers,
+    # and the rows' own product matrices, reordered, which are the full-field distance's generators x^a * w
     inst = request.getfixturevalue(fixture)
     ctx = inst.ambient
     rows = encode_basis_digits(ctx, inst.message_space(D=24).coeffs, inst.omega)
-    for scalars in (ctx.p, ctx.order, None):
-        multipliers = np.eye(ctx.k, dtype=np.int64) if scalars is None else base_p_digits(np.arange(scalars), ctx.p, ctx.k)
-        got = codecore._multiples(ctx, rows, multipliers)
+    for scalars in (ctx.p, ctx.order):
+        multipliers = base_p_digits(np.arange(scalars), ctx.p, ctx.k)
+        got = matmul_mod_p(rows[:, None], product_matrices(ctx, multipliers), ctx.p)
         assert got.dtype == np.int64 and np.array_equal(got, einsum_multiples(ctx, rows, multipliers))
+    generators = product_matrices(ctx, rows).transpose(0, 2, 1, 3)
+    assert generators.dtype == np.int64
+    assert np.array_equal(generators, einsum_multiples(ctx, rows, np.eye(ctx.k, dtype=np.int64)))
+
+
+def _sample_chunk_entries(inst, ms, samples):
+    """The SAMPLE_CHUNK_ENTRIES at which min_distance_sampled takes that many samples per chunk."""
+    k = inst.ambient.k
+    return samples * k * max(inst.n, ms.dim * k)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sampled_distance_matches_table_oracle(monkeypatch, inst1_p2, seed):
-    # 9000 samples: two draws of the sampler; the patched bound gives chunks
-    # of 3k = 18 samples and blocks of 3 of the 11 basis rows
-    inst = inst1_p2
-    ms = inst.message_space()
-    expected = table_min_distance_sampled(ms, inst.omega, samples=9000, seed=seed)
-    assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=9000, seed=seed) == expected
-    monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", 3 * inst.n * inst.ambient.k**2)
-    assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=9000, seed=seed) == expected
+def test_sampled_distance_matches_table_oracle(monkeypatch, inst1_p2, inst1_p3, seed):
+    # I(2,2) at D = n: 9000 samples, two draws of the sampler; I(3,2) at D = 24 adds p = 3, in one
+    # draw, since the oracle's (samples, n, k) int64 sums grow with n.  The patched bound gives chunks
+    # of 13 samples, several per draw
+    for inst, D, samples in ((inst1_p2, None, 9000), (inst1_p3, 24, 1000)):
+        ms = inst.message_space(D=D)
+        expected = table_min_distance_sampled(ms, inst.omega, samples=samples, seed=seed)
+        assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=samples, seed=seed) == expected
+        monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", _sample_chunk_entries(inst, ms, 13))
+        assert min_distance_sampled(CodewordStore(ms, inst.omega), samples=samples, seed=seed) == expected
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "fixture,D,samples",
+    [
+        ("inst1_p2", 24, 9000),
+        ("inst1_p2", None, 9000),
+        ("inst1_p3", 24, 1000),
+        ("inst1_p3", None, 1000),
+        ("inst2_p2", 96, 1000),
+        ("inst2_p2", None, 1000),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_distance_matches_blocked_oracle(monkeypatch, request, fixture, D, samples, seed):
+    # the sampler as it multiplied each chunk by the rebuilt multiples of blocks of basis rows, at the
+    # default chunk bound and at one of 300 samples per chunk; on I(2,2) the 9000 samples are two draws
+    inst = request.getfixturevalue(fixture)
+    store = CodewordStore(inst.message_space(D=D), inst.omega)
+    expected = blocked_min_distance_sampled(store, samples=samples, seed=seed)
+    assert 1 <= expected <= inst.n
+    assert min_distance_sampled(store, samples=samples, seed=seed) == expected
+    monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", _sample_chunk_entries(inst, store.ms, 300))
+    assert min_distance_sampled(store, samples=samples, seed=seed) == expected
+
+
+def test_sampled_distance_weighs_every_sample(monkeypatch, inst1_p2):
+    # one to seven samples in chunks of two, where the least weight of a few samples moves with each one
+    store = inst1_p2.codewords
+    monkeypatch.setattr(codecore, "SAMPLE_CHUNK_ENTRIES", _sample_chunk_entries(inst1_p2, store.ms, 2))
+    for samples, seed in itertools.product(range(1, 8), range(4)):
+        expected = blocked_min_distance_sampled(store, samples=samples, seed=seed)
+        assert min_distance_sampled(store, samples=samples, seed=seed) == expected
 
 
 def test_sampled_distance_memory_is_bounded(inst2_p2):
@@ -989,6 +1035,10 @@ def test_sampled_distance_memory_is_bounded(inst2_p2):
 
 
 def test_distance_section_refuses_the_full_field_table_on_i23():
-    # D = 1: dim 1 and |F| = 2^21 fit the codeword budget, but one row's table of multiples would not fit memory
+    # D = 1: dim 1 and |F| = 2^21 fit the codeword budget, but |F|*n*k*8 bytes, the int64 table of one row's
+    # multiples, exceed LOW_TABLE_BYTES.  No such table is built any more; the bound is kept so that the
+    # modes and the report bytes stay fixed.  The full field would allocate dim*n*k^2 generator digits
+    # (12.6 MB here) and kernel_counts' counter slabs; a rule on those bytes would change this mode and
+    # the report bytes, so it is a separate change
     sec = distance_section(build_instance(InstanceConfig("I", 2, 3, D=1)))
     assert (sec["status"], sec["mode"], sec["distance"], sec["enumerated"]) == ("computed", "prime-subcode", 3584, 2)
