@@ -12,15 +12,18 @@ the field are k x k matrices on digit vectors: the trace form, the
 Frobenius matrix, and the kernels and trace-dual subspaces they cut
 out.  A subspace (FpSubspace) is the RREF of its spanning rows, a
 (dim, k) basis array from one elimination.  Every F_p product is one
-linalg.matmul_mod_p, but power_sums' at p = 2 and k <= 64: there an
-element is one word of k bits (linalg.pack_bits), a product by a power
-is shift-and-reduce and XOR, and the sum is one linalg.xor_rows.  The
-modulus search (build_field)
-and its irreducibility test run on the same digit arrays, in the
-candidate's own quotient ring F_p[X]/(modulus).  FieldElement, the
-scalar element, is only the tests' oracle.
+linalg.matmul_mod_p, but at p = 2 and k <= 64 those of a large mul_rows
+batch and of power_sums: there an element is one word of k bits
+(linalg.pack_bits), x times X^i is shift-and-reduce (_shift_words), a
+product is the XOR of those words at the other factor's set bits
+(_word_products), and power_sums' sum is one linalg.xor_rows.  The
+modulus search (build_field) and its irreducibility test run on the
+same digit arrays, in the candidate's own quotient ring
+F_p[X]/(modulus).  FieldElement, the scalar element, is only the tests'
+oracle.
 
-Contexts and elements are immutable after construction and safe to share.
+Contexts and elements are immutable after construction and safe to
+share; a context caches one read-only table of words on first use.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from orbitcodes.fppoly import digit_chunks
 from orbitcodes.linalg import matmul_mod_p, nullspace_mod_p, odd_terms, pack_bits, rank_mod_p, rref_mod_p, unpack_bits, word_width, xor_rows
 from orbitcodes.numutil import is_prime, prime_factors
 
+WORD_PRODUCTS = 64  # at p = 2 and k <= 64, mul_rows multiplies on words from this many products of one batch up
+
 
 class FieldContext:
     """The field F_{p^k} presented as F_p[X]/(modulus).
@@ -44,7 +49,7 @@ class FieldContext:
     deterministically.
     """
 
-    __slots__ = ("p", "k", "modulus", "_mul_tensor")
+    __slots__ = ("p", "k", "modulus", "_mul_tensor", "_overflow")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -63,6 +68,7 @@ class FieldContext:
         powers = np.concatenate([block[:, :k].astype(np.int64) for _, block in digit_chunks(mod, 2 * k - 1, p)])
         self._mul_tensor = powers[np.add.outer(np.arange(k), np.arange(k))]
         self._mul_tensor.flags.writeable = False
+        self._overflow: np.ndarray | None = None  # the words h * X^k of _shift_words, at p = 2
         if not _is_irreducible(self):
             raise ParameterError("modulus is not irreducible")
 
@@ -343,9 +349,27 @@ def product_matrices(ctx: FieldContext, x: np.ndarray) -> np.ndarray:
 
 
 def mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of two broadcastable (..., k) digit arrays: their digits' outer products mod p times mul_tensor."""
+    """Row-wise products, as int64 digits, of two broadcastable (..., k) digit arrays of any integer type.
+
+    At p = 2 with k <= 64, a batch of at least WORD_PRODUCTS products runs
+    on words of k bits (linalg.pack_bits, in the smallest word that holds
+    them): each operand is packed once, the k words x * X^i of the smaller
+    one come by shift-and-reduce (_shift_words), and a product is their XOR
+    at the set bits of the other operand (_word_products), unpacked once.
+    Otherwise the digits' outer products mod p times mul_tensor are one
+    linalg.matmul_mod_p.
+    """
     k, p = ctx.k, ctx.p
-    outer = (np.asarray(a, dtype=np.int64) % p)[..., :, None] * (np.asarray(b, dtype=np.int64) % p)[..., None, :]
+    a, b = np.asarray(a), np.asarray(b)
+    if p == 2 and k <= 64 and np.broadcast(a, b).size >= WORD_PRODUCTS * k:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        x, y = (pack_bits(v.reshape((1,) * (len(shape) - v.ndim) + v.shape), word_width(k))[..., 0] for v in (a, b))
+        if x.size > y.size:
+            x, y = y, x
+        shifted = _shift_words(ctx, x, np.empty((k,) + x.shape, dtype=x.dtype))
+        products = _word_products(shifted, y, np.empty((k,) + shape[:-1], dtype=x.dtype))
+        return unpack_bits(products[..., None], k).astype(np.int64)
+    outer = (a.astype(np.int64, copy=False) % p)[..., :, None] * (b.astype(np.int64, copy=False) % p)[..., None, :]
     if p > 2:  # a product of two digits is a digit only at p = 2
         outer %= p
     return matmul_mod_p(outer.reshape(-1, k * k), ctx.mul_tensor().reshape(k * k, k), p).reshape(outer.shape[:-2] + (k,))
@@ -439,53 +463,69 @@ def power_sums(ctx: FieldContext, coeffs: np.ndarray, points: np.ndarray, chunk:
 def _power_words(ctx: FieldContext, points: np.ndarray, D: int) -> np.ndarray:
     """Words (D, n) of beta^t for every point beta (a row of an (n, k) array of points) and t < D, at p = 2 and k <= 64.
 
-    Doubling, as in power_table, with the product by XOR.  The k words
-    beta^m * X^i come from beta^m by shift-and-reduce, up to 8 bits at a
-    time: the s bits shifted past X^(k-1) are an h < 2^s, which comes
-    back as h * X^k, read from a table of them.  The product of a word
-    with beta^m is the XOR of those k words at its set bits, so one
-    product of powers 0..m-1 and of beta^m gives powers m..2m-1 and
-    beta^2m.
+    Doubling, as in power_table, with the product on words: the k words
+    beta^m * X^i (_shift_words) times an operand are their XOR at its set
+    bits (_word_products), so one product of powers 0..m-1 and of beta^m
+    gives powers m..2m-1 and beta^2m.
     """
     k, n = ctx.k, len(points)
     step = pack_bits(points, word_width(k))[:, 0]  # beta^m
-    word = step.dtype.type
     table = np.zeros((D, n), dtype=step.dtype)
     if D:
         table[0] = 1
-    modulus = sum(c << i for i, c in enumerate(ctx.modulus))
-    reach = max(1, min(8, k - 1))  # the most bits one step shifts
-    overflow = np.zeros(1, dtype=step.dtype)  # overflow[h] = h * X^k mod the modulus, for h < 2^reach
-    x = modulus ^ 1 << k  # X^(k+b) mod the modulus, from b = 0
-    for _ in range(reach):
-        overflow = np.concatenate([overflow, overflow ^ word(x)])
-        x = x << 1 ^ (modulus if x >> (k - 1) & 1 else 0)
-    shift = np.arange(1, reach + 1, dtype=step.dtype)[:, None, None]
-    low = word((1 << k) - 1)
-    bit = np.arange(k, dtype=step.dtype)[:, None, None]
     shifted = np.empty((k, 1, n), dtype=step.dtype)  # beta^m * X^i
     terms = np.empty((k, D // 2 + 1, n), dtype=step.dtype)  # bit i of an operand times beta^m * X^i
     m = 1
     while m < D:
         new = min(m, D - m)
-        shifted[0, 0] = step
-        for i in range(0, k - 1, reach):
-            block = shifted[i + 1 : i + 1 + reach]
-            s = shift[: len(block)]
-            np.left_shift(shifted[i], s, out=block)
-            block &= low
-            block ^= overflow[shifted[i] >> (k - s)]
+        _shift_words(ctx, step, shifted)
         table[m] = step
         operands = table[: new + 1] if 2 * m < D else table[:new]  # powers 0..new-1, and beta^m while beta^2m is needed
-        part = terms[:, : len(operands)]
-        np.right_shift(operands, bit, out=part)
-        part &= 1
-        part *= shifted
-        product = np.bitwise_xor.reduce(part, axis=0)
+        product = _word_products(shifted, operands, terms[:, : len(operands)])
         table[m : m + new] = product[:new]
         step = product[-1]
         m += new
     return table
+
+
+def _shift_words(ctx: FieldContext, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = x * X^i for i < k, on words x of k bits (p = 2, k <= 64), into a (k, ...) buffer of their type that x broadcasts to.
+
+    Shift-and-reduce, up to 8 bits a step: the s bits shifted past
+    X^(k-1) are an h < 2^s, which comes back as h * X^k, read from a table
+    of them, built once per context on first use.
+    """
+    k = ctx.k
+    reach = max(1, min(8, k - 1))  # the most bits one step shifts
+    word = out.dtype.type
+    if ctx._overflow is None:  # overflow[h] = h * X^k mod the modulus, for h < 2^reach
+        modulus = sum(c << i for i, c in enumerate(ctx.modulus))
+        overflow = np.zeros(1, dtype=out.dtype)
+        power = modulus ^ 1 << k  # X^(k+b) mod the modulus, from b = 0
+        for _ in range(reach):
+            overflow = np.concatenate([overflow, overflow ^ word(power)])
+            power = power << 1 ^ (modulus if power >> (k - 1) & 1 else 0)
+        overflow.flags.writeable = False
+        ctx._overflow = overflow
+    shift = np.arange(1, reach + 1, dtype=out.dtype).reshape((reach,) + (1,) * (out.ndim - 1))
+    low = word((1 << k) - 1)
+    out[0] = x
+    for i in range(0, k - 1, reach):
+        block = out[i + 1 : i + 1 + reach]
+        s = shift[: len(block)]
+        np.left_shift(out[i], s, out=block)
+        block &= low
+        block ^= ctx._overflow[out[i] >> (k - s)]
+    return out
+
+
+def _word_products(shifted: np.ndarray, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Products words * x, where shifted[i] = x * X^i: the XOR over i of shifted[i] at bit i of words, with out a (k, ...) buffer both broadcast to."""
+    k = len(shifted)
+    np.right_shift(words, np.arange(k, dtype=out.dtype).reshape((k,) + (1,) * (out.ndim - 1)), out=out)
+    out &= 1
+    out *= shifted
+    return np.bitwise_xor.reduce(out, axis=0)
 
 
 class FpSubspace:

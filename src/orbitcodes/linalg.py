@@ -18,9 +18,10 @@ int64 np.matmul; numpy has no BLAS path for int64, so a larger one
 multiplies in float64, which is exact while every sum stays below 2^53.
 
 pack_bits and unpack_bits are the one packing of F_2 vectors into words,
-which the elimination, the base-u expansion (fppoly), the encoding's
-field elements (gf.power_sums) and the kernel counter share; word_width
-is their one rule for the smallest word that holds a vector.  xor_rows
+which the elimination, the base-u expansion (fppoly) and the field's
+products on words (gf.mul_rows and gf.power_sums) share; word_width is
+their one rule for the smallest word that holds a vector, and the kernel
+counter's, which builds its words from a stack's column planes.  xor_rows
 is the one F_2 product on packed rows, for a sparse left operand: the
 XOR of the rows that each row of coefficients selects (odd_terms, which
 products with the same coefficients share), gathered in bounded chunks
@@ -367,8 +368,9 @@ def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     columns and, at each pivot column, minus that pivot row's entry in f
     (as in nullspace_mod_p), which is nonzero only below f; the entries of
     pivot columns mean nothing.  At p = 2 a row and a kernel vector are
-    words of N bits (pack_bits, word_width), a row's pivot is its lowest
-    set bit and the update is XOR.  At p > 2 they are digits, held in the
+    words of N bits (word_width), a row's bit t read from the plane of
+    column t of the stack, a row's pivot is its lowest set bit and the
+    update is XOR.  At p > 2 they are digits, held in the
     narrowest unsigned type that holds p^2 - 1, which bounds a row update
     before its % p, and _span's sums.  One call of nullspace_mod_p per
     matrix gives the same vectors, but its fixed cost per call made the
@@ -376,7 +378,12 @@ def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     s, rows, N = mats.shape
     if p == 2:
-        a = pack_bits(mats, word_width(N))[..., 0]  # (s, rows) words
+        a = np.zeros((s, rows), dtype=f"<u{word_width(N) // 8}")  # (s, rows) words
+        plane = np.empty_like(a)
+        for t in range(N):  # column t of every matrix, a contiguous plane when mats is a transposed (N, s, rows) stack
+            np.bitwise_and(mats[..., t], 1, out=plane, casting="unsafe")
+            plane <<= t
+            a |= plane
         one = a.dtype.type(1)
         leads = np.empty_like(a)
         for r in range(rows):

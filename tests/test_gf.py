@@ -5,6 +5,7 @@ import random
 import warnings
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     conjugate_trace_vector,
     contains,
     galois_poly,
+    int64_mul_rows,
     kernel_subspace,
     point_set,
     scalar_primitive_element,
@@ -289,7 +291,43 @@ def test_mul_rows_is_the_row_wise_field_product(case):
     ctx, elements = case
     xs, ys = elements[:8], elements[8:]
     expected = ctx.digit_rows([x * y for x, y in zip(xs, ys)])
-    assert np.array_equal(mul_rows(ctx, ctx.digit_rows(xs), ctx.digit_rows(ys)), expected)
+    for word_products in (gf.WORD_PRODUCTS, 1):  # 8 products take the digit path, and at p = 2 the words once the rule is 1
+        with mock.patch.object(gf, "WORD_PRODUCTS", word_products):
+            assert np.array_equal(mul_rows(ctx, ctx.digit_rows(xs), ctx.digit_rows(ys)), expected)
+
+
+# every word width's edges at p = 2, the ladder's F_2^21, and two odd characteristics
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 8), (2, 9), (2, 16), (2, 17), (2, 21), (2, 32), (2, 33), (2, 63), (2, 64), (3, 6), (5, 3)])
+def test_mul_rows_matches_the_int64_oracle_on_both_sides_of_the_word_rule(monkeypatch, p, k):
+    # rows against rows, a column against a row of operands, and one element against rows; entries of
+    # either sign and past p, and uint8 as the codeword store holds them; the word path makes no F_p product
+    ctx = _field(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    calls = []
+    matmul = gf.matmul_mod_p
+    monkeypatch.setattr(gf, "matmul_mod_p", lambda *args: calls.append(1) or matmul(*args))
+    for word_products in (1, 1 << 62):
+        monkeypatch.setattr(gf, "WORD_PRODUCTS", word_products)
+        for shapes in (((70, k), (70, k)), ((9, 1, k), (1, 8, k)), ((k,), (70, k))):
+            signed = [rng.integers(-2 * p, 2 * p, size=shape) for shape in shapes]
+            stored = [rng.integers(0, 256, size=shape).astype(np.uint8) for shape in shapes]
+            for a, b in (signed, stored, stored[::-1]):
+                calls.clear()
+                got = mul_rows(ctx, a, b)
+                assert got.dtype == np.int64 and np.array_equal(got, int64_mul_rows(ctx, a, b))
+                assert bool(calls) == (p > 2 or word_products > 1)
+
+
+def test_mul_rows_word_rule_counts_the_products_of_a_batch():
+    # at p = 2 a batch of WORD_PRODUCTS = 64 products or more takes the words, whatever its shape
+    ctx = _field(2, 12)
+    calls = []
+    matmul = gf.matmul_mod_p
+    with mock.patch.object(gf, "matmul_mod_p", lambda *args: calls.append(1) or matmul(*args)):
+        for shapes, words in ((((63, 12), (63, 12)), False), (((64, 12), (64, 12)), True), (((8, 1, 12), (1, 8, 12)), True)):
+            calls.clear()
+            mul_rows(ctx, *(np.ones(shape, dtype=np.int64) for shape in shapes))
+            assert (not calls) == words
 
 
 @given(_field_and_elements(1))

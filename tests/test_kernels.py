@@ -365,6 +365,27 @@ def test_schur_product_matches_scalar_products_property(name, combination, seed)
     assert ctx.elements_of(schur_product(ctx, a, b)) == expected
 
 
+def test_schur_product_on_ii22_codewords_makes_no_fp_matrix_product(monkeypatch):
+    # 448 products in F_2^12 take the word path
+    inst, words = _local_fixture("II22")
+    calls = []
+    matmul = gf.matmul_mod_p
+    monkeypatch.setattr(gf, "matmul_mod_p", lambda *args: calls.append(1) or matmul(*args))
+    product = schur_product(inst.ambient, words[0], words[1])
+    assert not calls and np.array_equal(product, int64_mul_rows(inst.ambient, words[0], words[1]))
+
+
+def test_schur_product_on_ii22_codewords_peaks_below_128_kb():
+    # the digit path's (448, 144) int64 outer product and its float64 copy peak at about 1.1 MB
+    inst, words = _local_fixture("II22")
+    schur_product(inst.ambient, words[0], words[1])  # the context's overflow table is built on first use
+    tracemalloc.start()
+    schur_product(inst.ambient, words[0], words[1])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 128 << 10
+
+
 def test_local_maps_are_cached_per_graph(inst1_p2):
     inst = inst1_p2
     cw = _basis_words(inst)[0]
