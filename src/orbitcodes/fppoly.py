@@ -108,7 +108,7 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         return np.where(rows % p != 0, offsets, -1).max(axis=1, initial=-1)
     width = -(-length // degree) * degree
     if p == 2:
-        digits = pack_bits(np.zeros((len(rows), width), dtype=np.uint8))
+        digits = np.zeros((len(rows), -(-width // 64)), dtype=np.uint64)  # the words of pack_bits
     else:
         digits = np.zeros((len(rows), width), dtype=np.int64)
     for lo, block in digit_chunks(u, length, p):

@@ -18,16 +18,16 @@ int64 np.matmul; numpy has no BLAS path for int64, so a larger one
 multiplies in float64, which is exact while every sum stays below 2^53.
 
 pack_bits and unpack_bits are the one packing of F_2 vectors into words,
-which the elimination, the base-u expansion (fppoly) and the field's
-products on words (gf.mul_rows and gf.power_sums) share; word_width is
-their one rule for the smallest word that holds a vector, and the kernel
-counter's, which builds its words from a stack's column planes.  xor_rows
-is the one F_2 product on packed rows, for a sparse left operand: the
-XOR of the rows that each row of coefficients selects (odd_terms, which
-products with the same coefficients share), gathered in bounded chunks
-and summed by np.bitwise_xor.reduceat.  The base-u expansion and the
-encoding's power sums use it at p = 2; matmul_mod_p stays the product
-for dense operands, such as the sampled distance's.
+each one flat call on a whole buffer (so unpack_bits may return a view),
+which the elimination, the base-u expansion (fppoly), the field's
+products on words (gf.mul_rows and gf.power_sums) and the kernel counter
+share; word_width is their one rule for the smallest word that holds a
+vector.  xor_rows is the one F_2 product on packed rows, for a sparse
+left operand: the XOR of the rows that each row of coefficients selects
+(odd_terms, which products with the same coefficients share), gathered
+in bounded chunks and summed by np.bitwise_xor.reduceat.  The base-u
+expansion and the encoding's power sums use it at p = 2; matmul_mod_p
+stays the product for dense operands, such as the sampled distance's.
 
 kernel_counts counts, for every m in F_p^N, the matrices of an
 (s, rows, N) stack that vanish at m: one elimination sweep per row
@@ -115,14 +115,15 @@ def pack_bits(bits, word_bits: int = 64) -> np.ndarray:
     bits past n in the last word are 0.  The words are unsigned integers of
     word_bits = 8, 16, 32 or 64 bits.  The entries are bool or integers of
     any sign; their low bits, which are their residues mod 2 in two's
-    complement, are read in one pass into a byte buffer, so no reduced copy
-    of bits is made.
+    complement, are read in one pass into a C-ordered byte buffer of whole
+    words, so no reduced copy of bits is made, packed by one flat np.packbits.
     """
     bits = np.asarray(bits)
-    n = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (-(-n // word_bits) * word_bits,), dtype=np.uint8)
+    *lead, n = bits.shape
+    words = -(-n // word_bits)
+    padded = np.zeros((*lead, words * word_bits), dtype=np.uint8)
     np.bitwise_and(bits, 1, out=padded[..., :n], casting="unsafe")
-    return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"<u{word_bits // 8}"))
+    return np.packbits(padded, bitorder="little").view(f"<u{word_bits // 8}").reshape(*lead, words)
 
 
 def word_width(n: int) -> int:
@@ -131,9 +132,10 @@ def word_width(n: int) -> int:
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits (..., n) of every vector of words packed by pack_bits, as uint8 0/1 entries."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little").reshape(words.shape[:-1] + (n,))
+    """The first n bits (..., n) of every vector of pack_bits words, as uint8 0/1: one flat unpacking, sliced, so maybe a view."""
+    words = np.ascontiguousarray(words)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return bits.reshape(*words.shape[:-1], words.shape[-1] * words.itemsize * 8)[..., :n]
 
 
 def odd_terms(coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -368,9 +370,9 @@ def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     columns and, at each pivot column, minus that pivot row's entry in f
     (as in nullspace_mod_p), which is nonzero only below f; the entries of
     pivot columns mean nothing.  At p = 2 a row and a kernel vector are
-    words of N bits (word_width), a row's bit t read from the plane of
-    column t of the stack, a row's pivot is its lowest set bit and the
-    update is XOR.  At p > 2 they are digits, held in the
+    words of N bits, packed by pack_bits in the word that word_width gives
+    and read back bit by bit by unpack_bits, a row's pivot is its lowest
+    set bit and the update is XOR.  At p > 2 they are digits, held in the
     narrowest unsigned type that holds p^2 - 1, which bounds a row update
     before its % p, and _span's sums.  One call of nullspace_mod_p per
     matrix gives the same vectors, but its fixed cost per call made the
@@ -378,12 +380,7 @@ def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     s, rows, N = mats.shape
     if p == 2:
-        a = np.zeros((s, rows), dtype=f"<u{word_width(N) // 8}")  # (s, rows) words
-        plane = np.empty_like(a)
-        for t in range(N):  # column t of every matrix, a contiguous plane when mats is a transposed (N, s, rows) stack
-            np.bitwise_and(mats[..., t], 1, out=plane, casting="unsafe")
-            plane <<= t
-            a |= plane
+        a = pack_bits(mats, word_width(N))[..., 0]  # (s, rows) words
         one = a.dtype.type(1)
         leads = np.empty_like(a)
         for r in range(rows):
@@ -392,9 +389,8 @@ def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             a ^= np.where(a & lead[:, None], row[:, None], 0)
             a[:, r] = row
             leads[:, r] = lead
-        cols = np.arange(N, dtype=a.dtype)
-        basis = np.bitwise_or.reduce(((a[..., None] >> cols) & one) * leads[..., None], axis=1) | one << cols
-        free = (np.bitwise_or.reduce(leads, axis=1)[:, None] >> cols) & one == 0
+        basis = np.bitwise_or.reduce(unpack_bits(a[..., None], N) * leads[..., None], axis=1) | one << np.arange(N, dtype=a.dtype)
+        free = unpack_bits(np.bitwise_or.reduce(leads, axis=1)[:, None], N) == 0
         return basis, free
     a = (mats % p).astype(np.min_scalar_type(p * p - 1))
     inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=a.dtype)

@@ -6,6 +6,11 @@
   ``lagrange_interpolate``, the trace ``trace``/``char_exponent`` as sums
   of Frobenius conjugates, ``kernel_subspace`` of a Python callable on
   ``FieldElement``s, and ``point_set``, the points of a subspace as a set.
+* ``per_row_pack_bits`` and ``per_row_unpack_bits``: the packing of F_2
+  vectors into little-endian words one row at a time, by
+  ``np.packbits``/``np.unpackbits`` along the last axis, as
+  ``linalg.pack_bits``/``unpack_bits`` ran before they converted the
+  flat byte buffer in one call.
 * mod-p elimination one column at a time: ``row_reduce_against``, the
   coset representative by one pivot after another,
   ``eager_rref_mod_p``, the elimination that reduces every row update
@@ -127,6 +132,24 @@ def int64_mul_rows(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarra
     k = ctx.k
     outer = np.asarray(a, dtype=np.int64)[..., :, None] * np.asarray(b, dtype=np.int64)[..., None, :]
     return outer.reshape(outer.shape[:-2] + (k * k,)) @ ctx.mul_tensor().reshape(k * k, k) % ctx.p
+
+
+# -- bit packing one row at a time ------------------------------------------------
+
+
+def per_row_pack_bits(bits, word_bits: int = 64) -> np.ndarray:
+    """Words (..., ceil(n / word_bits)) of the entries (..., n) of bits mod 2, little-endian, packed along the last axis."""
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-n // word_bits) * word_bits,), dtype=np.uint8)
+    np.bitwise_and(bits, 1, out=padded[..., :n], casting="unsafe")
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.dtype(f"<u{word_bits // 8}"))
+
+
+def per_row_unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits (..., n) of every vector of per_row_pack_bits words, unpacked along the last axis."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=n, bitorder="little").reshape(words.shape[:-1] + (n,))
 
 
 # -- scalar field and polynomial arithmetic ---------------------------------------

@@ -37,6 +37,21 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_section_imports_no_numpy_random():
+    # the Schur pairs come from the stdlib stream; numpy.random costs several ms to import in a fresh process
+    src = str(Path(orbitcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "from orbitcodes.instance import InstanceConfig, build_instance\n"
+        "from orbitcodes.report import verify_section\n"
+        "sec = verify_section(build_instance(InstanceConfig('I', 2, 2)))\n"
+        "print(sec['ok'], sec['schur_pairs_checked'], 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["True", "10", "False"]
+
+
 def test_instantiate_bundle_contents(bundle_path):
     with open(bundle_path) as fh:
         doc = json.load(fh)

@@ -41,6 +41,8 @@ from oracles import (
     int64_mul_rows,
     matmul_message_basis,
     max_digit_degree,
+    per_row_pack_bits,
+    per_row_unpack_bits,
     poly_digits,
     row_poly,
     row_reduce_against,
@@ -602,19 +604,29 @@ def test_exhaustive_distance_at_a_raised_budget_holds_one_slab(monkeypatch, inst
 
 
 def test_pack_bits_round_trips_little_endian_at_word_edges():
+    # every word width, at its edges, on zero-size shapes and on a transposed (n, k, N) view of a contiguous
+    # (N, n, k) stack, as _kernel_bases packs it: the flat conversion equals the one along the last axis
     rng = np.random.default_rng(0)
-    for shape in [(0, 0), (0, 70), (3, 0), (0, 4, 65), (2, 3, 1), (5, 63), (5, 64), (5, 65), (2, 3, 129)]:
-        bits = rng.integers(0, 2, size=shape)
-        words = linalg.pack_bits(bits)
-        assert (words.dtype, words.shape) == (np.uint64, shape[:-1] + (-(-shape[-1] // 64),))
-        for j in range(shape[-1]):  # entry j is bit j % 64 of word j // 64
-            assert np.array_equal((words[..., j // 64] >> np.uint64(j % 64)) & np.uint64(1), bits[..., j])
-        assert np.array_equal(linalg.unpack_bits(words, shape[-1]), bits)
-        assert np.array_equal(linalg.unpack_bits(np.repeat(words, 2, axis=-1)[..., ::2], shape[-1]), bits)  # a strided view
-        # entries are read mod 2: bool, unreduced uint8 and negative int64 give the same words
-        wide = bits + 2 * rng.integers(-60, 60, size=shape)
-        for same in (bits == 1, wide.astype(np.uint8), wide, np.asfortranarray(wide)):
-            assert np.array_equal(linalg.pack_bits(same), words)
+    shapes = [(0, 0), (0, 70), (3, 0), (0, 4, 65), (2, 3, 1), (5, 63), (5, 64), (5, 65), (2, 3, 129)]
+    stack = rng.integers(0, 2, size=(13, 7, 5))
+    for word_bits in (8, 16, 32, 64):
+        edges = [(5, word_bits - 1), (5, word_bits), (5, word_bits + 1), (2, 3, 2 * word_bits + 1)]
+        for bits in [rng.integers(0, 2, size=shape) for shape in shapes + edges] + [stack.transpose(1, 2, 0)]:
+            n = bits.shape[-1]
+            words = linalg.pack_bits(bits, word_bits)
+            assert (words.dtype, words.shape) == (np.dtype(f"<u{word_bits // 8}"), bits.shape[:-1] + (-(-n // word_bits),))
+            assert np.array_equal(words, per_row_pack_bits(bits, word_bits))
+            for j in range(n):  # entry j is bit j % word_bits of word j // word_bits
+                bit = (words[..., j // word_bits] >> words.dtype.type(j % word_bits)) & words.dtype.type(1)
+                assert np.array_equal(bit, bits[..., j])
+            unpacked = linalg.unpack_bits(words, n)
+            assert unpacked.dtype == np.uint8 and np.array_equal(unpacked, bits)
+            assert np.array_equal(unpacked, per_row_unpack_bits(words, n))
+            assert np.array_equal(linalg.unpack_bits(np.repeat(words, 2, axis=-1)[..., ::2], n), bits)  # a strided view
+            # entries are read mod 2: bool, unreduced uint8 and negative int64 give the same words
+            wide = bits + 2 * rng.integers(-60, 60, size=bits.shape)
+            for same in (bits == 1, wide.astype(np.uint8), wide, np.asfortranarray(wide)):
+                assert np.array_equal(linalg.pack_bits(same, word_bits), words)
 
 
 class _RecordingWords(np.ndarray):
