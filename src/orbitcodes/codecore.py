@@ -130,8 +130,8 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
 
 
 def _last_nonzero(mask: np.ndarray) -> np.ndarray:
-    """Index of the last True of every row of a 2-d mask, -1 for a row with none."""
-    return np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1, initial=-1)
+    """Index of the last True of every row of a 2-d mask, -1 for a row with none: int64, found in int32."""
+    return np.where(mask, np.arange(mask.shape[1], dtype=np.int32), -1).max(axis=1, initial=-1).astype(np.int64)
 
 
 def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> dict:
@@ -142,14 +142,17 @@ def constraint_report(coeffs: np.ndarray, G: TranslationGroup, H: ScalingGroup, 
     digits come from one batched Euclidean expansion per base
     (fppoly.expansion_degrees), not from how the rows were built.  A zero
     row has no digits (degree -infinity, written -1) and passes every
-    check.
+    check.  The rows are reduced once, into the narrowest unsigned type
+    that holds p - 1, and every check reads that copy; the values are
+    int64.
     """
-    ctx = G.ctx
-    coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.p
+    p = G.ctx.p
+    digits = np.empty(np.shape(coeffs), dtype=np.min_scalar_type(p - 1))
+    np.remainder(coeffs, p, out=digits, casting="unsafe")
     values = {
-        "degree": (_last_nonzero(coeffs != 0), D),
-        "translation_base_degree": (fppoly.expansion_degrees(coeffs, G.g, ctx.p), r * G.size),
-        "scaling_base_degree": (fppoly.expansion_degrees(coeffs, [0] * H.order + [1], ctx.p), r * H.order),
+        "degree": (_last_nonzero(digits != 0), D),
+        "translation_base_degree": (fppoly.expansion_degrees(digits, G.g, p), r * G.size),
+        "scaling_base_degree": (fppoly.expansion_degrees(digits, [0] * H.order + [1], p), r * H.order),
     }
     checks = {name: (v, bound, v <= max_degree_below(bound)) for name, (v, bound) in values.items()}
     return {"checks": checks, "all_ok": all(bool(ok.all()) for _, _, ok in checks.values())}
@@ -383,6 +386,8 @@ class CodewordStore:
     the listed basis rows, in that order and with any repeats.  The rows
     not held yet are encoded first, all in one encode_basis_digits call,
     and kept; the result is a copy, so the held rows never change.
+    store(rows, out) copies them into out instead, a (len(rows), n, k)
+    array or view of any layout, and returns it.
     """
 
     ms: MessageSpace
@@ -393,14 +398,15 @@ class CodewordStore:
     def n(self) -> int:
         return len(self.omega)
 
-    def __call__(self, rows) -> np.ndarray:
+    def __call__(self, rows, out: np.ndarray | None = None) -> np.ndarray:
         ctx, rows = self.ms.ctx, [int(b) for b in rows]
         if not all(0 <= b < self.ms.dim for b in rows):
             raise ParameterError(f"basis rows must lie in [0, {self.ms.dim})")
         missing = sorted(set(rows).difference(self._held))
         if missing:
             self._held.update(zip(missing, encode_basis_digits(ctx, self.ms.coeffs[missing], self.omega)))
-        out = np.empty((len(rows), self.n, ctx.k), dtype=np.min_scalar_type(ctx.p - 1))
+        if out is None:
+            out = np.empty((len(rows), self.n, ctx.k), dtype=np.min_scalar_type(ctx.p - 1))
         for i, b in enumerate(rows):
             out[i] = self._held[b]
         return out
@@ -492,9 +498,10 @@ def min_distance_sampled(
     (gf.product_matrices), so sum_b s_b * w_b is the (n, dim*k) array
     whose column (b, i) is digit i of w_b times the stacked R_{s_b}, and a
     chunk of samples is one linalg.matmul_mod_p with their matrices side
-    by side.  The basis codewords are read from the store once, in their
-    narrow type: the store's rows and that array take 2*dim*n*k bytes at
-    p < 257 (about 80 MB on I(2,3) at D = n).  A chunk's (n, chunk*k)
+    by side.  The basis codewords are copied once from the store's held
+    rows straight into that array, in their narrow type, so beside the
+    store the sampler holds one dim*n*k-byte layout at p < 257 (about
+    40 MB on I(2,3) at D = n).  A chunk's (n, chunk*k)
     product and (dim*k, chunk*k) matrices stay within SAMPLE_CHUNK_ENTRIES.
     Fewer than one sample is refused before anything is encoded.
     """
@@ -504,7 +511,8 @@ def min_distance_sampled(
     ctx = ms.ctx
     p, k, n = ctx.p, ctx.k, codewords.n
     rng = np.random.default_rng(seed)
-    columns = codewords(range(ms.dim)).transpose(1, 0, 2).reshape(n, ms.dim * k)
+    columns = np.empty((n, ms.dim * k), dtype=np.min_scalar_type(p - 1))
+    codewords(range(ms.dim), out=columns.reshape(n, ms.dim, k).transpose(1, 0, 2))  # column (b, i) is digit i of w_b
     chunk = max(1, SAMPLE_CHUNK_ENTRIES // (k * max(n, ms.dim * k)))
     best = n
     done = 0

@@ -88,8 +88,10 @@ def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
 def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     """Largest digit degree of every row's expansion in base u; -1 for a zero row.
 
-    rows is an (R, L) array of F_p coefficients: row r is sum_t rows[r, t]
-    X^t.  u is the monic divisor's F_p coefficients, lowest degree first.
+    rows is an (R, L) array of F_p coefficients, bool or integers of any
+    width and sign, read as they are (no int64 copy): row r is
+    sum_t rows[r, t] X^t.  u is the monic divisor's F_p coefficients,
+    lowest degree first.  The degrees are int64, found in int32.
 
     The expansion is F_p-linear, so the digits are rows times the digit
     matrix E, taken chunk by chunk from digit_chunks, and a row's largest
@@ -97,27 +99,26 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     For u = X^(deg u) the digits are the coefficients themselves.  At
     p = 2 each chunk of E is packed into words (linalg.pack_bits), and a
     row's digits are the XOR of the packed E rows at its nonzero
-    coefficients (linalg.xor_rows); at p > 2 the product is
-    linalg.matmul_mod_p.
+    coefficients (linalg.xor_rows), read back as bool digits with no
+    reduction; at p > 2 the product is linalg.matmul_mod_p.
     """
     u, degree = _monic_base(u, p)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     length = rows.shape[1]
     if not u[:degree].any():
-        offsets = np.arange(length) % degree
-        return np.where(rows % p != 0, offsets, -1).max(axis=1, initial=-1)
-    width = -(-length // degree) * degree
-    if p == 2:
-        digits = np.zeros((len(rows), -(-width // 64)), dtype=np.uint64)  # the words of pack_bits
+        nonzero = rows % p != 0
     else:
-        digits = np.zeros((len(rows), width), dtype=np.int64)
-    for lo, block in digit_chunks(u, length, p):
-        hi = lo + len(block)
+        width = -(-length // degree) * degree
         if p == 2:
-            xor_rows(digits, odd_terms(rows[:, lo:hi]), pack_bits(block))
+            digits = np.zeros((len(rows), -(-width // 64)), dtype=np.uint64)  # the words of pack_bits
         else:
-            digits += matmul_mod_p(rows[:, lo:hi] % p, block, p)
-    if p == 2:
-        digits = unpack_bits(digits, width)
-    offsets = np.arange(width) % degree
-    return np.where(digits % p != 0, offsets, -1).max(axis=1, initial=-1)
+            digits = np.zeros((len(rows), width), dtype=np.int64)
+        for lo, block in digit_chunks(u, length, p):
+            hi = lo + len(block)
+            if p == 2:
+                xor_rows(digits, odd_terms(rows[:, lo:hi]), pack_bits(block))
+            else:
+                digits += matmul_mod_p(rows[:, lo:hi] % p, block, p)
+        nonzero = unpack_bits(digits, width).view(bool) if p == 2 else digits % p != 0
+    offsets = np.arange(nonzero.shape[1], dtype=np.int32) % degree
+    return np.where(nonzero, offsets, -1).max(axis=1, initial=-1).astype(np.int64)

@@ -5,7 +5,10 @@ rref_mod_p is the one Gaussian elimination of a matrix (kernel_counts,
 below, sweeps a whole stack of small ones at once).  At p = 2 it runs on rows
 packed as the bits of uint64 words (pack_bits), with no int64 copy of
 its input, and a row update is one XOR of words (M4RI:
-Albrecht, Bard & Hart, ACM TOMS 2010, without its tables).  At p > 2 it
+Albrecht, Bard & Hart, ACM TOMS 2010, without its tables); it visits
+only the live columns of each word, those that some unreduced row has
+when the walk reaches the word.  Both loops swap rows by plain copies,
+not by a list-indexed gather.  At p > 2 it
 reduces a C-ordered copy mod p lazily (Dumas, Giorgi & Pernet,
 FFLAS-FFPACK, ACM TOMS 2008): a column is reduced when it is read as the
 pivot column, the pivot row once, and the row updates run without a
@@ -55,6 +58,7 @@ INT64_PRODUCT_WORK = 1 << 14  # products with at most this many multiply-adds (i
 XOR_GATHER_WORDS = 1 << 17  # bound on the words of one gather of xor_rows (1 MiB)
 KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the words or digits of one chunk of kernel_counts' kernel elements
 KERNEL_SLAB_CODES = 1 << 20  # bound on the counters of one slab of kernel_counts
+_BIT_MASKS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit b of a pack_bits word, for each b
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
@@ -183,15 +187,20 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
     mat is a matrix of bool or integer entries of any sign; 0-d and 1-d
     inputs are one row, and an array of more dimensions is refused.  It is
     never written to.  At p = 2 its entries are packed mod 2 straight into
-    words (pack_bits), with no int64 copy: the pivot search reads one bit
-    of one word per row, and a row update XORs the pivot row into another
-    from the pivot's word onward, since the pivot row is zero before its
-    pivot column.  At p > 2 a C-ordered int64 copy (whatever mat's layout)
+    words (pack_bits), with no int64 copy: each word's live columns are
+    the set bits of the OR of the unreduced rows' words there, taken once
+    per word, and only those are visited; the pivot search reads one bit
+    of one word per row, the pivot row is swapped up by plain copies, and
+    a row update XORs the pivot row into another, both from the pivot's
+    word onward, since rows at or below the pivot row are zero before its
+    pivot column.
+    At p > 2 a C-ordered int64 copy (whatever mat's layout)
     starts reduced and each pivot adds at most (p-1)^2 to an entry's
     absolute value, so no entry exceeds (p-1) + min(rows, cols)*(p-1)^2;
     a shape that lets that bound reach 2^63 is refused.  The row updates
-    start at the pivot column, and a column is read only at its own step,
-    so the RREF is reduced once, at the end.
+    start at the pivot column, a column is read only at its own step and
+    rows are swapped by plain copies, so the RREF is reduced once, at the
+    end.
     """
     a = _as_matrix(mat)
     if p == 2:
@@ -211,7 +220,9 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            row = a[pr].copy()
+            a[pr] = a[r]
+            a[r] = row
             col[r], col[pr] = col[pr], col[r]
         inv = pow(int(col[r]), p - 2, p)
         row = a[r, c:] % p
@@ -228,28 +239,37 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """rref_mod_p at p = 2 of an integer matrix, on its rows packed mod 2 into uint64 words."""
+    """rref_mod_p at p = 2 of an integer matrix, on its rows packed mod 2 into uint64 words.
+
+    Rows at or below r are zero before the current pivot column and only
+    ever receive XORs of one another, so a column of word w that none of
+    them has when the walk reaches w never gains a candidate inside w: the
+    walk visits only the set bits of the OR of their words w.
+    """
     rows, cols = a.shape
     packed = pack_bits(a)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        w = c // 64
-        col = packed[:, w] & np.uint64(1 << (c % 64))  # column c's bit of every row
-        pr = r + int(col[r:].argmax())  # the first row at or below r with the bit, if any
-        if not col[pr]:
-            continue
-        if pr != r:
-            packed[[r, pr]] = packed[[pr, r]]
-            col[pr] = col[r]
-        col[r] = 0
-        other = col.nonzero()[0]
-        if other.size:
-            packed[other, w:] ^= packed[r, w:]
-        pivots.append(c)
-        r += 1
+    for w in range(packed.shape[1]):
+        live = int(np.bitwise_or.reduce(packed[r:, w]))
+        while live and r < rows:
+            b = (live & -live).bit_length() - 1  # the lowest live column of the word
+            live &= live - 1
+            col = packed[:, w] & _BIT_MASKS[b]  # column w*64 + b's bit of every row
+            pr = r + int(col[r:].argmax())  # the first row at or below r with the bit, if any
+            if not col[pr]:
+                continue
+            if pr != r:  # both rows are zero before word w
+                row = packed[pr, w:].copy()
+                packed[pr, w:] = packed[r, w:]
+                packed[r, w:] = row
+                col[pr] = col[r]
+            col[r] = 0
+            other = col.nonzero()[0]
+            if other.size:
+                packed[other, w:] ^= packed[r, w:]
+            pivots.append(64 * w + b)
+            r += 1
     return unpack_bits(packed[:r], cols).astype(np.int64), pivots
 
 

@@ -152,6 +152,65 @@ def test_encode_rejects_constraint_violations(inst1_p2):
         encode(inst.G.g[:, None], inst.omega, inst.G, inst.H, inst.config.r, inst.D)
 
 
+def _residue_variants(rows, p, rng):
+    """rows, entries in [0, p), written as int64, uint8, int8 and int64 below 0, and as bool where they are all 0 or 1."""
+    variants = [rows, rows.astype(np.uint8), (rows - p).astype(np.int8), rows - p * rng.integers(1, 4, size=rows.shape)]
+    return variants + ([rows.astype(bool)] if rows.max(initial=0) <= 1 else [])
+
+
+@pytest.mark.parametrize("name", ["inst1_p2", "inst1_p3", "I52"])
+def test_constraint_report_reads_narrow_bool_and_negative_rows(request, name):
+    # the same int64 values in every check, zero rows -1, whatever integer type or sign holds the residues
+    inst = build_instance(InstanceConfig("I", 5, 2)) if name == "I52" else request.getfixturevalue(name)
+    p, r = inst.ambient.p, inst.config.r
+    rng = np.random.default_rng(p)
+    for high in (p, 2):  # residues mod p, then 0/1 rows, which bool holds too
+        rows = rng.integers(0, high, size=(7, 60))
+        rows[[1, 4]] = 0
+        rows[5, 3:] = 0
+        reports = [constraint_report(v, inst.G, inst.H, r, inst.D) for v in _residue_variants(rows, p, rng)]
+        assert len(reports) == (5 if high == 2 else 4)
+        for rep in reports:
+            for check, (values, bound, ok) in rep["checks"].items():
+                expected, expected_bound, expected_ok = reports[0]["checks"][check]
+                assert values.dtype == np.int64 and np.array_equal(values, expected), check
+                assert bound == expected_bound and np.array_equal(ok, expected_ok)
+                assert values[1] == values[4] == -1 and values.max() >= 0
+            assert rep["all_ok"] == reports[0]["all_ok"]
+
+
+@pytest.mark.parametrize("name", ["inst1_p2", "inst1_p3"])
+def test_encode_reads_narrow_and_negative_digits_as_int64(request, name):
+    # message-space elements, and the same with a monomial past the scaling bound or at D: every integer type
+    # encodes to the same combination of the basis codewords or raises the ConstraintViolation that the scalar
+    # expansion names
+    inst = request.getfixturevalue(name)
+    ctx, r, D = inst.ambient, inst.config.r, inst.D
+    ms = inst.message_space()
+    words = encode_basis_digits(ctx, ms.coeffs, inst.omega).astype(np.int64)
+    rng = np.random.default_rng(ctx.p)
+    bases = {"translation_base_degree": row_poly(ctx, inst.G.g), "scaling_base_degree": scaling_invariant_poly(ctx, inst.H.order)}
+    bounds = {"degree": D, "translation_base_degree": r * inst.G.size, "scaling_base_degree": r * inst.H.order}
+    for t in (None, max_degree_below(bounds["scaling_base_degree"]) + 1, D):
+        scalars = rng.integers(0, ctx.p, size=ms.dim)
+        f = np.zeros(D + 1, dtype=np.int64)
+        f[:D] = scalars @ ms.coeffs % ctx.p
+        if t is not None:
+            f[t] = (f[t] + 1) % ctx.p
+        poly = row_poly(ctx, f)
+        values = {"degree": poly.degree, **{check: base_degree(poly, u) for check, u in bases.items()}}
+        failed = [(c, v) for c, v in values.items() if v > max_degree_below(bounds[c])]
+        for coeffs in _residue_variants(f[:, None], ctx.p, rng):
+            if failed:
+                check, value = failed[0]
+                with pytest.raises(ConstraintViolation, match=rf"^{check} violated: {value} must be < {bounds[check]}$"):
+                    encode(coeffs, inst.omega, inst.G, inst.H, r, D)
+            else:
+                expected = np.tensordot(scalars, words, axes=1) % ctx.p
+                assert np.array_equal(encode(coeffs, inst.omega, inst.G, inst.H, r, D), expected)
+        assert bool(failed) == (t is not None)
+
+
 @pytest.mark.parametrize("name,D", [("inst1_p2", None), ("inst2_p2", 96)])
 def test_encode_field_coefficients(request, name, D):
     # random F-combinations of the basis polynomials, with coefficients outside

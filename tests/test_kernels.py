@@ -188,6 +188,52 @@ def test_rref_mod_p_refuses_arrays_of_more_than_two_dimensions(p):
         assert rr.shape == (len(pivots), shape[1]) and len(pivots) == min(shape)
 
 
+def _walk_and_swap_cases(p, rng):
+    """Named matrices mod p that steer the elimination through idle words, dead columns and row swaps."""
+    gap = rng.integers(0, p, size=(90, 200))
+    gap[:, 64:128] = 0  # an all-zero word between live ones
+    dead = rng.integers(0, p, size=(40, 100))
+    dead[:, 5] = (dead[:, 2] + dead[:, 3]) % p  # live when its word starts, but the pivots at 2 and 3 clear it
+    last = rng.integers(0, p, size=(130, 150))
+    last[:, 0] = 0
+    last[-1, 0] = 1  # column 0's only candidate is the last row
+    staircase = np.flipud(np.triu(rng.integers(0, p, size=(130, 130)), 1) + np.diag(rng.integers(1, p, size=130)))
+    return {"gap": gap, "dead": dead, "last": last, "staircase": staircase, "tall": rng.integers(0, p, size=(200, 70))}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_walks_live_columns_and_swaps_rows_by_copies(p):
+    # each case against the eager elimination, and its kernel against back-substitution
+    cases = _walk_and_swap_cases(p, np.random.default_rng(32 + p))
+    for name, mat in cases.items():
+        rr, pivots = rref_mod_p(mat, p)
+        expected, expected_pivots = eager_rref_mod_p(mat, p)
+        assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots, name
+        kernel = nullspace_mod_p(mat, p)
+        assert kernel.dtype == np.int64 and np.array_equal(kernel, scalar_nullspace(mat, p)), name
+    # the premises of the cases: no pivot in the zero word, column 5 live yet no pivot, swaps from the last row down
+    gap_pivots = rref_mod_p(cases["gap"], p)[1]
+    assert not any(64 <= c < 128 for c in gap_pivots) and max(gap_pivots) >= 128
+    dead_pivots = rref_mod_p(cases["dead"], p)[1]
+    assert cases["dead"][:, 5].any() and {2, 3} <= set(dead_pivots) and 5 not in dead_pivots
+    assert rref_mod_p(cases["last"], p)[1][0] == 0 and rref_mod_p(cases["staircase"], p)[1] == list(range(130))
+    assert len(rref_mod_p(cases["tall"], p)[1]) == 70
+
+
+def test_rref_of_the_rate_i23_kernel_block_matches_eager_elimination(monkeypatch):
+    # the (448, 512) block of rate-I23 (I(2,3) at D = 896), as message_space's own gather builds it
+    blocks = []
+    monkeypatch.setattr(codecore, "nullspace_mod_p", lambda mat, p: blocks.append(mat) or nullspace_mod_p(mat, p))
+    inst = build_instance(InstanceConfig("I", 2, 3, D=896))
+    inst.message_space()
+    (block,) = blocks
+    rr, pivots = rref_mod_p(block, 2)
+    expected, expected_pivots = eager_rref_mod_p(block, 2)
+    assert block.shape == (448, 512) and len(pivots) == 375
+    assert np.array_equal(rr, expected) and pivots == expected_pivots
+    assert np.array_equal(nullspace_mod_p(block, 2), scalar_nullspace(block, 2))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_subspace_reduce_matches_pivot_loop(p):
     k = 6
@@ -875,6 +921,25 @@ def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
     assert fppoly.expansion_degrees(np.zeros((0, 9), dtype=np.int64), u, p).shape == (0,)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("u", [[0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 0, 1]], ids=["like-g", "power"])
+def test_expansion_degrees_read_narrow_bool_and_negative_rows(p, u):
+    # the int64 degrees of int64 rows, from the same residues written as uint8, int8 and int64 below 0, and as bool
+    rng = np.random.default_rng(p)
+    rows = rng.integers(0, p, size=(9, 131))
+    rows[[2, 7]] = 0  # zero rows
+    bits = rows % 2 == 1
+    for values, variants in (
+        (rows, [rows.astype(np.uint8), (rows - p).astype(np.int8), rows - p * rng.integers(1, 4, size=rows.shape)]),
+        (bits.astype(np.int64), [bits, bits.astype(np.uint8)]),
+    ):
+        expected = synthetic_expansion_degrees(values, u, p)
+        assert expected[2] == expected[7] == -1 and expected.max() > 0
+        for rows_in in [values, *variants]:
+            got = fppoly.expansion_degrees(rows_in, u, p)
+            assert got.dtype == np.int64 and np.array_equal(got, expected), rows_in.dtype
+
+
 @pytest.mark.parametrize("name", ["inst1_p2", "inst2_p2", "I23", "inst1_p3"])
 def test_message_space_at_p2_matches_the_matmul_product(name, request):
     # the kernel of the base-g digit map against U's spanning rows times their kernel, basis bytes and all
@@ -1065,6 +1130,25 @@ def test_sampled_distance_memory_is_bounded(inst2_p2):
         tracemalloc.stop()
     assert peak < 256 * 2**20
     assert 1 <= value <= inst.n
+
+
+def test_sampled_distance_holds_one_layout_of_the_basis_codewords(monkeypatch, inst2_p2):
+    # II(2,2) at D = n, the store filled: the (n, dim*k) layout is 376 KB.  With inner chunks of one column, one
+    # sample's chunk is its product matrices, made and transposed, and four (n, k) arrays of 8-byte entries, so
+    # one layout and one chunk bound the peak; reading the store through a (dim, n, k) copy first takes two layouts
+    ms = inst2_p2.message_space()
+    store = CodewordStore(ms, inst2_p2.omega)
+    expected = blocked_min_distance_sampled(store, samples=1, seed=0)
+    n, k = store.n, ms.ctx.k
+    layout, chunk = n * ms.dim * k, 2 * ms.dim * k * k * 8 + 4 * n * k * 8
+    monkeypatch.setattr(linalg, "MATMUL_CHUNK_ENTRIES", 1)
+    tracemalloc.start()
+    try:
+        value = min_distance_sampled(store, samples=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected and peak < layout + chunk < 2 * layout
 
 
 def test_distance_section_refuses_the_full_field_table_on_i23():
