@@ -123,6 +123,7 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     span = np.zeros((len(kernel), D), dtype=np.int64)
     span[:, good] = kernel
     basis = rref_mod_p(span, p)[0]
+    del span  # before the re-check, whose peak memory would hold it
     verification = constraint_report(basis, G, H, r, D)
     if not verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")

@@ -158,26 +158,27 @@ class InstanceConfig:
         """The config of a JSON object: p, m, D, seed integers or integer strings, r, gamma integers or fraction strings.
 
         Floats and booleans are refused; a float holds the nearest binary fraction, not the rational it spells.
+        Only a value that fails to convert is reported as malformed; the config's own checks keep their wording.
         """
 
         def value(key: str, default, convert):
             raw = data.get(key, default)
             if isinstance(raw, (bool, float)):
                 raise ValueError(f"{key}={raw!r} is not an integer or a string")
-            return None if raw is None else convert(raw)
+            return None if raw is None and key in ("D", "gamma") else convert(raw)
 
         try:
-            return cls(
-                instantiation=data["instantiation"],
-                p=value("p", None, int),
-                m=value("m", None, int),
-                r=value("r", "1/2", Fraction),
-                D=value("D", None, int),
-                gamma=value("gamma", None, Fraction),
-                seed=value("seed", 0, int),
-            )
+            values = {
+                "p": value("p", None, int),
+                "m": value("m", None, int),
+                "r": value("r", "1/2", Fraction),
+                "D": value("D", None, int),
+                "gamma": value("gamma", None, Fraction),
+                "seed": value("seed", 0, int),
+            }
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from None
+        return cls(instantiation=data.get("instantiation"), **values)
 
 
 @dataclass(eq=False)

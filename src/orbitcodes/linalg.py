@@ -1,19 +1,18 @@
 """Exact linear algebra over prime fields, on numpy integer matrices.
 
 Matrices come in as integer arrays and go out as 2-d int64 arrays.
-rref_mod_p is the one Gaussian elimination of a matrix (kernel_counts,
-below, sweeps a whole stack of small ones at once).  At p = 2 it runs on rows
-packed as the bits of uint64 words (pack_bits), with no int64 copy of
-its input, and a row update is one XOR of words (M4RI:
-Albrecht, Bard & Hart, ACM TOMS 2010, without its tables); it visits
-only the live columns of each word, those that some unreduced row has
-when the walk reaches the word.  Both loops swap rows by plain copies,
-not by a list-indexed gather.  At p > 2 it
-reduces a C-ordered copy mod p lazily (Dumas, Giorgi & Pernet,
-FFLAS-FFPACK, ACM TOMS 2008): a column is reduced when it is read as the
-pivot column, the pivot row once, and the row updates run without a
-reduction; an int64 growth bound keeps them exact.  The primes involved
-are tiny, so scalar inverses come from Fermat's little theorem.
+rref_mod_p, nullspace_mod_p and rank_mod_p read one Gaussian
+elimination, _rref, which gives the RREF's pivot rows in their own
+narrow type and their pivot columns.  At p = 2 it sweeps the rows,
+packed as the bits of uint64 words (pack_bits) with no int64 copy of
+the input: each row in turn takes its lowest set bit as its pivot and is
+XORed into every other row with that bit (M4RI: Albrecht, Bard & Hart,
+ACM TOMS 2010, without its tables); no rows are swapped, and the pivot
+rows are sorted at the end.  kernel_counts runs the same sweep across a
+stack of small matrices.  At p > 2 it walks the columns of a copy
+reduced mod p lazily (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
+2008), swapping rows by plain copies; an int64 growth bound keeps the
+unreduced updates exact, and inverses come from Fermat's little theorem.
 
 matmul_mod_p is the one F_p matrix product, of plain matrices or of
 stacks of them broadcast as np.matmul does.  A small product runs as one
@@ -58,7 +57,6 @@ INT64_PRODUCT_WORK = 1 << 14  # products with at most this many multiply-adds (i
 XOR_GATHER_WORDS = 1 << 17  # bound on the words of one gather of xor_rows (1 MiB)
 KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the words or digits of one chunk of kernel_counts' kernel elements
 KERNEL_SLAB_CODES = 1 << 20  # bound on the counters of one slab of kernel_counts
-_BIT_MASKS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit b of a pack_bits word, for each b
 
 
 def matmul_mod_p(a, b, p: int) -> np.ndarray:
@@ -186,21 +184,42 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
     mat is a matrix of bool or integer entries of any sign; 0-d and 1-d
     inputs are one row, and an array of more dimensions is refused.  It is
-    never written to.  At p = 2 its entries are packed mod 2 straight into
-    words (pack_bits), with no int64 copy: each word's live columns are
-    the set bits of the OR of the unreduced rows' words there, taken once
-    per word, and only those are visited; the pivot search reads one bit
-    of one word per row, the pivot row is swapped up by plain copies, and
-    a row update XORs the pivot row into another, both from the pivot's
-    word onward, since rows at or below the pivot row are zero before its
-    pivot column.
-    At p > 2 a C-ordered int64 copy (whatever mat's layout)
-    starts reduced and each pivot adds at most (p-1)^2 to an entry's
-    absolute value, so no entry exceeds (p-1) + min(rows, cols)*(p-1)^2;
-    a shape that lets that bound reach 2^63 is refused.  The row updates
-    start at the pivot column, a column is read only at its own step and
-    rows are swapped by plain copies, so the RREF is reduced once, at the
-    end.
+    never written to.  The form is _rref's pivot rows, cast to int64.
+    """
+    rows, pivots = _rref(mat, p)
+    return rows.astype(np.int64, copy=False), pivots.tolist()
+
+
+def rank_mod_p(mat, p: int) -> int:
+    return len(_rref(mat, p)[1])
+
+
+def nullspace_mod_p(mat, p: int) -> np.ndarray:
+    """Basis (as int64 rows) of {x : mat @ x = 0 mod p}.
+
+    Basis row i is 1 at the i-th free column and, at each pivot column,
+    minus that pivot row's entry in the free column of _rref's rows.
+    """
+    rows, pivots = _rref(mat, p)
+    cols = rows.shape[1]
+    free = np.delete(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (p - rows[:, free].T) % p
+    return basis
+
+
+def _rref(mat, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF of mat mod p: its pivot rows, top to bottom, and their pivot columns, ascending, as an int array.
+
+    At p = 2 the rows are uint8 bits (_rref_packed).  At p > 2 they are
+    int64 digits: a C-ordered int64 copy (whatever mat's layout) starts
+    reduced and each pivot adds at most (p-1)^2 to an entry's absolute
+    value, so no entry exceeds (p-1) + min(rows, cols)*(p-1)^2; a shape
+    that lets that bound reach 2^63 is refused.  The walk goes column by
+    column, the row updates start at the pivot column, a column is read
+    only at its own step and rows are swapped by plain copies, so the
+    RREF is reduced once, at the end.
     """
     a = _as_matrix(mat)
     if p == 2:
@@ -235,61 +254,38 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
             a[other, c:] -= col[other, None] * row
         pivots.append(c)
         r += 1
-    return a[: len(pivots)] % p, pivots
+    return a[:r] % p, np.array(pivots, dtype=np.intp)
 
 
-def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """rref_mod_p at p = 2 of an integer matrix, on its rows packed mod 2 into uint64 words.
+def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_rref at p = 2 of an integer matrix: one sweep over its rows packed mod 2 into uint64 words.
 
-    Rows at or below r are zero before the current pivot column and only
-    ever receive XORs of one another, so a column of word w that none of
-    them has when the walk reaches w never gains a candidate inside w: the
-    walk visits only the set bits of the OR of their words w.
+    Row r in turn, reduced by the earlier pivots, takes its lowest set bit
+    (the first nonzero word w, then word & -word) as its pivot and is
+    XORed, from w on, into every other row with that bit; a row that the
+    earlier pivots cleared has none.  A row only ever receives rows whose
+    pivots lie past its own lowest bit, so it never gains a bit below
+    it, and the rows end in the unique RREF, unordered and unswapped.
+    The pivot rows are sorted by pivot column as words, then unpacked.
     """
     rows, cols = a.shape
     packed = pack_bits(a)
-    pivots: list[int] = []
-    r = 0
-    for w in range(packed.shape[1]):
-        live = int(np.bitwise_or.reduce(packed[r:, w]))
-        while live and r < rows:
-            b = (live & -live).bit_length() - 1  # the lowest live column of the word
-            live &= live - 1
-            col = packed[:, w] & _BIT_MASKS[b]  # column w*64 + b's bit of every row
-            pr = r + int(col[r:].argmax())  # the first row at or below r with the bit, if any
-            if not col[pr]:
-                continue
-            if pr != r:  # both rows are zero before word w
-                row = packed[pr, w:].copy()
-                packed[pr, w:] = packed[r, w:]
-                packed[r, w:] = row
-                col[pr] = col[r]
-            col[r] = 0
-            other = col.nonzero()[0]
-            if other.size:
-                packed[other, w:] ^= packed[r, w:]
-            pivots.append(64 * w + b)
-            r += 1
-    return unpack_bits(packed[:r], cols).astype(np.int64), pivots
-
-
-def rank_mod_p(mat, p: int) -> int:
-    return len(rref_mod_p(mat, p)[1])
-
-
-def nullspace_mod_p(mat, p: int) -> np.ndarray:
-    """Basis (as rows) of {x : mat @ x = 0 mod p}.
-
-    Basis row i is 1 at the i-th free column and, at each pivot column,
-    minus that pivot row's RREF entry in the free column.
-    """
-    rr, pivots = rref_mod_p(mat, p)
-    cols = rr.shape[1]
-    free = np.delete(np.arange(cols), pivots)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rr[:, free].T % p
-    return basis
+    pivot_rows = {}  # pivot column: the row that takes it
+    for r in range(rows):
+        nonzero = packed[r].nonzero()[0]
+        if not nonzero.size:
+            continue
+        w = int(nonzero[0])
+        word = int(packed[r, w])
+        lead = word & -word  # the lowest set bit
+        col = packed[:, w] & np.uint64(lead)
+        col[r] = 0
+        other = col.nonzero()[0]
+        if other.size:
+            packed[other, w:] ^= packed[r, w:]
+        pivot_rows[64 * w + lead.bit_length() - 1] = r
+    pivots = sorted(pivot_rows)
+    return unpack_bits(packed[np.array([pivot_rows[c] for c in pivots], dtype=np.intp)], cols), np.array(pivots, dtype=np.intp)
 
 
 def kernel_counts(mats, p: int) -> Iterator[np.ndarray]:
@@ -381,22 +377,23 @@ def _slabs(basis: np.ndarray, free: np.ndarray, p: int, L: int, dtype) -> Iterat
 def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel vectors of every matrix of an (s, rows, N) stack, and the (s, N) mask of their free columns.
 
-    One elimination sweep per row over the whole stack: row r, reduced by
-    the earlier pivots, takes its first nonzero column as its pivot, is
-    scaled to 1 there and is subtracted from every other row with an entry
-    in that column.  Rows are not swapped, so each matrix ends in RREF up
-    to the order of its rows, with its dependent rows 0.  Entry f holds
-    the kernel vector of free column f: 1 at f, 0 at the other free
-    columns and, at each pivot column, minus that pivot row's entry in f
-    (as in nullspace_mod_p), which is nonzero only below f; the entries of
-    pivot columns mean nothing.  At p = 2 a row and a kernel vector are
-    words of N bits, packed by pack_bits in the word that word_width gives
-    and read back bit by bit by unpack_bits, a row's pivot is its lowest
-    set bit and the update is XOR.  At p > 2 they are digits, held in the
-    narrowest unsigned type that holds p^2 - 1, which bounds a row update
-    before its % p, and _span's sums.  One call of nullspace_mod_p per
-    matrix gives the same vectors, but its fixed cost per call made the
-    distance command on I(3,2) at D = 40 about a third slower end to end.
+    _rref's sweep over the rows at p = 2, run across the whole stack at
+    once and at every p: row r, reduced by the earlier pivots, takes its
+    first nonzero column as its pivot, is scaled to 1 there and is
+    subtracted from every other row with an entry in that column.  Rows are not swapped or sorted, so each
+    matrix ends in RREF up to the order of its rows, with its dependent
+    rows 0.  Entry f holds the kernel vector of free column f: 1 at f, 0
+    at the other free columns and, at each pivot column, minus that pivot
+    row's entry in f (as in nullspace_mod_p), which is nonzero only below
+    f; the entries of pivot columns mean nothing.  At p = 2 a row and a
+    kernel vector are words of N bits, packed by pack_bits in the word
+    that word_width gives and read back bit by bit by unpack_bits, a row's
+    pivot is its lowest set bit and the update is XOR.  At p > 2 they are
+    digits, held in the narrowest unsigned type that holds p^2 - 1, which
+    bounds a row update before its % p, and _span's sums.  One call of
+    nullspace_mod_p per matrix gives the same vectors, but its fixed cost
+    per call made the distance command on I(3,2) at D = 40 about a third
+    slower end to end.
     """
     s, rows, N = mats.shape
     if p == 2:

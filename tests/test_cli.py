@@ -373,6 +373,25 @@ def test_bundle_config_with_a_non_integer_value_is_structured_error(bundle_path,
     _assert_structured_error(code, out, "malformed config value")
 
 
+def test_config_validation_errors_are_not_reported_as_malformed_values(bundle_path, tmp_path, capsys):
+    # only a value that fails to convert carries the prefix; the config's own checks keep their wording
+    code, out = _run(capsys, "instantiate", "--p", "2", "--m", "2", "--inst", "I", "--seed", "-1")
+    _assert_structured_error(code, out)
+    assert json.loads(out)["error"]["condition"] == "seed must be >= 0, got -1"
+    cases = [
+        ("m", 1, "m must be >= 2, got 1"),
+        ("instantiation", ["I"], "instantiation must be 'I' or 'II', got ['I']"),
+        ("m", "two", "malformed config value: invalid literal for int() with base 10: 'two'"),
+        ("p", None, "malformed config value: int() argument must be"),
+    ]
+    for key, value, condition in cases:
+        doc = _valid_bundle(bundle_path)
+        doc["config"][key] = value
+        code, out = _run(capsys, "spectrum", "--bundle", _bundle_with(tmp_path, doc))
+        _assert_structured_error(code, out)
+        assert json.loads(out)["error"]["condition"].startswith(condition), key
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("m", 2.6), ("D", 7.9), ("D", True), ("p", 2.0), ("seed", 1.5), ("seed", False)],

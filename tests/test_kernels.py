@@ -189,7 +189,7 @@ def test_rref_mod_p_refuses_arrays_of_more_than_two_dimensions(p):
 
 
 def _walk_and_swap_cases(p, rng):
-    """Named matrices mod p that steer the elimination through idle words, dead columns and row swaps."""
+    """Named matrices mod p that steer the eliminations through idle words, dead columns, dependent rows, swaps and the final sort."""
     gap = rng.integers(0, p, size=(90, 200))
     gap[:, 64:128] = 0  # an all-zero word between live ones
     dead = rng.integers(0, p, size=(40, 100))
@@ -198,17 +198,35 @@ def _walk_and_swap_cases(p, rng):
     last[:, 0] = 0
     last[-1, 0] = 1  # column 0's only candidate is the last row
     staircase = np.flipud(np.triu(rng.integers(0, p, size=(130, 130)), 1) + np.diag(rng.integers(1, p, size=130)))
-    return {"gap": gap, "dead": dead, "last": last, "staircase": staircase, "tall": rng.integers(0, p, size=(200, 70))}
+    summed = rng.integers(0, p, size=(60, 150))
+    summed[40] = (summed[3] + summed[17]) % p  # zero once the rows above it have taken their pivots
+    duplicated = np.zeros((90, 100), dtype=np.int64)
+    duplicated[0::3] = duplicated[2::3] = rng.integers(0, p, size=(30, 100))  # each row twice, around an independent one
+    duplicated[1::3] = rng.integers(0, p, size=(30, 100))
+    late = rng.integers(0, p, size=(50, 200))
+    late[0, :195] = 0
+    late[0, 195] = 1  # the first row's pivot is in the last word, the later rows' in word 0
+    return {
+        "gap": gap,
+        "dead": dead,
+        "last": last,
+        "staircase": staircase,
+        "tall": rng.integers(0, p, size=(200, 70)),
+        "summed": summed,
+        "duplicated": duplicated,
+        "late": late,
+    }
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rref_walks_live_columns_and_swaps_rows_by_copies(p):
-    # each case against the eager elimination, and its kernel against back-substitution
+    # each case against the eager elimination, its rank against its pivots and its kernel against back-substitution
     cases = _walk_and_swap_cases(p, np.random.default_rng(32 + p))
     for name, mat in cases.items():
         rr, pivots = rref_mod_p(mat, p)
         expected, expected_pivots = eager_rref_mod_p(mat, p)
         assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots, name
+        assert rank_mod_p(mat, p) == len(pivots), name
         kernel = nullspace_mod_p(mat, p)
         assert kernel.dtype == np.int64 and np.array_equal(kernel, scalar_nullspace(mat, p)), name
     # the premises of the cases: no pivot in the zero word, column 5 live yet no pivot, swaps from the last row down
@@ -218,6 +236,14 @@ def test_rref_walks_live_columns_and_swaps_rows_by_copies(p):
     assert cases["dead"][:, 5].any() and {2, 3} <= set(dead_pivots) and 5 not in dead_pivots
     assert rref_mod_p(cases["last"], p)[1][0] == 0 and rref_mod_p(cases["staircase"], p)[1] == list(range(130))
     assert len(rref_mod_p(cases["tall"], p)[1]) == 70
+    # a nonzero row in the span of the rows above it, every duplicate dependent, and the first row sorted to the bottom
+    summed = cases["summed"]
+    assert summed[40].any() and rank_mod_p(summed[:41], p) == rank_mod_p(summed[:40], p) == 40
+    duplicated = cases["duplicated"]
+    assert np.array_equal(duplicated[0::3], duplicated[2::3])
+    assert rank_mod_p(duplicated, p) == rank_mod_p(np.delete(duplicated, np.s_[2::3], axis=0), p) == 60
+    late_pivots = rref_mod_p(cases["late"], p)[1]
+    assert late_pivots[0] < 64 and late_pivots[-1] == 195 and len(late_pivots) == 50
 
 
 def test_rref_of_the_rate_i23_kernel_block_matches_eager_elimination(monkeypatch):
