@@ -3,16 +3,17 @@
 Matrices come in as integer arrays and go out as 2-d int64 arrays.
 rref_mod_p, nullspace_mod_p and rank_mod_p read one Gaussian
 elimination, _rref, which gives the RREF's pivot rows in their own
-narrow type and their pivot columns.  At p = 2 it sweeps the rows,
-packed as the bits of uint64 words (pack_bits) with no int64 copy of
-the input: each row in turn takes its lowest set bit as its pivot and is
-XORed into every other row with that bit (M4RI: Albrecht, Bard & Hart,
+narrow type and their pivot columns.  It sweeps the rows once at every
+p: each row in turn takes its first nonzero entry as its pivot and
+clears that column from every other row (M4RI: Albrecht, Bard & Hart,
 ACM TOMS 2010, without its tables); no rows are swapped, and the pivot
-rows are sorted at the end.  kernel_counts runs the same sweep across a
-stack of small matrices.  At p > 2 it walks the columns of a copy
-reduced mod p lazily (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS
-2008), swapping rows by plain copies; an int64 growth bound keeps the
-unreduced updates exact, and inverses come from Fermat's little theorem.
+rows are sorted at the end.  At p = 2 the rows are the bits of uint64
+words (pack_bits), with no int64 copy of the input, the pivot is the
+lowest set bit and the update is XOR; at p > 2 they are digits in the
+narrowest unsigned type that holds p^2 - 1, which bounds a row update
+before its % p, and the pivot row is scaled to 1 by Fermat's little
+theorem.  kernel_counts runs the same sweep across a stack of small
+matrices.
 
 matmul_mod_p is the one F_p matrix product, of plain matrices or of
 stacks of them broadcast as np.matmul does.  A small product runs as one
@@ -191,6 +192,7 @@ def rref_mod_p(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_mod_p(mat, p: int) -> int:
+    """The rank of mat mod p: the number of _rref's pivots."""
     return len(_rref(mat, p)[1])
 
 
@@ -212,80 +214,59 @@ def nullspace_mod_p(mat, p: int) -> np.ndarray:
 def _rref(mat, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The RREF of mat mod p: its pivot rows, top to bottom, and their pivot columns, ascending, as an int array.
 
-    At p = 2 the rows are uint8 bits (_rref_packed).  At p > 2 they are
-    int64 digits: a C-ordered int64 copy (whatever mat's layout) starts
-    reduced and each pivot adds at most (p-1)^2 to an entry's absolute
-    value, so no entry exceeds (p-1) + min(rows, cols)*(p-1)^2; a shape
-    that lets that bound reach 2^63 is refused.  The walk goes column by
-    column, the row updates start at the pivot column, a column is read
-    only at its own step and rows are swapped by plain copies, so the
-    RREF is reduced once, at the end.
+    One sweep over the rows, with no pivot search and no swap: row r in
+    turn, reduced by the earlier pivots, takes its first nonzero entry as
+    its pivot and clears that column from every other row, from the
+    pivot's word or column on, until every column is a pivot.  At p = 2
+    the rows are uint64 words (pack_bits, no int64 copy of mat), the
+    pivot is the lowest set bit (word & -word) and the update is XOR.  At
+    p > 2 they are digits in the narrowest unsigned type that holds
+    p^2 - 1, a C-ordered copy whatever mat's layout: the row is scaled to
+    1 by lead^(p-2), and (p - c) times it is added to each row with an
+    entry c in the pivot column, a sum below p^2 until its % p; a p with
+    p^2 past 2^63 is refused.  A row only ever receives rows whose pivots
+    lie past its own, so the rows end in the unique RREF, unordered; the
+    pivot rows are sorted by pivot column (and unpacked at p = 2).
     """
+    if p * p > INT64_LIMIT:
+        raise ParameterError(f"eliminating a matrix mod {p} can overflow int64")
     a = _as_matrix(mat)
+    rows, cols = a.shape
     if p == 2:
-        return _rref_packed(a)
-    a = np.remainder(a, p, dtype=np.int64, order="C")
-    rows, cols = a.shape
-    if (p - 1) + min(rows, cols) * (p - 1) ** 2 >= INT64_LIMIT:
-        raise ParameterError(f"eliminating a {rows}x{cols} matrix mod {p} can overflow int64")
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[:, c] % p
-        nz = col[r:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            row = a[pr].copy()
-            a[pr] = a[r]
-            a[r] = row
-            col[r], col[pr] = col[pr], col[r]
-        inv = pow(int(col[r]), p - 2, p)
-        row = a[r, c:] % p
-        if inv != 1:
-            row = row * inv % p
-        a[r, c:] = row
-        col[r] = 0
-        other = col.nonzero()[0]
-        if other.size:
-            a[other, c:] -= col[other, None] * row
-        pivots.append(c)
-        r += 1
-    return a[:r] % p, np.array(pivots, dtype=np.intp)
-
-
-def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_rref at p = 2 of an integer matrix: one sweep over its rows packed mod 2 into uint64 words.
-
-    Row r in turn, reduced by the earlier pivots, takes its lowest set bit
-    (the first nonzero word w, then word & -word) as its pivot and is
-    XORed, from w on, into every other row with that bit; a row that the
-    earlier pivots cleared has none.  A row only ever receives rows whose
-    pivots lie past its own lowest bit, so it never gains a bit below
-    it, and the rows end in the unique RREF, unordered and unswapped.
-    The pivot rows are sorted by pivot column as words, then unpacked.
-    """
-    rows, cols = a.shape
-    packed = pack_bits(a)
+        a = pack_bits(a)
+    else:
+        digits = np.empty((rows, cols), dtype=np.min_scalar_type(p * p - 1))
+        # the remainder runs, chunk by chunk, in a type that holds p and a's entries
+        a = np.remainder(a, p, out=digits, dtype=np.promote_types(a.dtype, np.min_scalar_type(p)), casting="unsafe")
     pivot_rows = {}  # pivot column: the row that takes it
     for r in range(rows):
-        nonzero = packed[r].nonzero()[0]
+        if len(pivot_rows) == cols:
+            break
+        nonzero = a[r].nonzero()[0]
         if not nonzero.size:
             continue
-        w = int(nonzero[0])
-        word = int(packed[r, w])
-        lead = word & -word  # the lowest set bit
-        col = packed[:, w] & np.uint64(lead)
-        col[r] = 0
-        other = col.nonzero()[0]
+        w = int(nonzero[0])  # the pivot's word at p = 2, its column at p > 2
+        lead = int(a[r, w])
+        if p == 2:
+            lead &= -lead  # the lowest set bit
+            hit = a[:, w] & np.uint64(lead)
+            c = 64 * w + lead.bit_length() - 1
+        else:
+            if lead != 1:
+                a[r, w:] = a[r, w:] * pow(lead, p - 2, p) % p
+            hit = a[:, w].copy()
+            c = w
+        hit[r] = 0
+        other = hit.nonzero()[0]
         if other.size:
-            packed[other, w:] ^= packed[r, w:]
-        pivot_rows[64 * w + lead.bit_length() - 1] = r
+            if p == 2:
+                a[other, w:] ^= a[r, w:]
+            else:
+                a[other, w:] = (a[other, w:] + (p - hit[other, None]) * a[r, w:]) % p
+        pivot_rows[c] = r
     pivots = sorted(pivot_rows)
-    return unpack_bits(packed[np.array([pivot_rows[c] for c in pivots], dtype=np.intp)], cols), np.array(pivots, dtype=np.intp)
+    picked = a[np.array([pivot_rows[c] for c in pivots], dtype=np.intp)]
+    return unpack_bits(picked, cols) if p == 2 else picked, np.array(pivots, dtype=np.intp)
 
 
 def kernel_counts(mats, p: int) -> Iterator[np.ndarray]:
@@ -377,20 +358,25 @@ def _slabs(basis: np.ndarray, free: np.ndarray, p: int, L: int, dtype) -> Iterat
 def _kernel_bases(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel vectors of every matrix of an (s, rows, N) stack, and the (s, N) mask of their free columns.
 
-    _rref's sweep over the rows at p = 2, run across the whole stack at
-    once and at every p: row r, reduced by the earlier pivots, takes its
-    first nonzero column as its pivot, is scaled to 1 there and is
-    subtracted from every other row with an entry in that column.  Rows are not swapped or sorted, so each
-    matrix ends in RREF up to the order of its rows, with its dependent
-    rows 0.  Entry f holds the kernel vector of free column f: 1 at f, 0
-    at the other free columns and, at each pivot column, minus that pivot
-    row's entry in f (as in nullspace_mod_p), which is nonzero only below
-    f; the entries of pivot columns mean nothing.  At p = 2 a row and a
-    kernel vector are words of N bits, packed by pack_bits in the word
-    that word_width gives and read back bit by bit by unpack_bits, a row's
-    pivot is its lowest set bit and the update is XOR.  At p > 2 they are
-    digits, held in the narrowest unsigned type that holds p^2 - 1, which
-    bounds a row update before its % p, and _span's sums.  One call of
+    _rref's sweep over the rows, run across the whole stack at once: row
+    r, reduced by the earlier pivots, takes its first nonzero column as
+    its pivot, is scaled to 1 there and is subtracted from every other
+    row with an entry in that column.  Rows are not swapped or sorted, so
+    each matrix ends in RREF up to the order of its rows, with its
+    dependent rows 0.  Entry f holds the kernel vector of free column f:
+    1 at f, 0 at the other free columns and, at each pivot column, minus
+    that pivot row's entry in f (as in nullspace_mod_p), which is nonzero
+    only below f; the entries of pivot columns mean nothing.  At p = 2 a
+    row and a kernel vector are words of N bits, packed by pack_bits in
+    the word that word_width gives and read back bit by bit by
+    unpack_bits, a row's pivot is its lowest set bit and the update is
+    XOR.  At p > 2 they are digits, held in the narrowest unsigned type
+    that holds p^2 - 1, which bounds a row update before its % p, and
+    _span's sums.  This loop stays apart from _rref's: each step here
+    updates every row of every matrix whole, and one loop for both, with
+    _rref's matrix as a stack of one, made a single elimination 2-3 times
+    slower (rate-I23's 448 x 512 block 3.2 -> 8.6 ms, I(2,3)'s 1792 x 2048
+    block at D = n 34.5 -> 105 ms, on a shared 2-vCPU VM).  One call of
     nullspace_mod_p per matrix gives the same vectors, but its fixed cost
     per call made the distance command on I(3,2) at D = 40 about a third
     slower end to end.

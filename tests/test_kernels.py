@@ -5,10 +5,10 @@ enumeration and depth-first search) and the stacked kernel counter
 quotient spectral scans, the F_p message space (the kernel of the base-g
 digit map, against U's spanning rows), the chunked encoding, the base-u
 digit matrix and the batched base-degree kernel (XOR on packed words at
-p = 2), the elimination (bit-packed at p = 2, lazy reduction above), the
-bit packing, the packed F_2 product xor_rows, and the mod-p kernel basis
-and coset representative, each against its slow oracle
-(tests/oracles.py, or matmul_mod_p for the product)."""
+p = 2), the elimination (one sweep over the rows: packed words at p = 2,
+narrow digits above), the bit packing, the packed F_2 product xor_rows,
+and the mod-p kernel basis and coset representative, each against its
+slow oracle (tests/oracles.py, or matmul_mod_p for the product)."""
 
 import hashlib
 import itertools
@@ -173,6 +173,51 @@ def test_rref_mod_p_at_p2_reads_bool_uint8_and_negative_inputs_without_writing_t
         expected, expected_pivots = eager_rref_mod_p(mat.astype(np.int64), 2)
         assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
         assert mat.dtype == before.dtype and np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rref_mod_p_above_p2_reads_bool_uint8_and_negative_inputs_without_writing_them(p):
+    rng = np.random.default_rng(p)
+    base = rng.integers(-9, 10, size=(40, 130))
+    inputs = [
+        base % 2 == 1,
+        rng.integers(0, 256, size=(40, 130)).astype(np.uint8),
+        base,
+        base.T[::3],  # a strided view
+    ]
+    for mat in inputs:
+        before = mat.copy()
+        mat.flags.writeable = False  # a write raises
+        rr, pivots = rref_mod_p(mat, p)
+        expected, expected_pivots = eager_rref_mod_p(mat.astype(np.int64), p)
+        assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
+        assert np.array_equal(nullspace_mod_p(mat, p), scalar_nullspace(mat.astype(np.int64), p))
+        assert rank_mod_p(mat, p) == len(pivots)
+        assert mat.dtype == before.dtype and np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("p, digits", [(13, np.uint8), (251, np.uint16), (65521, np.uint32), (2**31 - 1, np.uint64)])
+def test_rref_and_nullspace_mod_p_hold_every_prime_whose_square_fits_int64(p, digits):
+    # one prime per digit type (the narrowest that holds p^2 - 1): entries of both signs up to 2^40, and bytes,
+    # whose own type may not hold p
+    rng = np.random.default_rng(p % 1000)
+    big = 2**40
+    low = np.array(rng.integers(0, p, size=(7, 3)), dtype=object) @ rng.integers(0, p, size=(3, 10)) % p  # rank <= 3
+    mats = [
+        rng.integers(-big, big + 1, size=(6, 9)),
+        rng.integers(-big, big + 1, size=(9, 6)),
+        low.astype(np.int64) + p * rng.integers(-(big // p), big // p, size=low.shape),
+    ]
+    assert all(np.abs(mat).max() <= big and (mat < 0).any() and (mat >= p).any() for mat in mats)
+    mats.append(rng.integers(0, 256, size=(5, 8)).astype(np.uint8))
+    for mat in mats:
+        assert linalg._rref(mat, p)[0].dtype == digits
+        rr, pivots = rref_mod_p(mat, p)
+        expected, expected_pivots = eager_rref_mod_p(mat, p)
+        assert rr.dtype == np.int64 and np.array_equal(rr, expected) and pivots == expected_pivots
+        kernel = nullspace_mod_p(mat, p)
+        assert kernel.dtype == np.int64 and np.array_equal(kernel, scalar_nullspace(mat, p))
+    assert len(rref_mod_p(mats[2], p)[1]) <= 3
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
