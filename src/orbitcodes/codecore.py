@@ -106,7 +106,8 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     (j+1)*|G| - 1, so f lies in U iff f*E vanishes on the columns c < D
     with c mod |G| above the translation bound.  U cap V is therefore one
     kernel, of E's block of V's rows and U's bad columns, gathered chunk
-    by chunk; the basis is that kernel placed into V's columns, in RREF.
+    by chunk.  The basis is its RREF, on V's columns alone (the others
+    are zero and hold no pivot), written into a zero (dim, D) array.
 
     Every basis row is then re-checked against all three constraints by one
     batched base expansion per base (constraint_report); the result is
@@ -119,11 +120,10 @@ def message_space(G: TranslationGroup, H: ScalingGroup, r: Fraction, D: int) -> 
     for lo, chunk in fppoly.digit_chunks(G.g, D, p):
         at = slice(*np.searchsorted(good, [lo, lo + len(chunk)]))
         block[:, at] = chunk[np.ix_(good[at] - lo, bad)].T
-    kernel = nullspace_mod_p(block, p)
-    span = np.zeros((len(kernel), D), dtype=np.int64)
-    span[:, good] = kernel
-    basis = rref_mod_p(span, p)[0]
-    del span  # before the re-check, whose peak memory would hold it
+    reduced = rref_mod_p(nullspace_mod_p(block, p), p)[0]
+    basis = np.zeros((len(reduced), D), dtype=np.int64)
+    basis[:, good] = reduced
+    del block, reduced  # before the re-check, whose peak memory would hold them
     verification = constraint_report(basis, G, H, r, D)
     if not verification["all_ok"]:
         raise InternalError("message-space basis failed its constraint re-check")

@@ -35,7 +35,7 @@ def _monic_base(u, p: int) -> tuple[np.ndarray, int]:
     return u, degree
 
 
-def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
+def digit_chunks(u, length: int, p: int, least: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, E[lo:hi]) for consecutive chunks of the rows t < length of the base-u digit matrix E.
 
     u is the monic base's F_p coefficients, lowest degree first.  Row t of
@@ -47,9 +47,9 @@ def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
     deg u + e) over u's lower terms: the first term is row t - deg u with
     every digit moved up one block, and the rest are earlier rows, at
     least step = deg u minus u's largest lower exponent back, so step rows
-    of E come in one vector operation.  A chunk holds at most
-    EXPANSION_CHUNK_ENTRIES entries (at least one row), and is a view of
-    one buffer that the next chunk overwrites.
+    of E come in one vector operation.  A chunk is as many rows as fit in
+    EXPANSION_CHUNK_ENTRIES entries, or least rows if more, never past
+    length; it is a view of one buffer that the next chunk overwrites.
 
     At p = 2 the buffer is uint8 and the lower terms of u are XORed in,
     with no multiply and no reduction.  At p > 2 each of u's t lower terms
@@ -60,7 +60,7 @@ def digit_chunks(u, length: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
     lower = [(e, int(u[e])) for e in range(degree) if u[e]]
     step = degree - max((e for e, _ in lower), default=0)
     width = -(-length // degree) * degree  # whole digit blocks
-    chunk = max(1, min(length, EXPANSION_CHUNK_ENTRIES // max(width, 1)))
+    chunk = max(1, min(length, max(least, EXPANSION_CHUNK_ENTRIES // max(width, 1))))
     bound = 1 if p == 2 else (p - 1) * (1 + len(lower) * (p - 1))  # a step's largest entry before its reduction
     # buf[i] holds the digits of X^(lo - degree + i): the chunk's rows after the degree rows before them
     buf = np.zeros((degree + chunk, width), dtype=np.min_scalar_type(bound))
@@ -94,13 +94,13 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     lowest degree first.  The degrees are int64, found in int32.
 
     The expansion is F_p-linear, so the digits are rows times the digit
-    matrix E, taken chunk by chunk from digit_chunks, and a row's largest
-    digit degree is its largest column mod deg u over nonzero columns.
-    For u = X^(deg u) the digits are the coefficients themselves.  At
-    p = 2 each chunk of E is packed into words (linalg.pack_bits), and a
-    row's digits are the XOR of the packed E rows at its nonzero
-    coefficients (linalg.xor_rows), read back as bool digits with no
-    reduction; at p > 2 the product is linalg.matmul_mod_p.
+    matrix E, taken from digit_chunks at least R rows at a time, and a
+    row's largest digit degree is its largest column mod deg u over
+    nonzero columns.  For u = X^(deg u) the digits are the coefficients
+    themselves.  At p = 2 each chunk of E is packed into words
+    (linalg.pack_bits), and a row's digits are the XOR of the packed E
+    rows at its nonzero coefficients (linalg.xor_rows), read back as bool
+    digits with no reduction; at p > 2 the product is linalg.matmul_mod_p.
     """
     u, degree = _monic_base(u, p)
     rows = np.asarray(rows)
@@ -113,7 +113,7 @@ def expansion_degrees(rows: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
             digits = np.zeros((len(rows), -(-width // 64)), dtype=np.uint64)  # the words of pack_bits
         else:
             digits = np.zeros((len(rows), width), dtype=np.int64)
-        for lo, block in digit_chunks(u, length, p):
+        for lo, block in digit_chunks(u, length, p, least=len(rows)):
             hi = lo + len(block)
             if p == 2:
                 xor_rows(digits, odd_terms(rows[:, lo:hi]), pack_bits(block))

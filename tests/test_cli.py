@@ -52,6 +52,18 @@ def test_verify_section_imports_no_numpy_random():
     assert proc.stdout.split() == ["True", "10", "False"]
 
 
+def test_ladder_timer_digests_the_bytes_of_orbitcodes_report(bundle_path, tmp_path):
+    # tools/ladder.py builds the rung and makes the report's calls, so its digest is that of the report file
+    out = tmp_path / "report.json"
+    assert main(["report", "--bundle", bundle_path, "--rate", "--verify", "--out", str(out)]) == 0
+    tool = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+    argv = [sys.executable, str(tool), "--inst", "I", "--p", "2", "--m", "2", "--sections", "rate,verify"]
+    line = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    assert line["report_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert line["ok"] and line["n"] == line["D"] == 48 and sorted(line["sections"]) == ["rate", "verify"]
+    assert all(sec["s"] >= 0 and sec["minflt"] >= 0 for sec in [line["build"], *line["sections"].values()])
+
+
 def test_instantiate_bundle_contents(bundle_path):
     with open(bundle_path) as fh:
         doc = json.load(fh)

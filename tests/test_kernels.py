@@ -981,15 +981,49 @@ def test_expansion_degrees_match_synthetic_division(monkeypatch, p, lower):
         rows = rng.integers(0, p, size=(7, length))
         rows[[2, 5]] = 0  # zero rows
         rows[6, length // 2 :] = 0
-        expected = synthetic_expansion_degrees(rows, u, p)
         width = -(-length // 5) * 5
-        for chunk_rows in (None, 1, 3, 7, 70):  # the default, then rows of the digit matrix per chunk
-            if chunk_rows:
-                monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", chunk_rows * width)
-            got = fppoly.expansion_degrees(rows, u, p)
-            assert got.dtype == np.int64 and np.array_equal(got, expected)
-        monkeypatch.undo()
+        # a chunk is at least as tall as the batch, so 1- and 3-row batches keep E's 1- and 3-row chunk edges
+        for batch in (rows, rows[:1], rows[4:7]):
+            expected = synthetic_expansion_degrees(batch, u, p)
+            heights = _spy_chunk_heights(monkeypatch)
+            for chunk_rows in (None, 1, 3, 7, 70):  # the default, then rows of the digit matrix per chunk
+                if chunk_rows:
+                    monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", chunk_rows * width)
+                heights.clear()
+                got = fppoly.expansion_degrees(batch, u, p)
+                assert got.dtype == np.int64 and np.array_equal(got, expected)
+                if chunk_rows and length and any(u[:5]):  # u = X^5 reads no digit matrix
+                    assert len(heights) == -(-length // max(chunk_rows, len(batch)))
+                    if len(batch) <= chunk_rows < length:
+                        assert len(heights) > 1
+            monkeypatch.undo()
     assert fppoly.expansion_degrees(np.zeros((0, 9), dtype=np.int64), u, p).shape == (0,)
+
+
+def _spy_chunk_heights(monkeypatch) -> list[int]:
+    """The row counts of the chunks of E that fppoly.digit_chunks yields from now on, in order."""
+    heights, real = [], fppoly.digit_chunks
+
+    def spy(*args, **kwargs):
+        for lo, chunk in real(*args, **kwargs):
+            heights.append(len(chunk))
+            yield lo, chunk
+
+    monkeypatch.setattr(fppoly, "digit_chunks", spy)
+    return heights
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_expansion_degrees_multiply_chunks_at_least_as_tall_as_the_batch(monkeypatch, p):
+    # one row of E per chunk under the entry bound alone; a 7-row batch still takes 7 rows at a time
+    u, length = [1, 0, p - 1, 1, 0, 1], 40
+    rows = np.random.default_rng(p).integers(0, p, size=(7, length))
+    rows[3] = 0
+    monkeypatch.setattr(fppoly, "EXPANSION_CHUNK_ENTRIES", length)  # one row of E: width = length here
+    heights = _spy_chunk_heights(monkeypatch)
+    got = fppoly.expansion_degrees(rows, u, p)
+    assert heights == [7] * 5 + [5]
+    assert np.array_equal(got, synthetic_expansion_degrees(rows, u, p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1042,6 +1076,19 @@ def test_digit_chunks_rows_are_the_base_digits_of_monomials(monkeypatch, p):
         for j, d in enumerate(base_digits([0] * t + [1], u, p)):
             digits[5 * j : 5 * j + len(d)] = d
         assert row.tolist() == digits.tolist()
+
+
+@pytest.mark.parametrize("name", ["inst1_p2", "inst2_p2", "inst1_p3"])
+def test_message_space_eliminates_nothing_wider_than_v(monkeypatch, name, request):
+    # the kernel and its RREF have V's columns only: the columns outside V hold no pivot
+    inst, widths = request.getfixturevalue(name), []
+    for fn in ("nullspace_mod_p", "rref_mod_p"):
+        real = getattr(codecore, fn)
+        monkeypatch.setattr(codecore, fn, lambda mat, p, real=real: widths.append(np.shape(mat)[1]) or real(mat, p))
+    for r in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+        widths.clear()
+        ms = message_space(inst.G, inst.H, r, inst.n)
+        assert len(widths) == 2 and max(widths) <= ms.dim_v < ms.D
 
 
 @pytest.mark.parametrize(
