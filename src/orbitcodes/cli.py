@@ -1,19 +1,26 @@
 """Command-line driver.
 
-Subcommands: instantiate, graph, spectrum, rate, encode, verify, distance,
+Subcommands: instantiate, graph, spectrum, rate, distance, encode, verify,
 report, sweep.  `instantiate` writes a bundle JSON that every analysis
 command consumes.  The bundle records the config, not the construction:
 load_bundle rebuilds the instance from the config on every command and
 checks the rebuilt alpha, n and graph summary against the bundle's, so a
-tampered bundle is refused rather than analysed.  Exit code 0
-means every checked inequality held (budget-skipped sections do not fail);
-anticipated errors, and running out of memory, surface as structured JSON
-with exit code 2.
+tampered bundle is refused rather than analysed.  spectrum, rate,
+distance and verify each run one report section (report.SECTIONS) alone,
+through cmd_section; `report` runs the sections its flags name, or every
+section when none is named.  Every command writes to --out, or to stdout
+when it is not given.
+
+Exit code 0 means every checked inequality held (budget-skipped sections
+do not fail), and 1 that a check failed.  Anticipated errors surface as
+structured JSON with exit code 2: bad parameters, a missing, unreadable,
+non-UTF-8 or malformed input file, an --out path that cannot be written,
+running out of memory, and an instance too large to index.
 
 Budget defaults can be overridden with environment variables:
 ORBITCODES_DISTANCE_BUDGET, ORBITCODES_ORACLE_EDGES, ORBITCODES_FIELD_SCAN,
-ORBITCODES_VERIFY_BASIS.  Each must be a nonnegative integer; a bad value,
-like a missing or malformed input file, is a structured error (exit 2).
+ORBITCODES_VERIFY_BASIS.  Each must be a nonnegative integer; a bad value
+is a structured error (exit 2) too.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from orbitcodes.errors import OrbitcodesError, ParameterError
 from orbitcodes.instance import InstanceConfig, SCHEMA_VERSION, build_instance, load_bundle
 from orbitcodes.report import (
     DEFAULT_BUDGETS,
+    SECTIONS,
     canonical_json,
     distance_section,
     full_report,
@@ -69,7 +77,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, and UnicodeDecodeError for bytes that are not UTF-8
         raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -92,21 +100,16 @@ def _read_digits(ctx, data, key: str, path: str) -> np.ndarray:
     return out
 
 
-def _load_bundle(path: str):
-    return load_bundle(_read_json(path))
-
-
 def _write(text: str, out_path: str | None) -> None:
     """Write text to out_path, or to stdout when no path is given."""
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(doc: dict, out_path: str | None) -> None:
-    _write(canonical_json(doc), out_path)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _config_from_args(args) -> InstanceConfig:
@@ -125,32 +128,16 @@ def _config_from_args(args) -> InstanceConfig:
 
 def cmd_instantiate(args) -> int:
     inst = build_instance(_config_from_args(args))
-    _emit(inst.bundle_json(), args.out)
+    _write(canonical_json(inst.bundle_json()), args.out)
     return 0
 
 
 def cmd_graph(args) -> int:
-    inst = _load_bundle(args.bundle)
+    inst = load_bundle(_read_json(args.bundle))
     lines = ["edge_id,left_idx,right_idx"]
     lines += [f"{e},{l},{r}" for e, (l, r) in enumerate(inst.graph.edges.tolist())]
     _write("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _section_command(args, section_fn) -> int:
-    inst = _load_bundle(args.bundle)
-    body = section_fn(inst, _budgets())
-    doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), **{args.command: body}}
-    _emit(doc, args.out)
-    return 0 if body.get("ok", True) else 1
-
-
-def cmd_spectrum(args) -> int:
-    return _section_command(args, spectrum_section)
-
-
-def cmd_rate(args) -> int:
-    return _section_command(args, rate_section)
 
 
 def _sample(args) -> int:
@@ -160,48 +147,33 @@ def _sample(args) -> int:
     return args.sample
 
 
-def cmd_distance(args) -> int:
-    sample = _sample(args)
-    return _section_command(args, lambda inst, budgets: distance_section(inst, budgets, sample=sample))
+def cmd_section(args) -> int:
+    """The report section the subcommand names, run alone on a bundle; exit 1 iff one of its checks failed."""
+    extra = {"sample": _sample(args)} if args.command == "distance" else {}
+    inst = load_bundle(_read_json(args.bundle))
+    budgets = _budgets()
+    if args.command == "verify" and args.codeword:
+        extra["codeword"] = _read_digits(inst.ambient, _read_json(args.codeword), "values", args.codeword)
+    body = globals()[f"{args.command}_section"](inst, budgets, **extra)
+    doc = {"schema_version": SCHEMA_VERSION, "config": inst.config.to_json(), args.command: body}
+    _write(canonical_json(doc), args.out)
+    return 0 if body.get("ok", True) else 1
 
 
 def cmd_encode(args) -> int:
-    inst = _load_bundle(args.bundle)
+    inst = load_bundle(_read_json(args.bundle))
     coeffs = _read_digits(inst.ambient, _read_json(args.message), "coeffs", args.message)
     cw = encode(coeffs, inst.omega, inst.G, inst.H, inst.config.r, inst.D)
-    _emit({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.tolist()}, args.out)
+    _write(canonical_json({"schema_version": SCHEMA_VERSION, "n": inst.n, "values": cw.tolist()}), args.out)
     return 0
-
-
-def cmd_verify(args) -> int:
-    def section(inst, budgets):
-        cw = _read_digits(inst.ambient, _read_json(args.codeword), "values", args.codeword) if args.codeword else None
-        return verify_section(inst, budgets, codeword=cw)
-
-    return _section_command(args, section)
 
 
 def cmd_report(args) -> int:
     sample = _sample(args)
-    inst = _load_bundle(args.bundle)
-    chosen = {
-        "spectrum": args.spectrum,
-        "rate": args.rate,
-        "distance": args.distance,
-        "verify": args.verify,
-    }
-    if not any(chosen.values()):
-        chosen = {k: True for k in chosen}
-    doc = full_report(
-        inst,
-        spectrum=chosen["spectrum"],
-        rate=chosen["rate"],
-        distance=chosen["distance"],
-        verify=chosen["verify"],
-        budgets=_budgets(),
-        sample=sample,
-    )
-    _emit(doc, args.out)
+    inst = load_bundle(_read_json(args.bundle))
+    every = not any(getattr(args, s) for s in SECTIONS)  # no section flag means every section
+    doc = full_report(inst, budgets=_budgets(), sample=sample, **{s: every or getattr(args, s) for s in SECTIONS})
+    _write(canonical_json(doc), args.out)
     return 0 if doc["ok"] else 1
 
 
@@ -246,67 +218,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbitcodes", description="Coset-graph evaluation code workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(p):
-        p.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-        p.add_argument("--m", type=int, required=True, help="sparsity parameter (>= 2)")
-        p.add_argument("--inst", choices=["I", "II"], required=True, help="instantiation")
-        p.add_argument("--r", default="1/2", help="local rate as a fraction a/b")
-        p.add_argument("--D", default=None, help="global degree bound (integer or 'n')")
-        p.add_argument("--gamma", default=None, help="scaling-group density 1/a (instantiation II)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-
-    p_inst = sub.add_parser("instantiate", help="build an instance bundle")
-    add_instance_args(p_inst)
-    p_inst.add_argument("--out", default=None)
-    p_inst.set_defaults(func=cmd_instantiate)
-
-    for name, fn, extra in [
-        ("graph", cmd_graph, ()),
-        ("spectrum", cmd_spectrum, ()),
-        ("rate", cmd_rate, ()),
-    ]:
-        sp = sub.add_parser(name, help=f"{name} analysis of a bundle")
-        sp.add_argument("--bundle", required=True)
+    def command(name, func, summary, bundle=True):
+        """A subcommand that writes to --out (stdout when not given) and, when bundle is set, reads --bundle."""
+        sp = sub.add_parser(name, help=summary)
+        if bundle:
+            sp.add_argument("--bundle", required=True)
         sp.add_argument("--out", default=None)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=func)
+        return sp
 
-    p_dist = sub.add_parser("distance", help="exhaustive minimum distance under budget")
-    p_dist.add_argument("--bundle", required=True)
-    p_dist.add_argument("--out", default=None)
+    p_inst = command("instantiate", cmd_instantiate, "build an instance bundle", bundle=False)
+    p_inst.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
+    p_inst.add_argument("--m", type=int, required=True, help="sparsity parameter (>= 2)")
+    p_inst.add_argument("--inst", choices=["I", "II"], required=True, help="instantiation")
+    p_inst.add_argument("--r", default="1/2", help="local rate as a fraction a/b")
+    p_inst.add_argument("--D", default=None, help="global degree bound (integer or 'n')")
+    p_inst.add_argument("--gamma", default=None, help="scaling-group density 1/a (instantiation II)")
+    p_inst.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+
+    command("graph", cmd_graph, "graph analysis of a bundle")
+    command("spectrum", cmd_section, "spectrum analysis of a bundle")
+    command("rate", cmd_section, "rate analysis of a bundle")
+    p_dist = command("distance", cmd_section, "exhaustive minimum distance under budget")
     p_dist.add_argument("--sample", type=int, default=0, help="fallback sample count when over budget")
-    p_dist.set_defaults(func=cmd_distance)
-
-    p_enc = sub.add_parser("encode", help="encode message coefficients to a codeword")
-    p_enc.add_argument("--bundle", required=True)
+    p_enc = command("encode", cmd_encode, "encode message coefficients to a codeword")
     p_enc.add_argument("--message", required=True, help="JSON file with {'coeffs': [[digits], ...]}")
-    p_enc.add_argument("--out", default=None)
-    p_enc.set_defaults(func=cmd_encode)
-
-    p_ver = sub.add_parser("verify", help="local RS verification of a codeword or the basis")
-    p_ver.add_argument("--bundle", required=True)
+    p_ver = command("verify", cmd_section, "local RS verification of a codeword or the basis")
     p_ver.add_argument("--codeword", default=None, help="JSON file with {'values': [[digits], ...]}")
-    p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_rep = sub.add_parser("report", help="combined report; exit 0 iff all inequalities hold")
-    p_rep.add_argument("--bundle", required=True)
-    p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--spectrum", action="store_true")
-    p_rep.add_argument("--rate", action="store_true")
-    p_rep.add_argument("--distance", action="store_true")
-    p_rep.add_argument("--verify", action="store_true")
+    p_rep = command("report", cmd_report, "combined report; exit 0 iff all inequalities hold")
+    for name in SECTIONS:
+        p_rep.add_argument(f"--{name}", action="store_true")
     p_rep.add_argument("--sample", type=int, default=0)
-    p_rep.set_defaults(func=cmd_report)
 
-    p_sw = sub.add_parser("sweep", help="closed-form bound table over a parameter grid (CSV)")
+    p_sw = command("sweep", cmd_sweep, "closed-form bound table over a parameter grid (CSV)", bundle=False)
     p_sw.add_argument("--inst", choices=["I", "II"], required=True)
     p_sw.add_argument("--m", type=int, required=True)
     p_sw.add_argument("--r-grid", required=True, help="comma-separated fractions")
     p_sw.add_argument("--rho-grid", required=True, help="comma-separated fractions")
     p_sw.add_argument("--gamma-grid", default=None, help="comma-separated fractions (II)")
-    p_sw.add_argument("--out", default=None)
-    p_sw.set_defaults(func=cmd_sweep)
-
     return parser
 
 
@@ -315,8 +265,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OrbitcodesError, MemoryError) as exc:
-        # numpy raises a private subclass of MemoryError; the record names the public class
+    except (OrbitcodesError, MemoryError, OverflowError) as exc:
+        # numpy raises a private subclass of MemoryError; the record names the public class.
+        # An instance too large to index (p^m past sys.maxsize) raises OverflowError instead.
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         doc = {
             "schema_version": SCHEMA_VERSION,

@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -544,19 +543,6 @@ def monomial_count(config, D: int, r: Fraction | None = None) -> int:
     attribute (p, m, r, h_order and weight, as on an InstanceConfig); the r
     override admits degenerate rates (r <= 0 counts nothing) that a config
     refuses.
-    """
-    return sum(jmax + 1 for _, jmax in _j_maxima(config, D, r) if jmax >= 0)
-
-
-def admissible_monomials(config, D: int, r: Fraction | None = None) -> Iterator[tuple[int, int]]:
-    """The (i, j) of every monomial that monomial_count counts, i ascending, then j."""
-    for i, jmax in _j_maxima(config, D, r):
-        for j in range(jmax + 1):
-            yield (i, j)
-
-
-def _j_maxima(config, D: int, r: Fraction | None) -> Iterator[tuple[int, int]]:
-    """(i, the largest admissible j) for every i with deg g^i < D; no i when r <= 0, and jmax < 0 admits no j.
 
     The h-base bound j + w(i) < r|H| has an integer digit weight w(i), so
     it is j <= max_degree_below(r|H|) - w(i), with no rational arithmetic
@@ -564,16 +550,18 @@ def _j_maxima(config, D: int, r: Fraction | None) -> Iterator[tuple[int, int]]:
     """
     r = config.r if r is None else Fraction(r)
     if r <= 0:
-        return
+        return 0
     p, glen = config.p, config.p**config.m
-    top = (D - 1) // glen
+    top = (D - 1) // glen  # the largest i with deg g^i < D
     weights = [config.weight(k) for k in range(max(1, top.bit_length()))]  # one per base-p digit of i <= top
     jcap_h = max_degree_below(r * config.h_order)
     jcap_g = max_degree_below(r * glen)  # binds on II only: on I, r|H| - w < r|G|
+    count = 0
     for i in range(top + 1):
         w, rest, k = 0, i, 0
         while rest:
             w += (rest % p) * weights[k]
             rest //= p
             k += 1
-        yield i, min(jcap_h - w, D - 1 - i * glen, jcap_g)
+        count += max(0, min(jcap_h - w, D - 1 - i * glen, jcap_g) + 1)  # j = 0 .. the largest admissible j
+    return count

@@ -24,6 +24,7 @@ from orbitcodes.cosetgraph import char_sum_max, sigma2_exact, sigma2_oracle
 from orbitcodes.errors import DEFAULT_BUDGETS, BudgetError, ParameterError
 from orbitcodes.instance import Instance, SCHEMA_VERSION
 
+SECTIONS = ("spectrum", "rate", "distance", "verify")  # the report's sections, in report order
 SPECTRAL_TOLERANCE = 1e-9  # slack of the sigma_2 comparisons, which are in floating point
 
 
@@ -208,9 +209,7 @@ def full_report(
         doc["distance"] = distance_section(inst, budgets, sigma2=sigma2, sample=sample)
     if verify:
         doc["verify"] = verify_section(inst, budgets)
-    doc["ok"] = all(
-        doc[section].get("ok", True) for section in ("spectrum", "rate", "distance", "verify") if section in doc
-    )
+    doc["ok"] = all(doc[section].get("ok", True) for section in SECTIONS if section in doc)
     return doc
 
 

@@ -346,6 +346,30 @@ def test_missing_codeword_file_is_structured_error(bundle_path, tmp_path, capsys
     _assert_structured_error(code, out, "absent.json")
 
 
+@pytest.mark.parametrize("option", ["--bundle", "--message", "--codeword"])
+def test_input_file_that_is_not_utf8_is_structured_error(bundle_path, tmp_path, capsys, option):
+    # a UTF-16 file with its byte-order mark ff fe is malformed input, not a crash
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"coeffs": [], "values": []}'.encode("utf-16-le"))
+    command = {"--bundle": "rate", "--message": "encode", "--codeword": "verify"}[option]
+    argv = [command, "--bundle", str(path)] if option == "--bundle" else [command, "--bundle", bundle_path, option, str(path)]
+    code, out = _run(capsys, *argv)
+    _assert_structured_error(code, out, f"{path} is not valid JSON", "utf-8")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+@pytest.mark.parametrize("command", ["instantiate", "report"])
+def test_out_path_that_cannot_be_written_is_structured_error(bundle_path, tmp_path, capsys, command, target):
+    out = tmp_path / "absent" / "out.json" if target == "missing-directory" else tmp_path
+    if command == "instantiate":
+        argv = ["instantiate", "--p", "2", "--m", "2", "--inst", "I"]
+    else:
+        argv = ["report", "--bundle", bundle_path, "--rate"]
+    code, text = _run(capsys, *argv, "--out", str(out))
+    _assert_structured_error(code, text, f"cannot write {out}: ")
+    assert not (tmp_path / "absent").exists()
+
+
 def _bundle_with(tmp_path, doc):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
@@ -470,6 +494,17 @@ def test_running_out_of_memory_is_structured_error(capsys, monkeypatch):
     code, out = _run(capsys, "instantiate", "--p", "2", "--m", "5", "--inst", "I")
     assert code == 2
     assert json.loads(out)["error"] == {"type": "MemoryError", "condition": "Unable to allocate 26.3 GiB for an array"}
+
+
+def test_instance_too_large_to_index_is_structured_error(bundle_path, tmp_path, capsys):
+    # p^m = 2^100 exceeds every index, so the build stops before it allocates; at m = 40 it runs out of memory
+    flag = ["instantiate", "--p", "2", "--m", "100", "--inst", "I"]
+    doc = _valid_bundle(bundle_path)
+    doc["config"]["m"] = 100
+    for argv in (flag, ["spectrum", "--bundle", _bundle_with(tmp_path, doc)]):
+        code, out = _run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "OverflowError"
 
 
 def test_bundle_config_with_a_decimal_fraction_string_is_accepted(bundle_path, tmp_path, capsys):

@@ -32,8 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from orbitcodes import report  # noqa: E402
 from orbitcodes.cli import _budgets  # noqa: E402
 from orbitcodes.instance import InstanceConfig, build_instance  # noqa: E402
-
-SECTIONS = ("spectrum", "rate", "distance", "verify")
+from orbitcodes.report import SECTIONS  # noqa: E402
 
 
 def _usage() -> tuple[float, int]:
